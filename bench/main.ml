@@ -631,42 +631,7 @@ let tab3 () =
   Report.table ppf ~header:[ "name"; "description" ]
     (List.map
        (fun kind -> [ Fixtures.name kind; Fixtures.description kind ])
-       (Fixtures.paper_five
-       @ [ Fixtures.Hinfs_nclfw; Fixtures.Hinfs_wb; Fixtures.Hinfs_fifo;
-           Fixtures.Hinfs_lfu ]))
-
-(* ------------------------------------------------------------------ *)
-(* Extra ablation: LRW vs FIFO replacement.                            *)
-(* ------------------------------------------------------------------ *)
-
-let ablate_repl () =
-  Report.heading ppf "Ablation: LRW vs FIFO buffer replacement";
-  let rows =
-    List.concat_map
-      (fun (wname, make) ->
-        List.map
-          (fun kind ->
-            let result, stats =
-              Experiment.run_workload ~spec ~duration:sweep_duration kind
-                (make ())
-            in
-            [
-              wname;
-              Fixtures.name kind;
-              Report.f0 result.Workload.ops_per_sec;
-              Report.pct (Stats.buffer_write_hit_ratio stats);
-            ])
-          [ Fixtures.Hinfs_fs; Fixtures.Hinfs_fifo; Fixtures.Hinfs_lfu ])
-      [
-        ("fileserver", fun () -> Filebench.fileserver ());
-        ("webproxy", fun () -> Filebench.webproxy ());
-      ]
-  in
-  Report.table ppf ~header:[ "workload"; "policy"; "ops/s"; "write hits" ] rows;
-  Fmt.pf ppf
-    "@.The paper argues LRW suffices given skewed workloads (§3.2) and \
-     leaves LFU/ARC/2Q to future work; FIFO is the strawman and sampled \
-     LFU the 'sophisticated' candidate.@."
+       (Fixtures.paper_five @ [ Fixtures.Hinfs_nclfw; Fixtures.Hinfs_wb ]))
 
 (* ------------------------------------------------------------------ *)
 (* Serve: request-level fan-in through lib/server, 64 -> 4096 clients. *)
@@ -1099,7 +1064,6 @@ let experiments =
     ("fig11", fig11);
     ("fig12", fig12);
     ("fig13", fig13);
-    ("ablate-repl", ablate_repl);
     ("serve", serve);
     ("baseline", baseline);
     ("micro", micro);

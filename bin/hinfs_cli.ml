@@ -35,8 +35,6 @@ let fs_kind_conv =
       ("hinfs", Fixtures.Hinfs_fs);
       ("hinfs-nclfw", Fixtures.Hinfs_nclfw);
       ("hinfs-wb", Fixtures.Hinfs_wb);
-      ("hinfs-fifo", Fixtures.Hinfs_fifo);
-      ("hinfs-lfu", Fixtures.Hinfs_lfu);
       ("pmfs", Fixtures.Pmfs_fs);
       ("cowfs", Fixtures.Cow_fs);
       ("ext4-dax", Fixtures.Ext4_dax);

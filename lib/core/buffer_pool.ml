@@ -26,7 +26,6 @@ type block = {
   mutable dirty : Clbitmap.t;
   mutable home_valid : Clbitmap.t;
   mutable last_written : int64;
-  mutable write_count : int; (* writes since binding (sampled-LFU policy) *)
   mutable pinned : int; (* foreground use / in-flight writeback *)
   mutable in_use : bool;
 }
@@ -55,7 +54,6 @@ let create ~capacity ~block_size ~lines_per_block =
           dirty = Clbitmap.empty;
           home_valid = Clbitmap.empty;
           last_written = 0L;
-          write_count = 0;
           pinned = 0;
           in_use = false;
         })
@@ -94,7 +92,6 @@ let alloc t ~ino ~fblock ~home ~now =
     b.dirty <- Clbitmap.empty;
     b.home_valid <- Clbitmap.empty;
     b.last_written <- now;
-    b.write_count <- 0;
     b.pinned <- 0;
     b.in_use <- true;
     Dlist.push_back t.lrw b.node;
@@ -108,51 +105,23 @@ let free t b =
   Queue.add b.id t.free;
   t.free_count <- t.free_count + 1
 
-(* Record a write. Under LRW the block moves to the MRW end; under FIFO
-   (ablation) recency never changes the order; under sampled LFU we only
-   bump the write counter. *)
-let touch_written t ?(policy = Hconfig.Lrw) b ~now =
+(* Record a write: the block moves to the MRW end. *)
+let touch_written t b ~now =
   b.last_written <- now;
-  b.write_count <- b.write_count + 1;
-  match policy with
-  | Hconfig.Lrw -> Dlist.move_to_back t.lrw b.node
-  | Hconfig.Fifo | Hconfig.Lfu -> ()
+  Dlist.move_to_back t.lrw b.node
 
-(* How many LRW-end candidates the sampled-LFU policy inspects. *)
-let lfu_sample = 32
-
-(* Victim selection. LRW/FIFO take the head of the list; sampled LFU scans
-   the first [lfu_sample] unpinned candidates and evicts the least
-   frequently written (Redis-style approximation of LFU, which the paper
-   names as a candidate "sophisticated" policy). *)
-let pick_victim ?(policy = Hconfig.Lrw) t =
-  match policy with
-  | Hconfig.Lrw | Hconfig.Fifo ->
-    let found = ref None in
-    (try
-       Dlist.iter t.lrw (fun id ->
-           let b = t.blocks.(id) in
-           if b.pinned = 0 then begin
-             found := Some b;
-             raise Exit
-           end)
-     with Exit -> ());
-    !found
-  | Hconfig.Lfu ->
-    let best = ref None in
-    let seen = ref 0 in
-    (try
-       Dlist.iter t.lrw (fun id ->
-           let b = t.blocks.(id) in
-           if b.pinned = 0 then begin
-             incr seen;
-             (match !best with
-             | Some current when current.write_count <= b.write_count -> ()
-             | _ -> best := Some b);
-             if !seen >= lfu_sample then raise Exit
-           end)
-     with Exit -> ());
-    !best
+(* Victim selection: the least recently written unpinned block. *)
+let pick_victim t =
+  let found = ref None in
+  (try
+     Dlist.iter t.lrw (fun id ->
+         let b = t.blocks.(id) in
+         if b.pinned = 0 then begin
+           found := Some b;
+           raise Exit
+         end)
+   with Exit -> ());
+  !found
 
 (* Iterate blocks from LRW to MRW. [f] may pin/flush but must not free the
    block it is visiting during iteration (collect ids first if freeing). *)

@@ -18,7 +18,6 @@ type block = {
   mutable dirty : Clbitmap.t;
   mutable home_valid : Clbitmap.t;
   mutable last_written : int64;
-  mutable write_count : int;  (** writes since binding (for sampled LFU) *)
   mutable pinned : int;  (** foreground use / in-flight writeback *)
   mutable in_use : bool;
 }
@@ -40,12 +39,11 @@ val alloc : t -> ino:int -> fblock:int -> home:int -> now:int64 -> block option
 val free : t -> block -> unit
 (** @raise Invalid_argument if the block is pinned or not in use. *)
 
-val touch_written : t -> ?policy:Hconfig.replacement -> block -> now:int64 -> unit
-(** Record a write: moves the block to the MRW end under LRW. *)
+val touch_written : t -> block -> now:int64 -> unit
+(** Record a write: moves the block to the MRW end. *)
 
-val pick_victim : ?policy:Hconfig.replacement -> t -> block option
-(** Victim selection: LRW/FIFO take the list head; sampled LFU evicts the
-    least-frequently-written of the first unpinned candidates. *)
+val pick_victim : t -> block option
+(** Victim selection: the least recently written unpinned block. *)
 
 val iter_lrw : t -> (block -> unit) -> unit
 (** From LRW to MRW; the callback must not free the visited block. *)

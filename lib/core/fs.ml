@@ -37,6 +37,7 @@ module Types = Hinfs_vfs.Types
 module Pmfs = Hinfs_pmfs.Pmfs
 module Health = Hinfs_pmfs.Health
 module Layout = Hinfs_pmfs.Layout
+module Media = Hinfs_pmfs.Media
 module Obs = Hinfs_obs.Obs
 
 type file_state = {
@@ -235,8 +236,7 @@ let mark_block_dirty t fst b lines =
   b.Buffer_pool.present <- Clbitmap.union b.Buffer_pool.present lines;
   if was_clean && not (Clbitmap.is_empty b.Buffer_pool.dirty) then
     fst.dirty_blocks <- fst.dirty_blocks + 1;
-  Buffer_pool.touch_written (spool t fst.f_ino)
-    ~policy:t.hcfg.Hconfig.replacement b ~now:(now t)
+  Buffer_pool.touch_written (spool t fst.f_ino) b ~now:(now t)
 
 (* Write the dirty cachelines of a buffer block back to its NVMM home.
    Under CLFW only dirty lines stream out, as maximal runs; without CLFW
@@ -355,10 +355,7 @@ let daemon_body t sh =
             (not t.stopping)
             && Buffer_pool.free_count sh.pool < reclaim_target t sh
           then begin
-            match
-              Buffer_pool.pick_victim ~policy:t.hcfg.Hconfig.replacement
-                sh.pool
-            with
+            match Buffer_pool.pick_victim sh.pool with
             | None -> ()
             | Some b ->
               flush_block ~background:true t b ~evict:true;
@@ -426,9 +423,7 @@ let alloc_buffer_block t ~ino ~fblock ~home =
       ignore (Condvar.signal sh.wb_wakeup);
       if t.daemons = 0 then begin
         (* No daemons (unit-test configuration): reclaim inline. *)
-        (match
-           Buffer_pool.pick_victim ~policy:t.hcfg.Hconfig.replacement sh.pool
-         with
+        (match Buffer_pool.pick_victim sh.pool with
         | Some victim ->
           flush_block t victim ~evict:true;
           try_commit t (file_state t victim.Buffer_pool.ino)
@@ -814,7 +809,7 @@ let install_health_listener t =
 
 let unlink t ~dir name =
   (match Pmfs.lookup t.pmfs ~dir name with
-  | Some ino when Pmfs.inode_kind t.pmfs ino = Layout.Inode.kind_regular ->
+  | Some ino when Pmfs.inode_kind t.pmfs ino = Media.Inode.kind_regular ->
     drop_buffers t ino
   | _ -> ());
   Pmfs.unlink t.pmfs ~dir name
@@ -822,7 +817,7 @@ let unlink t ~dir name =
 let rename t ~src_dir ~src ~dst_dir ~dst =
   (* If the rename will replace an existing file, its buffers die too. *)
   (match Pmfs.lookup t.pmfs ~dir:dst_dir dst with
-  | Some ino when Pmfs.inode_kind t.pmfs ino = Layout.Inode.kind_regular ->
+  | Some ino when Pmfs.inode_kind t.pmfs ino = Media.Inode.kind_regular ->
     drop_buffers t ino
   | _ -> ());
   Pmfs.rename t.pmfs ~src_dir ~src ~dst_dir ~dst

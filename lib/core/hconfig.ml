@@ -4,8 +4,6 @@
    - clfw = false      -> HiNFS-NCLFW (block-granular fetch/writeback, Fig 9)
    - checker = false   -> HiNFS-WB (buffer everything, Fig 12/13) *)
 
-type replacement = Lrw | Fifo | Lfu
-
 type t = {
   buffer_bytes : int; (* DRAM write buffer capacity *)
   low_watermark : float; (* wake writeback below this free fraction (5%) *)
@@ -16,7 +14,6 @@ type t = {
   writeback_threads : int;
   clfw : bool; (* Cacheline Level Fetch/Writeback *)
   checker : bool; (* Eager-Persistent Write Checker + Buffer Benefit Model *)
-  replacement : replacement; (* victim selection policy (ablation) *)
   shards : int; (* hot-state shards: buffer pools, journals, allocators *)
 }
 
@@ -31,7 +28,6 @@ let default =
     writeback_threads = 4;
     clfw = true;
     checker = true;
-    replacement = Lrw;
     shards = 1;
   }
 

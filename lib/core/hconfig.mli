@@ -1,10 +1,5 @@
 (** HiNFS tuning knobs, with the paper's defaults (§3.2, §3.3.2). *)
 
-(** Buffer replacement policy: the paper's LRW (Least Recently Written),
-    FIFO as an ablation strawman, or sampled LFU-by-writes — the kind of
-    "more sophisticated policy" the paper's §3.2 leaves to future work. *)
-type replacement = Lrw | Fifo | Lfu
-
 type t = {
   buffer_bytes : int;  (** DRAM write buffer capacity *)
   low_watermark : float;
@@ -21,7 +16,6 @@ type t = {
   checker : bool;
       (** Eager-Persistent Write Checker + Buffer Benefit Model;
           [false] = HiNFS-WB (buffer everything) *)
-  replacement : replacement;
   shards : int;
       (** Number of hot-state shards: per-shard buffer pools, journal
           regions, and allocator ranges; files map to shards by inode. *)

@@ -12,6 +12,7 @@ module Device = Hinfs_nvmm.Device
 module Log = Hinfs_journal.Cacheline_log
 module Pmfs = Hinfs_pmfs.Pmfs
 module Layout = Hinfs_pmfs.Layout
+module Media = Hinfs_pmfs.Media
 module Fs = Hinfs.Fs
 module Fsck = Hinfs_fsck.Fsck
 module Repair = Hinfs_fsck.Repair
@@ -199,7 +200,7 @@ let pmfs_torn_txn =
         let geo = Pmfs.geometry fs in
         let log = Pmfs.log fs in
         let txn = Log.begin_txn log in
-        let addr = Layout.Inode.addr geo ino + Layout.Inode.size_off in
+        let addr = Layout.Inode.addr geo ino + Media.Inode.size_off in
         Log.log log txn ~addr ~len:8;
         Layout.Inode.set_size device ~cat geo ino 0;
         Device.clflush device ~cat ~addr ~len:8;

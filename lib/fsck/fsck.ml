@@ -22,11 +22,9 @@ module Allocator = Hinfs_nvmm.Allocator
 module Log = Hinfs_journal.Cacheline_log
 module Pmfs = Hinfs_pmfs.Pmfs
 module Layout = Hinfs_pmfs.Layout
+module Media = Hinfs_pmfs.Media
 module Fs_ctx = Hinfs_pmfs.Fs_ctx
 module Block_tree = Hinfs_pmfs.Block_tree
-
-let dirent_size = 64
-let max_name_len = 55
 
 (* Per-shard breakdown (Layout v3 partitions the journal region and the
    allocator ranges; one entry per shard, in shard order). *)
@@ -76,25 +74,115 @@ let pp_report ppf r =
       Fmt.(list ~sep:cut (fun ppf v -> Fmt.pf ppf "  - %s" v))
       r.violations pp_shards r
 
-(* Raw dirent scan over one directory block: validates the on-media bytes
-   before trusting them (Dir's own parser assumes well-formed entries). *)
-let scan_dirent_block device ~geo ~dir ~block ~add ~entry =
-  let bs = geo.Layout.block_size in
-  let raw = Device.peek_persistent device ~addr:(block * bs) ~len:bs in
-  for slot = 0 to (bs / dirent_size) - 1 do
-    let base = slot * dirent_size in
-    let ino = Int32.to_int (Bytes.get_int32_le raw base) in
-    if ino <> 0 then begin
-      let name_len = Bytes.get_uint16_le raw (base + 4) in
-      if name_len = 0 || name_len > max_name_len then
-        add
-          (Fmt.str "dir %d: dirent block %d slot %d has bad name length %d"
-             dir block slot name_len)
-      else begin
-        let name = Bytes.sub_string raw (base + 6) name_len in
-        entry ~name ~target:ino
+(* --- The namespace pass both checkers share ---
+
+   Walks each directory's dirents through the codec's validating decoder
+   and collects dirent references and subdirectory counts, flagging
+   malformed dirents and invalid or dangling targets; then holds link
+   counts to those references. Each substrate supplies its own step from
+   an inode number to the address of an in-use inode, the view dirents are
+   read through, and its directory link-count rule. *)
+
+type namespace = {
+  device : Device.t;
+  peek : Device.t -> addr:int -> len:int -> Bytes.t;
+  inode_count : int;
+  live : int -> int option; (* address of an in-use inode *)
+  add : string -> unit;
+  refs : (int, int) Hashtbl.t; (* target ino -> dirent references *)
+  subdirs : (int, int) Hashtbl.t; (* dir ino -> subdirectory entries *)
+}
+
+let namespace ~device ~peek ~inode_count ~live ~add =
+  {
+    device;
+    peek;
+    inode_count;
+    live;
+    add;
+    refs = Hashtbl.create 256;
+    subdirs = Hashtbl.create 64;
+  }
+
+let count tbl key = Option.value ~default:0 (Hashtbl.find_opt tbl key)
+let bump tbl key = Hashtbl.replace tbl key (count tbl key + 1)
+let is_dir ns ia = Media.Inode.kind ns.device ia = Media.Inode.kind_directory
+
+let check_root ns ~root =
+  match ns.live root with
+  | None -> ns.add "root inode not in use"
+  | Some ia -> if not (is_dir ns ia) then ns.add "root inode is not a directory"
+
+(* One in-use inode: its kind, and for a directory its size and dirents. *)
+let check_inode ns ~ino ~ia =
+  let device = ns.device in
+  let kind = Media.Inode.kind device ia in
+  if kind <> Media.Inode.kind_regular && kind <> Media.Inode.kind_directory
+  then ns.add (Fmt.str "inode %d: invalid kind %d" ino kind);
+  if kind = Media.Inode.kind_directory then begin
+    let size = Media.Inode.size device ia in
+    if size mod Media.block_size device <> 0 then
+      ns.add
+        (Fmt.str "dir %d: size %d not a multiple of the block size" ino size);
+    try
+      Media.Dirent.scan ~peek:ns.peek device ~ia
+        (fun ~fblock:_ ~block ~slot entry ->
+          (match entry with
+          | Media.Dirent.Free -> ()
+          | Bad_name_len len ->
+            ns.add
+              (Fmt.str "dir %d: dirent block %d slot %d has bad name length %d"
+                 ino block slot len)
+          | Live (name, target) ->
+            if target < 1 || target > ns.inode_count then
+              ns.add
+                (Fmt.str "dir %d: entry %S targets invalid inode %d" ino name
+                   target)
+            else begin
+              (match ns.live target with
+              | None ->
+                ns.add
+                  (Fmt.str "dir %d: entry %S dangles to free inode %d" ino
+                     name target)
+              | Some tia -> if is_dir ns tia then bump ns.subdirs ino);
+              bump ns.refs target
+            end);
+          true)
+    with e ->
+      ns.add
+        (Fmt.str "dir %d: dirent walk failed: %s" ino (Printexc.to_string e))
+  end
+
+(* Link counts against dirent references, and orphans. [dir_links] is the
+   substrate's own rule for a directory's link count. *)
+let check_links ns ~root ~dir_links =
+  for ino = 1 to ns.inode_count do
+    match ns.live ino with
+    | None -> ()
+    | Some ia ->
+      let links = Media.Inode.links ns.device ia in
+      let refs = count ns.refs ino in
+      if is_dir ns ia then begin
+        let expect = dir_links ino in
+        if links <> expect then
+          ns.add
+            (Fmt.str "dir %d: link count %d (expected %d)" ino links expect);
+        if ino = root then begin
+          if refs <> 0 then
+            ns.add (Fmt.str "root referenced by %d dirent(s)" refs)
+        end
+        else if refs <> 1 then
+          ns.add
+            (Fmt.str "dir %d: referenced by %d dirent(s) (expected 1)" ino
+               refs)
       end
-    end
+      else begin
+        if links <> refs then
+          ns.add
+            (Fmt.str "inode %d: link count %d but %d dirent reference(s)" ino
+               links refs);
+        if refs = 0 then ns.add (Fmt.str "inode %d: orphan (no dirent)" ino)
+      end
   done
 
 let check_pmfs fs =
@@ -127,14 +215,16 @@ let check_pmfs fs =
         shard_journal_entries
   end;
   (* 2. Root inode. *)
-  let root = Layout.root_ino in
-  if not (Layout.Inode.in_use device geo root) then
-    add "root inode not in use"
-  else if Layout.Inode.kind device geo root <> Layout.Inode.kind_directory
-  then add "root inode is not a directory";
-  (* 3. Per-inode walk: kinds, sizes, reachable blocks, dirents. *)
+  let ns =
+    namespace ~device ~peek:Device.peek_persistent
+      ~inode_count:geo.Layout.inode_count ~add ~live:(fun ino ->
+        if Layout.Inode.in_use device geo ino then
+          Some (Layout.Inode.addr geo ino)
+        else None)
+  in
+  check_root ns ~root:Layout.root_ino;
+  (* 3. Per-inode walk: sizes, reachable blocks, kinds, dirents. *)
   let owner = Hashtbl.create 256 in (* data/index block -> owning inode *)
-  let dirent_refs = Hashtbl.create 256 in (* target ino -> reference count *)
   let inodes_checked = ref 0 in
   let claim ino what block =
     if block < geo.Layout.data_start || block >= geo.Layout.data_end then
@@ -150,12 +240,7 @@ let check_pmfs fs =
   for ino = 1 to geo.Layout.inode_count do
     if Layout.Inode.in_use device geo ino then begin
       incr inodes_checked;
-      let kind = Layout.Inode.kind device geo ino in
       let size = Layout.Inode.size device geo ino in
-      if
-        kind <> Layout.Inode.kind_regular
-        && kind <> Layout.Inode.kind_directory
-      then add (Fmt.str "inode %d: invalid kind %d" ino kind);
       if size < 0 then add (Fmt.str "inode %d: negative size %d" ino size);
       (try
          let bs = geo.Layout.block_size in
@@ -179,67 +264,12 @@ let check_pmfs fs =
          add
            (Fmt.str "inode %d: block tree walk failed: %s" ino
               (Printexc.to_string e)));
-      if kind = Layout.Inode.kind_directory then begin
-        if size mod geo.Layout.block_size <> 0 then
-          add
-            (Fmt.str "dir %d: size %d not a multiple of the block size" ino
-               size);
-        try
-          Block_tree.iter_blocks ctx ~ino (fun _fblock block ->
-              scan_dirent_block device ~geo ~dir:ino ~block ~add
-                ~entry:(fun ~name ~target ->
-                  if target < 1 || target > geo.Layout.inode_count then
-                    add
-                      (Fmt.str "dir %d: entry %S targets invalid inode %d"
-                         ino name target)
-                  else begin
-                    if not (Layout.Inode.in_use device geo target) then
-                      add
-                        (Fmt.str
-                           "dir %d: entry %S dangles to free inode %d" ino
-                           name target);
-                    let n =
-                      Option.value ~default:0
-                        (Hashtbl.find_opt dirent_refs target)
-                    in
-                    Hashtbl.replace dirent_refs target (n + 1)
-                  end))
-        with e ->
-          add
-            (Fmt.str "dir %d: dirent walk failed: %s" ino
-               (Printexc.to_string e))
-      end
+      check_inode ns ~ino ~ia:(Layout.Inode.addr geo ino)
     end
   done;
-  (* 4. Link counts vs. dirent references; orphan detection. *)
-  for ino = 1 to geo.Layout.inode_count do
-    if Layout.Inode.in_use device geo ino then begin
-      let kind = Layout.Inode.kind device geo ino in
-      let links = Layout.Inode.links device geo ino in
-      let refs =
-        Option.value ~default:0 (Hashtbl.find_opt dirent_refs ino)
-      in
-      if kind = Layout.Inode.kind_directory then begin
-        if links <> 2 then
-          add (Fmt.str "dir %d: link count %d (expected 2)" ino links);
-        if ino = Layout.root_ino then begin
-          if refs <> 0 then
-            add (Fmt.str "root referenced by %d dirent(s)" refs)
-        end
-        else if refs <> 1 then
-          add
-            (Fmt.str "dir %d: referenced by %d dirent(s) (expected 1)" ino
-               refs)
-      end
-      else begin
-        if links <> refs then
-          add
-            (Fmt.str "inode %d: link count %d but %d dirent reference(s)" ino
-               links refs);
-        if refs = 0 then add (Fmt.str "inode %d: orphan (no dirent)" ino)
-      end
-    end
-  done;
+  (* 4. Link counts vs. dirent references; orphan detection. PMFS keeps a
+     directory's link count at 2 whatever its subdirectories. *)
+  check_links ns ~root:Layout.root_ino ~dir_links:(fun _ -> 2);
   (* 5. Allocator cross-check: the bitmaps must cover exactly the
      reachable set. On a fresh mount the allocators are rebuilt from the
      live trees, so this is vacuous; on a *live* mount after failed
@@ -342,14 +372,10 @@ let check_pmfs fs =
           block >= geo.Layout.itable_start
           && block < geo.Layout.itable_start + geo.Layout.itable_blocks
         then begin
-          let ino =
-            ((addr - (geo.Layout.itable_start * bs)) / Layout.inode_size) + 1
-          in
-          if
-            ino >= 1 && ino <= geo.Layout.inode_count
-            && Layout.Inode.in_use device geo ino
-          then
+          match Layout.Inode.ino_of_addr geo addr with
+          | Some ino when Layout.Inode.in_use device geo ino ->
             add (Fmt.str "media: in-use inode %d poisoned at %#x" ino addr)
+          | _ -> ()
         end
         else
           match Hashtbl.find_opt owner block with
@@ -460,85 +486,21 @@ let check_cow fs =
   (* Working-tree namespace: root inode, dirent targets, link counts
      (dir links = 2 + subdirs; file links = dirent references). *)
   let imap = Cowfs.imap_root fs in
-  let inode_count = Cowfs.inode_count fs in
+  let ns =
+    namespace ~device ~peek:Device.peek ~inode_count:(Cowfs.inode_count fs)
+      ~add ~live:(Cowfs.live_inode_at fs ~imap)
+  in
   let inodes_checked = ref 0 in
-  let dirent_refs = Hashtbl.create 64 in
-  let subdirs = Hashtbl.create 64 in
-  if not (Cowfs.in_use_at fs ~imap Cowfs.root_ino) then
-    add "root inode not in use"
-  else if Cowfs.ikind_at fs ~imap Cowfs.root_ino <> Layout.Inode.kind_directory
-  then add "root inode is not a directory";
-  for ino = 1 to inode_count do
-    if Cowfs.in_use_at fs ~imap ino then begin
+  check_root ns ~root:Cowfs.root_ino;
+  for ino = 1 to ns.inode_count do
+    match ns.live ino with
+    | None -> ()
+    | Some ia ->
       incr inodes_checked;
-      let kind = Cowfs.ikind_at fs ~imap ino in
-      if
-        kind <> Layout.Inode.kind_regular
-        && kind <> Layout.Inode.kind_directory
-      then add (Fmt.str "inode %d: invalid kind %d" ino kind);
-      if kind = Layout.Inode.kind_directory then begin
-        if Cowfs.isize_at fs ~imap ino mod bs <> 0 then
-          add (Fmt.str "dir %d: size not a multiple of the block size" ino);
-        List.iter
-          (fun (name, target) ->
-            if String.length name = 0 || String.length name > max_name_len
-            then add (Fmt.str "dir %d: entry with bad name length" ino);
-            if target < 1 || target > inode_count then
-              add
-                (Fmt.str "dir %d: entry %S targets invalid inode %d" ino name
-                   target)
-            else begin
-              if not (Cowfs.in_use_at fs ~imap target) then
-                add
-                  (Fmt.str "dir %d: entry %S dangles to free inode %d" ino
-                     name target);
-              let n =
-                Option.value ~default:0 (Hashtbl.find_opt dirent_refs target)
-              in
-              Hashtbl.replace dirent_refs target (n + 1);
-              if Cowfs.ikind_at fs ~imap target = Layout.Inode.kind_directory
-              then
-                Hashtbl.replace subdirs ino
-                  (Option.value ~default:0 (Hashtbl.find_opt subdirs ino) + 1)
-            end)
-          (Cowfs.dir_list_at fs ~imap ~dir:ino)
-      end
-    end
+      check_inode ns ~ino ~ia
   done;
-  for ino = 1 to inode_count do
-    if Cowfs.in_use_at fs ~imap ino then begin
-      let kind = Cowfs.ikind_at fs ~imap ino in
-      let links =
-        match Cowfs.inode_addr_at fs ~imap ino with
-        | Some ia ->
-          Device.get_u16 device (ia + Layout.Inode.links_off)
-        | None -> 0
-      in
-      let refs = Option.value ~default:0 (Hashtbl.find_opt dirent_refs ino) in
-      if kind = Layout.Inode.kind_directory then begin
-        let expect =
-          2 + Option.value ~default:0 (Hashtbl.find_opt subdirs ino)
-        in
-        if links <> expect then
-          add (Fmt.str "dir %d: link count %d (expected %d)" ino links expect);
-        if ino = Cowfs.root_ino then begin
-          if refs <> 0 then
-            add (Fmt.str "root referenced by %d dirent(s)" refs)
-        end
-        else if refs <> 1 then
-          add
-            (Fmt.str "dir %d: referenced by %d dirent(s) (expected 1)" ino
-               refs)
-      end
-      else begin
-        if links <> refs then
-          add
-            (Fmt.str "inode %d: link count %d but %d dirent reference(s)" ino
-               links refs);
-        if refs = 0 then add (Fmt.str "inode %d: orphan (no dirent)" ino)
-      end
-    end
-  done;
+  check_links ns ~root:Cowfs.root_ino ~dir_links:(fun ino ->
+      2 + count ns.subdirs ino);
   let leaked_inodes =
     if quiesced then
       max 0 (Allocator.used_blocks (Cowfs.ialloc fs) - !inodes_checked)

@@ -149,18 +149,13 @@ let run ?shard fs =
         block >= geo.Layout.itable_start
         && block < geo.Layout.itable_start + geo.Layout.itable_blocks
       then begin
-        let ino =
-          ((addr - (geo.Layout.itable_start * bs)) / Layout.inode_size) + 1
-        in
-        if
-          ino >= 1 && ino <= geo.Layout.inode_count
-          && Layout.Inode.in_use device geo ino
-        then
+        match Layout.Inode.ino_of_addr geo addr with
+        | Some ino when Layout.Inode.in_use device geo ino ->
           unrecoverable :=
             ( Some (Layout.shard_of_ino geo ino),
               Fmt.str "in-use inode %d at %#x" ino addr )
             :: !unrecoverable
-        else heal itable_repairs addr
+        | _ -> heal itable_repairs addr
       end
       else if Hashtbl.mem index_blocks block then
         unrecoverable :=

@@ -13,8 +13,6 @@ type fs_kind =
   | Hinfs_fs (* the contribution *)
   | Hinfs_nclfw (* ablation: no Cacheline Level Fetch/Writeback (Fig 9) *)
   | Hinfs_wb (* ablation: checker off, buffer everything (Fig 12/13) *)
-  | Hinfs_fifo (* extra ablation: FIFO instead of LRW replacement *)
-  | Hinfs_lfu (* extra ablation: sampled LFU instead of LRW *)
   | Pmfs_fs
   | Cow_fs (* the PMFS substrate in CoW mode: shadow paging + root swap *)
   | Ext4_dax
@@ -29,8 +27,6 @@ let name = function
   | Hinfs_fs -> "hinfs"
   | Hinfs_nclfw -> "hinfs-nclfw"
   | Hinfs_wb -> "hinfs-wb"
-  | Hinfs_fifo -> "hinfs-fifo"
-  | Hinfs_lfu -> "hinfs-lfu"
   | Pmfs_fs -> "pmfs"
   | Cow_fs -> "cowfs"
   | Ext4_dax -> "ext4-dax"
@@ -48,8 +44,6 @@ let description = function
   | Hinfs_fs -> "NVMM-aware write buffer + direct reads/eager writes"
   | Hinfs_nclfw -> "HiNFS without cacheline-level fetch/writeback"
   | Hinfs_wb -> "HiNFS buffering every write (checker disabled)"
-  | Hinfs_fifo -> "HiNFS with FIFO buffer replacement"
-  | Hinfs_lfu -> "HiNFS with sampled-LFU buffer replacement"
   | Pmfs_fs -> "direct access to NVMM (EuroSys'14)"
   | Cow_fs -> "CoW shadow paging + fenced root swap (snapshots/txns)"
   | Ext4_dax -> "ext4 with the DAX direct-access patch"
@@ -167,20 +161,6 @@ let setup engine ~config ~buffer_bytes ~cache_pages ?(shards = 1) kind =
     | Hinfs_wb ->
       hinfs_with
         { Hconfig.default with Hconfig.buffer_bytes; Hconfig.checker = false }
-    | Hinfs_fifo ->
-      hinfs_with
-        {
-          Hconfig.default with
-          Hconfig.buffer_bytes;
-          Hconfig.replacement = Hconfig.Fifo;
-        }
-    | Hinfs_lfu ->
-      hinfs_with
-        {
-          Hconfig.default with
-          Hconfig.buffer_bytes;
-          Hconfig.replacement = Hconfig.Lfu;
-        }
     | Pmfs_fs ->
       let fs = Hinfs_pmfs.Pmfs.mkfs_and_mount device ~journal_cleaner:true () in
       ( Hinfs_pmfs.Pmfs.handle fs,

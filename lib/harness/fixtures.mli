@@ -4,8 +4,6 @@ type fs_kind =
   | Hinfs_fs  (** the contribution *)
   | Hinfs_nclfw  (** no Cacheline Level Fetch/Writeback (Fig. 9) *)
   | Hinfs_wb  (** checker off: buffer everything (Fig. 12/13) *)
-  | Hinfs_fifo  (** FIFO replacement instead of LRW (extra ablation) *)
-  | Hinfs_lfu  (** sampled-LFU replacement (extra ablation) *)
   | Pmfs_fs
   | Cow_fs
       (** the PMFS substrate in CoW mode: shadow paging, snapshots, whole-FS

@@ -2,10 +2,9 @@
 
    PMFS calls it a B-tree; structurally each 4 KB index node holds 512
    8-byte block pointers and the tree is keyed by the logical file block
-   number, so it is a radix tree with fanout 512. Height 0 with a non-zero
-   root means the root pointer addresses the single data block of file
-   block 0; height h >= 1 addresses 512^h file blocks. A zero pointer is a
-   hole.
+   number, so it is a radix tree with fanout 512. The format and the
+   read-side walks are {!Media.Tree}'s; this module is PMFS's journaled
+   write side.
 
    Crash safety: pointer and inode updates are journaled through the
    cacheline undo log; freshly allocated index nodes are zeroed with
@@ -21,35 +20,12 @@ module Errno = Hinfs_vfs.Errno
 
 let mcat = Stats.Other (* index maintenance cost category *)
 
-let ptrs_per_node ctx = ctx.Fs_ctx.geo.Layout.block_size / 8
-
-(* Number of file blocks addressable at the given height. *)
-let tree_capacity ctx height =
-  if height = 0 then 1
-  else begin
-    let p = ptrs_per_node ctx in
-    let rec pow acc h = if h = 0 then acc else pow (acc * p) (h - 1) in
-    pow 1 height
-  end
-
-let ptr_addr ctx node_block slot =
-  Fs_ctx.block_addr ctx node_block + (slot * 8)
-
-let read_ptr ctx node_block slot =
-  Int64.to_int (Device.get_u64 ctx.Fs_ctx.device (ptr_addr ctx node_block slot))
-
 (* Journal the old pointer (into the file's home-shard log), then update
    it in place. *)
-let write_ptr ctx log txn node_block slot value =
-  let addr = ptr_addr ctx node_block slot in
+let write_ptr device log txn node_block slot value =
+  let addr = Media.Tree.ptr_addr device node_block slot in
   Log.log log txn ~addr ~len:8;
-  Device.set_u64 ctx.Fs_ctx.device ~cat:mcat addr (Int64.of_int value)
-
-(* Slot index at [level] (1 = leaf pointer level) for a file block. *)
-let slot_at ctx ~level fblock =
-  let p = ptrs_per_node ctx in
-  let rec shift acc l = if l <= 1 then acc else shift (acc / p) (l - 1) in
-  shift fblock level mod p
+  Device.set_u64 device ~cat:mcat addr (Int64.of_int value)
 
 let alloc_block ctx ~shard =
   match Fs_ctx.alloc_block ctx ~shard with
@@ -66,36 +42,23 @@ let alloc_index_node ctx ~shard =
     ~src:zero ~off:0 ~len:(Bytes.length zero);
   block
 
-(* --- lookup --- *)
+(* --- read side: the walks live in the codec --- *)
 
 let lookup ctx ~ino ~fblock =
-  if fblock < 0 then invalid_arg "Block_tree.lookup: negative file block";
-  let device = ctx.Fs_ctx.device in
-  let geo = ctx.Fs_ctx.geo in
-  let height = Layout.Inode.height device geo ino in
-  let root = Layout.Inode.tree_root device geo ino in
-  if root = 0 then None
-  else if fblock >= tree_capacity ctx height then None
-  else if height = 0 then if fblock = 0 then Some root else None
-  else begin
-    let rec walk node level =
-      let slot = slot_at ctx ~level fblock in
-      let ptr = read_ptr ctx node slot in
-      if ptr = 0 then None
-      else if level = 1 then Some ptr
-      else walk ptr (level - 1)
-    in
-    walk root height
-  end
+  let ia = Layout.Inode.addr ctx.Fs_ctx.geo ino in
+  Media.Tree.lookup ctx.Fs_ctx.device ~ia fblock
+
+(* Visit every allocated data block as (fblock, block). *)
+let iter_blocks ctx ~ino f =
+  let ia = Layout.Inode.addr ctx.Fs_ctx.geo ino in
+  Media.Tree.iter ctx.Fs_ctx.device ~ia ~data:f ()
+
+(* Visit every index node (for allocator rebuild). *)
+let iter_index_nodes ctx ~ino f =
+  let ia = Layout.Inode.addr ctx.Fs_ctx.geo ino in
+  Media.Tree.iter ctx.Fs_ctx.device ~ia ~index:f ()
 
 (* --- growth and insertion --- *)
-
-(* Smallest height whose capacity covers [fblock]. *)
-let needed_height ctx fblock =
-  let rec search h =
-    if fblock < tree_capacity ctx h then h else search (h + 1)
-  in
-  search 0
 
 (* Raise a non-empty tree's height until [fblock] is addressable: the old
    root becomes slot 0 of each fresh root node. Inode height/root updates go
@@ -109,13 +72,16 @@ let grow ctx log txn ~ino ~fblock ~allocated ~undo =
   let geo = ctx.Fs_ctx.geo in
   let shard = Fs_ctx.shard_of_ino ctx ino in
   let inode_addr = Layout.Inode.addr geo ino in
-  while fblock >= tree_capacity ctx (Layout.Inode.height device geo ino) do
+  while
+    fblock >= Media.Tree.capacity device (Layout.Inode.height device geo ino)
+  do
     let height = Layout.Inode.height device geo ino in
     let root = Layout.Inode.tree_root device geo ino in
     let node = alloc_index_node ctx ~shard in
     allocated := node :: !allocated;
-    Device.set_u64 device ~cat:mcat (ptr_addr ctx node 0) (Int64.of_int root);
-    Device.clflush device ~cat:mcat ~addr:(ptr_addr ctx node 0) ~len:8;
+    let slot0 = Media.Tree.ptr_addr device node 0 in
+    Device.set_u64 device ~cat:mcat slot0 (Int64.of_int root);
+    Device.clflush device ~cat:mcat ~addr:slot0 ~len:8;
     Log.log log txn ~addr:inode_addr ~len:24;
     Layout.Inode.set_height device ~cat:mcat geo ino (height + 1);
     Layout.Inode.set_tree_root device ~cat:mcat geo ino node;
@@ -129,17 +95,19 @@ let grow ctx log txn ~ino ~fblock ~allocated ~undo =
 (* Descend from an index node to the data block for [fblock], allocating
    missing index nodes and the data block as needed. *)
 let rec descend_ensure ctx log ~shard txn ~fblock ~allocated ~undo node level =
-  let slot = slot_at ctx ~level fblock in
-  let ptr = read_ptr ctx node slot in
+  let device = ctx.Fs_ctx.device in
+  let slot = Media.Tree.slot device ~level fblock in
+  let ptr = Media.Tree.read_ptr device node slot in
   if level = 1 then
     if ptr <> 0 then (ptr, false)
     else begin
       let data = alloc_block ctx ~shard in
       allocated := data :: !allocated;
-      write_ptr ctx log txn node slot data;
+      write_ptr device log txn node slot data;
       undo :=
         (fun () ->
-          Device.set_u64 ctx.Fs_ctx.device ~cat:mcat (ptr_addr ctx node slot)
+          Device.set_u64 device ~cat:mcat
+            (Media.Tree.ptr_addr device node slot)
             0L)
         :: !undo;
       (data, true)
@@ -149,10 +117,12 @@ let rec descend_ensure ctx log ~shard txn ~fblock ~allocated ~undo node level =
   else begin
     let child = alloc_index_node ctx ~shard in
     allocated := child :: !allocated;
-    write_ptr ctx log txn node slot child;
+    write_ptr device log txn node slot child;
     undo :=
       (fun () ->
-        Device.set_u64 ctx.Fs_ctx.device ~cat:mcat (ptr_addr ctx node slot) 0L)
+        Device.set_u64 device ~cat:mcat
+          (Media.Tree.ptr_addr device node slot)
+          0L)
       :: !undo;
     descend_ensure ctx log ~shard txn ~fblock ~allocated ~undo child (level - 1)
   end
@@ -184,7 +154,7 @@ let ensure ctx txn ~ino ~fblock =
     try
     if root = 0 then begin
       (* Empty file: build a fresh path of the needed height. *)
-      let h = needed_height ctx fblock in
+      let h = Media.Tree.needed_height device fblock in
       if h = 0 then begin
         let data = alloc_block ctx ~shard in
         allocated := data :: !allocated;
@@ -225,48 +195,7 @@ let ensure ctx txn ~ino ~fblock =
   let block, fresh = result in
   (block, fresh, !allocated)
 
-(* --- iteration and freeing --- *)
-
-(* Visit every allocated data block as (fblock, block). *)
-let iter_blocks ctx ~ino f =
-  let device = ctx.Fs_ctx.device in
-  let geo = ctx.Fs_ctx.geo in
-  let height = Layout.Inode.height device geo ino in
-  let root = Layout.Inode.tree_root device geo ino in
-  if root <> 0 then
-    if height = 0 then f 0 root
-    else begin
-      let p = ptrs_per_node ctx in
-      let rec walk node level base =
-        let span = tree_capacity ctx (level - 1) in
-        for slot = 0 to p - 1 do
-          let ptr = read_ptr ctx node slot in
-          if ptr <> 0 then
-            if level = 1 then f (base + slot) ptr
-            else walk ptr (level - 1) (base + (slot * span))
-        done
-      in
-      walk root height 0
-    end
-
-(* Visit every index node (for allocator rebuild). *)
-let iter_index_nodes ctx ~ino f =
-  let device = ctx.Fs_ctx.device in
-  let geo = ctx.Fs_ctx.geo in
-  let height = Layout.Inode.height device geo ino in
-  let root = Layout.Inode.tree_root device geo ino in
-  if root <> 0 && height > 0 then begin
-    let p = ptrs_per_node ctx in
-    let rec walk node level =
-      f node;
-      if level > 1 then
-        for slot = 0 to p - 1 do
-          let ptr = read_ptr ctx node slot in
-          if ptr <> 0 then walk ptr (level - 1)
-        done
-    in
-    walk root height
-  end
+(* --- freeing --- *)
 
 (* Detach all tree blocks (index + data) from the inode: root/height/blocks
    are reset through [txn], and the detached blocks are *returned*, not
@@ -314,17 +243,17 @@ let free_from ctx txn ~ino ~keep_blocks =
       end
     end
     else begin
-      let p = ptrs_per_node ctx in
+      let p = Media.Tree.fanout device in
       let rec walk node level base =
-        let span = tree_capacity ctx (level - 1) in
+        let span = Media.Tree.capacity device (level - 1) in
         for slot = 0 to p - 1 do
           let fblock_base = base + (slot * span) in
           if fblock_base + span > keep_blocks then begin
-            let ptr = read_ptr ctx node slot in
+            let ptr = Media.Tree.read_ptr device node slot in
             if ptr <> 0 then
               if level = 1 then begin
                 detached := ptr :: !detached;
-                write_ptr ctx log txn node slot 0
+                write_ptr device log txn node slot 0
               end
               else walk ptr (level - 1) fblock_base
           end

@@ -27,9 +27,9 @@
    ptrs[4] = inode count.
 
    The inode map is a single-level pointer page (bs/8 slots) of inode
-   pages, each holding bs/128 fixed 128-byte inodes (same field offsets as
-   {!Layout.Inode}). File/dir block trees are the PMFS radix shape
-   (fanout bs/8); directories use the same 64-byte dirents as {!Dir}.
+   pages, each holding bs/128 fixed 128-byte inodes. Inodes, file/dir
+   block trees and dirents are the PMFS format, decoded and encoded
+   through {!Media}; only the commit mechanics here are cowfs's own.
 
    The refcount of a block is the number of live roots that reach it:
    the committed working root (which also reaches the refcount pages and
@@ -49,12 +49,8 @@ module Engine = Hinfs_sim.Engine
 module Proc = Hinfs_sim.Proc
 module Rwlock = Hinfs_sim.Rwlock
 module Errno = Hinfs_vfs.Errno
-module Types = Hinfs_vfs.Types
 module Obs = Hinfs_obs.Obs
 
-let inode_size = 128
-let dirent_size = 64
-let max_name_len = 55
 let root_ino = 1
 let mcat = Stats.Other
 let ccat = Stats.Journal
@@ -131,7 +127,7 @@ let check_writable t =
 let now t = Engine.now (Device.engine t.device)
 let baddr t b = b * t.bs
 let ptrs_per_block t = t.bs / 8
-let inodes_per_page t = t.bs / inode_size
+let inodes_per_page t = t.bs / Media.inode_size
 let refs_per_page t = t.bs / 2
 let n_refpages t = (t.total_blocks + refs_per_page t - 1) / refs_per_page t
 let snap_capacity t = t.bs / 32
@@ -263,21 +259,23 @@ let imap_slot_addr t ~imap ino = baddr t imap + (8 * ((ino - 1) / inodes_per_pag
 let ipage_at t ~imap ino = get_u64i t (imap_slot_addr t ~imap ino)
 
 let inode_addr_in t ~ipage ino =
-  baddr t ipage + (((ino - 1) mod inodes_per_page t) * inode_size)
+  baddr t ipage + (((ino - 1) mod inodes_per_page t) * Media.inode_size)
 
 let inode_addr_at t ~imap ino =
   let pg = ipage_at t ~imap ino in
   if pg = 0 then None else Some (inode_addr_in t ~ipage:pg ino)
 
-module F = Layout.Inode
-(* field offsets only: in_use_off .. blocks_off, kind_* constants *)
+module F = Media.Inode
 
-let in_use_at t ~imap ino =
-  ino >= 1 && ino <= t.inode_count
-  &&
-  match inode_addr_at t ~imap ino with
-  | None -> false
-  | Some ia -> Device.get_u8 t.device (ia + F.in_use_off) <> 0
+(* Address of [ino] under [imap] if that inode is in use. *)
+let live_inode_at t ~imap ino =
+  if ino < 1 || ino > t.inode_count then None
+  else
+    match inode_addr_at t ~imap ino with
+    | Some ia when F.in_use t.device ia -> Some ia
+    | _ -> None
+
+let in_use_at t ~imap ino = live_inode_at t ~imap ino <> None
 
 (* Shadow the inode's map path (imap root + its inode page); returns the
    inode's (shadow, in-place-writable) field address. Allocates the page
@@ -301,88 +299,39 @@ let shadow_inode t ~cat ino =
   in
   inode_addr_in t ~ipage:pg' ino
 
-(* Read accessors against an arbitrary imap root (working tree, or a
-   snapshot's pinned tree). *)
-let ifield_u64 t ~imap ino off =
+let is_dir_at t ~imap ino =
   match inode_addr_at t ~imap ino with
-  | None -> 0L
-  | Some ia -> Device.get_u64 t.device (ia + off)
+  | Some ia -> F.kind t.device ia = F.kind_directory
+  | None -> false
 
-let isize_at t ~imap ino = Int64.to_int (ifield_u64 t ~imap ino F.size_off)
-let itree_at t ~imap ino = Int64.to_int (ifield_u64 t ~imap ino F.tree_root_off)
+(* Address of in-use [ino] under the working root, or EBADF. *)
+let live_inode t ino =
+  match live_inode_at t ~imap:t.imap_root ino with
+  | Some ia -> ia
+  | None -> Errno.raise_error EBADF "bad inode %d" ino
 
-let iheight_at t ~imap ino =
-  match inode_addr_at t ~imap ino with
-  | None -> 0
-  | Some ia -> Device.get_u32 t.device (ia + F.height_off)
+let check_ino t ino = ignore (live_inode t ino)
+let stat_of t ino = F.stat t.device ~ino (live_inode t ino)
 
-let ikind_at t ~imap ino =
-  match inode_addr_at t ~imap ino with
-  | None -> F.kind_free
-  | Some ia -> Device.get_u8 t.device (ia + F.kind_off)
+(* --- block trees: the PMFS radix format ({!Media.Tree}), shadowed --- *)
 
-let check_ino t ino =
-  if not (in_use_at t ~imap:t.imap_root ino) then
-    Errno.raise_error EBADF "bad inode %d" ino
-
-let stat_of t ino =
-  check_ino t ino;
-  let imap = t.imap_root in
-  let ia = Option.get (inode_addr_at t ~imap ino) in
-  {
-    Types.ino;
-    kind =
-      (if Device.get_u8 t.device (ia + F.kind_off) = F.kind_directory then
-         Types.Directory
-       else Types.Regular);
-    size = Int64.to_int (Device.get_u64 t.device (ia + F.size_off));
-    nlink = Device.get_u16 t.device (ia + F.links_off);
-    blocks = Int64.to_int (Device.get_u64 t.device (ia + F.blocks_off));
-    mtime_ns = Device.get_u64 t.device (ia + F.mtime_off);
-  }
-
-(* --- block trees (radix fanout bs/8) ---
-
-   height 0: tree_root is 0 (empty) or a single data block;
-   height h>=1: tree_root is an index node, capacity (bs/8)^h data blocks. *)
-
-let cap t l =
-  let ppb = ptrs_per_block t in
-  let rec go l acc = if l = 0 then acc else go (l - 1) (acc * ppb) in
-  go l 1
-
-let needed_height t n =
-  let ppb = ptrs_per_block t in
-  let rec go h c = if c >= n then h else go (h + 1) (c * ppb) in
-  go 0 1
+module Tree = Media.Tree
 
 let lookup_block_at t ~imap ~ino ~fblock =
-  let root = itree_at t ~imap ino in
-  let height = iheight_at t ~imap ino in
-  if root = 0 then None
-  else if height = 0 then if fblock = 0 then Some root else None
-  else if fblock >= cap t height then None
-  else begin
-    let rec walk node level =
-      if level = 0 then Some node
-      else
-        let slot = fblock / cap t (level - 1) mod ptrs_per_block t in
-        let child = get_u64i t (baddr t node + (8 * slot)) in
-        if child = 0 then None else walk child (level - 1)
-    in
-    walk root height
-  end
+  match inode_addr_at t ~imap ino with
+  | None -> None
+  | Some ia -> Tree.lookup t.device ~ia fblock
 
 (* Find-or-create the (shadowed, writable) home block of [fblock]. [ia] is
    the inode's shadowed field address. Returns [(block, fresh)]. *)
 let ensure_data_block t ~cat ~ia ~fblock ~full =
-  let root = ref (Int64.to_int (Device.get_u64 t.device (ia + F.tree_root_off))) in
-  let height = ref (Device.get_u32 t.device (ia + F.height_off)) in
+  let root = ref (F.tree_root t.device ia) in
+  let height = ref (F.height t.device ia) in
   let set_root v = put_u64i t ~cat (ia + F.tree_root_off) v in
   let set_height v = put_u32 t ~cat (ia + F.height_off) v in
   (* Grow the tree until [fblock] is addressable. *)
   if !root = 0 then begin
-    let h = needed_height t (fblock + 1) in
+    let h = Tree.needed_height t.device fblock in
     if h > 0 then begin
       root := alloc_zeroed t ~cat;
       set_root !root
@@ -393,9 +342,9 @@ let ensure_data_block t ~cat ~ia ~fblock ~full =
     end
   end
   else
-    while cap t !height < fblock + 1 do
+    while Tree.capacity t.device !height <= fblock do
       let nr = alloc_zeroed t ~cat in
-      put_u64i t ~cat (baddr t nr) !root;
+      put_u64i t ~cat (Tree.ptr_addr t.device nr 0) !root;
       root := nr;
       set_root nr;
       incr height;
@@ -416,8 +365,9 @@ let ensure_data_block t ~cat ~ia ~fblock ~full =
     let r = cow_meta t ~cat !root in
     if r <> !root then set_root r;
     let rec walk node level =
-      let slot = fblock / cap t (level - 1) mod ptrs_per_block t in
-      let slot_addr = baddr t node + (8 * slot) in
+      let slot_addr =
+        Tree.ptr_addr t.device node (Tree.slot t.device ~level fblock)
+      in
       let child = get_u64i t slot_addr in
       if level = 1 then
         if child = 0 then begin
@@ -454,8 +404,8 @@ let ensure_data_block t ~cat ~ia ~fblock ~full =
 let rec drop_subtree t root level =
   if root <> 0 then begin
     if level >= 1 then
-      for s = 0 to ptrs_per_block t - 1 do
-        drop_subtree t (get_u64i t (baddr t root + (8 * s))) (level - 1)
+      for s = 0 to Tree.fanout t.device - 1 do
+        drop_subtree t (Tree.read_ptr t.device root s) (level - 1)
       done;
     drop_block t root
   end
@@ -464,168 +414,79 @@ let rec drop_subtree t root level =
    path, zeroes the leaf slot, drops the block. Empty interior nodes are
    left in place. Returns true if a data block was dropped. *)
 let zap_data_block t ~cat ~ia ~fblock =
-  let root = Int64.to_int (Device.get_u64 t.device (ia + F.tree_root_off)) in
-  let height = Device.get_u32 t.device (ia + F.height_off) in
-  if root = 0 then false
-  else if height = 0 then
-    if fblock = 0 then begin
-      drop_block t root;
-      put_u64i t ~cat (ia + F.tree_root_off) 0;
-      true
-    end
-    else false
-  else if fblock >= cap t height then false
+  let root = F.tree_root t.device ia in
+  let height = F.height t.device ia in
+  if Tree.lookup t.device ~ia fblock = None then false
+  else if height = 0 then begin
+    drop_block t root;
+    put_u64i t ~cat (ia + F.tree_root_off) 0;
+    true
+  end
   else begin
-    (* First pass: is there anything to drop? *)
-    let rec present node level =
-      if level = 0 then node <> 0
-      else if node = 0 then false
-      else
-        let slot = fblock / cap t (level - 1) mod ptrs_per_block t in
-        present (get_u64i t (baddr t node + (8 * slot))) (level - 1)
-    in
-    if not (present root height) then false
-    else begin
-      let r = cow_meta t ~cat root in
-      if r <> root then put_u64i t ~cat (ia + F.tree_root_off) r;
-      let rec walk node level =
-        let slot = fblock / cap t (level - 1) mod ptrs_per_block t in
-        let slot_addr = baddr t node + (8 * slot) in
-        let child = get_u64i t slot_addr in
-        if level = 1 then begin
-          drop_block t child;
-          put_u64i t ~cat slot_addr 0
-        end
-        else begin
-          let c = cow_meta t ~cat child in
-          if c <> child then put_u64i t ~cat slot_addr c;
-          walk c (level - 1)
-        end
+    let r = cow_meta t ~cat root in
+    if r <> root then put_u64i t ~cat (ia + F.tree_root_off) r;
+    let rec walk node level =
+      let slot_addr =
+        Tree.ptr_addr t.device node (Tree.slot t.device ~level fblock)
       in
-      walk r height;
-      true
-    end
+      let child = get_u64i t slot_addr in
+      if level = 1 then begin
+        drop_block t child;
+        put_u64i t ~cat slot_addr 0
+      end
+      else begin
+        let c = cow_meta t ~cat child in
+        if c <> child then put_u64i t ~cat slot_addr c;
+        walk c (level - 1)
+      end
+    in
+    walk r height;
+    true
   end
 
-(* --- directories (64-byte dirents, as in Dir) --- *)
+(* --- directories: the PMFS dirent format ({!Media.Dirent}) --- *)
 
-let check_name name =
-  let len = String.length name in
-  if len = 0 || len > max_name_len then
-    Errno.raise_error EINVAL "directory entry name %S too long (max %d)" name
-      max_name_len
+let dir_at t ~imap dir = Option.get (inode_addr_at t ~imap dir)
 
-let dirents_per_block t = t.bs / dirent_size
-
-let read_dirent t block slot =
-  let addr = baddr t block + (slot * dirent_size) in
-  let raw = Device.peek t.device ~addr ~len:dirent_size in
-  let ino = Int32.to_int (Bytes.get_int32_le raw 0) in
-  if ino = 0 then None
-  else Some (Bytes.sub_string raw 6 (Bytes.get_uint16_le raw 4), ino)
-
-let iter_dirents_at t ~imap ~dir f =
-  let nblocks = isize_at t ~imap dir / t.bs in
-  let per_block = dirents_per_block t in
-  let stop = ref false in
-  let fblock = ref 0 in
-  while (not !stop) && !fblock < nblocks do
-    (match lookup_block_at t ~imap ~ino:dir ~fblock:!fblock with
-    | None -> ()
-    | Some block ->
-      let slot = ref 0 in
-      while (not !stop) && !slot < per_block do
-        (match read_dirent t block !slot with
-        | None -> ()
-        | Some (name, ino) ->
-          if not (f ~fblock:!fblock ~block ~slot:!slot ~name ~ino) then
-            stop := true);
-        incr slot
-      done);
-    incr fblock
-  done
-
-let dir_find_at t ~imap ~dir name =
-  let result = ref None in
-  iter_dirents_at t ~imap ~dir
-    (fun ~fblock ~block:_ ~slot ~name:entry ~ino ->
-      if String.equal entry name then begin
-        result := Some (ino, fblock, slot);
-        false
-      end
-      else true);
-  !result
-
-let dir_list_at t ~imap ~dir =
-  let acc = ref [] in
-  iter_dirents_at t ~imap ~dir (fun ~fblock:_ ~block:_ ~slot:_ ~name ~ino ->
-      acc := (name, ino) :: !acc;
-      true);
-  List.rev !acc
-
-let dir_is_empty_at t ~imap ~dir =
-  let empty = ref true in
-  iter_dirents_at t ~imap ~dir (fun ~fblock:_ ~block:_ ~slot:_ ~name:_ ~ino:_ ->
-      empty := false;
-      false);
-  !empty
+let dir_find t ~dir name =
+  Media.Dirent.find t.device ~ia:(dir_at t ~imap:t.imap_root dir) name
 
 let write_dirent t ~cat ~block ~slot ~name ~ino =
-  let raw = Bytes.make dirent_size '\000' in
-  Bytes.set_int32_le raw 0 (Int32.of_int ino);
-  Bytes.set_uint16_le raw 4 (String.length name);
-  Bytes.blit_string name 0 raw 6 (String.length name);
-  put_bytes t ~cat ~addr:(baddr t block + (slot * dirent_size)) raw
+  put_bytes t ~cat
+    ~addr:(baddr t block + (slot * Media.Dirent.size))
+    (Media.Dirent.encode ~name ~ino)
 
 (* Insert an entry into [dir] (whose inode must already be shadowed at
    [dir_ia]). CoWs the dirent block; appends a fresh zeroed block when no
    slot is free. *)
 let dir_add t ~cat ~dir ~dir_ia name ~ino =
-  check_name name;
+  Media.Dirent.check_name name;
+  if dir_find t ~dir name <> None then
+    Errno.raise_error EEXIST "%S already exists" name;
   let fblock, slot =
-    match dir_find_at t ~imap:t.imap_root ~dir name with
-    | Some _ -> Errno.raise_error EEXIST "%S already exists" name
-    | None -> (
-      (* First free slot among existing dirent blocks. *)
-      let free = ref None in
-      let nblocks = isize_at t ~imap:t.imap_root dir / t.bs in
-      let per_block = dirents_per_block t in
-      (try
-         for fb = 0 to nblocks - 1 do
-           match lookup_block_at t ~imap:t.imap_root ~ino:dir ~fblock:fb with
-           | None -> ()
-           | Some block ->
-             for s = 0 to per_block - 1 do
-               if !free = None && read_dirent t block s = None then begin
-                 free := Some (fb, s);
-                 raise Exit
-               end
-             done
-         done
-       with Exit -> ());
-      match !free with
-      | Some fs -> fs
-      | None ->
-        (* Append a fresh dirent block and extend the directory. *)
-        let nblocks = isize_at t ~imap:t.imap_root dir / t.bs in
-        let b, fresh = ensure_data_block t ~cat ~ia:dir_ia ~fblock:nblocks ~full:true in
-        if fresh then zero_block t ~cat b;
-        put_u64 t ~cat (dir_ia + F.size_off)
-          (Int64.of_int ((nblocks + 1) * t.bs));
-        if fresh then
-          put_u64 t ~cat (dir_ia + F.blocks_off)
-            (Int64.add (Device.get_u64 t.device (dir_ia + F.blocks_off)) 1L);
-        (nblocks, 0))
+    match Media.Dirent.free_slot t.device ~ia:dir_ia with
+    | Some (fblock, _block, slot) -> (fblock, slot)
+    | None ->
+      (* Append a fresh dirent block and extend the directory. *)
+      let nblocks = F.size t.device dir_ia / t.bs in
+      let b, fresh = ensure_data_block t ~cat ~ia:dir_ia ~fblock:nblocks ~full:true in
+      if fresh then zero_block t ~cat b;
+      put_u64 t ~cat (dir_ia + F.size_off)
+        (Int64.of_int ((nblocks + 1) * t.bs));
+      if fresh then
+        put_u64 t ~cat (dir_ia + F.blocks_off)
+          (Int64.add (Device.get_u64 t.device (dir_ia + F.blocks_off)) 1L);
+      (nblocks, 0)
   in
   let block, _fresh = ensure_data_block t ~cat ~ia:dir_ia ~fblock ~full:false in
   write_dirent t ~cat ~block ~slot ~name ~ino
 
 let dir_remove t ~cat ~dir ~dir_ia name =
-  match dir_find_at t ~imap:t.imap_root ~dir name with
+  match dir_find t ~dir name with
   | None -> Errno.raise_error ENOENT "no entry %S" name
-  | Some (ino, fblock, slot) ->
+  | Some { Media.Dirent.ino; fblock; slot; _ } ->
     let block, _ = ensure_data_block t ~cat ~ia:dir_ia ~fblock ~full:false in
-    put_u32 t ~cat (baddr t block + (slot * dirent_size)) 0;
+    put_u32 t ~cat (baddr t block + (slot * Media.Dirent.size)) 0;
     ino
 
 (* --- snapshot table (32-byte entries: id, imap_root, created_seq) --- *)
@@ -674,21 +535,13 @@ let iter_tree_at t ~imap f =
       f ~block:pg ~kind:`Ipage;
       for j = 0 to ipp - 1 do
         let ino = (slot * ipp) + j + 1 in
-        if ino <= t.inode_count && in_use_at t ~imap ino then begin
-          let root = itree_at t ~imap ino in
-          let height = iheight_at t ~imap ino in
-          let rec walk node level =
-            if node <> 0 then
-              if level = 0 then f ~block:node ~kind:`Data
-              else begin
-                f ~block:node ~kind:`Index;
-                for s = 0 to ptrs_per_block t - 1 do
-                  walk (get_u64i t (baddr t node + (8 * s))) (level - 1)
-                done
-              end
-          in
-          walk root height
-        end
+        match live_inode_at t ~imap ino with
+        | None -> ()
+        | Some ia ->
+          Tree.iter t.device ~ia
+            ~data:(fun _ block -> f ~block ~kind:`Data)
+            ~index:(fun block -> f ~block ~kind:`Index)
+            ()
       done
     end
   done
@@ -862,7 +715,7 @@ let with_read t f = Rwlock.with_read t.lock f
 (* --- mkfs / mount --- *)
 
 let compute_inode_count t_bs total_blocks nvmm_size =
-  let ipp = t_bs / inode_size in
+  let ipp = t_bs / Media.inode_size in
   let slots = t_bs / 8 in
   let mb = max 1 (nvmm_size / (1024 * 1024)) in
   let want = max 256 (512 * mb) in
@@ -898,11 +751,8 @@ let mkfs device () =
   in
   (* imap slot 0 -> first inode page; root directory inode 1. *)
   poke_u64 (b_imap * bs) b_ipage0;
-  let root = Bytes.make inode_size '\000' in
-  Bytes.set_uint8 root F.in_use_off 1;
-  Bytes.set_uint8 root F.kind_off F.kind_directory;
-  Bytes.set_uint16_le root F.links_off 2;
-  Device.poke device ~addr:(b_ipage0 * bs) ~src:root ~off:0 ~len:inode_size;
+  let root = F.encode ~kind:F.kind_directory ~links:2 ~mtime:0L in
+  Device.poke device ~addr:(b_ipage0 * bs) ~src:root ~off:0 ~len:Media.inode_size;
   (* refcount root -> pages; every formatted metadata block starts at 1. *)
   List.iteri (fun i pg -> poke_u64 ((b_refroot * bs) + (8 * i)) pg) refpages;
   let set_ref b v =
@@ -995,8 +845,8 @@ let attach_faultops t fo =
 (* --- namespace operations --- *)
 
 let lookup t ~dir name =
-  with_read t (fun () -> dir_find_at t ~imap:t.imap_root ~dir name)
-  |> Option.map (fun (ino, _, _) -> ino)
+  with_read t (fun () -> dir_find t ~dir name)
+  |> Option.map (fun f -> f.Media.Dirent.ino)
 
 let alloc_inode t =
   match Allocator.alloc t.ialloc with
@@ -1007,12 +857,7 @@ let alloc_inode t =
 
 let init_inode t ~cat ino ~kind ~links =
   let ia = shadow_inode t ~cat ino in
-  let raw = Bytes.make inode_size '\000' in
-  Bytes.set_uint8 raw F.in_use_off 1;
-  Bytes.set_uint8 raw F.kind_off kind;
-  Bytes.set_uint16_le raw F.links_off links;
-  Bytes.set_int64_le raw F.mtime_off (now t);
-  put_bytes t ~cat ~addr:ia raw;
+  put_bytes t ~cat ~addr:ia (F.encode ~kind ~links ~mtime:(now t));
   ia
 
 let touch t ~cat ia = put_u64 t ~cat (ia + F.mtime_off) (now t)
@@ -1043,10 +888,8 @@ let mkdir t ~dir name =
    the allocator only after the commit is durable. *)
 let free_inode t ~cat ino =
   let ia = shadow_inode t ~cat ino in
-  let root = Int64.to_int (Device.get_u64 t.device (ia + F.tree_root_off)) in
-  let height = Device.get_u32 t.device (ia + F.height_off) in
-  drop_subtree t root height;
-  put_bytes t ~cat ~addr:ia (Bytes.make inode_size '\000');
+  drop_subtree t (F.tree_root t.device ia) (F.height t.device ia);
+  put_bytes t ~cat ~addr:ia (Bytes.make Media.inode_size '\000');
   if List.mem ino t.ino_news then begin
     t.ino_news <- List.filter (fun i -> i <> ino) t.ino_news;
     Allocator.free t.ialloc ino
@@ -1056,10 +899,10 @@ let free_inode t ~cat ino =
 let unlink t ~dir name =
   with_mutation t ~cat:mcat (fun () ->
       check_ino t dir;
-      (match dir_find_at t ~imap:t.imap_root ~dir name with
+      (match dir_find t ~dir name with
       | None -> Errno.raise_error ENOENT "no entry %S" name
-      | Some (ino, _, _) ->
-        if ikind_at t ~imap:t.imap_root ino = F.kind_directory then
+      | Some { Media.Dirent.ino; _ } ->
+        if is_dir_at t ~imap:t.imap_root ino then
           Errno.raise_error EISDIR "%S is a directory" name);
       let dir_ia = shadow_inode t ~cat:mcat dir in
       let ino = dir_remove t ~cat:mcat ~dir ~dir_ia name in
@@ -1072,12 +915,13 @@ let unlink t ~dir name =
 let rmdir t ~dir name =
   with_mutation t ~cat:mcat (fun () ->
       check_ino t dir;
-      (match dir_find_at t ~imap:t.imap_root ~dir name with
+      (match dir_find t ~dir name with
       | None -> Errno.raise_error ENOENT "no entry %S" name
-      | Some (ino, _, _) ->
-        if ikind_at t ~imap:t.imap_root ino <> F.kind_directory then
+      | Some { Media.Dirent.ino; _ } ->
+        let imap = t.imap_root in
+        if not (is_dir_at t ~imap ino) then
           Errno.raise_error ENOTDIR "%S is not a directory" name;
-        if not (dir_is_empty_at t ~imap:t.imap_root ~dir:ino) then
+        if not (Media.Dirent.is_empty t.device ~ia:(dir_at t ~imap ino)) then
           Errno.raise_error ENOTEMPTY "%S is not empty" name);
       let dir_ia = shadow_inode t ~cat:mcat dir in
       let ino = dir_remove t ~cat:mcat ~dir ~dir_ia name in
@@ -1092,21 +936,22 @@ let rename t ~src_dir ~src ~dst_dir ~dst =
       check_ino t dst_dir;
       let imap = t.imap_root in
       let ino =
-        match dir_find_at t ~imap ~dir:src_dir src with
+        match dir_find t ~dir:src_dir src with
         | None -> Errno.raise_error ENOENT "no entry %S" src
-        | Some (ino, _, _) -> ino
+        | Some { Media.Dirent.ino; _ } -> ino
       in
-      let moving_dir = ikind_at t ~imap ino = F.kind_directory in
-      (match dir_find_at t ~imap ~dir:dst_dir dst with
+      let moving_dir = is_dir_at t ~imap ino in
+      (match dir_find t ~dir:dst_dir dst with
       | None -> ()
-      | Some (old, _, _) ->
+      | Some { Media.Dirent.ino = old; _ } ->
         if old = ino then raise Exit (* same entry: no-op, commit nothing *)
         else begin
-          let old_is_dir = ikind_at t ~imap old = F.kind_directory in
+          let old_is_dir = is_dir_at t ~imap old in
           if old_is_dir then begin
             if not moving_dir then
               Errno.raise_error EISDIR "%S is a directory" dst;
-            if not (dir_is_empty_at t ~imap ~dir:old) then
+            if not (Media.Dirent.is_empty t.device ~ia:(dir_at t ~imap old))
+            then
               Errno.raise_error ENOTEMPTY "%S is not empty" dst
           end
           else if moving_dir then
@@ -1143,15 +988,13 @@ let rename t ~src_dir ~src ~dst_dir ~dst =
 
 let readdir t ~dir =
   with_read t (fun () ->
-      check_ino t dir;
-      dir_list_at t ~imap:t.imap_root ~dir)
+      Media.Dirent.list t.device ~ia:(live_inode t dir))
 
 (* --- data path --- *)
 
 let read t ~ino ~off ~len ~into ~into_off =
   with_read t (fun () ->
-      check_ino t ino;
-      let size = isize_at t ~imap:t.imap_root ino in
+      let size = F.size t.device (live_inode t ino) in
       if off >= size || len = 0 then 0
       else begin
         let len = min len (size - off) in
@@ -1177,8 +1020,7 @@ let read t ~ino ~off ~len ~into ~into_off =
 
 let write t ~ino ~off ~src ~src_off ~len ~sync:_ =
   with_mutation t ~cat:Stats.Write_access (fun () ->
-      check_ino t ino;
-      if ikind_at t ~imap:t.imap_root ino <> F.kind_regular then
+      if F.kind t.device (live_inode t ino) <> F.kind_regular then
         Errno.raise_error EISDIR "inode %d is a directory" ino;
       if len = 0 then 0
       else begin
@@ -1237,8 +1079,7 @@ let write t ~ino ~off ~src ~src_off ~len ~sync:_ =
 
 let truncate t ~ino ~size =
   with_mutation t ~cat:mcat (fun () ->
-      check_ino t ino;
-      if ikind_at t ~imap:t.imap_root ino <> F.kind_regular then
+      if F.kind t.device (live_inode t ino) <> F.kind_regular then
         Errno.raise_error EISDIR "inode %d is a directory" ino;
       let cat = mcat in
       let ia = shadow_inode t ~cat ino in
@@ -1436,7 +1277,10 @@ let txn_abort t =
 let digest_tree t ~imap =
   let buf = Buffer.create 4096 in
   let rec walk path ino =
-    let kind = ikind_at t ~imap ino in
+    let ia = inode_addr_at t ~imap ino in
+    (* A never-populated inode page reads as a free, empty inode. *)
+    let field decode = match ia with Some ia -> decode t.device ia | None -> 0 in
+    let kind = field F.kind in
     Buffer.add_string buf path;
     Buffer.add_char buf '\000';
     Buffer.add_string buf (string_of_int kind);
@@ -1444,12 +1288,12 @@ let digest_tree t ~imap =
     if kind = F.kind_directory then begin
       let entries =
         List.sort (fun (a, _) (b, _) -> String.compare a b)
-          (dir_list_at t ~imap ~dir:ino)
+          (Media.Dirent.list t.device ~ia:(Option.get ia))
       in
       List.iter (fun (name, child) -> walk (path ^ "/" ^ name) child) entries
     end
     else begin
-      let size = isize_at t ~imap ino in
+      let size = field F.size in
       Buffer.add_string buf (string_of_int size);
       Buffer.add_char buf '\000';
       let nblocks = (size + t.bs - 1) / t.bs in

@@ -1,135 +1,40 @@
 (* Directory entries, stored in the directory inode's data blocks.
 
-   Fixed 64-byte dirents (one cacheline each, so a dirent update is exactly
-   one undo-log entry pair):
-     0..3   inode number (0 = free slot)
-     4..5   name length
-     6..61  name bytes (max 55)
-
-   Lookups scan; creation reuses the first free slot or appends a fresh
-   block. All mutations are journaled through the caller's transaction. *)
+   The dirent format and the read-side walks are {!Media.Dirent}'s, read
+   through the coherent view. This module is PMFS's write side: creation
+   reuses the first free slot or appends a fresh block, and every mutation
+   is journaled through the caller's transaction. *)
 
 module Device = Hinfs_nvmm.Device
 module Log = Hinfs_journal.Cacheline_log
 module Stats = Hinfs_stats.Stats
 module Errno = Hinfs_vfs.Errno
 
-let dirent_size = 64
-let max_name_len = 55
-
 let mcat = Stats.Other
 
-let dirents_per_block ctx = ctx.Fs_ctx.geo.Layout.block_size / dirent_size
-
-let check_name name =
-  let len = String.length name in
-  if len = 0 || len > max_name_len then
-    Errno.raise_error EINVAL "directory entry name %S too long (max %d)" name
-      max_name_len
-
-let dirent_addr ctx block slot =
-  Fs_ctx.block_addr ctx block + (slot * dirent_size)
-
-let read_dirent ctx block slot =
-  let addr = dirent_addr ctx block slot in
-  let raw = Device.peek ctx.Fs_ctx.device ~addr ~len:dirent_size in
-  let ino = Int32.to_int (Bytes.get_int32_le raw 0) in
-  if ino = 0 then None
-  else begin
-    let name_len = Bytes.get_uint16_le raw 4 in
-    Some (Bytes.sub_string raw 6 name_len, ino)
-  end
-
-(* Number of dirent blocks currently backing the directory. *)
-let dir_blocks ctx ~dir =
-  let size = Layout.Inode.size ctx.Fs_ctx.device ctx.Fs_ctx.geo dir in
-  size / ctx.Fs_ctx.geo.Layout.block_size
-
-(* Iterate (fblock, block, slot, name, ino) over live entries; stops early
-   if [f] returns false. *)
-let iter_entries ctx ~dir f =
-  let per_block = dirents_per_block ctx in
-  let nblocks = dir_blocks ctx ~dir in
-  let rec block_loop fblock =
-    if fblock < nblocks then begin
-      match Block_tree.lookup ctx ~ino:dir ~fblock with
-      | None -> block_loop (fblock + 1)
-      | Some block ->
-        let rec slot_loop slot =
-          if slot >= per_block then block_loop (fblock + 1)
-          else begin
-            match read_dirent ctx block slot with
-            | None -> slot_loop (slot + 1)
-            | Some (name, ino) ->
-              if f ~fblock ~block ~slot ~name ~ino then slot_loop (slot + 1)
-          end
-        in
-        slot_loop 0
-    end
-  in
-  block_loop 0
+let dir_ia ctx dir = Layout.Inode.addr ctx.Fs_ctx.geo dir
 
 let find ctx ~dir name =
-  let result = ref None in
-  iter_entries ctx ~dir (fun ~fblock:_ ~block ~slot ~name:entry_name ~ino ->
-      if String.equal entry_name name then begin
-        result := Some (ino, block, slot);
-        false
-      end
-      else true);
-  !result
+  Media.Dirent.find ctx.Fs_ctx.device ~ia:(dir_ia ctx dir) name
 
 let lookup ctx ~dir name =
-  match find ctx ~dir name with
-  | Some (ino, _, _) -> Some ino
-  | None -> None
+  Option.map (fun f -> f.Media.Dirent.ino) (find ctx ~dir name)
 
-let list ctx ~dir =
-  let acc = ref [] in
-  iter_entries ctx ~dir (fun ~fblock:_ ~block:_ ~slot:_ ~name ~ino ->
-      acc := (name, ino) :: !acc;
-      true);
-  List.rev !acc
+let list ctx ~dir = Media.Dirent.list ctx.Fs_ctx.device ~ia:(dir_ia ctx dir)
 
-let entry_count ctx ~dir =
-  let n = ref 0 in
-  iter_entries ctx ~dir (fun ~fblock:_ ~block:_ ~slot:_ ~name:_ ~ino:_ ->
-      incr n;
-      true);
-  !n
+let is_empty ctx ~dir =
+  Media.Dirent.is_empty ctx.Fs_ctx.device ~ia:(dir_ia ctx dir)
 
-let is_empty ctx ~dir = entry_count ctx ~dir = 0
-
-(* First free slot among existing dirent blocks. *)
-let find_free_slot ctx ~dir =
-  let per_block = dirents_per_block ctx in
-  let nblocks = dir_blocks ctx ~dir in
-  let result = ref None in
-  (try
-     for fblock = 0 to nblocks - 1 do
-       match Block_tree.lookup ctx ~ino:dir ~fblock with
-       | None -> ()
-       | Some block ->
-         for slot = 0 to per_block - 1 do
-           if !result = None && read_dirent ctx block slot = None then begin
-             result := Some (block, slot);
-             raise Exit
-           end
-         done
-     done
-   with Exit -> ());
-  !result
+let dirent_addr ctx block slot =
+  Fs_ctx.block_addr ctx block + (slot * Media.Dirent.size)
 
 (* All dirent mutations journal into the directory's home-shard log; the
    caller's [txn] must have been begun on that same log. *)
 let write_dirent ctx txn ~dir ~block ~slot ~name ~ino =
   let addr = dirent_addr ctx block slot in
-  Log.log (Fs_ctx.log_for ctx ~ino:dir) txn ~addr ~len:dirent_size;
-  let raw = Bytes.make dirent_size '\000' in
-  Bytes.set_int32_le raw 0 (Int32.of_int ino);
-  Bytes.set_uint16_le raw 4 (String.length name);
-  Bytes.blit_string name 0 raw 6 (String.length name);
-  Device.set_bytes ctx.Fs_ctx.device ~cat:mcat ~addr raw
+  Log.log (Fs_ctx.log_for ctx ~ino:dir) txn ~addr ~len:Media.Dirent.size;
+  Device.set_bytes ctx.Fs_ctx.device ~cat:mcat ~addr
+    (Media.Dirent.encode ~name ~ino)
 
 (* Insert an entry. Returns the NVMM blocks allocated for the directory by
    this call (a fresh dirent block plus any index nodes): they are only
@@ -137,18 +42,20 @@ let write_dirent ctx txn ~dir ~block ~slot ~name ~ino =
    must hand them back to the allocator. A failure *inside* [add] reclaims
    its own allocations before re-raising. *)
 let add ctx txn ~dir name ~ino =
-  check_name name;
+  Media.Dirent.check_name name;
   let device = ctx.Fs_ctx.device in
   let geo = ctx.Fs_ctx.geo in
   let allocated = ref [] in
   try
     let block, slot =
-      match find_free_slot ctx ~dir with
-      | Some (block, slot) -> (block, slot)
+      match Media.Dirent.free_slot device ~ia:(dir_ia ctx dir) with
+      | Some (_fblock, block, slot) -> (block, slot)
       | None ->
         (* Append a fresh dirent block: zero it persistently before it
            becomes reachable, then extend the directory size. *)
-        let nblocks = dir_blocks ctx ~dir in
+        let nblocks =
+          Layout.Inode.size device geo dir / geo.Layout.block_size
+        in
         let block, fresh, blocks =
           Block_tree.ensure ctx txn ~ino:dir ~fblock:nblocks
         in
@@ -176,7 +83,7 @@ let add ctx txn ~dir name ~ino =
 let remove ctx txn ~dir name =
   match find ctx ~dir name with
   | None -> Errno.raise_error ENOENT "no entry %S" name
-  | Some (ino, block, slot) ->
+  | Some { Media.Dirent.ino; block; slot; _ } ->
     let addr = dirent_addr ctx block slot in
     Log.log (Fs_ctx.log_for ctx ~ino:dir) txn ~addr ~len:4;
     Device.set_u32 ctx.Fs_ctx.device ~cat:mcat addr 0;

@@ -28,7 +28,6 @@ module Crc32c = Hinfs_structures.Crc32c
 
 let magic = 0x504D4653 (* "PMFS" *)
 let version = 3
-let inode_size = 128
 
 type geometry = {
   block_size : int;
@@ -77,9 +76,9 @@ let geometry_of_config ?(journal_blocks = 64) ?(inodes_per_mb = 512)
   let mb = config.Config.nvmm_size / (1024 * 1024) in
   let inode_count = max 256 (inodes_per_mb * max 1 mb) in
   let itable_blocks =
-    ((inode_count * inode_size) + block_size - 1) / block_size
+    ((inode_count * Media.inode_size) + block_size - 1) / block_size
   in
-  let inode_count = itable_blocks * block_size / inode_size in
+  let inode_count = itable_blocks * block_size / Media.inode_size in
   if inode_count < shards then
     invalid_arg "Layout: fewer inodes than shards";
   let journal_blocks =
@@ -215,7 +214,7 @@ let geometry_of_superblock ~block_size b =
     data_start = geti64 Sb.data_start_off;
     data_end = total_blocks - 1;
     sb_replica = total_blocks - 1;
-    inode_count = itable_blocks * block_size / inode_size;
+    inode_count = itable_blocks * block_size / Media.inode_size;
     shards = max 1 (Bytes.get_uint16_le b Sb.shards_off);
   }
 
@@ -265,72 +264,52 @@ let set_clean_unmount device ~cat ~clean =
 (* --- inodes --- *)
 
 module Inode = struct
-  (* Field offsets within the 128-byte on-NVMM inode. *)
-  let in_use_off = 0
-  let kind_off = 1
-  let links_off = 2
-  let height_off = 4
-  let size_off = 8
-  let tree_root_off = 16
-  let mtime_off = 24
-  let blocks_off = 32
+  module M = Media.Inode
 
-  let kind_free = 0
-  let kind_regular = 1
-  let kind_directory = 2
-
+  (* PMFS's step from inode number to inode address: the fixed table. *)
   let addr geometry ino =
     if ino < 1 || ino > geometry.inode_count then
       Fmt.invalid_arg "Inode.addr: bad ino %d" ino;
-    (geometry.itable_start * geometry.block_size) + ((ino - 1) * inode_size)
+    (geometry.itable_start * geometry.block_size) + ((ino - 1) * Media.inode_size)
 
-  let in_use device geometry ino =
-    Device.get_u8 device (addr geometry ino + in_use_off) = 1
+  (* The inverse step: the inode whose table slot holds byte [a], if any. *)
+  let ino_of_addr geometry a =
+    let base = geometry.itable_start * geometry.block_size in
+    let ino = ((a - base) / Media.inode_size) + 1 in
+    if a >= base && ino <= geometry.inode_count then Some ino else None
 
-  let kind device geometry ino =
-    Device.get_u8 device (addr geometry ino + kind_off)
-
-  let links device geometry ino =
-    Device.get_u16 device (addr geometry ino + links_off)
-
-  let height device geometry ino =
-    Device.get_u32 device (addr geometry ino + height_off)
-
-  let size device geometry ino =
-    Int64.to_int (Device.get_u64 device (addr geometry ino + size_off))
-
-  let tree_root device geometry ino =
-    Int64.to_int (Device.get_u64 device (addr geometry ino + tree_root_off))
-
-  let mtime device geometry ino =
-    Device.get_u64 device (addr geometry ino + mtime_off)
-
-  let blocks device geometry ino =
-    Int64.to_int (Device.get_u64 device (addr geometry ino + blocks_off))
+  let in_use device geometry ino = M.in_use device (addr geometry ino)
+  let kind device geometry ino = M.kind device (addr geometry ino)
+  let links device geometry ino = M.links device (addr geometry ino)
+  let height device geometry ino = M.height device (addr geometry ino)
+  let size device geometry ino = M.size device (addr geometry ino)
+  let tree_root device geometry ino = M.tree_root device (addr geometry ino)
+  let mtime device geometry ino = M.mtime device (addr geometry ino)
+  let blocks device geometry ino = M.blocks device (addr geometry ino)
 
   (* Setters: plain cached stores; callers wrap them in journal
      transactions and the journal's commit flushes them. *)
   let set_in_use device ~cat geometry ino v =
-    Device.set_u8 device ~cat (addr geometry ino + in_use_off) (if v then 1 else 0)
+    Device.set_u8 device ~cat (addr geometry ino + M.in_use_off) (if v then 1 else 0)
 
   let set_kind device ~cat geometry ino v =
-    Device.set_u8 device ~cat (addr geometry ino + kind_off) v
+    Device.set_u8 device ~cat (addr geometry ino + M.kind_off) v
 
   let set_links device ~cat geometry ino v =
-    Device.set_u16 device ~cat (addr geometry ino + links_off) v
+    Device.set_u16 device ~cat (addr geometry ino + M.links_off) v
 
   let set_height device ~cat geometry ino v =
-    Device.set_u32 device ~cat (addr geometry ino + height_off) v
+    Device.set_u32 device ~cat (addr geometry ino + M.height_off) v
 
   let set_size device ~cat geometry ino v =
-    Device.set_u64 device ~cat (addr geometry ino + size_off) (Int64.of_int v)
+    Device.set_u64 device ~cat (addr geometry ino + M.size_off) (Int64.of_int v)
 
   let set_tree_root device ~cat geometry ino v =
-    Device.set_u64 device ~cat (addr geometry ino + tree_root_off) (Int64.of_int v)
+    Device.set_u64 device ~cat (addr geometry ino + M.tree_root_off) (Int64.of_int v)
 
   let set_mtime device ~cat geometry ino v =
-    Device.set_u64 device ~cat (addr geometry ino + mtime_off) v
+    Device.set_u64 device ~cat (addr geometry ino + M.mtime_off) v
 
   let set_blocks device ~cat geometry ino v =
-    Device.set_u64 device ~cat (addr geometry ino + blocks_off) (Int64.of_int v)
+    Device.set_u64 device ~cat (addr geometry ino + M.blocks_off) (Int64.of_int v)
 end

@@ -24,7 +24,6 @@ module Stats = Hinfs_stats.Stats
 module Engine = Hinfs_sim.Engine
 module Proc = Hinfs_sim.Proc
 module Errno = Hinfs_vfs.Errno
-module Types = Hinfs_vfs.Types
 module Obs = Hinfs_obs.Obs
 
 type t = {
@@ -129,13 +128,7 @@ let shard_of_addr t addr =
   else if
     block >= geo.Layout.itable_start
     && block < geo.Layout.itable_start + geo.Layout.itable_blocks
-  then begin
-    let itable_addr = geo.Layout.itable_start * bs in
-    let ino = ((addr - itable_addr) / Layout.inode_size) + 1 in
-    if ino >= 1 && ino <= geo.Layout.inode_count then
-      Some (Layout.shard_of_ino geo ino)
-    else None
-  end
+  then Option.map (Layout.shard_of_ino geo) (Layout.Inode.ino_of_addr geo addr)
   else if block >= geo.Layout.journal_start
           && block < geo.Layout.journal_start + geo.Layout.journal_blocks
   then begin
@@ -196,13 +189,12 @@ let mkfs device ?journal_blocks ?inodes_per_mb ?shards () =
       ~src:zero ~off:0 ~len:geo.Layout.block_size
   done;
   (* Root directory inode. *)
-  let root = Bytes.make Layout.inode_size '\000' in
-  Bytes.set_uint8 root Layout.Inode.in_use_off 1;
-  Bytes.set_uint8 root Layout.Inode.kind_off Layout.Inode.kind_directory;
-  Bytes.set_uint16_le root Layout.Inode.links_off 2;
+  let root =
+    Media.Inode.encode ~kind:Media.Inode.kind_directory ~links:2 ~mtime:0L
+  in
   Device.poke device
     ~addr:(geo.Layout.itable_start * geo.Layout.block_size)
-    ~src:root ~off:0 ~len:Layout.inode_size;
+    ~src:root ~off:0 ~len:Media.inode_size;
   Layout.write_superblock device geo ~clean:true
 
 (* Rebuild DRAM allocation state by walking the live inode trees (PMFS
@@ -234,11 +226,9 @@ let itable_poison_reasons device geo =
   let bad =
     List.filter_map
       (fun addr ->
-        let ino = ((addr - itable_addr) / Layout.inode_size) + 1 in
-        if ino >= 1 && ino <= geo.Layout.inode_count
-           && Layout.Inode.in_use device geo ino
-        then Some ino
-        else None)
+        match Layout.Inode.ino_of_addr geo addr with
+        | Some ino when Layout.Inode.in_use device geo ino -> Some ino
+        | _ -> None)
       (Device.verify_range device ~addr:itable_addr ~len:itable_len)
     |> List.sort_uniq compare
   in
@@ -378,19 +368,7 @@ let inode_size t ino = Layout.Inode.size (device t) (geometry t) ino
 
 let stat_of t ino =
   check_ino t ino;
-  let device = device t in
-  let geo = geometry t in
-  {
-    Types.ino;
-    kind =
-      (if Layout.Inode.kind device geo ino = Layout.Inode.kind_directory then
-         Types.Directory
-       else Types.Regular);
-    size = Layout.Inode.size device geo ino;
-    nlink = Layout.Inode.links device geo ino;
-    blocks = Layout.Inode.blocks device geo ino;
-    mtime_ns = Layout.Inode.mtime device geo ino;
-  }
+  Media.Inode.stat (device t) ~ino (Layout.Inode.addr (geometry t) ino)
 
 (* Charge a DRAM-speed copy that does not touch the device (zero fill). *)
 let charge_copy t cat len =
@@ -425,7 +403,7 @@ module Data = struct
     if fresh then begin
       let device = device t in
       let geo = geometry t in
-      let addr = Layout.Inode.addr geo ino + Layout.Inode.blocks_off in
+      let addr = Layout.Inode.addr geo ino + Media.Inode.blocks_off in
       Log.log (log_for t ~ino) txn ~addr ~len:8;
       Layout.Inode.set_blocks device ~cat:Stats.Other geo ino
         (Layout.Inode.blocks device geo ino + 1)
@@ -436,7 +414,7 @@ module Data = struct
   let update_size t txn ~ino ~size =
     let device = device t in
     let geo = geometry t in
-    let addr = Layout.Inode.addr geo ino + Layout.Inode.size_off in
+    let addr = Layout.Inode.addr geo ino + Media.Inode.size_off in
     Log.log (log_for t ~ino) txn ~addr ~len:8;
     Layout.Inode.set_size device ~cat:Stats.Other geo ino size
 
@@ -444,14 +422,14 @@ module Data = struct
   let touch_mtime_atomic t ~ino =
     let device = device t in
     let geo = geometry t in
-    let addr = Layout.Inode.addr geo ino + Layout.Inode.mtime_off in
+    let addr = Layout.Inode.addr geo ino + Media.Inode.mtime_off in
     Device.set_u64 device ~cat:Stats.Other addr (now t);
     Device.clflush device ~cat:Stats.Other ~addr ~len:8
 
   let touch_mtime_txn t txn ~ino =
     let device = device t in
     let geo = geometry t in
-    let addr = Layout.Inode.addr geo ino + Layout.Inode.mtime_off in
+    let addr = Layout.Inode.addr geo ino + Media.Inode.mtime_off in
     Log.log (log_for t ~ino) txn ~addr ~len:8;
     Layout.Inode.set_mtime device ~cat:Stats.Other geo ino (now t)
 
@@ -601,7 +579,7 @@ let truncate t ~ino ~size =
           let keep_blocks = (size + bs - 1) / bs in
           detached := Block_tree.free_from t.ctx txn ~ino ~keep_blocks;
           let device = device t in
-          let addr = Layout.Inode.addr geo ino + Layout.Inode.blocks_off in
+          let addr = Layout.Inode.addr geo ino + Media.Inode.blocks_off in
           Log.log (log_for t ~ino) txn ~addr ~len:8;
           Layout.Inode.set_blocks device ~cat:Stats.Other geo ino
             (Layout.Inode.blocks device geo ino - List.length !detached);
@@ -651,7 +629,7 @@ let init_inode t log txn ~ino ~kind =
   Layout.Inode.set_in_use device ~cat:Stats.Other geo ino true;
   Layout.Inode.set_kind device ~cat:Stats.Other geo ino kind;
   Layout.Inode.set_links device ~cat:Stats.Other geo ino
-    (if kind = Layout.Inode.kind_directory then 2 else 1);
+    (if kind = Media.Inode.kind_directory then 2 else 1);
   Layout.Inode.set_height device ~cat:Stats.Other geo ino 0;
   Layout.Inode.set_size device ~cat:Stats.Other geo ino 0;
   Layout.Inode.set_tree_root device ~cat:Stats.Other geo ino 0;
@@ -661,7 +639,7 @@ let init_inode t log txn ~ino ~kind =
 let create_entry t ~dir name ~kind =
   check_writable_ino t ~ino:dir;
   check_ino t dir;
-  if inode_kind t dir <> Layout.Inode.kind_directory then
+  if inode_kind t dir <> Media.Inode.kind_directory then
     Errno.raise_error ENOTDIR "inode %d is not a directory" dir;
   (match Dir.lookup t.ctx ~dir name with
   | Some _ -> Errno.raise_error EEXIST "%S already exists" name
@@ -675,7 +653,7 @@ let create_entry t ~dir name ~kind =
      round-robin so a namespace populates every shard's ranges. Allocation
      falls back round the ring when the preferred range is dry. *)
   let shard =
-    if kind = Layout.Inode.kind_directory then Fs_ctx.next_dir_shard t.ctx
+    if kind = Media.Inode.kind_directory then Fs_ctx.next_dir_shard t.ctx
     else Fs_ctx.shard_of_ino t.ctx dir
   in
   match Fs_ctx.alloc_ino t.ctx ~shard with
@@ -697,10 +675,10 @@ let create_entry t ~dir name ~kind =
     ino
 
 let create_file t ~dir name =
-  create_entry t ~dir name ~kind:Layout.Inode.kind_regular
+  create_entry t ~dir name ~kind:Media.Inode.kind_regular
 
 let mkdir t ~dir name =
-  create_entry t ~dir name ~kind:Layout.Inode.kind_directory
+  create_entry t ~dir name ~kind:Media.Inode.kind_directory
 
 (* Release an inode and detach all its blocks; returns the detached blocks
    for the caller to free after the transaction commits. Caller must have
@@ -712,17 +690,17 @@ let free_inode t log txn ~ino =
   let addr = Layout.Inode.addr geo ino in
   Log.log log txn ~addr ~len:8;
   Layout.Inode.set_in_use device ~cat:Stats.Other geo ino false;
-  Layout.Inode.set_kind device ~cat:Stats.Other geo ino Layout.Inode.kind_free;
+  Layout.Inode.set_kind device ~cat:Stats.Other geo ino Media.Inode.kind_free;
   Layout.Inode.set_links device ~cat:Stats.Other geo ino 0;
   detached
 
 let unlink t ~dir name =
   check_writable_ino t ~ino:dir;
   check_ino t dir;
-  match Dir.find t.ctx ~dir name with
+  match Dir.lookup t.ctx ~dir name with
   | None -> Errno.raise_error ENOENT "no entry %S" name
-  | Some (ino, _, _) ->
-    if inode_kind t ino = Layout.Inode.kind_directory then
+  | Some ino ->
+    if inode_kind t ino = Media.Inode.kind_directory then
       Errno.raise_error EISDIR "%S is a directory" name;
     let log = log_for t ~ino:dir in
     let detached = ref [] in
@@ -732,7 +710,7 @@ let unlink t ~dir name =
         if links <= 1 then detached := free_inode t log txn ~ino
         else begin
           let addr =
-            Layout.Inode.addr (geometry t) ino + Layout.Inode.links_off
+            Layout.Inode.addr (geometry t) ino + Media.Inode.links_off
           in
           Log.log log txn ~addr ~len:2;
           Layout.Inode.set_links (device t) ~cat:Stats.Other (geometry t) ino
@@ -746,10 +724,10 @@ let unlink t ~dir name =
 let rmdir t ~dir name =
   check_writable_ino t ~ino:dir;
   check_ino t dir;
-  match Dir.find t.ctx ~dir name with
+  match Dir.lookup t.ctx ~dir name with
   | None -> Errno.raise_error ENOENT "no entry %S" name
-  | Some (ino, _, _) ->
-    if inode_kind t ino <> Layout.Inode.kind_directory then
+  | Some ino ->
+    if inode_kind t ino <> Media.Inode.kind_directory then
       Errno.raise_error ENOTDIR "%S is not a directory" name;
     if not (Dir.is_empty t.ctx ~dir:ino) then
       Errno.raise_error ENOTEMPTY "%S is not empty" name;
@@ -775,9 +753,9 @@ let rename_same_shard t ~src_dir ~src ~dst_dir ~dst ~ino =
   let added = ref [] in
   (try
      Log.with_txn log (fun txn ->
-         (match Dir.find t.ctx ~dir:dst_dir dst with
-         | Some (existing, _, _) ->
-           if inode_kind t existing = Layout.Inode.kind_directory then
+         (match Dir.lookup t.ctx ~dir:dst_dir dst with
+         | Some existing ->
+           if inode_kind t existing = Media.Inode.kind_directory then
              Errno.raise_error EISDIR "rename target %S is a directory" dst;
            ignore (Dir.remove t.ctx txn ~dir:dst_dir dst);
            detached := free_inode t log txn ~ino:existing;
@@ -815,9 +793,9 @@ let rename_cross_shard t ~src_dir ~src ~dst_dir ~dst ~ino =
           raise e
       in
       try
-        (match Dir.find t.ctx ~dir:dst_dir dst with
-        | Some (existing, _, _) ->
-          if inode_kind t existing = Layout.Inode.kind_directory then
+        (match Dir.lookup t.ctx ~dir:dst_dir dst with
+        | Some existing ->
+          if inode_kind t existing = Media.Inode.kind_directory then
             Errno.raise_error EISDIR "rename target %S is a directory" dst;
           ignore (Dir.remove t.ctx dst_txn ~dir:dst_dir dst);
           detached := free_inode t dst_log dst_txn ~ino:existing;
@@ -855,9 +833,9 @@ let rename t ~src_dir ~src ~dst_dir ~dst =
   check_writable_ino t ~ino:dst_dir;
   check_ino t src_dir;
   check_ino t dst_dir;
-  match Dir.find t.ctx ~dir:src_dir src with
+  match Dir.lookup t.ctx ~dir:src_dir src with
   | None -> Errno.raise_error ENOENT "no entry %S" src
-  | Some (ino, _, _) ->
+  | Some ino ->
     if shard_of_ino t src_dir = shard_of_ino t dst_dir then
       rename_same_shard t ~src_dir ~src ~dst_dir ~dst ~ino
     else rename_cross_shard t ~src_dir ~src ~dst_dir ~dst ~ino

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Tier-1 CI gate: full build, the whole test suite, then the soak and
 # smoke aliases re-run explicitly so their output lands in the CI log
-# even when dune serves them from cache, and finally the perf-baseline
-# determinism check.
+# even when dune serves them from cache, the perf-baseline determinism
+# check, and finally the benchmark self-test.
 #
 # The oracle-checked soaks additionally run under a small SOAK_SEED
 # matrix: every seed drives a different op mix, crash fence, and fault
@@ -28,3 +28,7 @@ for seed in 4242 1001 90210; do
 done
 
 sh scripts/bench_check.sh
+
+# Benchmark self-test: fixed-seed crash-enumeration counts and metric
+# plumbing of the repository benchmark (a few minutes).
+python3 perfbench/selftest.py

@@ -12,6 +12,7 @@ module Device = Hinfs_nvmm.Device
 module Fault = Hinfs_nvmm.Fault
 module Faultops = Hinfs_nvmm.Faultops
 module Cowfs = Hinfs_pmfs.Cowfs
+module Media = Hinfs_pmfs.Media
 module Errno = Hinfs_vfs.Errno
 module Types = Hinfs_vfs.Types
 module Vfs = Hinfs_vfs.Vfs
@@ -294,6 +295,38 @@ let test_fsck_flags_refcount_corruption () =
       let r = Fsck.check_cow fs in
       check_bool "fsck flags the overstated refcount" false (Fsck.ok r))
 
+(* A dirent whose name length is out of range is a fsck violation, as in
+   PMFS mode, and fails lookup and readdir with EIO. *)
+let test_malformed_dirent () =
+  Testkit.run_sim (fun engine ->
+      let device = Testkit.make_device engine in
+      let fs = Cowfs.mkfs_and_mount device () in
+      ignore (Cowfs.create_file fs ~dir:root "victim");
+      let block =
+        Option.get
+          (Cowfs.lookup_block_at fs ~imap:(Cowfs.imap_root fs) ~ino:root
+             ~fblock:0)
+      in
+      let bad_len = Bytes.make 2 '\255' in
+      Device.poke device
+        ~addr:((block * Cowfs.block_size fs) + 4)
+        ~src:bad_len ~off:0 ~len:2;
+      check_bool "fsck reports the bad name length" true
+        (List.mem
+           (Fmt.str "dir %d: dirent block %d slot 0 has bad name length 65535"
+              root block)
+           (Fsck.cow_violations fs));
+      let eio f =
+        try
+          ignore (f ());
+          false
+        with Errno.Fs_error (EIO, _) -> true
+      in
+      check_bool "lookup fails with EIO" true
+        (eio (fun () -> Cowfs.lookup fs ~dir:root "victim"));
+      check_bool "readdir fails with EIO" true
+        (eio (fun () -> Cowfs.readdir fs ~dir:root)))
+
 (* --- VFS snap_ops surface --- *)
 
 let test_handle_snap_ops () =
@@ -372,6 +405,7 @@ let () =
             test_root_slot_poison_fallback;
           Alcotest.test_case "fsck flags refcount corruption" `Quick
             test_fsck_flags_refcount_corruption;
+          Alcotest.test_case "malformed dirent" `Quick test_malformed_dirent;
         ] );
       ( "vfs",
         [ Alcotest.test_case "handle snap_ops" `Quick test_handle_snap_ops ] );

@@ -7,7 +7,10 @@ module Rng = Hinfs_sim.Rng
 module Stats = Hinfs_stats.Stats
 module Device = Hinfs_nvmm.Device
 module Pmfs = Hinfs_pmfs.Pmfs
+module Cowfs = Hinfs_pmfs.Cowfs
 module Layout = Hinfs_pmfs.Layout
+module Media = Hinfs_pmfs.Media
+module Fsck = Hinfs_fsck.Fsck
 module Errno = Hinfs_vfs.Errno
 module Types = Hinfs_vfs.Types
 module Vfs = Hinfs_vfs.Vfs
@@ -183,26 +186,98 @@ let test_directories () =
       Pmfs.rmdir fs ~dir:root "sub";
       check_bool "dir gone" true (Pmfs.lookup fs ~dir:root "sub" = None))
 
+(* The namespace surface of the two substrates sharing the PMFS dirent
+   format, so one test can drive both. *)
+type namespace = {
+  create : string -> unit;
+  unlink : string -> unit;
+  names : unit -> string list;
+  lookup : string -> int option;
+}
+
+let pmfs_namespace fs =
+  {
+    create = (fun name -> ignore (Pmfs.create_file fs ~dir:root name));
+    unlink = (fun name -> Pmfs.unlink fs ~dir:root name);
+    names = (fun () -> List.map fst (Pmfs.readdir fs ~dir:root));
+    lookup = (fun name -> Pmfs.lookup fs ~dir:root name);
+  }
+
+let cow_namespace fs =
+  let dir = Cowfs.root_ino in
+  {
+    create = (fun name -> ignore (Cowfs.create_file fs ~dir name));
+    unlink = (fun name -> Cowfs.unlink fs ~dir name);
+    names = (fun () -> List.map fst (Cowfs.readdir fs ~dir));
+    lookup = (fun name -> Cowfs.lookup fs ~dir name);
+  }
+
 let test_many_dirents_span_blocks () =
   Testkit.run_sim (fun engine ->
-      let _d, fs = Testkit.make_pmfs engine in
-      (* 64 dirents per block; create 200 entries to span multiple dirent
-         blocks. *)
-      for i = 0 to 199 do
-        ignore (Pmfs.create_file fs ~dir:root (Printf.sprintf "file%03d" i))
-      done;
-      check_int "entries" 200 (List.length (Pmfs.readdir fs ~dir:root));
-      (* Delete every other, then re-create: slots are reused. *)
-      for i = 0 to 199 do
-        if i mod 2 = 0 then Pmfs.unlink fs ~dir:root (Printf.sprintf "file%03d" i)
-      done;
-      check_int "after deletes" 100 (List.length (Pmfs.readdir fs ~dir:root));
-      for i = 0 to 99 do
-        ignore (Pmfs.create_file fs ~dir:root (Printf.sprintf "new%03d" i))
-      done;
-      check_int "after re-create" 200 (List.length (Pmfs.readdir fs ~dir:root));
-      check_bool "lookup works" true
-        (Pmfs.lookup fs ~dir:root "file001" <> None))
+      let _d, pmfs = Testkit.make_pmfs engine in
+      let cow = Cowfs.mkfs_and_mount (Testkit.make_device engine) () in
+      let listing ns =
+        (* 64 dirents per block; create 200 entries to span multiple dirent
+           blocks. *)
+        for i = 0 to 199 do
+          ns.create (Printf.sprintf "file%03d" i)
+        done;
+        check_int "entries" 200 (List.length (ns.names ()));
+        (* Delete every other, then re-create: slots are reused. *)
+        for i = 0 to 199 do
+          if i mod 2 = 0 then ns.unlink (Printf.sprintf "file%03d" i)
+        done;
+        check_int "after deletes" 100 (List.length (ns.names ()));
+        for i = 0 to 99 do
+          ns.create (Printf.sprintf "new%03d" i)
+        done;
+        let names = ns.names () in
+        check_int "after re-create" 200 (List.length names);
+        check_bool "lookup works" true (ns.lookup "file001" <> None);
+        (* Name-length boundary: 55 bytes fit a dirent, 56 do not. *)
+        let longest = String.make Media.Dirent.max_name_len 'n' in
+        ns.create longest;
+        check_bool "55-byte name accepted" true (ns.lookup longest <> None);
+        ns.unlink longest;
+        let too_long =
+          try
+            ns.create (longest ^ "n");
+            false
+          with Errno.Fs_error (EINVAL, _) -> true
+        in
+        check_bool "56-byte name rejected" true too_long;
+        List.sort compare names
+      in
+      Alcotest.(check (list string))
+        "both substrates list the same names" (listing (pmfs_namespace pmfs))
+        (listing (cow_namespace cow)))
+
+(* A dirent whose name length is out of range is reported by fsck and
+   fails lookup and readdir with EIO, never an out-of-bounds read. *)
+let test_malformed_dirent () =
+  Testkit.run_sim (fun engine ->
+      let device, fs = Testkit.make_pmfs engine in
+      ignore (Pmfs.create_file fs ~dir:root "victim");
+      let block = Option.get (Pmfs.Data.lookup_block fs ~ino:root ~fblock:0) in
+      let bad_len = Bytes.make 2 '\255' in
+      Device.poke device
+        ~addr:(Pmfs.Data.block_addr fs block + 4)
+        ~src:bad_len ~off:0 ~len:2;
+      check_bool "fsck reports the bad name length" true
+        (List.mem
+           (Fmt.str "dir %d: dirent block %d slot 0 has bad name length 65535"
+              root block)
+           (Fsck.check fs));
+      let eio f =
+        try
+          ignore (f ());
+          false
+        with Errno.Fs_error (EIO, _) -> true
+      in
+      check_bool "lookup fails with EIO" true
+        (eio (fun () -> Pmfs.lookup fs ~dir:root "victim"));
+      check_bool "readdir fails with EIO" true
+        (eio (fun () -> Pmfs.readdir fs ~dir:root)))
 
 let test_rename () =
   Testkit.run_sim (fun engine ->
@@ -576,6 +651,7 @@ let () =
           Alcotest.test_case "directories" `Quick test_directories;
           Alcotest.test_case "dirents span blocks" `Quick
             test_many_dirents_span_blocks;
+          Alcotest.test_case "malformed dirent" `Quick test_malformed_dirent;
           Alcotest.test_case "rename" `Quick test_rename;
           Alcotest.test_case "eexist/enoent" `Quick test_eexist_enoent;
         ] );

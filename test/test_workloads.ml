@@ -81,7 +81,7 @@ let test_ablation_kinds_run () =
           (Filebench.fileserver ~params:small_fb ())
       in
       check_bool "ops > 0" true (result.Workload.ops > 0))
-    [ Fixtures.Hinfs_nclfw; Fixtures.Hinfs_wb; Fixtures.Hinfs_fifo; Fixtures.Hinfs_lfu ]
+    [ Fixtures.Hinfs_nclfw; Fixtures.Hinfs_wb ]
 
 (* --- determinism: same seed, same result --- *)
 
