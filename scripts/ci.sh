@@ -19,6 +19,7 @@ dune build @crashmc-recovery --force
 dune build @obs-smoke --force
 
 for seed in 4242 1001 90210; do
+  SOAK_SEED=$seed dune build @fault-soak --force
   SOAK_SEED=$seed dune build @torture-soak --force
   SOAK_SEED=$seed dune build @nvcache-soak --force
   SOAK_SEED=$seed dune build @snapshot-soak --force

@@ -38,16 +38,14 @@ module Pmfs = Hinfs_pmfs.Pmfs
 module Health = Hinfs_pmfs.Health
 module Layout = Hinfs_pmfs.Layout
 module Errno = Hinfs_vfs.Errno
-module Fsck = Hinfs_fsck.Fsck
 module Scrub = Hinfs_fsck.Scrub
 module Repair = Hinfs_fsck.Repair
 module Chaos = Hinfs_harness.Chaos
+module Soak = Testkit.Soak
 
-let seed =
-  match Sys.getenv_opt "SOAK_SEED" with
-  | Some s -> Int64.of_string s
-  | None -> 7777L
-
+let soak = Soak.of_env "chaos-soak" ~default:7777L
+let seed = Soak.seed soak
+let fail fmt = Soak.fail soak fmt
 let shards = 4
 let victim = 1
 let files_per_shard = 4
@@ -62,11 +60,6 @@ let corrupt_at = 12_000_000
 let burst_gap = 1_000_000
 let readmit_bound_ns = 10_000_000L
 let capture_after = Int64.of_int (corrupt_at + 3_000_000)
-
-let failures = ref []
-
-let fail fmt =
-  Fmt.kstr (fun s -> failures := Fmt.str "[seed %Ld] %s" seed s :: !failures) fmt
 
 (* Oracle: per shard, per file, the content of the last successful
    synchronous write. Reads that return data must match it — under
@@ -101,12 +94,7 @@ let schedule =
 (* Mount a crash image: fsck-clean, and every durable file whose key is
    not racing the fence must be present with the right bytes. *)
 let verify_crash_image engine ~oracle ~racing image =
-  let stats = Stats.create () in
-  let d = Device.of_snapshot engine stats config image in
-  let fs = Pmfs.mount d () in
-  let freport = Fsck.check_pmfs fs in
-  if not (Fsck.ok freport) then
-    fail "crash image fails fsck: %a" Fsck.pp_report freport;
+  let fs, _, _ = Soak.mount_pmfs soak engine config image in
   Array.iteri
     (fun s (dir, fls) ->
       Array.iteri
@@ -131,9 +119,7 @@ let verify_crash_image engine ~oracle ~racing image =
    repair daemon. Baseline (chaos=false) measures per-shard throughput
    with no fault model attached. *)
 let run_cell ~chaos () =
-  let engine = Engine.create () in
-  let result = ref None in
-  Engine.spawn engine ~name:"chaos-cell" (fun () ->
+  Soak.run soak (fun engine ->
       let stats = Stats.create () in
       let d = Device.create engine stats config in
       let fs = Pmfs.mkfs_and_mount d ~journal_blocks:32 ~shards () in
@@ -290,40 +276,29 @@ let run_cell ~chaos () =
            fail "victim shard rejects writes after the repair window");
         Pmfs.truncate fs ~ino:f.ino ~size:777
       end;
-      let freport = Fsck.check_pmfs fs in
-      if not (Fsck.ok freport) then
-        fail "live mount fails fsck after chaos: %a" Fsck.pp_report freport;
+      ignore
+        (Soak.check_pmfs soak ~what:"live mount fails fsck after chaos" fs);
       (match !captured with
       | None -> ()
       | Some (state, osnap, racing) ->
-        let counts =
-          Array.of_list
-            (List.map (fun (_, c) -> Array.length c) state.Device.cs_choices)
-        in
         let crng = Rng.create ~seed:(Int64.add seed 99L) in
-        let vec = Array.map (fun c -> Rng.int crng c) counts in
-        let image = Device.materialize_crash_image state ~choice:vec in
-        verify_crash_image engine ~oracle:osnap ~racing image);
+        verify_crash_image engine ~oracle:osnap ~racing
+          (Soak.materialize crng state));
       Pmfs.unmount fs;
-      result :=
-        Some
-          {
-            o_ops = ops;
-            o_blocked = !blocked;
-            o_retries = Stats.media_retries stats;
-            o_quarantines = Health.quarantines health;
-            o_readmits = Health.readmits health;
-            o_readmit_lag = readmit_lag;
-            o_digest = Digest.bytes (Device.snapshot d);
-            o_crash_checked = !captured <> None;
-          });
-  Engine.run engine;
-  Option.get !result
+      {
+        o_ops = ops;
+        o_blocked = !blocked;
+        o_retries = Stats.media_retries stats;
+        o_quarantines = Health.quarantines health;
+        o_readmits = Health.readmits health;
+        o_readmit_lag = readmit_lag;
+        o_digest = Digest.bytes (Device.snapshot d);
+        o_crash_checked = !captured <> None;
+      })
 
 let () =
   let base = run_cell ~chaos:false () in
   let c1 = run_cell ~chaos:true () in
-  let c2 = run_cell ~chaos:true () in
   Array.iteri
     (fun s n ->
       Fmt.pr "shard %d: %d ops baseline, %d ops under chaos%s@." s
@@ -359,9 +334,5 @@ let () =
   if base.o_quarantines <> 0 || base.o_readmits <> 0 then
     fail "baseline cell saw health transitions without faults";
   (* Determinism: same seed, same schedule, same everything. *)
-  if c1 <> c2 then fail "chaos cell is not deterministic for seed %Ld" seed;
-  match !failures with
-  | [] -> Fmt.pr "chaos-soak OK@."
-  | fs ->
-    List.iter (Fmt.epr "chaos-soak FAIL: %s@.") (List.rev fs);
-    exit 1
+  Soak.deterministic soak "chaos cell" c1 (run_cell ~chaos:true ());
+  Soak.verdict soak

@@ -16,10 +16,10 @@
      correctly through every abort), and a second run with the same seed
      reproduces every counter and image digest bit for bit.
 
-   Wired into `dune runtest` through the snapshot-soak alias; also
-   runnable directly: dune exec test/cow_soak.exe *)
+   SOAK_SEED=<int64> reseeds the run (default 4242). Wired into `dune
+   runtest` through the snapshot-soak alias; also runnable directly:
+   dune exec test/cow_soak.exe *)
 
-module Engine = Hinfs_sim.Engine
 module Rng = Hinfs_sim.Rng
 module Stats = Hinfs_stats.Stats
 module Config = Hinfs_nvmm.Config
@@ -28,15 +28,11 @@ module Faultops = Hinfs_nvmm.Faultops
 module Cowfs = Hinfs_pmfs.Cowfs
 module Errno = Hinfs_vfs.Errno
 module Fsck = Hinfs_fsck.Fsck
-module Obs = Hinfs_obs.Obs
+module Soak = Testkit.Soak
 
-(* Override the soak seed with SOAK_SEED=<int64> to reproduce or widen a
-   failure; every failure message carries the seed that produced it. *)
-let seed =
-  match Sys.getenv_opt "SOAK_SEED" with
-  | Some s -> Int64.of_string s
-  | None -> 4242L
-
+let soak = Soak.of_env "cow-soak" ~default:4242L
+let seed = Soak.seed soak
+let fail fmt = Soak.fail soak fmt
 let rounds = 4
 let ops_per_round = 60
 let max_files = 12
@@ -44,11 +40,6 @@ let chunk_max = 6 * 1024
 let root = Cowfs.root_ino
 
 let config = { Config.default with Config.nvmm_size = 8 * 1024 * 1024 }
-
-let failures = ref []
-
-let fail fmt =
-  Fmt.kstr (fun s -> failures := Fmt.str "[seed %Ld] %s" seed s :: !failures) fmt
 
 (* Per-round record compared across runs for bit-for-bit determinism. *)
 type round_outcome = {
@@ -91,14 +82,10 @@ let verify_image engine ~label ~digests image =
     | [] -> ()
     | vs -> fail "[%s] crash image fails cow fsck: %s" label (String.concat "; " vs))
 
+(* Commit and GC spans must unwind correctly through every abort: the
+   accounting has to balance once the engine drains. *)
 let run_soak () =
-  let engine = Engine.create () in
-  (* Commit and GC spans must unwind correctly through every abort: the
-     accounting has to balance once the engine drains. *)
-  let obs = Obs.create engine in
-  Obs.install obs;
-  let result = ref None in
-  Engine.spawn engine ~name:"cow-soak" (fun () ->
+  Soak.run soak ~obs:"snapshot soak" (fun engine ->
       let stats = Stats.create () in
       let d = Device.create engine stats config in
       let fs = Cowfs.mkfs_and_mount d () in
@@ -277,20 +264,10 @@ let run_soak () =
       in
       let round_outcomes = ref [] in
       for round = 1 to rounds do
-        (* Arm the recorder and pick a seeded mid-round fence to crash at;
-           the hook keeps the newest capturable state at or before it. *)
-        Device.enable_recording d;
-        let target = Rng.int rng 200 in
-        let fences = ref 0 in
-        let captured = ref None in
-        Device.set_on_fence d (fun () ->
-            if !fences <= target && Device.pending_choice_lines d > 0 then
-              captured :=
-                Some
-                  (Device.capture_crash_state
-                     ~label:(Fmt.str "round-%d-fence-%d" round !fences)
-                     d);
-            incr fences);
+        (* Crash at a seeded mid-round fence. *)
+        let point =
+          Soak.arm ~label:(Fmt.str "round-%d" round) rng d ~fences:200 ignore
+        in
         let ok0 = !ops_ok and aborted0 = !aborted in
         for _ = 1 to ops_per_round do
           (match Rng.int rng 12 with
@@ -304,29 +281,18 @@ let run_soak () =
           record ();
           verify_reads ()
         done;
-        Device.disable_recording d;
         (* Crash: the captured mid-round state if one exists, else the
            end-of-round medium; either way the image must mount to a
            committed state. *)
-        let image, capture_fence =
-          match !captured with
-          | Some state ->
-            let vec =
-              Array.of_list
-                (List.map
-                   (fun (_, c) -> Rng.int rng (Array.length c))
-                   state.Device.cs_choices)
-            in
-            (Device.materialize_crash_image state ~choice:vec, Some !fences)
-          | None -> (Device.snapshot d, None)
-        in
-        verify_image engine ~label:(Fmt.str "round-%d" round) ~digests image;
+        let crash = Soak.crash rng point in
+        verify_image engine ~label:(Fmt.str "round-%d" round) ~digests
+          crash.image;
         round_outcomes :=
           {
             r_ops_ok = !ops_ok - ok0;
             r_aborted = !aborted - aborted0;
-            r_capture_fence = capture_fence;
-            r_image_digest = Digest.to_hex (Digest.bytes image);
+            r_capture_fence = crash.fence;
+            r_image_digest = Digest.to_hex (Digest.bytes crash.image);
           }
           :: !round_outcomes
       done;
@@ -344,24 +310,14 @@ let run_soak () =
         fail "live mount fails cow fsck after snapshot gc: %s"
           (String.concat "; " vs));
       verify_reads ();
-      result :=
-        Some
-          {
-            o_rounds = List.rev !round_outcomes;
-            o_commits = Cowfs.commits fs;
-            o_snapshots_taken = !snapshots_taken;
-            o_rollbacks = !rollbacks;
-            o_forced_aborts = !aborted;
-            o_final_digest = Cowfs.state_digest fs;
-          });
-  Engine.run engine;
-  if Obs.open_spans obs > 0 || Obs.mismatches obs > 0 then
-    fail "span accounting broken under snapshot soak (%d open, %d mismatched)"
-      (Obs.open_spans obs) (Obs.mismatches obs);
-  Obs.uninstall ();
-  match !result with
-  | Some o -> o
-  | None -> Fmt.failwith "cow-soak simulation did not complete (seed %Ld)" seed
+      {
+        o_rounds = List.rev !round_outcomes;
+        o_commits = Cowfs.commits fs;
+        o_snapshots_taken = !snapshots_taken;
+        o_rollbacks = !rollbacks;
+        o_forced_aborts = !aborted;
+        o_final_digest = Cowfs.state_digest fs;
+      })
 
 let () =
   let o1 = run_soak () in
@@ -385,10 +341,5 @@ let () =
   if not (List.exists (fun r -> r.r_capture_fence <> None) o1.o_rounds) then
     fail "no round captured a mid-round crash image";
   (* Bit-for-bit reproducibility, images included. *)
-  let o2 = run_soak () in
-  if o1 <> o2 then fail "cow soak is not deterministic for seed %Ld" seed;
-  match !failures with
-  | [] -> Fmt.pr "cow-soak OK@."
-  | fs ->
-    List.iter (Fmt.epr "cow-soak FAIL: %s@.") (List.rev fs);
-    exit 1
+  Soak.deterministic soak "cow soak" o1 (run_soak ());
+  Soak.verdict soak

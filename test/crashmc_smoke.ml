@@ -9,7 +9,7 @@
    directly: dune exec test/crashmc_smoke.exe *)
 
 module Crashmc = Hinfs_crashmc.Crashmc
-module Scenarios = Hinfs_crashmc.Scenarios
+module Soak = Testkit.Soak
 
 let params =
   {
@@ -24,40 +24,13 @@ let params =
   }
 
 let () =
-  let report = Crashmc.run_suite ~params Scenarios.all in
-  Fmt.pr "%a@." Crashmc.pp_report report;
-  let failures = ref [] in
-  let fail fmt = Fmt.kstr (fun s -> failures := s :: !failures) fmt in
-  let images = Crashmc.total_images report in
-  if images < 1000 then
-    fail "only %d distinct crash images explored (need >= 1000)" images;
-  let rimages = Crashmc.total_recovery_images report in
-  if rimages < 100 then
-    fail "only %d crash-during-recovery images verified (need >= 100)" rimages;
-  (match Crashmc.unexpected_violations report with
-  | [] -> ()
-  | vs ->
-    fail "%d unexpected violation(s), e.g. %s" (List.length vs)
-      (match vs with
-      | (sc, st, v) :: _ -> Fmt.str "[%s/%s] %s" sc st v
-      | [] -> assert false));
-  (match Crashmc.missed_fixtures report with
-  | [] -> ()
-  | ms -> fail "buggy fixture(s) not flagged: %s" (String.concat ", " ms));
-  (* Determinism: a second run with the same seed must agree exactly. *)
-  let again = Crashmc.run_suite ~params Scenarios.all in
-  List.iter2
-    (fun (a : Crashmc.scenario_result) (b : Crashmc.scenario_result) ->
-      if
-        a.sr_states <> b.sr_states
-        || a.sr_images <> b.sr_images
-        || a.sr_recovery_states <> b.sr_recovery_states
-        || a.sr_recovery_images <> b.sr_recovery_images
-        || a.sr_violations <> b.sr_violations
-      then fail "scenario %s is not deterministic" a.sr_name)
-    report.results again.results;
-  match !failures with
-  | [] -> Fmt.pr "crashmc-smoke OK@."
-  | fs ->
-    List.iter (Fmt.epr "crashmc-smoke FAIL: %s@.") (List.rev fs);
-    exit 1
+  Soak.crashmc "crashmc-smoke" params (fun soak report ->
+      let images = Crashmc.total_images report in
+      if images < 1000 then
+        Soak.fail soak
+          "only %d distinct crash images explored (need >= 1000)" images;
+      let rimages = Crashmc.total_recovery_images report in
+      if rimages < 100 then
+        Soak.fail soak
+          "only %d crash-during-recovery images verified (need >= 100)"
+          rimages)

@@ -11,10 +11,10 @@
    - fully deterministic: a second run with the same seed reproduces the
      same fault placement and the same counters bit for bit.
 
-   Wired into `dune runtest` through the fault-soak alias; also runnable
-   directly: dune exec test/fault_soak.exe *)
+   SOAK_SEED=<int64> reseeds the run (default 42). Wired into `dune
+   runtest` through the fault-soak alias; also runnable directly:
+   dune exec test/fault_soak.exe *)
 
-module Engine = Hinfs_sim.Engine
 module Rng = Hinfs_sim.Rng
 module Stats = Hinfs_stats.Stats
 module Config = Hinfs_nvmm.Config
@@ -25,17 +25,16 @@ module Layout = Hinfs_pmfs.Layout
 module Errno = Hinfs_vfs.Errno
 module Fsck = Hinfs_fsck.Fsck
 module Scrub = Hinfs_fsck.Scrub
-module Obs = Hinfs_obs.Obs
+module Soak = Testkit.Soak
 
-let seed = 42L
+let soak = Soak.of_env "fault-soak" ~default:42L
+let seed = Soak.seed soak
+let fail fmt = Soak.fail soak fmt
 let poison_rate = 1e-3
 let transient_rate = 1e-3
 let ops = 600
 let max_files = 24
 let max_file_len = 24 * 1024
-
-let failures = ref []
-let fail fmt = Fmt.kstr (fun s -> failures := s :: !failures) fmt
 
 (* Counters gathered at the end of a run, compared across runs for
    determinism. *)
@@ -48,15 +47,11 @@ type outcome = {
   o_violations : int;
 }
 
+(* Soak with the observability sink installed: every span opened on an
+   EIO/EROFS unwind must still close, so the accounting is checked at the
+   end of the run. *)
 let run_soak () =
-  let engine = Engine.create () in
-  (* Soak with the observability sink installed: every span opened on an
-     EIO/EROFS unwind must still close, so the accounting is checked at
-     the end of the run. *)
-  let obs = Obs.create engine in
-  Obs.install obs;
-  let result = ref None in
-  Engine.spawn engine ~name:"soak" (fun () ->
+  Soak.run soak ~obs:"faults" (fun engine ->
       let stats = Stats.create () in
       let config =
         { Config.default with Config.nvmm_size = 8 * 1024 * 1024 }
@@ -171,33 +166,23 @@ let run_soak () =
       end
       else if not (Fsck.ok freport) then
         fail "writable file system fails fsck: %a" Fsck.pp_report freport;
-      result :=
-        Some
-          {
-            o_poisoned = Fault.poisoned_lines fault;
-            o_model =
-              ( Fault.store_poisons fault,
-                Fault.transient_faults fault,
-                Fault.poison_hits fault,
-                Fault.heals fault );
-            o_fs =
-              ( Stats.media_faults_transient stats,
-                Stats.media_faults_poison stats,
-                Stats.media_retries stats,
-                Stats.scrub_repairs stats,
-                Stats.crc_mismatches stats );
-            o_ops = (!reads_ok, !reads_eio, !writes_refused);
-            o_read_only = Pmfs.read_only fs;
-            o_violations = List.length freport.Fsck.violations;
-          });
-  Engine.run engine;
-  if Obs.open_spans obs > 0 || Obs.mismatches obs > 0 then
-    fail "span accounting broken under faults (%d open, %d mismatched)"
-      (Obs.open_spans obs) (Obs.mismatches obs);
-  Obs.uninstall ();
-  match !result with
-  | Some o -> o
-  | None -> Fmt.failwith "fault-soak simulation did not complete"
+      {
+        o_poisoned = Fault.poisoned_lines fault;
+        o_model =
+          ( Fault.store_poisons fault,
+            Fault.transient_faults fault,
+            Fault.poison_hits fault,
+            Fault.heals fault );
+        o_fs =
+          ( Stats.media_faults_transient stats,
+            Stats.media_faults_poison stats,
+            Stats.media_retries stats,
+            Stats.scrub_repairs stats,
+            Stats.crc_mismatches stats );
+        o_ops = (!reads_ok, !reads_eio, !writes_refused);
+        o_read_only = Pmfs.read_only fs;
+        o_violations = List.length freport.Fsck.violations;
+      })
 
 let () =
   let o1 = run_soak () in
@@ -213,10 +198,5 @@ let () =
   if store_poisons + transients = 0 then
     fail "soak injected no faults at all (rates too low to test anything)";
   (* Bit-for-bit reproducibility. *)
-  let o2 = run_soak () in
-  if o1 <> o2 then fail "soak is not deterministic for seed %Ld" seed;
-  match !failures with
-  | [] -> Fmt.pr "fault-soak OK@."
-  | fs ->
-    List.iter (Fmt.epr "fault-soak FAIL: %s@.") (List.rev fs);
-    exit 1
+  Soak.deterministic soak "soak" o1 (run_soak ());
+  Soak.verdict soak

@@ -12,10 +12,10 @@
    - fully deterministic: a second run with the same seed reproduces the
      same counters bit for bit.
 
-   Wired into `dune runtest` through the nvcache-soak alias; also runnable
-   directly: dune exec test/nvcache_soak.exe *)
+   SOAK_SEED=<int64> reseeds the run (default 7). Wired into `dune
+   runtest` through the nvcache-soak alias; also runnable directly:
+   dune exec test/nvcache_soak.exe *)
 
-module Engine = Hinfs_sim.Engine
 module Rng = Hinfs_sim.Rng
 module Stats = Hinfs_stats.Stats
 module Config = Hinfs_nvmm.Config
@@ -25,36 +25,17 @@ module Extfs = Hinfs_extfs.Extfs
 module Nvcache = Hinfs_nvcache.Nvcache
 module Types = Hinfs_vfs.Types
 module Vfs = Hinfs_vfs.Vfs
+module Soak = Testkit.Soak
 
-(* Override the soak seed with SOAK_SEED=<int64> to reproduce or widen a
-   failure; every failure message carries the seed that produced it. *)
-let seed =
-  match Sys.getenv_opt "SOAK_SEED" with
-  | Some s -> Int64.of_string s
-  | None -> 7L
-
+let soak = Soak.of_env "nvcache-soak" ~default:7L
+let seed = Soak.seed soak
+let fail fmt = Soak.fail soak fmt
 let rounds = 3
 let ops_per_round = 60
 let max_files = 10
 let max_len = 16 * 1024
 
-let failures = ref []
-
-let fail fmt =
-  Fmt.kstr (fun s -> failures := Fmt.str "[seed %Ld] %s" seed s :: !failures) fmt
-
 let config = { Config.default with Config.nvmm_size = 8 * 1024 * 1024 }
-
-let run_sim f =
-  let engine = Engine.create () in
-  let result = ref None in
-  Engine.spawn engine ~name:"soak" (fun () -> result := Some (f engine));
-  Engine.run engine;
-  match !result with
-  | Some r -> r
-  | None ->
-    fail "simulation did not complete";
-    Obj.magic 0
 
 (* Counters gathered per design, compared across runs for determinism. *)
 type outcome = {
@@ -82,7 +63,7 @@ let verify_oracle h oracle ~where =
 (* One live round: op mix over a fresh stack, a crash snapshot mid-round,
    and the oracle as it stood at the snapshot. *)
 let live_round ~design ~round =
-  run_sim (fun engine ->
+  Soak.run soak (fun engine ->
       let stats = Stats.create () in
       let device = Device.create engine stats config in
       let st =
@@ -134,7 +115,7 @@ let live_round ~design ~round =
 
 (* Recover a crash image and hold it to the oracle. *)
 let crash_leg ~design snap oracle =
-  run_sim (fun engine ->
+  Soak.run soak (fun engine ->
       let stats = Stats.create () in
       let device = Device.of_snapshot engine stats config snap in
       let st =
@@ -161,7 +142,7 @@ let crash_leg ~design snap oracle =
    survive, and must never apply wrong data. A replay that dropped nothing
    still owes the oracle byte-exact content. *)
 let fault_leg ~design ~round snap oracle =
-  run_sim (fun engine ->
+  Soak.run soak (fun engine ->
       let stats = Stats.create () in
       let device = Device.of_snapshot engine stats config snap in
       let fault =
@@ -227,9 +208,7 @@ let run_all () = List.map (fun d -> (d, run_design d)) [ Nvcache.Logging; Nvcach
 
 let () =
   let first = run_all () in
-  let second = run_all () in
-  if first <> second then
-    fail "nondeterministic: two same-seed runs disagree";
+  Soak.deterministic soak "nvcache soak" first (run_all ());
   List.iter
     (fun (design, o) ->
       if o.o_appends = 0 then
@@ -241,8 +220,4 @@ let () =
         (Nvcache.design_name design) o.o_appends o.o_absorbed o.o_destages
         o.o_stalls o.o_replayed o.o_fault_dropped)
     first;
-  match !failures with
-  | [] -> Fmt.pr "nvcache-soak OK@."
-  | fs ->
-    List.iter (fun f -> Fmt.epr "FAIL: %s@." f) (List.rev fs);
-    exit 1
+  Soak.verdict soak

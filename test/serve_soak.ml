@@ -16,10 +16,10 @@
    and in-flight requests are exempt. Two runs with the same seed must
    reproduce bit for bit.
 
-   Wired into `dune runtest` via the serve-soak alias; also runnable
-   directly: dune exec test/serve_soak.exe *)
+   SOAK_SEED=<int64> reseeds the run (default 4242). Wired into `dune
+   runtest` via the serve-soak alias; also runnable directly:
+   dune exec test/serve_soak.exe *)
 
-module Engine = Hinfs_sim.Engine
 module Proc = Hinfs_sim.Proc
 module Condvar = Hinfs_sim.Condvar
 module Rng = Hinfs_sim.Rng
@@ -30,15 +30,13 @@ module Pmfs = Hinfs_pmfs.Pmfs
 module Vfs = Hinfs_vfs.Vfs
 module Types = Hinfs_vfs.Types
 module Errno = Hinfs_vfs.Errno
-module Fsck = Hinfs_fsck.Fsck
 module Wire = Hinfs_server.Wire
 module Server = Hinfs_server.Server
+module Soak = Testkit.Soak
 
-let seed =
-  match Sys.getenv_opt "SOAK_SEED" with
-  | Some s -> Int64.of_string s
-  | None -> 4242L
-
+let soak = Soak.of_env "serve-soak" ~default:4242L
+let seed = Soak.seed soak
+let fail fmt = Soak.fail soak fmt
 let shards = 4
 let ndirs = 6
 let nclients = 6
@@ -47,11 +45,6 @@ let rounds = 4
 let ops_per_client = 24
 let chunk = 1024
 let config = { Config.default with Config.nvmm_size = 8 * 1024 * 1024 }
-
-let failures = ref []
-
-let fail fmt =
-  Fmt.kstr (fun s -> failures := Fmt.str "[seed %Ld] %s" seed s :: !failures) fmt
 
 let own_path ci = Fmt.str "/d%d/own%d" (ci mod ndirs) ci
 let scratch_path ci = Fmt.str "/d%d/scr%d" (ci mod ndirs) ci
@@ -69,12 +62,7 @@ let copy_oracle o =
 
 (* Mount a crash image and check the durability contract. *)
 let verify_image engine ~label oracle image =
-  let stats = Stats.create () in
-  let d = Device.of_snapshot engine stats config image in
-  let fs = Pmfs.mount d () in
-  let freport = Fsck.check_pmfs fs in
-  if not (Fsck.ok freport) then
-    fail "[%s] crash image fails fsck: %a" label Fsck.pp_report freport;
+  let fs, _, _ = Soak.mount_pmfs ~label soak engine config image in
   let h = Pmfs.handle fs in
   let durable_blocks = Hashtbl.create 64 in
   Hashtbl.iter
@@ -114,9 +102,8 @@ type round_outcome = {
 }
 
 let run_soak () =
-  let engine = Engine.create () in
-  let outcomes = ref [] in
-  Engine.spawn engine ~name:"serve-soak" (fun () ->
+  Soak.run soak (fun engine ->
+      let outcomes = ref [] in
       let stats = Stats.create () in
       let d = Device.create engine stats config in
       let fs = Pmfs.mkfs_and_mount d ~journal_blocks:32 ~shards () in
@@ -226,21 +213,10 @@ let run_soak () =
         done
       in
       for round = 1 to rounds do
-        Device.enable_recording d;
-        let target = Rng.int rng 300 in
-        let fences = ref 0 in
-        let captured = ref None in
-        let osnap = ref None in
-        Device.set_on_fence d (fun () ->
-            if !fences <= target && Device.pending_choice_lines d > 0 then begin
-              captured :=
-                Some
-                  (Device.capture_crash_state
-                     ~label:(Fmt.str "serve-round-%d-fence-%d" round !fences)
-                     d);
-              osnap := Some (copy_oracle oracle, !fences)
-            end;
-            incr fences);
+        let point =
+          Soak.arm ~label:(Fmt.str "serve-round-%d" round) rng d ~fences:300
+            (fun () -> copy_oracle oracle)
+        in
         let ops0 = !total_ops in
         let done_cv = Condvar.create engine in
         let remaining = ref nclients in
@@ -257,19 +233,8 @@ let run_soak () =
               if !remaining = 0 then ignore (Condvar.broadcast done_cv))
         done;
         if !remaining > 0 then Condvar.wait done_cv;
-        Device.disable_recording d;
-        let image, fence, oimg =
-          match (!captured, !osnap) with
-          | Some state, Some (oimg, fence) ->
-            let vec =
-              Array.of_list
-                (List.map
-                   (fun (_, c) -> Rng.int rng (Array.length c))
-                   state.Device.cs_choices)
-            in
-            (Device.materialize_crash_image state ~choice:vec, Some fence, oimg)
-          | _ -> (Device.snapshot d, None, copy_oracle oracle)
-        in
+        let crash = Soak.crash rng point in
+        let image = crash.image and oimg = crash.oracle in
         let durable =
           Hashtbl.fold (fun _ s n -> if s = Durable then n + 1 else n) oimg 0
         in
@@ -280,7 +245,7 @@ let run_soak () =
         outcomes :=
           {
             r_ops = !total_ops - ops0;
-            r_fence = fence;
+            r_fence = crash.fence;
             r_durable = durable;
             r_digest = Digest.bytes image;
           }
@@ -296,11 +261,8 @@ let run_soak () =
         fail "no round captured a mid-burst crash state (vacuous soak)";
       if not (List.exists (fun r -> r.r_durable > 0) !outcomes) then
         fail "no captured oracle held durable blocks (vacuous soak)";
-      let freport = Fsck.check_pmfs fs in
-      if not (Fsck.ok freport) then
-        fail "live mount fails fsck: %a" Fsck.pp_report freport);
-  Engine.run engine;
-  List.rev !outcomes
+      ignore (Soak.check_pmfs soak ~what:"live mount fails fsck" fs);
+      List.rev !outcomes)
 
 let () =
   let o1 = run_soak () in
@@ -314,10 +276,5 @@ let () =
       Fmt.pr "round %d: %d served ops, crash at %s, %d durable blocks checked@."
         (i + 1) r.r_ops at r.r_durable)
     o1;
-  let o2 = run_soak () in
-  if o1 <> o2 then fail "serve soak is not deterministic for seed %Ld" seed;
-  match !failures with
-  | [] -> Fmt.pr "serve-soak OK@."
-  | fs ->
-    List.iter (Fmt.epr "serve-soak FAIL: %s@.") (List.rev fs);
-    exit 1
+  Soak.deterministic soak "serve soak" o1 (run_soak ());
+  Soak.verdict soak

@@ -16,11 +16,11 @@
    shards, commits a multi-shard sync_all through the epoch barrier, and
    remounts intact.
 
-   Both parts run twice with the same seed and must reproduce bit for bit.
-   Wired into `dune runtest` through the shard-soak alias; also runnable
-   directly: dune exec test/shard_soak.exe *)
+   Part 1 runs twice with the same seed and must reproduce bit for bit.
+   SOAK_SEED=<int64> reseeds the run (default 4242). Wired into `dune
+   runtest` through the shard-soak alias; also runnable directly:
+   dune exec test/shard_soak.exe *)
 
-module Engine = Hinfs_sim.Engine
 module Rng = Hinfs_sim.Rng
 module Stats = Hinfs_stats.Stats
 module Config = Hinfs_nvmm.Config
@@ -34,12 +34,11 @@ module Fsck = Hinfs_fsck.Fsck
 module Fs = Hinfs.Fs
 module Hconfig = Hinfs.Hconfig
 module Buffer_pool = Hinfs.Buffer_pool
+module Soak = Testkit.Soak
 
-let seed =
-  match Sys.getenv_opt "SOAK_SEED" with
-  | Some s -> Int64.of_string s
-  | None -> 4242L
-
+let soak = Soak.of_env "shard-soak" ~default:4242L
+let seed = Soak.seed soak
+let fail fmt = Soak.fail soak fmt
 let shards = 4
 let ndirs = 6
 let rounds = 5
@@ -48,11 +47,6 @@ let max_files = 24
 let chunk_max = 4096
 let root = Layout.root_ino
 let config = { Config.default with Config.nvmm_size = 8 * 1024 * 1024 }
-
-let failures = ref []
-
-let fail fmt =
-  Fmt.kstr (fun s -> failures := Fmt.str "[seed %Ld] %s" seed s :: !failures) fmt
 
 (* Oracle key: (directory index, name). Content is what the last
    successful synchronous write left there. *)
@@ -71,9 +65,7 @@ let copy_oracle o =
 (* Mount a crash image and check: fsck clean, per-shard recovery breakdown
    consistent, durable files intact, in-flight rename at exactly one name. *)
 let verify_image engine ~label ~oracle ~in_flight ~dirs image =
-  let stats = Stats.create () in
-  let d = Device.of_snapshot engine stats config image in
-  let fs = Pmfs.mount d () in
+  let fs, stats, freport = Soak.mount_pmfs ~label soak engine config image in
   let by_shard = Pmfs.recovered_by_shard fs in
   if Array.length by_shard <> shards then
     fail "[%s] recovered_by_shard has %d entries, expected %d" label
@@ -83,9 +75,6 @@ let verify_image engine ~label ~oracle ~in_flight ~dirs image =
     fail "[%s] per-shard rollback breakdown sums to %d, stats say %d" label
       (Array.fold_left ( + ) 0 by_shard)
       rolled_back;
-  let freport = Fsck.check_pmfs fs in
-  if not (Fsck.ok freport) then
-    fail "[%s] crash image fails fsck: %a" label Fsck.pp_report freport;
   if Array.length freport.Fsck.shard_reports <> shards then
     fail "[%s] fsck shard_reports has %d entries, expected %d" label
       (Array.length freport.Fsck.shard_reports)
@@ -139,9 +128,8 @@ type round_outcome = {
 }
 
 let run_pmfs_soak () =
-  let engine = Engine.create () in
-  let outcomes = ref [] in
-  Engine.spawn engine ~name:"shard-soak" (fun () ->
+  Soak.run soak (fun engine ->
+      let outcomes = ref [] in
       let stats = Stats.create () in
       let d = Device.create engine stats config in
       let fs = Pmfs.mkfs_and_mount d ~journal_blocks:32 ~shards () in
@@ -244,21 +232,10 @@ let run_pmfs_soak () =
           end
       in
       for round = 1 to rounds do
-        Device.enable_recording d;
-        let target = Rng.int rng 400 in
-        let fences = ref 0 in
-        let captured = ref None in
-        let meta = ref None in
-        Device.set_on_fence d (fun () ->
-            if !fences <= target && Device.pending_choice_lines d > 0 then begin
-              captured :=
-                Some
-                  (Device.capture_crash_state
-                     ~label:(Fmt.str "shard-round-%d-fence-%d" round !fences)
-                     d);
-              meta := Some (copy_oracle oracle, !in_flight, !fences)
-            end;
-            incr fences);
+        let point =
+          Soak.arm ~label:(Fmt.str "shard-round-%d" round) rng d ~fences:400
+            (fun () -> (copy_oracle oracle, !in_flight))
+        in
         let ops0 = !ops and ren0 = !renames in
         for _ = 1 to ops_per_round do
           (match Rng.int rng 10 with
@@ -269,19 +246,8 @@ let run_pmfs_soak () =
           | _ -> do_rename ());
           in_flight := Idle
         done;
-        Device.disable_recording d;
-        let image, fence, osnap, racing =
-          match (!captured, !meta) with
-          | Some state, Some (osnap, racing, fence) ->
-            let counts =
-              Array.of_list
-                (List.map (fun (_, c) -> Array.length c) state.Device.cs_choices)
-            in
-            let vec = Array.map (fun c -> Rng.int rng c) counts in
-            (Device.materialize_crash_image state ~choice:vec, Some fence,
-             osnap, racing)
-          | _ -> (Device.snapshot d, None, copy_oracle oracle, Idle)
-        in
+        let crash = Soak.crash rng point in
+        let image = crash.image and osnap, racing = crash.oracle in
         let label = Fmt.str "round-%d" round in
         let rolled_back =
           verify_image engine ~label ~oracle:osnap ~in_flight:racing ~dirs image
@@ -295,7 +261,7 @@ let run_pmfs_soak () =
           {
             r_ops = !ops - ops0;
             r_renames = !renames - ren0;
-            r_fence = fence;
+            r_fence = crash.fence;
             r_digest = Digest.bytes image;
             r_rolled_back = rolled_back;
             r_by_shard = [];
@@ -304,21 +270,16 @@ let run_pmfs_soak () =
       done;
       if !renames = 0 then
         fail "no cross-shard rename ever ran (vacuous soak)";
-      let freport = Fsck.check_pmfs fs in
-      if not (Fsck.ok freport) then
-        fail "live mount fails fsck: %a" Fsck.pp_report freport;
+      let freport = Soak.check_pmfs soak ~what:"live mount fails fsck" fs in
       if freport.Fsck.leaked_blocks > 0 || freport.Fsck.leaked_inodes > 0 then
         fail "live mount leaks: %d blocks, %d inodes"
-          freport.Fsck.leaked_blocks freport.Fsck.leaked_inodes);
-  Engine.run engine;
-  List.rev !outcomes
+          freport.Fsck.leaked_blocks freport.Fsck.leaked_inodes;
+      List.rev !outcomes)
 
 (* --- part 2: HiNFS multi-shard smoke --- *)
 
 let run_hinfs_smoke () =
-  let engine = Engine.create () in
-  let summary = ref "" in
-  Engine.spawn engine ~name:"hinfs-shards" (fun () ->
+  Soak.run soak (fun engine ->
       let stats = Stats.create () in
       let d = Device.create engine stats config in
       let hcfg =
@@ -372,15 +333,10 @@ let run_hinfs_smoke () =
             if n <> len || not (Bytes.equal buf data) then
               fail "remount content mismatch for h%d/%s" di name)
         files;
-      let freport = Fsck.check_pmfs pmfs2 in
-      if not (Fsck.ok freport) then
-        fail "HiNFS remount fails fsck: %a" Fsck.pp_report freport;
-      summary :=
-        Fmt.str "%d files across %d dirs, %d shard pools used, %d epoch commit(s)"
-          (Array.length files) ndirs !pools_used
-          (Epoch.commits (Pmfs.epoch pmfs)));
-  Engine.run engine;
-  !summary
+      ignore (Soak.check_pmfs soak ~what:"HiNFS remount fails fsck" pmfs2);
+      Fmt.str "%d files across %d dirs, %d shard pools used, %d epoch commit(s)"
+        (Array.length files) ndirs !pools_used
+        (Epoch.commits (Pmfs.epoch pmfs)))
 
 let () =
   let o1 = run_pmfs_soak () in
@@ -397,10 +353,5 @@ let () =
     o1;
   let smoke = run_hinfs_smoke () in
   Fmt.pr "hinfs multi-shard: %s@." smoke;
-  let o2 = run_pmfs_soak () in
-  if o1 <> o2 then fail "shard soak is not deterministic for seed %Ld" seed;
-  match !failures with
-  | [] -> Fmt.pr "shard-soak OK@."
-  | fs ->
-    List.iter (Fmt.epr "shard-soak FAIL: %s@.") (List.rev fs);
-    exit 1
+  Soak.deterministic soak "shard soak" o1 (run_pmfs_soak ());
+  Soak.verdict soak

@@ -261,6 +261,23 @@ let test_condvar_timeout_then_signal_no_double_wake () =
       ignore (Condvar.signal c));
   check_bool "signal reached the live waiter" true !second_woken
 
+(* A soak run cut short by a process blocked forever must fail with its
+   seed, whether the blocked process is the main one or a child. *)
+let test_condvar_blocked_soak_run_fails () =
+  let soak = Testkit.Soak.create "blocked" ~seed:99L in
+  let fails_with_seed name f =
+    match Testkit.Soak.run soak f with
+    | () -> Alcotest.failf "%s: blocked run passed" name
+    | exception Failure msg ->
+      check_bool (name ^ " names the seed") true
+        (String.starts_with ~prefix:"[seed 99] " msg)
+  in
+  fails_with_seed "main blocked" (fun engine ->
+      Condvar.wait (Condvar.create engine));
+  fails_with_seed "child blocked" (fun engine ->
+      let c = Condvar.create engine in
+      Proc.spawn (fun () -> Condvar.wait c))
+
 (* --- rwlock --- *)
 
 let test_rwlock_readers_share () =
@@ -407,6 +424,8 @@ let () =
           Alcotest.test_case "broadcast" `Quick test_condvar_broadcast;
           Alcotest.test_case "timed-out waiter skipped" `Quick
             test_condvar_timeout_then_signal_no_double_wake;
+          Alcotest.test_case "blocked soak run fails" `Quick
+            test_condvar_blocked_soak_run_fails;
         ] );
       ( "rwlock",
         [

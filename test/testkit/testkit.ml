@@ -1,5 +1,7 @@
 (* Shared helpers for the test suites. *)
 
+module Soak = Soak
+
 module Engine = Hinfs_sim.Engine
 module Proc = Hinfs_sim.Proc
 module Rng = Hinfs_sim.Rng

@@ -22,10 +22,10 @@
    verified, and a second run with the same seed reproduces every image
    digest bit for bit.
 
-   Wired into `dune runtest` through the torture-soak alias; also runnable
-   directly: dune exec test/torture_soak.exe *)
+   SOAK_SEED=<int64> reseeds the run (default 1337). Wired into `dune
+   runtest` through the torture-soak alias; also runnable directly:
+   dune exec test/torture_soak.exe *)
 
-module Engine = Hinfs_sim.Engine
 module Rng = Hinfs_sim.Rng
 module Stats = Hinfs_stats.Stats
 module Config = Hinfs_nvmm.Config
@@ -38,14 +38,11 @@ module Log = Hinfs_journal.Cacheline_log
 module Errno = Hinfs_vfs.Errno
 module Fsck = Hinfs_fsck.Fsck
 module Repair = Hinfs_fsck.Repair
-module Obs = Hinfs_obs.Obs
+module Soak = Testkit.Soak
 
-(* Override the soak seed with SOAK_SEED=<int64> to reproduce or widen a
-   failure; every failure message carries the seed that produced it. *)
-let seed =
-  match Sys.getenv_opt "SOAK_SEED" with
-  | Some s -> Int64.of_string s
-  | None -> 1337L
+let soak = Soak.of_env "torture-soak" ~default:1337L
+let seed = Soak.seed soak
+let fail fmt = Soak.fail soak fmt
 let rounds = 6
 let ops_per_round = 80
 let max_files = 16
@@ -53,11 +50,6 @@ let root = Layout.root_ino
 let chunk_max = 8 * 1024
 
 let config = { Config.default with Config.nvmm_size = 8 * 1024 * 1024 }
-
-let failures = ref []
-
-let fail fmt =
-  Fmt.kstr (fun s -> failures := Fmt.str "[seed %Ld] %s" seed s :: !failures) fmt
 
 (* Oracle entry: contents as of the last *successful* operation, plus a
    taint flag once a failed or EIO-hit write may have torn the data range
@@ -95,30 +87,25 @@ type outcome = {
 (* Verify one crash image: mount (running recovery), fsck, and check the
    durability oracle captured with the image. [in_flight] is the operation
    that was racing the crash — its target is exempt from every check
-   (either outcome of an unfinished operation is legal). When [record] is
-   set, the mount runs under the persistence recorder and the crash state
-   at the [target]-th recovery fence is returned for nested re-crashing. *)
-let verify_image engine ~label ~oracle ~in_flight ?record image =
-  let stats = Stats.create () in
-  let d = Device.of_snapshot engine stats config image in
-  let captured = ref None in
-  (match record with
-  | None -> ()
-  | Some target ->
-    Device.enable_recording d;
-    let fences = ref 0 in
-    Device.set_on_fence d (fun () ->
-        (* Keep the newest state at or before the target fence: bounded
-           memory, and a seeded position inside the recovery window. *)
-        if !fences <= target && Device.pending_choice_lines d > 0 then
-          captured :=
-            Some (Device.capture_crash_state ~label:(Fmt.str "%s-recovery-fence-%d" label !fences) d);
-        incr fences));
-  let fs = Pmfs.mount d () in
-  (match record with Some _ -> Device.disable_recording d | None -> ());
-  let freport = Fsck.check_pmfs fs in
-  if not (Fsck.ok freport) then
-    fail "[%s] crash image fails fsck: %a" label Fsck.pp_report freport;
+   (either outcome of an unfinished operation is legal). With [recrash],
+   the mount runs under the persistence recorder and the crash state at a
+   fence seeded from that RNG inside the recovery window is returned for
+   nested re-crashing. *)
+let verify_image engine ~label ~oracle ~in_flight ?recrash image =
+  let recovery = ref None in
+  let on_device d =
+    recovery :=
+      Option.map
+        (fun rng ->
+          Soak.arm ~label:(label ^ "-recovery") rng d ~fences:8 ignore)
+        recrash
+  in
+  let fs, stats, _ =
+    Soak.mount_pmfs ~on_device ~label soak engine config image
+  in
+  let recovery_state =
+    Option.map (fun (state, (), _) -> state) (Option.bind !recovery Soak.disarm)
+  in
   Hashtbl.iter
     (fun name e ->
       if Some name <> in_flight then
@@ -136,17 +123,13 @@ let verify_image engine ~label ~oracle ~in_flight ?record image =
               fail "[%s] file %S: content mismatch after recovery" label name
           end)
     oracle;
-  (Stats.recovered_txns stats, !captured)
+  (Stats.recovered_txns stats, recovery_state)
 
+(* Soak under the observability sink: crash-image mounts, rollbacks and
+   forced mid-op failures all unwind through instrumented spans, and the
+   accounting must still balance at the end. *)
 let run_soak () =
-  let engine = Engine.create () in
-  (* Soak under the observability sink: crash-image mounts, rollbacks and
-     forced mid-op failures all unwind through instrumented spans, and the
-     accounting must still balance at the end. *)
-  let obs = Obs.create engine in
-  Obs.install obs;
-  let result = ref None in
-  Engine.spawn engine ~name:"torture" (fun () ->
+  Soak.run soak ~obs:"torture" (fun engine ->
       let stats = Stats.create () in
       let d = Device.create engine stats config in
       let fs = Pmfs.mkfs_and_mount d ~journal_blocks:32 () in
@@ -271,23 +254,12 @@ let run_soak () =
       in
       let round_outcomes = ref [] in
       for round = 1 to rounds do
-        (* Arm the recorder and pick a seeded mid-round fence to crash at;
-           the hook keeps the newest capturable state at or before it. *)
-        Device.enable_recording d;
-        let target = Rng.int rng 300 in
-        let fences = ref 0 in
-        let captured = ref None in
-        let capture_meta = ref None in
-        Device.set_on_fence d (fun () ->
-            if !fences <= target && Device.pending_choice_lines d > 0 then begin
-              captured :=
-                Some
-                  (Device.capture_crash_state
-                     ~label:(Fmt.str "round-%d-fence-%d" round !fences)
-                     d);
-              capture_meta := Some (copy_oracle oracle, !in_flight, !fences)
-            end;
-            incr fences);
+        (* Crash at a seeded mid-round fence, with the oracle and the
+           racing operation as they stood there. *)
+        let point =
+          Soak.arm ~label:(Fmt.str "round-%d" round) rng d ~fences:300
+            (fun () -> (copy_oracle oracle, !in_flight))
+        in
         let ok0 = !ops_ok and failed0 = !ops_failed in
         let debug_leaks = Sys.getenv_opt "LEAK_DEBUG" <> None in
         let last_leaked = ref 0 in
@@ -310,28 +282,14 @@ let run_soak () =
           end;
           in_flight := None
         done;
-        Device.disable_recording d;
         (* Crash: the captured mid-round state if one exists (a real
            mid-transaction image), else the end-of-round medium. *)
-        let image, capture_fence, oracle_at_crash, racing =
-          match (!captured, !capture_meta) with
-          | Some state, Some (osnap, racing, fence) ->
-            let counts =
-              Array.of_list
-                (List.map (fun (_, c) -> Array.length c) state.Device.cs_choices)
-            in
-            let vec = Array.map (fun c -> Rng.int rng c) counts in
-            ( Device.materialize_crash_image state ~choice:vec,
-              Some fence,
-              osnap,
-              racing )
-          | _ -> (Device.snapshot d, None, copy_oracle oracle, None)
-        in
+        let crash = Soak.crash rng point in
+        let oracle_at_crash, racing = crash.oracle in
         let label = Fmt.str "round-%d" round in
-        let recovery_target = Rng.int rng 8 in
         let rolled_back1, recovery_state =
           verify_image engine ~label ~oracle:oracle_at_crash ~in_flight:racing
-            ~record:recovery_target image
+            ~recrash:rng crash.image
         in
         (* Re-crash *during* that recovery and recover again: the nested
            image must satisfy the exact same oracle. *)
@@ -339,12 +297,7 @@ let run_soak () =
           match recovery_state with
           | None -> (None, None)
           | Some state ->
-            let counts =
-              Array.of_list
-                (List.map (fun (_, c) -> Array.length c) state.Device.cs_choices)
-            in
-            let vec = Array.map (fun c -> Rng.int rng c) counts in
-            let nested = Device.materialize_crash_image state ~choice:vec in
+            let nested = Soak.materialize rng state in
             let rb, _ =
               verify_image engine ~label:(label ^ "-recrash")
                 ~oracle:oracle_at_crash ~in_flight:racing nested
@@ -355,8 +308,8 @@ let run_soak () =
           {
             r_ops_ok = !ops_ok - ok0;
             r_ops_failed = !ops_failed - failed0;
-            r_capture_fence = capture_fence;
-            r_digest1 = Digest.bytes image;
+            r_capture_fence = crash.fence;
+            r_digest1 = Digest.bytes crash.image;
             r_rolled_back1 = rolled_back1;
             r_digest2 = digest2;
             r_rolled_back2 = rolled_back2;
@@ -387,27 +340,16 @@ let run_soak () =
       in
       if live_violations <> [] then
         fail "live mount fails fsck: %s" (String.concat "; " live_violations);
-      result :=
-        Some
-          {
-            o_rounds = List.rev !round_outcomes;
-            o_injected =
-              List.map
-                (fun k -> (Faultops.kind_name k, Faultops.injected fops k))
-                Faultops.kinds;
-            o_mount_repairs = !mount_repairs;
-            o_live_leaks = (freport.Fsck.leaked_blocks, freport.Fsck.leaked_inodes);
-            o_live_violations = List.length live_violations;
-          });
-  Engine.run engine;
-  if Obs.open_spans obs > 0 || Obs.mismatches obs > 0 then
-    fail "span accounting broken under torture (%d open, %d mismatched)"
-      (Obs.open_spans obs) (Obs.mismatches obs);
-  Obs.uninstall ();
-  match !result with
-  | Some o -> o
-  | None ->
-    Fmt.failwith "torture-soak simulation did not complete (seed %Ld)" seed
+      {
+        o_rounds = List.rev !round_outcomes;
+        o_injected =
+          List.map
+            (fun k -> (Faultops.kind_name k, Faultops.injected fops k))
+            Faultops.kinds;
+        o_mount_repairs = !mount_repairs;
+        o_live_leaks = (freport.Fsck.leaked_blocks, freport.Fsck.leaked_inodes);
+        o_live_violations = List.length live_violations;
+      })
 
 let () =
   let o1 = run_soak () in
@@ -444,10 +386,5 @@ let () =
   if not (List.exists (fun r -> r.r_digest2 <> None) o1.o_rounds) then
     fail "no crash-during-recovery image was exercised";
   (* Bit-for-bit reproducibility, images included. *)
-  let o2 = run_soak () in
-  if o1 <> o2 then fail "torture soak is not deterministic for seed %Ld" seed;
-  match !failures with
-  | [] -> Fmt.pr "torture-soak OK@."
-  | fs ->
-    List.iter (Fmt.epr "torture-soak FAIL: %s@.") (List.rev fs);
-    exit 1
+  Soak.deterministic soak "torture soak" o1 (run_soak ());
+  Soak.verdict soak
