@@ -78,7 +78,7 @@ let fig1 () =
         let workload =
           Fio.make ~params:{ Fio.default_params with Fio.io_size } ()
         in
-        let _result, stats =
+        let _result, stats, _ =
           Experiment.run_workload ~spec ~threads:1 ~duration:grid_duration
             Fixtures.Pmfs_fs workload
         in
@@ -118,7 +118,7 @@ let fig2 () =
   let micro =
     List.map
       (fun (name, make) ->
-        let _r, stats =
+        let _r, stats, _ =
           Experiment.run_workload ~spec ~threads:2 ~duration:grid_duration
             Fixtures.Pmfs_fs (make ())
         in
@@ -128,7 +128,7 @@ let fig2 () =
   let jobs =
     List.map
       (fun (name, job) ->
-        let _r, stats = Experiment.run_job ~spec Fixtures.Pmfs_fs job in
+        let _r, stats, _ = Experiment.run_job ~spec Fixtures.Pmfs_fs job in
         (name, fsync_ratio_of stats))
       [
         ("postmark", Postmark.make ());
@@ -139,7 +139,7 @@ let fig2 () =
   let traces =
     List.map
       (fun trace ->
-        let _r, stats = Experiment.run_trace Fixtures.Pmfs_fs trace in
+        let _r, stats, _ = Experiment.run_trace Fixtures.Pmfs_fs trace in
         (Trace.name trace, fsync_ratio_of stats))
       (Trace.all ())
   in
@@ -160,20 +160,22 @@ let fig2 () =
 let fig6 () =
   Report.heading ppf "Figure 6: Buffer Benefit Model accuracy";
   let varmail =
-    let _r, stats =
+    let _r, stats, _ =
       Experiment.run_workload ~spec ~threads:2 ~duration:grid_duration
         Fixtures.Hinfs_fs (Filebench.varmail ())
     in
     ("varmail", 100.0 *. Stats.bbm_accuracy stats, Stats.bbm_predictions stats)
   in
   let tpcc =
-    let _r, stats = Experiment.run_job ~spec Fixtures.Hinfs_fs (Tpcc.make ()) in
+    let _r, stats, _ =
+      Experiment.run_job ~spec Fixtures.Hinfs_fs (Tpcc.make ())
+    in
     ("tpcc", 100.0 *. Stats.bbm_accuracy stats, Stats.bbm_predictions stats)
   in
   let traces =
     List.map
       (fun trace ->
-        let _r, stats = Experiment.run_trace Fixtures.Hinfs_fs trace in
+        let _r, stats, _ = Experiment.run_trace Fixtures.Hinfs_fs trace in
         ( Trace.name trace,
           100.0 *. Stats.bbm_accuracy stats,
           Stats.bbm_predictions stats ))
@@ -199,7 +201,7 @@ let fig7 () =
       let rows =
         List.map
           (fun kind ->
-            let result, _stats =
+            let result, _, _ =
               Experiment.run_workload ~spec ~duration:grid_duration kind
                 (make ())
             in
@@ -250,9 +252,8 @@ let fig7nv () =
     List.map
       (fun kind ->
         let result, _stats, obs =
-          Experiment.run_workload_obs ~spec ~threads:2 ~duration:grid_duration
-            kind
-            (Filebench.varmail ())
+          Experiment.run_workload ~obs:`Hist ~spec ~threads:2
+            ~duration:grid_duration kind (Filebench.varmail ())
         in
         ( Fixtures.name kind,
           result.Workload.ops_per_sec,
@@ -299,7 +300,7 @@ let fig8 () =
             let cells =
               List.map
                 (fun threads ->
-                  let result, _ =
+                  let result, _, _ =
                     Experiment.run_workload ~spec ~threads
                       ~duration:sweep_duration kind (make ())
                   in
@@ -344,7 +345,7 @@ let fig9 () =
         let cells =
           List.map
             (fun kind ->
-              let result, stats =
+              let result, stats, _ =
                 Experiment.run_workload ~spec ~duration:sweep_duration kind
                   (make ())
               in
@@ -396,7 +397,7 @@ let fig9 () =
         let cells =
           List.map
             (fun kind ->
-              let _result, stats =
+              let _result, stats, _ =
                 Experiment.run_workload ~spec ~duration:sweep_duration kind
                   (make ())
               in
@@ -440,7 +441,7 @@ let fig10 () =
     (fun (wname, make, workload_size) ->
       Report.subheading ppf wname;
       let reference kind =
-        let result, _ =
+        let result, _, _ =
           Experiment.run_workload ~spec ~duration:sweep_duration kind (make ())
         in
         result.Workload.ops_per_sec
@@ -455,7 +456,7 @@ let fig10 () =
                 (int_of_float (ratio *. float_of_int workload_size))
             in
             let spec = { spec with Experiment.buffer_bytes } in
-            let result, _ =
+            let result, _, _ =
               Experiment.run_workload ~spec ~duration:sweep_duration
                 Fixtures.Hinfs_fs (make ())
             in
@@ -495,7 +496,7 @@ let fig11 () =
               List.map
                 (fun nvmm_write_ns ->
                   let spec = { spec with Experiment.nvmm_write_ns } in
-                  let result, _ =
+                  let result, _, _ =
                     Experiment.run_workload ~spec ~threads:1
                       ~duration:sweep_duration kind (make ())
                   in
@@ -532,7 +533,7 @@ let fig12 () =
       let results =
         List.map
           (fun kind ->
-            let r, _stats = Experiment.run_trace kind trace in
+            let r, _, _ = Experiment.run_trace kind trace in
             (kind, r))
           kinds
       in
@@ -578,7 +579,7 @@ let fig13 () =
       let results =
         List.map
           (fun kind ->
-            let r, _ = Experiment.run_job ~spec kind job in
+            let r, _, _ = Experiment.run_job ~spec kind job in
             (kind, r))
           kinds
       in
@@ -674,7 +675,7 @@ let serve_cell ~clients ~shards =
   in
   let workers = min 256 (max 8 (clients / 8)) in
   let (total, elapsed_ns), _stats, obs =
-    Experiment.with_env_obs serve_spec Fixtures.Hinfs_fs (fun env ->
+    Experiment.with_env ~obs:`Hist serve_spec Fixtures.Hinfs_fs (fun env ->
         let srv =
           Server.create ~workers ~cache_cap:(2 * workers)
             env.Fixtures.engine env.Fixtures.handle
@@ -759,8 +760,8 @@ let baseline () =
           List.map
             (fun (wname, make) ->
               let result, _stats, obs =
-                Experiment.run_workload_obs ~spec ~threads:2 ~duration kind
-                  (make ())
+                Experiment.run_workload ~obs:`Hist ~spec ~threads:2 ~duration
+                  kind (make ())
               in
               Report.subheading ppf (Fmt.str "%s / %s" wname fs);
               Report.latency ppf obs;
@@ -774,7 +775,9 @@ let baseline () =
         let jobs =
           List.map
             (fun (jname, job) ->
-              let r, _stats, obs = Experiment.run_job_obs ~spec kind job in
+              let r, _stats, obs =
+                Experiment.run_job ~obs:`Hist ~spec kind job
+              in
               Report.subheading ppf (Fmt.str "%s / %s" jname fs);
               Report.latency ppf obs;
               Report.gauges ppf obs;
@@ -796,7 +799,7 @@ let baseline () =
       (fun kind ->
         let fs = Fixtures.name kind in
         let result, _stats, obs =
-          Experiment.run_workload_obs ~spec ~threads:2 ~duration kind
+          Experiment.run_workload ~obs:`Hist ~spec ~threads:2 ~duration kind
             (Filebench.varmail ())
         in
         Report.subheading ppf (Fmt.str "varmail / %s" fs);
@@ -822,7 +825,7 @@ let baseline () =
       (fun kind ->
         let fs = Fixtures.name kind in
         let result, _stats, obs =
-          Experiment.run_workload_obs ~spec ~threads:2 ~duration kind
+          Experiment.run_workload ~obs:`Hist ~spec ~threads:2 ~duration kind
             (Filebench.fileserver ())
         in
         Report.subheading ppf (Fmt.str "fileserver / %s" fs);
@@ -904,7 +907,7 @@ let baseline () =
           }
         in
         let result, stats, obs =
-          Experiment.run_workload_obs ~spec:sweep_spec ~threads:p
+          Experiment.run_workload ~obs:`Hist ~spec:sweep_spec ~threads:p
             ~duration:10_000_000L Fixtures.Hinfs_fs
             (sweep_workload ~procs:p ~dirs:shards)
         in

@@ -132,40 +132,6 @@ let workload_arg =
   in
   Arg.(value & pos 0 string "fileserver" & info [] ~docv:"WORKLOAD" ~doc)
 
-let run fs threads duration_ms latency buffer_mb shards workload_name =
-  let spec = spec_of latency buffer_mb shards in
-  Fmt.pr "# %s on %s (%s)@." workload_name (Fixtures.name fs)
-    (Fixtures.description fs);
-  (match workload_of workload_name with
-  | `Rate w ->
-    let result, stats =
-      Experiment.run_workload ~spec ~threads
-        ~duration:(Int64.of_int (duration_ms * 1_000_000))
-        fs w
-    in
-    Fmt.pr "%a@." Workload.pp_result result;
-    print_stats stats
-  | `Job job ->
-    let result, stats = Experiment.run_job ~spec fs job in
-    Fmt.pr "%a@." Workload.pp_job_result result;
-    print_stats stats
-  | `Trace trace ->
-    let result, stats = Experiment.run_trace ~spec fs trace in
-    Fmt.pr "%a@." Trace.pp_replay_result result;
-    print_stats stats);
-  0
-
-let run_term =
-  Term.(
-    const run $ fs_arg $ threads_arg $ duration_arg $ latency_arg
-    $ buffer_arg $ shards_arg $ workload_arg)
-
-let run_cmd =
-  let doc = "Run one workload cell (default command)" in
-  Cmd.v (Cmd.info "run" ~doc) run_term
-
-(* --- profile: obs-enabled run with trace export + histogram tables --- *)
-
 let trace_out_arg =
   let doc =
     "Write a Chrome trace-event JSON file to $(docv) (load it in \
@@ -178,35 +144,13 @@ let hist_arg =
   let doc = "Print per-span latency histograms and sampled-gauge tables." in
   Arg.(value & flag & info [ "hist" ] ~doc)
 
-let profile fs threads duration_ms latency buffer_mb shards trace_out hist
-    workload_name =
-  let spec = spec_of latency buffer_mb shards in
-  let trace = trace_out <> None in
-  Fmt.pr "# profile %s on %s (%s)@." workload_name (Fixtures.name fs)
-    (Fixtures.description fs);
-  let obs =
-    match workload_of workload_name with
-    | `Rate w ->
-      let result, _stats, obs =
-        Experiment.run_workload_obs ~spec ~threads
-          ~duration:(Int64.of_int (duration_ms * 1_000_000))
-          ~trace fs w
-      in
-      Fmt.pr "%a@." Workload.pp_result result;
-      obs
-    | `Job job ->
-      let result, _stats, obs = Experiment.run_job_obs ~spec ~trace fs job in
-      Fmt.pr "%a@." Workload.pp_job_result result;
-      obs
-    | `Trace t ->
-      let result, _stats, obs = Experiment.run_trace_obs ~spec ~trace fs t in
-      Fmt.pr "%a@." Trace.pp_replay_result result;
-      obs
-  in
-  if hist then begin
-    Report.latency Fmt.stdout obs;
-    Report.gauges Fmt.stdout obs
-  end;
+(* [run] and [serve] always install the observability sink; [--trace] also
+   keeps per-event data for the Chrome-trace export. *)
+let obs_mode trace_out = if trace_out = None then `Hist else `Trace
+
+(* Write the Chrome trace when one was asked for, and exit 1 when span
+   accounting is broken. *)
+let finish_obs trace_out obs =
   (match trace_out with
   | None -> ()
   | Some path ->
@@ -220,16 +164,52 @@ let profile fs threads duration_ms latency buffer_mb shards trace_out hist
   end
   else 0
 
-let profile_cmd =
-  let doc =
-    "Run one workload with the observability sink installed: latency \
-     histograms, sampled gauges, and optional Chrome trace export"
+let run fs threads duration_ms latency buffer_mb shards trace_out hist
+    workload_name =
+  let spec = spec_of latency buffer_mb shards in
+  let mode = obs_mode trace_out in
+  Fmt.pr "# %s on %s (%s)@." workload_name (Fixtures.name fs)
+    (Fixtures.description fs);
+  let stats, obs =
+    match workload_of workload_name with
+    | `Rate w ->
+      let result, stats, obs =
+        Experiment.run_workload ~spec ~threads
+          ~duration:(Int64.of_int (duration_ms * 1_000_000))
+          ~obs:mode fs w
+      in
+      Fmt.pr "%a@." Workload.pp_result result;
+      (stats, obs)
+    | `Job job ->
+      let result, stats, obs = Experiment.run_job ~spec ~obs:mode fs job in
+      Fmt.pr "%a@." Workload.pp_job_result result;
+      (stats, obs)
+    | `Trace trace ->
+      let result, stats, obs =
+        Experiment.run_trace ~spec ~obs:mode fs trace
+      in
+      Fmt.pr "%a@." Trace.pp_replay_result result;
+      (stats, obs)
   in
-  Cmd.v
-    (Cmd.info "profile" ~doc)
-    Term.(
-      const profile $ fs_arg $ threads_arg $ duration_arg $ latency_arg
-      $ buffer_arg $ shards_arg $ trace_out_arg $ hist_arg $ workload_arg)
+  print_stats stats;
+  if hist then begin
+    Report.latency Fmt.stdout obs;
+    Report.gauges Fmt.stdout obs
+  end;
+  finish_obs trace_out obs
+
+let run_term =
+  Term.(
+    const run $ fs_arg $ threads_arg $ duration_arg $ latency_arg
+    $ buffer_arg $ shards_arg $ trace_out_arg $ hist_arg $ workload_arg)
+
+let run_cmd =
+  let doc =
+    "Run one workload cell (default command), with the observability sink \
+     installed: optional latency histograms, sampled gauges and Chrome trace \
+     export"
+  in
+  Cmd.v (Cmd.info "run" ~doc) run_term
 
 (* --- crashmc: crash-state enumeration + fsck --- *)
 
@@ -465,313 +445,6 @@ let scrub_cmd =
       const scrub_run $ scrub_seed_arg $ poison_rate_arg $ transient_rate_arg
       $ poison_lines_arg $ scrub_files_arg $ scrub_size_arg $ shards_arg)
 
-(* --- nvcache: durability-tier walkthrough (absorb / crash / replay) --- *)
-
-module Nvcache = Hinfs_nvcache.Nvcache
-
-let design_arg =
-  let doc = "Cache design: nvlog (record log) or nvpage (page slots)." in
-  Arg.(
-    value
-    & opt (Arg.enum [ ("nvlog", Nvcache.Logging); ("nvpage", Nvcache.Paging) ])
-        Nvcache.Logging
-    & info [ "design" ] ~doc)
-
-let nv_files_arg =
-  let doc = "Files written synchronously before the crash (4 KB each)." in
-  Arg.(value & opt int 12 & info [ "files" ] ~doc)
-
-let nv_size_arg =
-  let doc = "Device size in MB." in
-  Arg.(value & opt int 16 & info [ "size-mb" ] ~doc)
-
-let nv_cache_kb_arg =
-  let doc = "Cache area size in KB (default: device/8 clamped)." in
-  Arg.(value & opt (some int) None & info [ "cache-kb" ] ~doc)
-
-(* Write fsync'd files into an ext4-over-nvcache stack, crash with the
-   destage backlog still in NVMM, replay on remount, and verify every
-   file survived — the tier's whole durability argument in one run. *)
-let nvcache_run design files size_mb cache_kb =
-  let exit_code = ref 0 in
-  let engine = Engine.create () in
-  Engine.spawn engine ~name:"nvcache" (fun () ->
-      let stats = Stats.create () in
-      let config =
-        { Config.default with Config.nvmm_size = size_mb * 1024 * 1024 }
-      in
-      let cache_bytes = Option.map (fun kb -> kb * 1024) cache_kb in
-      let device = Device.create engine stats config in
-      let module Extfs = Hinfs_extfs.Extfs in
-      let st =
-        Nvcache.mkfs_and_mount device ~design ~mode:Extfs.Ext4 ?cache_bytes
-          ~sync_mount:true ~daemons:false ()
-      in
-      let fs = Nvcache.fs st in
-      let cache = Nvcache.cache st in
-      let file_len = 4096 in
-      let payload i =
-        Bytes.init file_len (fun j -> Char.chr ((i * 131 + j) mod 256))
-      in
-      for i = 0 to files - 1 do
-        let ino =
-          Extfs.create_file fs ~dir:1 (Fmt.str "f%03d" i)
-        in
-        ignore
-          (Extfs.write fs ~ino ~off:0 ~src:(payload i) ~src_off:0
-             ~len:file_len ~sync:true);
-        Extfs.fsync fs ~ino
-      done;
-      Fmt.pr
-        "%s: %d appends, %Ld bytes absorbed, backlog %d, %d/%d cache bytes \
-         used, %d stalls, %d write-arounds@."
-        (Nvcache.design_name design)
-        (Nvcache.appends cache)
-        (Int64.of_int (Nvcache.absorbed_bytes cache))
-        (Nvcache.backlog cache)
-        (Nvcache.used_bytes cache)
-        (Nvcache.capacity_bytes cache)
-        (Nvcache.stalls cache)
-        (Nvcache.bypassed_writes cache);
-      Report.block_layer Fmt.stdout stats;
-      (* Crash now: the backlog is still only in the cache area. *)
-      let image = Device.snapshot device in
-      let stats2 = Stats.create () in
-      let device2 = Device.of_snapshot engine stats2 config image in
-      let st2 =
-        Nvcache.mount device2 ~mode:Extfs.Ext4 ?cache_bytes ~sync_mount:true
-          ~daemons:false ()
-      in
-      (match Nvcache.last_recovery st2 with
-      | Some r ->
-        Fmt.pr "replay: %d record(s), %d byte(s), %d dropped@." r.rec_replayed
-          r.rec_bytes r.rec_dropped
-      | None -> ());
-      let fs2 = Nvcache.fs st2 in
-      let intact = ref 0 in
-      for i = 0 to files - 1 do
-        match Extfs.lookup fs2 ~dir:1 (Fmt.str "f%03d" i) with
-        | None -> ()
-        | Some ino ->
-          let buf = Bytes.create file_len in
-          let n =
-            Extfs.read fs2 ~ino ~off:0 ~len:file_len ~into:buf ~into_off:0
-          in
-          if n = file_len && Bytes.equal buf (payload i) then incr intact
-      done;
-      Fmt.pr "after crash + replay: %d/%d files intact@." !intact files;
-      if !intact <> files then exit_code := 1;
-      Nvcache.unmount st2;
-      Nvcache.unmount st);
-  Engine.run engine;
-  !exit_code
-
-let nvcache_cmd =
-  let doc =
-    "Write fsync'd files through the NVMM write-cache tier, crash before \
-     destage, and verify mount-time replay recovers everything"
-  in
-  Cmd.v
-    (Cmd.info "nvcache" ~doc)
-    Term.(
-      const nvcache_run $ design_arg $ nv_files_arg $ nv_size_arg
-      $ nv_cache_kb_arg)
-
-(* --- snapshot: CoW snapshot / transaction / rollback walkthrough --- *)
-
-module Cowfs = Hinfs_pmfs.Cowfs
-
-let snap_size_arg =
-  let doc = "Device size in MB." in
-  Arg.(value & opt int 8 & info [ "size-mb" ] ~doc)
-
-let snap_files_arg =
-  let doc = "Files written per phase (4 KB each, synchronous)." in
-  Arg.(value & opt int 4 & info [ "files" ] ~doc)
-
-(* Build a cowfs, pin a snapshot, diverge inside a whole-FS transaction,
-   roll back, and fsck at every step — the snapshot/txn surface end to
-   end on one reproducible image. *)
-let snapshot_run size_mb files =
-  let exit_code = ref 0 in
-  let engine = Engine.create () in
-  Engine.spawn engine ~name:"snapshot" (fun () ->
-      let stats = Stats.create () in
-      let config =
-        { Config.default with Config.nvmm_size = size_mb * 1024 * 1024 }
-      in
-      let device = Device.create engine stats config in
-      let fs = Cowfs.mkfs_and_mount device () in
-      let file_len = 4096 in
-      let payload tag i =
-        Bytes.init file_len (fun j ->
-            Char.chr (Hashtbl.hash (tag, i, j) land 0xFF))
-      in
-      let write_files tag =
-        for i = 0 to files - 1 do
-          let name = Fmt.str "%s%03d" tag i in
-          let ino =
-            match Cowfs.lookup fs ~dir:Cowfs.root_ino name with
-            | Some ino -> ino
-            | None -> Cowfs.create_file fs ~dir:Cowfs.root_ino name
-          in
-          ignore
-            (Cowfs.write fs ~ino ~off:0 ~src:(payload tag i) ~src_off:0
-               ~len:file_len ~sync:true)
-        done
-      in
-      let check label =
-        let report = Fsck.check_cow fs in
-        if not (Fsck.ok report) then begin
-          Fmt.pr "fsck after %s:@.%a@." label Fsck.pp_report report;
-          exit_code := 1
-        end
-      in
-      write_files "base";
-      check "base writes";
-      let snap = Cowfs.snapshot fs in
-      Fmt.pr "snapshot %d pinned at seq %Ld (%d used blocks)@." snap
-        (Cowfs.committed_seq fs) (Cowfs.used_blocks fs);
-      (* Diverge atomically: overwrites + new files land in one root swap. *)
-      Cowfs.txn_begin fs;
-      write_files "base" (* overwrite every base file (CoW against the pin) *);
-      write_files "txn";
-      Cowfs.txn_commit fs;
-      check "transaction";
-      Fmt.pr "diverged in one txn: seq %Ld, %d used blocks, %d commits@."
-        (Cowfs.committed_seq fs) (Cowfs.used_blocks fs) (Cowfs.commits fs);
-      Cowfs.rollback fs ~snap_id:snap;
-      check "rollback";
-      (* Everything the txn made must be gone, base contents restored. *)
-      let intact = ref 0 in
-      for i = 0 to files - 1 do
-        match Cowfs.lookup fs ~dir:Cowfs.root_ino (Fmt.str "base%03d" i) with
-        | None -> ()
-        | Some ino ->
-          let buf = Bytes.create file_len in
-          let n =
-            Cowfs.read fs ~ino ~off:0 ~len:file_len ~into:buf ~into_off:0
-          in
-          if n = file_len && Bytes.equal buf (payload "base" i) then
-            incr intact
-      done;
-      let leftovers =
-        List.filter
-          (fun (name, _) -> String.length name >= 3 && String.sub name 0 3 = "txn")
-          (Cowfs.readdir fs ~dir:Cowfs.root_ino)
-      in
-      Fmt.pr "after rollback: %d/%d base files intact, %d txn leftovers@."
-        !intact files (List.length leftovers);
-      if !intact <> files || leftovers <> [] then exit_code := 1;
-      Cowfs.snapshot_delete fs ~snap_id:snap;
-      check "snapshot GC";
-      Fmt.pr "snapshot %d deleted: %d used blocks, %d free@." snap
-        (Cowfs.used_blocks fs)
-        (Cowfs.free_data_blocks fs);
-      Cowfs.unmount fs);
-  Engine.run engine;
-  !exit_code
-
-let snapshot_cmd =
-  let doc =
-    "Walk the CoW substrate through snapshot, whole-FS transaction, \
-     rollback and snapshot GC, fsck-checked at every step"
-  in
-  Cmd.v
-    (Cmd.info "snapshot" ~doc)
-    Term.(const snapshot_run $ snap_size_arg $ snap_files_arg)
-
-(* --- health: per-shard fault-domain walkthrough --- *)
-
-let health_shards_arg =
-  let doc = "Shard count (fault domains) for the walkthrough mount." in
-  Arg.(value & opt int 4 & info [ "shards" ] ~doc)
-
-let health_victim_arg =
-  let doc = "Shard whose journal sub-region the walkthrough corrupts." in
-  Arg.(value & opt int 1 & info [ "victim" ] ~doc)
-
-(* Demonstrate the Healthy -> Degraded -> Quarantined -> Repairing ->
-   Healthy ladder: build a sharded PMFS, corrupt one shard's journal
-   sub-region, let the repair daemon quarantine + heal it while sibling
-   shards keep serving, and print every transition. *)
-let health_run size_mb shards victim =
-  let exit_code = ref 0 in
-  let engine = Engine.create () in
-  Engine.spawn engine ~name:"health" (fun () ->
-      let stats = Stats.create () in
-      let config =
-        { Config.default with Config.nvmm_size = size_mb * 1024 * 1024 }
-      in
-      let device = Device.create engine stats config in
-      let fs = Pmfs.mkfs_and_mount device ~journal_blocks:64 ~shards () in
-      Device.set_fault_model device (Some (Fault.create ~seed:42L ()));
-      let health = Pmfs.health fs in
-      Hinfs_pmfs.Health.set_listener health (fun domain prev next ->
-          Fmt.pr "t=%Ldns  %s: %s -> %s@."
-            (Engine.now engine)
-            (Hinfs_pmfs.Health.domain_name domain)
-            (Hinfs_pmfs.Health.state_name prev)
-            (Hinfs_pmfs.Health.state_name next));
-      (* One file per shard, so every fault domain serves live data. *)
-      let victim = min victim (shards - 1) in
-      let dirs =
-        List.init shards (fun i ->
-            Pmfs.mkdir fs ~dir:Layout.root_ino (Fmt.str "d%d" i))
-      in
-      let payload = Bytes.make 4096 'h' in
-      let files =
-        List.map
-          (fun dir ->
-            let ino = Pmfs.create_file fs ~dir "data" in
-            ignore
-              (Pmfs.write fs ~ino ~off:0 ~src:payload ~src_off:0 ~len:4096
-                 ~sync:true);
-            (dir, ino))
-          dirs
-      in
-      Fmt.pr "mounted with %d shards; corrupting shard %d's journal@." shards
-        victim;
-      Hinfs_harness.Chaos.corrupt_journal fs ~shard:victim ~lines:8;
-      let daemon = Hinfs_fsck.Repair.create fs in
-      Hinfs_fsck.Repair.start daemon;
-      (* Give the patrol time to detect, quarantine, repair, re-admit. *)
-      Hinfs_sim.Proc.delay_int 50_000_000;
-      Hinfs_fsck.Repair.stop daemon;
-      Fmt.pr "repairs: %d ok, %d failed; quarantines %d, readmits %d@."
-        (Hinfs_fsck.Repair.repairs_done daemon)
-        (Hinfs_fsck.Repair.repairs_failed daemon)
-        (Hinfs_pmfs.Health.quarantines health)
-        (Hinfs_pmfs.Health.readmits health);
-      Fmt.pr "%a@." Hinfs_pmfs.Health.pp health;
-      (* Every shard, including the victim, must serve read-write again. *)
-      let ok = ref 0 in
-      List.iter
-        (fun (_, ino) ->
-          try
-            ignore
-              (Pmfs.write fs ~ino ~off:0 ~src:payload ~src_off:0 ~len:4096
-                 ~sync:true);
-            incr ok
-          with Errno.Fs_error _ -> ())
-        files;
-      Fmt.pr "post-repair writes: %d/%d shards read-write@." !ok shards;
-      if !ok <> shards then exit_code := 1;
-      if not (Pmfs.fully_healthy fs) then exit_code := 1;
-      Pmfs.unmount fs);
-  Engine.run engine;
-  !exit_code
-
-let health_cmd =
-  let doc =
-    "Corrupt one shard's journal on a sharded PMFS and watch the health \
-     state machine quarantine, repair, and re-admit it online"
-  in
-  Cmd.v
-    (Cmd.info "health" ~doc)
-    Term.(const health_run $ scrub_size_arg $ health_shards_arg
-          $ health_victim_arg)
-
 (* --- serve: client fleet through the request-level serving layer --- *)
 
 module Server = Hinfs_server.Server
@@ -822,7 +495,7 @@ let serve_run fs latency buffer_mb shards clients ops_per_client workers
   Fmt.pr "# serve %d clients x %d ops on %s (%d shards, %d workers)@."
     clients ops_per_client (Fixtures.name fs) shards workers;
   let cell, _stats, obs =
-    Experiment.with_env_obs ~trace:(trace_out <> None) spec fs (fun env ->
+    Experiment.with_env ~obs:(obs_mode trace_out) spec fs (fun env ->
         let srv =
           Server.create ~workers ~cache_cap
             ~lease_ns:(Int64.of_int (lease_ms * 1_000_000))
@@ -864,18 +537,7 @@ let serve_run fs latency buffer_mb shards clients ops_per_client workers
     sess_expired;
   Report.latency Fmt.stdout obs;
   Report.gauges Fmt.stdout obs;
-  (match trace_out with
-  | None -> ()
-  | Some path ->
-    Hinfs_harness.Profile.write_file path (Obs.chrome_trace obs);
-    Fmt.pr "trace written to %s@." path);
-  let open_spans = Obs.open_spans obs and mismatches = Obs.mismatches obs in
-  if open_spans > 0 || mismatches > 0 then begin
-    Fmt.epr "hinfs-cli: span accounting broken (%d open, %d mismatched)@."
-      open_spans mismatches;
-    1
-  end
-  else 0
+  finish_obs trace_out obs
 
 let serve_cmd =
   let doc =
@@ -894,9 +556,6 @@ let cmd =
   let doc = "HiNFS-reproduction workbench" in
   Cmd.group ~default:run_term
     (Cmd.info "hinfs-cli" ~doc)
-    [
-      run_cmd; profile_cmd; crashmc_cmd; scrub_cmd; nvcache_cmd; snapshot_cmd;
-      health_cmd; serve_cmd;
-    ]
+    [ run_cmd; crashmc_cmd; scrub_cmd; serve_cmd ]
 
 let () = exit (Cmd.eval' cmd)

@@ -24,7 +24,7 @@ let () =
   let results =
     List.map
       (fun kind ->
-        let result, _stats =
+        let result, _, _ =
           Experiment.run_workload ~duration:100_000_000L kind (make ())
         in
         (Fixtures.name kind, result.Workload.ops_per_sec))

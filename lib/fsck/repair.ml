@@ -151,9 +151,7 @@ let drain_live_txns t log =
 let repair_shard t s =
   let fs = t.fs in
   let health = Pmfs.health fs in
-  let stats = Device.stats (Pmfs.device fs) in
   Health.quarantine health s;
-  Stats.add_quarantine stats;
   Obs.instant Obs.Ev_quarantine ~a:s
     ~b:(Health.state_code (Health.shard_state health s));
   let log = (Fs_ctx.shard (Pmfs.ctx fs) s).Fs_ctx.log in
@@ -194,13 +192,11 @@ let repair_shard t s =
     if ok then begin
       let attempts = Health.repair_attempts health s in
       Health.readmit health s;
-      Stats.add_shard_repair stats ~ok:true;
       t.repairs_done <- t.repairs_done + 1;
       Obs.instant Obs.Ev_readmit ~a:s ~b:attempts
     end
     else begin
       Health.fail_repair health s "repair failed; shard still degraded";
-      Stats.add_shard_repair stats ~ok:false;
       t.repairs_failed <- t.repairs_failed + 1
     end
   end
@@ -217,7 +213,6 @@ let repair_shard t s =
 let repair_mount t =
   let fs = t.fs in
   let health = Pmfs.health fs in
-  let stats = Device.stats (Pmfs.device fs) in
   let log = (Fs_ctx.shard (Pmfs.ctx fs) 0).Fs_ctx.log in
   if drain_live_txns t log then begin
     let t0 = Engine.now (Device.engine (Pmfs.device fs)) in
@@ -241,14 +236,12 @@ let repair_mount t =
     Obs.span_since Obs.Health_repair ~t0;
     if ok then begin
       Health.readmit_mount health;
-      Stats.add_shard_repair stats ~ok:true;
       t.repairs_done <- t.repairs_done + 1;
       Obs.instant Obs.Ev_readmit ~a:(-1)
         ~b:(Health.mount_repair_attempts health)
     end
     else begin
       Health.fail_mount_repair health "repair failed; mount still degraded";
-      Stats.add_shard_repair stats ~ok:false;
       t.repairs_failed <- t.repairs_failed + 1
     end
   end

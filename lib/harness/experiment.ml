@@ -1,7 +1,7 @@
 (* Experiment driver: one simulation per (file system, workload, config)
    cell. Each run builds a fresh engine, device and file system, executes
    the workload, and returns the measurement plus the stats sink for
-   byte/time breakdowns. *)
+   byte/time breakdowns and the obs sink for latency histograms. *)
 
 module Engine = Hinfs_sim.Engine
 module Stats = Hinfs_stats.Stats
@@ -48,35 +48,52 @@ let config_of spec =
     Config.nvmm_write_bandwidth = spec.nvmm_bandwidth;
   }
 
-(* Run [f] against a freshly mounted [kind] inside its own simulation. *)
-let with_env spec kind f =
-  let engine = Engine.create () in
-  let result = ref None in
-  Engine.spawn engine ~name:"experiment" (fun () ->
-      let env =
-        Fixtures.setup engine ~config:(config_of spec)
-          ~buffer_bytes:spec.buffer_bytes ~cache_pages:spec.cache_pages
-          ~shards:spec.shards kind
-      in
-      let value = f env in
-      env.Fixtures.teardown ();
-      result := Some (value, env.Fixtures.stats));
-  Engine.run engine;
-  match !result with
-  | Some r -> r
-  | None -> failwith "experiment did not complete"
+type obs = [ `Hist | `Trace ]
 
-let run_workload ?spec ?threads ?duration kind workload =
+(* Run [f] against a freshly mounted [kind] inside its own simulation.
+   With [obs], an [Obs] sink is installed for the run's lifetime and the
+   periodic gauge sampler runs between mount and teardown; [`Trace] also
+   keeps per-event data for Chrome-trace export. Without it, the returned
+   sink stays empty and uninstalled. The sink is global, so observed runs
+   must not nest; the harness only ever runs one simulation at a time. *)
+let with_env ?obs spec kind f =
+  let engine = Engine.create () in
+  let observed = obs <> None in
+  let sink = Obs.create ~trace:(obs = Some `Trace) engine in
+  if observed then Obs.install sink;
+  Fun.protect
+    ~finally:(fun () -> if observed then Obs.uninstall ())
+    (fun () ->
+      let result = ref None in
+      Engine.spawn engine ~name:"experiment" (fun () ->
+          let env =
+            Fixtures.setup engine ~config:(config_of spec)
+              ~buffer_bytes:spec.buffer_bytes ~cache_pages:spec.cache_pages
+              ~shards:spec.shards kind
+          in
+          let stop =
+            if observed then Obs.start_sampler sink ~gauges:env.Fixtures.gauges
+            else ignore
+          in
+          let value = f env in
+          stop ();
+          env.Fixtures.teardown ();
+          result := Some (value, env.Fixtures.stats));
+      Engine.run engine;
+      match !result with
+      | Some (value, stats) -> (value, stats, sink)
+      | None -> failwith "experiment did not complete")
+
+let run_workload ?spec ?threads ?duration ?obs kind workload =
   let spec = Option.value ~default:default_spec spec in
   let threads = Option.value ~default:spec.threads threads in
   let duration = Option.value ~default:spec.duration_ns duration in
-  with_env spec kind (fun env ->
+  with_env ?obs spec kind (fun env ->
       Workload.run ~seed:spec.seed ~stats:env.Fixtures.stats ~threads
         ~duration workload env.Fixtures.handle)
 
-let run_job ?spec kind job =
-  let spec = Option.value ~default:default_spec spec in
-  with_env spec kind (fun env ->
+let run_job ?(spec = default_spec) ?obs kind job =
+  with_env ?obs spec kind (fun env ->
       Workload.run_job ~seed:spec.seed ~stats:env.Fixtures.stats job
         env.Fixtures.handle)
 
@@ -90,57 +107,6 @@ let trace_spec =
     cache_pages = 600;
   }
 
-let run_trace ?(spec = trace_spec) kind trace =
-  let spec = spec in
-  with_env spec kind (fun env ->
+let run_trace ?(spec = trace_spec) ?obs kind trace =
+  with_env ?obs spec kind (fun env ->
       Trace.replay ~stats:env.Fixtures.stats trace env.Fixtures.handle)
-
-(* --- observability-enabled runs --- *)
-
-(* Same shape as [with_env], but with an [Obs] sink installed for the
-   run's lifetime and the periodic gauge sampler running between mount and
-   teardown. The sink is global, so obs runs must not nest; the harness
-   only ever runs one simulation at a time. *)
-let with_env_obs ?(trace = false) ?sampler_period_ns spec kind f =
-  let engine = Engine.create () in
-  let obs = Obs.create ~trace engine in
-  Obs.install obs;
-  Fun.protect ~finally:Obs.uninstall (fun () ->
-      let result = ref None in
-      Engine.spawn engine ~name:"experiment" (fun () ->
-          let env =
-            Fixtures.setup engine ~config:(config_of spec)
-              ~buffer_bytes:spec.buffer_bytes ~cache_pages:spec.cache_pages
-              ~shards:spec.shards kind
-          in
-          let stop =
-            Obs.start_sampler ?period_ns:sampler_period_ns obs
-              ~gauges:env.Fixtures.gauges
-          in
-          let value = f env in
-          stop ();
-          env.Fixtures.teardown ();
-          result := Some (value, env.Fixtures.stats));
-      Engine.run engine;
-      match !result with
-      | Some (value, stats) -> (value, stats, obs)
-      | None -> failwith "experiment did not complete")
-
-let run_workload_obs ?spec ?threads ?duration ?trace ?sampler_period_ns kind
-    workload =
-  let spec = Option.value ~default:default_spec spec in
-  let threads = Option.value ~default:spec.threads threads in
-  let duration = Option.value ~default:spec.duration_ns duration in
-  with_env_obs ?trace ?sampler_period_ns spec kind (fun env ->
-      Workload.run ~seed:spec.seed ~stats:env.Fixtures.stats ~threads
-        ~duration workload env.Fixtures.handle)
-
-let run_job_obs ?spec ?trace ?sampler_period_ns kind job =
-  let spec = Option.value ~default:default_spec spec in
-  with_env_obs ?trace ?sampler_period_ns spec kind (fun env ->
-      Workload.run_job ~seed:spec.seed ~stats:env.Fixtures.stats job
-        env.Fixtures.handle)
-
-let run_trace_obs ?(spec = trace_spec) ?trace ?sampler_period_ns kind tr =
-  with_env_obs ?trace ?sampler_period_ns spec kind (fun env ->
-      Trace.replay ~stats:env.Fixtures.stats tr env.Fixtures.handle)

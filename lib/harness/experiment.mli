@@ -23,63 +23,43 @@ val trace_spec : spec
 
 val config_of : spec -> Hinfs_nvmm.Config.t
 
-val run_workload :
-  ?spec:spec ->
-  ?threads:int ->
-  ?duration:int64 ->
-  Fixtures.fs_kind ->
-  Hinfs_workloads.Workload.t ->
-  Hinfs_workloads.Workload.result * Hinfs_stats.Stats.t
+(** {2 Running a cell}
 
-val run_job :
-  ?spec:spec ->
-  Fixtures.fs_kind ->
-  Hinfs_workloads.Workload.job ->
-  Hinfs_workloads.Workload.job_result * Hinfs_stats.Stats.t
-
-val run_trace :
-  ?spec:spec ->
-  Fixtures.fs_kind ->
-  Hinfs_trace.Trace.t ->
-  Hinfs_trace.Trace.replay_result * Hinfs_stats.Stats.t
-
-(** {2 Observability-enabled runs}
-
-    Same cells with an {!Hinfs_obs.Obs} sink installed for the run and the
-    periodic gauge sampler running between mount and teardown. [trace]
+    Every run takes the same optional [obs]: without it no sink is
+    installed and the returned {!Hinfs_obs.Obs.t} stays empty; [`Hist]
+    installs one for the run (latency histograms, counters, and the
+    periodic gauge sampler between mount and teardown); [`Trace]
     additionally keeps per-event data for Chrome-trace export. The sink is
-    global: do not nest obs runs. *)
+    global: do not nest observed runs. *)
 
-val with_env_obs :
-  ?trace:bool ->
-  ?sampler_period_ns:int64 ->
+type obs = [ `Hist | `Trace ]
+
+val with_env :
+  ?obs:obs ->
   spec ->
   Fixtures.fs_kind ->
   (Fixtures.env -> 'a) ->
   'a * Hinfs_stats.Stats.t * Hinfs_obs.Obs.t
 
-val run_workload_obs :
+val run_workload :
   ?spec:spec ->
   ?threads:int ->
   ?duration:int64 ->
-  ?trace:bool ->
-  ?sampler_period_ns:int64 ->
+  ?obs:obs ->
   Fixtures.fs_kind ->
   Hinfs_workloads.Workload.t ->
   Hinfs_workloads.Workload.result * Hinfs_stats.Stats.t * Hinfs_obs.Obs.t
 
-val run_job_obs :
+val run_job :
   ?spec:spec ->
-  ?trace:bool ->
-  ?sampler_period_ns:int64 ->
+  ?obs:obs ->
   Fixtures.fs_kind ->
   Hinfs_workloads.Workload.job ->
   Hinfs_workloads.Workload.job_result * Hinfs_stats.Stats.t * Hinfs_obs.Obs.t
 
-val run_trace_obs :
+val run_trace :
   ?spec:spec ->
-  ?trace:bool ->
-  ?sampler_period_ns:int64 ->
+  ?obs:obs ->
   Fixtures.fs_kind ->
   Hinfs_trace.Trace.t ->
   Hinfs_trace.Trace.replay_result * Hinfs_stats.Stats.t * Hinfs_obs.Obs.t

@@ -143,6 +143,34 @@ let dirty_cachelines t = Hashtbl.length t.overlay
 
 let is_dirty_line t idx = Hashtbl.mem t.overlay idx
 
+(* The one loop over the cached lines a byte range [addr, addr+len)
+   touches, each clipped to the range; [buf] holds the range from [off].
+   [Load] copies the cached bytes into [buf] (a load sees a dirty line in
+   the CPU cache, not the stale medium); [Merge] copies [buf] into the
+   cached copies of the lines a store covers; [Merge_nt] does the same but
+   drops fully covered lines from the cache instead. A variant rather than
+   a callback, so the load and store paths allocate no closure. *)
+type span_op = Load | Merge | Merge_nt
+
+let cached_spans t op ~addr ~len buf off =
+  if len > 0 then begin
+    let ls = line_size t in
+    for idx = addr / ls to (addr + len - 1) / ls do
+      if is_dirty_line t idx then begin
+        let line = Hashtbl.find t.overlay idx in
+        let line_start = idx * ls in
+        let copy_start = max addr line_start in
+        let n = min (addr + len) (line_start + ls) - copy_start in
+        let line_off = copy_start - line_start in
+        let buf_off = off + copy_start - addr in
+        match op with
+        | Load -> Bytes.blit line line_off buf buf_off n
+        | Merge_nt when n = ls -> Hashtbl.remove t.overlay idx
+        | Merge | Merge_nt -> Bytes.blit buf buf_off line line_off n
+      end
+    done
+  end
+
 let dirty_line_addrs t =
   let ls = line_size t in
   Hashtbl.fold (fun idx _ acc -> (idx * ls) :: acc) t.overlay []
@@ -369,19 +397,7 @@ let read t ~cat ~addr ~len ~into ~off =
     fault_check_load t ~addr ~len;
     Bytes.blit t.persistent addr into off len;
     (* Patch bytes whose cachelines are dirty in the CPU cache. *)
-    let ls = line_size t in
-    let first = addr / ls and last = (addr + len - 1) / ls in
-    for idx = first to last do
-      if is_dirty_line t idx then begin
-        let line = Hashtbl.find t.overlay idx in
-        let line_start = idx * ls in
-        let copy_start = max addr line_start in
-        let copy_end = min (addr + len) (line_start + ls) in
-        Bytes.blit line (copy_start - line_start) into
-          (off + copy_start - addr)
-          (copy_end - copy_start)
-      end
-    done;
+    cached_spans t Load ~addr ~len into off;
     Stats.add_nvmm_read t.stats len
   end
 
@@ -406,24 +422,7 @@ let write_nt ?(background = false) t ~cat ~addr ~src ~off ~len =
     (* A non-temporal store invalidates any stale cached copy of the lines
        it covers (it fully bypasses the cache hierarchy). Partially covered
        lines must merge the new bytes into the cached copy instead. *)
-    let ls = line_size t in
-    let first = addr / ls and last = (addr + len - 1) / ls in
-    for idx = first to last do
-      match Hashtbl.find_opt t.overlay idx with
-      | None -> ()
-      | Some line ->
-        let line_start = idx * ls in
-        if addr <= line_start && line_start + ls <= addr + len then
-          Hashtbl.remove t.overlay idx
-        else begin
-          let copy_start = max addr line_start in
-          let copy_end = min (addr + len) (line_start + ls) in
-          Bytes.blit src
-            (off + copy_start - addr)
-            line (copy_start - line_start)
-            (copy_end - copy_start)
-        end
-    done;
+    cached_spans t Merge_nt ~addr ~len src off;
     record_nt_post t ~addr ~len;
     fault_store_range t ~addr ~len;
     Stats.add_nvmm_written ~background t.stats len
@@ -518,20 +517,7 @@ let peek t ~addr ~len =
   check_range t ~addr ~len;
   let buf = Bytes.create len in
   Bytes.blit t.persistent addr buf 0 len;
-  let ls = line_size t in
-  if len > 0 then begin
-    let first = addr / ls and last = (addr + len - 1) / ls in
-    for idx = first to last do
-      if is_dirty_line t idx then begin
-        let line = Hashtbl.find t.overlay idx in
-        let line_start = idx * ls in
-        let copy_start = max addr line_start in
-        let copy_end = min (addr + len) (line_start + ls) in
-        Bytes.blit line (copy_start - line_start) buf (copy_start - addr)
-          (copy_end - copy_start)
-      end
-    done
-  end;
+  cached_spans t Load ~addr ~len buf 0;
   buf
 
 let peek_persistent t ~addr ~len =
@@ -545,22 +531,7 @@ let poke t ~addr ~src ~off ~len =
   record_forget t ~addr ~len;
   fault_heal_range t ~addr ~len;
   Bytes.blit src off t.persistent addr len;
-  if len > 0 then begin
-    let ls = line_size t in
-    let first = addr / ls and last = (addr + len - 1) / ls in
-    for idx = first to last do
-      match Hashtbl.find_opt t.overlay idx with
-      | None -> ()
-      | Some line ->
-        let line_start = idx * ls in
-        let copy_start = max addr line_start in
-        let copy_end = min (addr + len) (line_start + ls) in
-        Bytes.blit src
-          (off + copy_start - addr)
-          line (copy_start - line_start)
-          (copy_end - copy_start)
-    done
-  end
+  cached_spans t Merge ~addr ~len src off
 
 (* Untimed recorded store for recovery/repair paths. Like [poke] it is the
    reliable path — reaches the medium directly, heals fully covered poisoned
@@ -576,24 +547,7 @@ let poke_flushed t ~addr ~src ~off ~len =
     Bytes.blit src off t.persistent addr len;
     (* Same cache rule as [write_nt]: fully covered cached lines are
        invalidated, partially covered ones merge the new bytes. *)
-    let ls = line_size t in
-    let first = addr / ls and last = (addr + len - 1) / ls in
-    for idx = first to last do
-      match Hashtbl.find_opt t.overlay idx with
-      | None -> ()
-      | Some line ->
-        let line_start = idx * ls in
-        if addr <= line_start && line_start + ls <= addr + len then
-          Hashtbl.remove t.overlay idx
-        else begin
-          let copy_start = max addr line_start in
-          let copy_end = min (addr + len) (line_start + ls) in
-          Bytes.blit src
-            (off + copy_start - addr)
-            line (copy_start - line_start)
-            (copy_end - copy_start)
-        end
-    done;
+    cached_spans t Merge_nt ~addr ~len src off;
     record_nt_post t ~addr ~len;
     fault_heal_range t ~addr ~len
   end

@@ -24,22 +24,11 @@ let category_name = function
   | Block_layer -> "block-layer"
   | Other -> "other"
 
-type op_class = Read_op | Write_op | Unlink_op | Fsync_op | Meta_op
-
-let op_classes = [ Read_op; Write_op; Unlink_op; Fsync_op; Meta_op ]
-
-let op_class_name = function
-  | Read_op -> "read"
-  | Write_op -> "write"
-  | Unlink_op -> "unlink"
-  | Fsync_op -> "fsync"
-  | Meta_op -> "meta"
+type op_class = Read_op | Write_op | Unlink_op | Fsync_op
 
 type t = {
   mutable time_by_category : int64 array; (* indexed by category *)
   mutable time_by_op : int64 array; (* indexed by op_class *)
-  mutable ops_completed : int;
-  mutable ops_by_class : int array;
   (* byte accounting *)
   mutable user_bytes_read : int64;
   mutable user_bytes_written : int64;
@@ -75,10 +64,6 @@ type t = {
   mutable recoveries : int; (* unclean mounts that ran log recovery *)
   mutable recovered_txns : int; (* uncommitted transactions rolled back *)
   mutable recovery_dropped : int; (* journal entries dropped as unusable *)
-  (* fault-domain health accounting *)
-  mutable shard_quarantines : int; (* shards claimed for isolation *)
-  mutable shard_repairs : int; (* online repairs completed successfully *)
-  mutable shard_repair_failures : int; (* repair attempts that failed *)
   (* block-tier request accounting (NVMMBD) *)
   mutable block_read_requests : int;
   mutable block_write_requests : int;
@@ -97,14 +82,11 @@ let op_index = function
   | Write_op -> 1
   | Unlink_op -> 2
   | Fsync_op -> 3
-  | Meta_op -> 4
 
 let create () =
   {
     time_by_category = Array.make 5 0L;
-    time_by_op = Array.make 5 0L;
-    ops_completed = 0;
-    ops_by_class = Array.make 5 0;
+    time_by_op = Array.make 4 0L;
     user_bytes_read = 0L;
     user_bytes_written = 0L;
     fsync_bytes = 0L;
@@ -134,9 +116,6 @@ let create () =
     recoveries = 0;
     recovered_txns = 0;
     recovery_dropped = 0;
-    shard_quarantines = 0;
-    shard_repairs = 0;
-    shard_repair_failures = 0;
     block_read_requests = 0;
     block_write_requests = 0;
     block_absorbed_writes = 0;
@@ -146,8 +125,6 @@ let reset t =
   let fresh = create () in
   t.time_by_category <- fresh.time_by_category;
   t.time_by_op <- fresh.time_by_op;
-  t.ops_completed <- 0;
-  t.ops_by_class <- fresh.ops_by_class;
   t.user_bytes_read <- 0L;
   t.user_bytes_written <- 0L;
   t.fsync_bytes <- 0L;
@@ -177,9 +154,6 @@ let reset t =
   t.recoveries <- 0;
   t.recovered_txns <- 0;
   t.recovery_dropped <- 0;
-  t.shard_quarantines <- 0;
-  t.shard_repairs <- 0;
-  t.shard_repair_failures <- 0;
   t.block_read_requests <- 0;
   t.block_write_requests <- 0;
   t.block_absorbed_writes <- 0
@@ -199,25 +173,6 @@ let add_op_time t op ns =
   t.time_by_op.(i) <- Int64.add t.time_by_op.(i) ns
 
 let op_time t op = t.time_by_op.(op_index op)
-
-let total_op_time t = Array.fold_left Int64.add 0L t.time_by_op
-
-(* --- ops --- *)
-
-let op_done ?op_class t =
-  t.ops_completed <- t.ops_completed + 1;
-  match op_class with
-  | None -> ()
-  | Some op ->
-    let i = op_index op in
-    t.ops_by_class.(i) <- t.ops_by_class.(i) + 1
-
-let ops_completed t = t.ops_completed
-let ops_of_class t op = t.ops_by_class.(op_index op)
-
-let throughput_ops_per_sec t ~elapsed_ns =
-  if Int64.compare elapsed_ns 0L <= 0 then 0.0
-  else float_of_int t.ops_completed /. (Int64.to_float elapsed_ns /. 1e9)
 
 (* --- bytes --- *)
 
@@ -326,18 +281,6 @@ let add_recovery t ~rolled_back ~dropped =
 let recoveries t = t.recoveries
 let recovered_txns t = t.recovered_txns
 let recovery_dropped t = t.recovery_dropped
-
-(* --- fault-domain health --- *)
-
-let add_quarantine t = t.shard_quarantines <- t.shard_quarantines + 1
-
-let add_shard_repair t ~ok =
-  if ok then t.shard_repairs <- t.shard_repairs + 1
-  else t.shard_repair_failures <- t.shard_repair_failures + 1
-
-let shard_quarantines t = t.shard_quarantines
-let shard_repairs t = t.shard_repairs
-let shard_repair_failures t = t.shard_repair_failures
 
 (* --- block-tier requests --- *)
 

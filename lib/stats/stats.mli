@@ -18,10 +18,7 @@ val categories : category list
 val category_name : category -> string
 
 (** Trace-replay op classes (Fig. 12). *)
-type op_class = Read_op | Write_op | Unlink_op | Fsync_op | Meta_op
-
-val op_classes : op_class list
-val op_class_name : op_class -> string
+type op_class = Read_op | Write_op | Unlink_op | Fsync_op
 
 val create : unit -> t
 val reset : t -> unit
@@ -33,14 +30,6 @@ val time : t -> category -> int64
 val total_time : t -> int64
 val add_op_time : t -> op_class -> int64 -> unit
 val op_time : t -> op_class -> int64
-val total_op_time : t -> int64
-
-(** {1 Operations} *)
-
-val op_done : ?op_class:op_class -> t -> unit
-val ops_completed : t -> int
-val ops_of_class : t -> op_class -> int
-val throughput_ops_per_sec : t -> elapsed_ns:int64 -> float
 
 (** {1 Byte accounting} *)
 
@@ -138,19 +127,6 @@ val add_recovery : t -> rolled_back:int -> dropped:int -> unit
 val recoveries : t -> int
 val recovered_txns : t -> int
 val recovery_dropped : t -> int
-
-(** {1 Fault-domain health}
-
-    Counters for the per-shard health state machine: shards claimed for
-    isolation by the repair daemon, and online repairs that completed or
-    failed (a failed repair returns the shard to degraded for another
-    attempt). *)
-
-val add_quarantine : t -> unit
-val add_shard_repair : t -> ok:bool -> unit
-val shard_quarantines : t -> int
-val shard_repairs : t -> int
-val shard_repair_failures : t -> int
 
 (** {1 Block-tier requests}
 

@@ -284,7 +284,6 @@ let replay ~stats trace (h : Vfs.handle) =
     let t0 = Proc.now () in
     (try f () with Errno.Fs_error _ -> ());
     Stats.add_op_time stats cls (Int64.sub (Proc.now ()) t0);
-    Stats.op_done ~op_class:cls stats;
     incr ops
   in
   List.iter

@@ -67,9 +67,6 @@ let run_job ?(seed = 42L) ~stats (job : job) (handle : Vfs.handle) =
   (match Obs.current () with Some o -> Obs.reset o | None -> ());
   let start = Proc.now () in
   let ops = job.job_run handle rng in
-  for _ = 1 to ops do
-    Stats.op_done stats
-  done;
   {
     job = job.job_name;
     jr_fs_name = handle.Vfs.fs_name;
@@ -102,9 +99,6 @@ let run ?(seed = 42L) ~stats ~threads ~duration w (handle : Vfs.handle) =
           if Int64.compare (Proc.now ()) deadline < 0 then begin
             let ops = w.worker ctx in
             total_ops := !total_ops + ops;
-            for _ = 1 to ops do
-              Stats.op_done stats
-            done;
             loop ()
           end
         in

@@ -17,6 +17,9 @@ dune runtest
 
 dune build @crashmc-recovery --force
 dune build @obs-smoke --force
+# Every hinfs_cli subcommand once (not in runtest, so tier-1 wall time
+# does not move); each must exit 0.
+dune build @cli-smoke --force
 
 for seed in 4242 1001 90210; do
   SOAK_SEED=$seed dune build @fault-soak --force

@@ -52,7 +52,7 @@ let () =
       ()
   in
   let result, _stats, obs =
-    Experiment.run_workload_obs ~spec ~trace:true Fixtures.Hinfs_fs workload
+    Experiment.run_workload ~obs:`Trace ~spec Fixtures.Hinfs_fs workload
   in
   if result.Workload.ops <= 0 then fail "workload performed no ops";
   if Obs.open_spans obs > 0 then

@@ -168,27 +168,60 @@ let small_fb =
     Filebench.append_size = 4 * 1024;
   }
 
+let small_postmark =
+  {
+    Postmark.default_params with
+    Postmark.nfiles = 40;
+    Postmark.transactions = 120;
+  }
+
 (* Installing the sink must not move a single virtual timestamp: the same
    seeded run with and without observability does the same ops in the same
-   virtual time. *)
+   virtual time, for each kind of run (rate workload, job, trace replay).
+   Without a sink the returned one stays empty. *)
 let test_obs_does_not_perturb_the_run () =
-  let workload () = Filebench.fileserver ~params:small_fb () in
-  let plain, _ =
-    Experiment.run_workload ~spec:tiny_spec Fixtures.Hinfs_fs (workload ())
+  let runs =
+    [
+      ( "workload",
+        fun obs ->
+          let r, _, sink =
+            Experiment.run_workload ?obs ~spec:tiny_spec Fixtures.Hinfs_fs
+              (Filebench.fileserver ~params:small_fb ())
+          in
+          (r.Workload.ops, r.Workload.elapsed_ns, sink) );
+      ( "job",
+        fun obs ->
+          let r, _, sink =
+            Experiment.run_job ?obs ~spec:tiny_spec Fixtures.Hinfs_fs
+              (Postmark.make ~params:small_postmark ())
+          in
+          (r.Workload.jr_ops, r.Workload.jr_elapsed_ns, sink) );
+      ( "trace",
+        fun obs ->
+          let r, _, sink =
+            Experiment.run_trace ?obs ~spec:tiny_spec Fixtures.Hinfs_fs
+              (Trace.usr0 ~ops:400 ())
+          in
+          (r.Trace.r_ops, r.Trace.r_elapsed_ns, sink) );
+    ]
   in
-  let observed, _, obs =
-    Experiment.run_workload_obs ~spec:tiny_spec Fixtures.Hinfs_fs (workload ())
-  in
-  check_int "same op count" plain.Workload.ops observed.Workload.ops;
-  check_bool "same virtual elapsed" true
-    (Int64.equal plain.Workload.elapsed_ns observed.Workload.elapsed_ns);
-  check_bool "sink saw the ops" true
-    ((Obs.hist obs Obs.Op_write).Hist.count > 0)
+  List.iter
+    (fun (what, run) ->
+      let ops, elapsed, plain_sink = run None in
+      let ops', elapsed', sink = run (Some `Hist) in
+      check_int (what ^ ": same op count") ops ops';
+      check_bool (what ^ ": same virtual elapsed") true
+        (Int64.equal elapsed elapsed');
+      check_bool (what ^ ": no sink stays empty") true
+        (Obs.nonempty_hists plain_sink = []);
+      check_bool (what ^ ": sink saw the ops") true
+        ((Obs.hist sink Obs.Op_write).Hist.count > 0))
+    runs
 
 let test_trace_export_deterministic () =
   let run () =
     let _r, _s, obs =
-      Experiment.run_workload_obs ~spec:tiny_spec ~trace:true Fixtures.Hinfs_fs
+      Experiment.run_workload ~obs:`Trace ~spec:tiny_spec Fixtures.Hinfs_fs
         (Filebench.varmail ~params:small_fb ())
     in
     (Ojson.to_string_pretty (Obs.chrome_trace obs), Obs.nonempty_hists obs)
@@ -213,7 +246,7 @@ let test_span_balance_after_workloads () =
       List.iter
         (fun (wname, w) ->
           let _r, _s, obs =
-            Experiment.run_workload_obs ~spec:tiny_spec kind w
+            Experiment.run_workload ~obs:`Hist ~spec:tiny_spec kind w
           in
           check_int
             (Fmt.str "open spans after %s on %s" wname (Fixtures.name kind))
@@ -225,21 +258,14 @@ let test_span_balance_after_workloads () =
     [ Fixtures.Hinfs_fs; Fixtures.Pmfs_fs; Fixtures.Ext4_dax ]
 
 let test_span_balance_after_job_and_trace () =
-  let small_postmark =
-    {
-      Postmark.default_params with
-      Postmark.nfiles = 40;
-      Postmark.transactions = 120;
-    }
-  in
   let _r, _s, obs =
-    Experiment.run_job_obs ~spec:tiny_spec Fixtures.Hinfs_fs
+    Experiment.run_job ~obs:`Hist ~spec:tiny_spec Fixtures.Hinfs_fs
       (Postmark.make ~params:small_postmark ())
   in
   check_int "job: open spans" 0 (Obs.open_spans obs);
   check_int "job: mismatches" 0 (Obs.mismatches obs);
   let _r, _s, obs =
-    Experiment.run_trace_obs ~spec:tiny_spec Fixtures.Pmfs_fs
+    Experiment.run_trace ~obs:`Hist ~spec:tiny_spec Fixtures.Pmfs_fs
       (Trace.usr0 ~ops:400 ())
   in
   check_int "trace: open spans" 0 (Obs.open_spans obs);
@@ -247,7 +273,7 @@ let test_span_balance_after_job_and_trace () =
 
 let test_phases_and_gauges_populate () =
   let _r, _s, obs =
-    Experiment.run_workload_obs ~spec:tiny_spec Fixtures.Pmfs_fs
+    Experiment.run_workload ~obs:`Hist ~spec:tiny_spec Fixtures.Pmfs_fs
       (Filebench.varmail ~params:small_fb ())
   in
   check_bool "dev.flush spans" true ((Obs.hist obs Obs.Flush).Hist.count > 0);
@@ -256,7 +282,7 @@ let test_phases_and_gauges_populate () =
     ((Obs.hist obs Obs.Journal_commit).Hist.count > 0);
   check_bool "sampler produced gauges" true (Obs.counter_summaries obs <> []);
   let _r, _s, obs =
-    Experiment.run_workload_obs ~spec:tiny_spec Fixtures.Hinfs_fs
+    Experiment.run_workload ~obs:`Hist ~spec:tiny_spec Fixtures.Hinfs_fs
       (Filebench.fileserver ~params:small_fb ())
   in
   check_bool "writeback spans on hinfs" true
@@ -267,7 +293,7 @@ let test_phases_and_gauges_populate () =
 
 let test_profile_json_has_required_keys () =
   let r, _s, obs =
-    Experiment.run_workload_obs ~spec:tiny_spec Fixtures.Hinfs_fs
+    Experiment.run_workload ~obs:`Hist ~spec:tiny_spec Fixtures.Hinfs_fs
       (Filebench.fileserver ~params:small_fb ())
   in
   let json =

@@ -58,7 +58,7 @@ let test_workloads_run_everywhere () =
     (fun kind ->
       List.iter
         (fun (name, w) ->
-          let result, _stats =
+          let result, _, _ =
             Experiment.run_workload ~spec:tiny_spec kind w
           in
           if result.Workload.ops <= 0 then
@@ -76,7 +76,7 @@ let test_workloads_run_everywhere () =
 let test_ablation_kinds_run () =
   List.iter
     (fun kind ->
-      let result, _ =
+      let result, _, _ =
         Experiment.run_workload ~spec:tiny_spec kind
           (Filebench.fileserver ~params:small_fb ())
       in
@@ -87,7 +87,7 @@ let test_ablation_kinds_run () =
 
 let test_determinism () =
   let run () =
-    let result, stats =
+    let result, stats, _ =
       Experiment.run_workload ~spec:tiny_spec Fixtures.Hinfs_fs
         (Filebench.fileserver ~params:small_fb ())
     in
@@ -99,7 +99,7 @@ let test_determinism () =
 let test_different_seeds_differ () =
   let run seed =
     let spec = { tiny_spec with Experiment.seed } in
-    let result, _ =
+    let result, _, _ =
       Experiment.run_workload ~spec Fixtures.Hinfs_fs
         (Filebench.fileserver ~params:small_fb ())
     in
@@ -128,7 +128,7 @@ let test_jobs_complete () =
     (fun kind ->
       List.iter
         (fun (name, job) ->
-          let r, _ = Experiment.run_job ~spec:tiny_spec kind job in
+          let r, _, _ = Experiment.run_job ~spec:tiny_spec kind job in
           if r.Workload.jr_ops <= 0 then
             Alcotest.failf "%s on %s did nothing" name (Fixtures.name kind);
           check_bool "elapsed > 0" true
@@ -142,7 +142,7 @@ let test_jobs_complete () =
     [ Fixtures.Pmfs_fs; Fixtures.Hinfs_fs ]
 
 let test_tpcc_fsync_heavy () =
-  let _r, stats =
+  let _r, stats, _ =
     Experiment.run_job ~spec:tiny_spec Fixtures.Pmfs_fs
       (Tpcc.make ~params:small_tpcc ())
   in
@@ -150,7 +150,7 @@ let test_tpcc_fsync_heavy () =
   check_bool "tpcc fsync ratio high" true (Stats.fsync_byte_ratio stats > 0.9)
 
 let test_kernel_grep_is_read_only () =
-  let _r, stats =
+  let _r, stats, _ =
     Experiment.run_job ~spec:tiny_spec Fixtures.Pmfs_fs
       (Kernel.grep ~params:small_kernel ())
   in
@@ -204,7 +204,7 @@ let test_facebook_small_io () =
 let test_replay_runs_and_breaks_down () =
   List.iter
     (fun kind ->
-      let r, _stats =
+      let r, _, _ =
         Experiment.run_trace
           ~spec:{ tiny_spec with Experiment.buffer_bytes = 1024 * 1024 }
           kind
@@ -226,7 +226,7 @@ let test_replay_runs_and_breaks_down () =
 
 let test_hinfs_beats_pmfs_on_lazy_writes () =
   let ops kind =
-    let result, _ =
+    let result, _, _ =
       Experiment.run_workload ~spec:tiny_spec kind
         (Filebench.fileserver ~params:small_fb ())
     in
@@ -237,7 +237,7 @@ let test_hinfs_beats_pmfs_on_lazy_writes () =
 
 let test_hinfs_matches_pmfs_on_reads () =
   let ops kind =
-    let result, _ =
+    let result, _, _ =
       Experiment.run_workload ~spec:tiny_spec kind
         (Kernel.grep ~params:small_kernel ()
         |> fun job ->
@@ -255,7 +255,7 @@ let test_latency_sensitivity_direction () =
   let ratio nvmm_write_ns =
     let spec = { tiny_spec with Experiment.nvmm_write_ns } in
     let ops kind =
-      let result, _ =
+      let result, _, _ =
         Experiment.run_workload ~spec ~threads:1 kind
           (Filebench.fileserver ~params:small_fb ())
       in
