@@ -1,6 +1,8 @@
 (* The DRAM write buffer pool (paper §3.2).
 
-   A fixed population of 4 KB DRAM blocks. Blocks in use are linked on the
+   A fixed population of 4 KB DRAM blocks, each backed by host memory
+   from its first [alloc] on (a mount that never fills its pool pays only
+   for the blocks it used). Blocks in use are linked on the
    global LRW (Least Recently Written) list — front = least recently
    written, back = MRW — which the background writeback threads consume
    from the front. Free blocks sit on a free list.
@@ -17,7 +19,7 @@ module Dlist = Hinfs_structures.Dlist
 
 type block = {
   id : int;
-  data : Bytes.t;
+  mutable data : Bytes.t; (* empty until the block is first allocated *)
   node : int Dlist.node; (* membership in the LRW list (value = id) *)
   mutable ino : int;
   mutable fblock : int;
@@ -45,7 +47,7 @@ let create ~capacity ~block_size ~lines_per_block =
     Array.init capacity (fun id ->
         {
           id;
-          data = Bytes.create block_size;
+          data = Bytes.empty;
           node = Dlist.make_node id;
           ino = 0;
           fblock = 0;
@@ -85,6 +87,7 @@ let alloc t ~ino ~fblock ~home ~now =
     t.free_count <- t.free_count - 1;
     let b = t.blocks.(id) in
     assert (not b.in_use);
+    if Bytes.length b.data = 0 then b.data <- Bytes.create t.block_size;
     b.ino <- ino;
     b.fblock <- fblock;
     b.home <- home;

@@ -9,7 +9,7 @@
 
 type block = {
   id : int;
-  data : Bytes.t;
+  mutable data : Bytes.t;  (** empty until the block's first {!alloc} *)
   node : int Hinfs_structures.Dlist.node;
   mutable ino : int;
   mutable fblock : int;

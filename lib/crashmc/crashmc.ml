@@ -266,7 +266,7 @@ let verify_image_recrash scenario params rng ~budget image expectations =
   let nested = ref 0 in
   List.iter
     (fun (state : Device.crash_state) ->
-      let base_digest = Digest.bytes state.cs_image in
+      let base_digest = Device.image_digest state.cs_image in
       let counts =
         Array.of_list
           (List.map (fun (_, c) -> Array.length c) state.cs_choices)
@@ -360,7 +360,7 @@ let run_scenario ?(params = default_params) scenario =
   let recovery_images = ref 0 in
   List.iter
     (fun ((state : Device.crash_state), exps) ->
-      let base_digest = Digest.bytes state.cs_image in
+      let base_digest = Device.image_digest state.cs_image in
       List.iter
         (fun vec ->
           let key = image_key ~base_digest state vec in

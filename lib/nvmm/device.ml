@@ -1,7 +1,14 @@
 (* Byte-addressable NVMM device with an explicit CPU-cache model.
 
    Two layers of state:
-   - [persistent]: the NVMM medium itself; survives [crash].
+   - the medium: the NVMM itself; survives [crash]. It is a sparse page
+     table of block-size pages. A page never written is the one shared
+     zero page, and a store of zeros into it writes nothing, so only
+     touched pages cost host memory. Pages are shared copy-on-write with
+     the images taken of the device ({!snapshot}, crash states): a device
+     writes in place only into pages it owns, and copies any other page on
+     its first write, so an image is immutable and taking one copies page
+     pointers, not bytes.
    - [overlay]: cachelines currently dirty in the (volatile) CPU cache.
      Ordinary stores ([write_cached], [set_u*]) land here and are lost on
      [crash] until [clflush]ed. Non-temporal stores ([write_nt]) bypass the
@@ -25,7 +32,9 @@
 
    - [base]: the guaranteed content — last fenced version (or the medium
      content when the line first became pending);
-   - [versions]: newer candidate contents, oldest first. A [clflush] pushes
+   - [versions]: newer candidate contents, newest first (an O(1) push;
+     the fence collapse and the crash-state capture read them in order). A
+     [clflush] pushes
      a flushed-but-unfenced version; a store in a *later epoch* than the
      previous store first snapshots the pre-store cached content (the old
      epoch's value could be evicted on its own); non-temporal stores push
@@ -41,7 +50,7 @@ module Record = struct
 
   type line = {
     mutable base : Bytes.t;
-    mutable versions : version list; (* oldest first *)
+    mutable versions : version list; (* newest first *)
     mutable store_epoch : int; (* epoch of last store while dirty; -1 clean *)
   }
 
@@ -65,11 +74,17 @@ module Record = struct
     }
 end
 
+(* An immutable medium image: the page table, whose pages nobody writes
+   again, and the zero page that stands for every never-written page. *)
+type image = { img_pages : Bytes.t array; img_zero : Bytes.t }
+
 type t = {
   engine : Hinfs_sim.Engine.t;
   stats : Hinfs_stats.Stats.t;
   config : Config.t;
-  persistent : Bytes.t;
+  pages : Bytes.t array; (* page index -> content; [zero] if never written *)
+  owned : Bytes.t; (* per page: '\001' when this device may write in place *)
+  zero : Bytes.t; (* the shared zero page *)
   overlay : (int, Bytes.t) Hashtbl.t; (* cacheline index -> line content *)
   bandwidth : Hinfs_sim.Resource.t;
   mutable recorder : Record.t option;
@@ -82,7 +97,7 @@ type t = {
    candidate per line independently. *)
 type crash_state = {
   cs_label : string;
-  cs_image : Bytes.t; (* guaranteed medium content *)
+  cs_image : image; (* the medium at capture, shared copy-on-write *)
   cs_line_size : int;
   cs_choices : (int * Bytes.t array) list; (* line idx (ascending) -> candidates *)
 }
@@ -93,13 +108,16 @@ module Resource = Hinfs_sim.Resource
 module Stats = Hinfs_stats.Stats
 module Obs = Hinfs_obs.Obs
 
-let create engine stats config =
-  let config = Config.validate config in
+(* A device over [pages] (a table the device may keep: nothing else holds
+   it), owning none of them. *)
+let of_pages engine stats config ~zero pages =
   {
     engine;
     stats;
     config;
-    persistent = Bytes.make config.Config.nvmm_size '\000';
+    pages;
+    owned = Bytes.make (Array.length pages) '\000';
+    zero;
     overlay = Hashtbl.create 4096;
     bandwidth =
       Resource.create ~name:"nvmm-write-bandwidth"
@@ -107,6 +125,11 @@ let create engine stats config =
     recorder = None;
     fault = None;
   }
+
+let create engine stats config =
+  let config = Config.validate config in
+  let zero = Bytes.make config.Config.block_size '\000' in
+  of_pages engine stats config ~zero (Array.make (Config.blocks config) zero)
 
 let config t = t.config
 let size t = t.config.Config.nvmm_size
@@ -122,6 +145,63 @@ let check_range t ~addr ~len =
     Fmt.invalid_arg "Device: range [%d, %d) out of bounds (size %d)" addr
       (addr + len) (size t)
 
+(* --- the paged medium --- *)
+
+let page_size t = t.config.Config.block_size
+
+(* Page [p], made writable in place: a page the device does not own (the
+   zero page, or one shared with an image) is copied first. *)
+let own_page t p =
+  if Bytes.unsafe_get t.owned p = '\001' then t.pages.(p)
+  else begin
+    let page = Bytes.copy t.pages.(p) in
+    t.pages.(p) <- page;
+    Bytes.unsafe_set t.owned p '\001';
+    page
+  end
+
+let all_zero src off len =
+  let stop = off + len in
+  let rec bytes i =
+    i >= stop || (Bytes.unsafe_get src i = '\000' && bytes (i + 1))
+  in
+  let rec words i =
+    if i + 8 > stop then bytes i
+    else Int64.equal (Bytes.get_int64_ne src i) 0L && words (i + 8)
+  in
+  words off
+
+(* Copy medium bytes [addr, addr+len) into [dst] from [doff]. The common
+   case, a range inside one page, is a single blit. *)
+let rec medium_read t ~addr dst doff len =
+  let ps = page_size t in
+  let po = addr mod ps in
+  if po + len <= ps then Bytes.blit t.pages.(addr / ps) po dst doff len
+  else begin
+    let n = ps - po in
+    Bytes.blit t.pages.(addr / ps) po dst doff n;
+    medium_read t ~addr:(addr + n) dst (doff + n) (len - n)
+  end
+
+(* Store [src] from [off] to medium bytes [addr, addr+len). Zeros stored
+   into the zero page write nothing. *)
+let rec medium_write t ~addr src off len =
+  let ps = page_size t in
+  let p = addr / ps and po = addr mod ps in
+  let n = min len (ps - po) in
+  if not (t.pages.(p) == t.zero && all_zero src off n) then
+    Bytes.blit src off (own_page t p) po n;
+  if n < len then medium_write t ~addr:(addr + n) src (off + n) (len - n)
+
+(* Copy of one cacheline of the medium (lines never straddle pages). *)
+let medium_line t idx =
+  let ls = t.config.Config.cacheline_size and ps = page_size t in
+  let addr = idx * ls in
+  Bytes.sub t.pages.(addr / ps) (addr mod ps) ls
+
+let resident_pages t =
+  Array.fold_left (fun n p -> if p == t.zero then n else n + 1) 0 t.pages
+
 let charge t cat f =
   let t0 = Proc.now () in
   let result = f () in
@@ -134,8 +214,7 @@ let overlay_line t idx =
   match Hashtbl.find_opt t.overlay idx with
   | Some line -> line
   | None ->
-    let line = Bytes.create (line_size t) in
-    Bytes.blit t.persistent (idx * line_size t) line 0 (line_size t);
+    let line = medium_line t idx in
     Hashtbl.replace t.overlay idx line;
     line
 
@@ -182,10 +261,9 @@ let record_line t (r : Record.t) idx =
   match Hashtbl.find_opt r.Record.lines idx with
   | Some rl -> rl
   | None ->
-    let ls = line_size t in
     let rl =
       {
-        Record.base = Bytes.sub t.persistent (idx * ls) ls;
+        Record.base = medium_line t idx;
         versions = [];
         store_epoch = -1;
       }
@@ -207,8 +285,8 @@ let record_store t idx =
       when rl.Record.store_epoch >= 0 && rl.Record.store_epoch < r.Record.epoch
       ->
       rl.Record.versions <-
-        rl.Record.versions
-        @ [ { Record.content = Bytes.copy line; flushed = false } ]
+        { Record.content = Bytes.copy line; flushed = false }
+        :: rl.Record.versions
     | _ -> ());
     rl.Record.store_epoch <- r.Record.epoch
 
@@ -222,8 +300,8 @@ let record_flush t idx content =
     r.Record.flushes <- r.Record.flushes + 1;
     let rl = record_line t r idx in
     rl.Record.versions <-
-      rl.Record.versions
-      @ [ { Record.content = Bytes.copy content; flushed = true } ];
+      { Record.content = Bytes.copy content; flushed = true }
+      :: rl.Record.versions;
     rl.Record.store_epoch <- -1
 
 (* Non-temporal stores reach the medium directly but are only ordered by the
@@ -250,34 +328,27 @@ let record_nt_post t ~addr ~len =
       r.Record.stores <- r.Record.stores + 1;
       let rl = record_line t r idx in
       rl.Record.versions <-
-        rl.Record.versions
-        @ [
-            {
-              Record.content = Bytes.sub t.persistent (idx * ls) ls;
-              flushed = true;
-            };
-          ];
+        { Record.content = medium_line t idx; flushed = true }
+        :: rl.Record.versions;
       if not (is_dirty_line t idx) then rl.Record.store_epoch <- -1
     done
 
 (* A fence makes every version through the last flushed one guaranteed.
-   Unflushed cached content stays pending in the new epoch. *)
+   Unflushed cached content stays pending in the new epoch: the versions
+   newer than the newest flushed one, a prefix of the newest-first list. *)
 let record_fence_collapse (r : Record.t) dirty_line =
   r.Record.epoch <- r.Record.epoch + 1;
   let drop = ref [] in
   Hashtbl.iter
     (fun idx (rl : Record.line) ->
-      let rec split acc base = function
-        | [] -> (base, List.rev acc)
-        | ({ Record.flushed; content } as v) :: rest ->
-          if flushed then split [] (Some content) rest
-          else split (v :: acc) base rest
+      let rec collapse newer = function
+        | [] -> ()
+        | { Record.flushed = true; content } :: _ ->
+          rl.Record.base <- content;
+          rl.Record.versions <- List.rev newer
+        | v :: older -> collapse (v :: newer) older
       in
-      (match split [] None rl.Record.versions with
-      | None, _ -> ()
-      | Some content, keep ->
-        rl.Record.base <- content;
-        rl.Record.versions <- keep);
+      collapse [] rl.Record.versions;
       if rl.Record.versions = [] && not (dirty_line idx) then
         drop := idx :: !drop)
     r.Record.lines;
@@ -395,7 +466,7 @@ let read t ~cat ~addr ~len ~into ~off =
     (* The loads have happened: poisoned/transient-faulting lines machine-
        check here, after the access paid its latency. *)
     fault_check_load t ~addr ~len;
-    Bytes.blit t.persistent addr into off len;
+    medium_read t ~addr into off len;
     (* Patch bytes whose cachelines are dirty in the CPU cache. *)
     cached_spans t Load ~addr ~len into off;
     Stats.add_nvmm_read t.stats len
@@ -418,7 +489,7 @@ let write_nt ?(background = false) t ~cat ~addr ~src ~off ~len =
             Obs.span_since Obs.Slot_wait ~t0;
             Proc.delay_int (lines * t.config.Config.nvmm_write_ns)));
     record_nt_pre t ~addr ~len;
-    Bytes.blit src off t.persistent addr len;
+    medium_write t ~addr src off len;
     (* A non-temporal store invalidates any stale cached copy of the lines
        it covers (it fully bypasses the cache hierarchy). Partially covered
        lines must merge the new bytes into the cached copy instead. *)
@@ -459,7 +530,7 @@ let persist_line t idx =
   | None -> ()
   | Some line ->
     record_flush t idx line;
-    Bytes.blit line 0 t.persistent (idx * line_size t) (line_size t);
+    medium_write t ~addr:(idx * line_size t) line 0 (line_size t);
     Hashtbl.remove t.overlay idx;
     fault_store_line t idx
 
@@ -507,22 +578,18 @@ let mfence t ~cat =
    charge per syscall). Stores go through the cached-write path so that
    crash semantics remain exact. *)
 
-let peek_byte t addr =
-  let ls = line_size t in
-  match Hashtbl.find_opt t.overlay (addr / ls) with
-  | Some line -> Bytes.get_uint8 line (addr mod ls)
-  | None -> Bytes.get_uint8 t.persistent addr
-
 let peek t ~addr ~len =
   check_range t ~addr ~len;
   let buf = Bytes.create len in
-  Bytes.blit t.persistent addr buf 0 len;
+  if len > 0 then medium_read t ~addr buf 0 len;
   cached_spans t Load ~addr ~len buf 0;
   buf
 
 let peek_persistent t ~addr ~len =
   check_range t ~addr ~len;
-  Bytes.sub t.persistent addr len
+  let buf = Bytes.create len in
+  if len > 0 then medium_read t ~addr buf 0 len;
+  buf
 
 (* Untimed raw store, for mkfs-time initialisation and tests. Writes the
    medium directly and drops any cached copy. *)
@@ -530,7 +597,7 @@ let poke t ~addr ~src ~off ~len =
   check_range t ~addr ~len;
   record_forget t ~addr ~len;
   fault_heal_range t ~addr ~len;
-  Bytes.blit src off t.persistent addr len;
+  if len > 0 then medium_write t ~addr src off len;
   cached_spans t Merge ~addr ~len src off
 
 (* Untimed recorded store for recovery/repair paths. Like [poke] it is the
@@ -544,7 +611,7 @@ let poke_flushed t ~addr ~src ~off ~len =
   check_range t ~addr ~len;
   if len > 0 then begin
     record_nt_pre t ~addr ~len;
-    Bytes.blit src off t.persistent addr len;
+    medium_write t ~addr src off len;
     (* Same cache rule as [write_nt]: fully covered cached lines are
        invalidated, partially covered ones merge the new bytes. *)
     cached_spans t Merge_nt ~addr ~len src off;
@@ -558,11 +625,29 @@ let poke_flushed t ~addr ~src ~off ~len =
    is off. *)
 let fence_untimed t = record_fence t
 
-let get_u8 t addr = peek_byte t addr
+(* A metadata word of [n] bytes, read in place: from its dirty cacheline
+   when there is one, else from the medium page. A word straddling two
+   cachelines goes through [peek]. *)
+let get_word t addr n get =
+  check_range t ~addr ~len:n;
+  let ls = line_size t in
+  let lo = addr land (ls - 1) in
+  if lo + n > ls then get (peek t ~addr ~len:n) 0
+  else
+    match Hashtbl.find_opt t.overlay (addr / ls) with
+    | Some line -> get line lo
+    | None ->
+      let ps = page_size t in
+      get t.pages.(addr / ps) (addr mod ps)
 
-let get_u16 t addr = Bytes.get_uint16_le (peek t ~addr ~len:2) 0
-let get_u32 t addr = Int32.to_int (Bytes.get_int32_le (peek t ~addr ~len:4) 0) land 0xFFFFFFFF
-let get_u64 t addr = Bytes.get_int64_le (peek t ~addr ~len:8) 0
+let get_u8 t addr = get_word t addr 1 Bytes.get_uint8
+let get_u16 t addr = get_word t addr 2 Bytes.get_uint16_le
+
+let get_u32 t addr =
+  get_word t addr 4 (fun b o ->
+      Int32.to_int (Bytes.get_int32_le b o) land 0xFFFFFFFF)
+
+let get_u64 t addr = get_word t addr 8 Bytes.get_int64_le
 let get_int t addr = Int64.to_int (get_u64 t addr)
 
 let set_bytes t ~cat ~addr bytes =
@@ -598,28 +683,39 @@ let crash t =
   | None -> ()
   | Some r -> Hashtbl.reset r.Record.lines
 
-(* Copy of the persistent medium (what a crash would leave). *)
-let snapshot t = Bytes.copy t.persistent
+(* The persistent medium as an image (what a crash would leave). The
+   device hands its pages to the image and owns none of them afterwards,
+   so its next write to a page copies it. *)
+let snapshot t =
+  Bytes.fill t.owned 0 (Bytes.length t.owned) '\000';
+  { img_pages = Array.copy t.pages; img_zero = t.zero }
 
 (* A fresh device initialised from a snapshot: used by crash-consistency
    tests to mount and inspect the post-crash image while the pre-crash
    simulation keeps running. *)
 let of_snapshot engine stats config image =
   let config = Config.validate config in
-  if Bytes.length image <> config.Config.nvmm_size then
-    invalid_arg "Device.of_snapshot: image size mismatch";
-  {
-    engine;
-    stats;
-    config;
-    persistent = Bytes.copy image;
-    overlay = Hashtbl.create 4096;
-    bandwidth =
-      Resource.create ~name:"nvmm-write-bandwidth"
-        ~capacity:(Config.nw_slots config);
-    recorder = None;
-    fault = None;
-  }
+  if
+    Bytes.length image.img_zero <> config.Config.block_size
+    || Array.length image.img_pages <> Config.blocks config
+  then invalid_arg "Device.of_snapshot: image size mismatch";
+  of_pages engine stats config ~zero:image.img_zero
+    (Array.copy image.img_pages)
+
+let image_to_bytes image =
+  Bytes.concat Bytes.empty (Array.to_list image.img_pages)
+
+(* Digest of the image contents: equal contents, equal digests. Hashes
+   the per-page digests, the zero page's once. *)
+let image_digest image =
+  let zero = Digest.bytes image.img_zero in
+  let b = Buffer.create (16 * Array.length image.img_pages) in
+  Array.iter
+    (fun p ->
+      Buffer.add_string b
+        (if p == image.img_zero then zero else Digest.bytes p))
+    image.img_pages;
+  Digest.string (Buffer.contents b)
 
 (* Test/setup helper: persist every dirty line through the same path as
    [clflush], then make the result guaranteed (flush-all acts as flush +
@@ -685,8 +781,8 @@ let capture_crash_state ?(label = "crash") t =
       match rl with
       | Some rl ->
         rl.Record.base
-        :: List.map (fun v -> v.Record.content) rl.Record.versions
-      | None -> [ Bytes.sub t.persistent (idx * ls) ls ]
+        :: List.rev_map (fun v -> v.Record.content) rl.Record.versions
+      | None -> [ medium_line t idx ]
     in
     let cands =
       match Hashtbl.find_opt t.overlay idx with
@@ -730,18 +826,26 @@ let capture_crash_state ?(label = "crash") t =
     t.overlay;
   {
     cs_label = label;
-    cs_image = Bytes.copy t.persistent;
+    cs_image = snapshot t;
     cs_line_size = ls;
     cs_choices = List.sort (fun (a, _) (b, _) -> compare a b) !choices;
   }
 
 (* Concrete crash image: the guaranteed medium with [choice.(i)] picking
-   the persisted candidate for the i-th undecided line. *)
+   the persisted candidate for the i-th undecided line. It shares every
+   page of the state's image except those holding an undecided line,
+   which it copies once. *)
 let materialize_crash_image state ~choice =
-  let img = Bytes.copy state.cs_image in
+  let base = state.cs_image in
+  let pages = Array.copy base.img_pages in
+  let ps = Bytes.length base.img_zero in
   List.iteri
     (fun i (idx, cands) ->
       let c = cands.(choice.(i)) in
-      Bytes.blit c 0 img (idx * state.cs_line_size) state.cs_line_size)
+      let addr = idx * state.cs_line_size in
+      let p = addr / ps and off = addr mod ps in
+      if pages.(p) == base.img_pages.(p) then
+        pages.(p) <- Bytes.copy pages.(p);
+      Bytes.blit c 0 pages.(p) off state.cs_line_size)
     state.cs_choices;
-  img
+  { base with img_pages = pages }

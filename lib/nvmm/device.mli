@@ -5,9 +5,18 @@
     and are lost on {!crash} until {!clflush}ed; non-temporal stores
     ({!write_nt}) reach the medium directly. Data-path operations consume
     virtual time and must be called from inside a simulation process; every
-    cacheline streamed to the medium holds one of the N_w bandwidth slots. *)
+    cacheline streamed to the medium holds one of the N_w bandwidth slots.
+
+    The medium is a sparse table of block-size pages, shared copy-on-write
+    with the {!image}s taken of it: host memory holds only the pages
+    something wrote, and an image costs a copy of the page pointers. *)
 
 type t
+
+type image
+(** An immutable medium image ({!snapshot}, crash states). Images and
+    devices share pages; a device copies a shared page on its first write
+    to it. *)
 
 val create :
   Hinfs_sim.Engine.t -> Hinfs_stats.Stats.t -> Config.t -> t
@@ -126,13 +135,26 @@ val dirty_line_addrs : t -> int list
 val crash : t -> unit
 (** Drop the volatile overlay: everything not flushed is lost. *)
 
-val snapshot : t -> Bytes.t
-(** Copy of the persistent medium — the image a crash would leave. *)
+val snapshot : t -> image
+(** The persistent medium — the image a crash would leave. *)
 
 val of_snapshot :
-  Hinfs_sim.Engine.t -> Hinfs_stats.Stats.t -> Config.t -> Bytes.t -> t
+  Hinfs_sim.Engine.t -> Hinfs_stats.Stats.t -> Config.t -> image -> t
 (** Fresh device initialised from a {!snapshot} (crash-consistency
-    testing). *)
+    testing). Writes to either side stay invisible to the other.
+    @raise Invalid_argument if the image's geometry differs from the
+    config's. *)
+
+val image_digest : image -> Digest.t
+(** Digest of the image's contents: images with equal bytes have equal
+    digests. *)
+
+val image_to_bytes : image -> Bytes.t
+(** The image's bytes, flat (tests and inspection). *)
+
+val resident_pages : t -> int
+(** Pages of the medium backed by host memory, i.e. not the shared zero
+    page. *)
 
 val flush_all_untimed : t -> unit
 (** Push the whole overlay to the medium without charging time, through the
@@ -149,7 +171,7 @@ val flush_all_untimed : t -> unit
 
 type crash_state = {
   cs_label : string;
-  cs_image : Bytes.t;  (** guaranteed medium content *)
+  cs_image : image;  (** the medium at the crash point *)
   cs_line_size : int;
   cs_choices : (int * Bytes.t array) list;
       (** per undecided cacheline (index ascending): the legal candidate
@@ -176,10 +198,11 @@ val pending_choice_lines : t -> int
 
 val capture_crash_state : ?label:string -> t -> crash_state
 
-val materialize_crash_image : crash_state -> choice:int array -> Bytes.t
-(** Concrete crash image: the guaranteed medium with [choice.(i)] selecting
-    the persisted candidate of the [i]-th undecided line. Feed the result
-    to {!of_snapshot}. *)
+val materialize_crash_image : crash_state -> choice:int array -> image
+(** Concrete crash image: the medium at the crash point with [choice.(i)]
+    selecting the persisted candidate of the [i]-th undecided line. It
+    shares every page but those holding an undecided line. Feed the
+    result to {!of_snapshot}. *)
 
 (** {1 Media-fault model}
 

@@ -4,10 +4,11 @@
 # even when dune serves them from cache, the perf-baseline determinism
 # check, and finally the benchmark self-test.
 #
-# The oracle-checked soaks additionally run under a small SOAK_SEED
-# matrix: every seed drives a different op mix, crash fence, and fault
-# schedule, so three seeds triple the state space each gate covers
-# without touching the (seeded, reproducible) default runtest pass.
+# The oracle-checked soaks and the crashmc smoke suite additionally run
+# under a small SOAK_SEED matrix: every seed drives a different op mix,
+# crash fence, fault schedule and crash-image sample, so three seeds
+# triple the state space each gate covers without touching the (seeded,
+# reproducible) default runtest pass.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -29,6 +30,7 @@ for seed in 4242 1001 90210; do
   SOAK_SEED=$seed dune build @shard-soak --force
   SOAK_SEED=$seed dune build @chaos-soak --force
   SOAK_SEED=$seed dune build @serve-soak --force
+  SOAK_SEED=$seed dune build @crashmc-smoke --force
 done
 
 sh scripts/bench_check.sh

@@ -292,7 +292,7 @@ let run_cell ~chaos () =
         o_quarantines = Health.quarantines health;
         o_readmits = Health.readmits health;
         o_readmit_lag = readmit_lag;
-        o_digest = Digest.bytes (Device.snapshot d);
+        o_digest = Device.image_digest (Device.snapshot d);
         o_crash_checked = !captured <> None;
       })
 

@@ -292,7 +292,7 @@ let run_soak () =
             r_ops_ok = !ops_ok - ok0;
             r_aborted = !aborted - aborted0;
             r_capture_fence = crash.fence;
-            r_image_digest = Digest.to_hex (Digest.bytes crash.image);
+            r_image_digest = Digest.to_hex (Device.image_digest crash.image);
           }
           :: !round_outcomes
       done;

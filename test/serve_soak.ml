@@ -247,7 +247,7 @@ let run_soak () =
             r_ops = !total_ops - ops0;
             r_fence = crash.fence;
             r_durable = durable;
-            r_digest = Digest.bytes image;
+            r_digest = Device.image_digest image;
           }
           :: !outcomes
       done;

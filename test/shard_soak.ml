@@ -262,7 +262,7 @@ let run_pmfs_soak () =
             r_ops = !ops - ops0;
             r_renames = !renames - ren0;
             r_fence = crash.fence;
-            r_digest = Digest.bytes image;
+            r_digest = Device.image_digest image;
             r_rolled_back = rolled_back;
             r_by_shard = [];
           }

@@ -77,7 +77,9 @@ let test_capture_basic () =
       let images =
         List.map
           (fun vec ->
-            Bytes.to_string (Device.materialize_crash_image state ~choice:vec))
+            Bytes.to_string
+              (Device.image_to_bytes
+                 (Device.materialize_crash_image state ~choice:vec)))
           (choice_vectors state)
       in
       check_int "four images" 4 (List.length images);
@@ -104,7 +106,8 @@ let test_fence_collapses () =
       let state = Device.capture_crash_state d in
       check_int "no choices" 0 (List.length state.Device.cs_choices);
       check_bool "medium has the data" true
-        (Bytes.get state.Device.cs_image addr_a = '\x33'))
+        (Bytes.get (Device.image_to_bytes state.Device.cs_image) addr_a
+        = '\x33'))
 
 let test_unfenced_flush_undecided () =
   Testkit.run_sim (fun engine ->
@@ -138,6 +141,22 @@ let test_epoch_snapshot () =
       let heads = Array.map (fun c -> Bytes.get c 0) cands in
       check_bool "0x00/0x55/0x66" true
         (heads = [| '\x00'; '\x55'; '\x66' |]))
+
+(* Versions of one line in one epoch are candidates in store order. *)
+let test_candidates_oldest_first () =
+  Testkit.run_sim (fun engine ->
+      let d = Testkit.make_device engine in
+      Device.enable_recording d;
+      write8 d addr_a 0x11;
+      Device.clflush d ~cat ~addr:addr_a ~len:8;
+      write8 d addr_a 0x22;
+      Device.clflush d ~cat ~addr:addr_a ~len:8;
+      write8 d addr_a 0x33;
+      let state = Device.capture_crash_state d in
+      let _, cands = List.hd state.Device.cs_choices in
+      let heads = Array.map (fun c -> Bytes.get c 0) cands in
+      check_bool "0x00/0x11/0x22/0x33" true
+        (heads = [| '\x00'; '\x11'; '\x22'; '\x33' |]))
 
 let test_nt_store_undecided_until_fence () =
   Testkit.run_sim (fun engine ->
@@ -353,6 +372,8 @@ let () =
           Alcotest.test_case "unfenced flush undecided" `Quick
             test_unfenced_flush_undecided;
           Alcotest.test_case "epoch snapshot" `Quick test_epoch_snapshot;
+          Alcotest.test_case "candidates oldest first" `Quick
+            test_candidates_oldest_first;
           Alcotest.test_case "nt store undecided until fence" `Quick
             test_nt_store_undecided_until_fence;
           Alcotest.test_case "dirty_line_addrs + flush_all path" `Quick

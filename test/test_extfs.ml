@@ -351,7 +351,7 @@ let test_ext4_journal_replay_after_crash () =
       h.Vfs.unmount ());
   (* Same crash image again, this time with a poisoned line under the
      file's data: the read must fault, and must heal cleanly. *)
-  let addr = find_bytes snap (Bytes.sub payload 0 64) in
+  let addr = find_bytes (Device.image_to_bytes snap) (Bytes.sub payload 0 64) in
   check_bool "payload located on the medium" true (addr >= 0);
   Testkit.run_sim (fun engine ->
       let stats = Stats.create () in

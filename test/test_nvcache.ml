@@ -265,19 +265,20 @@ let test_obs_phases () =
   let obs = Obs.create engine in
   Obs.install obs;
   Fun.protect ~finally:Obs.uninstall @@ fun () ->
-  let snap = ref Bytes.empty in
+  let snap = ref None in
   Engine.spawn engine ~name:"nvcache-obs" (fun () ->
       let device, st = make_stack ~design:Nvcache.Logging engine in
       let h = Nvcache.handle st in
       write_file h "/o" (Testkit.pattern_bytes ~seed:71 8_000);
-      snap := Device.snapshot device;
+      snap := Some (Device.snapshot device);
       Nvcache.unmount st);
   Engine.run engine;
   let engine2 = Engine.create () in
   Engine.spawn engine2 ~name:"nvcache-obs-replay" (fun () ->
       let stats = Stats.create () in
       let device =
-        Device.of_snapshot engine2 stats Testkit.small_config !snap
+        Device.of_snapshot engine2 stats Testkit.small_config
+          (Option.get !snap)
       in
       ignore (Nvcache.recover device ()));
   Engine.run engine2;

@@ -240,6 +240,299 @@ let allocator_no_double_alloc_prop =
         ops;
       Allocator.used_blocks a = Hashtbl.length held)
 
+(* --- the paged medium against a flat reference --- *)
+
+(* Small pages, so random ranges cross page boundaries often: 16 pages of
+   256 B. *)
+let paged_config =
+  { Config.default with Config.block_size = 256; nvmm_size = 4096 }
+
+(* The flat reference: the medium as one [Bytes], the CPU cache as a table
+   of whole lines. *)
+module Flat = struct
+  let ls = paged_config.Config.cacheline_size
+
+  type t = { medium : Bytes.t; cache : (int, Bytes.t) Hashtbl.t }
+
+  let create medium = { medium; cache = Hashtbl.create 16 }
+
+  let iter_lines addr len f =
+    for idx = addr / ls to (addr + len - 1) / ls do
+      let s = max addr (idx * ls) and e = min (addr + len) ((idx + 1) * ls) in
+      f idx ~line_off:(s - (idx * ls)) ~src_off:(s - addr) ~n:(e - s)
+    done
+
+  let view t =
+    let b = Bytes.copy t.medium in
+    Hashtbl.iter (fun idx line -> Bytes.blit line 0 b (idx * ls) ls) t.cache;
+    b
+
+  let write_cached t addr src =
+    iter_lines addr (Bytes.length src) (fun idx ~line_off ~src_off ~n ->
+        let line =
+          match Hashtbl.find_opt t.cache idx with
+          | Some line -> line
+          | None ->
+            let line = Bytes.sub t.medium (idx * ls) ls in
+            Hashtbl.replace t.cache idx line;
+            line
+        in
+        Bytes.blit src src_off line line_off n)
+
+  (* A store straight to the medium. Cached copies of the lines it covers
+     merge its bytes; with [drop], fully covered ones leave the cache. *)
+  let write_medium ~drop t addr src =
+    let len = Bytes.length src in
+    Bytes.blit src 0 t.medium addr len;
+    iter_lines addr len (fun idx ~line_off ~src_off ~n ->
+        match Hashtbl.find_opt t.cache idx with
+        | None -> ()
+        | Some _ when drop && n = ls -> Hashtbl.remove t.cache idx
+        | Some line -> Bytes.blit src src_off line line_off n)
+
+  let clflush t addr len =
+    iter_lines addr len (fun idx ~line_off:_ ~src_off:_ ~n:_ ->
+        match Hashtbl.find_opt t.cache idx with
+        | None -> ()
+        | Some line ->
+          Bytes.blit line 0 t.medium (idx * ls) ls;
+          Hashtbl.remove t.cache idx)
+
+  let crash t = Hashtbl.reset t.cache
+end
+
+type medium_op =
+  | Cached of int * int * int (* addr, len, fill: 0 = zeros, else a seed *)
+  | Nt of int * int * int
+  | Poke of int * int * int
+  | Poke_flushed of int * int * int
+  | Clflush of int * int
+  | Mfence
+  | Crash
+  | Record (* enable the persistence recorder *)
+  | Fork (* snapshot this device into a new one, and keep the image *)
+  | Switch of int (* continue on device [n mod count] *)
+  | Capture of int (* capture a crash state, materialise a seeded choice *)
+  | Words of int (* get_u8/u16/u32/u64 at an address *)
+
+let show_medium_op = function
+  | Cached (a, l, f) -> Fmt.str "Cached(%d,%d,%d)" a l f
+  | Nt (a, l, f) -> Fmt.str "Nt(%d,%d,%d)" a l f
+  | Poke (a, l, f) -> Fmt.str "Poke(%d,%d,%d)" a l f
+  | Poke_flushed (a, l, f) -> Fmt.str "Poke_flushed(%d,%d,%d)" a l f
+  | Clflush (a, l) -> Fmt.str "Clflush(%d,%d)" a l
+  | Mfence -> "Mfence"
+  | Crash -> "Crash"
+  | Record -> "Record"
+  | Fork -> "Fork"
+  | Switch n -> Fmt.str "Switch %d" n
+  | Capture s -> Fmt.str "Capture %d" s
+  | Words a -> Fmt.str "Words %d" a
+
+let medium_op_gen =
+  let open QCheck.Gen in
+  let size = paged_config.Config.nvmm_size in
+  let range =
+    int_bound (size - 1) >>= fun addr ->
+    int_range 1 (min 600 (size - addr)) >|= fun len -> (addr, len)
+  in
+  let store k =
+    map2 (fun (a, l) f -> k a l f) range
+      (frequency [ (1, return 0); (2, int_range 1 1000) ])
+  in
+  frequency
+    [
+      (4, store (fun a l f -> Cached (a, l, f)));
+      (2, store (fun a l f -> Nt (a, l, f)));
+      (1, store (fun a l f -> Poke (a, l, f)));
+      (1, store (fun a l f -> Poke_flushed (a, l, f)));
+      (3, map (fun (a, l) -> Clflush (a, l)) range);
+      (2, return Mfence);
+      (1, return Crash);
+      (1, return Record);
+      (1, return Fork);
+      (1, map (fun n -> Switch n) (int_bound 7));
+      (2, map (fun s -> Capture s) (int_bound 1000));
+      (1, map (fun a -> Words a) (int_bound (size - 8)));
+    ]
+
+(* Run [ops] on a device and on the flat reference side by side; [Some
+   msg] names the first disagreement. After every op the device's
+   [read], [peek] and [peek_persistent] of the whole medium must equal the
+   reference byte for byte; at the end so must every device forked on the
+   way, and every image taken must still hold the bytes it was taken
+   with. *)
+let run_medium_ops engine ops =
+  let size = paged_config.Config.nvmm_size and ls = Flat.ls in
+  let sides =
+    ref
+      [|
+        ( Device.create engine (Stats.create ()) paged_config,
+          Flat.create (Bytes.make size '\000') );
+      |]
+  in
+  let cur = ref 0 in
+  let images = ref [] in
+  let bad = ref None in
+  let step = ref 0 in
+  let fail what =
+    if !bad = None then bad := Some (Fmt.str "op %d: %s" !step what)
+  in
+  let check_bytes what expected actual =
+    if not (Bytes.equal expected actual) then fail what
+  in
+  let check_side (d, (r : Flat.t)) =
+    check_bytes "read" (Flat.view r)
+      (Device.read_alloc d ~cat ~addr:0 ~len:size);
+    check_bytes "peek" (Flat.view r) (Device.peek d ~addr:0 ~len:size);
+    check_bytes "peek_persistent" r.medium
+      (Device.peek_persistent d ~addr:0 ~len:size)
+  in
+  let payload fill len =
+    if fill = 0 then Bytes.make len '\000'
+    else Testkit.pattern_bytes ~seed:fill len
+  in
+  List.iter
+    (fun op ->
+      incr step;
+      let d, (r : Flat.t) = !sides.(!cur) in
+      (match op with
+      | Cached (addr, len, fill) ->
+        let src = payload fill len in
+        Device.write_cached d ~cat ~addr ~src ~off:0 ~len;
+        Flat.write_cached r addr src
+      | Nt (addr, len, fill) ->
+        let src = payload fill len in
+        Device.write_nt d ~cat ~addr ~src ~off:0 ~len;
+        Flat.write_medium ~drop:true r addr src
+      | Poke (addr, len, fill) ->
+        let src = payload fill len in
+        Device.poke d ~addr ~src ~off:0 ~len;
+        Flat.write_medium ~drop:false r addr src
+      | Poke_flushed (addr, len, fill) ->
+        let src = payload fill len in
+        Device.poke_flushed d ~addr ~src ~off:0 ~len;
+        Flat.write_medium ~drop:true r addr src
+      | Clflush (addr, len) ->
+        Device.clflush d ~cat ~addr ~len;
+        Flat.clflush r addr len
+      | Mfence -> Device.mfence d ~cat
+      | Crash ->
+        Device.crash d;
+        Flat.crash r
+      | Record ->
+        if not (Device.recording d) then begin
+          Device.enable_recording d;
+          Flat.clflush r 0 size
+        end
+      | Fork ->
+        let image = Device.snapshot d in
+        images := (image, Bytes.copy r.medium) :: !images;
+        sides :=
+          Array.append !sides
+            [|
+              ( Device.of_snapshot engine (Stats.create ()) paged_config image,
+                Flat.create (Bytes.copy r.medium) );
+            |]
+      | Switch n -> cur := n mod Array.length !sides
+      | Capture seed ->
+        let state = Device.capture_crash_state d in
+        let rng = Random.State.make [| seed |] in
+        let choice =
+          Array.of_list
+            (List.map
+               (fun (_, c) -> Random.State.int rng (Array.length c))
+               state.Device.cs_choices)
+        in
+        let image = Device.materialize_crash_image state ~choice in
+        let expected = Bytes.copy r.medium in
+        List.iteri
+          (fun i (idx, c) -> Bytes.blit c.(choice.(i)) 0 expected (idx * ls) ls)
+          state.Device.cs_choices;
+        check_bytes "crash-state medium" r.medium
+          (Device.image_to_bytes state.Device.cs_image);
+        check_bytes "crash image" expected (Device.image_to_bytes image);
+        images :=
+          (image, expected) :: (state.Device.cs_image, Bytes.copy r.medium)
+          :: !images
+      | Words addr ->
+        let v = Flat.view r in
+        if Device.get_u8 d addr <> Bytes.get_uint8 v addr then fail "get_u8";
+        if Device.get_u16 d addr <> Bytes.get_uint16_le v addr then
+          fail "get_u16";
+        if
+          Device.get_u32 d addr
+          <> Int32.to_int (Bytes.get_int32_le v addr) land 0xFFFFFFFF
+        then fail "get_u32";
+        if not (Int64.equal (Device.get_u64 d addr) (Bytes.get_int64_le v addr))
+        then fail "get_u64");
+      check_side !sides.(!cur))
+    ops;
+  incr step;
+  Array.iter check_side !sides;
+  List.iter
+    (fun (image, bytes) ->
+      check_bytes "image changed after it was taken" bytes
+        (Device.image_to_bytes image))
+    !images;
+  !bad
+
+let medium_matches_flat_prop =
+  QCheck.Test.make ~name:"paged medium matches a flat reference" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list show_medium_op)
+       QCheck.Gen.(list_size (int_range 1 60) medium_op_gen))
+    (fun ops ->
+      match Testkit.run_sim (fun engine -> run_medium_ops engine ops) with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_reportf "%s" msg)
+
+(* The medium backs only the pages something wrote: PMFS's mkfs zeroes
+   its inode table into never-written pages, which stay unbacked. *)
+let test_mkfs_residency () =
+  Testkit.run_sim (fun engine ->
+      let config =
+        { Config.default with Config.nvmm_size = 384 * 1024 * 1024 }
+      in
+      let d = Testkit.make_device ~config engine in
+      check_int "a fresh device backs no page" 0 (Device.resident_pages d);
+      Hinfs_pmfs.Pmfs.mkfs d ();
+      let n = Device.resident_pages d in
+      check_bool (Fmt.str "mkfs backs %d pages (< 64)" n) true (n < 64))
+
+(* A snapshot and a device made from it share the pages: the round trip
+   copies page pointers, not pages, and a later write on either side
+   stays on that side. *)
+let test_snapshot_shares_pages () =
+  Testkit.run_sim (fun engine ->
+      let config = { Config.default with Config.nvmm_size = 1024 * 1024 } in
+      let d = Testkit.make_device ~config engine in
+      let pages = Config.blocks config and ps = config.Config.block_size in
+      for p = 0 to pages - 1 do
+        Device.poke d ~addr:(p * ps) ~src:(Bytes.make 1 'x') ~off:0 ~len:1
+      done;
+      check_int "every page backed" pages (Device.resident_pages d);
+      let before = Gc.allocated_bytes () in
+      let image = Device.snapshot d in
+      let d2 = Device.of_snapshot engine (Stats.create ()) config image in
+      let allocated = Gc.allocated_bytes () -. before in
+      check_bool
+        (Fmt.str "round trip allocates %.0f B, under a tenth of the medium"
+           allocated)
+        true
+        (allocated < float_of_int (config.Config.nvmm_size / 10));
+      check_int "the copy backs the same pages" pages
+        (Device.resident_pages d2);
+      Device.poke d2 ~addr:0 ~src:(Bytes.make 1 'y') ~off:0 ~len:1;
+      Device.poke d ~addr:ps ~src:(Bytes.make 1 'z') ~off:0 ~len:1;
+      check_int "copy sees its write" (Char.code 'y') (Device.get_u8 d2 0);
+      check_int "copy misses the original's write" (Char.code 'x')
+        (Device.get_u8 d2 ps);
+      check_int "original misses the copy's write" (Char.code 'x')
+        (Device.get_u8 d 0);
+      check_int "image unchanged" (Char.code 'x')
+        (Bytes.get_uint8 (Device.image_to_bytes image) 0))
+
 (* --- blockdev --- *)
 
 let test_blockdev_roundtrip () =
@@ -291,7 +584,11 @@ let () =
           Alcotest.test_case "dirty line tracking" `Quick
             test_dirty_line_tracking;
           Alcotest.test_case "bounds checking" `Quick test_bounds_checking;
-        ] );
+          Alcotest.test_case "mkfs residency" `Quick test_mkfs_residency;
+          Alcotest.test_case "snapshot shares pages" `Quick
+            test_snapshot_shares_pages;
+        ]
+        @ Testkit.qcheck_cases [ medium_matches_flat_prop ] );
       ( "timing",
         [
           Alcotest.test_case "nt write cost" `Quick test_write_nt_timing;

@@ -123,7 +123,7 @@ let materialize rng state =
   in
   Device.materialize_crash_image state ~choice
 
-type 'a crash = { image : Bytes.t; fence : int option; oracle : 'a }
+type 'a crash = { image : Device.image; fence : int option; oracle : 'a }
 
 (* Disarm and crash: the captured state materialised with seeded choices,
    else the medium as it stands, with the oracle snapshot taken now. *)
@@ -157,11 +157,13 @@ let mount_pmfs ?(on_device = ignore) ?label t engine config image =
 
 (* --- crashmc gates --- *)
 
-(* Run the crashmc suite at [params] (a fixed seed), print the report,
-   apply the driver's budget [gates], require zero unexpected violations,
-   every buggy fixture flagged, and a second run agreeing exactly. *)
+(* Run the crashmc suite at [params] (its seed overridden by SOAK_SEED),
+   print the report, apply the caller's budget [gates], require zero
+   unexpected violations, every buggy fixture flagged, and a second run
+   agreeing exactly. *)
 let crashmc name params gates =
-  let t = create name ~seed:params.Crashmc.seed in
+  let t = of_env name ~default:params.Crashmc.seed in
+  let params = { params with Crashmc.seed = t.seed } in
   let report = Crashmc.run_suite ~params Scenarios.all in
   Fmt.pr "%a@." Crashmc.pp_report report;
   gates t report;

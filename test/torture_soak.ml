@@ -302,14 +302,14 @@ let run_soak () =
               verify_image engine ~label:(label ^ "-recrash")
                 ~oracle:oracle_at_crash ~in_flight:racing nested
             in
-            (Some (Digest.bytes nested), Some rb)
+            (Some (Device.image_digest nested), Some rb)
         in
         round_outcomes :=
           {
             r_ops_ok = !ops_ok - ok0;
             r_ops_failed = !ops_failed - failed0;
             r_capture_fence = crash.fence;
-            r_digest1 = Digest.bytes crash.image;
+            r_digest1 = Device.image_digest crash.image;
             r_rolled_back1 = rolled_back1;
             r_digest2 = digest2;
             r_rolled_back2 = rolled_back2;
