@@ -13,7 +13,9 @@
      Ordinary stores ([write_cached], [set_u*]) land here and are lost on
      [crash] until [clflush]ed. Non-temporal stores ([write_nt]) bypass the
      cache and reach the medium directly, like movnti/clwb streaming copies
-     (PMFS's copy_from_user_inatomic_nocache data path).
+     (PMFS's copy_from_user_inatomic_nocache data path). A per-page count
+     of overlay lines ([dirty_in_page]) answers "is this line dirty?" for
+     a clean page without a table lookup.
 
    Timing: loads cost DRAM speed (the paper assumes symmetric reads); every
    cacheline stored to the medium costs [nvmm_write_ns] and must hold one of
@@ -21,6 +23,16 @@
    bandwidth emulator. Waiting for a slot is charged to the caller's stats
    category, because that is exactly the foreground/background interference
    the paper discusses (§3.2.1). *)
+
+(* Tables keyed by cacheline index. [Hashtbl.hash] keeps the buckets, and
+   so the iteration order, of the polymorphic table; the gain is the
+   int-specialised equality. *)
+module Ltbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
 
 (* Persistence-event recorder (off by default, zero cost when disabled).
 
@@ -56,7 +68,7 @@ module Record = struct
 
   type t = {
     mutable epoch : int; (* fences seen since recording was enabled *)
-    lines : (int, line) Hashtbl.t; (* cacheline index -> pending record *)
+    lines : line Ltbl.t; (* cacheline index -> pending record *)
     mutable stores : int;
     mutable flushes : int;
     mutable fences : int;
@@ -66,7 +78,7 @@ module Record = struct
   let create () =
     {
       epoch = 0;
-      lines = Hashtbl.create 256;
+      lines = Ltbl.create 256;
       stores = 0;
       flushes = 0;
       fences = 0;
@@ -85,7 +97,10 @@ type t = {
   pages : Bytes.t array; (* page index -> content; [zero] if never written *)
   owned : Bytes.t; (* per page: '\001' when this device may write in place *)
   zero : Bytes.t; (* the shared zero page *)
-  overlay : (int, Bytes.t) Hashtbl.t; (* cacheline index -> line content *)
+  overlay : Bytes.t Ltbl.t; (* cacheline index -> line content *)
+  dirty_in_page : int array; (* page index -> overlay lines in it *)
+  mutable dirty_lines : int; (* overlay lines in all *)
+  lines_per_page : int;
   bandwidth : Hinfs_sim.Resource.t;
   mutable recorder : Record.t option;
   mutable fault : Fault.t option; (* media-fault model; None = perfect *)
@@ -118,7 +133,10 @@ let of_pages engine stats config ~zero pages =
     pages;
     owned = Bytes.make (Array.length pages) '\000';
     zero;
-    overlay = Hashtbl.create 4096;
+    overlay = Ltbl.create 4096;
+    dirty_in_page = Array.make (Array.length pages) 0;
+    dirty_lines = 0;
+    lines_per_page = Config.cachelines_per_block config;
     bandwidth =
       Resource.create ~name:"nvmm-write-bandwidth"
         ~capacity:(Config.nw_slots config);
@@ -210,17 +228,34 @@ let charge t cat f =
 
 (* --- volatile overlay helpers --- *)
 
+(* Every line entering or leaving the overlay is counted here ([crash]
+   zeroes the counts), in its page for [is_dirty_line] and in all for
+   [dirty_cachelines]; checking the one checks the bookkeeping of both. *)
+let count_line t idx delta =
+  let p = idx / t.lines_per_page in
+  t.dirty_in_page.(p) <- t.dirty_in_page.(p) + delta;
+  t.dirty_lines <- t.dirty_lines + delta
+
+let add_overlay t idx line =
+  Ltbl.add t.overlay idx line;
+  count_line t idx 1
+
+let drop_overlay t idx =
+  Ltbl.remove t.overlay idx;
+  count_line t idx (-1)
+
 let overlay_line t idx =
-  match Hashtbl.find_opt t.overlay idx with
+  match Ltbl.find_opt t.overlay idx with
   | Some line -> line
   | None ->
     let line = medium_line t idx in
-    Hashtbl.replace t.overlay idx line;
+    add_overlay t idx line;
     line
 
-let dirty_cachelines t = Hashtbl.length t.overlay
+let dirty_cachelines t = t.dirty_lines
 
-let is_dirty_line t idx = Hashtbl.mem t.overlay idx
+let is_dirty_line t idx =
+  t.dirty_in_page.(idx / t.lines_per_page) > 0 && Ltbl.mem t.overlay idx
 
 (* The one loop over the cached lines a byte range [addr, addr+len)
    touches, each clipped to the range; [buf] holds the range from [off].
@@ -236,7 +271,7 @@ let cached_spans t op ~addr ~len buf off =
     let ls = line_size t in
     for idx = addr / ls to (addr + len - 1) / ls do
       if is_dirty_line t idx then begin
-        let line = Hashtbl.find t.overlay idx in
+        let line = Ltbl.find t.overlay idx in
         let line_start = idx * ls in
         let copy_start = max addr line_start in
         let n = min (addr + len) (line_start + ls) - copy_start in
@@ -244,7 +279,7 @@ let cached_spans t op ~addr ~len buf off =
         let buf_off = off + copy_start - addr in
         match op with
         | Load -> Bytes.blit line line_off buf buf_off n
-        | Merge_nt when n = ls -> Hashtbl.remove t.overlay idx
+        | Merge_nt when n = ls -> drop_overlay t idx
         | Merge | Merge_nt -> Bytes.blit buf buf_off line line_off n
       end
     done
@@ -252,13 +287,13 @@ let cached_spans t op ~addr ~len buf off =
 
 let dirty_line_addrs t =
   let ls = line_size t in
-  Hashtbl.fold (fun idx _ acc -> (idx * ls) :: acc) t.overlay []
+  Ltbl.fold (fun idx _ acc -> (idx * ls) :: acc) t.overlay []
   |> List.sort compare
 
 (* --- recorder hooks (no-ops when recording is disabled) --- *)
 
 let record_line t (r : Record.t) idx =
-  match Hashtbl.find_opt r.Record.lines idx with
+  match Ltbl.find_opt r.Record.lines idx with
   | Some rl -> rl
   | None ->
     let rl =
@@ -268,7 +303,7 @@ let record_line t (r : Record.t) idx =
         store_epoch = -1;
       }
     in
-    Hashtbl.replace r.Record.lines idx rl;
+    Ltbl.add r.Record.lines idx rl;
     rl
 
 (* Called BEFORE the store mutates the overlay line: if the line is dirty
@@ -280,7 +315,7 @@ let record_store t idx =
   | Some r ->
     r.Record.stores <- r.Record.stores + 1;
     let rl = record_line t r idx in
-    (match Hashtbl.find_opt t.overlay idx with
+    (match Ltbl.find_opt t.overlay idx with
     | Some line
       when rl.Record.store_epoch >= 0 && rl.Record.store_epoch < r.Record.epoch
       ->
@@ -339,7 +374,7 @@ let record_nt_post t ~addr ~len =
 let record_fence_collapse (r : Record.t) dirty_line =
   r.Record.epoch <- r.Record.epoch + 1;
   let drop = ref [] in
-  Hashtbl.iter
+  Ltbl.iter
     (fun idx (rl : Record.line) ->
       let rec collapse newer = function
         | [] -> ()
@@ -352,7 +387,7 @@ let record_fence_collapse (r : Record.t) dirty_line =
       if rl.Record.versions = [] && not (dirty_line idx) then
         drop := idx :: !drop)
     r.Record.lines;
-  List.iter (Hashtbl.remove r.Record.lines) !drop
+  List.iter (Ltbl.remove r.Record.lines) !drop
 
 let record_fence t =
   match t.recorder with
@@ -374,7 +409,7 @@ let record_forget t ~addr ~len =
       let ls = line_size t in
       let first = addr / ls and last = (addr + len - 1) / ls in
       for idx = first to last do
-        Hashtbl.remove r.Record.lines idx
+        Ltbl.remove r.Record.lines idx
       done
     end
 
@@ -526,13 +561,13 @@ let write_cached t ~cat ~addr ~src ~off ~len =
    and writes the line back. Both [clflush] and [flush_all_untimed] go
    through here so timed and test-setup persistence cannot diverge. *)
 let persist_line t idx =
-  match Hashtbl.find_opt t.overlay idx with
-  | None -> ()
-  | Some line ->
+  if is_dirty_line t idx then begin
+    let line = Ltbl.find t.overlay idx in
     record_flush t idx line;
     medium_write t ~addr:(idx * line_size t) line 0 (line_size t);
-    Hashtbl.remove t.overlay idx;
+    drop_overlay t idx;
     fault_store_line t idx
+  end
 
 (* Flush the dirty cachelines intersecting [addr, addr+len) to the medium.
    Clean lines only pay the instruction-issue cost. *)
@@ -634,9 +669,9 @@ let get_word t addr n get =
   let lo = addr land (ls - 1) in
   if lo + n > ls then get (peek t ~addr ~len:n) 0
   else
-    match Hashtbl.find_opt t.overlay (addr / ls) with
-    | Some line -> get line lo
-    | None ->
+    let idx = addr / ls in
+    if is_dirty_line t idx then get (Ltbl.find t.overlay idx) lo
+    else
       let ps = page_size t in
       get t.pages.(addr / ps) (addr mod ps)
 
@@ -678,10 +713,12 @@ let set_int t ~cat addr v = set_u64 t ~cat addr (Int64.of_int v)
 (* --- crash injection --- *)
 
 let crash t =
-  Hashtbl.reset t.overlay;
+  Ltbl.reset t.overlay;
+  Array.fill t.dirty_in_page 0 (Array.length t.dirty_in_page) 0;
+  t.dirty_lines <- 0;
   match t.recorder with
   | None -> ()
-  | Some r -> Hashtbl.reset r.Record.lines
+  | Some r -> Ltbl.reset r.Record.lines
 
 (* The persistent medium as an image (what a crash would leave). The
    device hands its pages to the image and owns none of them afterwards,
@@ -721,7 +758,7 @@ let image_digest image =
    [clflush], then make the result guaranteed (flush-all acts as flush +
    fence, minus the timing and the fence hook). *)
 let flush_all_untimed t =
-  Hashtbl.fold (fun idx _ acc -> idx :: acc) t.overlay []
+  Ltbl.fold (fun idx _ acc -> idx :: acc) t.overlay []
   |> List.sort compare
   |> List.iter (fun idx -> persist_line t idx);
   match t.recorder with
@@ -752,13 +789,13 @@ let pending_choice_lines t =
   let recorded =
     match t.recorder with
     | None -> 0
-    | Some r -> Hashtbl.length r.Record.lines
+    | Some r -> Ltbl.length r.Record.lines
   in
   let dirty_unrecorded =
-    Hashtbl.fold
+    Ltbl.fold
       (fun idx _ acc ->
         match t.recorder with
-        | Some r when Hashtbl.mem r.Record.lines idx -> acc
+        | Some r when Ltbl.mem r.Record.lines idx -> acc
         | _ -> acc + 1)
       t.overlay 0
   in
@@ -785,7 +822,7 @@ let capture_crash_state ?(label = "crash") t =
       | None -> [ medium_line t idx ]
     in
     let cands =
-      match Hashtbl.find_opt t.overlay idx with
+      match Ltbl.find_opt t.overlay idx with
       | Some line -> cands @ [ Bytes.copy line ]
       | None -> cands
     in
@@ -806,17 +843,17 @@ let capture_crash_state ?(label = "crash") t =
   (match t.recorder with
   | None -> ()
   | Some r ->
-    Hashtbl.iter
+    Ltbl.iter
       (fun idx rl ->
         match choice idx (Some rl) with
         | None -> ()
         | Some c -> choices := c :: !choices)
       r.Record.lines);
-  Hashtbl.iter
+  Ltbl.iter
     (fun idx _ ->
       let recorded =
         match t.recorder with
-        | Some r -> Hashtbl.mem r.Record.lines idx
+        | Some r -> Ltbl.mem r.Record.lines idx
         | None -> false
       in
       if not recorded then

@@ -85,14 +85,27 @@ let set_current t pid =
     t.on_switch pid
   end
 
-let at t time thunk =
+type timer = (unit -> unit) Heap.entry
+
+let schedule t time thunk =
   if Int64.compare time t.now < 0 then
     invalid_arg "Engine.at: time is in the past";
   let seq = t.seq in
   t.seq <- seq + 1;
   Heap.add t.events ~time ~seq thunk
 
+let at t time thunk = ignore (schedule t time thunk)
+
 let after t delay thunk = at t (Int64.add t.now delay) thunk
+
+(* A cancelled timer's event leaves the queue at once instead of staying
+   until its time as a dead event. It took its [seq] at insertion, so
+   cancelling it reorders no other event. *)
+let timer t delay thunk = schedule t (Int64.add t.now delay) thunk
+
+let cancel t timer = Heap.remove t.events timer
+
+let pending t = Heap.length t.events
 
 let wake w v =
   match w.state with

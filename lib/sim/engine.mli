@@ -56,6 +56,20 @@ val at : t -> int64 -> (unit -> unit) -> unit
 val after : t -> int64 -> (unit -> unit) -> unit
 (** [after t d thunk] is [at t (now t + d) thunk]. *)
 
+type timer
+(** A scheduled event that can be cancelled before it fires. *)
+
+val timer : t -> int64 -> (unit -> unit) -> timer
+(** [timer t d thunk] is [after t d thunk], returning a handle for
+    {!cancel}. *)
+
+val cancel : t -> timer -> unit
+(** Remove a timer's event from the queue unfired. A no-op if it already
+    fired or was cancelled. *)
+
+val pending : t -> int
+(** Number of events in the queue. *)
+
 val wake : 'a waker -> 'a -> bool
 (** [wake w v] resumes the suspended process with value [v]. Returns [false]
     (and does nothing) if the waker already fired. *)

@@ -3,9 +3,12 @@
    Keys are (time, seq) pairs; [seq] is a strictly increasing sequence number
    assigned at insertion so that events scheduled for the same virtual time
    fire in FIFO order — this is what makes the whole simulation
-   deterministic. *)
+   deterministic.
 
-type 'a entry = { time : int64; seq : int; payload : 'a }
+   Every entry knows its own slot ([pos], -1 once popped or removed), so an
+   entry can be removed from the middle in O(log n). *)
+
+type 'a entry = { time : int64; seq : int; payload : 'a; mutable pos : int }
 
 type 'a t = {
   mutable data : 'a entry array;
@@ -23,30 +26,39 @@ let lt a b =
   | 0 -> a.seq < b.seq
   | c -> c < 0
 
-let swap t i j =
-  let tmp = t.data.(i) in
-  t.data.(i) <- t.data.(j);
-  t.data.(j) <- tmp
+let set t i e =
+  t.data.(i) <- e;
+  e.pos <- i
 
-let rec sift_up t i =
+(* Move [e] up from the hole at [i] to its place. *)
+let rec sift_up t i e =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if lt t.data.(i) t.data.(parent) then begin
-      swap t i parent;
-      sift_up t parent
+    let p = t.data.(parent) in
+    if lt e p then begin
+      set t i p;
+      sift_up t parent e
     end
+    else set t i e
   end
+  else set t i e
 
-let rec sift_down t i =
+(* Move [e] down from the hole at [i] to its place. *)
+let rec sift_down t i e =
   let left = (2 * i) + 1 in
-  let right = left + 1 in
-  let smallest = ref i in
-  if left < t.size && lt t.data.(left) t.data.(!smallest) then smallest := left;
-  if right < t.size && lt t.data.(right) t.data.(!smallest) then
-    smallest := right;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
+  if left >= t.size then set t i e
+  else begin
+    let right = left + 1 in
+    let child =
+      if right < t.size && lt t.data.(right) t.data.(left) then right
+      else left
+    in
+    let c = t.data.(child) in
+    if lt c e then begin
+      set t i c;
+      sift_down t child e
+    end
+    else set t i e
   end
 
 let grow t =
@@ -62,22 +74,36 @@ let grow t =
   end
 
 let add t ~time ~seq payload =
-  let entry = { time; seq; payload } in
+  let entry = { time; seq; payload; pos = -1 } in
   if Array.length t.data = 0 then t.data <- Array.make 16 entry else grow t;
-  t.data.(t.size) <- entry;
   t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  sift_up t (t.size - 1) entry;
+  entry
 
 let peek t = if t.size = 0 then None else Some t.data.(0)
+
+(* Fill the hole at [i] with the last entry, which may belong above or
+   below it. *)
+let fill_hole t i =
+  t.size <- t.size - 1;
+  if i < t.size then begin
+    let last = t.data.(t.size) in
+    if i > 0 && lt last t.data.((i - 1) / 2) then sift_up t i last
+    else sift_down t i last
+  end
 
 let pop t =
   if t.size = 0 then None
   else begin
     let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
+    top.pos <- -1;
+    fill_hole t 0;
     Some top
+  end
+
+let remove t e =
+  let i = e.pos in
+  if i >= 0 && i < t.size && t.data.(i) == e then begin
+    e.pos <- -1;
+    fill_hole t i
   end

@@ -31,6 +31,7 @@ for seed in 4242 1001 90210; do
   SOAK_SEED=$seed dune build @chaos-soak --force
   SOAK_SEED=$seed dune build @serve-soak --force
   SOAK_SEED=$seed dune build @crashmc-smoke --force
+  SOAK_SEED=$seed dune build @crashmc-recovery --force
 done
 
 sh scripts/bench_check.sh

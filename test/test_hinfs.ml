@@ -496,6 +496,28 @@ let test_age_flush_cleans_old_blocks () =
       check_int "ordered txn committed by daemon" 0 (H.pending_txns fs);
       H.unmount fs)
 
+(* Signalled timed waits cancel their timers, so a populate under running
+   daemons queues at most one event per process instead of one dead timer
+   per signal. *)
+let test_daemons_queue_only_live_events () =
+  Testkit.run_sim (fun engine ->
+      let _d, fs =
+        Testkit.make_hinfs ~hcfg:Testkit.small_hcfg ~daemons:true engine
+      in
+      let h = H.handle fs in
+      let payload = Testkit.pattern_bytes ~seed:8 6000 in
+      let excess = ref 0 in
+      for i = 0 to 199 do
+        let fd = h.Vfs.open_ (Printf.sprintf "/p%d" i) Types.creat in
+        ignore (h.Vfs.write fd payload 6000);
+        h.Vfs.fsync fd;
+        h.Vfs.close fd;
+        excess :=
+          max !excess (Engine.pending engine - Engine.live_processes engine)
+      done;
+      check_int "events beyond one per process" 0 !excess;
+      H.unmount fs)
+
 let test_unlink_drops_dirty_buffers_without_writeback () =
   let stats = Stats.create () in
   Testkit.run_sim (fun engine ->
@@ -838,6 +860,8 @@ let () =
           Alcotest.test_case "daemon reclaims to high watermark" `Quick
             test_daemon_reclaims_to_high_watermark;
           Alcotest.test_case "age flush" `Quick test_age_flush_cleans_old_blocks;
+          Alcotest.test_case "daemons queue only live events" `Quick
+            test_daemons_queue_only_live_events;
           Alcotest.test_case "unlink drops buffers" `Quick
             test_unlink_drops_dirty_buffers_without_writeback;
           Alcotest.test_case "unmount flushes" `Quick

@@ -359,7 +359,8 @@ let medium_op_gen =
 (* Run [ops] on a device and on the flat reference side by side; [Some
    msg] names the first disagreement. After every op the device's
    [read], [peek] and [peek_persistent] of the whole medium must equal the
-   reference byte for byte; at the end so must every device forked on the
+   reference byte for byte, and its [dirty_cachelines] the reference's
+   cached line count; at the end so must every device forked on the
    way, and every image taken must still hold the bytes it was taken
    with. *)
 let run_medium_ops engine ops =
@@ -382,6 +383,8 @@ let run_medium_ops engine ops =
     if not (Bytes.equal expected actual) then fail what
   in
   let check_side (d, (r : Flat.t)) =
+    if Device.dirty_cachelines d <> Hashtbl.length r.cache then
+      fail "dirty_cachelines";
     check_bytes "read" (Flat.view r)
       (Device.read_alloc d ~cat ~addr:0 ~len:size);
     check_bytes "peek" (Flat.view r) (Device.peek d ~addr:0 ~len:size);

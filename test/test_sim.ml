@@ -19,7 +19,7 @@ let test_heap_order () =
   let h = Heap.create () in
   let seq = ref 0 in
   let add time payload =
-    Heap.add h ~time ~seq:!seq payload;
+    ignore (Heap.add h ~time ~seq:!seq payload);
     incr seq
   in
   add 30L "c";
@@ -43,7 +43,7 @@ let test_heap_random () =
   let rng = Rng.create ~seed:42L in
   let n = 1000 in
   for i = 0 to n - 1 do
-    Heap.add h ~time:(Int64.of_int (Rng.int rng 100)) ~seq:i i
+    ignore (Heap.add h ~time:(Int64.of_int (Rng.int rng 100)) ~seq:i i)
   done;
   let prev = ref (-1L, -1) in
   for _ = 1 to n do
@@ -55,6 +55,46 @@ let test_heap_random () =
         (Int64.compare pt time < 0 || (Int64.equal pt time && ps < seq));
       prev := (time, seq)
   done
+
+(* Random add/pop/remove sequences against a sorted-list model. [Remove k]
+   names the k-th entry ever added (mod the count), so it also removes
+   entries already popped or removed, which must be no-ops. *)
+let heap_model_prop =
+  QCheck.Test.make ~name:"heap matches sorted-list model" ~count:300
+    QCheck.(list (pair (int_bound 2) (int_bound 40)))
+    (fun ops ->
+      let h = Heap.create () in
+      let model = ref [] in
+      let added = ref [] in
+      let seq = ref 0 in
+      let key (e : int Heap.entry) = (e.Heap.time, e.Heap.seq) in
+      List.iter
+        (fun (op, v) ->
+          match op with
+          | 0 ->
+            let e = Heap.add h ~time:(Int64.of_int v) ~seq:!seq !seq in
+            incr seq;
+            added := !added @ [ e ];
+            model := List.sort compare (key e :: !model)
+          | 1 -> (
+            match (Heap.pop h, !model) with
+            | None, [] -> ()
+            | Some e, k :: rest when key e = k -> model := rest
+            | _ -> QCheck.Test.fail_report "pop disagrees with the model")
+          | _ ->
+            if !added <> [] then begin
+              let e = List.nth !added (v mod List.length !added) in
+              Heap.remove h e;
+              model := List.filter (fun k -> k <> key e) !model
+            end)
+        ops;
+      if Heap.length h <> List.length !model then
+        QCheck.Test.fail_reportf "length %d, model %d" (Heap.length h)
+          (List.length !model);
+      let rec drain acc =
+        match Heap.pop h with None -> List.rev acc | Some e -> drain (key e :: acc)
+      in
+      drain [] = !model)
 
 (* --- engine basics --- *)
 
@@ -261,6 +301,32 @@ let test_condvar_timeout_then_signal_no_double_wake () =
       ignore (Condvar.signal c));
   check_bool "signal reached the live waiter" true !second_woken
 
+(* A signalled timed wait cancels its timer: nothing stays queued, and the
+   engine drains at the signal, not at the dead timer's deadline. *)
+let test_condvar_signal_cancels_timer () =
+  let engine = Engine.create () in
+  let c = Condvar.create engine in
+  let pending = ref (-1) in
+  Engine.spawn engine (fun () ->
+      ignore (Condvar.wait_timeout c ~timeout:1_000_000L);
+      pending := Engine.pending engine);
+  Engine.spawn engine (fun () ->
+      Proc.delay 10L;
+      ignore (Condvar.signal c));
+  Engine.run engine;
+  check_int "no event queued after the wake" 0 !pending;
+  check_i64 "drained at the signal" 10L (Engine.now engine)
+
+(* Timeouts on a condvar nobody signals leave no wakers behind. *)
+let test_condvar_timeouts_drop_wakers () =
+  Testkit.run_sim (fun engine ->
+      let c = Condvar.create engine in
+      for _ = 1 to 100 do
+        ignore (Condvar.wait_timeout c ~timeout:5L)
+      done;
+      check_int "live waiters" 0 (Condvar.waiting c);
+      check_bool "fired wakers dropped" true (Condvar.queued c <= 1))
+
 (* A soak run cut short by a process blocked forever must fail with its
    seed, whether the blocked process is the main one or a child. *)
 let test_condvar_blocked_soak_run_fails () =
@@ -391,7 +457,8 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_heap_order;
           Alcotest.test_case "random monotone" `Quick test_heap_random;
-        ] );
+        ]
+        @ Testkit.qcheck_cases [ heap_model_prop ] );
       ( "engine",
         [
           Alcotest.test_case "delay advances clock" `Quick
@@ -403,6 +470,8 @@ let () =
             test_exception_propagates;
           Alcotest.test_case "negative delay is a no-op" `Quick
             test_negative_delay_rejected;
+          Alcotest.test_case "signalled timed wait leaves no event" `Quick
+            test_condvar_signal_cancels_timer;
         ] );
       ( "resource",
         [
@@ -424,6 +493,8 @@ let () =
           Alcotest.test_case "broadcast" `Quick test_condvar_broadcast;
           Alcotest.test_case "timed-out waiter skipped" `Quick
             test_condvar_timeout_then_signal_no_double_wake;
+          Alcotest.test_case "timeouts drop fired wakers" `Quick
+            test_condvar_timeouts_drop_wakers;
           Alcotest.test_case "blocked soak run fails" `Quick
             test_condvar_blocked_soak_run_fails;
         ] );
