@@ -992,18 +992,6 @@ let micro () =
     Test.make ~name:"btree.find"
       (Staged.stage (fun () -> ignore (Hinfs_structures.Btree.find btree 7777)))
   in
-  let radix =
-    let t = Hinfs_structures.Radix_tree.create () in
-    for i = 0 to 9999 do
-      Hinfs_structures.Radix_tree.insert t i i
-    done;
-    t
-  in
-  let radix_find =
-    Test.make ~name:"radix.find"
-      (Staged.stage (fun () ->
-           ignore (Hinfs_structures.Radix_tree.find radix 7777)))
-  in
   let clbitmap_runs =
     let m =
       Hinfs.Clbitmap.add_range
@@ -1023,7 +1011,7 @@ let micro () =
            ignore (Hinfs_sim.Zipf.sample zipf_gen zipf_rng)))
   in
   let tests =
-    [ btree_insert; btree_find; radix_find; clbitmap_runs; zipf_sample ]
+    [ btree_insert; btree_find; clbitmap_runs; zipf_sample ]
   in
   let instances = [ Toolkit.Instance.monotonic_clock ] in
   let cfg =

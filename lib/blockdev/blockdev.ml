@@ -16,7 +16,6 @@
    performance story — and are counted separately. The tier destages back
    through {!write_range}, which pays the normal per-request overhead. *)
 
-module Proc = Hinfs_sim.Proc
 module Stats = Hinfs_stats.Stats
 module Device = Hinfs_nvmm.Device
 module Config = Hinfs_nvmm.Config
@@ -46,9 +45,6 @@ type t = {
   device : Device.t;
   block_size : int;
   nblocks : int;
-  mutable reads : int;
-  mutable writes : int;
-  mutable absorbed : int;
   mutable tier : tier option;
 }
 
@@ -58,18 +54,12 @@ let create device =
     device;
     block_size = config.Config.block_size;
     nblocks = Config.blocks config;
-    reads = 0;
-    writes = 0;
-    absorbed = 0;
     tier = None;
   }
 
 let device t = t.device
 let block_size t = t.block_size
 let nblocks t = t.nblocks
-let read_requests t = t.reads
-let write_requests t = t.writes
-let absorbed_writes t = t.absorbed
 let attach_tier t tier = t.tier <- tier
 let tier_name t = match t.tier with None -> None | Some x -> Some x.tier_name
 
@@ -78,16 +68,14 @@ let check_block t block =
     Fmt.invalid_arg "Blockdev: block %d out of range [0, %d)" block t.nblocks
 
 let charge_request t =
-  let ns = (Device.config t.device).Config.block_request_ns in
-  Stats.add_time (Device.stats t.device) Stats.Block_layer (Int64.of_int ns);
-  Proc.delay_int ns
+  Device.charge_ns t.device Stats.Block_layer
+    (Device.config t.device).Config.block_request_ns
 
 let read_block t ~cat block ~into ~off =
   check_block t block;
   if off < 0 || off + t.block_size > Bytes.length into then
     invalid_arg "Blockdev.read_block: bad destination range";
   charge_request t;
-  t.reads <- t.reads + 1;
   Stats.add_block_read (Device.stats t.device);
   let served =
     match t.tier with
@@ -107,13 +95,9 @@ let write_block ?(background = false) ?dirty t ~cat block ~src ~off =
     | None -> false
     | Some tier -> tier.tier_write ~background ~cat ~block ~src ~off ~dirty
   in
-  if absorbed then begin
-    t.absorbed <- t.absorbed + 1;
-    Stats.add_block_absorbed (Device.stats t.device)
-  end
+  if absorbed then Stats.add_block_absorbed (Device.stats t.device)
   else begin
     charge_request t;
-    t.writes <- t.writes + 1;
     Stats.add_block_write (Device.stats t.device);
     Device.write_nt ~background t.device ~cat ~addr:(block * t.block_size)
       ~src ~off ~len:t.block_size;
@@ -131,7 +115,6 @@ let write_range ?(background = false) t ~cat ~addr ~src ~off ~len =
   if addr < 0 || len < 0 || addr + len > t.nblocks * t.block_size then
     invalid_arg "Blockdev.write_range: bad device range";
   charge_request t;
-  t.writes <- t.writes + 1;
   Stats.add_block_write (Device.stats t.device);
   Device.write_nt ~background t.device ~cat ~addr ~src ~off ~len
 

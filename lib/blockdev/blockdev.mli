@@ -9,11 +9,10 @@ val create : Hinfs_nvmm.Device.t -> t
 val device : t -> Hinfs_nvmm.Device.t
 val block_size : t -> int
 val nblocks : t -> int
-val read_requests : t -> int
-val write_requests : t -> int
-
-val absorbed_writes : t -> int
-(** Writes swallowed by the attached tier instead of becoming requests. *)
+(** Request counts live in the device's {!Hinfs_stats.Stats}:
+    [block_read_requests], [block_write_requests] and
+    [block_absorbed_writes] (writes swallowed by the attached tier instead
+    of becoming requests). *)
 
 (** {1 Tier interposition}
 

@@ -149,22 +149,6 @@ let buffered_block t fst fblock =
     then Some b
     else None
 
-(* --- timing helpers --- *)
-
-let charge t cat ns =
-  if ns > 0 then begin
-    Stats.add_time (stats t) cat (Int64.of_int ns);
-    Proc.delay_int ns
-  end
-
-let charge_dram_write t cat bytes =
-  let cl = cacheline t in
-  charge t cat (((bytes + cl - 1) / cl) * (config t).Config.dram_write_ns)
-
-let charge_dram_read t cat bytes =
-  let cl = cacheline t in
-  charge t cat (((bytes + cl - 1) / cl) * (config t).Config.dram_read_ns)
-
 (* --- pending transaction management --- *)
 
 (* The journal a file's pending transaction lives on: its home shard's. *)
@@ -511,7 +495,7 @@ let lazy_write_segment t fst ~fblock ~in_block ~src ~src_off ~len =
         else Clbitmap.full_mask nlines
       in
       fetch_lines t b to_fetch;
-      charge_dram_write t Stats.Write_access len;
+      Device.charge_memcpy (device t) Stats.Write_access `Write len;
       Bytes.blit src src_off b.Buffer_pool.data in_block len;
       let dirty_lines =
         if t.hcfg.Hconfig.clfw then lines else Clbitmap.full_mask nlines
@@ -539,7 +523,7 @@ let eager_write_segment t fst ~fblock ~in_block ~src ~src_off ~len =
         in
         fetch_lines t b
           (Clbitmap.boundary_partials ~cacheline_size:cl ~off:in_block ~len);
-        charge_dram_write t Stats.Write_access len;
+        Device.charge_memcpy (device t) Stats.Write_access `Write len;
         Bytes.blit src src_off b.Buffer_pool.data in_block len;
         mark_block_dirty t fst b lines);
     flush_block t b ~evict:false
@@ -666,7 +650,7 @@ let read_buffered_segment t b ~in_block ~len ~into ~into_off =
       let n = run_end - run_start in
       let dst_off = into_off + (run_start - seg_start) in
       if from_dram then begin
-        charge_dram_read t Stats.Read_access n;
+        Device.charge_memcpy (device t) Stats.Read_access `Read n;
         Bytes.blit b.Buffer_pool.data run_start into dst_off n
       end
       else if
@@ -676,7 +660,7 @@ let read_buffered_segment t b ~in_block ~len ~into ~into_off =
              b.Buffer_pool.home_valid)
       then begin
         (* Never written anywhere: zero fill. *)
-        charge_dram_read t Stats.Read_access n;
+        Device.charge_memcpy (device t) Stats.Read_access `Read n;
         Bytes.fill into dst_off n '\000'
       end
       else

@@ -54,23 +54,11 @@ type t = {
 let device t = Blockdev.device t.bdev
 let bdev t = t.bdev
 let total_blocks t = t.geo.Elayout.total_blocks
-let stats t = Device.stats (device t)
 let now t = Engine.now (Device.engine (device t))
 let block_size t = t.geo.Elayout.block_size
 let mode t = t.mode
 
 let mcat = Stats.Other
-
-let charge_copy t cat len =
-  if len > 0 then begin
-    let config = Device.config (device t) in
-    let lines =
-      (len + config.Config.cacheline_size - 1) / config.Config.cacheline_size
-    in
-    let ns = lines * config.Config.dram_read_ns in
-    Stats.add_time (stats t) cat (Int64.of_int ns);
-    Proc.delay_int ns
-  end
 
 (* --- metadata access through the page cache (+ journal in EXT4 modes) --- *)
 
@@ -378,7 +366,7 @@ let read t ~ino ~off ~len ~into ~into_off =
             ~into_off:(into_off + done_)
       | None ->
         Bytes.fill into (into_off + done_) chunk '\000';
-        charge_copy t cat chunk);
+        Device.charge_memcpy (device t) cat `Read chunk);
       copy (done_ + chunk)
     end
   in

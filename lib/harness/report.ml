@@ -36,7 +36,6 @@ let table ppf ~header rows =
     Fmt.pf ppf "@."
   in
   print_row header;
-  List.iteri (fun i w -> ignore i; ignore w) header;
   Fmt.pf ppf "%s@."
     (String.concat "  " (Array.to_list (Array.map (fun w -> String.make w '-') widths)));
   List.iter print_row rows

@@ -44,7 +44,6 @@ type t = {
       (* home block -> current content provider *)
   mutable ordered_data : (unit -> unit) list;
   mutable commits : int;
-  mutable blocks_logged : int;
 }
 
 let cat = Stats.Journal
@@ -62,11 +61,9 @@ let create bdev ~first_block ~blocks =
     running = Hashtbl.create 16;
     ordered_data = [];
     commits = 0;
-    blocks_logged = 0;
   }
 
 let commits t = t.commits
-let blocks_logged t = t.blocks_logged
 let running_blocks t = Hashtbl.length t.running
 
 (* Register a dirty metadata block in the running transaction. The content
@@ -112,7 +109,6 @@ let commit_batch t entries =
           Hinfs_blockdev.Blockdev.write_block t.bdev ~cat
             (t.first_block + 1 + i)
             ~src:image ~off:0;
-          t.blocks_logged <- t.blocks_logged + 1;
           (block, image))
         entries
     in

@@ -10,7 +10,6 @@ type t
 val create : Hinfs_blockdev.Blockdev.t -> first_block:int -> blocks:int -> t
 
 val commits : t -> int
-val blocks_logged : t -> int
 val running_blocks : t -> int
 
 val journal_metadata : t -> block:int -> content:(unit -> Bytes.t) -> unit

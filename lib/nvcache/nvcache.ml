@@ -243,15 +243,6 @@ let used_bytes t =
   | Logging -> t.used
   | Paging -> (Array.length t.slots - List.length t.free_slots) * t.block_size
 
-let charge_nvmm_read t ~cat len =
-  if len > 0 then begin
-    let config = Device.config t.device in
-    let lines = (len + line - 1) / line in
-    let ns = lines * config.Config.dram_read_ns in
-    Stats.add_time (Device.stats t.device) cat (Int64.of_int ns);
-    Proc.delay_int ns
-  end
-
 (* --- locks (cooperative) --- *)
 
 let append_lock t =
@@ -333,7 +324,7 @@ let destage_some ?(background = false) t ~cat =
             | Qlog { q_item = Lpad; _ } -> ()
             | Qlog { q_item = Ldata d; _ } ->
               let e = d.l_entry in
-              charge_nvmm_read t ~cat e.e_len;
+              Device.charge_memcpy t.device cat `Read e.e_len;
               let addr = (d.l_block * t.block_size) + d.l_doff in
               if !run_addr < 0 || addr <> !run_addr + Buffer.length run then begin
                 flush_run ();
@@ -346,7 +337,7 @@ let destage_some ?(background = false) t ~cat =
               | Sstale -> ()
               | Squeued ->
                 slot.s_state <- Sdestaging;
-                charge_nvmm_read t ~cat t.block_size;
+                Device.charge_memcpy t.device cat `Read t.block_size;
                 Blockdev.write_range ~background t.bdev ~cat
                   ~addr:(slot.s_block * t.block_size)
                   ~src:slot.s_payload ~off:0 ~len:t.block_size;
@@ -588,7 +579,7 @@ let tier_read t ~cat ~block ~into ~off =
       Device.read t.device ~cat ~addr:(block * t.block_size) ~len:t.block_size
         ~into ~off;
       overlay_log ~into ~off entries;
-      charge_nvmm_read t ~cat
+      Device.charge_memcpy t.device cat `Read
         (List.fold_left (fun a e -> a + e.e_len) 0 entries);
       true)
   | Paging -> (
@@ -596,7 +587,7 @@ let tier_read t ~cat ~block ~into ~off =
     | None -> false
     | Some slot ->
       let data = Bytes.copy slot.s_payload in
-      charge_nvmm_read t ~cat t.block_size;
+      Device.charge_memcpy t.device cat `Read t.block_size;
       Bytes.blit data 0 into off t.block_size;
       true)
 

@@ -220,11 +220,35 @@ let medium_line t idx =
 let resident_pages t =
   Array.fold_left (fun n p -> if p == t.zero then n else n + 1) 0 t.pages
 
-let charge t cat f =
+(* The one place a cost becomes virtual time and [Stats] time. [charge]
+   times [f] on the clock; [span], if given, records the same interval as
+   an [Obs] span from the same [t0]. *)
+let charge ?span t cat f =
   let t0 = Proc.now () in
   let result = f () in
   Stats.add_time t.stats cat (Int64.sub (Proc.now ()) t0);
+  (match span with Some k -> Obs.span_since k ~t0 | None -> ());
   result
+
+(* A fixed cost computed by the caller. The time is booked before the
+   sleep, so a run that ends mid-sleep still counts it; 0 does nothing. *)
+let charge_ns ?span t cat ns =
+  if ns > 0 then begin
+    let t0 = match span with Some _ -> Proc.now () | None -> 0L in
+    Stats.add_time t.stats cat (Int64.of_int ns);
+    Proc.delay_int ns;
+    match span with Some k -> Obs.span_since k ~t0 | None -> ()
+  end
+
+(* A CPU copy of [len] bytes at DRAM speed, one cost per cacheline. *)
+let charge_memcpy t cat access len =
+  let ls = t.config.Config.cacheline_size in
+  let per_line =
+    match access with
+    | `Read -> t.config.Config.dram_read_ns
+    | `Write -> t.config.Config.dram_write_ns
+  in
+  charge_ns t cat ((len + ls - 1) / ls * per_line)
 
 (* --- volatile overlay helpers --- *)
 
@@ -507,10 +531,33 @@ let read t ~cat ~addr ~len ~into ~off =
     Stats.add_nvmm_read t.stats len
   end
 
+(* Bounded retry of transient media faults under [policy], each retry
+   after a backoff charged on the clock as a [Dev_retry] span. The final
+   [Fault.Media_error] (poison, or retries used up) propagates. *)
+let read_retrying t ~policy ~cat ~addr ~len ~into ~off =
+  let rec go attempt =
+    try read t ~cat ~addr ~len ~into ~off with
+    | Fault.Media_error { transient = true; _ }
+      when attempt < policy.Fault.max_retries ->
+      Stats.add_media_retry t.stats;
+      charge_ns ~span:Obs.Dev_retry t cat
+        (Fault.retry_backoff_ns policy ~attempt);
+      go (attempt + 1)
+  in
+  go 0
+
 let read_alloc t ~cat ~addr ~len =
   let buf = Bytes.create len in
   read t ~cat ~addr ~len ~into:buf ~off:0;
   buf
+
+(* Stream [lines] to the medium holding one of the N_w bandwidth slots;
+   the wait for the slot is an [Obs] span of its own. *)
+let stream_lines t lines =
+  let t0 = if Obs.enabled () then Proc.now () else 0L in
+  Resource.with_resource t.bandwidth 1 (fun () ->
+      Obs.span_since Obs.Slot_wait ~t0;
+      Proc.delay_int (lines * t.config.Config.nvmm_write_ns))
 
 let write_nt ?(background = false) t ~cat ~addr ~src ~off ~len =
   check_range t ~addr ~len;
@@ -518,11 +565,7 @@ let write_nt ?(background = false) t ~cat ~addr ~src ~off ~len =
     invalid_arg "Device.write_nt: source range out of bounds";
   if len > 0 then begin
     let lines = Config.cachelines_in t.config ~addr ~len in
-    charge t cat (fun () ->
-        let t0 = if Obs.enabled () then Proc.now () else 0L in
-        Resource.with_resource t.bandwidth 1 (fun () ->
-            Obs.span_since Obs.Slot_wait ~t0;
-            Proc.delay_int (lines * t.config.Config.nvmm_write_ns)));
+    charge t cat (fun () -> stream_lines t lines);
     record_nt_pre t ~addr ~len;
     medium_write t ~addr src off len;
     (* A non-temporal store invalidates any stale cached copy of the lines
@@ -582,16 +625,9 @@ let clflush ?(background = false) t ~cat ~addr ~len =
     done;
     let total_lines = last - first + 1 in
     Stats.add_clflush t.stats cat ~lines:total_lines ~dirty:!dirty;
-    let obs_t0 = if Obs.enabled () then Proc.now () else 0L in
-    charge t cat (fun () ->
+    charge ~span:Obs.Flush t cat (fun () ->
         Proc.delay_int (total_lines * t.config.Config.clflush_issue_ns);
-        if !dirty > 0 then begin
-          let t0 = if Obs.enabled () then Proc.now () else 0L in
-          Resource.with_resource t.bandwidth 1 (fun () ->
-              Obs.span_since Obs.Slot_wait ~t0;
-              Proc.delay_int (!dirty * t.config.Config.nvmm_write_ns))
-        end);
-    Obs.span_since Obs.Flush ~t0:obs_t0;
+        if !dirty > 0 then stream_lines t !dirty);
     for idx = first to last do
       persist_line t idx
     done;
@@ -601,9 +637,8 @@ let clflush ?(background = false) t ~cat ~addr ~len =
 
 let mfence t ~cat =
   Stats.add_mfence t.stats cat;
-  let obs_t0 = if Obs.enabled () then Proc.now () else 0L in
-  charge t cat (fun () -> Proc.delay_int t.config.Config.mfence_ns);
-  Obs.span_since Obs.Fence ~t0:obs_t0;
+  charge ~span:Obs.Fence t cat (fun () ->
+      Proc.delay_int t.config.Config.mfence_ns);
   record_fence t
 
 (* --- small typed accessors (metadata fields) --- *)

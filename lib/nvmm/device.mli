@@ -29,6 +29,23 @@ val engine : t -> Hinfs_sim.Engine.t
 val bandwidth : t -> Hinfs_sim.Resource.t
 (** The N_w-slot NVMM write bandwidth limiter. *)
 
+(** {1 Charging costs}
+
+    The device is the one place a cost becomes virtual time and
+    {!Hinfs_stats.Stats} time; every layer above charges through it. *)
+
+val charge_ns :
+  ?span:Hinfs_obs.Obs.kind -> t -> Hinfs_stats.Stats.category -> int -> unit
+(** [charge_ns t cat ns] books [ns] to [cat], then sleeps [ns] (so a run
+    that stops mid-sleep still counts it). With [span], the sleep is also
+    recorded as that [Obs] span. A charge of 0 or less does nothing. *)
+
+val charge_memcpy :
+  t -> Hinfs_stats.Stats.category -> [ `Read | `Write ] -> int -> unit
+(** [charge_memcpy t cat access len] charges a CPU copy of [len] bytes that
+    touches no NVMM: ⌈len / cacheline⌉ lines at [dram_read_ns] or
+    [dram_write_ns]. *)
+
 (** {1 Timed data-path operations} *)
 
 val read :
@@ -43,6 +60,20 @@ val read :
     a fault model is attached, raises {!Fault.Media_error} if a clean line
     in the range is poisoned or draws a transient read fault; the access
     latency is charged either way, so a retry pays again. *)
+
+val read_retrying :
+  t ->
+  policy:Fault.retry_policy ->
+  cat:Hinfs_stats.Stats.category ->
+  addr:int ->
+  len:int ->
+  into:Bytes.t ->
+  off:int ->
+  unit
+(** {!read}, retrying transient faults up to [policy.max_retries] times
+    after the policy's backoff (charged to [cat], an [Obs.Dev_retry] span,
+    counted by [Stats.add_media_retry]). The final {!Fault.Media_error}
+    propagates: a poisoned line, or a transient fault past the budget. *)
 
 val read_alloc :
   t -> cat:Hinfs_stats.Stats.category -> addr:int -> len:int -> Bytes.t

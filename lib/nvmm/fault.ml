@@ -49,8 +49,6 @@ type t = {
   transient_pending : (int, unit) Hashtbl.t;
       (** lines whose next load must succeed (fault already delivered) *)
   mutable store_poisons : int;  (** lines poisoned by failed stores *)
-  mutable transient_faults : int;  (** transient faults delivered *)
-  mutable poison_hits : int;  (** loads that hit a poisoned line *)
   mutable heals : int;  (** poisoned lines healed by a full-line store *)
 }
 
@@ -67,8 +65,6 @@ let create ?(poison_rate = 0.0) ?(transient_rate = 0.0) ~seed () =
     poisoned = Hashtbl.create 64;
     transient_pending = Hashtbl.create 16;
     store_poisons = 0;
-    transient_faults = 0;
-    poison_hits = 0;
     heals = 0;
   }
 
@@ -123,17 +119,13 @@ type load_fault = Poisoned | Transient
    pending transient fault is consumed (the retry succeeds) or a fresh
    transient fault may be drawn. *)
 let check_load t idx =
-  if Hashtbl.mem t.poisoned idx then begin
-    t.poison_hits <- t.poison_hits + 1;
-    Some Poisoned
-  end
+  if Hashtbl.mem t.poisoned idx then Some Poisoned
   else if Hashtbl.mem t.transient_pending idx then begin
     Hashtbl.remove t.transient_pending idx;
     None
   end
   else if t.transient_rate > 0.0 && Rng.chance t.rng t.transient_rate then begin
     Hashtbl.replace t.transient_pending idx ();
-    t.transient_faults <- t.transient_faults + 1;
     Some Transient
   end
   else None
@@ -171,6 +163,4 @@ let poisoned_lines t =
   |> List.sort compare
 
 let store_poisons t = t.store_poisons
-let transient_faults t = t.transient_faults
-let poison_hits t = t.poison_hits
 let heals t = t.heals

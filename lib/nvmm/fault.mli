@@ -78,11 +78,12 @@ val poisoned_count : t -> int
 val poisoned_lines : t -> int list
 (** Poisoned line indices, ascending. *)
 
-(** {1 Counters} *)
+(** {1 Counters}
+
+    Faults delivered to loads are counted where the device raises them,
+    in [Stats.media_faults_transient] and [Stats.media_faults_poison]. *)
 
 val store_poisons : t -> int
 (** Lines poisoned by failed stores (drawn, not injected). *)
 
-val transient_faults : t -> int
-val poison_hits : t -> int
 val heals : t -> int

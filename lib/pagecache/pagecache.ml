@@ -17,7 +17,6 @@ module Engine = Hinfs_sim.Engine
 module Condvar = Hinfs_sim.Condvar
 module Stats = Hinfs_stats.Stats
 module Device = Hinfs_nvmm.Device
-module Config = Hinfs_nvmm.Config
 module Blockdev = Hinfs_blockdev.Blockdev
 module Lru = Hinfs_structures.Lru
 
@@ -80,17 +79,6 @@ let dirty_pages t = t.dirty_count
 let hits t = t.hits
 let misses t = t.misses
 let foreground_writebacks t = t.foreground_writebacks
-
-let charge_copy t cat len =
-  if len > 0 then begin
-    let config = Device.config (Blockdev.device t.bdev) in
-    let lines =
-      (len + config.Config.cacheline_size - 1) / config.Config.cacheline_size
-    in
-    let ns = lines * config.Config.dram_write_ns in
-    Stats.add_time (Device.stats (Blockdev.device t.bdev)) cat (Int64.of_int ns);
-    Proc.delay_int ns
-  end
 
 let mark_clean t page =
   if page.dirty then begin
@@ -227,7 +215,7 @@ let read t ~cat ~block ~off ~len ~into ~into_off =
   Fun.protect
     ~finally:(fun () -> unpin page)
     (fun () ->
-      charge_copy t cat len;
+      Device.charge_memcpy (Blockdev.device t.bdev) cat `Write len;
       Bytes.blit page.data off into into_off len)
 
 (* Copy from a user buffer into the cache (first copy of the write path).
@@ -241,7 +229,7 @@ let write t ~cat ~block ~off ~src ~src_off ~len =
   Fun.protect
     ~finally:(fun () -> unpin page)
     (fun () ->
-      charge_copy t cat len;
+      Device.charge_memcpy (Blockdev.device t.bdev) cat `Write len;
       Bytes.blit src src_off page.data off len;
       extend_dirty page ~off ~len;
       mark_dirty t page)

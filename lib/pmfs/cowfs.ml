@@ -46,7 +46,6 @@ module Fault = Hinfs_nvmm.Fault
 module Root_swap = Hinfs_journal.Root_swap
 module Stats = Hinfs_stats.Stats
 module Engine = Hinfs_sim.Engine
-module Proc = Hinfs_sim.Proc
 module Rwlock = Hinfs_sim.Rwlock
 module Errno = Hinfs_vfs.Errno
 module Obs = Hinfs_obs.Obs
@@ -163,32 +162,12 @@ let put_u8 t ~cat addr v =
 
 (* --- bounded retry on transient media faults (data path only) --- *)
 
-let max_read_retries = 3
-
-let read_retrying t ~cat ~addr ~len ~into ~off =
-  let stats = Device.stats t.device in
-  let rec go attempt =
-    try Device.read t.device ~cat ~addr ~len ~into ~off with
-    | Fault.Media_error { transient = true; _ }
-      when attempt < max_read_retries ->
-      Stats.add_media_retry stats;
-      go (attempt + 1)
-  in
-  try go 0 with
-  | Fault.Media_error { addr = fault_addr; _ } ->
+let read_or_eio t ~cat ~addr ~len ~into ~off =
+  try
+    Device.read_retrying t.device ~policy:Fault.default_retry ~cat ~addr ~len
+      ~into ~off
+  with Fault.Media_error { addr = fault_addr; _ } ->
     Errno.raise_error EIO "uncorrectable NVMM media error at %#x" fault_addr
-
-(* DRAM-speed copy charge for zero-filling holes (no device touch). *)
-let charge_copy t cat len =
-  if len > 0 then begin
-    let config = Device.config t.device in
-    let lines =
-      (len + config.Config.cacheline_size - 1) / config.Config.cacheline_size
-    in
-    let ns = lines * config.Config.dram_read_ns in
-    Stats.add_time (Device.stats t.device) cat (Int64.of_int ns);
-    Proc.delay_int ns
-  end
 
 (* --- shadow-block machinery --- *)
 
@@ -245,7 +224,7 @@ let cow_data t ~cat ~copy b =
     let nb = alloc_block t in
     if copy then begin
       let buf = Bytes.create t.bs in
-      read_retrying t ~cat ~addr:(baddr t b) ~len:t.bs ~into:buf ~off:0;
+      read_or_eio t ~cat ~addr:(baddr t b) ~len:t.bs ~into:buf ~off:0;
       put_bytes t ~cat ~addr:(baddr t nb) buf
     end;
     delta t b (-1);
@@ -1006,12 +985,12 @@ let read t ~ino ~off ~len ~into ~into_off =
           let chunk = min (t.bs - boff) (len - !done_) in
           (match lookup_block_at t ~imap:t.imap_root ~ino ~fblock with
           | Some b ->
-            read_retrying t ~cat:Stats.Read_access
+            read_or_eio t ~cat:Stats.Read_access
               ~addr:(baddr t b + boff)
               ~len:chunk ~into ~off:(into_off + !done_)
           | None ->
             Bytes.fill into (into_off + !done_) chunk '\000';
-            charge_copy t Stats.Read_access chunk);
+            Device.charge_memcpy t.device Stats.Read_access `Read chunk);
           pos := !pos + chunk;
           done_ := !done_ + chunk
         done;

@@ -16,13 +16,11 @@
    operations HiNFS needs. *)
 
 module Device = Hinfs_nvmm.Device
-module Config = Hinfs_nvmm.Config
 module Allocator = Hinfs_nvmm.Allocator
 module Fault = Hinfs_nvmm.Fault
 module Log = Hinfs_journal.Cacheline_log
 module Stats = Hinfs_stats.Stats
 module Engine = Hinfs_sim.Engine
-module Proc = Hinfs_sim.Proc
 module Errno = Hinfs_vfs.Errno
 module Obs = Hinfs_obs.Obs
 
@@ -139,37 +137,21 @@ let shard_of_addr t addr =
   end
   else None
 
-(* Bounded retry for transient media faults, with a configurable
-   deterministic backoff charged on the virtual clock (so retries are
-   visible in the dev.retry histogram, not free). Unrecoverable
-   (poisoned-line) faults degrade the owning fault domain and surface as
-   EIO on the data path: the repair daemon takes it from there. *)
-let read_retrying t ~cat ~addr ~len ~into ~off =
-  let stats = Fs_ctx.stats t.ctx in
-  let policy = t.retry in
-  let rec go attempt =
-    try Device.read (device t) ~cat ~addr ~len ~into ~off with
-    | Fault.Media_error { transient = true; _ }
-      when attempt < policy.Fault.max_retries ->
-      Stats.add_media_retry stats;
-      let backoff = Fault.retry_backoff_ns policy ~attempt in
-      if backoff > 0 then begin
-        let t0 = Engine.now (Device.engine (device t)) in
-        Stats.add_time stats cat (Int64.of_int backoff);
-        Proc.delay_int backoff;
-        Obs.span_since Obs.Dev_retry ~t0
-      end;
-      go (attempt + 1)
-  in
-  try go 0 with
-  | Fault.Media_error { addr = fault_addr; transient } ->
+(* Transient media faults are retried under the mount's policy
+   ({!Device.read_retrying}). Unrecoverable (poisoned-line) faults degrade
+   the owning fault domain and surface as EIO on the data path: the repair
+   daemon takes it from there. *)
+let read_or_eio t ~cat ~addr ~len ~into ~off =
+  try
+    Device.read_retrying (device t) ~policy:t.retry ~cat ~addr ~len ~into
+      ~off
+  with Fault.Media_error { addr = fault_addr; _ } ->
     (match shard_of_addr t fault_addr with
     | Some s ->
       degrade_shard t s
         (Fmt.str "uncorrectable media error at %#x" fault_addr)
     | None ->
       degrade t (Fmt.str "uncorrectable media error at %#x" fault_addr));
-    ignore transient;
     Errno.raise_error EIO "uncorrectable NVMM media error at %#x" fault_addr
 
 let now t = Engine.now (Device.engine (device t))
@@ -370,18 +352,6 @@ let stat_of t ino =
   check_ino t ino;
   Media.Inode.stat (device t) ~ino (Layout.Inode.addr (geometry t) ino)
 
-(* Charge a DRAM-speed copy that does not touch the device (zero fill). *)
-let charge_copy t cat len =
-  if len > 0 then begin
-    let config = Device.config (device t) in
-    let lines =
-      (len + config.Config.cacheline_size - 1) / config.Config.cacheline_size
-    in
-    let ns = lines * config.Config.dram_read_ns in
-    Stats.add_time (Fs_ctx.stats t.ctx) cat (Int64.of_int ns);
-    Proc.delay_int ns
-  end
-
 (* --- Data: lower-level operations shared with HiNFS --- *)
 
 module Data = struct
@@ -471,13 +441,13 @@ let read t ~ino ~off ~len ~into ~into_off =
       let chunk = min (bs - in_block) (len - done_) in
       (match Data.lookup_block t ~ino ~fblock with
       | Some block ->
-        read_retrying t ~cat
+        read_or_eio t ~cat
           ~addr:(Data.block_addr t block + in_block)
           ~len:chunk ~into ~off:(into_off + done_)
       | None ->
         (* Hole: reads as zeros, still a memcpy's worth of work. *)
         Bytes.fill into (into_off + done_) chunk '\000';
-        charge_copy t cat chunk);
+        Device.charge_memcpy (device t) cat `Read chunk);
       copy (done_ + chunk)
     end
   in

@@ -12,7 +12,6 @@
    share, writes/truncate/fsync exclude). The namespace lock is always
    taken before any inode lock. *)
 
-module Proc = Hinfs_sim.Proc
 module Rwlock = Hinfs_sim.Rwlock
 module Stats = Hinfs_stats.Stats
 module Device = Hinfs_nvmm.Device
@@ -97,9 +96,7 @@ module Make (B : Backend.S) = struct
   let config t = Device.config (B.device t.fs)
 
   let charge_syscall t =
-    let ns = (config t).Config.syscall_ns in
-    Stats.add_time (stats t) Stats.Other (Int64.of_int ns);
-    Proc.delay_int ns
+    Device.charge_ns (B.device t.fs) Stats.Other (config t).Config.syscall_ns
 
   let ino_lock t ino =
     match Hashtbl.find_opt t.ino_locks ino with

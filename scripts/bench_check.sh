@@ -1,8 +1,10 @@
 #!/bin/sh
 # Perf-baseline gate: run the short bench baseline twice and require
 #   1. byte-identical BENCH_HINFS.json artifacts (the virtual clock makes
-#      the whole pipeline deterministic; any divergence is a bug), and
-#   2. the schema's required histogram keys present with nonzero p99s for
+#      the whole pipeline deterministic; any divergence is a bug),
+#   2. the fresh artifact byte-identical to the committed BENCH_HINFS.json
+#      (a change that moves a cell commits the regenerated file), and
+#   3. the schema's required histogram keys present with nonzero p99s for
 #      the core op classes.
 set -eu
 
@@ -24,6 +26,15 @@ if ! cmp -s "$out1" "$out2"; then
 fi
 
 fail=0
+
+# The committed artifact is what the source produces, byte for byte.
+if [ -f BENCH_HINFS.json ] && ! cmp -s BENCH_HINFS.json "$out1"; then
+    echo "bench_check FAIL: fresh baseline differs from the committed" \
+         "BENCH_HINFS.json (commit the regenerated file and explain the" \
+         "moved cells in CHANGES.md)" >&2
+    diff BENCH_HINFS.json "$out1" | head -40 >&2 || true
+    fail=1
+fi
 
 # Required structural keys.
 for key in '"schema": "hinfs-bench"' '"experiments"' '"latency_ns"' \

@@ -40,7 +40,7 @@ let max_file_len = 24 * 1024
    determinism. *)
 type outcome = {
   o_poisoned : int list;
-  o_model : int * int * int * int;
+  o_model : int * int; (* store poisons, heals *)
   o_fs : int * int * int * int * int;
   o_ops : int * int * int; (* reads ok, reads eio, writes refused *)
   o_read_only : bool;
@@ -169,10 +169,7 @@ let run_soak () =
       {
         o_poisoned = Fault.poisoned_lines fault;
         o_model =
-          ( Fault.store_poisons fault,
-            Fault.transient_faults fault,
-            Fault.poison_hits fault,
-            Fault.heals fault );
+          (Fault.store_poisons fault, Fault.heals fault);
         o_fs =
           ( Stats.media_faults_transient stats,
             Stats.media_faults_poison stats,
@@ -194,7 +191,8 @@ let () =
     (List.length o1.o_poisoned)
     o1.o_read_only o1.o_violations;
   if reads_ok = 0 then fail "soak exercised no successful reads";
-  let store_poisons, transients, _, _ = o1.o_model in
+  let store_poisons, _ = o1.o_model in
+  let transients, _, _, _, _ = o1.o_fs in
   if store_poisons + transients = 0 then
     fail "soak injected no faults at all (rates too low to test anything)";
   (* Bit-for-bit reproducibility. *)

@@ -262,6 +262,34 @@ let test_root_slot_poison_fallback () =
         (Fault.is_poisoned fault newest_line);
       fsck_clean "after fallback" fs)
 
+(* --- transient read faults --- *)
+
+(* Every clean-line load faults once; the data path's bounded retry
+   consumes the pending transient and the read returns the true bytes
+   instead of EIO. A load stops at its first faulting line, so each retry
+   clears one line: the read spans two lines, within the three-retry
+   budget of [Fault.default_retry]. *)
+let test_transient_read_retried () =
+  Testkit.run_sim (fun engine ->
+      let stats = Stats.create () in
+      let device = Testkit.make_device ~stats engine in
+      let fs = Cowfs.mkfs_and_mount device () in
+      let a = Cowfs.create_file fs ~dir:root "a" in
+      let pay = Testkit.pattern_bytes ~seed:21 5000 in
+      wr fs ~ino:a pay;
+      Device.set_fault_model device
+        (Some (Fault.create ~transient_rate:1.0 ~seed:23L ()));
+      let buf = Bytes.create 128 in
+      (match Cowfs.read fs ~ino:a ~off:0 ~len:128 ~into:buf ~into_off:0 with
+      | n ->
+        check_int "bytes read" 128 n;
+        Testkit.check_bytes "true data after retries" (Bytes.sub pay 0 128) buf
+      | exception Errno.Fs_error (Errno.EIO, _) ->
+        Alcotest.fail "transient faults surfaced as EIO");
+      check_bool "transient faults drawn" true
+        (Stats.media_faults_transient stats > 0);
+      check_bool "retries counted" true (Stats.media_retries stats > 0))
+
 (* --- fsck vacuity --- *)
 
 (* check_cow must actually be able to fail: overstate one persistent
@@ -403,6 +431,8 @@ let () =
         [
           Alcotest.test_case "root slot poison fallback" `Quick
             test_root_slot_poison_fallback;
+          Alcotest.test_case "transient read retried" `Quick
+            test_transient_read_retried;
           Alcotest.test_case "fsck flags refcount corruption" `Quick
             test_fsck_flags_refcount_corruption;
           Alcotest.test_case "malformed dirent" `Quick test_malformed_dirent;

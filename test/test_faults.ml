@@ -73,10 +73,7 @@ let faulty_run () =
           | exception Errno.Fs_error (Errno.EIO, _) -> incr eio)
         inos;
       ( Fault.poisoned_lines fault,
-        ( Fault.store_poisons fault,
-          Fault.transient_faults fault,
-          Fault.poison_hits fault,
-          Fault.heals fault ),
+        (Fault.store_poisons fault, Fault.heals fault),
         ( !eio,
           Stats.media_faults_transient stats,
           Stats.media_faults_poison stats,

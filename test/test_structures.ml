@@ -4,7 +4,6 @@
 module Bitmap = Hinfs_structures.Bitmap
 module Dlist = Hinfs_structures.Dlist
 module Btree = Hinfs_structures.Btree
-module Radix = Hinfs_structures.Radix_tree
 module Lru = Hinfs_structures.Lru
 module IntMap = Map.Make (Int)
 
@@ -197,56 +196,6 @@ let test_btree_upsert () =
   check_int "no duplicate" 1 (Btree.cardinal tree);
   Alcotest.(check (option string)) "updated" (Some "b") (Btree.find tree 5)
 
-(* --- radix tree --- *)
-
-let radix_model_prop =
-  QCheck.Test.make ~name:"radix tree matches Map model" ~count:300
-    QCheck.(
-      list
-        (pair (int_bound 100_000) (oneofl [ `Insert; `Insert; `Remove; `Find ])))
-    (fun ops ->
-      let tree = Radix.create () in
-      let model = ref IntMap.empty in
-      List.iter
-        (fun (k, op) ->
-          match op with
-          | `Insert ->
-            Radix.insert tree k (k + 1);
-            model := IntMap.add k (k + 1) !model
-          | `Remove ->
-            let removed = Radix.remove tree k in
-            if removed <> IntMap.mem k !model then
-              QCheck.Test.fail_reportf "remove %d mismatch" k;
-            model := IntMap.remove k !model
-          | `Find ->
-            if Radix.find tree k <> IntMap.find_opt k !model then
-              QCheck.Test.fail_reportf "find %d mismatch" k)
-        ops;
-      Radix.cardinal tree = IntMap.cardinal !model
-      && Radix.to_list tree = IntMap.bindings !model)
-
-let test_radix_sparse () =
-  let tree = Radix.create () in
-  Radix.insert tree 0 "zero";
-  Radix.insert tree 1_000_000 "million";
-  Radix.insert tree 63 "sixtythree";
-  check_int "cardinal" 3 (Radix.cardinal tree);
-  Alcotest.(check (option string)) "find far key" (Some "million")
-    (Radix.find tree 1_000_000);
-  Alcotest.(check (option string)) "find 0" (Some "zero") (Radix.find tree 0);
-  check_bool "remove" true (Radix.remove tree 0);
-  check_bool "remove again" false (Radix.remove tree 0);
-  check_int "cardinal after" 2 (Radix.cardinal tree)
-
-let test_radix_clears_on_empty () =
-  let tree = Radix.create () in
-  Radix.insert tree 12345 1;
-  check_bool "remove" true (Radix.remove tree 12345);
-  check_bool "empty" true (Radix.is_empty tree);
-  (* Insert near zero after shrink: height reset must not break lookups. *)
-  Radix.insert tree 1 7;
-  Alcotest.(check (option int)) "reinsert works" (Some 7) (Radix.find tree 1)
-
 (* --- lru --- *)
 
 let test_lru_basic () =
@@ -363,12 +312,6 @@ let () =
           Alcotest.test_case "upsert" `Quick test_btree_upsert;
         ]
         @ Testkit.qcheck_cases [ btree_model_prop; btree_range_prop ] );
-      ( "radix",
-        [
-          Alcotest.test_case "sparse" `Quick test_radix_sparse;
-          Alcotest.test_case "empty shrink" `Quick test_radix_clears_on_empty;
-        ]
-        @ Testkit.qcheck_cases [ radix_model_prop ] );
       ( "lru",
         [
           Alcotest.test_case "basic" `Quick test_lru_basic;

@@ -120,6 +120,78 @@ let test_syscall_overhead_charged () =
       check_bool "syscall cost" true
         (Int64.compare (Int64.sub (Proc.now ()) t0) 1000L >= 0))
 
+(* Every cost a layer charges goes through [Device.charge_ns] /
+   [Device.charge_memcpy] / the device's own timed paths, which book the
+   same nanoseconds to [Stats] that they spend on the clock. With one
+   process and no daemons nothing runs concurrently, so the [Stats] total
+   must equal the elapsed virtual time exactly, on every backend. *)
+let backends =
+  let module Extfs = Hinfs_extfs.Extfs in
+  let module Nvcache = Hinfs_nvcache.Nvcache in
+  let own h = (h, h.Vfs.unmount) in
+  let ext mode d =
+    own (Extfs.handle (Extfs.mkfs_and_mount d ~mode ~daemons:false ()))
+  in
+  (* The stack's unmount, not the handle's: it drains the tier, so the
+     destage path is charged too. *)
+  let nvcache design d =
+    let st =
+      Nvcache.mkfs_and_mount d ~design ~mode:Extfs.Ext4 ~sync_mount:true
+        ~daemons:false ()
+    in
+    (Nvcache.handle st, fun () -> Nvcache.unmount st)
+  in
+  [
+    ( "pmfs",
+      fun d -> own (Pmfs.handle (Pmfs.mkfs_and_mount d ~journal_blocks:32 ()))
+    );
+    ( "cowfs",
+      fun d ->
+        own (Hinfs_pmfs.Cowfs.handle (Hinfs_pmfs.Cowfs.mkfs_and_mount d ())) );
+    ( "hinfs",
+      fun d ->
+        own
+          (Hinfs.Fs.handle
+             (Hinfs.Fs.mkfs_and_mount d ~hcfg:Testkit.small_hcfg
+                ~daemons:false ())) );
+    ("ext2", ext Extfs.Ext2);
+    ("ext4", ext Extfs.Ext4);
+    ("ext4-dax", ext Extfs.Ext4_dax);
+    ("ext4+nvlog", nvcache Nvcache.Logging);
+    ("ext4+nvpage", nvcache Nvcache.Paging);
+  ]
+
+let test_charged_time_is_elapsed_time () =
+  List.iter
+    (fun (name, mount) ->
+      let stats = Hinfs_stats.Stats.create () in
+      Testkit.run_sim (fun engine ->
+          let t0 = Proc.now () in
+          let h, unmount = mount (Testkit.make_device ~stats engine) in
+          h.Vfs.mkdir "/d";
+          let fd = h.Vfs.open_ "/d/a" { Types.creat with Types.read = true } in
+          ignore (h.Vfs.write fd (Testkit.pattern_bytes ~seed:1 5000) 5000);
+          ignore (h.Vfs.pwrite fd ~off:3000 (Bytes.make 100 'p') 100);
+          (* Past a block-sized hole, so the read below zero-fills one. *)
+          ignore (h.Vfs.pwrite fd ~off:12288 (Bytes.make 100 'q') 100);
+          h.Vfs.fsync fd;
+          ignore (h.Vfs.pread fd ~off:0 (Bytes.create 12388) 12388);
+          h.Vfs.close fd;
+          let fd = h.Vfs.open_ "/d/b" Types.creat in
+          ignore (h.Vfs.write fd (Bytes.make 200 'b') 200);
+          h.Vfs.close fd;
+          h.Vfs.rename "/d/b" "/d/c";
+          check_int (name ^ ": readdir") 2 (List.length (h.Vfs.readdir "/d"));
+          h.Vfs.unlink "/d/a";
+          unmount ();
+          let elapsed = Int64.sub (Proc.now ()) t0 in
+          check_bool (name ^ ": time passed") true (elapsed > 0L);
+          Alcotest.(check int64)
+            (name ^ ": Stats.total_time = elapsed virtual time")
+            elapsed
+            (Hinfs_stats.Stats.total_time stats)))
+    backends
+
 let test_concurrent_readers_share_inode_lock () =
   Testkit.run_sim (fun engine ->
       let _d, fs = Testkit.make_pmfs engine in
@@ -176,5 +248,7 @@ let () =
             test_syscall_overhead_charged;
           Alcotest.test_case "readers share lock" `Quick
             test_concurrent_readers_share_inode_lock;
+          Alcotest.test_case "charged time is elapsed time" `Quick
+            test_charged_time_is_elapsed_time;
         ] );
     ]
