@@ -771,8 +771,11 @@ let mount device ?(sync_mount = false) () =
         bs;
         total_blocks = total;
         inode_count = Int64.to_int p.(4);
-        balloc = Allocator.create ~first_block:1 ~count:(total - 1);
-        ialloc = Allocator.create ~first_block:1 ~count:(Int64.to_int p.(4));
+        balloc =
+          Allocator.create ~policy:Rolling ~first_block:1 ~count:(total - 1);
+        ialloc =
+          Allocator.create ~policy:Rolling ~first_block:1
+            ~count:(Int64.to_int p.(4));
         lock = Rwlock.create ();
         committed = desc;
         imap_root = Int64.to_int p.(0);

@@ -282,8 +282,12 @@ let mount device ?(sync_mount = false) ?(journal_cleaner = false)
           let dfirst, dcount = Layout.data_range geo s in
           {
             Fs_ctx.log = Log.create device ~first_block:jfirst ~blocks:jblocks;
-            balloc = Allocator.create ~first_block:dfirst ~count:dcount;
-            ialloc = Allocator.create ~first_block:ifirst ~count:icount;
+            balloc =
+              Allocator.create ~policy:Lowest_free ~first_block:dfirst
+                ~count:dcount;
+            ialloc =
+              Allocator.create ~policy:Lowest_free ~first_block:ifirst
+                ~count:icount;
           })
     in
     let ctx = { Fs_ctx.device; geo; shards; epoch; rr_next = 0 } in

@@ -79,23 +79,6 @@ let find_first_set ?(from = 0) t =
   in
   scan from
 
-(* Find [count] consecutive clear bits; returns the start index. *)
-let find_clear_run ?(from = 0) t ~count =
-  if count <= 0 then invalid_arg "Bitmap.find_clear_run: count must be > 0";
-  let rec outer i =
-    match find_first_clear ~from:i t with
-    | None -> None
-    | Some start ->
-      let rec extend j =
-        if j - start = count then Some start
-        else if j >= t.length then None
-        else if get t j then outer (j + 1)
-        else extend (j + 1)
-      in
-      extend start
-  in
-  outer from
-
 let iter_set t f =
   for i = 0 to t.length - 1 do
     if get t i then f i

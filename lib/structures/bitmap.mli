@@ -18,9 +18,6 @@ val clear_all : t -> unit
 val find_first_clear : ?from:int -> t -> int option
 val find_first_set : ?from:int -> t -> int option
 
-val find_clear_run : ?from:int -> t -> count:int -> int option
-(** Start index of the first run of [count] consecutive clear bits. *)
-
 val iter_set : t -> (int -> unit) -> unit
 val fold_set : t -> 'a -> ('a -> int -> 'a) -> 'a
 val copy : t -> t

@@ -547,6 +547,56 @@ let test_unlink_drops_dirty_buffers_without_writeback () =
         (Pmfs.free_data_blocks (H.pmfs fs));
       check_int "no leaked buffer blocks" 0 (H.buffered_blocks fs))
 
+(* A dying file's buffered lines must never reach the home block a new
+   file reuses: PMFS hands the lowest free block out again at once, so a
+   stale writeback would land on live data straight away. *)
+let test_reused_home_block_no_stale_writeback () =
+  Testkit.run_sim (fun engine ->
+      let d, fs = Testkit.make_hinfs ~hcfg:Testkit.small_hcfg engine in
+      let home ino = Pmfs.Data.lookup_block (H.pmfs fs) ~ino ~fblock:0 in
+      let old_ino = Pmfs.create_file (H.pmfs fs) ~dir:root "old" in
+      let stale = Bytes.make 8192 's' in
+      ignore
+        (H.write fs ~ino:old_ino ~off:0 ~src:stale ~src_off:0 ~len:8192
+           ~sync:false);
+      (* Writeback flushes the file, then block 0 is re-dirtied: one home
+         block holds flushed lines and has dirty lines still buffered. *)
+      H.flush_file fs (H.file_state fs old_ino) ~evict:false;
+      ignore
+        (H.write fs ~ino:old_ino ~off:100 ~src:stale ~src_off:0 ~len:1000
+           ~sync:false);
+      check_bool "dirty lines buffered" true (H.dirty_buffered_blocks fs > 0);
+      let freed = home old_ino in
+      H.unlink fs ~dir:root "old";
+      let ino = Pmfs.create_file (H.pmfs fs) ~dir:root "new" in
+      let fresh = Testkit.pattern_bytes ~seed:21 4096 in
+      ignore
+        (H.write fs ~ino ~off:0 ~src:fresh ~src_off:0 ~len:4096 ~sync:false);
+      Alcotest.(check (option int)) "new file reuses the home block" freed
+        (home ino);
+      H.fsync fs ~ino;
+      (* Push the whole pool through writeback: a buffer the dead file left
+         behind would be flushed onto the reused block now. *)
+      let filler = Pmfs.create_file (H.pmfs fs) ~dir:root "filler" in
+      let chunk = Bytes.make 65536 'f' in
+      for i = 0 to (2 * Testkit.small_hcfg.Hconfig.buffer_bytes / 65536) - 1 do
+        ignore
+          (H.write fs ~ino:filler ~off:(i * 65536) ~src:chunk ~src_off:0
+             ~len:65536 ~sync:false)
+      done;
+      H.sync_all fs;
+      H.unmount fs;
+      let fs2 = Pmfs.mount d () in
+      check_int "clean unmount" 0 (Pmfs.recovered_txns fs2);
+      let ino2 = Option.get (Pmfs.lookup fs2 ~dir:root "new") in
+      let buf = Bytes.create 4096 in
+      check_int "size" 4096
+        (Pmfs.read fs2 ~ino:ino2 ~off:0 ~len:4096 ~into:buf ~into_off:0);
+      Testkit.check_bytes "new file's bytes" fresh buf;
+      let report = Hinfs_fsck.Fsck.check_pmfs fs2 in
+      if not (Hinfs_fsck.Fsck.ok report) then
+        Alcotest.failf "fsck: %a" Hinfs_fsck.Fsck.pp_report report)
+
 let test_unmount_flushes_everything () =
   Testkit.run_sim (fun engine ->
       let d = Testkit.make_device engine in
@@ -864,6 +914,8 @@ let () =
             test_daemons_queue_only_live_events;
           Alcotest.test_case "unlink drops buffers" `Quick
             test_unlink_drops_dirty_buffers_without_writeback;
+          Alcotest.test_case "reused home block gets no stale writeback"
+            `Quick test_reused_home_block_no_stale_writeback;
           Alcotest.test_case "unmount flushes" `Quick
             test_unmount_flushes_everything;
         ] );

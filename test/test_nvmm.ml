@@ -186,7 +186,7 @@ let test_bounds_checking () =
 (* --- allocator --- *)
 
 let test_allocator_basic () =
-  let a = Allocator.create ~first_block:10 ~count:5 in
+  let a = Allocator.create ~policy:Lowest_free ~first_block:10 ~count:5 in
   check_int "free" 5 (Allocator.free_blocks a);
   let b1 = Option.get (Allocator.alloc a) in
   check_int "first block" 10 b1;
@@ -197,48 +197,59 @@ let test_allocator_basic () =
   Alcotest.(check (option int)) "reuses freed" (Some 12) (Allocator.alloc a)
 
 let test_allocator_double_free () =
-  let a = Allocator.create ~first_block:0 ~count:4 in
+  let a = Allocator.create ~policy:Lowest_free ~first_block:0 ~count:4 in
   let b = Option.get (Allocator.alloc a) in
   Allocator.free a b;
   Alcotest.check_raises "double free"
     (Invalid_argument "Allocator.free: double free") (fun () ->
       Allocator.free a b)
 
-let test_allocator_contiguous () =
-  let a = Allocator.create ~first_block:0 ~count:10 in
-  let b = Option.get (Allocator.alloc_contiguous a 4) in
-  check_int "run start" 0 b;
-  (* Fragment: free 1,2 but not 0,3 *)
-  Allocator.free a 1;
-  Allocator.free a 2;
-  let c = Option.get (Allocator.alloc_contiguous a 3) in
-  check_int "skips fragmented space" 4 c;
-  Alcotest.(check (option int)) "too big" None (Allocator.alloc_contiguous a 8)
+module IntSet = Set.Make (Int)
 
+(* Each policy against a reference model over the sorted set of free
+   blocks: [Lowest_free] takes its minimum; [Rolling] takes the first block
+   at or after a next-fit cursor (one past the last allocation), wrapping
+   to the minimum. *)
 let allocator_no_double_alloc_prop =
   QCheck.Test.make ~name:"allocator never double-allocates" ~count:100
-    QCheck.(list (option (int_bound 49)))
+    QCheck.(list (option ~ratio:0.5 (int_bound 49)))
     (fun ops ->
       (* Some x = try to free block x if held; None = alloc. *)
-      let a = Allocator.create ~first_block:0 ~count:50 in
-      let held = Hashtbl.create 16 in
-      List.iter
-        (fun op ->
-          match op with
-          | None -> (
-            match Allocator.alloc a with
-            | None -> ()
+      let run policy name =
+        let count = 50 in
+        let a = Allocator.create ~policy ~first_block:0 ~count in
+        let free = ref (IntSet.of_list (List.init count Fun.id)) in
+        let cursor = ref 0 in
+        List.iter
+          (fun op ->
+            match op with
+            | None ->
+              let expected =
+                match policy with
+                | Allocator.Lowest_free -> IntSet.min_elt_opt !free
+                | Rolling -> (
+                  match IntSet.find_first_opt (fun b -> b >= !cursor) !free with
+                  | Some _ as b -> b
+                  | None -> IntSet.min_elt_opt !free)
+              in
+              let got = Allocator.alloc a in
+              if got <> expected then
+                QCheck.Test.fail_reportf "%s: alloc gave %a, model %a" name
+                  Fmt.(Dump.option int) got Fmt.(Dump.option int) expected;
+              Option.iter
+                (fun b ->
+                  free := IntSet.remove b !free;
+                  cursor := b + 1)
+                got
             | Some b ->
-              if Hashtbl.mem held b then
-                QCheck.Test.fail_reportf "double allocation of %d" b;
-              Hashtbl.replace held b ())
-          | Some b ->
-            if Hashtbl.mem held b then begin
-              Allocator.free a b;
-              Hashtbl.remove held b
-            end)
-        ops;
-      Allocator.used_blocks a = Hashtbl.length held)
+              if not (IntSet.mem b !free) then begin
+                Allocator.free a b;
+                free := IntSet.add b !free
+              end)
+          ops;
+        Allocator.used_blocks a = count - IntSet.cardinal !free
+      in
+      run Allocator.Lowest_free "lowest-free" && run Allocator.Rolling "rolling")
 
 (* --- the paged medium against a flat reference --- *)
 
@@ -606,7 +617,6 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_allocator_basic;
           Alcotest.test_case "double free" `Quick test_allocator_double_free;
-          Alcotest.test_case "contiguous" `Quick test_allocator_contiguous;
         ]
         @ Testkit.qcheck_cases [ allocator_no_double_alloc_prop ] );
       ( "blockdev",

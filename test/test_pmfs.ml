@@ -162,6 +162,50 @@ let test_unlink_frees_space () =
       check_int "space reclaimed" free0 (Pmfs.free_data_blocks fs);
       check_bool "name gone" true (Pmfs.lookup fs ~dir:root "f" = None))
 
+(* Create/unlink churn reuses the lowest free blocks, as PMFS does, so the
+   medium backs the same pages round after round instead of sweeping fresh
+   ones across the device. *)
+let test_churn_footprint_bounded () =
+  Testkit.run_sim (fun engine ->
+      let d, fs = Testkit.make_pmfs engine in
+      let bs = (Device.config d).Hinfs_nvmm.Config.block_size in
+      let payload = Testkit.pattern_bytes ~seed:3 (4 * bs) in
+      let name i = Fmt.str "f%d" i in
+      let round () =
+        for i = 0 to 7 do
+          let ino = Pmfs.create_file fs ~dir:root (name i) in
+          ignore
+            (Pmfs.write fs ~ino ~off:0 ~src:payload ~src_off:0 ~len:(4 * bs)
+               ~sync:false);
+          Pmfs.fsync fs ~ino
+        done;
+        for i = 0 to 7 do
+          Pmfs.unlink fs ~dir:root (name i)
+        done
+      in
+      round ();
+      let after_first = Device.resident_pages d in
+      for _ = 2 to 8 do
+        round ()
+      done;
+      (* The slack is the journal ring, whose pages fill in one by one as
+         its head advances; next-fit allocation added ~40 pages a round. *)
+      let slack = (Pmfs.geometry fs).Layout.journal_blocks in
+      let after_last = Device.resident_pages d in
+      if after_last > after_first + slack then
+        Alcotest.failf "resident pages grew %d -> %d over 8 rounds of churn"
+          after_first after_last;
+      let first_block name =
+        let ino = Pmfs.create_file fs ~dir:root name in
+        ignore
+          (Pmfs.write fs ~ino ~off:0 ~src:payload ~src_off:0 ~len:bs
+             ~sync:false);
+        Option.get (Pmfs.Data.lookup_block fs ~ino ~fblock:0)
+      in
+      let freed = first_block "g" in
+      Pmfs.unlink fs ~dir:root "g";
+      check_int "a new file reuses the freed block" freed (first_block "h"))
+
 (* --- namespace --- *)
 
 let test_directories () =
@@ -645,6 +689,8 @@ let () =
           Alcotest.test_case "truncate" `Quick test_truncate;
           Alcotest.test_case "unlink frees space" `Quick
             test_unlink_frees_space;
+          Alcotest.test_case "churn footprint bounded" `Quick
+            test_churn_footprint_bounded;
         ] );
       ( "namespace",
         [

@@ -36,13 +36,7 @@ let test_bitmap_find () =
   Alcotest.(check (option int)) "first clear" (Some 16)
     (Bitmap.find_first_clear b);
   Alcotest.(check (option int)) "first set from 8" (Some 8)
-    (Bitmap.find_first_set ~from:8 b);
-  Bitmap.set b 20;
-  Alcotest.(check (option int))
-    "clear run of 4 skips bit 20" (Some 21)
-    (Bitmap.find_clear_run ~from:16 b ~count:5);
-  Alcotest.(check (option int)) "run too long" None
-    (Bitmap.find_clear_run b ~count:20)
+    (Bitmap.find_first_set ~from:8 b)
 
 let test_bitmap_full_scan () =
   let b = Bitmap.create 17 in
