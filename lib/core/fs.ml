@@ -282,9 +282,9 @@ and flush_block_body ~background ~cat t b ~evict =
           Clbitmap.diff (Clbitmap.full_mask nlines) b.Buffer_pool.home_valid
         in
         Clbitmap.iter_set_runs missing ~nlines (fun ~first ~count ->
-            let zeros = Bytes.make (count * cl) '\000' in
-            Device.write_nt ~background dev ~cat ~addr:(home_addr + (first * cl))
-              ~src:zeros ~off:0 ~len:(count * cl));
+            Device.zero_nt ~background dev ~cat
+              ~addr:(home_addr + (first * cl))
+              ~len:(count * cl));
         if not (Clbitmap.is_empty missing) then Device.mfence dev ~cat;
         b.Buffer_pool.home_valid <- Clbitmap.full_mask nlines
       end);

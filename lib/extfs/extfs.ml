@@ -415,18 +415,12 @@ let write t ~ino ~off ~src ~src_off ~len ~sync =
       if is_dax t then begin
         if fresh then begin
           (* Zero uncovered parts of a fresh block (no cache to zero). *)
-          if in_block > 0 then begin
-            let zeros = Bytes.make in_block '\000' in
-            Device.write_nt (device t) ~cat ~addr:(block * bs) ~src:zeros
-              ~off:0 ~len:in_block
-          end;
-          if in_block + chunk < bs then begin
-            let zeros = Bytes.make (bs - in_block - chunk) '\000' in
-            Device.write_nt (device t) ~cat
+          if in_block > 0 then
+            Device.zero_nt (device t) ~cat ~addr:(block * bs) ~len:in_block;
+          if in_block + chunk < bs then
+            Device.zero_nt (device t) ~cat
               ~addr:((block * bs) + in_block + chunk)
-              ~src:zeros ~off:0
               ~len:(bs - in_block - chunk)
-          end
         end;
         Device.write_nt (device t) ~cat
           ~addr:((block * bs) + in_block)

@@ -2,13 +2,17 @@
 
    Two layers of state:
    - the medium: the NVMM itself; survives [crash]. It is a sparse page
-     table of block-size pages. A page never written is the one shared
-     zero page, and a store of zeros into it writes nothing, so only
-     touched pages cost host memory. Pages are shared copy-on-write with
-     the images taken of the device ({!snapshot}, crash states): a device
-     writes in place only into pages it owns, and copies any other page on
-     its first write, so an image is immutable and taking one copies page
-     pointers, not bytes.
+     table of block-size pages. A page whose bytes all hold one value [c]
+     may be the one shared, immutable fill page of [c] (created on first
+     use; a never-written page is the fill page of ['\000'], the zero
+     page): a store covering a whole page with one value points the page
+     at that value's fill page, and a store of [c]s into [c]'s fill page
+     writes nothing, so only pages with mixed bytes cost host memory.
+     Pages are shared copy-on-write with the images taken of the device
+     ({!snapshot}, crash states): a device writes in place only into pages
+     it owns, never a fill page, and copies any other page on its first
+     write, so an image is immutable and taking one copies page pointers,
+     not bytes.
    - [overlay]: cachelines currently dirty in the (volatile) CPU cache.
      Ordinary stores ([write_cached], [set_u*]) land here and are lost on
      [crash] until [clflush]ed. Non-temporal stores ([write_nt]) bypass the
@@ -87,16 +91,19 @@ module Record = struct
 end
 
 (* An immutable medium image: the page table, whose pages nobody writes
-   again, and the zero page that stands for every never-written page. *)
-type image = { img_pages : Bytes.t array; img_zero : Bytes.t }
+   again, and the fill pages it may share. *)
+type image = { img_pages : Bytes.t array; img_fills : Bytes.t array }
 
 type t = {
   engine : Hinfs_sim.Engine.t;
   stats : Hinfs_stats.Stats.t;
   config : Config.t;
-  pages : Bytes.t array; (* page index -> content; [zero] if never written *)
+  pages : Bytes.t array; (* page index -> content; a fill page, or private *)
   owned : Bytes.t; (* per page: '\001' when this device may write in place *)
-  zero : Bytes.t; (* the shared zero page *)
+  fills : Bytes.t array;
+      (* byte value -> its fill page, empty until first used; entry 0 is
+         the zero page. Shared with the images and the devices made from
+         them, which only ever add entries. *)
   overlay : Bytes.t Ltbl.t; (* cacheline index -> line content *)
   dirty_in_page : int array; (* page index -> overlay lines in it *)
   mutable dirty_lines : int; (* overlay lines in all *)
@@ -125,14 +132,14 @@ module Obs = Hinfs_obs.Obs
 
 (* A device over [pages] (a table the device may keep: nothing else holds
    it), owning none of them. *)
-let of_pages engine stats config ~zero pages =
+let of_pages engine stats config ~fills pages =
   {
     engine;
     stats;
     config;
     pages;
     owned = Bytes.make (Array.length pages) '\000';
-    zero;
+    fills;
     overlay = Ltbl.create 4096;
     dirty_in_page = Array.make (Array.length pages) 0;
     dirty_lines = 0;
@@ -147,7 +154,9 @@ let of_pages engine stats config ~zero pages =
 let create engine stats config =
   let config = Config.validate config in
   let zero = Bytes.make config.Config.block_size '\000' in
-  of_pages engine stats config ~zero (Array.make (Config.blocks config) zero)
+  let fills = Array.make 256 Bytes.empty in
+  fills.(0) <- zero;
+  of_pages engine stats config ~fills (Array.make (Config.blocks config) zero)
 
 let config t = t.config
 let size t = t.config.Config.nvmm_size
@@ -167,8 +176,8 @@ let check_range t ~addr ~len =
 
 let page_size t = t.config.Config.block_size
 
-(* Page [p], made writable in place: a page the device does not own (the
-   zero page, or one shared with an image) is copied first. *)
+(* Page [p], made writable in place: a page the device does not own (a
+   fill page, or one shared with an image) is copied first. *)
 let own_page t p =
   if Bytes.unsafe_get t.owned p = '\001' then t.pages.(p)
   else begin
@@ -178,16 +187,33 @@ let own_page t p =
     page
   end
 
-let all_zero src off len =
-  let stop = off + len in
-  let rec bytes i =
-    i >= stop || (Bytes.unsafe_get src i = '\000' && bytes (i + 1))
-  in
-  let rec words i =
-    if i + 8 > stop then bytes i
-    else Int64.equal (Bytes.get_int64_ne src i) 0L && words (i + 8)
-  in
-  words off
+(* The fill page of [c], made on first use. *)
+let fill_page t c =
+  let pg = t.fills.(Char.code c) in
+  if Bytes.length pg > 0 then pg
+  else begin
+    let pg = Bytes.make (page_size t) c in
+    t.fills.(Char.code c) <- pg;
+    pg
+  end
+
+(* A page is a fill page iff it is the one of its first byte. *)
+let is_fill fills pg = fills.(Char.code (Bytes.unsafe_get pg 0)) == pg
+
+(* Whether [src] holds [c] in every byte of [off, off+len): a loop over
+   words, each compared with [w], [c] in every byte; then the tail bytes. *)
+let rec uniform_bytes src i stop c =
+  i >= stop || (Bytes.unsafe_get src i = c && uniform_bytes src (i + 1) stop c)
+
+let rec uniform_words src i stop c w =
+  if i + 8 > stop then uniform_bytes src i stop c
+  else
+    Int64.equal (Bytes.get_int64_ne src i) w
+    && uniform_words src (i + 8) stop c w
+
+let uniform src off len c =
+  uniform_words src off (off + len) c
+    (Int64.mul (Int64.of_int (Char.code c)) 0x0101010101010101L)
 
 (* Copy medium bytes [addr, addr+len) into [dst] from [doff]. The common
    case, a range inside one page, is a single blit. *)
@@ -201,14 +227,22 @@ let rec medium_read t ~addr dst doff len =
     medium_read t ~addr:(addr + n) dst (doff + n) (len - n)
   end
 
-(* Store [src] from [off] to medium bytes [addr, addr+len). Zeros stored
-   into the zero page write nothing. *)
+(* Store [src] from [off] to medium bytes [addr, addr+len), one page
+   segment at a time. A segment that covers its page with one value [c]
+   points the page at [c]'s fill page, dropping any private copy; [c]s
+   stored into [c]'s fill page write nothing; any other segment is copied
+   into the page, owned first. *)
 let rec medium_write t ~addr src off len =
   let ps = page_size t in
   let p = addr / ps and po = addr mod ps in
   let n = min len (ps - po) in
-  if not (t.pages.(p) == t.zero && all_zero src off n) then
-    Bytes.blit src off (own_page t p) po n;
+  let pg = t.pages.(p) in
+  if n = ps && uniform src off n (Bytes.unsafe_get src off) then begin
+    t.pages.(p) <- fill_page t (Bytes.unsafe_get src off);
+    Bytes.unsafe_set t.owned p '\000'
+  end
+  else if not (is_fill t.fills pg && uniform src off n (Bytes.unsafe_get pg 0))
+  then Bytes.blit src off (own_page t p) po n;
   if n < len then medium_write t ~addr:(addr + n) src (off + n) (len - n)
 
 (* Copy of one cacheline of the medium (lines never straddle pages). *)
@@ -218,7 +252,9 @@ let medium_line t idx =
   Bytes.sub t.pages.(addr / ps) (addr mod ps) ls
 
 let resident_pages t =
-  Array.fold_left (fun n p -> if p == t.zero then n else n + 1) 0 t.pages
+  Array.fold_left
+    (fun n pg -> if is_fill t.fills pg then n else n + 1)
+    0 t.pages
 
 (* The one place a cost becomes virtual time and [Stats] time. [charge]
    times [f] on the clock; [span], if given, records the same interval as
@@ -559,23 +595,43 @@ let stream_lines t lines =
       Obs.span_since Obs.Slot_wait ~t0;
       Proc.delay_int (lines * t.config.Config.nvmm_write_ns))
 
-let write_nt ?(background = false) t ~cat ~addr ~src ~off ~len =
-  check_range t ~addr ~len;
-  if off < 0 || off + len > Bytes.length src then
-    invalid_arg "Device.write_nt: source range out of bounds";
+(* A store that bypasses the CPU cache: it reaches the medium and
+   invalidates any stale cached copy of the lines it covers. Partially
+   covered lines must merge the new bytes into the cached copy instead. *)
+let nt_copy t ~addr src off len =
+  medium_write t ~addr src off len;
+  cached_spans t Merge_nt ~addr ~len src off
+
+(* [nt_copy] of zeros, from the zero page one page segment at a time. *)
+let rec nt_zeros t ~addr ~len =
+  let ps = page_size t in
+  let po = addr mod ps in
+  let n = min len (ps - po) in
+  nt_copy t ~addr t.fills.(0) po n;
+  if n < len then nt_zeros t ~addr:(addr + n) ~len:(len - n)
+
+(* The one timed non-temporal store: [src] from [off], or zeros when
+   [zeros] ([src] unused). *)
+let store_nt ~background t ~cat ~addr ~len ~zeros src off =
   if len > 0 then begin
     let lines = Config.cachelines_in t.config ~addr ~len in
     charge t cat (fun () -> stream_lines t lines);
     record_nt_pre t ~addr ~len;
-    medium_write t ~addr src off len;
-    (* A non-temporal store invalidates any stale cached copy of the lines
-       it covers (it fully bypasses the cache hierarchy). Partially covered
-       lines must merge the new bytes into the cached copy instead. *)
-    cached_spans t Merge_nt ~addr ~len src off;
+    if zeros then nt_zeros t ~addr ~len else nt_copy t ~addr src off len;
     record_nt_post t ~addr ~len;
     fault_store_range t ~addr ~len;
     Stats.add_nvmm_written ~background t.stats len
   end
+
+let write_nt ?(background = false) t ~cat ~addr ~src ~off ~len =
+  check_range t ~addr ~len;
+  if off < 0 || off + len > Bytes.length src then
+    invalid_arg "Device.write_nt: source range out of bounds";
+  store_nt ~background t ~cat ~addr ~len ~zeros:false src off
+
+let zero_nt ?(background = false) t ~cat ~addr ~len =
+  check_range t ~addr ~len;
+  store_nt ~background t ~cat ~addr ~len ~zeros:true Bytes.empty 0
 
 let write_cached t ~cat ~addr ~src ~off ~len =
   check_range t ~addr ~len;
@@ -681,10 +737,7 @@ let poke_flushed t ~addr ~src ~off ~len =
   check_range t ~addr ~len;
   if len > 0 then begin
     record_nt_pre t ~addr ~len;
-    medium_write t ~addr src off len;
-    (* Same cache rule as [write_nt]: fully covered cached lines are
-       invalidated, partially covered ones merge the new bytes. *)
-    cached_spans t Merge_nt ~addr ~len src off;
+    nt_copy t ~addr src off len;
     record_nt_post t ~addr ~len;
     fault_heal_range t ~addr ~len
   end
@@ -760,7 +813,7 @@ let crash t =
    so its next write to a page copies it. *)
 let snapshot t =
   Bytes.fill t.owned 0 (Bytes.length t.owned) '\000';
-  { img_pages = Array.copy t.pages; img_zero = t.zero }
+  { img_pages = Array.copy t.pages; img_fills = t.fills }
 
 (* A fresh device initialised from a snapshot: used by crash-consistency
    tests to mount and inspect the post-crash image while the pre-crash
@@ -768,24 +821,31 @@ let snapshot t =
 let of_snapshot engine stats config image =
   let config = Config.validate config in
   if
-    Bytes.length image.img_zero <> config.Config.block_size
+    Bytes.length image.img_fills.(0) <> config.Config.block_size
     || Array.length image.img_pages <> Config.blocks config
   then invalid_arg "Device.of_snapshot: image size mismatch";
-  of_pages engine stats config ~zero:image.img_zero
+  of_pages engine stats config ~fills:image.img_fills
     (Array.copy image.img_pages)
 
 let image_to_bytes image =
   Bytes.concat Bytes.empty (Array.to_list image.img_pages)
 
 (* Digest of the image contents: equal contents, equal digests. Hashes
-   the per-page digests, the zero page's once. *)
+   the per-page digests. The pages an image holds more than once are its
+   fill pages; each is digested once. *)
 let image_digest image =
-  let zero = Digest.bytes image.img_zero in
+  let memo = Array.make 256 "" in
+  let page_digest pg =
+    if not (is_fill image.img_fills pg) then Digest.bytes pg
+    else begin
+      let c = Char.code (Bytes.unsafe_get pg 0) in
+      if memo.(c) = "" then memo.(c) <- Digest.bytes pg;
+      memo.(c)
+    end
+  in
   let b = Buffer.create (16 * Array.length image.img_pages) in
   Array.iter
-    (fun p ->
-      Buffer.add_string b
-        (if p == image.img_zero then zero else Digest.bytes p))
+    (fun pg -> Buffer.add_string b (page_digest pg))
     image.img_pages;
   Digest.string (Buffer.contents b)
 
@@ -910,7 +970,7 @@ let capture_crash_state ?(label = "crash") t =
 let materialize_crash_image state ~choice =
   let base = state.cs_image in
   let pages = Array.copy base.img_pages in
-  let ps = Bytes.length base.img_zero in
+  let ps = Bytes.length base.img_fills.(0) in
   List.iteri
     (fun i (idx, cands) ->
       let c = cands.(choice.(i)) in

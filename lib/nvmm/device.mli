@@ -8,8 +8,9 @@
     cacheline streamed to the medium holds one of the N_w bandwidth slots.
 
     The medium is a sparse table of block-size pages, shared copy-on-write
-    with the {!image}s taken of it: host memory holds only the pages
-    something wrote, and an image costs a copy of the page pointers. *)
+    with the {!image}s taken of it: host memory holds only the pages whose
+    bytes are not all one value (pages of one value share one immutable
+    page per value), and an image costs a copy of the page pointers. *)
 
 type t
 
@@ -89,6 +90,16 @@ val write_nt :
   unit
 (** Non-temporal store: persistent immediately, pays NVMM latency and
     bandwidth. [background] attributes the bytes to background writeback. *)
+
+val zero_nt :
+  ?background:bool ->
+  t ->
+  cat:Hinfs_stats.Stats.category ->
+  addr:int ->
+  len:int ->
+  unit
+(** [write_nt] of [len] zero bytes, without a source buffer: charged,
+    recorded, fault-checked and counted exactly as {!write_nt}. *)
 
 val write_cached :
   t ->
@@ -184,8 +195,9 @@ val image_to_bytes : image -> Bytes.t
 (** The image's bytes, flat (tests and inspection). *)
 
 val resident_pages : t -> int
-(** Pages of the medium backed by host memory, i.e. not the shared zero
-    page. *)
+(** Pages of the medium backed by host memory of their own, i.e. not a
+    shared fill page (the one page per byte value that stands for every
+    page holding only that value, the zero page among them). *)
 
 val flush_all_untimed : t -> unit
 (** Push the whole overlay to the medium without charging time, through the

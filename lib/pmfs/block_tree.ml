@@ -36,10 +36,9 @@ let alloc_block ctx ~shard =
    return (non-temporal stores). *)
 let alloc_index_node ctx ~shard =
   let block = alloc_block ctx ~shard in
-  let zero = Bytes.make ctx.Fs_ctx.geo.Layout.block_size '\000' in
-  Device.write_nt ctx.Fs_ctx.device ~cat:mcat
+  Device.zero_nt ctx.Fs_ctx.device ~cat:mcat
     ~addr:(Fs_ctx.block_addr ctx block)
-    ~src:zero ~off:0 ~len:(Bytes.length zero);
+    ~len:ctx.Fs_ctx.geo.Layout.block_size;
   block
 
 (* --- read side: the walks live in the codec --- *)

@@ -60,12 +60,10 @@ let add ctx txn ~dir name ~ino =
           Block_tree.ensure ctx txn ~ino:dir ~fblock:nblocks
         in
         allocated := blocks;
-        if fresh then begin
-          let zero = Bytes.make geo.Layout.block_size '\000' in
-          Device.write_nt device ~cat:mcat
+        if fresh then
+          Device.zero_nt device ~cat:mcat
             ~addr:(Fs_ctx.block_addr ctx block)
-            ~src:zero ~off:0 ~len:(Bytes.length zero)
-        end;
+            ~len:geo.Layout.block_size;
         let inode_addr = Layout.Inode.addr geo dir in
         Log.log (Fs_ctx.log_for ctx ~ino:dir) txn ~addr:inode_addr ~len:40;
         Layout.Inode.set_size device ~cat:mcat geo dir

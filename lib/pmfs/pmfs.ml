@@ -414,16 +414,12 @@ module Data = struct
     let geo = geometry t in
     let bs = geo.Layout.block_size in
     let base = block_addr t block in
-    if covered_start > 0 then begin
-      let zeros = Bytes.make covered_start '\000' in
-      Device.write_nt ~background (device t) ~cat ~addr:base ~src:zeros ~off:0
-        ~len:covered_start
-    end;
-    if covered_end < bs then begin
-      let zeros = Bytes.make (bs - covered_end) '\000' in
-      Device.write_nt ~background (device t) ~cat ~addr:(base + covered_end)
-        ~src:zeros ~off:0 ~len:(bs - covered_end)
-    end
+    if covered_start > 0 then
+      Device.zero_nt ~background (device t) ~cat ~addr:base
+        ~len:covered_start;
+    if covered_end < bs then
+      Device.zero_nt ~background (device t) ~cat ~addr:(base + covered_end)
+        ~len:(bs - covered_end)
 end
 
 (* --- file read/write --- *)
@@ -564,10 +560,9 @@ let truncate t ~ino ~size =
             match Data.lookup_block t ~ino ~fblock:(size / bs) with
             | None -> ()
             | Some block ->
-              let zeros = Bytes.make (bs - tail) '\000' in
-              Device.write_nt device ~cat:Stats.Other
+              Device.zero_nt device ~cat:Stats.Other
                 ~addr:(Data.block_addr t block + tail)
-                ~src:zeros ~off:0 ~len:(bs - tail)
+                ~len:(bs - tail)
           end
         end;
         Data.update_size t txn ~ino ~size;

@@ -433,6 +433,44 @@ let test_wb_mode_buffers_everything () =
 
 (* --- watermarks, stalls, daemons --- *)
 
+(* Whole blocks of one byte value share the medium's fill page of that
+   byte, whether the buffer pool writes them back or an eager write stores
+   them: writing them backs next to no host memory. *)
+let test_constant_fill_footprint () =
+  let stats = Stats.create () in
+  Testkit.run_sim (fun engine ->
+      let d, fs = Testkit.make_hinfs ~stats ~hcfg:Testkit.small_hcfg engine in
+      let bs = (Device.config d).Config.block_size in
+      let nblocks = 16 in
+      let len = nblocks * bs in
+      let write name c ~sync =
+        let ino = Pmfs.create_file (H.pmfs fs) ~dir:root name in
+        ignore
+          (H.write fs ~ino ~off:0 ~src:(Bytes.make len c) ~src_off:0 ~len ~sync);
+        ino
+      in
+      let before = Device.resident_pages d in
+      let lazy_ino = write "lazy" 'h' ~sync:false in
+      check_int "the lazy file is buffered" nblocks (H.buffered_blocks fs);
+      H.fsync fs ~ino:lazy_ino;
+      let eager_ino = write "eager" 'w' ~sync:true in
+      check_int "the eager file went straight to NVMM" nblocks
+        (Stats.eager_writes stats);
+      (* Metadata (index nodes, the undo log) backs a few pages; a private
+         page per data block would add 32. *)
+      let grown = Device.resident_pages d - before in
+      if grown > nblocks / 2 then
+        Alcotest.failf "%d blocks of one byte backed %d pages" (2 * nblocks)
+          grown;
+      Device.crash d;
+      let fs2 = Pmfs.mount d () in
+      List.iter
+        (fun (ino, c) ->
+          let buf = Bytes.create len in
+          ignore (Pmfs.read fs2 ~ino ~off:0 ~len ~into:buf ~into_off:0);
+          Testkit.check_bytes "durable" (Bytes.make len c) buf)
+        [ (lazy_ino, 'h'); (eager_ino, 'w') ])
+
 let test_pool_exhaustion_inline_reclaim () =
   let stats = Stats.create () in
   Testkit.run_sim (fun engine ->
@@ -918,6 +956,8 @@ let () =
             `Quick test_reused_home_block_no_stale_writeback;
           Alcotest.test_case "unmount flushes" `Quick
             test_unmount_flushes_everything;
+          Alcotest.test_case "constant fills back no pages" `Quick
+            test_constant_fill_footprint;
         ] );
       ( "mmap",
         [

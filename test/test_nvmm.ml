@@ -7,6 +7,7 @@ module Stats = Hinfs_stats.Stats
 module Config = Hinfs_nvmm.Config
 module Device = Hinfs_nvmm.Device
 module Allocator = Hinfs_nvmm.Allocator
+module Fault = Hinfs_nvmm.Fault
 module Blockdev = Hinfs_blockdev.Blockdev
 
 let check_int = Alcotest.(check int)
@@ -313,8 +314,9 @@ module Flat = struct
 end
 
 type medium_op =
-  | Cached of int * int * int (* addr, len, fill: 0 = zeros, else a seed *)
+  | Cached of int * int * int (* addr, len, fill (see [payload]) *)
   | Nt of int * int * int
+  | Zero of int * int (* addr, len: [Device.zero_nt] *)
   | Poke of int * int * int
   | Poke_flushed of int * int * int
   | Clflush of int * int
@@ -329,6 +331,7 @@ type medium_op =
 let show_medium_op = function
   | Cached (a, l, f) -> Fmt.str "Cached(%d,%d,%d)" a l f
   | Nt (a, l, f) -> Fmt.str "Nt(%d,%d,%d)" a l f
+  | Zero (a, l) -> Fmt.str "Zero(%d,%d)" a l
   | Poke (a, l, f) -> Fmt.str "Poke(%d,%d,%d)" a l f
   | Poke_flushed (a, l, f) -> Fmt.str "Poke_flushed(%d,%d,%d)" a l f
   | Clflush (a, l) -> Fmt.str "Clflush(%d,%d)" a l
@@ -340,21 +343,46 @@ let show_medium_op = function
   | Capture s -> Fmt.str "Capture %d" s
   | Words a -> Fmt.str "Words %d" a
 
+(* A store's bytes: [fill] 0 is zeros, 1 to 255 that byte throughout, and
+   above a pseudo-random pattern seeded by it. *)
+let payload fill len =
+  if fill < 256 then Bytes.make len (Char.chr fill)
+  else Testkit.pattern_bytes ~seed:fill len
+
 let medium_op_gen =
   let open QCheck.Gen in
-  let size = paged_config.Config.nvmm_size in
+  let size = paged_config.Config.nvmm_size
+  and ps = paged_config.Config.block_size in
+  (* Any range, or whole pages, one or two: the stores that may point a
+     page at a fill page. *)
   let range =
-    int_bound (size - 1) >>= fun addr ->
-    int_range 1 (min 600 (size - addr)) >|= fun len -> (addr, len)
+    frequency
+      [
+        ( 3,
+          int_bound (size - 1) >>= fun addr ->
+          int_range 1 (min 600 (size - addr)) >|= fun len -> (addr, len) );
+        ( 1,
+          int_bound ((size / ps) - 1) >>= fun p ->
+          int_range 1 (min 2 ((size / ps) - p)) >|= fun k -> (p * ps, k * ps)
+        );
+      ]
   in
+  (* Few fill bytes, so stores often meet the fill page of their own byte
+     or of another one. *)
   let store k =
     map2 (fun (a, l) f -> k a l f) range
-      (frequency [ (1, return 0); (2, int_range 1 1000) ])
+      (frequency
+         [
+           (1, return 0);
+           (2, oneofl [ 1; 2; 0x80; 0xff ]);
+           (2, int_range 256 1000);
+         ])
   in
   frequency
     [
       (4, store (fun a l f -> Cached (a, l, f)));
       (2, store (fun a l f -> Nt (a, l, f)));
+      (1, map (fun (a, l) -> Zero (a, l)) range);
       (1, store (fun a l f -> Poke (a, l, f)));
       (1, store (fun a l f -> Poke_flushed (a, l, f)));
       (3, map (fun (a, l) -> Clflush (a, l)) range);
@@ -373,7 +401,7 @@ let medium_op_gen =
    reference byte for byte, and its [dirty_cachelines] the reference's
    cached line count; at the end so must every device forked on the
    way, and every image taken must still hold the bytes it was taken
-   with. *)
+   with, and digest as an image of private pages with those bytes. *)
 let run_medium_ops engine ops =
   let size = paged_config.Config.nvmm_size and ls = Flat.ls in
   let sides =
@@ -402,10 +430,6 @@ let run_medium_ops engine ops =
     check_bytes "peek_persistent" r.medium
       (Device.peek_persistent d ~addr:0 ~len:size)
   in
-  let payload fill len =
-    if fill = 0 then Bytes.make len '\000'
-    else Testkit.pattern_bytes ~seed:fill len
-  in
   List.iter
     (fun op ->
       incr step;
@@ -419,6 +443,9 @@ let run_medium_ops engine ops =
         let src = payload fill len in
         Device.write_nt d ~cat ~addr ~src ~off:0 ~len;
         Flat.write_medium ~drop:true r addr src
+      | Zero (addr, len) ->
+        Device.zero_nt d ~cat ~addr ~len;
+        Flat.write_medium ~drop:true r addr (Bytes.make len '\000')
       | Poke (addr, len, fill) ->
         let src = payload fill len in
         Device.poke d ~addr ~src ~off:0 ~len;
@@ -484,10 +511,25 @@ let run_medium_ops engine ops =
     ops;
   incr step;
   Array.iter check_side !sides;
+  (* The same bytes poked a half page at a time: every page not all zeros
+     is private. *)
+  let private_copy bytes =
+    let d = Device.create engine (Stats.create ()) paged_config in
+    let half = paged_config.Config.block_size / 2 in
+    for i = 0 to (size / half) - 1 do
+      Device.poke d ~addr:(i * half) ~src:bytes ~off:(i * half) ~len:half
+    done;
+    Device.snapshot d
+  in
   List.iter
     (fun (image, bytes) ->
       check_bytes "image changed after it was taken" bytes
-        (Device.image_to_bytes image))
+        (Device.image_to_bytes image);
+      if
+        not
+          (Digest.equal (Device.image_digest image)
+             (Device.image_digest (private_copy bytes)))
+      then fail "image digest differs from a private copy's")
     !images;
   !bad
 
@@ -547,6 +589,116 @@ let test_snapshot_shares_pages () =
       check_int "image unchanged" (Char.code 'x')
         (Bytes.get_uint8 (Device.image_to_bytes image) 0))
 
+(* A page of one byte value is that value's shared fill page: a
+   whole-page store of one byte backs no page, a partial store of other
+   bytes copies it, images on either side keep their bytes, and a digest
+   cannot tell a fill page from a private page with the same bytes. *)
+let test_fill_pages () =
+  Testkit.run_sim (fun engine ->
+      let config = { Config.default with Config.nvmm_size = 1024 * 1024 } in
+      let ps = config.Config.block_size in
+      let d = Testkit.make_device ~config engine in
+      let store d ~addr ~len c =
+        Device.write_nt d ~cat ~addr ~src:(Bytes.make len c) ~off:0 ~len
+      in
+      let page image p = Bytes.sub (Device.image_to_bytes image) (p * ps) ps in
+      store d ~addr:ps ~len:(2 * ps) 'f';
+      check_int "whole-page stores of one byte back no page" 0
+        (Device.resident_pages d);
+      store d ~addr:(ps + 8) ~len:100 'f';
+      check_int "a store of the fill byte into its page copies nothing" 0
+        (Device.resident_pages d);
+      let shared = Device.snapshot d in
+      store d ~addr:(ps + 8) ~len:100 'g';
+      check_int "a partial store of another byte copies the page" 1
+        (Device.resident_pages d);
+      let mixed = Bytes.make ps 'f' in
+      Bytes.fill mixed 8 100 'g';
+      let copied = Device.snapshot d in
+      (* The image took the copy; the device makes and owns another. *)
+      store d ~addr:(ps + 8) ~len:1 'g';
+      store d ~addr:ps ~len:ps 'f';
+      check_int "a whole-page store drops the copy" 0 (Device.resident_pages d);
+      store d ~addr:ps ~len:1 'h';
+      check_int "a store after the drop copies the fill page" 1
+        (Device.resident_pages d);
+      Testkit.check_bytes "the other page of the fill stays the fill"
+        (Bytes.make ps 'f') (Device.peek d ~addr:(2 * ps) ~len:ps);
+      store d ~addr:ps ~len:ps 'f';
+      Testkit.check_bytes "the image taken before the copy keeps the fill"
+        (Bytes.make ps 'f') (page shared 1);
+      Testkit.check_bytes "the image taken of the copy keeps its bytes" mixed
+        (page copied 1);
+      Testkit.check_bytes "the other page of the fill is untouched"
+        (Bytes.make ps 'f') (page copied 2);
+      (* The same bytes, stored half a page at a time. *)
+      let d2 = Testkit.make_device ~config engine in
+      for i = 2 to 5 do
+        store d2 ~addr:(i * ps / 2) ~len:(ps / 2) 'f'
+      done;
+      check_int "half-page stores back private pages" 2
+        (Device.resident_pages d2);
+      let a = Device.snapshot d and b = Device.snapshot d2 in
+      Testkit.check_bytes "same bytes" (Device.image_to_bytes a)
+        (Device.image_to_bytes b);
+      check_bool "a fill page digests as a private page of its bytes" true
+        (Digest.equal (Device.image_digest a) (Device.image_digest b)))
+
+(* [zero_nt] is [write_nt] of zeros: the same bytes, cache, clock, stats,
+   recorded events and store-time fault draws. *)
+let test_zero_nt_matches_write_nt () =
+  Testkit.run_sim (fun engine ->
+      let size = paged_config.Config.nvmm_size in
+      let device () =
+        let stats = Stats.create () in
+        let d = Device.create engine stats paged_config in
+        Device.poke d ~addr:0 ~src:(Testkit.pattern_bytes ~seed:5 size) ~off:0
+          ~len:size;
+        Device.enable_recording d;
+        Device.write_cached d ~cat ~addr:100
+          ~src:(Testkit.pattern_bytes ~seed:6 700)
+          ~off:0 ~len:700;
+        Device.set_fault_model d
+          (Some (Fault.create ~poison_rate:0.3 ~seed:7L ()));
+        (d, stats)
+      in
+      let a, sa = device () in
+      let b, sb = device () in
+      let elapsed f =
+        let t0 = Proc.now () in
+        f ();
+        Int64.sub (Proc.now ()) t0
+      in
+      List.iter
+        (fun (addr, len) ->
+          let what s = Fmt.str "zeros at [%d, +%d): %s" addr len s in
+          let ta =
+            elapsed (fun () ->
+                Device.write_nt a ~cat ~addr ~src:(Bytes.make len '\000')
+                  ~off:0 ~len)
+          in
+          let tb = elapsed (fun () -> Device.zero_nt b ~cat ~addr ~len) in
+          check_i64 (what "clock") ta tb;
+          check_i64 (what "charged") (Stats.time sa cat) (Stats.time sb cat);
+          check_i64 (what "bytes written") (Stats.nvmm_bytes_written sa)
+            (Stats.nvmm_bytes_written sb);
+          Testkit.check_bytes (what "coherent view")
+            (Device.peek a ~addr:0 ~len:size)
+            (Device.peek b ~addr:0 ~len:size);
+          Testkit.check_bytes (what "medium")
+            (Device.peek_persistent a ~addr:0 ~len:size)
+            (Device.peek_persistent b ~addr:0 ~len:size);
+          check_int (what "dirty lines") (Device.dirty_cachelines a)
+            (Device.dirty_cachelines b);
+          check_bool (what "recorded events") true
+            (Device.recorded_events a = Device.recorded_events b);
+          check_int (what "undecided lines") (Device.pending_choice_lines a)
+            (Device.pending_choice_lines b);
+          check_bool (what "poisoned lines") true
+            (Device.verify_range a ~addr:0 ~len:size
+            = Device.verify_range b ~addr:0 ~len:size))
+        [ (0, 256); (10, 50); (200, 600); (64, 128); (1000, 1); (3000, 1096) ])
+
 (* --- blockdev --- *)
 
 let test_blockdev_roundtrip () =
@@ -600,6 +752,9 @@ let () =
             test_dirty_line_tracking;
           Alcotest.test_case "bounds checking" `Quick test_bounds_checking;
           Alcotest.test_case "mkfs residency" `Quick test_mkfs_residency;
+          Alcotest.test_case "fill pages" `Quick test_fill_pages;
+          Alcotest.test_case "zero_nt matches write_nt" `Quick
+            test_zero_nt_matches_write_nt;
           Alcotest.test_case "snapshot shares pages" `Quick
             test_snapshot_shares_pages;
         ]
