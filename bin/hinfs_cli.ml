@@ -410,8 +410,8 @@ let scrub_run seed poison_rate transient_rate poison_lines files size_mb
                "shard %d: %d heal(s), %d data line(s) lost, health %s@." s
                heals
                sreport.Scrub.lost_by_shard.(s)
-               (Hinfs_pmfs.Health.state_name
-                  (Hinfs_pmfs.Health.shard_state (Pmfs.health fs) s)))
+               (if Pmfs.domain_fault fs s = None then "healthy"
+                else "degraded"))
            sreport.Scrub.repairs_by_shard);
       if sreport.Scrub.remaining_poison > 0 then
         Fmt.pr "unhealed poison: %d line(s) remain@."

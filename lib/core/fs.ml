@@ -35,7 +35,6 @@ module Btree = Hinfs_structures.Btree
 module Errno = Hinfs_vfs.Errno
 module Types = Hinfs_vfs.Types
 module Pmfs = Hinfs_pmfs.Pmfs
-module Health = Hinfs_pmfs.Health
 module Layout = Hinfs_pmfs.Layout
 module Media = Hinfs_pmfs.Media
 module Obs = Hinfs_obs.Obs
@@ -672,10 +671,6 @@ let read_buffered_segment t b ~in_block ~len ~into ~into_off =
       copy_run ~first ~count ~from_dram:set)
 
 let read t ~ino ~off ~len ~into ~into_off =
-  (* Fail fast on an isolated shard even for DRAM hits: the quarantine
-     listener dropped its buffers, and repair may be rewriting the NVMM
-     side underneath. *)
-  Pmfs.check_readable_ino t.pmfs ~ino;
   if off < 0 || len < 0 then Errno.raise_error EINVAL "bad read range";
   let fst = file_state t ino in
   let bs = block_size t in
@@ -712,8 +707,6 @@ let read t ~ino ~off ~len ~into ~into_off =
 (* --- fsync (§3.3.2) --- *)
 
 let fsync t ~ino =
-  (* No durability acknowledgements on an isolated shard. *)
-  Pmfs.check_readable_ino t.pmfs ~ino;
   let fst = file_state t ino in
   (* Persist buffered data, then the pending metadata (ordered mode). *)
   flush_file t fst ~evict:false;
@@ -769,27 +762,6 @@ let drop_buffers t ino =
     end;
     abort_pending t fst;
     Hashtbl.remove t.files ino
-
-(* When the repair daemon isolates a shard, its DRAM state must go: the
-   journal re-replay invalidates whatever the pending transactions and
-   buffered blocks assumed, and repair I/O must not race writeback.
-   Pending transactions are aborted (their ops were never acknowledged
-   durable — fsync on this shard now fails fast) and buffers dropped.
-   Installed as the health listener at mount. *)
-let on_health_transition t domain _prev next =
-  match (domain, next) with
-  | Health.Shard s, Health.Quarantined _ ->
-    let victims =
-      Hashtbl.fold
-        (fun ino _ acc -> if shard_of t ino = s then ino :: acc else acc)
-        t.files []
-    in
-    List.iter (fun ino -> drop_buffers t ino) victims
-  | _ -> ()
-
-let install_health_listener t =
-  Health.set_listener (Pmfs.health t.pmfs) (fun domain prev next ->
-      on_health_transition t domain prev next)
 
 let unlink t ~dir name =
   (match Pmfs.lookup t.pmfs ~dir name with
@@ -959,7 +931,6 @@ let mkfs_and_mount device ?journal_blocks ?inodes_per_mb ?hcfg ?sync_mount
       ~journal_cleaner:daemons ()
   in
   let t = create ?hcfg ?sync_mount pmfs in
-  install_health_listener t;
   if daemons then start_daemons t;
   t
 
@@ -969,7 +940,6 @@ let mkfs_and_mount device ?journal_blocks ?inodes_per_mb ?hcfg ?sync_mount
 let mount device ?hcfg ?sync_mount ?(daemons = true) () =
   let pmfs = Pmfs.mount device ~journal_cleaner:daemons () in
   let t = create ?hcfg ?sync_mount pmfs in
-  install_health_listener t;
   if daemons then start_daemons t;
   t
 

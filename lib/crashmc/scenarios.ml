@@ -828,11 +828,11 @@ let fixture_torn_root_swap =
 
    A 4-shard image with one durable file per shard; the victim shard's
    journal sub-region is poisoned, the shard is degraded, and a full
-   repair pass runs to re-admission with crash enumeration armed. Repair
-   writes go through the untimed reliable-store path, so the enumerated
-   states include mid-Repairing images (journal partially re-replayed and
-   wiped, epoch record re-persisted, scrub zeroes landed): every one must
-   mount, pass fsck, and preserve all four durable files. *)
+   repair pass runs in place to re-admission with crash enumeration armed.
+   Repair writes go through the untimed reliable-store path, so the
+   enumerated states include mid-repair images (journal partially
+   re-replayed and wiped, epoch record re-persisted, scrub zeroes landed):
+   every one must mount, pass fsck, and preserve all four durable files. *)
 let pmfs_shard_repair =
   {
     name = "pmfs-shard-repair";

@@ -20,8 +20,8 @@
    mount degrades only the shard that owns an unrecoverable finding (the
    superblock and epoch record belong to the mount domain). Passing
    [?shard] scopes the walk to one shard's regions — the online repair
-   daemon scrubs the quarantined shard in isolation without touching
-   siblings' poison budgets.
+   pass scrubs a degraded shard without touching siblings' poison
+   budgets.
 
    All repairs go through [Device.poke_flushed], the untimed
    reliable-store path that heals poison at the fault model's store hook

@@ -96,18 +96,17 @@ let setup engine ~config ~buffer_bytes ~cache_pages ?(shards = 1) kind =
           (List.init nshards (fun s ->
                let ctx = Hinfs_pmfs.Pmfs.ctx pmfs in
                let log = (Hinfs_pmfs.Fs_ctx.shard ctx s).Hinfs_pmfs.Fs_ctx.log in
-               let health = Hinfs_pmfs.Pmfs.health pmfs in
                [
                  ( Fmt.str "shard%d.pool_used" s,
                    fun () ->
                      Hinfs.Buffer_pool.used_count (Hinfs.Fs.shard_pool fs s) );
                  (Fmt.str "shard%d.journal_free_slots" s, fun () ->
                      Log.free_slots log);
-                 (* 0 healthy, 1 degraded, 2 quarantined, 3 repairing *)
+                 (* 0 healthy, 1 degraded *)
                  ( Fmt.str "shard%d.health" s,
                    fun () ->
-                     Hinfs_pmfs.Health.state_code
-                       (Hinfs_pmfs.Health.shard_state health s) );
+                     if Hinfs_pmfs.Pmfs.domain_fault pmfs s = None then 0
+                     else 1 );
                ]))
         @ [
             ( "epoch.commits",

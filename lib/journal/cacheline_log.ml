@@ -118,11 +118,11 @@ let create device ~first_block ~blocks =
 let set_fault_injector t f = t.injector <- f
 
 (* Re-arm a live log handle after its on-media region was recovered and
-   wiped out-of-band (the online shard-repair path runs {!recover} over
+   wiped out-of-band (the online repair pass runs {!recover} over
    the region while the mount holds this [t]). All slots are free again;
    pending-clean work refers to entries the wipe already zeroed, so it is
    dropped rather than replayed. Caller must ensure no live transactions
-   ([live_txns t = 0]) — repair quarantines the shard first. *)
+   ([live_txns t = 0]) — repair drains live transactions first. *)
 let reset_runtime t =
   if t.live_txns > 0 then
     invalid_arg "Cacheline_log.reset_runtime: live transactions";

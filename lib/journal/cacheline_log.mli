@@ -100,10 +100,10 @@ val recover :
 
 val reset_runtime : t -> unit
 (** Re-arm a live log handle after its region was recovered and wiped
-    out-of-band ({!recover} run by the online shard-repair path while the
+    out-of-band ({!recover} run by the online repair pass while the
     mount still holds this [t]): marks every slot free and drops pending
     cleaning work (the wipe already zeroed it). Raises [Invalid_argument]
-    if transactions are live — quarantine the shard first. *)
+    if transactions are live — drain live transactions first. *)
 
 val set_fault_injector : t -> (unit -> bool) option -> unit
 (** Operation-level fault hook, polled once per entry-slot allocation: when

@@ -41,9 +41,9 @@ let () =
 type t = {
   seed : int64;
   rng : Rng.t;
-  mutable poison_rate : float;
+  poison_rate : float;
       (** per-line probability a store leaves poison *)
-  mutable transient_rate : float;
+  transient_rate : float;
       (** per-line probability a load faults once *)
   poisoned : (int, unit) Hashtbl.t;  (** line index -> poisoned *)
   transient_pending : (int, unit) Hashtbl.t;
@@ -71,20 +71,6 @@ let create ?(poison_rate = 0.0) ?(transient_rate = 0.0) ~seed () =
 let seed t = t.seed
 let poison_rate t = t.poison_rate
 let transient_rate t = t.transient_rate
-
-(* Rates are adjustable at runtime so a chaos schedule can open and close
-   fault windows (poison bursts, transient storms) mid-run. Draws still come
-   off the single seeded stream in access order, so a fixed schedule stays
-   deterministic. *)
-let set_poison_rate t rate =
-  if rate < 0.0 || rate > 1.0 then
-    invalid_arg "Fault.set_poison_rate: rate outside [0, 1]";
-  t.poison_rate <- rate
-
-let set_transient_rate t rate =
-  if rate < 0.0 || rate > 1.0 then
-    invalid_arg "Fault.set_transient_rate: rate outside [0, 1]";
-  t.transient_rate <- rate
 
 (* --- transient-read retry policy ---
 

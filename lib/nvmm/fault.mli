@@ -27,12 +27,6 @@ val seed : t -> int64
 val poison_rate : t -> float
 val transient_rate : t -> float
 
-val set_poison_rate : t -> float -> unit
-(** Adjust the store-time poison rate at runtime (chaos schedules open and
-    close fault windows mid-run). Draws stay on the one seeded stream. *)
-
-val set_transient_rate : t -> float -> unit
-
 (** {1 Transient-read retry policy}
 
     How a mount reacts to [Media_error { transient = true }]: up to

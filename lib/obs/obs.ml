@@ -46,7 +46,6 @@ type kind =
   | Snapshot_commit
   | Snapshot_gc
   | Dev_retry
-  | Health_repair
   (* Serving-layer request classes (lib/server): one span per request,
      covering decode -> dispatch -> encode on the worker fiber. *)
   | Req_lookup
@@ -70,8 +69,6 @@ type ev =
   | Ev_mmap_unpin
   | Ev_dead_drop
   | Ev_proc_spawn
-  | Ev_quarantine
-  | Ev_readmit
   | Ev_session_expire
   | Ev_estale
   | Ev_oc_evict
@@ -109,19 +106,18 @@ let kind_index = function
   | Snapshot_commit -> 29
   | Snapshot_gc -> 30
   | Dev_retry -> 31
-  | Health_repair -> 32
-  | Req_lookup -> 33
-  | Req_getattr -> 34
-  | Req_read -> 35
-  | Req_write -> 36
-  | Req_create -> 37
-  | Req_remove -> 38
-  | Req_rename -> 39
-  | Req_commit -> 40
-  | Srv_queue -> 41
-  | Srv_decode -> 42
-  | Srv_encode -> 43
-  | Srv_flush -> 44
+  | Req_lookup -> 32
+  | Req_getattr -> 33
+  | Req_read -> 34
+  | Req_write -> 35
+  | Req_create -> 36
+  | Req_remove -> 37
+  | Req_rename -> 38
+  | Req_commit -> 39
+  | Srv_queue -> 40
+  | Srv_decode -> 41
+  | Srv_encode -> 42
+  | Srv_flush -> 43
 
 let all_kinds =
   [
@@ -130,7 +126,7 @@ let all_kinds =
     Op_truncate; Op_mmap; Op_munmap; Op_msync; Op_sync_all; Op_unmount;
     Journal_commit; Journal_recover; Writeback; Buffer_fetch; Flush; Fence;
     Slot_wait; Nvcache_append; Nvcache_destage; Nvcache_replay;
-    Snapshot_commit; Snapshot_gc; Dev_retry; Health_repair;
+    Snapshot_commit; Snapshot_gc; Dev_retry;
     Req_lookup; Req_getattr; Req_read; Req_write; Req_create; Req_remove;
     Req_rename; Req_commit; Srv_queue; Srv_decode; Srv_encode; Srv_flush;
   ]
@@ -170,7 +166,6 @@ let kind_name = function
   | Snapshot_commit -> "snapshot.commit"
   | Snapshot_gc -> "snapshot.gc"
   | Dev_retry -> "dev.retry"
-  | Health_repair -> "health.repair"
   | Req_lookup -> "req.lookup"
   | Req_getattr -> "req.getattr"
   | Req_read -> "req.read"
@@ -191,8 +186,6 @@ let ev_name = function
   | Ev_mmap_unpin -> "mmap.unpin"
   | Ev_dead_drop -> "buffer.dead_drop"
   | Ev_proc_spawn -> "proc.spawn"
-  | Ev_quarantine -> "health.quarantine"
-  | Ev_readmit -> "health.readmit"
   | Ev_session_expire -> "session.expire"
   | Ev_estale -> "server.estale"
   | Ev_oc_evict -> "server.oc_evict"

@@ -49,7 +49,6 @@ type kind =
   | Snapshot_commit  (** CoW root-swap commit (refcount fixpoint + swap) *)
   | Snapshot_gc  (** CoW snapshot deletion / rollback refcount walk *)
   | Dev_retry  (** transient-media-read retry backoff (charged on clock) *)
-  | Health_repair  (** repair daemon healing one quarantined shard *)
   | Req_lookup  (** serving layer: LOOKUP request, decode to reply *)
   | Req_getattr
   | Req_read
@@ -71,8 +70,6 @@ type ev =
   | Ev_mmap_unpin
   | Ev_dead_drop  (** buffered block dropped without writeback *)
   | Ev_proc_spawn
-  | Ev_quarantine  (** a=shard, b=health state code entering isolation *)
-  | Ev_readmit  (** a=shard, b=repair attempts before success *)
   | Ev_session_expire  (** a=session id, b=cached opens reclaimed *)
   | Ev_estale  (** a=handle slot, b=generation that went stale *)
   | Ev_oc_evict  (** a=inode evicted from the open-file cache, b=1 if dirty *)

@@ -30,7 +30,9 @@ type t = {
   mutable mounted : bool;
   recovered_txns : int;
   recovered_by_shard : int array; (* rolled-back txns per shard journal *)
-  health : Health.t; (* per-fault-domain state machine *)
+  mutable mount_fault : string option; (* first fault on the mount domain *)
+  shard_faults : string option array; (* first fault per shard domain *)
+  failed_repairs : int array; (* per repair domain, see [domain_fault] *)
   mutable retry : Fault.retry_policy; (* transient-read retry/backoff *)
 }
 
@@ -60,59 +62,65 @@ let set_sabotage_skip_epoch v = sabotage_skip_epoch := v
 
 (* --- graceful degradation (per fault domain) ---
 
-   An unrecoverable metadata fault must not abort the machine. PR 2
-   degraded the whole mount read-only; with the hot state sharded, the
-   blast radius of a fault is one shard (its journal sub-region, allocator
-   ranges, inode range), so each shard is now its own fault domain with a
-   Healthy -> Degraded -> Quarantined -> Repairing state machine (see
-   {!Health}). Unsharded mounts keep the old behaviour: every fault lands
-   on the [Mount] domain, which only ever reaches [Degraded]. *)
+   An unrecoverable metadata fault must not abort the machine: it degrades
+   the fault domain that owns it. Each shard of a sharded mount is a domain
+   (its journal sub-region, allocator ranges, inode range); the mount
+   domain holds what no shard owns (superblock, epoch record) and is the
+   only domain of an unsharded mount. A domain is healthy or degraded, and
+   a degraded domain keeps the reason of its first fault. It still serves
+   reads and fsync (DRAM or replicas may hold the only good copy) but
+   rejects mutations with EROFS until a repair pass re-admits it. *)
 
-let health t = t.health
 let retry_policy t = t.retry
 let set_retry_policy t policy = t.retry <- policy
 
 (* Whole-mount view, unchanged for shards = 1: [read_only] means no write
    anywhere can succeed. *)
-let read_only t = Health.mount_state t.health <> Health.Healthy
-
-let read_only_reason t =
-  Health.state_reason (Health.mount_state t.health)
+let read_only t = t.mount_fault <> None
+let read_only_reason t = t.mount_fault
 
 (* Any domain unhealthy: the image must not be certified clean. *)
-let fully_healthy t = Health.all_healthy t.health
+let fully_healthy t =
+  t.mount_fault = None && Array.for_all Option.is_none t.shard_faults
 
-(* Route a fault to its owning domain: sharded mounts degrade just the
-   shard, unsharded mounts (and shard-unattributable faults) the mount. *)
-let domain_for t s =
-  if shard_count t > 1 then Health.Shard s else Health.Mount
+let degrade t reason =
+  if t.mount_fault = None then t.mount_fault <- Some reason
 
-let degrade t reason = Health.degrade t.health Health.Mount reason
-let degrade_shard t s reason = Health.degrade t.health (domain_for t s) reason
+(* Sharded mounts degrade just the shard; an unsharded mount is its own
+   only domain. *)
+let degrade_shard t s reason =
+  if shard_count t = 1 then degrade t reason
+  else if t.shard_faults.(s) = None then t.shard_faults.(s) <- Some reason
+
+(* Repair domains are numbered like shards: domain [s] is shard [s] of a
+   sharded mount, and domain 0 of an unsharded mount is the mount. *)
+let domain_fault t s =
+  if shard_count t > 1 then t.shard_faults.(s) else t.mount_fault
+
+let failed_repairs t s = t.failed_repairs.(s)
+
+let end_repair t s ~ok =
+  if ok then begin
+    t.failed_repairs.(s) <- 0;
+    if shard_count t > 1 then t.shard_faults.(s) <- None
+    else t.mount_fault <- None
+  end
+  else t.failed_repairs.(s) <- t.failed_repairs.(s) + 1
 
 let check_writable t =
-  match Health.mount_state t.health with
-  | Health.Healthy -> ()
-  | st ->
-    Errno.raise_error EROFS "file system is read-only: %s"
-      (match Health.state_reason st with Some r -> r | None -> "")
+  match t.mount_fault with
+  | None -> ()
+  | Some r -> Errno.raise_error EROFS "file system is read-only: %s" r
 
-(* Writes need the mount and the inode's home shard; reads survive a
-   degraded shard (DRAM or replicas may hold the only good copy) but fail
-   fast once the repair daemon has isolated it. *)
+(* Writes need the mount and the inode's home shard both healthy. *)
 let check_writable_ino t ~ino =
-  match Health.writable_reason t.health (shard_of_ino t ino) with
-  | None -> ()
-  | Some (domain, reason) ->
-    Errno.raise_error EROFS "%s is read-only: %s"
-      (Health.domain_name domain) reason
-
-let check_readable_ino t ~ino =
-  match Health.readable_reason t.health (shard_of_ino t ino) with
-  | None -> ()
-  | Some (domain, reason) ->
-    Errno.raise_error EIO "%s is quarantined: %s" (Health.domain_name domain)
-      reason
+  match t.mount_fault with
+  | Some r -> Errno.raise_error EROFS "mount is read-only: %s" r
+  | None -> (
+    let s = shard_of_ino t ino in
+    match t.shard_faults.(s) with
+    | None -> ()
+    | Some r -> Errno.raise_error EROFS "shard%d is read-only: %s" s r)
 
 (* Which shard owns a faulting byte address, for blast-radius attribution:
    journal sub-regions, inode-table slots, and data blocks all map to a
@@ -139,8 +147,8 @@ let shard_of_addr t addr =
 
 (* Transient media faults are retried under the mount's policy
    ({!Device.read_retrying}). Unrecoverable (poisoned-line) faults degrade
-   the owning fault domain and surface as EIO on the data path: the repair
-   daemon takes it from there. *)
+   the owning fault domain and surface as EIO on the data path; a repair
+   pass ([Hinfs_fsck.Repair.run_once]) can re-admit the domain. *)
 let read_or_eio t ~cat ~addr ~len ~into ~off =
   try
     Device.read_retrying (device t) ~policy:t.retry ~cat ~addr ~len ~into
@@ -302,7 +310,9 @@ let mount device ?(sync_mount = false) ?(journal_cleaner = false)
         mounted = true;
         recovered_txns = rolled_back;
         recovered_by_shard = Array.map (fun r -> r.Log.rolled_back) recoveries;
-        health = Health.create ~shards:nshards;
+        mount_fault = None;
+        shard_faults = Array.make nshards None;
+        failed_repairs = Array.make nshards 0;
         retry;
       }
     in
@@ -425,7 +435,6 @@ end
 (* --- file read/write --- *)
 
 let read t ~ino ~off ~len ~into ~into_off =
-  check_readable_ino t ~ino;
   check_ino t ino;
   if off < 0 || len < 0 then Errno.raise_error EINVAL "bad read range";
   let geo = geometry t in
@@ -571,9 +580,6 @@ let truncate t ~ino ~size =
   end
 
 let fsync t ~ino =
-  (* Acknowledging durability on an isolated shard would be a lie: fail
-     fast like reads do. Degraded (not yet isolated) shards still fence. *)
-  check_readable_ino t ~ino;
   check_ino t ino;
   (* All PMFS data and committed metadata are already persistent; fsync
      reduces to an ordering fence. *)

@@ -59,25 +59,26 @@ val attach_faultops : t -> Hinfs_nvmm.Faultops.t option -> unit
 
 (** {1 Graceful degradation (per fault domain)}
 
-    Each shard is a fault domain with its own
-    [Healthy -> Degraded -> Quarantined -> Repairing] state machine
-    ({!Health}): an unrecoverable metadata fault (poisoned live inode
-    slot, untrusted journal records dropped during recovery) degrades
-    only the owning shard; siblings keep serving read-write. On an
-    unsharded mount every fault lands on the [Mount] domain, reproducing
-    the PR 2 whole-mount behaviour. Transient media faults on the data
-    path are retried under a configurable backoff policy charged on the
-    virtual clock; persistent ones surface as [EIO]. *)
-
-val health : t -> Health.t
+    Each shard of a sharded mount is a fault domain, and the mount domain
+    holds what no shard owns (superblock, epoch record); an unsharded
+    mount has only the mount domain. A domain is healthy or degraded, and
+    a degraded domain keeps the reason of its first fault. An
+    unrecoverable metadata fault (poisoned live inode slot, untrusted
+    journal records dropped during recovery) degrades only the owning
+    domain: it keeps serving reads and fsync but rejects mutations with
+    [EROFS], while sibling shards keep serving read-write. A repair pass
+    ([Hinfs_fsck.Repair.run_once]) re-admits the domain in place. Transient
+    media faults on the data path are retried under a configurable backoff
+    policy charged on the virtual clock; persistent ones surface as
+    [EIO]. *)
 
 val retry_policy : t -> Hinfs_nvmm.Fault.retry_policy
 val set_retry_policy : t -> Hinfs_nvmm.Fault.retry_policy -> unit
 
 val read_only : t -> bool
-(** Whole-mount view: [true] when the [Mount] domain is unhealthy (no
-    write anywhere can succeed). Individual shards may be degraded while
-    this is [false]. *)
+(** Whole-mount view: [true] when the mount domain is degraded (no write
+    anywhere can succeed). Individual shards may be degraded while this is
+    [false]. *)
 
 val read_only_reason : t -> string option
 
@@ -86,11 +87,26 @@ val fully_healthy : t -> bool
     clean. *)
 
 val degrade : t -> string -> unit
-(** Degrade the [Mount] domain with a reason (first reason wins). Used
-    for faults no shard owns: superblock, epoch record. *)
+(** Degrade the mount domain with a reason (first reason wins). Used for
+    faults no shard owns: superblock, epoch record. *)
 
 val degrade_shard : t -> int -> string -> unit
-(** Degrade shard [s]'s domain ([Mount] when the mount is unsharded). *)
+(** Degrade shard [s]'s domain (the mount domain when the mount is
+    unsharded). *)
+
+val domain_fault : t -> int -> string option
+(** First-fault reason of repair domain [s], [None] when it is healthy.
+    Repair domains are numbered like shards: domain [s] is shard [s] of a
+    sharded mount, and domain 0 of an unsharded mount is the mount. *)
+
+val failed_repairs : t -> int -> int
+(** Repair passes over domain [s] that failed since it was last
+    re-admitted. *)
+
+val end_repair : t -> int -> ok:bool -> unit
+(** Record the outcome of a repair pass over domain [s]: [ok] re-admits
+    the domain (healthy, failure count reset), otherwise it stays degraded
+    and its failure count grows. *)
 
 val shard_of_addr : t -> int -> int option
 (** Which shard owns a byte address (journal sub-region, inode-table
@@ -98,15 +114,11 @@ val shard_of_addr : t -> int -> int option
     addresses (superblock, epoch record). *)
 
 val check_writable : t -> unit
-(** Raise [EROFS] when the [Mount] domain is degraded. *)
+(** Raise [EROFS] when the mount domain is degraded. *)
 
 val check_writable_ino : t -> ino:int -> unit
 (** Raise [EROFS] when the mount or [ino]'s home shard cannot take
     writes; mutations call this first. *)
-
-val check_readable_ino : t -> ino:int -> unit
-(** Raise [EIO] when [ino]'s home shard is quarantined or under repair
-    (degraded shards still serve reads). *)
 
 (** {1 Accessors} *)
 

@@ -6,11 +6,10 @@
    carrying unstable (COMMIT-pending) writes are flushed on eviction so
    bounded capacity never silently weakens durability.
 
-   Fault-domain discipline: the flush-on-evict fsync is attempted exactly
-   once. If the file's shard is quarantined the backend fails the fsync
-   fast with EIO; we drop the entry (the fd is closed regardless) and let
-   the EIO propagate to whichever request forced the eviction — no
-   retry loop against a shard that health has already isolated. *)
+   Failure discipline: the flush-on-evict fsync is attempted exactly
+   once. If it fails we drop the entry (the fd is closed regardless) and
+   let the error propagate to whichever request forced the eviction — no
+   retry loop against a backend that has already refused the flush. *)
 
 module Vfs = Hinfs_vfs.Vfs
 module Types = Hinfs_vfs.Types
@@ -47,8 +46,7 @@ let misses t = t.misses
 
 (* Close an entry, flushing first when it still carries unstable writes.
    The fd is always closed and the entry is gone on return or raise; a
-   flush failure (e.g. EIO from a quarantined shard) propagates after the
-   close — fail fast, never retry. *)
+   flush failure propagates after the close — fail fast, never retry. *)
 let close_entry t (e : entry) ~flush =
   let flush_exn =
     if flush && e.dirty then begin

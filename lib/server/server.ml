@@ -147,7 +147,7 @@ let dispatch t ~sid (req : Wire.req) : Wire.reply =
     let fd = t.vfs.Vfs.open_ path { Types.creat with read = true } in
     let st = t.vfs.Vfs.fstat fd in
     (* don't leak the fresh fd if inserting it forces an eviction whose
-       flush fails (e.g. EIO from a quarantined shard) *)
+       flush fails *)
     (match Ofcache.insert t.cache ~ino:st.Types.ino ~fd ~sid with
     | (_ : Vfs.fd) -> ()
     | exception ex ->

@@ -1,14 +1,13 @@
 (** POSIX-flavoured file system error codes.
 
     Fault-domain contract: backends with per-shard fault domains scope
-    these errors to the failing domain, not the mount. An op landing in a
-    {e Degraded} domain raises [EROFS] for mutations while reads are
-    still served; once the domain is {e Quarantined} or {e Repairing},
-    reads and fsync raise [EIO] as well — both fail fast, before any
-    state is touched. Ops on healthy sibling domains of the same mount
-    must keep succeeding; only a mount-scoped fault (superblock, whole-
-    mount degradation on unsharded backends) makes every mutation raise
-    [EROFS].
+    these errors to the failing domain, not the mount. A mutation landing
+    in a degraded domain raises [EROFS] before any state is touched, while
+    reads and fsync are still served; an uncorrectable media error on the
+    data path raises [EIO]. Ops on healthy sibling domains of the same
+    mount must keep succeeding; only a mount-scoped fault (superblock,
+    whole-mount degradation on unsharded backends) makes every mutation
+    raise [EROFS].
 
     Stale-handle contract: [ESTALE] is raised only by serving layers that
     hand out identity tokens outliving a single syscall (the lib/server
@@ -32,7 +31,7 @@ type t =
   | ENOTEMPTY
   | EFBIG
   | EROFS  (** mutation into a read-only mount or degraded fault domain *)
-  | EIO  (** uncorrectable media error, or a quarantined fault domain *)
+  | EIO  (** uncorrectable media error *)
   | ESTALE  (** file handle outlived the object it named (see above) *)
 
 exception Fs_error of t * string

@@ -28,7 +28,6 @@ for seed in 4242 1001 90210; do
   SOAK_SEED=$seed dune build @nvcache-soak --force
   SOAK_SEED=$seed dune build @snapshot-soak --force
   SOAK_SEED=$seed dune build @shard-soak --force
-  SOAK_SEED=$seed dune build @chaos-soak --force
   SOAK_SEED=$seed dune build @serve-soak --force
   SOAK_SEED=$seed dune build @crashmc-smoke --force
   SOAK_SEED=$seed dune build @crashmc-recovery --force

@@ -355,70 +355,89 @@ let test_itable_poison_mounts_read_only () =
 
 module Vfs = Hinfs_vfs.Vfs
 module Types = Hinfs_vfs.Types
-module Health = Hinfs_pmfs.Health
 module Obs = Hinfs_obs.Obs
 module Hist = Hinfs_obs.Hist
 
-(* Satellite: ops crossing the VFS boundary into a quarantined shard fail
-   fast (reads/fsync EIO, mutations EROFS) while sibling shards in the
-   same mount keep serving create/write/fsync — and the mount itself
-   never goes read-only. *)
-let test_quarantine_vfs_boundary () =
+(* Poison [n] lines spread over repair domain [s]'s journal region:
+   latent damage only a repair pass heals. *)
+let poison_journal fm fs s n =
+  let geo = Pmfs.geometry fs in
+  let bs = geo.Layout.block_size in
+  let first_block, blocks = Layout.journal_region geo s in
+  let total_lines = blocks * bs / line_size in
+  for k = 0 to n - 1 do
+    Fault.poison_line fm ((first_block * bs / line_size) + (k * total_lines / n))
+  done
+
+let journal_clean d fs s =
+  let geo = Pmfs.geometry fs in
+  let bs = geo.Layout.block_size in
+  let first_block, blocks = Layout.journal_region geo s in
+  Device.verify_range d ~addr:(first_block * bs) ~len:(blocks * bs) = []
+
+(* One directory per shard of a sharded mount, names derived from the
+   owner probe. *)
+let dirs_by_shard fs =
+  let n = Pmfs.shard_count fs in
+  let dir_of = Array.make n None in
+  for i = 0 to 4 * n - 1 do
+    let name = Fmt.str "c%d" i in
+    let ino = Pmfs.mkdir fs ~dir:root name in
+    let s = Pmfs.shard_of_ino fs ino in
+    if dir_of.(s) = None then dir_of.(s) <- Some name
+  done;
+  Array.map Option.get dir_of
+
+(* A degraded shard seen across the VFS boundary: it serves reads and
+   fsync and rejects mutations with EROFS, while sibling shards in the
+   same mount keep serving create/write/fsync and the mount never goes
+   read-only. A repair pass re-admits it in place. *)
+let test_degraded_shard_vfs_boundary () =
   Testkit.run_sim (fun engine ->
       let d = Testkit.make_device engine in
       let fs = Pmfs.mkfs_and_mount d ~journal_blocks:32 ~shards:4 () in
       let h = Pmfs.handle fs in
-      (* One directory per shard, names derived from the owner probe. *)
-      let dir_of = Array.make 4 None in
-      for i = 0 to 15 do
-        let name = Fmt.str "c%d" i in
-        let ino = Pmfs.mkdir fs ~dir:root name in
-        let s = Pmfs.shard_of_ino fs ino in
-        if dir_of.(s) = None then dir_of.(s) <- Some name
-      done;
-      let dir s = Option.get dir_of.(s) in
+      let dirs = dirs_by_shard fs in
       let victim = 1 in
       let sibling = 2 in
       let payload = Bytes.make 512 'q' in
-      let vfile = Fmt.str "/%s/f" (dir victim) in
-      let sfile = Fmt.str "/%s/f" (dir sibling) in
+      let vfile = Fmt.str "/%s/f" dirs.(victim) in
+      let sfile = Fmt.str "/%s/f" dirs.(sibling) in
       let vfd = h.Vfs.open_ vfile { Types.creat with Types.read = true } in
       let sfd = h.Vfs.open_ sfile { Types.creat with Types.read = true } in
       ignore (h.Vfs.pwrite vfd ~off:0 payload 512);
       ignore (h.Vfs.pwrite sfd ~off:0 payload 512);
       h.Vfs.fsync vfd;
       h.Vfs.fsync sfd;
-      (* Degraded: reads still served, mutations rejected. *)
-      Pmfs.degrade_shard fs victim "test: induced fault";
+      let fm = Fault.create ~seed:9L () in
+      Device.set_fault_model d (Some fm);
+      poison_journal fm fs victim 4;
+      Pmfs.degrade_shard fs victim "test: poisoned shard journal";
       let buf = Bytes.create 512 in
       check_int "degraded shard still serves reads" 512
         (h.Vfs.pread vfd ~off:0 buf 512);
+      Testkit.check_bytes "degraded shard reads intact data" payload buf;
+      h.Vfs.fsync vfd;
       check_bool "degraded shard rejects writes EROFS" true
         (raises_errno Errno.EROFS (fun () -> h.Vfs.pwrite vfd ~off:0 payload 512));
-      (* Quarantined: reads fail fast too. *)
-      Health.quarantine (Pmfs.health fs) victim;
-      check_bool "quarantined shard read raises EIO" true
-        (raises_errno Errno.EIO (fun () -> h.Vfs.pread vfd ~off:0 buf 512));
-      check_bool "quarantined shard fsync raises EIO" true
-        (raises_errno Errno.EIO (fun () -> h.Vfs.fsync vfd));
-      check_bool "quarantined shard create raises EROFS" true
+      check_bool "degraded shard rejects create EROFS" true
         (raises_errno Errno.EROFS (fun () ->
-             h.Vfs.open_ (Fmt.str "/%s/new" (dir victim)) Types.creat));
+             h.Vfs.open_ (Fmt.str "/%s/new" dirs.(victim)) Types.creat));
       (* Containment: the sibling shard and the mount are untouched. *)
       check_bool "mount never flips read-only" false (Pmfs.read_only fs);
       let nfd =
         h.Vfs.open_
-          (Fmt.str "/%s/new" (dir sibling))
+          (Fmt.str "/%s/new" dirs.(sibling))
           { Types.creat with Types.read = true }
       in
       ignore (h.Vfs.pwrite nfd ~off:0 payload 512);
       h.Vfs.fsync nfd;
       check_int "sibling shard serves reads" 512 (h.Vfs.pread nfd ~off:0 buf 512);
-      (* Re-admission restores the victim to full service. *)
-      Health.start_repair (Pmfs.health fs) victim;
-      check_bool "repairing shard still fails reads" true
-        (raises_errno Errno.EIO (fun () -> h.Vfs.pread vfd ~off:0 buf 512));
-      Health.readmit (Pmfs.health fs) victim;
+      (* Re-admission by a real repair pass restores full service. *)
+      let repaired, failed = Hinfs_fsck.Repair.run_once fs in
+      check_int "victim re-admitted" 1 repaired;
+      check_int "no repair failed" 0 failed;
+      check_bool "victim journal poison healed" true (journal_clean d fs victim);
       ignore (h.Vfs.pwrite vfd ~off:0 payload 512);
       h.Vfs.fsync vfd;
       check_int "re-admitted shard serves reads" 512
@@ -470,48 +489,67 @@ let test_retry_backoff_charged () =
         check_bool "dev.retry histogram populated" true
           ((Obs.hist obs Obs.Dev_retry).Hist.count > 0))
 
-(* An unsharded mount is its own (only) fault domain, and it is not
-   degraded-forever: the repair pass runs in place — journal re-replay,
-   scrub, fsck — and re-admits the mount once the image verifies clean. *)
-let test_mount_repair_in_place () =
+(* A degraded domain is not degraded-forever: the repair pass runs in
+   place — journal re-replay, scrub, fsck — and re-admits the domain once
+   the image verifies clean. The domain is the whole mount when unsharded
+   and one shard otherwise; on a sharded mount the siblings and the mount
+   stay read-write throughout. A second fault cycle must be repaired and
+   re-admitted again. *)
+let test_repair_in_place ~shards () =
   Testkit.run_sim (fun engine ->
-      let stats = Stats.create () in
-      let d, fs = Testkit.make_pmfs ~stats engine in
+      let d = Testkit.make_device engine in
+      let fs = Pmfs.mkfs_and_mount d ~journal_blocks:32 ~shards () in
+      let lookup name = Option.get (Pmfs.lookup fs ~dir:root name) in
+      let victim, dir, sibling =
+        if shards = 1 then (0, root, None)
+        else
+          let dirs = dirs_by_shard fs in
+          (1, lookup dirs.(1), Some (lookup dirs.(2)))
+      in
       let len = 4096 in
       let payload = Testkit.pattern_bytes ~seed:33 len in
-      let ino = Pmfs.create_file fs ~dir:root "survivor" in
+      let ino = Pmfs.create_file fs ~dir "survivor" in
       ignore (Pmfs.write fs ~ino ~off:0 ~src:payload ~src_off:0 ~len ~sync:true);
-      (* Latent damage the scrubber can heal: poison over the (idle)
-         journal region, plus the mount-level degradation a foreground
-         uncorrectable metadata read would have caused. *)
       let fm = Fault.create ~seed:5L () in
       Device.set_fault_model d (Some fm);
-      let geo = Pmfs.geometry fs in
-      let bs = geo.Hinfs_pmfs.Layout.block_size in
-      let first_block, _ = Hinfs_pmfs.Layout.journal_region geo 0 in
-      Fault.poison_line fm (first_block * bs / line_size);
-      Pmfs.degrade fs "uncorrectable media error (injected)";
-      check_bool "mount degraded read-only" true (Pmfs.read_only fs);
-      check_bool "mutations fail EROFS while degraded" true
-        (raises_errno Errno.EROFS (fun () ->
-             ignore (Pmfs.create_file fs ~dir:root "blocked")));
-      check_int "reads still served while degraded" len
-        (Pmfs.read fs ~ino ~off:0 ~len ~into:(Bytes.create len) ~into_off:0);
-      (* One in-place repair pass: drain (trivially empty), journal
-         re-replay, epoch heal, scrub, fsck verify, re-admit. *)
-      let repaired, failed = Hinfs_fsck.Repair.run_once fs in
-      check_int "one repair completed" 1 repaired;
-      check_int "no repair failed" 0 failed;
-      check_bool "mount re-admitted" true (Pmfs.fully_healthy fs);
-      check_bool "journal poison healed" true
-        (Device.verify_range d ~addr:(first_block * bs) ~len:bs = []);
-      (* Full read-write service is restored and data survived. *)
-      let ino2 = Pmfs.create_file fs ~dir:root "after-heal" in
-      ignore (Pmfs.write fs ~ino:ino2 ~off:0 ~src:payload ~src_off:0 ~len ~sync:true);
-      let buf = Bytes.create len in
-      check_int "survivor still reads" len
-        (Pmfs.read fs ~ino ~off:0 ~len ~into:buf ~into_off:0);
-      Testkit.check_bytes "survivor content intact" payload buf;
+      for cycle = 1 to 2 do
+        (* Latent damage the scrubber can heal: poison over the (idle)
+           journal region, plus the degradation a foreground uncorrectable
+           metadata read would have caused. *)
+        poison_journal fm fs victim (2 * cycle);
+        Pmfs.degrade_shard fs victim "uncorrectable media error (injected)";
+        check_bool "domain degraded" true (Pmfs.domain_fault fs victim <> None);
+        check_bool "mount read-only iff unsharded" (shards = 1)
+          (Pmfs.read_only fs);
+        check_bool "mutations fail EROFS while degraded" true
+          (raises_errno Errno.EROFS (fun () ->
+               ignore (Pmfs.create_file fs ~dir (Fmt.str "blocked%d" cycle))));
+        check_int "reads still served while degraded" len
+          (Pmfs.read fs ~ino ~off:0 ~len ~into:(Bytes.create len) ~into_off:0);
+        (match sibling with
+        | None -> ()
+        | Some sdir ->
+          let sino = Pmfs.create_file fs ~dir:sdir (Fmt.str "s%d" cycle) in
+          ignore
+            (Pmfs.write fs ~ino:sino ~off:0 ~src:payload ~src_off:0 ~len
+               ~sync:true));
+        (* One in-place repair pass: drain (trivially empty), journal
+           re-replay, epoch heal, scrub, fsck verify, re-admit. *)
+        let repaired, failed = Hinfs_fsck.Repair.run_once fs in
+        check_int "one repair completed" 1 repaired;
+        check_int "no repair failed" 0 failed;
+        check_bool "domain re-admitted" true (Pmfs.fully_healthy fs);
+        check_bool "journal poison healed" true (journal_clean d fs victim);
+        (* Full read-write service is restored and data survived. *)
+        let ino2 = Pmfs.create_file fs ~dir (Fmt.str "after-heal%d" cycle) in
+        ignore
+          (Pmfs.write fs ~ino:ino2 ~off:0 ~src:payload ~src_off:0 ~len
+             ~sync:true);
+        let buf = Bytes.create len in
+        check_int "survivor still reads" len
+          (Pmfs.read fs ~ino ~off:0 ~len ~into:buf ~into_off:0);
+        Testkit.check_bytes "survivor content intact" payload buf
+      done;
       (* A healthy mount is a no-op for the next pass. *)
       let r2, f2 = Hinfs_fsck.Repair.run_once fs in
       check_int "healthy mount needs no repair" 0 r2;
@@ -554,11 +592,13 @@ let () =
         ] );
       ( "fault-domains",
         [
-          Alcotest.test_case "quarantine at the VFS boundary" `Quick
-            test_quarantine_vfs_boundary;
+          Alcotest.test_case "degraded shard at the VFS boundary" `Quick
+            test_degraded_shard_vfs_boundary;
           Alcotest.test_case "retry backoff charged on virtual clock" `Quick
             test_retry_backoff_charged;
           Alcotest.test_case "unsharded mount repaired in place" `Quick
-            test_mount_repair_in_place;
+            (test_repair_in_place ~shards:1);
+          Alcotest.test_case "sharded mount repaired in place" `Quick
+            (test_repair_in_place ~shards:4);
         ] );
     ]

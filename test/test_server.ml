@@ -1,9 +1,9 @@
 (* Serving-layer unit tests: wire codec round-trips, the request loop
    end to end, lease expiry reclaim, generation-stamped handle staleness
    (unlink+recreate, rename-over, rollback/snapshot-delete), bounded
-   open-file-cache eviction with flush-on-evict durability, the
-   quarantined-shard EIO fail-fast, and handle-table determinism across
-   seeded runs. *)
+   open-file-cache eviction with flush-on-evict durability, a failed
+   flush-on-evict (flushed once, dropped, error propagated), and
+   handle-table determinism across seeded runs. *)
 
 module Engine = Hinfs_sim.Engine
 module Proc = Hinfs_sim.Proc
@@ -12,7 +12,8 @@ module Types = Hinfs_vfs.Types
 module Errno = Hinfs_vfs.Errno
 module Pmfs = Hinfs_pmfs.Pmfs
 module Cowfs = Hinfs_pmfs.Cowfs
-module Health = Hinfs_pmfs.Health
+module Log = Hinfs_journal.Cacheline_log
+module Faultops = Hinfs_nvmm.Faultops
 module Fs = Hinfs.Fs
 module Wire = Hinfs_server.Wire
 module Server = Hinfs_server.Server
@@ -257,48 +258,55 @@ let test_bounded_eviction () =
             fhs;
           check_int "still bounded after re-opens" 4 (Ofcache.length cache)))
 
-(* --- quarantined-shard eviction fails fast with EIO --- *)
+(* --- a failed eviction flush: once, entry dropped, error propagated --- *)
 
-let test_quarantined_evict_eio () =
+let test_failed_evict_flush () =
   Testkit.run_sim (fun engine ->
       let hcfg = { Testkit.small_hcfg with Hinfs.Hconfig.shards = 4 } in
       let _d, fs = Testkit.make_hinfs ~hcfg engine in
-      with_server ~cache_cap:1 engine (Fs.handle fs) (fun srv ->
-          let sid = Server.establish srv in
-          let rpc r = Server.rpc srv ~sid r in
-          let h = Fs.handle fs in
-          for s = 0 to 3 do
-            h.Vfs.mkdir (Printf.sprintf "/d%d" s)
-          done;
-          (* a dirty cached open on some shard... *)
-          let fh, st = expect_handle (rpc (Wire.Create "/d0/victim")) in
-          expect_ok (rpc (Wire.Write (fh, 0, String.make 64 'v', false)));
-          let victim_shard = Pmfs.shard_of_ino (Fs.pmfs fs) st.Types.ino in
-          let health = Pmfs.health (Fs.pmfs fs) in
-          Health.degrade health (Health.Shard victim_shard) "test fault";
-          Health.quarantine health victim_shard;
-          (* ...now any request that forces the eviction gets EIO, fast:
-             one flush attempt, no retry loop against the isolated shard *)
-          let other =
-            (* a dir on a different shard so only the eviction can fail *)
-            let rec pick s =
-              let dir = Printf.sprintf "/d%d" s in
-              let dst = dir ^ "/other" in
-              let ino = (h.Vfs.stat dir).Types.ino in
-              if Pmfs.shard_of_ino (Fs.pmfs fs) ino <> victim_shard then dst
-              else pick (s + 1)
-            in
-            pick 1
-          in
-          check_bool "eviction fails fast with EIO" true
-            (expect_err (rpc (Wire.Create other)) = Errno.EIO);
-          check_int "victim entry dropped, not retried" 0
-            (Ofcache.length (Server.cache srv));
-          (* healthy shards keep serving: the retry now finds room *)
-          let fh2, _ = expect_handle (rpc (Wire.Create other)) in
-          expect_ok (rpc (Wire.Write (fh2, 0, "ok", true)));
-          check_string "healthy shard unaffected" "ok"
-            (expect_data (rpc (Wire.Read (fh2, 0, 2))))))
+      let h = Fs.handle fs in
+      let cache = Ofcache.create h ~cap:1 in
+      let open_ path = h.Vfs.open_ path { Types.creat with Types.read = true } in
+      let ino_of fd = (h.Vfs.fstat fd).Types.ino in
+      let shard_of fd = Pmfs.shard_of_ino (Fs.pmfs fs) (ino_of fd) in
+      for s = 0 to 3 do
+        h.Vfs.mkdir (Printf.sprintf "/d%d" s)
+      done;
+      (* a dirty cached open on some shard... *)
+      let vfd = open_ "/d0/victim" in
+      ignore (Ofcache.insert cache ~ino:(ino_of vfd) ~fd:vfd ~sid:1);
+      ignore (h.Vfs.pwrite vfd ~off:0 (Bytes.make 64 'v') 64);
+      Ofcache.mark_dirty cache (ino_of vfd);
+      (* ...and an open on a different shard, whose insert must evict it *)
+      let rec pick s =
+        let fd = open_ (Printf.sprintf "/d%d/other" s) in
+        if shard_of fd <> shard_of vfd then fd
+        else begin
+          h.Vfs.close fd;
+          pick (s + 1)
+        end
+      in
+      let ofd = pick 1 in
+      (* The eviction flush's commit meets a one-shot journal fault. *)
+      let fo = Faultops.create ~seed:1L () in
+      Pmfs.attach_faultops (Fs.pmfs fs) (Some fo);
+      Faultops.force fo Faultops.Journal_slot ~after:0;
+      check_bool "eviction flush error propagates" true
+        (match Ofcache.insert cache ~ino:(ino_of ofd) ~fd:ofd ~sid:1 with
+        | _ -> false
+        | exception Log.Journal_full -> true);
+      check_int "flushed once, not retried" 1
+        (Faultops.opportunities fo Faultops.Journal_slot);
+      check_int "victim entry dropped" 0 (Ofcache.length cache);
+      check_int "one eviction counted" 1 (Ofcache.evictions cache);
+      (* healthy shards keep serving: the retry now finds room *)
+      ignore (Ofcache.insert cache ~ino:(ino_of ofd) ~fd:ofd ~sid:1);
+      check_int "retry cached" 1 (Ofcache.length cache);
+      ignore (h.Vfs.pwrite ofd ~off:0 (Bytes.of_string "ok") 2);
+      h.Vfs.fsync ofd;
+      let buf = Bytes.create 2 in
+      ignore (h.Vfs.pread ofd ~off:0 buf 2);
+      check_string "healthy shard unaffected" "ok" (Bytes.to_string buf))
 
 (* --- handle-table determinism across seeded runs --- *)
 
@@ -352,7 +360,7 @@ let () =
       ( "ofcache",
         [
           Alcotest.test_case "bounded eviction" `Quick test_bounded_eviction;
-          Alcotest.test_case "quarantined evict EIO" `Quick
-            test_quarantined_evict_eio;
+          Alcotest.test_case "failed evict flush propagates" `Quick
+            test_failed_evict_flush;
         ] );
     ]
