@@ -973,25 +973,6 @@ let baseline () =
 let micro () =
   Report.heading ppf "Microbenchmarks (Bechamel, real time per run)";
   let open Bechamel in
-  let btree_insert =
-    Test.make ~name:"btree.insert-1k"
-      (Staged.stage (fun () ->
-           let t = Hinfs_structures.Btree.create ~degree:16 () in
-           for i = 0 to 999 do
-             Hinfs_structures.Btree.insert t ((i * 7919) land 0xFFFF) i
-           done))
-  in
-  let btree =
-    let t = Hinfs_structures.Btree.create ~degree:16 () in
-    for i = 0 to 9999 do
-      Hinfs_structures.Btree.insert t i i
-    done;
-    t
-  in
-  let btree_find =
-    Test.make ~name:"btree.find"
-      (Staged.stage (fun () -> ignore (Hinfs_structures.Btree.find btree 7777)))
-  in
   let clbitmap_runs =
     let m =
       Hinfs.Clbitmap.add_range
@@ -1010,9 +991,7 @@ let micro () =
       (Staged.stage (fun () ->
            ignore (Hinfs_sim.Zipf.sample zipf_gen zipf_rng)))
   in
-  let tests =
-    [ btree_insert; btree_find; clbitmap_runs; zipf_sample ]
-  in
+  let tests = [ clbitmap_runs; zipf_sample ] in
   let instances = [ Toolkit.Instance.monotonic_clock ] in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 100) ()

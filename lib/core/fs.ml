@@ -31,17 +31,21 @@ module Device = Hinfs_nvmm.Device
 module Config = Hinfs_nvmm.Config
 module Allocator = Hinfs_nvmm.Allocator
 module Log = Hinfs_journal.Cacheline_log
-module Btree = Hinfs_structures.Btree
 module Errno = Hinfs_vfs.Errno
 module Types = Hinfs_vfs.Types
 module Pmfs = Hinfs_pmfs.Pmfs
 module Layout = Hinfs_pmfs.Layout
-module Media = Hinfs_pmfs.Media
 module Obs = Hinfs_obs.Obs
+
+(* The DRAM Block Index (§3.2) maps a file block to its buffer-pool
+   block. The paper uses a B-tree; a balanced map gives the same ordered
+   find/insert/remove, and the simulator charges no virtual time for index
+   operations, so the choice moves no figure. *)
+module Block_index = Map.Make (Int)
 
 type file_state = {
   f_ino : int;
-  index : int Btree.t; (* DRAM Block Index: fblock -> pool block id *)
+  mutable index : int Block_index.t; (* fblock -> pool block id *)
   model : Benefit.file_model;
   mutable dirty_blocks : int; (* buffered blocks with dirty cachelines *)
   mutable pending_txn : Log.txn option;
@@ -127,7 +131,7 @@ let file_state t ino =
     let fs =
       {
         f_ino = ino;
-        index = Btree.create ~degree:16 ();
+        index = Block_index.empty;
         model = Benefit.create_file_model ();
         dirty_blocks = 0;
         pending_txn = None;
@@ -139,7 +143,7 @@ let file_state t ino =
     fs
 
 let buffered_block t fst fblock =
-  match Btree.find fst.index fblock with
+  match Block_index.find_opt fblock fst.index with
   | None -> None
   | Some id ->
     let b = Buffer_pool.block (spool t fst.f_ino) id in
@@ -290,7 +294,7 @@ and flush_block_body ~background ~cat t b ~evict =
   if evict && Clbitmap.is_empty b.Buffer_pool.dirty && b.Buffer_pool.pinned = 0
   then begin
     let sh = shard_for t b.Buffer_pool.ino in
-    ignore (Btree.remove fst.index b.Buffer_pool.fblock);
+    fst.index <- Block_index.remove b.Buffer_pool.fblock fst.index;
     Buffer_pool.free sh.pool b;
     Stats.eviction (stats t);
     ignore (Condvar.broadcast sh.free_cv)
@@ -299,7 +303,7 @@ and flush_block_body ~background ~cat t b ~evict =
 (* Flush (and optionally evict) every buffered block of a file. *)
 let flush_file ?background ?cat t fst ~evict =
   let pool = spool t fst.f_ino in
-  let ids = Btree.fold fst.index [] (fun acc _fblock id -> id :: acc) in
+  let ids = Block_index.fold (fun _fblock id acc -> id :: acc) fst.index [] in
   List.iter
     (fun id ->
       let b = Buffer_pool.block pool id in
@@ -477,7 +481,7 @@ let lazy_write_segment t fst ~fblock ~in_block ~src ~src_off ~len =
       let b = alloc_buffer_block t ~ino:fst.f_ino ~fblock ~home in
       b.Buffer_pool.home_valid <-
         (if fresh then Clbitmap.empty else Clbitmap.full_mask nlines);
-      Btree.insert fst.index fblock b.Buffer_pool.id;
+      fst.index <- Block_index.add fblock b.Buffer_pool.id fst.index;
       b
   in
   b.Buffer_pool.pinned <- b.Buffer_pool.pinned + 1;
@@ -741,7 +745,7 @@ let drop_buffers t ino =
   | Some fst ->
     let st = stats t in
     let sh = shard_for t ino in
-    let ids = Btree.fold fst.index [] (fun acc _ id -> id :: acc) in
+    let ids = Block_index.fold (fun _ id acc -> id :: acc) fst.index [] in
     let dropped = ref 0 in
     List.iter
       (fun id ->
@@ -763,19 +767,14 @@ let drop_buffers t ino =
     abort_pending t fst;
     Hashtbl.remove t.files ino
 
+(* The victim's buffers die with it; the namespace outcome itself was
+   decided by the VFS (Backend.S), the rest is PMFS's. *)
 let unlink t ~dir name =
-  (match Pmfs.lookup t.pmfs ~dir name with
-  | Some ino when Pmfs.inode_kind t.pmfs ino = Media.Inode.kind_regular ->
-    drop_buffers t ino
-  | _ -> ());
+  Option.iter (drop_buffers t) (Pmfs.lookup t.pmfs ~dir name);
   Pmfs.unlink t.pmfs ~dir name
 
 let rename t ~src_dir ~src ~dst_dir ~dst =
-  (* If the rename will replace an existing file, its buffers die too. *)
-  (match Pmfs.lookup t.pmfs ~dir:dst_dir dst with
-  | Some ino when Pmfs.inode_kind t.pmfs ino = Media.Inode.kind_regular ->
-    drop_buffers t ino
-  | _ -> ());
+  Option.iter (drop_buffers t) (Pmfs.lookup t.pmfs ~dir:dst_dir dst);
   Pmfs.rename t.pmfs ~src_dir ~src ~dst_dir ~dst
 
 let truncate t ~ino ~size =
@@ -786,7 +785,9 @@ let truncate t ~ino ~size =
   (* Buffered blocks beyond the new size die; the rest are flushed so the
      (journaled) truncate applies to a stable persistent state. *)
   let pool = spool t ino in
-  let ids = Btree.fold fst.index [] (fun acc fblock id -> (fblock, id) :: acc) in
+  let ids =
+    Block_index.fold (fun fblock id acc -> (fblock, id) :: acc) fst.index []
+  in
   List.iter
     (fun (fblock, id) ->
       let b = Buffer_pool.block pool id in
@@ -799,7 +800,7 @@ let truncate t ~ino ~size =
             fst.dirty_blocks <- fst.dirty_blocks - 1;
             b.Buffer_pool.dirty <- Clbitmap.empty
           end;
-          ignore (Btree.remove fst.index fblock);
+          fst.index <- Block_index.remove fblock fst.index;
           Buffer_pool.free pool b
         end
       end)
@@ -906,8 +907,8 @@ let block_state_eager t ~ino ~fblock =
 
 (* --- mkfs / mount helpers --- *)
 
-let mkfs_and_mount device ?journal_blocks ?inodes_per_mb ?hcfg ?sync_mount
-    ?(daemons = true) () =
+let mkfs_and_mount device ?journal_blocks ?inodes_per_mb ?shards ?hcfg
+    ?sync_mount ?(daemons = true) () =
   (* The journal must hold the undo entries of every pending (ordered)
      transaction; those scale with the number of buffered blocks. Default
      to ~16 entry slots per buffer block unless told otherwise. *)
@@ -923,11 +924,8 @@ let mkfs_and_mount device ?journal_blocks ?inodes_per_mb ?hcfg ?sync_mount
       let slots_per_block = cfg.Config.block_size / 64 in
       Some (max 64 (buffer_blocks * 16 / slots_per_block))
   in
-  let shards =
-    (match hcfg with Some h -> h.Hconfig.shards | None -> Hconfig.default.Hconfig.shards)
-  in
   let pmfs =
-    Pmfs.mkfs_and_mount device ?journal_blocks ?inodes_per_mb ~shards
+    Pmfs.mkfs_and_mount device ?journal_blocks ?inodes_per_mb ?shards
       ~journal_cleaner:daemons ()
   in
   let t = create ?hcfg ?sync_mount pmfs in

@@ -27,13 +27,17 @@ val mkfs_and_mount :
   Hinfs_nvmm.Device.t ->
   ?journal_blocks:int ->
   ?inodes_per_mb:int ->
+  ?shards:int ->
   ?hcfg:Hconfig.t ->
   ?sync_mount:bool ->
   ?daemons:bool ->
   unit ->
   t
 (** mkfs a fresh PMFS layout and mount HiNFS over it. The undo journal is
-    sized with the buffer unless [journal_blocks] is given. [daemons]
+    sized with the buffer unless [journal_blocks] is given. [shards]
+    (default 1) is the number of hot-state shards: per-shard buffer pools,
+    journal regions and allocator ranges, with files mapped to shards by
+    inode; the superblock records it for every later mount. [daemons]
     (default true) starts the writeback threads and the journal cleaner. *)
 
 val mount :
@@ -60,7 +64,7 @@ val stats : t -> Hinfs_stats.Stats.t
 val hconfig : t -> Hconfig.t
 val shard_count : t -> int
 (** Number of hot-state shards (per-shard buffer pool, journal, allocator
-    ranges); mirrors {!Hconfig.shards} at mkfs time. *)
+    ranges), as recorded in the superblock at mkfs time. *)
 
 val shard_pool : t -> int -> Buffer_pool.t
 (** The given shard's DRAM buffer pool. *)

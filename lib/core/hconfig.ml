@@ -14,7 +14,6 @@ type t = {
   writeback_threads : int;
   clfw : bool; (* Cacheline Level Fetch/Writeback *)
   checker : bool; (* Eager-Persistent Write Checker + Buffer Benefit Model *)
-  shards : int; (* hot-state shards: buffer pools, journals, allocators *)
 }
 
 let default =
@@ -28,7 +27,6 @@ let default =
     writeback_threads = 4;
     clfw = true;
     checker = true;
-    shards = 1;
   }
 
 let validate t =
@@ -38,5 +36,4 @@ let validate t =
   then invalid_arg "Hconfig: need 0 < low_watermark < high_watermark < 1";
   if t.writeback_threads < 1 then
     invalid_arg "Hconfig: writeback_threads must be >= 1";
-  if t.shards < 1 then invalid_arg "Hconfig: shards must be >= 1";
   t

@@ -16,9 +16,6 @@ type t = {
   checker : bool;
       (** Eager-Persistent Write Checker + Buffer Benefit Model;
           [false] = HiNFS-WB (buffer everything) *)
-  shards : int;
-      (** Number of hot-state shards: per-shard buffer pools, journal
-          regions, and allocator ranges; files map to shards by inode. *)
 }
 
 val default : t

@@ -177,7 +177,6 @@ let check_ino t ino =
   then Errno.raise_error EBADF "bad inode %d" ino
 
 let inode_size t ino = with_inode t ino (fun b ~base -> Irec.size b ~base)
-let inode_kind t ino = with_inode t ino (fun b ~base -> Irec.kind b ~base)
 
 let stat_of t ino =
   check_ino t ino;
@@ -577,13 +576,6 @@ let readdir t ~dir =
       true);
   List.rev !acc
 
-let dir_is_empty t ~dir =
-  let empty = ref true in
-  dir_iter t ~dir (fun ~block:_ ~slot:_ ~name:_ ~ino:_ ->
-      empty := false;
-      false);
-  !empty
-
 let write_dirent t ~block ~slot ~name ~ino =
   meta_modify t ~block (fun bytes ->
       let base = slot * dirent_size in
@@ -643,13 +635,19 @@ let dir_add t ~dir name ~ino =
   in
   write_dirent t ~block ~slot ~name ~ino
 
-let dir_remove t ~dir name =
+(* The entry a namespace operation acts on, as [(ino, block, slot)]. The
+   VFS has decided every namespace outcome (Backend.S), so a missing entry
+   is a broken precondition, not an errno. *)
+let dir_entry t ~dir name =
   match dir_find t ~dir name with
-  | None -> Errno.raise_error ENOENT "no entry %S" name
-  | Some (ino, block, slot) ->
-    meta_modify t ~block (fun bytes ->
-        Bytes.set_int32_le bytes (slot * dirent_size) 0l);
-    ino
+  | Some found -> found
+  | None -> Fmt.invalid_arg "Extfs: no entry %S in directory %d" name dir
+
+let dir_remove t ~dir name =
+  let ino, block, slot = dir_entry t ~dir name in
+  meta_modify t ~block (fun bytes ->
+      Bytes.set_int32_le bytes (slot * dirent_size) 0l);
+  ino
 
 (* --- namespace --- *)
 
@@ -663,11 +661,6 @@ let init_inode t ino ~kind =
 
 let create_entry t ~dir name ~kind =
   check_ino t dir;
-  if inode_kind t dir <> Irec.kind_directory then
-    Errno.raise_error ENOTDIR "inode %d is not a directory" dir;
-  (match dir_find t ~dir name with
-  | Some _ -> Errno.raise_error EEXIST "%S already exists" name
-  | None -> ());
   let ino = alloc_inode_num t in
   init_inode t ino ~kind;
   dir_add t ~dir name ~ino;
@@ -676,6 +669,8 @@ let create_entry t ~dir name ~kind =
 let create_file t ~dir name = create_entry t ~dir name ~kind:Irec.kind_regular
 let mkdir t ~dir name = create_entry t ~dir name ~kind:Irec.kind_directory
 
+(* Release a file, or a directory victim (an empty directory replaced by
+   rename) the same way. *)
 let release_inode t ino =
   (* Invalidate cached data pages, free blocks, free the inode. *)
   iter_file_blocks t ~ino (fun _fblock block ->
@@ -686,43 +681,26 @@ let release_inode t ino =
 
 let unlink t ~dir name =
   check_ino t dir;
-  match dir_find t ~dir name with
-  | None -> Errno.raise_error ENOENT "no entry %S" name
-  | Some (ino, _, _) ->
-    if inode_kind t ino = Irec.kind_directory then
-      Errno.raise_error EISDIR "%S is a directory" name;
-    ignore (dir_remove t ~dir name);
-    let links = with_inode t ino (fun b ~base -> Irec.links b ~base) in
-    if links <= 1 then release_inode t ino
-    else modify_inode t ino (fun b ~base -> Irec.set_links b ~base (links - 1))
+  let ino = dir_remove t ~dir name in
+  let links = with_inode t ino (fun b ~base -> Irec.links b ~base) in
+  if links <= 1 then release_inode t ino
+  else modify_inode t ino (fun b ~base -> Irec.set_links b ~base (links - 1))
 
 let rmdir t ~dir name =
   check_ino t dir;
-  match dir_find t ~dir name with
-  | None -> Errno.raise_error ENOENT "no entry %S" name
-  | Some (ino, _, _) ->
-    if inode_kind t ino <> Irec.kind_directory then
-      Errno.raise_error ENOTDIR "%S is not a directory" name;
-    if not (dir_is_empty t ~dir:ino) then
-      Errno.raise_error ENOTEMPTY "%S is not empty" name;
-    ignore (dir_remove t ~dir name);
-    release_inode t ino
+  release_inode t (dir_remove t ~dir name)
 
 let rename t ~src_dir ~src ~dst_dir ~dst =
   check_ino t src_dir;
   check_ino t dst_dir;
-  match dir_find t ~dir:src_dir src with
-  | None -> Errno.raise_error ENOENT "no entry %S" src
-  | Some (ino, _, _) ->
-    (match dir_find t ~dir:dst_dir dst with
-    | Some (existing, _, _) ->
-      if inode_kind t existing = Irec.kind_directory then
-        Errno.raise_error EISDIR "rename target %S is a directory" dst;
-      ignore (dir_remove t ~dir:dst_dir dst);
-      release_inode t existing
-    | None -> ());
-    dir_add t ~dir:dst_dir dst ~ino;
-    ignore (dir_remove t ~dir:src_dir src)
+  let ino, _, _ = dir_entry t ~dir:src_dir src in
+  (match dir_find t ~dir:dst_dir dst with
+  | Some (existing, _, _) ->
+    ignore (dir_remove t ~dir:dst_dir dst);
+    release_inode t existing
+  | None -> ());
+  dir_add t ~dir:dst_dir dst ~ino;
+  ignore (dir_remove t ~dir:src_dir src)
 
 (* --- mkfs / mount / lifecycle --- *)
 

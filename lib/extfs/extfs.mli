@@ -86,7 +86,10 @@ val write :
 val truncate : t -> ino:int -> size:int -> unit
 val fsync : t -> ino:int -> unit
 
-(** {1 Namespace} *)
+(** {1 Namespace}
+
+    The operations below expect the preconditions of
+    {!Hinfs_vfs.Backend.S}: the VFS decides every namespace errno. *)
 
 val lookup : t -> dir:int -> string -> int option
 val create_file : t -> dir:int -> string -> int

@@ -83,8 +83,7 @@ let setup engine ~config ~buffer_bytes ~cache_pages ?(shards = 1) kind =
   let stats = Stats.create () in
   let device = Device.create engine stats config in
   let hinfs_with hcfg =
-    let hcfg = { hcfg with Hconfig.shards } in
-    let fs = Hinfs.Fs.mkfs_and_mount device ~hcfg ~daemons:true () in
+    let fs = Hinfs.Fs.mkfs_and_mount device ~shards ~hcfg ~daemons:true () in
     let pmfs = Hinfs.Fs.pmfs fs in
     let nshards = Hinfs.Fs.shard_count fs in
     (* Per-shard gauges only when actually sharded: shard pool occupancy,

@@ -438,10 +438,8 @@ let write_dirent t ~cat ~block ~slot ~name ~ino =
 (* Insert an entry into [dir] (whose inode must already be shadowed at
    [dir_ia]). CoWs the dirent block; appends a fresh zeroed block when no
    slot is free. *)
-let dir_add t ~cat ~dir ~dir_ia name ~ino =
+let dir_add t ~cat ~dir_ia name ~ino =
   Media.Dirent.check_name name;
-  if dir_find t ~dir name <> None then
-    Errno.raise_error EEXIST "%S already exists" name;
   let fblock, slot =
     match Media.Dirent.free_slot t.device ~ia:dir_ia with
     | Some (fblock, _block, slot) -> (fblock, slot)
@@ -460,13 +458,19 @@ let dir_add t ~cat ~dir ~dir_ia name ~ino =
   let block, _fresh = ensure_data_block t ~cat ~ia:dir_ia ~fblock ~full:false in
   write_dirent t ~cat ~block ~slot ~name ~ino
 
-let dir_remove t ~cat ~dir ~dir_ia name =
+(* The entry a namespace operation acts on. The VFS has decided every
+   namespace outcome (Backend.S), so a missing entry is a broken
+   precondition, not an errno. *)
+let dir_entry t ~dir name =
   match dir_find t ~dir name with
-  | None -> Errno.raise_error ENOENT "no entry %S" name
-  | Some { Media.Dirent.ino; fblock; slot; _ } ->
-    let block, _ = ensure_data_block t ~cat ~ia:dir_ia ~fblock ~full:false in
-    put_u32 t ~cat (baddr t block + (slot * Media.Dirent.size)) 0;
-    ino
+  | Some f -> f
+  | None -> Fmt.invalid_arg "Cowfs: no entry %S in directory %d" name dir
+
+let dir_remove t ~cat ~dir ~dir_ia name =
+  let { Media.Dirent.ino; fblock; slot; _ } = dir_entry t ~dir name in
+  let block, _ = ensure_data_block t ~cat ~ia:dir_ia ~fblock ~full:false in
+  put_u32 t ~cat (baddr t block + (slot * Media.Dirent.size)) 0;
+  ino
 
 (* --- snapshot table (32-byte entries: id, imap_root, created_seq) --- *)
 
@@ -850,7 +854,7 @@ let create_file t ~dir name =
       let ino = alloc_inode t in
       ignore (init_inode t ~cat:mcat ino ~kind:F.kind_regular ~links:1);
       let dir_ia = shadow_inode t ~cat:mcat dir in
-      dir_add t ~cat:mcat ~dir ~dir_ia name ~ino;
+      dir_add t ~cat:mcat ~dir_ia name ~ino;
       touch t ~cat:mcat dir_ia;
       ino)
 
@@ -860,7 +864,7 @@ let mkdir t ~dir name =
       let ino = alloc_inode t in
       ignore (init_inode t ~cat:mcat ino ~kind:F.kind_directory ~links:2);
       let dir_ia = shadow_inode t ~cat:mcat dir in
-      dir_add t ~cat:mcat ~dir ~dir_ia name ~ino;
+      dir_add t ~cat:mcat ~dir_ia name ~ino;
       put_u16 t ~cat:mcat (dir_ia + F.links_off)
         (Device.get_u16 t.device (dir_ia + F.links_off) + 1);
       touch t ~cat:mcat dir_ia;
@@ -881,11 +885,6 @@ let free_inode t ~cat ino =
 let unlink t ~dir name =
   with_mutation t ~cat:mcat (fun () ->
       check_ino t dir;
-      (match dir_find t ~dir name with
-      | None -> Errno.raise_error ENOENT "no entry %S" name
-      | Some { Media.Dirent.ino; _ } ->
-        if is_dir_at t ~imap:t.imap_root ino then
-          Errno.raise_error EISDIR "%S is a directory" name);
       let dir_ia = shadow_inode t ~cat:mcat dir in
       let ino = dir_remove t ~cat:mcat ~dir ~dir_ia name in
       let ia = shadow_inode t ~cat:mcat ino in
@@ -897,14 +896,6 @@ let unlink t ~dir name =
 let rmdir t ~dir name =
   with_mutation t ~cat:mcat (fun () ->
       check_ino t dir;
-      (match dir_find t ~dir name with
-      | None -> Errno.raise_error ENOENT "no entry %S" name
-      | Some { Media.Dirent.ino; _ } ->
-        let imap = t.imap_root in
-        if not (is_dir_at t ~imap ino) then
-          Errno.raise_error ENOTDIR "%S is not a directory" name;
-        if not (Media.Dirent.is_empty t.device ~ia:(dir_at t ~imap ino)) then
-          Errno.raise_error ENOTEMPTY "%S is not empty" name);
       let dir_ia = shadow_inode t ~cat:mcat dir in
       let ino = dir_remove t ~cat:mcat ~dir ~dir_ia name in
       free_inode t ~cat:mcat ino;
@@ -917,45 +908,28 @@ let rename t ~src_dir ~src ~dst_dir ~dst =
       check_ino t src_dir;
       check_ino t dst_dir;
       let imap = t.imap_root in
-      let ino =
-        match dir_find t ~dir:src_dir src with
-        | None -> Errno.raise_error ENOENT "no entry %S" src
-        | Some { Media.Dirent.ino; _ } -> ino
-      in
+      let ino = (dir_entry t ~dir:src_dir src).Media.Dirent.ino in
       let moving_dir = is_dir_at t ~imap ino in
       (match dir_find t ~dir:dst_dir dst with
       | None -> ()
       | Some { Media.Dirent.ino = old; _ } ->
-        if old = ino then raise Exit (* same entry: no-op, commit nothing *)
+        let dst_ia = shadow_inode t ~cat:mcat dst_dir in
+        ignore (dir_remove t ~cat:mcat ~dir:dst_dir ~dir_ia:dst_ia dst);
+        if is_dir_at t ~imap old then begin
+          free_inode t ~cat:mcat old;
+          put_u16 t ~cat:mcat (dst_ia + F.links_off)
+            (Device.get_u16 t.device (dst_ia + F.links_off) - 1)
+        end
         else begin
-          let old_is_dir = is_dir_at t ~imap old in
-          if old_is_dir then begin
-            if not moving_dir then
-              Errno.raise_error EISDIR "%S is a directory" dst;
-            if not (Media.Dirent.is_empty t.device ~ia:(dir_at t ~imap old))
-            then
-              Errno.raise_error ENOTEMPTY "%S is not empty" dst
-          end
-          else if moving_dir then
-            Errno.raise_error ENOTDIR "%S is not a directory" dst;
-          let dst_ia = shadow_inode t ~cat:mcat dst_dir in
-          ignore (dir_remove t ~cat:mcat ~dir:dst_dir ~dir_ia:dst_ia dst);
-          if old_is_dir then begin
-            free_inode t ~cat:mcat old;
-            put_u16 t ~cat:mcat (dst_ia + F.links_off)
-              (Device.get_u16 t.device (dst_ia + F.links_off) - 1)
-          end
-          else begin
-            let old_ia = shadow_inode t ~cat:mcat old in
-            let links = Device.get_u16 t.device (old_ia + F.links_off) in
-            if links <= 1 then free_inode t ~cat:mcat old
-            else put_u16 t ~cat:mcat (old_ia + F.links_off) (links - 1)
-          end
+          let old_ia = shadow_inode t ~cat:mcat old in
+          let links = Device.get_u16 t.device (old_ia + F.links_off) in
+          if links <= 1 then free_inode t ~cat:mcat old
+          else put_u16 t ~cat:mcat (old_ia + F.links_off) (links - 1)
         end);
       let src_ia = shadow_inode t ~cat:mcat src_dir in
       ignore (dir_remove t ~cat:mcat ~dir:src_dir ~dir_ia:src_ia src);
       let dst_ia = shadow_inode t ~cat:mcat dst_dir in
-      dir_add t ~cat:mcat ~dir:dst_dir ~dir_ia:dst_ia dst ~ino;
+      dir_add t ~cat:mcat ~dir_ia:dst_ia dst ~ino;
       if moving_dir && src_dir <> dst_dir then begin
         put_u16 t ~cat:mcat (src_ia + F.links_off)
           (Device.get_u16 t.device (src_ia + F.links_off) - 1);
@@ -964,9 +938,6 @@ let rename t ~src_dir ~src ~dst_dir ~dst =
       end;
       touch t ~cat:mcat src_ia;
       touch t ~cat:mcat dst_ia)
-
-let rename t ~src_dir ~src ~dst_dir ~dst =
-  try rename t ~src_dir ~src ~dst_dir ~dst with Exit -> ()
 
 let readdir t ~dir =
   with_read t (fun () ->

@@ -8,7 +8,6 @@
 module Device = Hinfs_nvmm.Device
 module Log = Hinfs_journal.Cacheline_log
 module Stats = Hinfs_stats.Stats
-module Errno = Hinfs_vfs.Errno
 
 let mcat = Stats.Other
 
@@ -21,9 +20,6 @@ let lookup ctx ~dir name =
   Option.map (fun f -> f.Media.Dirent.ino) (find ctx ~dir name)
 
 let list ctx ~dir = Media.Dirent.list ctx.Fs_ctx.device ~ia:(dir_ia ctx dir)
-
-let is_empty ctx ~dir =
-  Media.Dirent.is_empty ctx.Fs_ctx.device ~ia:(dir_ia ctx dir)
 
 let dirent_addr ctx block slot =
   Fs_ctx.block_addr ctx block + (slot * Media.Dirent.size)
@@ -80,7 +76,7 @@ let add ctx txn ~dir name ~ino =
 
 let remove ctx txn ~dir name =
   match find ctx ~dir name with
-  | None -> Errno.raise_error ENOENT "no entry %S" name
+  | None -> Fmt.invalid_arg "Dir.remove: no entry %S in directory %d" name dir
   | Some { Media.Dirent.ino; block; slot; _ } ->
     let addr = dirent_addr ctx block slot in
     Log.log (Fs_ctx.log_for ctx ~ino:dir) txn ~addr ~len:4;

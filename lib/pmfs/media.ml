@@ -246,13 +246,6 @@ module Dirent = struct
         true);
     List.rev !acc
 
-  let is_empty device ~ia =
-    let empty = ref true in
-    iter device ~ia (fun ~fblock:_ ~block:_ ~slot:_ ~name:_ ~ino:_ ->
-        empty := false;
-        false);
-    !empty
-
   (* First free slot among the directory's existing dirent blocks, as
      (fblock, block, slot). *)
   let free_slot device ~ia =

@@ -359,7 +359,6 @@ let check_ino t ino =
      || not (Layout.Inode.in_use (device t) geo ino)
   then Errno.raise_error EBADF "bad inode %d" ino
 
-let inode_kind t ino = Layout.Inode.kind (device t) (geometry t) ino
 let inode_size t ino = Layout.Inode.size (device t) (geometry t) ino
 
 let stat_of t ino =
@@ -591,6 +590,14 @@ let lookup t ~dir name =
   check_ino t dir;
   Dir.lookup t.ctx ~dir name
 
+(* The entry a namespace operation acts on. The VFS has already decided
+   every namespace outcome (Backend.S), so a missing entry is a broken
+   precondition, not an errno. *)
+let entry t ~dir name =
+  match Dir.lookup t.ctx ~dir name with
+  | Some ino -> ino
+  | None -> Fmt.invalid_arg "Pmfs: no entry %S in directory %d" name dir
+
 (* Journal and initialise a fresh inode's on-media fields inside [txn].
    [log] is the journal [txn] was begun on — the parent directory's, which
    may differ from the fresh inode's home shard when allocation borrowed
@@ -614,11 +621,6 @@ let init_inode t log txn ~ino ~kind =
 let create_entry t ~dir name ~kind =
   check_writable_ino t ~ino:dir;
   check_ino t dir;
-  if inode_kind t dir <> Media.Inode.kind_directory then
-    Errno.raise_error ENOTDIR "inode %d is not a directory" dir;
-  (match Dir.lookup t.ctx ~dir name with
-  | Some _ -> Errno.raise_error EEXIST "%S already exists" name
-  | None -> ());
   (* Inode initialisation and the dirent insertion must be one transaction:
      a crash between two separate commits would leave an in-use inode that
      no directory references (orphan, flagged by fsck).
@@ -657,7 +659,8 @@ let mkdir t ~dir name =
 
 (* Release an inode and detach all its blocks; returns the detached blocks
    for the caller to free after the transaction commits. Caller must have
-   removed all directory entries pointing at it. *)
+   removed all directory entries pointing at it. Frees a directory victim
+   (an empty directory replaced by rename) the same way. *)
 let free_inode t log txn ~ino =
   let device = device t in
   let geo = geometry t in
@@ -672,47 +675,35 @@ let free_inode t log txn ~ino =
 let unlink t ~dir name =
   check_writable_ino t ~ino:dir;
   check_ino t dir;
-  match Dir.lookup t.ctx ~dir name with
-  | None -> Errno.raise_error ENOENT "no entry %S" name
-  | Some ino ->
-    if inode_kind t ino = Media.Inode.kind_directory then
-      Errno.raise_error EISDIR "%S is a directory" name;
-    let log = log_for t ~ino:dir in
-    let detached = ref [] in
-    Log.with_txn log (fun txn ->
-        ignore (Dir.remove t.ctx txn ~dir name);
-        let links = Layout.Inode.links (device t) (geometry t) ino in
-        if links <= 1 then detached := free_inode t log txn ~ino
-        else begin
-          let addr =
-            Layout.Inode.addr (geometry t) ino + Media.Inode.links_off
-          in
-          Log.log log txn ~addr ~len:2;
-          Layout.Inode.set_links (device t) ~cat:Stats.Other (geometry t) ino
-            (links - 1)
-        end);
-    (* Committed: the blocks and the inode number are now reclaimable. *)
-    List.iter (Fs_ctx.free_block t.ctx) !detached;
-    if Layout.Inode.links (device t) (geometry t) ino = 0 then
-      Fs_ctx.free_ino t.ctx ino
+  let ino = entry t ~dir name in
+  let log = log_for t ~ino:dir in
+  let detached = ref [] in
+  Log.with_txn log (fun txn ->
+      ignore (Dir.remove t.ctx txn ~dir name);
+      let links = Layout.Inode.links (device t) (geometry t) ino in
+      if links <= 1 then detached := free_inode t log txn ~ino
+      else begin
+        let addr = Layout.Inode.addr (geometry t) ino + Media.Inode.links_off in
+        Log.log log txn ~addr ~len:2;
+        Layout.Inode.set_links (device t) ~cat:Stats.Other (geometry t) ino
+          (links - 1)
+      end);
+  (* Committed: the blocks and the inode number are now reclaimable. *)
+  List.iter (Fs_ctx.free_block t.ctx) !detached;
+  if Layout.Inode.links (device t) (geometry t) ino = 0 then
+    Fs_ctx.free_ino t.ctx ino
 
 let rmdir t ~dir name =
   check_writable_ino t ~ino:dir;
   check_ino t dir;
-  match Dir.lookup t.ctx ~dir name with
-  | None -> Errno.raise_error ENOENT "no entry %S" name
-  | Some ino ->
-    if inode_kind t ino <> Media.Inode.kind_directory then
-      Errno.raise_error ENOTDIR "%S is not a directory" name;
-    if not (Dir.is_empty t.ctx ~dir:ino) then
-      Errno.raise_error ENOTEMPTY "%S is not empty" name;
-    let log = log_for t ~ino:dir in
-    let detached = ref [] in
-    Log.with_txn log (fun txn ->
-        ignore (Dir.remove t.ctx txn ~dir name);
-        detached := free_inode t log txn ~ino);
-    List.iter (Fs_ctx.free_block t.ctx) !detached;
-    Fs_ctx.free_ino t.ctx ino
+  let ino = entry t ~dir name in
+  let log = log_for t ~ino:dir in
+  let detached = ref [] in
+  Log.with_txn log (fun txn ->
+      ignore (Dir.remove t.ctx txn ~dir name);
+      detached := free_inode t log txn ~ino);
+  List.iter (Fs_ctx.free_block t.ctx) !detached;
+  Fs_ctx.free_ino t.ctx ino
 
 (* Rename within one shard: both directories journal into the same log, so
    one ordinary transaction covers target replacement, insertion, and
@@ -730,8 +721,6 @@ let rename_same_shard t ~src_dir ~src ~dst_dir ~dst ~ino =
      Log.with_txn log (fun txn ->
          (match Dir.lookup t.ctx ~dir:dst_dir dst with
          | Some existing ->
-           if inode_kind t existing = Media.Inode.kind_directory then
-             Errno.raise_error EISDIR "rename target %S is a directory" dst;
            ignore (Dir.remove t.ctx txn ~dir:dst_dir dst);
            detached := free_inode t log txn ~ino:existing;
            replaced := Some existing
@@ -770,8 +759,6 @@ let rename_cross_shard t ~src_dir ~src ~dst_dir ~dst ~ino =
       try
         (match Dir.lookup t.ctx ~dir:dst_dir dst with
         | Some existing ->
-          if inode_kind t existing = Media.Inode.kind_directory then
-            Errno.raise_error EISDIR "rename target %S is a directory" dst;
           ignore (Dir.remove t.ctx dst_txn ~dir:dst_dir dst);
           detached := free_inode t dst_log dst_txn ~ino:existing;
           replaced := Some existing
@@ -808,12 +795,10 @@ let rename t ~src_dir ~src ~dst_dir ~dst =
   check_writable_ino t ~ino:dst_dir;
   check_ino t src_dir;
   check_ino t dst_dir;
-  match Dir.lookup t.ctx ~dir:src_dir src with
-  | None -> Errno.raise_error ENOENT "no entry %S" src
-  | Some ino ->
-    if shard_of_ino t src_dir = shard_of_ino t dst_dir then
-      rename_same_shard t ~src_dir ~src ~dst_dir ~dst ~ino
-    else rename_cross_shard t ~src_dir ~src ~dst_dir ~dst ~ino
+  let ino = entry t ~dir:src_dir src in
+  if shard_of_ino t src_dir = shard_of_ino t dst_dir then
+    rename_same_shard t ~src_dir ~src ~dst_dir ~dst ~ino
+  else rename_cross_shard t ~src_dir ~src ~dst_dir ~dst ~ino
 
 let readdir t ~dir =
   check_ino t dir;

@@ -148,7 +148,6 @@ val set_sabotage_skip_epoch : bool -> unit
 (** {1 Inode operations} *)
 
 val check_ino : t -> int -> unit
-val inode_kind : t -> int -> int
 val inode_size : t -> int -> int
 val stat_of : t -> int -> Hinfs_vfs.Types.stat
 
@@ -176,7 +175,10 @@ val write :
 val truncate : t -> ino:int -> size:int -> unit
 val fsync : t -> ino:int -> unit
 
-(** {1 Namespace} *)
+(** {1 Namespace}
+
+    The operations below expect the preconditions of
+    {!Hinfs_vfs.Backend.S}: the VFS decides every namespace errno. *)
 
 val lookup : t -> dir:int -> string -> int option
 val create_file : t -> dir:int -> string -> int

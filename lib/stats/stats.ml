@@ -24,11 +24,8 @@ let category_name = function
   | Block_layer -> "block-layer"
   | Other -> "other"
 
-type op_class = Read_op | Write_op | Unlink_op | Fsync_op
-
 type t = {
   mutable time_by_category : int64 array; (* indexed by category *)
-  mutable time_by_op : int64 array; (* indexed by op_class *)
   (* byte accounting *)
   mutable user_bytes_read : int64;
   mutable user_bytes_written : int64;
@@ -77,16 +74,9 @@ let category_index = function
   | Block_layer -> 3
   | Other -> 4
 
-let op_index = function
-  | Read_op -> 0
-  | Write_op -> 1
-  | Unlink_op -> 2
-  | Fsync_op -> 3
-
 let create () =
   {
     time_by_category = Array.make 5 0L;
-    time_by_op = Array.make 4 0L;
     user_bytes_read = 0L;
     user_bytes_written = 0L;
     fsync_bytes = 0L;
@@ -124,7 +114,6 @@ let create () =
 let reset t =
   let fresh = create () in
   t.time_by_category <- fresh.time_by_category;
-  t.time_by_op <- fresh.time_by_op;
   t.user_bytes_read <- 0L;
   t.user_bytes_written <- 0L;
   t.fsync_bytes <- 0L;
@@ -167,12 +156,6 @@ let add_time t cat ns =
 let time t cat = t.time_by_category.(category_index cat)
 
 let total_time t = Array.fold_left Int64.add 0L t.time_by_category
-
-let add_op_time t op ns =
-  let i = op_index op in
-  t.time_by_op.(i) <- Int64.add t.time_by_op.(i) ns
-
-let op_time t op = t.time_by_op.(op_index op)
 
 (* --- bytes --- *)
 

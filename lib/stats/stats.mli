@@ -17,9 +17,6 @@ type category =
 val categories : category list
 val category_name : category -> string
 
-(** Trace-replay op classes (Fig. 12). *)
-type op_class = Read_op | Write_op | Unlink_op | Fsync_op
-
 val create : unit -> t
 val reset : t -> unit
 
@@ -28,8 +25,6 @@ val reset : t -> unit
 val add_time : t -> category -> int64 -> unit
 val time : t -> category -> int64
 val total_time : t -> int64
-val add_op_time : t -> op_class -> int64 -> unit
-val op_time : t -> op_class -> int64
 
 (** {1 Byte accounting} *)
 

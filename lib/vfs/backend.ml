@@ -2,7 +2,16 @@
 
    Backends are inode-oriented: the VFS does path walking, fd management and
    per-inode locking on top of these operations. All operations run inside a
-   simulation process and consume virtual time through the device. *)
+   simulation process and consume virtual time through the device.
+
+   The VFS decides every namespace outcome (ENOENT, EEXIST, ENOTDIR, EISDIR,
+   ENOTEMPTY, and rename's no-op and EINVAL cases) before it calls a
+   namespace operation, so a backend only carries out a valid one: [dir] is
+   a live directory, a created name is absent, and a removed or renamed
+   entry is present with the kind the operation expects. A missing entry is
+   a broken precondition ([Invalid_argument]), not an errno. Backends still
+   raise the fault and format outcomes: EROFS, ENOSPC, EIO, and EINVAL for
+   an over-long name. *)
 
 module type S = sig
   type t
@@ -23,17 +32,24 @@ module type S = sig
   (** Find a name in a directory inode. *)
 
   val create_file : t -> dir:int -> string -> int
-  (** Create an empty regular file; returns its inode number.
-      @raise Errno.Fs_error EEXIST / ENOSPC *)
+  (** Create an empty regular file under an absent name; returns its inode
+      number. @raise Errno.Fs_error ENOSPC *)
 
   val mkdir : t -> dir:int -> string -> int
+  (** Create an empty directory under an absent name. *)
 
   val unlink : t -> dir:int -> string -> unit
-  (** Remove a regular file (drops its data).
-      @raise Errno.Fs_error ENOENT / EISDIR *)
+  (** Remove an existing regular file's entry (drops its data). *)
 
   val rmdir : t -> dir:int -> string -> unit
+  (** Remove an existing empty directory. *)
+
   val rename : t -> src_dir:int -> src:string -> dst_dir:int -> dst:string -> unit
+  (** Move an existing entry. [src] and [dst] name different inodes; the
+      destination, if present, is a victim the VFS allows to be replaced (a
+      file by a file, an empty directory by a directory), which the backend
+      releases. *)
+
   val readdir : t -> dir:int -> (string * int) list
 
   (** {1 Inode operations} *)

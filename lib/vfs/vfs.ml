@@ -294,32 +294,90 @@ module Make (B : Backend.S) = struct
         | None -> ());
         ignore (B.mkdir t.fs ~dir name))
 
+  (* --- namespace outcomes ---
+
+     Every namespace errno of the syscall surface is decided here, under
+     the namespace write lock, before the backend is called: backends only
+     carry out an operation whose preconditions hold (Backend.S). *)
+
+  let kind t ino = (B.stat t.fs ~ino).Types.kind
+  let is_empty_dir t ino = B.readdir t.fs ~dir:ino = []
+
+  (* The inode is leaving the namespace (unlinked, or replaced by a
+     rename): its unsynced bytes were never made durable by an fsync, and
+     its lock must not pass to a later file that reuses the number. *)
+  let drop_victim t ino =
+    Hashtbl.remove t.dirty_since_sync ino;
+    Hashtbl.remove t.ino_locks ino
+
   let rmdir t path =
     charge_syscall t;
     Rwlock.with_write t.ns_lock (fun () ->
         let dir, name = resolve_parent t path in
-        B.rmdir t.fs ~dir name)
+        match B.lookup t.fs ~dir name with
+        | None -> Errno.raise_error ENOENT "%s does not exist" path
+        | Some ino ->
+          if kind t ino <> Types.Directory then
+            Errno.raise_error ENOTDIR "%s is not a directory" path;
+          if not (is_empty_dir t ino) then
+            Errno.raise_error ENOTEMPTY "%s is not empty" path;
+          B.rmdir t.fs ~dir name)
 
   let unlink t path =
     charge_syscall t;
     Rwlock.with_write t.ns_lock (fun () ->
         let dir, name = resolve_parent t path in
-        (match B.lookup t.fs ~dir name with
+        match B.lookup t.fs ~dir name with
         | None -> Errno.raise_error ENOENT "%s does not exist" path
         | Some ino ->
+          if kind t ino = Types.Directory then
+            Errno.raise_error EISDIR "%s is a directory" path;
           if is_open t ino then
             Errno.raise_error EINVAL
               "%s is still open (deferred deletion unsupported)" path;
-          Hashtbl.remove t.dirty_since_sync ino;
-          Hashtbl.remove t.ino_locks ino);
-        B.unlink t.fs ~dir name)
+          drop_victim t ino;
+          B.unlink t.fs ~dir name)
+
+  (* [dst] lies strictly inside [src]. Paths are canonical and directories
+     have no hard links, so a component-prefix test is exact. *)
+  let rec strictly_below src dst =
+    match (src, dst) with
+    | [], _ :: _ -> true
+    | s :: src, d :: dst -> String.equal s d && strictly_below src dst
+    | _ -> false
+
+  (* Rename may replace a file by a file and an empty directory by a
+     directory. *)
+  let check_replace t ~ino ~victim dst =
+    match (kind t ino, kind t victim) with
+    | Types.Regular, Types.Directory ->
+      Errno.raise_error EISDIR "%s is a directory" dst
+    | Types.Directory, Types.Regular ->
+      Errno.raise_error ENOTDIR "%s is not a directory" dst
+    | Types.Directory, Types.Directory when not (is_empty_dir t victim) ->
+      Errno.raise_error ENOTEMPTY "%s is not empty" dst
+    | _ -> ()
 
   let rename t src dst =
     charge_syscall t;
     Rwlock.with_write t.ns_lock (fun () ->
         let src_dir, src_name = resolve_parent t src in
         let dst_dir, dst_name = resolve_parent t dst in
-        B.rename t.fs ~src_dir ~src:src_name ~dst_dir ~dst:dst_name)
+        match B.lookup t.fs ~dir:src_dir src_name with
+        | None -> Errno.raise_error ENOENT "%s does not exist" src
+        | Some ino ->
+          if strictly_below (Path.split src) (Path.split dst) then
+            Errno.raise_error EINVAL "cannot move %s into itself (%s)" src dst;
+          let victim = B.lookup t.fs ~dir:dst_dir dst_name in
+          (* The same inode under both names: nothing to do. *)
+          if victim <> Some ino then begin
+            Option.iter
+              (fun victim ->
+                check_replace t ~ino ~victim dst;
+                drop_victim t victim)
+              victim;
+            B.rename t.fs ~src_dir ~src:src_name ~dst_dir ~dst:dst_name
+          end)
 
   let readdir t path =
     charge_syscall t;

@@ -282,10 +282,8 @@ let run_hinfs_smoke () =
   Soak.run soak (fun engine ->
       let stats = Stats.create () in
       let d = Device.create engine stats config in
-      let hcfg =
-        { Hconfig.default with Hconfig.shards; buffer_bytes = 512 * 1024 }
-      in
-      let fs = Fs.mkfs_and_mount d ~journal_blocks:32 ~hcfg () in
+      let hcfg = { Hconfig.default with Hconfig.buffer_bytes = 512 * 1024 } in
+      let fs = Fs.mkfs_and_mount d ~journal_blocks:32 ~shards ~hcfg () in
       if Fs.shard_count fs <> shards then
         fail "HiNFS shard_count %d, expected %d" (Fs.shard_count fs) shards;
       let pmfs = Fs.pmfs fs in

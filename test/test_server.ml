@@ -262,8 +262,7 @@ let test_bounded_eviction () =
 
 let test_failed_evict_flush () =
   Testkit.run_sim (fun engine ->
-      let hcfg = { Testkit.small_hcfg with Hinfs.Hconfig.shards = 4 } in
-      let _d, fs = Testkit.make_hinfs ~hcfg engine in
+      let _d, fs = Testkit.make_hinfs ~shards:4 ~hcfg:Testkit.small_hcfg engine in
       let h = Fs.handle fs in
       let cache = Ofcache.create h ~cap:1 in
       let open_ path = h.Vfs.open_ path { Types.creat with Types.read = true } in

@@ -3,9 +3,7 @@
 
 module Bitmap = Hinfs_structures.Bitmap
 module Dlist = Hinfs_structures.Dlist
-module Btree = Hinfs_structures.Btree
 module Lru = Hinfs_structures.Lru
-module IntMap = Map.Make (Int)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -102,93 +100,6 @@ let test_dlist_iter_with_removal () =
   Dlist.iter_nodes l (fun n ->
       if Dlist.value n mod 2 = 0 then Dlist.remove l n);
   Alcotest.(check (list int)) "odds remain" [ 1; 3 ] (Dlist.to_list l)
-
-(* --- btree --- *)
-
-let btree_ops_gen =
-  QCheck.(
-    list
-      (pair (int_bound 500)
-         (oneofl [ `Insert; `Insert; `Insert; `Remove; `Find ])))
-
-let validate_or_fail tree =
-  match Btree.validate tree with
-  | Ok () -> true
-  | Error es ->
-    QCheck.Test.fail_reportf "invariant violated: %s" (String.concat "; " es)
-
-let btree_model_prop =
-  QCheck.Test.make ~name:"btree matches Map model" ~count:300 btree_ops_gen
-    (fun ops ->
-      let tree = Btree.create ~degree:3 () in
-      let model = ref IntMap.empty in
-      List.iter
-        (fun (k, op) ->
-          match op with
-          | `Insert ->
-            Btree.insert tree k (k * 2);
-            model := IntMap.add k (k * 2) !model
-          | `Remove ->
-            let removed = Btree.remove tree k in
-            let expected = IntMap.mem k !model in
-            if removed <> expected then
-              QCheck.Test.fail_reportf "remove %d: got %b want %b" k removed
-                expected;
-            model := IntMap.remove k !model
-          | `Find ->
-            let got = Btree.find tree k in
-            let expected = IntMap.find_opt k !model in
-            if got <> expected then
-              QCheck.Test.fail_reportf "find %d mismatch" k)
-        ops;
-      let listed = Btree.to_list tree in
-      let expected = IntMap.bindings !model in
-      if listed <> expected then
-        QCheck.Test.fail_reportf "to_list mismatch: %d vs %d entries"
-          (List.length listed) (List.length expected);
-      validate_or_fail tree)
-
-let btree_range_prop =
-  QCheck.Test.make ~name:"btree iter_range" ~count:200
-    QCheck.(triple (list (int_bound 300)) (int_bound 300) (int_bound 300))
-    (fun (keys, a, b) ->
-      let lo = min a b and hi = max a b in
-      let tree = Btree.create ~degree:4 () in
-      List.iter (fun k -> Btree.insert tree k k) keys;
-      let got = ref [] in
-      Btree.iter_range tree ~lo ~hi (fun k _ -> got := k :: !got);
-      let expected =
-        List.sort_uniq compare keys |> List.filter (fun k -> k >= lo && k <= hi)
-      in
-      List.rev !got = expected)
-
-let test_btree_sequential () =
-  let tree = Btree.create ~degree:8 () in
-  for i = 0 to 10_000 do
-    Btree.insert tree i (i * 3)
-  done;
-  check_int "cardinal" 10_001 (Btree.cardinal tree);
-  Alcotest.(check (option int)) "find" (Some 300) (Btree.find tree 100);
-  Alcotest.(check (option (pair int int))) "min" (Some (0, 0))
-    (Btree.min_binding tree);
-  Alcotest.(check (option (pair int int)))
-    "max"
-    (Some (10_000, 30_000))
-    (Btree.max_binding tree);
-  (match Btree.validate tree with
-  | Ok () -> ()
-  | Error es -> Alcotest.fail (String.concat "; " es));
-  for i = 0 to 10_000 do
-    check_bool "remove" true (Btree.remove tree i)
-  done;
-  check_bool "empty" true (Btree.is_empty tree)
-
-let test_btree_upsert () =
-  let tree = Btree.create ~degree:2 () in
-  Btree.insert tree 5 "a";
-  Btree.insert tree 5 "b";
-  check_int "no duplicate" 1 (Btree.cardinal tree);
-  Alcotest.(check (option string)) "updated" (Some "b") (Btree.find tree 5)
 
 (* --- lru --- *)
 
@@ -300,12 +211,6 @@ let () =
           Alcotest.test_case "iter with removal" `Quick
             test_dlist_iter_with_removal;
         ] );
-      ( "btree",
-        [
-          Alcotest.test_case "sequential" `Quick test_btree_sequential;
-          Alcotest.test_case "upsert" `Quick test_btree_upsert;
-        ]
-        @ Testkit.qcheck_cases [ btree_model_prop; btree_range_prop ] );
       ( "lru",
         [
           Alcotest.test_case "basic" `Quick test_lru_basic;

@@ -226,6 +226,200 @@ let test_concurrent_readers_share_inode_lock () =
       check_bool "readers overlap" true
         (Int64.to_float both < 1.8 *. Int64.to_float single))
 
+(* --- namespace outcomes, across every kind ---
+
+   One row per namespace outcome the VFS decides. Each row runs on a fresh
+   mount of every [Fixtures] kind (and a 4-shard HiNFS) holding the same
+   starting tree; it checks the errno or success, the tree that survives,
+   and, on the PMFS-format and cowfs kinds, that the unmounted image is
+   fsck-clean. *)
+
+module Fixtures = Hinfs_harness.Fixtures
+module Fsck = Hinfs_fsck.Fsck
+
+let all_kinds =
+  Fixtures.
+    [
+      Hinfs_fs; Hinfs_nclfw; Hinfs_wb; Pmfs_fs; Cow_fs; Ext4_dax; Ext2_nvmmbd;
+      Ext4_nvmmbd; Ext4_sync; Ext2_nvlog; Ext4_nvlog; Ext4_nvpage;
+    ]
+
+(* Every file holds its own original path, so the surviving tree shows
+   which file a name now refers to. *)
+let initial_files = [ "/a"; "/b"; "/d/f" ]
+let initial_dirs = [ "/d"; "/d/s"; "/e"; "/g" ]
+
+let populate (h : Vfs.handle) =
+  List.iter h.Vfs.mkdir initial_dirs;
+  List.iter
+    (fun path ->
+      let fd = h.Vfs.open_ path Types.creat in
+      ignore (h.Vfs.write fd (Bytes.of_string path) (String.length path));
+      h.Vfs.close fd)
+    initial_files
+
+(* Sorted [path/] for directories and [path=contents] for files. *)
+let tree (h : Vfs.handle) =
+  let rec walk dir =
+    List.concat_map
+      (fun (name, _) ->
+        let path = Path.concat dir name in
+        match (h.Vfs.stat path).Types.kind with
+        | Types.Directory -> (path ^ "/") :: walk path
+        | Types.Regular ->
+          let fd = h.Vfs.open_ path Types.rdonly in
+          let buf = Bytes.create 64 in
+          let n = h.Vfs.pread fd ~off:0 buf 64 in
+          h.Vfs.close fd;
+          [ path ^ "=" ^ Bytes.sub_string buf 0 n ])
+      (h.Vfs.readdir dir)
+  in
+  List.sort compare (walk "/")
+
+let initial_tree =
+  List.sort compare
+    (List.map (fun d -> d ^ "/") initial_dirs
+    @ List.map (fun f -> f ^ "=" ^ f) initial_files)
+
+(* The initial tree with [gone] removed and [added] present. *)
+let edited ?(gone = []) ?(added = []) () =
+  List.sort compare
+    (List.filter (fun e -> not (List.mem e gone)) initial_tree @ added)
+
+type row = {
+  what : string;
+  op : Vfs.handle -> unit;
+  expect : Errno.t option; (* [None]: the op succeeds *)
+  after : string list;
+}
+
+let row ?expect ?(after = initial_tree) what op = { what; op; expect; after }
+
+let namespace_rows =
+  [
+    row "O_CREAT|O_EXCL on an existing file" ~expect:EEXIST (fun h ->
+        ignore (h.Vfs.open_ "/a" { Types.creat with Types.excl = true }));
+    row "mkdir over an existing name" ~expect:EEXIST (fun h ->
+        h.Vfs.mkdir "/a");
+    row "unlink a missing name" ~expect:ENOENT (fun h -> h.Vfs.unlink "/x");
+    row "unlink a directory" ~expect:EISDIR (fun h -> h.Vfs.unlink "/e");
+    row "rmdir a missing name" ~expect:ENOENT (fun h -> h.Vfs.rmdir "/x");
+    row "rmdir a file" ~expect:ENOTDIR (fun h -> h.Vfs.rmdir "/a");
+    row "rmdir a non-empty directory" ~expect:ENOTEMPTY (fun h ->
+        h.Vfs.rmdir "/d");
+    row "rmdir an empty directory" ~after:(edited ~gone:[ "/e/" ] ())
+      (fun h -> h.Vfs.rmdir "/e");
+    row "rename a missing source" ~expect:ENOENT (fun h ->
+        h.Vfs.rename "/x" "/y");
+    row "rename a file onto itself" (fun h -> h.Vfs.rename "/a" "/a");
+    row "rename a directory onto itself" (fun h -> h.Vfs.rename "/d" "/d");
+    row "rename a directory into itself" ~expect:EINVAL (fun h ->
+        h.Vfs.rename "/d" "/d/x");
+    row "rename a directory into its subtree" ~expect:EINVAL (fun h ->
+        h.Vfs.rename "/d" "/d/s/x");
+    row "rename a file over a directory" ~expect:EISDIR (fun h ->
+        h.Vfs.rename "/a" "/e");
+    row "rename a directory over a file" ~expect:ENOTDIR (fun h ->
+        h.Vfs.rename "/e" "/a");
+    row "rename a directory over a non-empty directory" ~expect:ENOTEMPTY
+      (fun h -> h.Vfs.rename "/e" "/d");
+    row "rename a directory over an empty directory"
+      ~after:
+        (edited
+           ~gone:[ "/d/"; "/d/f=/d/f"; "/d/s/" ]
+           ~added:[ "/g/f=/d/f"; "/g/s/" ]
+           ())
+      (fun h -> h.Vfs.rename "/d" "/g");
+    row "rename a file over a file"
+      ~after:(edited ~gone:[ "/a=/a"; "/b=/b" ] ~added:[ "/a=/b" ] ())
+      (fun h -> h.Vfs.rename "/b" "/a");
+  ]
+
+(* Remount the unmounted image and fsck it, on the kinds that have a
+   checker: the PMFS format (PMFS and every HiNFS flavour) and cowfs. *)
+let fsck_violations kind device =
+  match (kind : Fixtures.fs_kind) with
+  | Hinfs_fs | Hinfs_nclfw | Hinfs_wb | Pmfs_fs ->
+    let fs = Pmfs.mount device () in
+    let v = Fsck.check fs in
+    Pmfs.unmount fs;
+    v
+  | Cow_fs ->
+    let fs = Hinfs_pmfs.Cowfs.mount device () in
+    let v = Fsck.cow_violations fs in
+    Hinfs_pmfs.Cowfs.unmount fs;
+    v
+  | _ -> []
+
+(* The row's failures on one kind, as messages; an exception other than
+   the row's errno is one too. *)
+let run_row ~shards kind r =
+  let label =
+    Fmt.str "%s%s: %s" (Fixtures.name kind)
+      (if shards > 1 then Fmt.str " (%d shards)" shards else "")
+      r.what
+  in
+  let show = function None -> "ok" | Some e -> Errno.to_string e in
+  let mismatch what pp want got =
+    if want = got then []
+    else [ Fmt.str "%s: %s: want %a, got %a" label what pp want pp got ]
+  in
+  let lines = Fmt.(list ~sep:sp string) in
+  match
+    Testkit.run_sim (fun engine ->
+        let env =
+          Fixtures.setup engine ~config:Testkit.small_config
+            ~buffer_bytes:(256 * 4096) ~cache_pages:256 ~shards kind
+        in
+        let h = env.Fixtures.handle in
+        populate h;
+        let got =
+          match r.op h with
+          | () -> None
+          | exception Errno.Fs_error (e, _) -> Some e
+        in
+        let after = tree h in
+        env.Fixtures.teardown ();
+        mismatch "outcome" Fmt.string (show r.expect) (show got)
+        @ mismatch "tree" lines r.after after
+        @ mismatch "fsck" lines [] (fsck_violations kind env.Fixtures.device))
+  with
+  | failures -> failures
+  | exception e -> [ Fmt.str "%s: raised %s" label (Printexc.to_string e) ]
+
+let test_namespace_table () =
+  let failures =
+    List.concat_map
+      (fun r ->
+        List.concat_map (fun kind -> run_row ~shards:1 kind r) all_kinds
+        @ run_row ~shards:4 Fixtures.Hinfs_fs r)
+      namespace_rows
+  in
+  if failures <> [] then
+    Alcotest.failf "%d failure(s):@.%a" (List.length failures)
+      Fmt.(list ~sep:cut string)
+      failures
+
+(* A file replaced by rename leaves the namespace like an unlinked one: its
+   unsynced bytes were never fsync-covered, so sync_all must not book them
+   (Fig. 2's numerator). *)
+let test_rename_over_drops_victim_bytes () =
+  let stats = Hinfs_stats.Stats.create () in
+  Testkit.run_sim (fun engine ->
+      let d = Testkit.make_device ~stats engine in
+      let h = Pmfs.handle (Pmfs.mkfs_and_mount d ~journal_blocks:32 ()) in
+      let write path n =
+        let fd = h.Vfs.open_ path Types.creat in
+        ignore (h.Vfs.write fd (Bytes.make n 'x') n);
+        h.Vfs.close fd
+      in
+      write "/v" 1000;
+      write "/n" 300;
+      h.Vfs.rename "/n" "/v";
+      h.Vfs.sync_all ();
+      Alcotest.(check int64) "only /n's bytes are fsync-covered" 300L
+        (Hinfs_stats.Stats.fsync_bytes stats))
+
 let () =
   Alcotest.run "vfs"
     [
@@ -250,5 +444,9 @@ let () =
             test_concurrent_readers_share_inode_lock;
           Alcotest.test_case "charged time is elapsed time" `Quick
             test_charged_time_is_elapsed_time;
+          Alcotest.test_case "rename over drops victim bytes" `Quick
+            test_rename_over_drops_victim_bytes;
         ] );
+      ( "namespace",
+        [ Alcotest.test_case "table" `Quick test_namespace_table ] );
     ]

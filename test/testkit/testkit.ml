@@ -39,12 +39,12 @@ let make_pmfs ?config ?stats ?(sync_mount = false) engine =
 (* Fresh HiNFS on a fresh device, inside a running simulation. Daemons are
    off by default so the engine drains when the test finishes; pass
    [daemons:true] and remember to unmount. *)
-let make_hinfs ?config ?stats ?hcfg ?(sync_mount = false) ?(daemons = false)
-    engine =
+let make_hinfs ?config ?stats ?shards ?hcfg ?(sync_mount = false)
+    ?(daemons = false) engine =
   let device = make_device ?config ?stats engine in
   let fs =
-    Hinfs.Fs.mkfs_and_mount device ~journal_blocks:32 ?hcfg ~sync_mount
-      ~daemons ()
+    Hinfs.Fs.mkfs_and_mount device ~journal_blocks:32 ?shards ?hcfg
+      ~sync_mount ~daemons ()
   in
   (device, fs)
 
