@@ -970,6 +970,58 @@ let baseline () =
 (* Bechamel microbenchmarks of the core data structures (wall clock).  *)
 (* ------------------------------------------------------------------ *)
 
+(* The host cost of one timed device store and load, over a 1 MB region
+   of mixed bytes (so the medium keeps a private line per line), and of
+   one lowest-free allocation after freeing a random block of a nearly
+   full allocator (the scan runs from the last allocation to the freed
+   block). The device rows must run inside a simulation process on
+   [engine]: each includes the scheduling of its virtual delay. *)
+let device_micro engine =
+  let open Bechamel in
+  let module Device = Hinfs_nvmm.Device in
+  let module Allocator = Hinfs_nvmm.Allocator in
+  let config = { Config.default with Config.nvmm_size = 16 * 1024 * 1024 } in
+  let d = Device.create engine (Stats.create ()) config in
+  let region = 1024 * 1024 and ls = config.Config.cacheline_size in
+  let ps = config.Config.block_size in
+  let mixed = Bytes.init region (fun i -> Char.chr (i * 7 land 0xff)) in
+  Device.poke d ~addr:0 ~src:mixed ~off:0 ~len:region;
+  let next = ref 0 in
+  let rotate step =
+    next := (!next + step) mod region;
+    !next
+  in
+  let page = Bytes.create ps in
+  let write_line =
+    Test.make ~name:"device.write_nt line"
+      (Staged.stage (fun () ->
+           let addr = rotate ls in
+           Device.write_nt d ~cat:Stats.Other ~addr ~src:mixed ~off:addr
+             ~len:ls))
+  in
+  let read_page =
+    Test.make ~name:"device.read page"
+      (Staged.stage (fun () ->
+           Device.read d ~cat:Stats.Other ~addr:(rotate ps / ps * ps) ~len:ps
+             ~into:page ~off:0))
+  in
+  let blocks = 65536 in
+  let a =
+    Allocator.create ~policy:Allocator.Lowest_free ~first_block:0
+      ~count:blocks
+  in
+  for _ = 1 to blocks - 1024 do
+    ignore (Allocator.alloc a)
+  done;
+  let rng = Random.State.make [| 7 |] in
+  let alloc =
+    Test.make ~name:"allocator.alloc churned"
+      (Staged.stage (fun () ->
+           Allocator.free a (Random.State.int rng (blocks - 1024));
+           ignore (Allocator.alloc a)))
+  in
+  [ write_line; read_page; alloc ]
+
 let micro () =
   Report.heading ppf "Microbenchmarks (Bechamel, real time per run)";
   let open Bechamel in
@@ -991,15 +1043,20 @@ let micro () =
       (Staged.stage (fun () ->
            ignore (Hinfs_sim.Zipf.sample zipf_gen zipf_rng)))
   in
-  let tests = [ clbitmap_runs; zipf_sample ] in
+  let engine = Hinfs_sim.Engine.create () in
+  let tests = [ clbitmap_runs; zipf_sample ] @ device_micro engine in
   let instances = [ Toolkit.Instance.monotonic_clock ] in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 100) ()
   in
-  let raw =
-    Benchmark.all cfg instances
-      (Test.make_grouped ~name:"structures" ~fmt:"%s %s" tests)
-  in
+  let raw = ref None in
+  Hinfs_sim.Engine.spawn engine ~name:"micro" (fun () ->
+      raw :=
+        Some
+          (Benchmark.all cfg instances
+             (Test.make_grouped ~name:"structures" ~fmt:"%s %s" tests)));
+  Hinfs_sim.Engine.run engine;
+  let raw = Option.get !raw in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in

@@ -2,17 +2,17 @@
 
    Two layers of state:
    - the medium: the NVMM itself; survives [crash]. It is a sparse page
-     table of block-size pages. A page whose bytes all hold one value [c]
-     may be the one shared, immutable fill page of [c] (created on first
-     use; a never-written page is the fill page of ['\000'], the zero
-     page): a store covering a whole page with one value points the page
-     at that value's fill page, and a store of [c]s into [c]'s fill page
-     writes nothing, so only pages with mixed bytes cost host memory.
-     Pages are shared copy-on-write with the images taken of the device
-     ({!snapshot}, crash states): a device writes in place only into pages
-     it owns, never a fill page, and copies any other page on its first
-     write, so an image is immutable and taking one copies page pointers,
-     not bytes.
+     table of block-size pages, each a table of cachelines. A line is
+     never written in place: a store points its slot at a new line. A
+     line whose bytes all hold one value [c] is the one shared fill line
+     of [c] (made on first use), and a page whose lines are all [c]'s
+     fill line is [c]'s shared fill table (a never-written page is the
+     zero table), so host memory holds only the lines of mixed bytes and
+     the tables of pages that have one. Tables are shared copy-on-write
+     with the images taken of the device ({!snapshot}, crash states): a
+     device sets slots in place only in tables it owns, never a fill
+     table, and copies any other table on its first write, so an image
+     is immutable and taking one copies page pointers, not lines.
    - [overlay]: cachelines currently dirty in the (volatile) CPU cache.
      Ordinary stores ([write_cached], [set_u*]) land here and are lost on
      [crash] until [clflush]ed. Non-temporal stores ([write_nt]) bypass the
@@ -90,19 +90,22 @@ module Record = struct
     }
 end
 
-(* An immutable medium image: the page table, whose pages nobody writes
-   again, and the fill pages it may share. *)
-type image = { img_pages : Bytes.t array; img_fills : Bytes.t array }
+(* A page's cachelines, in address order; lines are never written. *)
+type table = Bytes.t array
+
+(* An immutable medium image: the page table, whose tables nobody writes
+   again, and the fill tables it may share. *)
+type image = { img_pages : table array; img_fills : table array }
 
 type t = {
   engine : Hinfs_sim.Engine.t;
   stats : Hinfs_stats.Stats.t;
   config : Config.t;
-  pages : Bytes.t array; (* page index -> content; a fill page, or private *)
-  owned : Bytes.t; (* per page: '\001' when this device may write in place *)
-  fills : Bytes.t array;
-      (* byte value -> its fill page, empty until first used; entry 0 is
-         the zero page. Shared with the images and the devices made from
+  pages : table array; (* page index -> lines; a fill table, or private *)
+  owned : Bytes.t; (* per page: '\001' when this device may set slots *)
+  fills : table array;
+      (* byte value -> its fill table, empty until first used; entry 0 is
+         the zero table. Shared with the images and the devices made from
          them, which only ever add entries. *)
   overlay : Bytes.t Ltbl.t; (* cacheline index -> line content *)
   dirty_in_page : int array; (* page index -> overlay lines in it *)
@@ -153,10 +156,11 @@ let of_pages engine stats config ~fills pages =
 
 let create engine stats config =
   let config = Config.validate config in
-  let zero = Bytes.make config.Config.block_size '\000' in
-  let fills = Array.make 256 Bytes.empty in
-  fills.(0) <- zero;
-  of_pages engine stats config ~fills (Array.make (Config.blocks config) zero)
+  let zero = Bytes.make config.Config.cacheline_size '\000' in
+  let fills = Array.make 256 [||] in
+  fills.(0) <- Array.make (Config.cachelines_per_block config) zero;
+  of_pages engine stats config ~fills
+    (Array.make (Config.blocks config) fills.(0))
 
 let config t = t.config
 let size t = t.config.Config.nvmm_size
@@ -176,85 +180,132 @@ let check_range t ~addr ~len =
 
 let page_size t = t.config.Config.block_size
 
-(* Page [p], made writable in place: a page the device does not own (a
-   fill page, or one shared with an image) is copied first. *)
+(* Table [p], made settable in place: a table the device does not own (a
+   fill table, or one shared with an image) is copied first. *)
 let own_page t p =
   if Bytes.unsafe_get t.owned p = '\001' then t.pages.(p)
   else begin
-    let page = Bytes.copy t.pages.(p) in
-    t.pages.(p) <- page;
+    let tbl = Array.copy t.pages.(p) in
+    t.pages.(p) <- tbl;
     Bytes.unsafe_set t.owned p '\001';
-    page
+    tbl
   end
 
-(* The fill page of [c], made on first use. *)
-let fill_page t c =
-  let pg = t.fills.(Char.code c) in
-  if Bytes.length pg > 0 then pg
+(* The fill table of [c], made on first use; its lines: [c]'s fill line. *)
+let fill_table t c =
+  let tbl = t.fills.(Char.code c) in
+  if Array.length tbl > 0 then tbl
   else begin
-    let pg = Bytes.make (page_size t) c in
-    t.fills.(Char.code c) <- pg;
-    pg
+    let tbl = Array.make t.lines_per_page (Bytes.make (line_size t) c) in
+    t.fills.(Char.code c) <- tbl;
+    tbl
   end
 
-(* A page is a fill page iff it is the one of its first byte. *)
-let is_fill fills pg = fills.(Char.code (Bytes.unsafe_get pg 0)) == pg
+let fill_page t p c =
+  t.pages.(p) <- fill_table t c;
+  Bytes.unsafe_set t.owned p '\000'
 
-(* Whether [src] holds [c] in every byte of [off, off+len): a loop over
-   words, each compared with [w], [c] in every byte; then the tail bytes. *)
-let rec uniform_bytes src i stop c =
-  i >= stop || (Bytes.unsafe_get src i = c && uniform_bytes src (i + 1) stop c)
+(* A table or line is a fill one iff it is the one of its first byte. *)
+let is_fill fills tbl = fills.(Char.code (Bytes.unsafe_get tbl.(0) 0)) == tbl
 
-let rec uniform_words src i stop c w =
-  if i + 8 > stop then uniform_bytes src i stop c
-  else
-    Int64.equal (Bytes.get_int64_ne src i) w
-    && uniform_words src (i + 8) stop c w
+let is_fill_line fills line =
+  let tbl = fills.(Char.code (Bytes.unsafe_get line 0)) in
+  Array.length tbl > 0 && tbl.(0) == line
 
+external get_int64_unsafe : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* Whether [src] holds [c] in every byte of [off, off+len): whole words,
+   each compared with [w], [c] in every byte, then the tail bytes. *)
 let uniform src off len c =
-  uniform_words src off (off + len) c
-    (Int64.mul (Int64.of_int (Char.code c)) 0x0101010101010101L)
+  let stop = off + len in
+  if off < 0 || stop > Bytes.length src then invalid_arg "Device: bad range";
+  let w = Int64.mul (Int64.of_int (Char.code c)) 0x0101010101010101L in
+  let i = ref off in
+  while !i + 8 <= stop && Int64.equal (get_int64_unsafe src !i) w do
+    i := !i + 8
+  done;
+  let rec tail i = i >= stop || (Bytes.unsafe_get src i = c && tail (i + 1)) in
+  tail !i
 
-(* Copy medium bytes [addr, addr+len) into [dst] from [doff]. The common
-   case, a range inside one page, is a single blit. *)
-let rec medium_read t ~addr dst doff len =
-  let ps = page_size t in
-  let po = addr mod ps in
-  if po + len <= ps then Bytes.blit t.pages.(addr / ps) po dst doff len
-  else begin
-    let n = ps - po in
-    Bytes.blit t.pages.(addr / ps) po dst doff n;
-    medium_read t ~addr:(addr + n) dst (doff + n) (len - n)
-  end
-
-(* Store [src] from [off] to medium bytes [addr, addr+len), one page
-   segment at a time. A segment that covers its page with one value [c]
-   points the page at [c]'s fill page, dropping any private copy; [c]s
-   stored into [c]'s fill page write nothing; any other segment is copied
-   into the page, owned first. *)
-let rec medium_write t ~addr src off len =
-  let ps = page_size t in
-  let p = addr / ps and po = addr mod ps in
-  let n = min len (ps - po) in
-  let pg = t.pages.(p) in
-  if n = ps && uniform src off n (Bytes.unsafe_get src off) then begin
-    t.pages.(p) <- fill_page t (Bytes.unsafe_get src off);
-    Bytes.unsafe_set t.owned p '\000'
-  end
-  else if not (is_fill t.fills pg && uniform src off n (Bytes.unsafe_get pg 0))
-  then Bytes.blit src off (own_page t p) po n;
-  if n < len then medium_write t ~addr:(addr + n) src (off + n) (len - n)
-
-(* Copy of one cacheline of the medium (lines never straddle pages). *)
+(* The medium's line [idx], shared: nobody may write it. *)
 let medium_line t idx =
-  let ls = t.config.Config.cacheline_size and ps = page_size t in
-  let addr = idx * ls in
-  Bytes.sub t.pages.(addr / ps) (addr mod ps) ls
+  let p = idx / t.lines_per_page in
+  t.pages.(p).(idx - (p * t.lines_per_page))
+
+(* [line], a fresh line nobody else holds, or the fill line of its bytes. *)
+let settle t line =
+  let c = Bytes.unsafe_get line 0 in
+  if uniform line 0 (Bytes.length line) c then (fill_table t c).(0) else line
+
+(* Point slot [s] of page [p] at [line], which nobody writes again. A page
+   of one fill line becomes its fill table (pages fill in address order,
+   so the last slot is checked first). *)
+let set_slot t p s line =
+  if t.pages.(p).(s) != line then begin
+    let tbl = own_page t p in
+    tbl.(s) <- line;
+    if
+      is_fill_line t.fills line
+      && tbl.(Array.length tbl - 1) == line
+      && Array.for_all (fun l -> l == line) tbl
+    then fill_page t p (Bytes.unsafe_get line 0)
+  end
+
+(* Copy medium bytes [addr, addr+len) into [dst] from [doff], a page
+   segment at a time: a fill table's in one fill, others line by line. *)
+let rec medium_read t ~addr dst doff len =
+  let ps = page_size t and ls = line_size t in
+  let p = addr / ps in
+  let po = addr - (p * ps) in
+  let n = Int.min len (ps - po) in
+  let tbl = t.pages.(p) in
+  if is_fill t.fills tbl then Bytes.fill dst doff n (Bytes.unsafe_get tbl.(0) 0)
+  else begin
+    let s = ref (po / ls) and pos = ref po in
+    while !pos < po + n do
+      let lo = !pos - (!s * ls) in
+      let k = Int.min (ls - lo) (po + n - !pos) in
+      Bytes.blit tbl.(!s) lo dst (doff + !pos - po) k;
+      pos := !pos + k;
+      incr s
+    done
+  end;
+  if n < len then medium_read t ~addr:(addr + n) dst (doff + n) (len - n)
+
+(* Store [src] from [off] to medium bytes [addr, addr+len). A whole page
+   of one value [c] becomes [c]'s fill table; any other line stored is
+   replaced by a new one, settled, with the old line's unstored bytes. *)
+let rec medium_write t ~addr src off len =
+  let ps = page_size t and ls = line_size t in
+  let p = addr / ps in
+  let po = addr - (p * ps) in
+  let n = Int.min len (ps - po) in
+  let c = Bytes.unsafe_get src off in
+  if n = ps && uniform src off ps c then fill_page t p c
+  else begin
+    let s = ref (po / ls) and pos = ref po in
+    while !pos < po + n do
+      let lo = !pos - (!s * ls) in
+      let k = Int.min (ls - lo) (po + n - !pos) in
+      let line =
+        if k < ls then Bytes.copy t.pages.(p).(!s) else Bytes.create ls
+      in
+      Bytes.blit src (off + !pos - po) line lo k;
+      set_slot t p !s (settle t line);
+      pos := !pos + k;
+      incr s
+    done
+  end;
+  if n < len then medium_write t ~addr:(addr + n) src (off + n) (len - n)
 
 let resident_pages t =
   Array.fold_left
-    (fun n pg -> if is_fill t.fills pg then n else n + 1)
+    (fun n tbl -> if is_fill t.fills tbl then n else n + 1)
     0 t.pages
+
+let resident_lines t =
+  let count n line = if is_fill_line t.fills line then n else n + 1 in
+  Array.fold_left (Array.fold_left count) 0 t.pages
 
 (* The one place a cost becomes virtual time and [Stats] time. [charge]
    times [f] on the clock; [span], if given, records the same interval as
@@ -308,14 +359,16 @@ let overlay_line t idx =
   match Ltbl.find_opt t.overlay idx with
   | Some line -> line
   | None ->
-    let line = medium_line t idx in
+    let line = Bytes.copy (medium_line t idx) in
     add_overlay t idx line;
     line
 
 let dirty_cachelines t = t.dirty_lines
 
 let is_dirty_line t idx =
-  t.dirty_in_page.(idx / t.lines_per_page) > 0 && Ltbl.mem t.overlay idx
+  t.dirty_lines > 0
+  && t.dirty_in_page.(idx / t.lines_per_page) > 0
+  && Ltbl.mem t.overlay idx
 
 (* The one loop over the cached lines a byte range [addr, addr+len)
    touches, each clipped to the range; [buf] holds the range from [off].
@@ -327,14 +380,14 @@ let is_dirty_line t idx =
 type span_op = Load | Merge | Merge_nt
 
 let cached_spans t op ~addr ~len buf off =
-  if len > 0 then begin
+  if len > 0 && t.dirty_lines > 0 then begin
     let ls = line_size t in
     for idx = addr / ls to (addr + len - 1) / ls do
       if is_dirty_line t idx then begin
         let line = Ltbl.find t.overlay idx in
         let line_start = idx * ls in
-        let copy_start = max addr line_start in
-        let n = min (addr + len) (line_start + ls) - copy_start in
+        let copy_start = Int.max addr line_start in
+        let n = Int.min (addr + len) (line_start + ls) - copy_start in
         let line_off = copy_start - line_start in
         let buf_off = off + copy_start - addr in
         match op with
@@ -602,12 +655,20 @@ let nt_copy t ~addr src off len =
   medium_write t ~addr src off len;
   cached_spans t Merge_nt ~addr ~len src off
 
-(* [nt_copy] of zeros, from the zero page one page segment at a time. *)
+(* [nt_copy] of zeros without a source buffer: a whole page becomes the
+   zero table and leaves the cache ([Merge_nt] reads no source for whole
+   lines); any other segment is a line piece from the zero line. *)
 let rec nt_zeros t ~addr ~len =
-  let ps = page_size t in
-  let po = addr mod ps in
-  let n = min len (ps - po) in
-  nt_copy t ~addr t.fills.(0) po n;
+  let ps = page_size t and ls = line_size t in
+  let n =
+    if addr mod ps = 0 && len >= ps then ps
+    else Int.min len (ls - (addr mod ls))
+  in
+  if n = ps then begin
+    fill_page t (addr / ps) '\000';
+    cached_spans t Merge_nt ~addr ~len:ps Bytes.empty 0
+  end
+  else nt_copy t ~addr t.fills.(0).(0) 0 n;
   if n < len then nt_zeros t ~addr:(addr + n) ~len:(len - n)
 
 (* The one timed non-temporal store: [src] from [off], or zeros when
@@ -647,8 +708,8 @@ let write_cached t ~cat ~addr ~src ~off ~len =
       record_store t idx;
       let line = overlay_line t idx in
       let line_start = idx * ls in
-      let copy_start = max addr line_start in
-      let copy_end = min (addr + len) (line_start + ls) in
+      let copy_start = Int.max addr line_start in
+      let copy_end = Int.min (addr + len) (line_start + ls) in
       Bytes.blit src
         (off + copy_start - addr)
         line (copy_start - line_start)
@@ -657,14 +718,15 @@ let write_cached t ~cat ~addr ~src ~off ~len =
   end
 
 (* The one place a cached line moves to the medium: records the flush event
-   and writes the line back. Both [clflush] and [flush_all_untimed] go
+   and hands the line over. Both [clflush] and [flush_all_untimed] go
    through here so timed and test-setup persistence cannot diverge. *)
 let persist_line t idx =
   if is_dirty_line t idx then begin
     let line = Ltbl.find t.overlay idx in
     record_flush t idx line;
-    medium_write t ~addr:(idx * line_size t) line 0 (line_size t);
     drop_overlay t idx;
+    set_slot t (idx / t.lines_per_page) (idx mod t.lines_per_page)
+      (settle t line);
     fault_store_line t idx
   end
 
@@ -749,7 +811,7 @@ let poke_flushed t ~addr ~src ~off ~len =
 let fence_untimed t = record_fence t
 
 (* A metadata word of [n] bytes, read in place: from its dirty cacheline
-   when there is one, else from the medium page. A word straddling two
+   when there is one, else from the medium line. A word straddling two
    cachelines goes through [peek]. *)
 let get_word t addr n get =
   check_range t ~addr ~len:n;
@@ -759,9 +821,7 @@ let get_word t addr n get =
   else
     let idx = addr / ls in
     if is_dirty_line t idx then get (Ltbl.find t.overlay idx) lo
-    else
-      let ps = page_size t in
-      get t.pages.(addr / ps) (addr mod ps)
+    else get (medium_line t idx) lo
 
 let get_u8 t addr = get_word t addr 1 Bytes.get_uint8
 let get_u16 t addr = get_word t addr 2 Bytes.get_uint16_le
@@ -776,25 +836,15 @@ let get_int t addr = Int64.to_int (get_u64 t addr)
 let set_bytes t ~cat ~addr bytes =
   write_cached t ~cat ~addr ~src:bytes ~off:0 ~len:(Bytes.length bytes)
 
-let set_u8 t ~cat addr v =
-  let b = Bytes.create 1 in
-  Bytes.set_uint8 b 0 v;
+let set_word n set t ~cat addr v =
+  let b = Bytes.create n in
+  set b 0 v;
   set_bytes t ~cat ~addr b
 
-let set_u16 t ~cat addr v =
-  let b = Bytes.create 2 in
-  Bytes.set_uint16_le b 0 v;
-  set_bytes t ~cat ~addr b
-
-let set_u32 t ~cat addr v =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int v);
-  set_bytes t ~cat ~addr b
-
-let set_u64 t ~cat addr v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  set_bytes t ~cat ~addr b
+let set_u8 = set_word 1 Bytes.set_uint8
+let set_u16 = set_word 2 Bytes.set_uint16_le
+let set_u32 = set_word 4 (fun b o v -> Bytes.set_int32_le b o (Int32.of_int v))
+let set_u64 = set_word 8 Bytes.set_int64_le
 
 let set_int t ~cat addr v = set_u64 t ~cat addr (Int64.of_int v)
 
@@ -809,8 +859,8 @@ let crash t =
   | Some r -> Ltbl.reset r.Record.lines
 
 (* The persistent medium as an image (what a crash would leave). The
-   device hands its pages to the image and owns none of them afterwards,
-   so its next write to a page copies it. *)
+   device hands its tables to the image and owns none of them afterwards,
+   so its next write to a page copies its table. *)
 let snapshot t =
   Bytes.fill t.owned 0 (Bytes.length t.owned) '\000';
   { img_pages = Array.copy t.pages; img_fills = t.fills }
@@ -820,32 +870,36 @@ let snapshot t =
    simulation keeps running. *)
 let of_snapshot engine stats config image =
   let config = Config.validate config in
+  let zero = image.img_fills.(0) in
   if
-    Bytes.length image.img_fills.(0) <> config.Config.block_size
+    Array.length zero <> Config.cachelines_per_block config
+    || Bytes.length zero.(0) <> config.Config.cacheline_size
     || Array.length image.img_pages <> Config.blocks config
   then invalid_arg "Device.of_snapshot: image size mismatch";
   of_pages engine stats config ~fills:image.img_fills
     (Array.copy image.img_pages)
 
 let image_to_bytes image =
-  Bytes.concat Bytes.empty (Array.to_list image.img_pages)
+  Bytes.concat Bytes.empty
+    (List.concat_map Array.to_list (Array.to_list image.img_pages))
 
 (* Digest of the image contents: equal contents, equal digests. Hashes
-   the per-page digests. The pages an image holds more than once are its
-   fill pages; each is digested once. *)
+   the per-page digests, each of the page's bytes. The pages an image
+   holds more than once are its fill tables; each is digested once. *)
 let image_digest image =
   let memo = Array.make 256 "" in
-  let page_digest pg =
-    if not (is_fill image.img_fills pg) then Digest.bytes pg
+  let flat tbl = Digest.bytes (Bytes.concat Bytes.empty (Array.to_list tbl)) in
+  let page_digest tbl =
+    if not (is_fill image.img_fills tbl) then flat tbl
     else begin
-      let c = Char.code (Bytes.unsafe_get pg 0) in
-      if memo.(c) = "" then memo.(c) <- Digest.bytes pg;
+      let c = Char.code (Bytes.unsafe_get tbl.(0) 0) in
+      if memo.(c) = "" then memo.(c) <- flat tbl;
       memo.(c)
     end
   in
   let b = Buffer.create (16 * Array.length image.img_pages) in
   Array.iter
-    (fun pg -> Buffer.add_string b (page_digest pg))
+    (fun tbl -> Buffer.add_string b (page_digest tbl))
     image.img_pages;
   Digest.string (Buffer.contents b)
 
@@ -965,19 +1019,17 @@ let capture_crash_state ?(label = "crash") t =
 
 (* Concrete crash image: the guaranteed medium with [choice.(i)] picking
    the persisted candidate for the i-th undecided line. It shares every
-   page of the state's image except those holding an undecided line,
-   which it copies once. *)
+   table of the state's image except those holding an undecided line,
+   which it copies once, pointing the line's slot at the candidate. *)
 let materialize_crash_image state ~choice =
   let base = state.cs_image in
   let pages = Array.copy base.img_pages in
-  let ps = Bytes.length base.img_fills.(0) in
+  let lpp = Array.length base.img_fills.(0) in
   List.iteri
     (fun i (idx, cands) ->
-      let c = cands.(choice.(i)) in
-      let addr = idx * state.cs_line_size in
-      let p = addr / ps and off = addr mod ps in
+      let p = idx / lpp in
       if pages.(p) == base.img_pages.(p) then
-        pages.(p) <- Bytes.copy pages.(p);
-      Bytes.blit c 0 pages.(p) off state.cs_line_size)
+        pages.(p) <- Array.copy pages.(p);
+      pages.(p).(idx mod lpp) <- cands.(choice.(i)))
     state.cs_choices;
   { base with img_pages = pages }

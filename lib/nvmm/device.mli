@@ -7,17 +7,17 @@
     virtual time and must be called from inside a simulation process; every
     cacheline streamed to the medium holds one of the N_w bandwidth slots.
 
-    The medium is a sparse table of block-size pages, shared copy-on-write
-    with the {!image}s taken of it: host memory holds only the pages whose
-    bytes are not all one value (pages of one value share one immutable
-    page per value), and an image costs a copy of the page pointers. *)
+    The medium is a sparse table of pages, each a table of immutable
+    cachelines shared copy-on-write with the {!image}s taken of it: host
+    memory holds only lines not all of one value (each value has one fill
+    line and fill table) and the tables of pages holding one. *)
 
 type t
 
 type image
 (** An immutable medium image ({!snapshot}, crash states). Images and
-    devices share pages; a device copies a shared page on its first write
-    to it. *)
+    devices share tables and lines; a device copies a shared table (not
+    its lines) on its first write to the page. *)
 
 val create :
   Hinfs_sim.Engine.t -> Hinfs_stats.Stats.t -> Config.t -> t
@@ -195,9 +195,12 @@ val image_to_bytes : image -> Bytes.t
 (** The image's bytes, flat (tests and inspection). *)
 
 val resident_pages : t -> int
-(** Pages of the medium backed by host memory of their own, i.e. not a
-    shared fill page (the one page per byte value that stands for every
-    page holding only that value, the zero page among them). *)
+(** Pages of the medium with a table of their own (one pointer per line),
+    i.e. not a shared fill table, the one per byte value that stands for
+    every page holding only that value (the zero table among them). *)
+
+val resident_lines : t -> int
+(** Cachelines of the medium with host memory of their own (not a fill line). *)
 
 val flush_all_untimed : t -> unit
 (** Push the whole overlay to the medium without charging time, through the
@@ -244,8 +247,8 @@ val capture_crash_state : ?label:string -> t -> crash_state
 val materialize_crash_image : crash_state -> choice:int array -> image
 (** Concrete crash image: the medium at the crash point with [choice.(i)]
     selecting the persisted candidate of the [i]-th undecided line. It
-    shares every page but those holding an undecided line. Feed the
-    result to {!of_snapshot}. *)
+    shares every line but the undecided ones, and every table but those
+    of the pages holding one. Feed the result to {!of_snapshot}. *)
 
 (** {1 Media-fault model}
 

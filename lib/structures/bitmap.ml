@@ -48,36 +48,30 @@ let clear_all t =
   Bytes.fill t.bits 0 (Bytes.length t.bits) '\000';
   t.set_count <- 0
 
-(* First clear bit at or after [from], scanning whole bytes when possible. *)
-let find_first_clear ?(from = 0) t =
-  if from < 0 then invalid_arg "Bitmap.find_first_clear: negative start";
+(* First bit equal to [want] at or after [from]. Aligned 8-byte words
+   holding only the other value are skipped whole; the rest goes a bit at
+   a time. *)
+let find_first t ~from ~want =
+  let skip = if want then 0L else -1L in
   let rec scan i =
     if i >= t.length then None
-    else if i land 7 = 0 && i + 8 <= t.length then
-      if Bytes.get t.bits (i lsr 3) = '\255' then scan (i + 8)
-      else scan_bits i
-    else scan_bits i
-  and scan_bits i =
-    if i >= t.length then None
-    else if not (get t i) then Some i
-    else scan_bits (i + 1)
+    else if
+      i land 63 = 0
+      && i + 64 <= t.length
+      && Int64.equal (Bytes.get_int64_le t.bits (i lsr 3)) skip
+    then scan (i + 64)
+    else if get t i = want then Some i
+    else scan (i + 1)
   in
   scan from
 
+let find_first_clear ?(from = 0) t =
+  if from < 0 then invalid_arg "Bitmap.find_first_clear: negative start";
+  find_first t ~from ~want:false
+
 let find_first_set ?(from = 0) t =
   if from < 0 then invalid_arg "Bitmap.find_first_set: negative start";
-  let rec scan i =
-    if i >= t.length then None
-    else if i land 7 = 0 && i + 8 <= t.length then
-      if Bytes.get t.bits (i lsr 3) = '\000' then scan (i + 8)
-      else scan_bits i
-    else scan_bits i
-  and scan_bits i =
-    if i >= t.length then None
-    else if get t i then Some i
-    else scan_bits (i + 1)
-  in
-  scan from
+  find_first t ~from ~want:true
 
 let iter_set t f =
   for i = 0 to t.length - 1 do

@@ -433,7 +433,7 @@ let test_wb_mode_buffers_everything () =
 
 (* --- watermarks, stalls, daemons --- *)
 
-(* Whole blocks of one byte value share the medium's fill page of that
+(* Whole blocks of one byte value share the medium's fill table of that
    byte, whether the buffer pool writes them back or an eager write stores
    them: writing them backs next to no host memory. *)
 let test_constant_fill_footprint () =

@@ -255,7 +255,7 @@ let allocator_no_double_alloc_prop =
 (* --- the paged medium against a flat reference --- *)
 
 (* Small pages, so random ranges cross page boundaries often: 16 pages of
-   256 B. *)
+   256 B, 4 cachelines each. *)
 let paged_config =
   { Config.default with Config.block_size = 256; nvmm_size = 4096 }
 
@@ -311,6 +311,14 @@ module Flat = struct
           Hashtbl.remove t.cache idx)
 
   let crash t = Hashtbl.reset t.cache
+
+  (* [Device.image_digest] of an image with these bytes: the digest of
+     the per-page digests. *)
+  let digest medium =
+    let ps = paged_config.Config.block_size in
+    List.init (Bytes.length medium / ps) (fun p ->
+        Digest.bytes (Bytes.sub medium (p * ps) ps))
+    |> String.concat "" |> Digest.string
 end
 
 type medium_op =
@@ -319,6 +327,10 @@ type medium_op =
   | Zero of int * int (* addr, len: [Device.zero_nt] *)
   | Poke of int * int * int
   | Poke_flushed of int * int * int
+  | Cached_flush of int * int * int (* write_cached, then clflush it *)
+  | Refill of int * int * int * int
+      (* page, fill, piece length, store (0 nt, 1 poke, 2 cached + flush):
+         the page stored with one byte a piece at a time *)
   | Clflush of int * int
   | Mfence
   | Crash
@@ -334,6 +346,8 @@ let show_medium_op = function
   | Zero (a, l) -> Fmt.str "Zero(%d,%d)" a l
   | Poke (a, l, f) -> Fmt.str "Poke(%d,%d,%d)" a l f
   | Poke_flushed (a, l, f) -> Fmt.str "Poke_flushed(%d,%d,%d)" a l f
+  | Cached_flush (a, l, f) -> Fmt.str "Cached_flush(%d,%d,%d)" a l f
+  | Refill (p, f, n, k) -> Fmt.str "Refill(%d,%d,%d,%d)" p f n k
   | Clflush (a, l) -> Fmt.str "Clflush(%d,%d)" a l
   | Mfence -> "Mfence"
   | Crash -> "Crash"
@@ -352,32 +366,40 @@ let payload fill len =
 let medium_op_gen =
   let open QCheck.Gen in
   let size = paged_config.Config.nvmm_size
-  and ps = paged_config.Config.block_size in
-  (* Any range, or whole pages, one or two: the stores that may point a
-     page at a fill page. *)
+  and ps = paged_config.Config.block_size
+  and ls = paged_config.Config.cacheline_size in
+  let pages = size / ps and lines = size / ls in
+  (* Any range; one inside a line; one across a line boundary (a page
+     boundary for one in four); whole lines, one or two; or whole pages,
+     one or two: the stores that may point a line or a page at a fill. *)
   let range =
     frequency
       [
         ( 3,
           int_bound (size - 1) >>= fun addr ->
           int_range 1 (min 600 (size - addr)) >|= fun len -> (addr, len) );
+        ( 2,
+          int_bound (size - 1) >>= fun addr ->
+          int_range 1 (ls - (addr mod ls)) >|= fun len -> (addr, len) );
+        ( 2,
+          int_range 1 (lines - 1) >>= fun b ->
+          pair (int_range 1 (ls - 1)) (int_range 1 ls) >|= fun (k, j) ->
+          ((b * ls) - k, k + j) );
+        ( 2,
+          int_bound (lines - 1) >>= fun l ->
+          int_range 1 (min 2 (lines - l)) >|= fun k -> (l * ls, k * ls) );
         ( 1,
-          int_bound ((size / ps) - 1) >>= fun p ->
-          int_range 1 (min 2 ((size / ps) - p)) >|= fun k -> (p * ps, k * ps)
-        );
+          int_bound (pages - 1) >>= fun p ->
+          int_range 1 (min 2 (pages - p)) >|= fun k -> (p * ps, k * ps) );
       ]
   in
-  (* Few fill bytes, so stores often meet the fill page of their own byte
+  (* Few fill bytes, so stores often meet the fill line of their own byte
      or of another one. *)
-  let store k =
-    map2 (fun (a, l) f -> k a l f) range
-      (frequency
-         [
-           (1, return 0);
-           (2, oneofl [ 1; 2; 0x80; 0xff ]);
-           (2, int_range 256 1000);
-         ])
+  let fill =
+    frequency
+      [ (1, return 0); (2, oneofl [ 1; 2; 0x80; 0xff ]); (2, int_range 256 1000) ]
   in
+  let store k = map2 (fun (a, l) f -> k a l f) range fill in
   frequency
     [
       (4, store (fun a l f -> Cached (a, l, f)));
@@ -385,6 +407,14 @@ let medium_op_gen =
       (1, map (fun (a, l) -> Zero (a, l)) range);
       (1, store (fun a l f -> Poke (a, l, f)));
       (1, store (fun a l f -> Poke_flushed (a, l, f)));
+      (2, store (fun a l f -> Cached_flush (a, l, f)));
+      ( 1,
+        map4
+          (fun p f n k -> Refill (p, f, n, k))
+          (int_bound (pages - 1))
+          (oneofl [ 0; 1; 0xff ])
+          (oneofl [ 1; 7; 32; 50; 64; 100 ])
+          (int_bound 2) );
       (3, map (fun (a, l) -> Clflush (a, l)) range);
       (2, return Mfence);
       (1, return Crash);
@@ -399,10 +429,15 @@ let medium_op_gen =
    msg] names the first disagreement. After every op the device's
    [read], [peek] and [peek_persistent] of the whole medium must equal the
    reference byte for byte, and its [dirty_cachelines] the reference's
-   cached line count; at the end so must every device forked on the
-   way, and every image taken must still hold the bytes it was taken
-   with, and digest as an image of private pages with those bytes. *)
-let run_medium_ops engine ops =
+   cached line count; with [digests], a snapshot of it must digest as
+   the reference's bytes (a snapshot takes the device's tables away, so
+   runs without keep stores into owned tables across ops). After every
+   op, too, every image taken on the way (snapshots, crash states and
+   the crash images materialised from them) must still hold the bytes it
+   was taken with and digest as them: no line is shared writably between
+   a device, its images and the crash candidates. At the end every
+   device forked on the way must match its reference. *)
+let run_medium_ops ~digests engine ops =
   let size = paged_config.Config.nvmm_size and ls = Flat.ls in
   let sides =
     ref
@@ -420,6 +455,11 @@ let run_medium_ops engine ops =
   in
   let check_bytes what expected actual =
     if not (Bytes.equal expected actual) then fail what
+  in
+  let check_image what (image, bytes) =
+    check_bytes what bytes (Device.image_to_bytes image);
+    if not (Digest.equal (Device.image_digest image) (Flat.digest bytes)) then
+      fail (what ^ ": digest")
   in
   let check_side (d, (r : Flat.t)) =
     if Device.dirty_cachelines d <> Hashtbl.length r.cache then
@@ -454,6 +494,32 @@ let run_medium_ops engine ops =
         let src = payload fill len in
         Device.poke_flushed d ~addr ~src ~off:0 ~len;
         Flat.write_medium ~drop:true r addr src
+      | Cached_flush (addr, len, fill) ->
+        let src = payload fill len in
+        Device.write_cached d ~cat ~addr ~src ~off:0 ~len;
+        Device.clflush d ~cat ~addr ~len;
+        Flat.write_cached r addr src;
+        Flat.clflush r addr len
+      | Refill (p, fill, piece, how) ->
+        let ps = paged_config.Config.block_size in
+        let addr = ref (p * ps) in
+        while !addr < (p + 1) * ps do
+          let len = min piece (((p + 1) * ps) - !addr) in
+          let src = payload fill len and addr' = !addr in
+          (match how with
+          | 0 ->
+            Device.write_nt d ~cat ~addr:addr' ~src ~off:0 ~len;
+            Flat.write_medium ~drop:true r addr' src
+          | 1 ->
+            Device.poke d ~addr:addr' ~src ~off:0 ~len;
+            Flat.write_medium ~drop:false r addr' src
+          | _ ->
+            Device.write_cached d ~cat ~addr:addr' ~src ~off:0 ~len;
+            Device.clflush d ~cat ~addr:addr' ~len;
+            Flat.write_cached r addr' src;
+            Flat.clflush r addr' len);
+          addr := !addr + len
+        done
       | Clflush (addr, len) ->
         Device.clflush d ~cat ~addr ~len;
         Flat.clflush r addr len
@@ -507,39 +573,24 @@ let run_medium_ops engine ops =
         then fail "get_u32";
         if not (Int64.equal (Device.get_u64 d addr) (Bytes.get_int64_le v addr))
         then fail "get_u64");
-      check_side !sides.(!cur))
+      let ((d, r) as side) = !sides.(!cur) in
+      check_side side;
+      if digests then check_image "snapshot" (Device.snapshot d, r.medium);
+      List.iter (check_image "an earlier image") !images)
     ops;
   incr step;
   Array.iter check_side !sides;
-  (* The same bytes poked a half page at a time: every page not all zeros
-     is private. *)
-  let private_copy bytes =
-    let d = Device.create engine (Stats.create ()) paged_config in
-    let half = paged_config.Config.block_size / 2 in
-    for i = 0 to (size / half) - 1 do
-      Device.poke d ~addr:(i * half) ~src:bytes ~off:(i * half) ~len:half
-    done;
-    Device.snapshot d
-  in
-  List.iter
-    (fun (image, bytes) ->
-      check_bytes "image changed after it was taken" bytes
-        (Device.image_to_bytes image);
-      if
-        not
-          (Digest.equal (Device.image_digest image)
-             (Device.image_digest (private_copy bytes)))
-      then fail "image digest differs from a private copy's")
-    !images;
   !bad
 
 let medium_matches_flat_prop =
   QCheck.Test.make ~name:"paged medium matches a flat reference" ~count:300
     (QCheck.make
-       ~print:QCheck.Print.(list show_medium_op)
-       QCheck.Gen.(list_size (int_range 1 60) medium_op_gen))
-    (fun ops ->
-      match Testkit.run_sim (fun engine -> run_medium_ops engine ops) with
+       ~print:QCheck.Print.(pair bool (list show_medium_op))
+       QCheck.Gen.(pair bool (list_size (int_range 1 60) medium_op_gen)))
+    (fun (digests, ops) ->
+      match
+        Testkit.run_sim (fun engine -> run_medium_ops ~digests engine ops)
+      with
       | None -> true
       | Some msg -> QCheck.Test.fail_reportf "%s" msg)
 
@@ -555,6 +606,43 @@ let test_mkfs_residency () =
       Hinfs_pmfs.Pmfs.mkfs d ();
       let n = Device.resident_pages d in
       check_bool (Fmt.str "mkfs backs %d pages (< 64)" n) true (n < 64))
+
+(* The medium backs lines, not pages: a PMFS file whose tail fills part
+   of a block adds its tail line and a few metadata lines (inode, dirent,
+   journal), and so does a multi-block file with an index node, whose few
+   pointers share one line. A private page apiece would add 64 lines. *)
+let test_file_footprint () =
+  Testkit.run_sim (fun engine ->
+      let module Pmfs = Hinfs_pmfs.Pmfs in
+      let d, fs = Testkit.make_pmfs engine in
+      let bs = (Device.config d).Config.block_size in
+      let root = Hinfs_pmfs.Layout.root_ino in
+      let write name len =
+        let ino = Pmfs.create_file fs ~dir:root name in
+        ignore
+          (Pmfs.write fs ~ino ~off:0 ~src:(Bytes.make len 'p') ~src_off:0 ~len
+             ~sync:true)
+      in
+      (* The first file backs the root directory's dirent block. *)
+      write "warmup" 100;
+      let files = 16 in
+      let before = Device.resident_lines d in
+      for i = 1 to files do
+        write (Fmt.str "f%d" i) ((i * 1000) mod bs + 1)
+      done;
+      let grown = Device.resident_lines d - before in
+      check_bool
+        (Fmt.str "%d files with partial tails add %d lines (<= 4 each)" files
+           grown)
+        true
+        (grown <= 4 * files);
+      let before = Device.resident_lines d in
+      write "multi" ((3 * bs) + 500);
+      let grown = Device.resident_lines d - before in
+      check_bool
+        (Fmt.str "a 4-block file with an index node adds %d lines (<= 6)"
+           grown)
+        true (grown <= 6))
 
 (* A snapshot and a device made from it share the pages: the round trip
    copies page pointers, not pages, and a later write on either side
@@ -589,10 +677,10 @@ let test_snapshot_shares_pages () =
       check_int "image unchanged" (Char.code 'x')
         (Bytes.get_uint8 (Device.image_to_bytes image) 0))
 
-(* A page of one byte value is that value's shared fill page: a
-   whole-page store of one byte backs no page, a partial store of other
-   bytes copies it, images on either side keep their bytes, and a digest
-   cannot tell a fill page from a private page with the same bytes. *)
+(* A page of one byte value is that value's shared fill table: a
+   whole-page store of one byte backs no table, a partial store of other
+   bytes copies it, images on either side keep their bytes, and a page
+   stored in pieces returns to the fill table. *)
 let test_fill_pages () =
   Testkit.run_sim (fun engine ->
       let config = { Config.default with Config.nvmm_size = 1024 * 1024 } in
@@ -603,14 +691,14 @@ let test_fill_pages () =
       in
       let page image p = Bytes.sub (Device.image_to_bytes image) (p * ps) ps in
       store d ~addr:ps ~len:(2 * ps) 'f';
-      check_int "whole-page stores of one byte back no page" 0
+      check_int "whole-page stores of one byte back no table" 0
         (Device.resident_pages d);
       store d ~addr:(ps + 8) ~len:100 'f';
       check_int "a store of the fill byte into its page copies nothing" 0
         (Device.resident_pages d);
       let shared = Device.snapshot d in
       store d ~addr:(ps + 8) ~len:100 'g';
-      check_int "a partial store of another byte copies the page" 1
+      check_int "a partial store of another byte copies the table" 1
         (Device.resident_pages d);
       let mixed = Bytes.make ps 'f' in
       Bytes.fill mixed 8 100 'g';
@@ -620,7 +708,7 @@ let test_fill_pages () =
       store d ~addr:ps ~len:ps 'f';
       check_int "a whole-page store drops the copy" 0 (Device.resident_pages d);
       store d ~addr:ps ~len:1 'h';
-      check_int "a store after the drop copies the fill page" 1
+      check_int "a store after the drop copies the fill table" 1
         (Device.resident_pages d);
       Testkit.check_bytes "the other page of the fill stays the fill"
         (Bytes.make ps 'f') (Device.peek d ~addr:(2 * ps) ~len:ps);
@@ -631,18 +719,58 @@ let test_fill_pages () =
         (page copied 1);
       Testkit.check_bytes "the other page of the fill is untouched"
         (Bytes.make ps 'f') (page copied 2);
-      (* The same bytes, stored half a page at a time. *)
+      (* The same bytes, stored half a page at a time: each page returns
+         to the fill table once its last line is the fill line. *)
       let d2 = Testkit.make_device ~config engine in
       for i = 2 to 5 do
         store d2 ~addr:(i * ps / 2) ~len:(ps / 2) 'f'
       done;
-      check_int "half-page stores back private pages" 2
-        (Device.resident_pages d2);
+      check_int "half-page stores back no table" 0 (Device.resident_pages d2);
       let a = Device.snapshot d and b = Device.snapshot d2 in
       Testkit.check_bytes "same bytes" (Device.image_to_bytes a)
         (Device.image_to_bytes b);
-      check_bool "a fill page digests as a private page of its bytes" true
+      check_bool "the same bytes digest the same" true
         (Digest.equal (Device.image_digest a) (Device.image_digest b)))
+
+(* The image digest of a fixed small image, pinned: crashmc dedups crash
+   images by digest, so a change of representation must not move it. The
+   image holds a page of one value stored whole, a page of mixed bytes, a
+   page of one value stored in pieces, a file tail followed by zeros, an
+   index-node-like page of a few words, and, in a materialised crash
+   image, a flushed but unfenced line at its older content. *)
+let pinned_image () =
+  Testkit.run_sim (fun engine ->
+      let config = { Config.default with Config.nvmm_size = 16 * 4096 } in
+      let ps = config.Config.block_size in
+      let d = Testkit.make_device ~config engine in
+      let store ~addr src =
+        Device.write_nt d ~cat ~addr ~src ~off:0 ~len:(Bytes.length src)
+      in
+      store ~addr:ps (Bytes.make ps 'f');
+      store ~addr:(2 * ps) (Testkit.pattern_bytes ~seed:3 ps);
+      for i = 0 to 3 do
+        store ~addr:((3 * ps) + (i * ps / 4)) (Bytes.make (ps / 4) 'g')
+      done;
+      store ~addr:(4 * ps) (Bytes.make 3000 'p');
+      Device.zero_nt d ~cat ~addr:((4 * ps) + 3000) ~len:(ps - 3000);
+      List.iter
+        (fun slot -> Device.set_u64 d ~cat ((5 * ps) + (8 * slot)) 0x1234L)
+        [ 0; 1; 7; 300 ];
+      Device.enable_recording d;
+      Device.write_cached d ~cat ~addr:((6 * ps) + 64)
+        ~src:(Testkit.pattern_bytes ~seed:4 100)
+        ~off:0 ~len:100;
+      Device.clflush d ~cat ~addr:((6 * ps) + 64) ~len:100;
+      let state = Device.capture_crash_state d in
+      let choice = Array.make (List.length state.Device.cs_choices) 0 in
+      ( Device.image_digest state.Device.cs_image,
+        Device.image_digest (Device.materialize_crash_image state ~choice) ))
+
+let test_pinned_digest () =
+  let base, crash = pinned_image () in
+  Alcotest.(check string) "image digest" "f51ad7dea10e1d42fae220b885e34b63" (Digest.to_hex base);
+  Alcotest.(check string) "crash image digest"
+    "384c3bc9a0c071a1acc4a1ba651f98cb" (Digest.to_hex crash)
 
 (* [zero_nt] is [write_nt] of zeros: the same bytes, cache, clock, stats,
    recorded events and store-time fault draws. *)
@@ -753,6 +881,8 @@ let () =
           Alcotest.test_case "bounds checking" `Quick test_bounds_checking;
           Alcotest.test_case "mkfs residency" `Quick test_mkfs_residency;
           Alcotest.test_case "fill pages" `Quick test_fill_pages;
+          Alcotest.test_case "file footprint" `Quick test_file_footprint;
+          Alcotest.test_case "pinned image digest" `Quick test_pinned_digest;
           Alcotest.test_case "zero_nt matches write_nt" `Quick
             test_zero_nt_matches_write_nt;
           Alcotest.test_case "snapshot shares pages" `Quick

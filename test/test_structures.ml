@@ -66,6 +66,51 @@ let bitmap_model_prop =
       done;
       !ok)
 
+(* [find_first_clear]/[find_first_set] skip whole words and bytes: they
+   must agree with a bit-at-a-time scan. Bitmaps are built from runs of
+   one value, so whole words are often all set or all clear, over lengths
+   that are rarely a multiple of 8, and scanned from random offsets. *)
+let bitmap_find_prop =
+  let gen =
+    QCheck.Gen.(
+      int_range 0 700 >>= fun length ->
+      pair
+        (list_size (int_range 0 12) (pair bool (int_range 1 200)))
+        (list_size (int_range 1 10) (int_bound (length + 2)))
+      >|= fun (runs, froms) -> (length, runs, froms))
+  in
+  QCheck.Test.make ~name:"find matches a bit-at-a-time scan" ~count:500
+    (QCheck.make
+       ~print:(fun (n, runs, froms) ->
+         Fmt.str "length %d, runs %s, from %s" n
+           (String.concat ";"
+              (List.map (fun (v, k) -> Fmt.str "%b*%d" v k) runs))
+           (String.concat ";" (List.map string_of_int froms)))
+       gen)
+    (fun (length, runs, froms) ->
+      let b = Bitmap.create length in
+      let pos = ref 0 in
+      List.iter
+        (fun (v, k) ->
+          for i = !pos to min length (!pos + k) - 1 do
+            Bitmap.assign b i v
+          done;
+          pos := !pos + k)
+        runs;
+      let reference want from =
+        let rec go i =
+          if i >= length then None
+          else if Bitmap.get b i = want then Some i
+          else go (i + 1)
+        in
+        go from
+      in
+      List.for_all
+        (fun from ->
+          Bitmap.find_first_clear ~from b = reference false from
+          && Bitmap.find_first_set ~from b = reference true from)
+        (0 :: froms))
+
 (* --- dlist --- *)
 
 let test_dlist_push_pop () =
@@ -202,7 +247,7 @@ let () =
           Alcotest.test_case "find" `Quick test_bitmap_find;
           Alcotest.test_case "full scan" `Quick test_bitmap_full_scan;
         ]
-        @ Testkit.qcheck_cases [ bitmap_model_prop ] );
+        @ Testkit.qcheck_cases [ bitmap_model_prop; bitmap_find_prop ] );
       ( "dlist",
         [
           Alcotest.test_case "push/pop" `Quick test_dlist_push_pop;
