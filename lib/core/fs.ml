@@ -555,7 +555,6 @@ let journal_backpressure t fst =
 
 let write t ~ino ~off ~src ~src_off ~len ~sync =
   Pmfs.check_writable_ino t.pmfs ~ino;
-  if off < 0 || len < 0 then Errno.raise_error EINVAL "bad write range";
   let fst = file_state t ino in
   journal_backpressure t fst;
   let bs = block_size t in
@@ -675,7 +674,6 @@ let read_buffered_segment t b ~in_block ~len ~into ~into_off =
       copy_run ~first ~count ~from_dram:set)
 
 let read t ~ino ~off ~len ~into ~into_off =
-  if off < 0 || len < 0 then Errno.raise_error EINVAL "bad read range";
   let fst = file_state t ino in
   let bs = block_size t in
   let size = Pmfs.inode_size t.pmfs ino in

@@ -24,10 +24,21 @@ module Rng = Hinfs_sim.Rng
 module Stats = Hinfs_stats.Stats
 module Device = Hinfs_nvmm.Device
 module Config = Hinfs_nvmm.Config
+module Vfs = Hinfs_vfs.Vfs
+module Types = Hinfs_vfs.Types
+module Errno = Hinfs_vfs.Errno
 
 (* --- durability oracle expectations --- *)
 
-type file_expect = Absent | Content of string
+type file_expect =
+  | Absent
+  | Content of string
+  | Sized of int
+      (** present with this size; its bytes are not promised (a failed
+          write may have torn the range it covered) *)
+  | Holds of (int * string) list
+      (** present, with these bytes at these offsets; the rest of the
+          file is not promised *)
 
 type expectation =
   | Exactly of file_expect
@@ -37,46 +48,103 @@ type expectation =
 let pp_file_expect ppf = function
   | Absent -> Fmt.string ppf "absent"
   | Content s -> Fmt.pf ppf "%d-byte content" (String.length s)
+  | Sized n -> Fmt.pf ppf "%d bytes" n
+  | Holds ranges -> Fmt.pf ppf "%d promised range(s)" (List.length ranges)
 
 let pp_expectation ppf = function
   | Exactly e -> pp_file_expect ppf e
   | Either (a, b) ->
     Fmt.pf ppf "either %a or %a" pp_file_expect a pp_file_expect b
 
-(* Check one observed file state against an expectation; [path] only for
-   the message. *)
-let check_expectation ~path ~actual expectation =
-  let matches = function
-    | Absent -> actual = None
-    | Content s -> actual = Some s
+(* A whole file read through any kind's Vfs handle; [None] when the path
+   does not name a file. *)
+let read_file (h : Vfs.handle) path =
+  match h.open_ path Types.rdonly with
+  | exception Errno.Fs_error ((ENOENT | ENOTDIR), _) -> None
+  | fd ->
+    Fun.protect
+      ~finally:(fun () -> h.close fd)
+      (fun () ->
+        let buf = Bytes.create (h.fstat fd).size in
+        let n = h.pread fd ~off:0 buf (Bytes.length buf) in
+        Some (Bytes.sub_string buf 0 n))
+
+(* The first byte of [s] that breaks what [e] promises, if any. *)
+let wrong_byte s e =
+  let diff ~at b =
+    let rec go i =
+      if i = String.length b then None
+      else if at + i >= String.length s || s.[at + i] <> b.[i] then
+        Some (at + i)
+      else go (i + 1)
+    in
+    go 0
   in
+  match e with
+  | Content c when s <> c ->
+    Some (Option.value (diff ~at:0 c) ~default:(String.length c))
+  | Holds ranges -> List.find_map (fun (at, b) -> diff ~at b) ranges
+  | Content _ | Absent | Sized _ -> None
+
+let matches actual e =
+  match (actual, e) with
+  | None, Absent -> true
+  | Some s, Sized n -> String.length s = n
+  | Some s, (Content _ | Holds _) -> wrong_byte s e = None
+  | _ -> false
+
+(* One file as the oracle sees it: its contents, or why it could not be
+   read. *)
+let observe ~read_file path =
+  match read_file path with
+  | actual -> Ok actual
+  | exception e -> Error (Printexc.to_string e)
+
+let pp_observed ppf = function
+  | Ok None -> Fmt.string ppf "absent"
+  | Ok (Some s) -> Fmt.pf ppf "%d-byte content" (String.length s)
+  | Error e -> Fmt.pf ppf "a failed read (%s)" e
+
+let check_observed ~path observed expectation =
   let ok =
-    match expectation with
-    | Exactly e -> matches e
-    | Either (a, b) -> matches a || matches b
+    match (observed, expectation) with
+    | Error _, _ -> false
+    | Ok actual, Exactly e -> matches actual e
+    | Ok actual, Either (a, b) -> matches actual a || matches actual b
   in
   if ok then []
   else
+    let where =
+      match (observed, expectation) with
+      | Ok (Some s), Exactly e ->
+        Option.fold ~none:"" ~some:(Fmt.str ", wrong from byte %d")
+          (wrong_byte s e)
+      | _ -> ""
+    in
     [
-      Fmt.str "durability: %S expected %a, found %s" path pp_expectation
-        expectation
-        (match actual with
-        | None -> "absent"
-        | Some s -> Fmt.str "%d-byte content" (String.length s));
+      Fmt.str "durability: %S expected %a, found %a%s" path pp_expectation
+        expectation pp_observed observed where;
     ]
 
-(* Convenience for scenario verify functions: look every expected path up
-   with [read_file] (None = absent). *)
+(* The oracle of every scenario and soak: read each expected path with
+   [read_file] (None = absent, e.g. [read_file h] for a Vfs handle [h])
+   and return one message per path that breaks its expectation. *)
 let check_expectations ~read_file expectations =
   List.concat_map
     (fun (path, expectation) ->
-      let actual =
-        try read_file path
-        with e ->
-          Some (Fmt.str "<read failed: %s>" (Printexc.to_string e))
-      in
-      check_expectation ~path ~actual expectation)
+      check_observed ~path (observe ~read_file path) expectation)
     expectations
+
+(* An in-flight rename of a file holding [expect] from [a] to [b]: at
+   every crash image the file is at exactly one of the two names. *)
+let exactly_one ~read_file (a, b) expect =
+  match (observe ~read_file a, observe ~read_file b) with
+  | Ok (Some _), Ok (Some _) ->
+    [ Fmt.str "rename: file at both %S and %S" a b ]
+  | Ok None, Ok None -> [ Fmt.str "rename: file at neither %S nor %S" a b ]
+  | (Error _ as seen), _ | seen, Ok None ->
+    check_observed ~path:a seen (Exactly expect)
+  | _, seen -> check_observed ~path:b seen (Exactly expect)
 
 (* --- scenarios --- *)
 
@@ -172,18 +240,20 @@ let sampled_vectors rng counts ~samples =
   in
   extremes @ draw (max 0 (samples - 2)) []
 
-let vectors_for rng params (state : Device.crash_state) =
+(* Every image of a state when there are at most [k] undecided lines and
+   at most [cap] images, else [samples] of them (the two extremes plus
+   seeded draws). *)
+let vectors_for rng ~k ~cap ~samples (state : Device.crash_state) =
   let counts =
     Array.of_list (List.map (fun (_, c) -> Array.length c) state.cs_choices)
   in
   let n = Array.length counts in
-  let cap = params.max_images_per_state in
   let total =
     Array.fold_left (fun acc c -> if acc > cap then acc else acc * c) 1 counts
   in
   if n = 0 then [ [||] ]
-  else if n <= params.k_exhaustive && total <= cap then all_vectors counts
-  else sampled_vectors rng counts ~samples:params.samples_per_state
+  else if n <= k && total <= cap then all_vectors counts
+  else sampled_vectors rng counts ~samples
 
 (* Content key of one concrete image: the guaranteed medium plus the chosen
    candidate per undecided line. Images identical as byte strings get the
@@ -200,11 +270,64 @@ let image_key ~base_digest (state : Device.crash_state) vec =
     state.cs_choices;
   Digest.string (Buffer.contents b)
 
-(* Run [verify] on a materialised image in a fresh simulation. *)
-let verify_image scenario image expectations =
-  let engine = Engine.create () in
-  let stats = Stats.create () in
-  let device = Device.of_snapshot engine stats scenario.config image in
+(* Automatic capture at every fence that leaves lines undecided, with
+   adaptive thinning: when [max_states] are held, keep every other state
+   and double the stride, so long runs still get evenly spread crash
+   points. Returns [(arm, capture, states)]: [arm ()] starts recording,
+   [capture label] takes one state now (also outside a fence), and
+   [states ()] lists them oldest first, each paired with [tag ()] taken
+   at the same moment. *)
+let fence_captures device ~max_states ~prefix tag =
+  let states = ref [] and count = ref 0 in
+  let fences = ref 0 and stride = ref 1 in
+  let capture label =
+    states := (Device.capture_crash_state ~label device, tag ()) :: !states;
+    incr count
+  in
+  let on_fence () =
+    incr fences;
+    if !fences mod !stride = 0 && Device.pending_choice_lines device > 0
+    then begin
+      if !count >= max_states then begin
+        states := List.filteri (fun i _ -> i mod 2 = 0) !states;
+        count := List.length !states;
+        stride := !stride * 2
+      end;
+      capture (Fmt.str "%s-%d" prefix !fences)
+    end
+  in
+  let arm () =
+    Device.enable_recording device;
+    Device.set_on_fence device on_fence
+  in
+  (arm, capture, fun () -> List.rev !states)
+
+(* Enumerate, dedupe, materialise: each state's choice vectors are drawn
+   from [vectors] before any of its images is checked (a check may draw
+   from the same RNG), and every image not seen before is handed to
+   [check] while [admit ()] holds. *)
+let explore ~vectors ~admit ~check states =
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun ((state : Device.crash_state), tag) ->
+      let base_digest = Device.image_digest state.cs_image in
+      List.iter
+        (fun vec ->
+          let key = image_key ~base_digest state vec in
+          if (not (Hashtbl.mem seen key)) && admit () then begin
+            Hashtbl.replace seen key ();
+            check state tag (Device.materialize_crash_image state ~choice:vec)
+          end)
+        (vectors state))
+    states
+
+(* A materialised image on a fresh device in a fresh simulation. *)
+let image_device scenario image =
+  Device.of_snapshot (Engine.create ()) (Stats.create ()) scenario.config image
+
+(* Run [verify] on a device from [image_device]. *)
+let verify scenario device expectations =
+  let engine = Device.engine device in
   let out = ref [ "verification did not run" ] in
   Engine.spawn engine ~name:"crashmc-verify" (fun () ->
       out :=
@@ -226,73 +349,29 @@ let verify_image scenario image expectations =
    plus any nested ones (labelled), and the nested state/image counts.
    [budget] bounds the nested verifications across a whole scenario. *)
 let verify_image_recrash scenario params rng ~budget image expectations =
-  let engine = Engine.create () in
-  let stats = Stats.create () in
-  let device = Device.of_snapshot engine stats scenario.config image in
-  let states = ref [] in
-  let nstates = ref 0 in
-  let fences = ref 0 in
-  let stride = ref 1 in
-  let on_fence () =
-    incr fences;
-    if !fences mod !stride = 0 && Device.pending_choice_lines device > 0
-    then begin
-      if !nstates >= params.recrash_states then begin
-        states := List.filteri (fun i _ -> i mod 2 = 0) !states;
-        nstates := List.length !states;
-        stride := !stride * 2
-      end;
-      states :=
-        Device.capture_crash_state
-          ~label:(Fmt.str "recovery-fence-%d" !fences)
-          device
-        :: !states;
-      incr nstates
-    end
+  let device = image_device scenario image in
+  let arm, _, captured =
+    fence_captures device ~max_states:params.recrash_states
+      ~prefix:"recovery-fence" ignore
   in
-  Device.enable_recording device;
-  Device.set_on_fence device on_fence;
-  let out = ref [ "verification did not run" ] in
-  Engine.spawn engine ~name:"crashmc-verify" (fun () ->
-      out :=
-        (try scenario.verify device expectations
-         with e ->
-           [ Fmt.str "verify raised: %s" (Printexc.to_string e) ]));
-  (try Engine.run engine
-   with e -> out := [ Fmt.str "verify engine: %s" (Printexc.to_string e) ]);
-  let nested_violations = ref [] in
-  let recovery_states = List.rev !states in
-  let seen = Hashtbl.create 64 in
-  let nested = ref 0 in
-  List.iter
-    (fun (state : Device.crash_state) ->
-      let base_digest = Device.image_digest state.cs_image in
-      let counts =
-        Array.of_list
-          (List.map (fun (_, c) -> Array.length c) state.cs_choices)
-      in
-      let vecs =
-        if Array.length counts = 0 then [ [||] ]
-        else sampled_vectors rng counts ~samples:params.recrash_samples
-      in
+  arm ();
+  let out = verify scenario device expectations in
+  let recovery_states = captured () in
+  let nested = ref [] and images = ref 0 in
+  explore recovery_states
+    ~vectors:(* always sampled *)
+      (vectors_for rng ~k:0 ~cap:0 ~samples:params.recrash_samples)
+    ~admit:(fun () -> !budget > 0)
+    ~check:(fun state () image ->
+      decr budget;
+      incr images;
       List.iter
-        (fun vec ->
-          let key = image_key ~base_digest state vec in
-          if (not (Hashtbl.mem seen key)) && !budget > 0 then begin
-            Hashtbl.replace seen key ();
-            decr budget;
-            incr nested;
-            let nimage = Device.materialize_crash_image state ~choice:vec in
-            List.iter
-              (fun v ->
-                nested_violations :=
-                  Fmt.str "[recovery-recrash %s] %s" state.cs_label v
-                  :: !nested_violations)
-              (verify_image scenario nimage expectations)
-          end)
-        vecs)
-    recovery_states;
-  (!out @ List.rev !nested_violations, List.length recovery_states, !nested)
+        (fun v ->
+          nested :=
+            Fmt.str "[recovery-recrash %s] %s" state.Device.cs_label v
+            :: !nested)
+        (verify scenario (image_device scenario image) expectations));
+  (out @ List.rev !nested, List.length recovery_states, !images)
 
 (* --- scenario driver --- *)
 
@@ -300,36 +379,12 @@ let run_scenario ?(params = default_params) scenario =
   let engine = Engine.create () in
   let stats = Stats.create () in
   let device = Device.create engine stats scenario.config in
-  (* captured (state, expectations-at-capture), newest first *)
-  let states = ref [] in
-  let nstates = ref 0 in
   let expectations : (string, expectation) Hashtbl.t = Hashtbl.create 16 in
-  let snapshot_expectations () =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) expectations []
-    |> List.sort compare
-  in
-  let capture label =
-    states :=
-      (Device.capture_crash_state ~label device, snapshot_expectations ())
-      :: !states;
-    incr nstates
-  in
-  (* Automatic capture at every fence, with adaptive thinning: when the
-     budget fills, keep every other state and double the stride, so long
-     runs still get evenly spread crash points. *)
-  let fences = ref 0 in
-  let stride = ref 1 in
-  let on_fence () =
-    incr fences;
-    if !fences mod !stride = 0 && Device.pending_choice_lines device > 0
-    then begin
-      if !nstates >= params.max_states then begin
-        states := List.filteri (fun i _ -> i mod 2 = 0) !states;
-        nstates := List.length !states;
-        stride := !stride * 2
-      end;
-      capture (Fmt.str "fence-%d" !fences)
-    end
+  let arm, capture, captured =
+    fence_captures device ~max_states:params.max_states ~prefix:"fence"
+      (fun () ->
+        Hashtbl.fold (fun k v acc -> (k, v) :: acc) expectations []
+        |> List.sort compare)
   in
   let started = ref false in
   let ctl =
@@ -337,8 +392,7 @@ let run_scenario ?(params = default_params) scenario =
       start =
         (fun () ->
           started := true;
-          Device.enable_recording device;
-          Device.set_on_fence device on_fence);
+          arm ());
       checkpoint = (fun label -> if !started then capture label);
       expect = (fun path e -> Hashtbl.replace expectations path e);
       retract = (fun path -> Hashtbl.remove expectations path);
@@ -348,51 +402,42 @@ let run_scenario ?(params = default_params) scenario =
       scenario.run device ctl);
   Engine.run engine;
   capture "final";
-  let ordered = List.rev !states in
+  let states = captured () in
   (* Enumerate and verify. *)
   let rng = Rng.create ~seed:params.seed in
-  let seen = Hashtbl.create 1024 in
   let images = ref 0 in
-  let checked = ref 0 in
   let violations = ref [] in
   let recrash_budget = ref params.recrash_checks in
   let recovery_states = ref 0 in
   let recovery_images = ref 0 in
-  List.iter
-    (fun ((state : Device.crash_state), exps) ->
-      let base_digest = Device.image_digest state.cs_image in
+  explore states
+    ~vectors:
+      (vectors_for rng ~k:params.k_exhaustive
+         ~cap:params.max_images_per_state ~samples:params.samples_per_state)
+    ~admit:(fun () -> true)
+    ~check:(fun state exps image ->
+      incr images;
+      let vs =
+        if !recrash_budget > 0 then begin
+          let vs, rstates, rimages =
+            verify_image_recrash scenario params rng ~budget:recrash_budget
+              image exps
+          in
+          recovery_states := !recovery_states + rstates;
+          recovery_images := !recovery_images + rimages;
+          vs
+        end
+        else verify scenario (image_device scenario image) exps
+      in
       List.iter
-        (fun vec ->
-          let key = image_key ~base_digest state vec in
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.replace seen key ();
-            incr images;
-            incr checked;
-            let image = Device.materialize_crash_image state ~choice:vec in
-            let vs =
-              if !recrash_budget > 0 then begin
-                let vs, rstates, rimages =
-                  verify_image_recrash scenario params rng
-                    ~budget:recrash_budget image exps
-                in
-                recovery_states := !recovery_states + rstates;
-                recovery_images := !recovery_images + rimages;
-                vs
-              end
-              else verify_image scenario image exps
-            in
-            List.iter
-              (fun v -> violations := (state.cs_label, v) :: !violations)
-              vs
-          end)
-        (vectors_for rng params state))
-    ordered;
+        (fun v -> violations := (state.Device.cs_label, v) :: !violations)
+        vs);
   {
     sr_name = scenario.name;
     sr_expect_violation = scenario.expect_violation;
-    sr_states = List.length ordered;
+    sr_states = List.length states;
     sr_images = !images;
-    sr_checked = !checked;
+    sr_checked = !images;
     sr_recovery_states = !recovery_states;
     sr_recovery_images = !recovery_images;
     sr_violations = List.rev !violations;

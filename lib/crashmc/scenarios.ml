@@ -30,51 +30,42 @@ let content name len =
 
 let bytes_of s = Bytes.of_string s
 
-(* --- path resolution + whole-file reads for the durability oracle --- *)
-
-let resolve_pmfs fs path =
-  let parts =
-    String.split_on_char '/' path |> List.filter (fun s -> s <> "")
-  in
-  let rec go dir = function
-    | [] -> Some dir
-    | p :: rest -> (
-      match Pmfs.lookup fs ~dir p with
-      | None -> None
-      | Some ino -> go ino rest)
-  in
-  go root parts
-
-let read_pmfs fs path =
-  match resolve_pmfs fs path with
-  | None -> None
-  | Some ino ->
-    let size = Pmfs.inode_size fs ino in
-    let buf = Bytes.create size in
-    let n = Pmfs.read fs ~ino ~off:0 ~len:size ~into:buf ~into_off:0 in
-    Some (Bytes.sub_string buf 0 n)
-
-let read_hinfs fs path =
-  match resolve_pmfs (Fs.pmfs fs) path with
-  | None -> None
-  | Some ino ->
-    let size = Pmfs.inode_size (Fs.pmfs fs) ino in
-    let buf = Bytes.create size in
-    let n = Fs.read fs ~ino ~off:0 ~len:size ~into:buf ~into_off:0 in
-    Some (Bytes.sub_string buf 0 n)
-
 (* --- verify functions: recovery + fsck + durability oracle --- *)
 
 let verify_pmfs device expectations =
   let fs = Pmfs.mount device () in
-  Fsck.check fs @ check_expectations ~read_file:(read_pmfs fs) expectations
+  Fsck.check fs
+  @ check_expectations ~read_file:(read_file (Pmfs.handle fs)) expectations
 
 let verify_hinfs device expectations =
   let fs = Fs.mount device ~daemons:false () in
   Fsck.check (Fs.pmfs fs)
-  @ check_expectations ~read_file:(read_hinfs fs) expectations
+  @ check_expectations ~read_file:(read_file (Fs.handle fs)) expectations
+
+(* The expectations of a create followed by a durable write of [data]:
+   the name may be absent until [create] returns, the file is empty or
+   whole until [write] does, and whole after. *)
+let create_durably ctl path data ~create ~write =
+  ctl.expect path (Either (Absent, Content ""));
+  let ino = create () in
+  ctl.expect path (Either (Content "", Content data));
+  write ino;
+  ctl.expect path (Exactly (Content data))
 
 (* --- PMFS scenarios --- *)
+
+(* The file [path] of [len] bytes, created in its directory [dir] and
+   written synchronously. Returns its content. *)
+let synced_file fs ctl ~dir path len =
+  let name = Filename.basename path in
+  let data = content name len in
+  create_durably ctl path data
+    ~create:(fun () -> Pmfs.create_file fs ~dir name)
+    ~write:(fun ino ->
+      ignore
+        (Pmfs.write fs ~ino ~off:0 ~src:(bytes_of data) ~src_off:0 ~len
+           ~sync:true));
+  data
 
 (* Creates and synchronous writes: every acknowledged op must be durable,
    every in-flight op atomic. *)
@@ -91,15 +82,7 @@ let pmfs_create_write =
         List.iteri
           (fun i len ->
             let name = Fmt.str "file%d" i in
-            let data = content name len in
-            ctl.expect name (Either (Absent, Content ""));
-            let ino = Pmfs.create_file fs ~dir:root name in
-            ctl.expect name (Exactly (Content ""));
-            ctl.expect name (Either (Content "", Content data));
-            ignore
-              (Pmfs.write fs ~ino ~off:0 ~src:(bytes_of data) ~src_off:0 ~len
-                 ~sync:true);
-            ctl.expect name (Exactly (Content data));
+            ignore (synced_file fs ctl ~dir:root ("/" ^ name) len);
             ctl.checkpoint (Fmt.str "after-%s" name))
           [ 96; 700; 4096; 6000 ]);
     verify = verify_pmfs;
@@ -124,14 +107,14 @@ let pmfs_overwrite =
           (Pmfs.write fs ~ino ~off:0 ~src:(bytes_of before) ~src_off:0 ~len
              ~sync:true);
         ctl.start ();
-        ctl.expect "ow" (Exactly (Content before));
+        ctl.expect "/ow" (Exactly (Content before));
         ctl.checkpoint "steady";
         let after = content "ow-after" len in
-        ctl.retract "ow";
+        ctl.retract "/ow";
         ignore
           (Pmfs.write fs ~ino ~off:0 ~src:(bytes_of after) ~src_off:0 ~len
              ~sync:true);
-        ctl.expect "ow" (Exactly (Content after));
+        ctl.expect "/ow" (Exactly (Content after));
         ctl.checkpoint "overwritten");
     verify = verify_pmfs;
   }
@@ -148,30 +131,18 @@ let pmfs_namespace =
         ignore device;
         ctl.start ();
         let d = Pmfs.mkdir fs ~dir:root "d" in
-        let write_file ~dir name len =
-          let data = content name len in
-          let path = "d/" ^ name in
-          ctl.expect path (Either (Absent, Content ""));
-          let ino = Pmfs.create_file fs ~dir name in
-          ctl.expect path (Either (Content "", Content data));
-          ignore
-            (Pmfs.write fs ~ino ~off:0 ~src:(bytes_of data) ~src_off:0 ~len
-               ~sync:true);
-          ctl.expect path (Exactly (Content data));
-          data
-        in
-        let data_a = write_file ~dir:d "a" 300 in
-        let data_b = write_file ~dir:d "b" 1200 in
+        let data_a = synced_file fs ctl ~dir:d "/d/a" 300 in
+        let data_b = synced_file fs ctl ~dir:d "/d/b" 1200 in
         ctl.checkpoint "populated";
-        ctl.expect "d/a" (Either (Content data_a, Absent));
+        ctl.expect "/d/a" (Either (Content data_a, Absent));
         Pmfs.unlink fs ~dir:d "a";
-        ctl.expect "d/a" (Exactly Absent);
+        ctl.expect "/d/a" (Exactly Absent);
         ctl.checkpoint "unlinked";
-        ctl.expect "d/b" (Either (Content data_b, Absent));
-        ctl.expect "d/c" (Either (Absent, Content data_b));
+        ctl.expect "/d/b" (Either (Content data_b, Absent));
+        ctl.expect "/d/c" (Either (Absent, Content data_b));
         Pmfs.rename fs ~src_dir:d ~src:"b" ~dst_dir:d ~dst:"c";
-        ctl.expect "d/b" (Exactly Absent);
-        ctl.expect "d/c" (Exactly (Content data_b));
+        ctl.expect "/d/b" (Exactly Absent);
+        ctl.expect "/d/c" (Exactly (Content data_b));
         ctl.checkpoint "renamed");
     verify = verify_pmfs;
   }
@@ -193,7 +164,7 @@ let pmfs_torn_txn =
           (Pmfs.write fs ~ino ~off:0 ~src:(bytes_of data) ~src_off:0 ~len
              ~sync:true);
         ctl.start ();
-        ctl.expect "torn" (Exactly (Content data));
+        ctl.expect "/torn" (Exactly (Content data));
         ctl.checkpoint "pre-txn";
         (* Journal the size field, scribble over it, persist the scribble —
            then "crash" with the transaction uncommitted. *)
@@ -210,6 +181,20 @@ let pmfs_torn_txn =
 
 (* --- HiNFS scenarios --- *)
 
+(* The root file [path] of [len] bytes, written through the DRAM buffer
+   and fsynced. Returns its content. *)
+let fsynced_file fs ctl path len =
+  let name = Filename.basename path in
+  let data = content name len in
+  create_durably ctl path data
+    ~create:(fun () -> Pmfs.create_file (Fs.pmfs fs) ~dir:root name)
+    ~write:(fun ino ->
+      ignore
+        (Fs.write fs ~ino ~off:0 ~src:(bytes_of data) ~src_off:0 ~len
+           ~sync:false);
+      Fs.fsync fs ~ino);
+  data
+
 (* Lazy-persistent writes through the DRAM buffer: nothing promised until
    fsync returns, everything promised after. *)
 let hinfs_fsync =
@@ -223,19 +208,10 @@ let hinfs_fsync =
           Fs.mkfs_and_mount device ~journal_blocks:16 ~daemons:false ()
         in
         ctl.start ();
-        let pm = Fs.pmfs fs in
         List.iteri
           (fun i len ->
             let name = Fmt.str "h%d" i in
-            let data = content name len in
-            ctl.expect name (Either (Absent, Content ""));
-            let ino = Pmfs.create_file pm ~dir:root name in
-            ctl.expect name (Either (Content "", Content data));
-            ignore
-              (Fs.write fs ~ino ~off:0 ~src:(bytes_of data) ~src_off:0 ~len
-                 ~sync:false);
-            Fs.fsync fs ~ino;
-            ctl.expect name (Exactly (Content data));
+            ignore (fsynced_file fs ctl ("/" ^ name) len);
             ctl.checkpoint (Fmt.str "fsynced-%s" name))
           [ 800; 4500; 2000 ]);
     verify = verify_hinfs;
@@ -256,30 +232,22 @@ let hinfs_unlink_buffered =
         ctl.start ();
         let pm = Fs.pmfs fs in
         (* fsynced file, then unlinked *)
-        let data = content "u1" 1500 in
-        ctl.expect "u1" (Either (Absent, Content ""));
-        let ino = Pmfs.create_file pm ~dir:root "u1" in
-        ctl.expect "u1" (Either (Content "", Content data));
-        ignore
-          (Fs.write fs ~ino ~off:0 ~src:(bytes_of data) ~src_off:0 ~len:1500
-             ~sync:false);
-        Fs.fsync fs ~ino;
-        ctl.expect "u1" (Exactly (Content data));
+        let data = fsynced_file fs ctl "/u1" 1500 in
         ctl.checkpoint "u1-fsynced";
-        ctl.expect "u1" (Either (Content data, Absent));
+        ctl.expect "/u1" (Either (Content data, Absent));
         Fs.unlink fs ~dir:root "u1";
-        ctl.expect "u1" (Exactly Absent);
+        ctl.expect "/u1" (Exactly Absent);
         (* buffered-only file unlinked before any writeback (dead-block
            drop): its data must never reach the medium half-way *)
         let d2 = content "u2" 3000 in
-        ctl.expect "u2" (Either (Absent, Content ""));
+        ctl.expect "/u2" (Either (Absent, Content ""));
         let ino2 = Pmfs.create_file pm ~dir:root "u2" in
-        ctl.expect "u2" (Either (Content "", Absent));
+        ctl.expect "/u2" (Either (Content "", Absent));
         ignore
           (Fs.write fs ~ino:ino2 ~off:0 ~src:(bytes_of d2) ~src_off:0
              ~len:3000 ~sync:false);
         Fs.unlink fs ~dir:root "u2";
-        ctl.expect "u2" (Exactly Absent);
+        ctl.expect "/u2" (Exactly Absent);
         ctl.checkpoint "u2-dropped");
     verify = verify_hinfs;
   }
@@ -299,25 +267,6 @@ module Nvcache = Hinfs_nvcache.Nvcache
 
 let ext_root = 1
 
-let read_ext fs path =
-  let parts =
-    String.split_on_char '/' path |> List.filter (fun s -> s <> "")
-  in
-  let rec go dir = function
-    | [] -> Some dir
-    | p :: rest -> (
-      match Extfs.lookup fs ~dir p with
-      | None -> None
-      | Some ino -> go ino rest)
-  in
-  match go ext_root parts with
-  | None -> None
-  | Some ino ->
-    let size = Extfs.inode_size fs ino in
-    let buf = Bytes.create size in
-    let n = Extfs.read fs ~ino ~off:0 ~len:size ~into:buf ~into_off:0 in
-    Some (Bytes.sub_string buf 0 n)
-
 let verify_nvcache device expectations =
   let st =
     Nvcache.mount device ~mode:Extfs.Ext4 ~sync_mount:true ~daemons:false ()
@@ -329,7 +278,9 @@ let verify_nvcache device expectations =
     | _ -> []
   in
   replay_violations
-  @ check_expectations ~read_file:(read_ext (Nvcache.fs st)) expectations
+  @ check_expectations
+      ~read_file:(read_file (Nvcache.handle st))
+      expectations
 
 let nvcache_scenario ~name ~design =
   {
@@ -350,13 +301,13 @@ let nvcache_scenario ~name ~design =
            the exact content is. *)
         let write_file name len =
           let data = content name len in
-          ctl.retract name;
+          ctl.retract ("/" ^ name);
           let ino = Extfs.create_file fs ~dir:ext_root name in
           ignore
             (Extfs.write fs ~ino ~off:0 ~src:(bytes_of data) ~src_off:0 ~len
                ~sync:true);
           Extfs.fsync fs ~ino;
-          ctl.expect name (Exactly (Content data));
+          ctl.expect ("/" ^ name) (Exactly (Content data));
           (ino, data)
         in
         let ino0, d0 = write_file "n0" 1000 in
@@ -371,12 +322,12 @@ let nvcache_scenario ~name ~design =
            the old or the new bytes, never a torn mix (record/slot CRC
            cuts the replay prefix before a partial version applies). *)
         let d0' = content "n0-v2" 1000 in
-        ctl.expect "n0" (Either (Content d0, Content d0'));
+        ctl.expect "/n0" (Either (Content d0, Content d0'));
         ignore
           (Extfs.write fs ~ino:ino0 ~off:0 ~src:(bytes_of d0') ~src_off:0
              ~len:1000 ~sync:true);
         Extfs.fsync fs ~ino:ino0;
-        ctl.expect "n0" (Exactly (Content d0'));
+        ctl.expect "/n0" (Exactly (Content d0'));
         ctl.checkpoint "n0-overwritten";
         (* Left in the backlog at the final crash: replay must carry it. *)
         ignore (write_file "n2" 2200);
@@ -708,38 +659,23 @@ let cow_enospc_abort =
 (* --- cross-shard rename: the epoch commit under crash enumeration ---
 
    Two directories in different shards; renaming between them spans two
-   journals and commits through the epoch record. The oracle is a
-   correlation the per-path expectations cannot express: at EVERY crash
-   image (and every recovery re-crash) the file must be reachable at
-   exactly one of its two names — src XOR dst — with its content intact.
-   Both-present means the destination's add committed without the
-   source's remove; neither means the reverse. The epoch record makes
-   the pair atomic, so the invariant holds across the whole scenario. *)
+   journals and commits through the epoch record. The oracle is
+   [exactly_one], a correlation per-path expectations cannot express: at
+   EVERY crash image (and every recovery re-crash) the file must be
+   reachable at exactly one of its two names — src XOR dst — with its
+   content intact. Both-present means the destination's add committed
+   without the source's remove; neither means the reverse. The epoch
+   record makes the pair atomic, so the invariant holds across the whole
+   scenario. *)
 
 let xshard_content = content "xshard" 700
-let xshard_names = [ "da/f"; "db/g" ]
 
-let verify_xshard device expectations =
+let verify_xshard device _expectations =
   let fs = Pmfs.mount device () in
-  let observed =
-    List.filter_map (fun path -> read_pmfs fs path) xshard_names
-  in
-  let rename_errors =
-    match observed with
-    | [ c ] when c = xshard_content -> []
-    | [ c ] ->
-      [
-        Fmt.str
-          "cross-shard rename: file content torn (%d bytes, expected %d)"
-          (String.length c)
-          (String.length xshard_content);
-      ]
-    | [] ->
-      [ "cross-shard rename: file reachable at neither src nor dst" ]
-    | _ -> [ "cross-shard rename: file reachable at both src and dst" ]
-  in
-  Fsck.check fs @ rename_errors
-  @ check_expectations ~read_file:(read_pmfs fs) expectations
+  Fsck.check fs
+  @ exactly_one
+      ~read_file:(read_file (Pmfs.handle fs))
+      ("/da/f", "/db/g") (Content xshard_content)
 
 (* Shared setup: a 2-shard image, one directory in each shard (round-robin
    placement gives mkdir #1 shard 0 and mkdir #2 shard 1), and the file
@@ -857,7 +793,7 @@ let pmfs_shard_repair =
               ignore
                 (Pmfs.write fs ~ino ~off:0 ~src:(bytes_of data) ~src_off:0
                    ~len:(String.length data) ~sync:true);
-              (dname ^ "/f", data))
+              ("/" ^ dname ^ "/f", data))
             dir_of
         in
         let fault = Fault.create ~seed:77L () in
@@ -932,17 +868,17 @@ let pmfs_serve_commit =
         in
         ctl.start ();
         (* CREATE is journaled metadata: durable once acknowledged. *)
-        ctl.expect "f" (Either (Absent, Content ""));
+        ctl.expect "/f" (Either (Absent, Content ""));
         let fh =
           match rpc (Wire.Create "/f") with
           | Wire.R_handle (fh, _) -> fh
           | _ -> failwith "serve scenario: unexpected CREATE reply"
         in
-        ctl.expect "f" (Exactly (Content ""));
+        ctl.expect "/f" (Exactly (Content ""));
         ctl.checkpoint "created";
         (* Two unstable WRITEs: nothing promised until COMMIT returns. *)
         let d2 = serve_content "f-v1" 2 in
-        ctl.retract "f";
+        ctl.retract "/f";
         ignore (rpc (Wire.Write (fh, 0, String.sub d2 0 serve_blk, false)));
         ignore
           (rpc (Wire.Write (fh, serve_blk, String.sub d2 serve_blk serve_blk,
@@ -950,22 +886,22 @@ let pmfs_serve_commit =
         (match rpc (Wire.Commit fh) with
         | Wire.R_ok _ -> ()
         | _ -> failwith "serve scenario: unexpected COMMIT reply");
-        ctl.expect "f" (Exactly (Content d2));
+        ctl.expect "/f" (Exactly (Content d2));
         ctl.checkpoint "committed";
         (* A stable (FILE_SYNC) append: durable at the WRITE ack itself. *)
         let d3 = serve_content "f-v2" 1 in
-        ctl.retract "f";
+        ctl.retract "/f";
         ignore (rpc (Wire.Write (fh, 2 * serve_blk, d3, true)));
-        ctl.expect "f" (Exactly (Content (d2 ^ d3)));
+        ctl.expect "/f" (Exactly (Content (d2 ^ d3)));
         ctl.checkpoint "stable-written";
         (* REMOVE drops the cached open and stales the handle before the
            unlink; the lapsed handle must be answered with ESTALE, never
            stale data. *)
-        ctl.expect "f" (Either (Content (d2 ^ d3), Absent));
+        ctl.expect "/f" (Either (Content (d2 ^ d3), Absent));
         (match rpc (Wire.Remove "/f") with
         | Wire.R_ok _ -> ()
         | _ -> failwith "serve scenario: unexpected REMOVE reply");
-        ctl.expect "f" (Exactly Absent);
+        ctl.expect "/f" (Exactly Absent);
         ctl.checkpoint "removed";
         (match Server.rpc srv ~sid (Wire.Getattr fh) with
         | Wire.R_err Errno.ESTALE -> ()

@@ -343,7 +343,6 @@ let is_dax t = t.mode = Ext4_dax
 
 let read t ~ino ~off ~len ~into ~into_off =
   check_ino t ino;
-  if off < 0 || len < 0 then Errno.raise_error EINVAL "bad read range";
   let bs = block_size t in
   let size = inode_size t ino in
   let len = if off >= size then 0 else min len (size - off) in
@@ -395,7 +394,6 @@ let fsync t ~ino =
 
 let write t ~ino ~off ~src ~src_off ~len ~sync =
   check_ino t ino;
-  if off < 0 || len < 0 then Errno.raise_error EINVAL "bad write range";
   let bs = block_size t in
   let size = inode_size t ino in
   let cat = Stats.Write_access in
@@ -452,7 +450,6 @@ let write t ~ino ~off ~src ~src_off ~len ~sync =
 
 let truncate t ~ino ~size =
   check_ino t ino;
-  if size < 0 then Errno.raise_error EINVAL "negative size";
   let bs = block_size t in
   let old_size = inode_size t ino in
   if size < old_size then begin

@@ -973,8 +973,6 @@ let read t ~ino ~off ~len ~into ~into_off =
 
 let write t ~ino ~off ~src ~src_off ~len ~sync:_ =
   with_mutation t ~cat:Stats.Write_access (fun () ->
-      if F.kind t.device (live_inode t ino) <> F.kind_regular then
-        Errno.raise_error EISDIR "inode %d is a directory" ino;
       if len = 0 then 0
       else begin
         let cat = Stats.Write_access in
@@ -1032,8 +1030,6 @@ let write t ~ino ~off ~src ~src_off ~len ~sync:_ =
 
 let truncate t ~ino ~size =
   with_mutation t ~cat:mcat (fun () ->
-      if F.kind t.device (live_inode t ino) <> F.kind_regular then
-        Errno.raise_error EISDIR "inode %d is a directory" ino;
       let cat = mcat in
       let ia = shadow_inode t ~cat ino in
       let old = Int64.to_int (Device.get_u64 t.device (ia + F.size_off)) in

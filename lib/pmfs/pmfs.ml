@@ -435,7 +435,6 @@ end
 
 let read t ~ino ~off ~len ~into ~into_off =
   check_ino t ino;
-  if off < 0 || len < 0 then Errno.raise_error EINVAL "bad read range";
   let geo = geometry t in
   let bs = geo.Layout.block_size in
   let size = inode_size t ino in
@@ -469,7 +468,6 @@ let write_direct ?(background = false) ?(cat = Stats.Write_access) t ~ino ~off
     ~src ~src_off ~len =
   check_writable_ino t ~ino;
   check_ino t ino;
-  if off < 0 || len < 0 then Errno.raise_error EINVAL "bad write range";
   let geo = geometry t in
   let bs = geo.Layout.block_size in
   let size = inode_size t ino in
@@ -543,7 +541,6 @@ let write t ~ino ~off ~src ~src_off ~len ~sync =
 let truncate t ~ino ~size =
   check_writable_ino t ~ino;
   check_ino t ino;
-  if size < 0 then Errno.raise_error EINVAL "negative size";
   let geo = geometry t in
   let bs = geo.Layout.block_size in
   let old_size = inode_size t ino in

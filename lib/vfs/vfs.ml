@@ -204,9 +204,14 @@ module Make (B : Backend.S) = struct
         Hashtbl.remove t.fds fd;
         decr_open t file.ino)
 
-  let pread_ino t ~ino ~off buf len =
+  (* Every offset and length reaching a backend was checked here. *)
+  let check_range ~off buf len =
+    if off < 0 then Errno.raise_error EINVAL "negative offset %d" off;
     if len < 0 || len > Bytes.length buf then
-      Errno.raise_error EINVAL "bad read length %d" len;
+      Errno.raise_error EINVAL "bad length %d" len
+
+  let pread_ino t ~ino ~off buf len =
+    check_range ~off buf len;
     let lock = ino_lock t ino in
     Rwlock.with_read lock (fun () ->
         let n = B.read t.fs ~ino ~off ~len ~into:buf ~into_off:0 in
@@ -230,8 +235,7 @@ module Make (B : Backend.S) = struct
         n)
 
   let write_ino t ~ino ~off ~sync buf len ~append =
-    if len < 0 || len > Bytes.length buf then
-      Errno.raise_error EINVAL "bad write length %d" len;
+    check_range ~off buf len;
     let lock = ino_lock t ino in
     Rwlock.with_write lock (fun () ->
         let off =

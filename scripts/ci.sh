@@ -4,11 +4,11 @@
 # even when dune serves them from cache, the perf-baseline determinism
 # check, and finally the benchmark self-test.
 #
-# The oracle-checked soaks and the crashmc smoke suite additionally run
-# under a small SOAK_SEED matrix: every seed drives a different op mix,
-# crash fence, fault schedule and crash-image sample, so three seeds
-# triple the state space each gate covers without touching the (seeded,
-# reproducible) default runtest pass.
+# The oracle-checked soaks and both crashmc drivers additionally run
+# under a small SOAK_SEED matrix (scripts/soaks.sh): every seed drives a
+# different op mix, crash fence, fault schedule and crash-image sample,
+# so three seeds triple the state space each gate covers without
+# touching the (seeded, reproducible) default runtest pass.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -16,22 +16,12 @@ cd "$(dirname "$0")/.."
 dune build
 dune runtest
 
-dune build @crashmc-recovery --force
 dune build @obs-smoke --force
 # Every hinfs_cli subcommand once (not in runtest, so tier-1 wall time
 # does not move); each must exit 0.
 dune build @cli-smoke --force
 
-for seed in 4242 1001 90210; do
-  SOAK_SEED=$seed dune build @fault-soak --force
-  SOAK_SEED=$seed dune build @torture-soak --force
-  SOAK_SEED=$seed dune build @nvcache-soak --force
-  SOAK_SEED=$seed dune build @snapshot-soak --force
-  SOAK_SEED=$seed dune build @shard-soak --force
-  SOAK_SEED=$seed dune build @serve-soak --force
-  SOAK_SEED=$seed dune build @crashmc-smoke --force
-  SOAK_SEED=$seed dune build @crashmc-recovery --force
-done
+sh scripts/soaks.sh
 
 sh scripts/bench_check.sh
 

@@ -25,6 +25,7 @@ module Extfs = Hinfs_extfs.Extfs
 module Nvcache = Hinfs_nvcache.Nvcache
 module Types = Hinfs_vfs.Types
 module Vfs = Hinfs_vfs.Vfs
+module Crashmc = Hinfs_crashmc.Crashmc
 module Soak = Testkit.Soak
 
 let soak = Soak.of_env "nvcache-soak" ~default:7L
@@ -47,18 +48,13 @@ type outcome = {
   o_fault_dropped : int;
 }
 
+(* Every fsync'd file in the oracle, whole, read through [h]. *)
 let verify_oracle h oracle ~where =
-  Hashtbl.iter
-    (fun path content ->
-      let len = Bytes.length content in
-      let fd = h.Vfs.open_ path Types.rdonly in
-      let buf = Bytes.create len in
-      let n = h.Vfs.pread fd ~off:0 buf len in
-      h.Vfs.close fd;
-      if n <> len then fail "%s: %s is %d bytes, oracle has %d" where path n len
-      else if not (Bytes.equal buf content) then
-        fail "%s: %s content differs from oracle" where path)
-    oracle
+  Soak.check_files soak ~label:where h
+    (Hashtbl.fold
+       (fun path content acc ->
+         (path, Crashmc.Exactly (Content (Bytes.to_string content))) :: acc)
+       oracle [])
 
 (* One live round: op mix over a fresh stack, a crash snapshot mid-round,
    and the oracle as it stood at the snapshot. *)

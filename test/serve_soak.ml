@@ -32,6 +32,7 @@ module Types = Hinfs_vfs.Types
 module Errno = Hinfs_vfs.Errno
 module Wire = Hinfs_server.Wire
 module Server = Hinfs_server.Server
+module Crashmc = Hinfs_crashmc.Crashmc
 module Soak = Testkit.Soak
 
 let soak = Soak.of_env "serve-soak" ~default:4242L
@@ -60,39 +61,24 @@ let copy_oracle o =
   Hashtbl.iter (fun k v -> Hashtbl.replace c k v) o;
   c
 
-(* Mount a crash image and check the durability contract. *)
+(* Mount a crash image and check the durability contract: each client's
+   file holds every block that was durable at capture time. *)
 let verify_image engine ~label oracle image =
   let fs, _, _ = Soak.mount_pmfs ~label soak engine config image in
-  let h = Pmfs.handle fs in
-  let durable_blocks = Hashtbl.create 64 in
+  let promised = Hashtbl.create 64 in
   Hashtbl.iter
     (fun (ci, k) state ->
       match state with
       | Acked_unstable -> () (* nothing promised until COMMIT *)
       | Durable ->
-        Hashtbl.replace durable_blocks ci
-          (k :: Option.value ~default:[] (Hashtbl.find_opt durable_blocks ci)))
+        Hashtbl.replace promised ci
+          ((k * chunk, String.make chunk (block_fill ci k))
+          :: Option.value ~default:[] (Hashtbl.find_opt promised ci)))
     oracle;
-  Hashtbl.iter
-    (fun ci ks ->
-      let path = own_path ci in
-      if not (h.Vfs.exists path) then
-        fail "[%s] %s lost with %d durable block(s)" label path (List.length ks)
-      else begin
-        let fd = h.Vfs.open_ path Types.rdonly in
-        let buf = Bytes.create chunk in
-        List.iter
-          (fun k ->
-            let n = h.Vfs.pread fd ~off:(k * chunk) buf chunk in
-            let want = Bytes.make chunk (block_fill ci k) in
-            if n <> chunk || not (Bytes.equal buf want) then
-              fail "[%s] COMMIT-acknowledged block %d of %s lost or torn" label
-                k path)
-          ks;
-        h.Vfs.close fd
-      end)
-    durable_blocks;
-  Hashtbl.length durable_blocks
+  Soak.check_files soak ~label (Pmfs.handle fs)
+    (Hashtbl.fold
+       (fun ci ranges acc -> (own_path ci, Crashmc.Exactly (Holds ranges)) :: acc)
+       promised [])
 
 type round_outcome = {
   r_ops : int;
@@ -239,9 +225,9 @@ let run_soak () =
           Hashtbl.fold (fun _ s n -> if s = Durable then n + 1 else n) oimg 0
         in
         let label = Fmt.str "round-%d" round in
-        ignore (verify_image engine ~label oimg image);
+        verify_image engine ~label oimg image;
         (* recovery must be idempotent: same image, same verdict *)
-        ignore (verify_image engine ~label:(label ^ "-again") oimg image);
+        verify_image engine ~label:(label ^ "-again") oimg image;
         outcomes :=
           {
             r_ops = !total_ops - ops0;

@@ -34,6 +34,7 @@ module Fsck = Hinfs_fsck.Fsck
 module Fs = Hinfs.Fs
 module Hconfig = Hinfs.Hconfig
 module Buffer_pool = Hinfs.Buffer_pool
+module Crashmc = Hinfs_crashmc.Crashmc
 module Soak = Testkit.Soak
 
 let soak = Soak.of_env "shard-soak" ~default:4242L
@@ -62,9 +63,11 @@ let copy_oracle o =
   Hashtbl.iter (fun k (ino, b) -> Hashtbl.replace c k (ino, Bytes.copy b)) o;
   c
 
+let path (di, name) = Fmt.str "/d%d/%s" di name
+
 (* Mount a crash image and check: fsck clean, per-shard recovery breakdown
    consistent, durable files intact, in-flight rename at exactly one name. *)
-let verify_image engine ~label ~oracle ~in_flight ~dirs image =
+let verify_image engine ~label ~oracle ~in_flight image =
   let fs, stats, freport = Soak.mount_pmfs ~label soak engine config image in
   let by_shard = Pmfs.recovered_by_shard fs in
   if Array.length by_shard <> shards then
@@ -79,42 +82,24 @@ let verify_image engine ~label ~oracle ~in_flight ~dirs image =
     fail "[%s] fsck shard_reports has %d entries, expected %d" label
       (Array.length freport.Fsck.shard_reports)
       shards;
-  let resolve (di, name) =
-    match Pmfs.lookup fs ~dir:dirs.(di) name with
-    | None -> None
-    | Some ino ->
-      let size = Pmfs.inode_size fs ino in
-      let buf = Bytes.create size in
-      let n = Pmfs.read fs ~ino ~off:0 ~len:size ~into:buf ~into_off:0 in
-      Some (Bytes.sub buf 0 n)
-  in
   let exempt k =
     match in_flight with
     | Idle -> false
     | Op k' -> k = k'
     | Rename { src; dst; _ } -> k = src || k = dst
   in
-  Hashtbl.iter
-    (fun k (_ino, content) ->
-      if not (exempt k) then
-        match resolve k with
-        | None -> fail "[%s] durable file %s/%s lost" label
-                    (Fmt.str "d%d" (fst k)) (snd k)
-        | Some got ->
-          if not (Bytes.equal got content) then
-            fail "[%s] file d%d/%s: content mismatch after recovery" label
-              (fst k) (snd k))
-    oracle;
+  let h = Pmfs.handle fs in
+  Soak.check_files soak ~label h
+    (Hashtbl.fold
+       (fun k (_ino, content) acc ->
+         if exempt k then acc
+         else (path k, Crashmc.Exactly (Content (Bytes.to_string content))) :: acc)
+       oracle []);
   (match in_flight with
-  | Rename { src; dst; data } -> (
-    match (resolve src, resolve dst) with
-    | Some _, Some _ ->
-      fail "[%s] in-flight cross-shard rename visible at BOTH names" label
-    | None, None ->
-      fail "[%s] in-flight cross-shard rename visible at NEITHER name" label
-    | (Some got, None | None, Some got) ->
-      if not (Bytes.equal got data) then
-        fail "[%s] in-flight rename: surviving name has torn content" label)
+  | Rename { src; dst; data } ->
+    Soak.report soak ~label
+      (Crashmc.exactly_one ~read_file:(Crashmc.read_file h) (path src, path dst)
+         (Content (Bytes.to_string data)))
   | _ -> ());
   rolled_back
 
@@ -250,13 +235,13 @@ let run_pmfs_soak () =
         let image = crash.image and osnap, racing = crash.oracle in
         let label = Fmt.str "round-%d" round in
         let rolled_back =
-          verify_image engine ~label ~oracle:osnap ~in_flight:racing ~dirs image
+          verify_image engine ~label ~oracle:osnap ~in_flight:racing image
         in
         (* Re-run the same verification on the same image — recovery must
            be idempotent shard by shard. *)
         ignore
           (verify_image engine ~label:(label ^ "-again") ~oracle:osnap
-             ~in_flight:racing ~dirs image);
+             ~in_flight:racing image);
         outcomes :=
           {
             r_ops = !ops - ops0;
@@ -301,7 +286,8 @@ let run_hinfs_smoke () =
             ignore
               (Fs.write fs ~ino ~off:0 ~src:data ~src_off:0 ~len:(Bytes.length data)
                  ~sync:false);
-            (di, name, ino, data))
+            ( Fmt.str "/h%d/%s" di name,
+              Crashmc.Exactly (Content (Bytes.to_string data)) ))
       in
       (* Buffered writes must have landed in more than one shard's pool. *)
       let pools_used = ref 0 in
@@ -319,19 +305,10 @@ let run_hinfs_smoke () =
         fail "multi-shard sync_all did not commit through the epoch record";
       Fs.unmount fs;
       let fs2 = Fs.mount d ~daemons:false () in
-      let pmfs2 = Fs.pmfs fs2 in
-      Array.iter
-        (fun (di, name, _ino, data) ->
-          match Pmfs.lookup pmfs2 ~dir:dirs.(di) name with
-          | None -> fail "remount lost h%d/%s" di name
-          | Some ino ->
-            let len = Bytes.length data in
-            let buf = Bytes.create len in
-            let n = Fs.read fs2 ~ino ~off:0 ~len ~into:buf ~into_off:0 in
-            if n <> len || not (Bytes.equal buf data) then
-              fail "remount content mismatch for h%d/%s" di name)
-        files;
-      ignore (Soak.check_pmfs soak ~what:"HiNFS remount fails fsck" pmfs2);
+      Soak.check_files soak ~label:"remount" (Fs.handle fs2)
+        (Array.to_list files);
+      ignore
+        (Soak.check_pmfs soak ~what:"HiNFS remount fails fsck" (Fs.pmfs fs2));
       Fmt.str "%d files across %d dirs, %d shard pools used, %d epoch commit(s)"
         (Array.length files) ndirs !pools_used
         (Epoch.commits (Pmfs.epoch pmfs)))

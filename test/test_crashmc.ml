@@ -355,6 +355,83 @@ let test_deterministic () =
   check_bool "same violations" true
     (a.Crashmc.sr_violations = b.Crashmc.sr_violations)
 
+(* --- the durability oracle --- *)
+
+(* Every expectation case and the rename check against a fixed table of
+   files: exact matches pass, each kind of mismatch is flagged once, and a
+   read that raises is reported as such. *)
+let test_expectations () =
+  let files = [ ("/a", "abcd"); ("/b", "abcd") ] in
+  let read path =
+    if path = "/boom" then failwith "disk on fire"
+    else List.assoc_opt path files
+  in
+  let flagged what exps =
+    check_int what 1
+      (List.length (Crashmc.check_expectations ~read_file:read exps))
+  in
+  let open Crashmc in
+  Alcotest.(check (list string))
+    "exact matches pass" []
+    (check_expectations ~read_file:read
+       [
+         ("/a", Exactly (Content "abcd"));
+         ("/x", Exactly Absent);
+         ("/x", Either (Absent, Content "abcd"));
+         ("/a", Either (Absent, Content "abcd"));
+         ("/a", Exactly (Sized 4));
+         ("/a", Exactly (Holds [ (1, "bc"); (3, "d") ]));
+         ("/a", Exactly (Holds []));
+       ]
+    @ exactly_one ~read_file:read ("/a", "/x") (Content "abcd")
+    @ exactly_one ~read_file:read ("/x", "/a") (Content "abcd"));
+  flagged "present, expected absent" [ ("/a", Exactly Absent) ];
+  flagged "absent, expected present" [ ("/x", Exactly (Content "")) ];
+  flagged "torn content" [ ("/a", Exactly (Content "abce")) ];
+  flagged "neither side of an in-flight op"
+    [ ("/a", Either (Absent, Content "abc")) ];
+  flagged "wrong size" [ ("/a", Exactly (Sized 5)) ];
+  flagged "absent, expected a size" [ ("/x", Exactly (Sized 0)) ];
+  flagged "torn range" [ ("/a", Exactly (Holds [ (1, "bc"); (2, "xd") ])) ];
+  flagged "range past EOF" [ ("/a", Exactly (Holds [ (3, "de") ])) ];
+  flagged "absent, expected ranges" [ ("/x", Exactly (Holds [])) ];
+  let one what (a, b) expect =
+    check_int what 1 (List.length (exactly_one ~read_file:read (a, b) expect))
+  in
+  one "file at both names" ("/a", "/b") (Content "abcd");
+  one "file at neither name" ("/x", "/y") (Content "abcd");
+  one "renamed file torn" ("/x", "/a") (Content "abce");
+  one "rename check with a failed read" ("/boom", "/a") (Content "abcd");
+  match check_expectations ~read_file:read [ ("/boom", Exactly Absent) ] with
+  | [ msg ] ->
+    let contains sub =
+      let n = String.length sub in
+      let rec go i =
+        i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+      in
+      go 0
+    in
+    check_bool "failed read names the exception" true (contains "disk on fire");
+    check_bool "failed read is not a file size" false (contains "-byte")
+  | vs -> Alcotest.failf "failed read: %d message(s)" (List.length vs)
+
+(* read_file through a Vfs handle: whole contents, None for a missing name
+   or a path through a file. *)
+let test_read_file () =
+  Testkit.run_sim (fun engine ->
+      let _d, fs = Testkit.make_pmfs engine in
+      let h = Hinfs_pmfs.Pmfs.handle fs in
+      let data = Testkit.pattern_bytes ~seed:9 9000 in
+      let fd = h.open_ "/f" Hinfs_vfs.Types.creat in
+      ignore (h.write fd data 9000);
+      h.close fd;
+      Alcotest.(check (option string))
+        "whole file" (Some (Bytes.to_string data)) (Crashmc.read_file h "/f");
+      Alcotest.(check (option string))
+        "missing" None (Crashmc.read_file h "/g");
+      Alcotest.(check (option string))
+        "through a file" None (Crashmc.read_file h "/f/x"))
+
 (* One real scenario end to end (the smoke binary runs the whole suite). *)
 let test_pmfs_torn_txn_scenario () =
   let r = Crashmc.run_scenario ~params:quick_params Scenarios.pmfs_torn_txn in
@@ -396,5 +473,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "pmfs torn txn scenario" `Quick
             test_pmfs_torn_txn_scenario;
+          Alcotest.test_case "expectations" `Quick test_expectations;
+          Alcotest.test_case "read_file" `Quick test_read_file;
         ] );
     ]

@@ -226,9 +226,10 @@ let test_concurrent_readers_share_inode_lock () =
       check_bool "readers overlap" true
         (Int64.to_float both < 1.8 *. Int64.to_float single))
 
-(* --- namespace outcomes, across every kind ---
+(* --- namespace and range outcomes, across every kind ---
 
-   One row per namespace outcome the VFS decides. Each row runs on a fresh
+   One row per namespace outcome the VFS decides, plus its refusal of a
+   negative file offset. Each row runs on a fresh
    mount of every [Fixtures] kind (and a 4-shard HiNFS) holding the same
    starting tree; it checks the errno or success, the tree that survives,
    and, on the PMFS-format and cowfs kinds, that the unmounted image is
@@ -295,6 +296,10 @@ type row = {
 
 let row ?expect ?(after = initial_tree) what op = { what; op; expect; after }
 
+let with_open (h : Vfs.handle) path flags f =
+  let fd = h.Vfs.open_ path flags in
+  Fun.protect ~finally:(fun () -> h.Vfs.close fd) (fun () -> f fd)
+
 let namespace_rows =
   [
     row "O_CREAT|O_EXCL on an existing file" ~expect:EEXIST (fun h ->
@@ -333,6 +338,12 @@ let namespace_rows =
     row "rename a file over a file"
       ~after:(edited ~gone:[ "/a=/a"; "/b=/b" ] ~added:[ "/a=/b" ] ())
       (fun h -> h.Vfs.rename "/b" "/a");
+    row "pread at offset -1" ~expect:EINVAL (fun h ->
+        with_open h "/a" Types.rdonly (fun fd ->
+            ignore (h.Vfs.pread fd ~off:(-1) (Bytes.create 10) 10)));
+    row "pwrite at offset -1" ~expect:EINVAL (fun h ->
+        with_open h "/a" Types.wronly (fun fd ->
+            ignore (h.Vfs.pwrite fd ~off:(-1) (Bytes.make 10 'Z') 10)));
   ]
 
 (* Remount the unmounted image and fsck it, on the kinds that have a

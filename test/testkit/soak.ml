@@ -155,6 +155,18 @@ let mount_pmfs ?(on_device = ignore) ?label t engine config image =
   in
   (fs, stats, check_pmfs t ~what fs)
 
+(* --- recovered files --- *)
+
+(* Judge a recovered image with crashmc's oracle: each message is a
+   failure tagged with [label]. *)
+let report t ~label violations =
+  List.iter (fun v -> fail t "[%s] %s" label v) violations
+
+(* Read every expected path through the handle [h] and check it. *)
+let check_files t ~label h expectations =
+  report t ~label
+    (Crashmc.check_expectations ~read_file:(Crashmc.read_file h) expectations)
+
 (* --- crashmc gates --- *)
 
 (* Run the crashmc suite at [params] (its seed overridden by SOAK_SEED),

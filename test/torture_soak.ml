@@ -38,6 +38,7 @@ module Log = Hinfs_journal.Cacheline_log
 module Errno = Hinfs_vfs.Errno
 module Fsck = Hinfs_fsck.Fsck
 module Repair = Hinfs_fsck.Repair
+module Crashmc = Hinfs_crashmc.Crashmc
 module Soak = Testkit.Soak
 
 let soak = Soak.of_env "torture-soak" ~default:1337L
@@ -106,23 +107,17 @@ let verify_image engine ~label ~oracle ~in_flight ?recrash image =
   let recovery_state =
     Option.map (fun (state, (), _) -> state) (Option.bind !recovery Soak.disarm)
   in
-  Hashtbl.iter
-    (fun name e ->
-      if Some name <> in_flight then
-        match Pmfs.lookup fs ~dir:root name with
-        | None -> fail "[%s] durable file %S lost" label name
-        | Some ino ->
-          let len = Bytes.length e.content in
-          let size = Pmfs.inode_size fs ino in
-          if size <> len then
-            fail "[%s] file %S: size %d, expected %d" label name size len
-          else if (not e.tainted) && len > 0 then begin
-            let buf = Bytes.create len in
-            let n = Pmfs.read fs ~ino ~off:0 ~len ~into:buf ~into_off:0 in
-            if n <> len || not (Bytes.equal buf e.content) then
-              fail "[%s] file %S: content mismatch after recovery" label name
-          end)
-    oracle;
+  Soak.check_files soak ~label (Pmfs.handle fs)
+    (Hashtbl.fold
+       (fun name e acc ->
+         if Some name = in_flight then acc
+         else
+           ( "/" ^ name,
+             Crashmc.Exactly
+               (if e.tainted then Sized (Bytes.length e.content)
+                else Content (Bytes.to_string e.content)) )
+           :: acc)
+       oracle []);
   (Stats.recovered_txns stats, recovery_state)
 
 (* Soak under the observability sink: crash-image mounts, rollbacks and
