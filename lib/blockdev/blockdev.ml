@@ -59,7 +59,6 @@ let create device =
 
 let device t = t.device
 let block_size t = t.block_size
-let nblocks t = t.nblocks
 let attach_tier t tier = t.tier <- tier
 let tier_name t = match t.tier with None -> None | Some x -> Some x.tier_name
 

@@ -1,18 +1,18 @@
 (** NVMMBD: RAM-disk-like block device over the NVMM device model (the
     paper's modified brd driver). Every request pays the generic block layer
     overhead; transfers are whole blocks. A durability tier (lib/nvcache)
-    can be interposed to absorb writes before they become block requests. *)
+    can be interposed to absorb writes before they become block requests.
+
+    Request counts live in the device's {!Hinfs_stats.Stats}:
+    [block_read_requests], [block_write_requests] and
+    [block_absorbed_writes] (writes swallowed by the attached tier instead
+    of becoming requests). *)
 
 type t
 
 val create : Hinfs_nvmm.Device.t -> t
 val device : t -> Hinfs_nvmm.Device.t
 val block_size : t -> int
-val nblocks : t -> int
-(** Request counts live in the device's {!Hinfs_stats.Stats}:
-    [block_read_requests], [block_write_requests] and
-    [block_absorbed_writes] (writes swallowed by the attached tier instead
-    of becoming requests). *)
 
 (** {1 Tier interposition}
 

@@ -14,7 +14,6 @@ type block_meta
 type file_model
 
 val create_file_model : unit -> file_model
-val meta_of : file_model -> int -> block_meta
 
 val record_write : file_model -> int -> lines:Clbitmap.t -> unit
 (** Ghost-buffer accounting for a write covering [lines] of the block. *)

@@ -75,7 +75,6 @@ let capacity t = Array.length t.blocks
 let free_count t = t.free_count
 let used_count t = capacity t - t.free_count
 let block t id = t.blocks.(id)
-let lines_per_block t = t.lines_per_block
 
 let free_fraction t = float_of_int t.free_count /. float_of_int (capacity t)
 
@@ -125,10 +124,6 @@ let pick_victim t =
          end)
    with Exit -> ());
   !found
-
-(* Iterate blocks from LRW to MRW. [f] may pin/flush but must not free the
-   block it is visiting during iteration (collect ids first if freeing). *)
-let iter_lrw t f = Dlist.iter t.lrw (fun id -> f t.blocks.(id))
 
 let lrw_ids t =
   let acc = ref [] in

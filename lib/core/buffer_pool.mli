@@ -30,7 +30,6 @@ val free_count : t -> int
 val used_count : t -> int
 val free_fraction : t -> float
 val block : t -> int -> block
-val lines_per_block : t -> int
 
 val alloc : t -> ino:int -> fblock:int -> home:int -> now:int64 -> block option
 (** Take a free block and bind it; [None] when the pool is exhausted (the
@@ -44,8 +43,5 @@ val touch_written : t -> block -> now:int64 -> unit
 
 val pick_victim : t -> block option
 (** Victim selection: the least recently written unpinned block. *)
-
-val iter_lrw : t -> (block -> unit) -> unit
-(** From LRW to MRW; the callback must not free the visited block. *)
 
 val lrw_ids : t -> int list

@@ -18,11 +18,6 @@ let full_mask lines =
 
 let mem t line = Int64.logand (Int64.shift_right_logical t line) 1L = 1L
 
-let add t line = Int64.logor t (Int64.shift_left 1L line)
-
-let remove t line =
-  Int64.logand t (Int64.lognot (Int64.shift_left 1L line))
-
 (* Bits [first, last] inclusive. *)
 let range ~first ~last =
   if last < first then 0L
@@ -32,7 +27,6 @@ let range ~first ~last =
   end
 
 let add_range t ~first ~last = Int64.logor t (range ~first ~last)
-let remove_range t ~first ~last = Int64.logand t (Int64.lognot (range ~first ~last))
 
 let union = Int64.logor
 let inter = Int64.logand
@@ -94,15 +88,3 @@ let iter_runs t ~nlines f =
 let iter_set_runs t ~nlines f =
   iter_runs t ~nlines (fun ~first ~count ~set ->
       if set then f ~first ~count)
-
-let to_list t ~nlines =
-  let acc = ref [] in
-  for i = nlines - 1 downto 0 do
-    if mem t i then acc := i :: !acc
-  done;
-  !acc
-
-let pp ~nlines ppf t =
-  for i = 0 to nlines - 1 do
-    Fmt.pf ppf "%c" (if mem t i then '1' else '0')
-  done

@@ -9,14 +9,8 @@ val full_mask : int -> t
 (** [full_mask n] has the low [n] bits set (clamped to 64). *)
 
 val mem : t -> int -> bool
-val add : t -> int -> t
-val remove : t -> int -> t
-
-val range : first:int -> last:int -> t
-(** Bits [first..last] inclusive; empty if [last < first]. *)
 
 val add_range : t -> first:int -> last:int -> t
-val remove_range : t -> first:int -> last:int -> t
 val union : t -> t -> t
 val inter : t -> t -> t
 
@@ -40,5 +34,3 @@ val iter_runs : t -> nlines:int -> (first:int -> count:int -> set:bool -> unit) 
 (** Visit maximal runs of equal membership within [0, nlines). *)
 
 val iter_set_runs : t -> nlines:int -> (first:int -> count:int -> unit) -> unit
-val to_list : t -> nlines:int -> int list
-val pp : nlines:int -> Format.formatter -> t -> unit

@@ -9,9 +9,10 @@
    - direct reads (§3.3.1): reads copy straight from DRAM and/or NVMM to
      the user buffer, merging at cacheline-run granularity;
    - direct eager-persistent writes (§3.3.2): the Eager-Persistent Write
-     Checker (open flags / sync mount = case 1, the Buffer Benefit Model
-     with ghost buffer = case 2) routes writes that would not benefit from
-     buffering straight to NVMM with non-temporal stores;
+     Checker (O_SYNC = case 1, as no HiNFS mount is a sync mount; the
+     Buffer Benefit Model with ghost buffer = case 2) routes writes that
+     would not benefit from buffering straight to NVMM with non-temporal
+     stores;
    - background writeback daemons (§3.2): woken below the Low_f free
      watermark or every 5 s, reclaim to High_f, and clean blocks older
      than 30 s;
@@ -70,7 +71,6 @@ type t = {
   hcfg : Hconfig.t;
   shards : shard_state array;
   files : (int, file_state) Hashtbl.t;
-  sync_mount : bool;
   mutable daemons : int;
   mutable stopping : bool;
 }
@@ -79,13 +79,11 @@ let pmfs t = t.pmfs
 let device t = Pmfs.device t.pmfs
 let stats t = Device.stats (device t)
 let config t = Device.config (device t)
-let hconfig t = t.hcfg
 let shard_count t = Array.length t.shards
 let shard_of t ino = Pmfs.shard_of_ino t.pmfs ino
 let shard_for t ino = t.shards.(shard_of t ino)
 let spool t ino = (shard_for t ino).pool
 let shard_pool t s = t.shards.(s).pool
-let recovered_txns t = Pmfs.recovered_txns t.pmfs
 let now t = Engine.now (Device.engine (device t))
 
 let block_size t = (config t).Config.block_size
@@ -94,7 +92,7 @@ let lines_per_block t = block_size t / cacheline t
 
 (* --- creation --- *)
 
-let create ?(hcfg = Hconfig.default) ?(sync_mount = false) pmfs =
+let create ?(hcfg = Hconfig.default) pmfs =
   let hcfg = Hconfig.validate hcfg in
   let device = Pmfs.device pmfs in
   let config = Device.config device in
@@ -119,7 +117,6 @@ let create ?(hcfg = Hconfig.default) ?(sync_mount = false) pmfs =
             free_cv = Condvar.create (Device.engine device);
           });
     files = Hashtbl.create 256;
-    sync_mount;
     daemons = 0;
     stopping = false;
   }
@@ -573,7 +570,7 @@ let write t ~ino ~off ~src ~src_off ~len ~sync =
           let in_block = pos mod bs in
           let chunk = min (bs - in_block) (len - done_) in
           let eager =
-            sync || t.sync_mount
+            sync
             || (t.hcfg.Hconfig.checker
                && Benefit.is_eager fst.model fblock ~now:(now t)
                     ~eager_decay_ns:t.hcfg.Hconfig.eager_decay_ns)
@@ -905,8 +902,7 @@ let block_state_eager t ~ino ~fblock =
 
 (* --- mkfs / mount helpers --- *)
 
-let mkfs_and_mount device ?journal_blocks ?inodes_per_mb ?shards ?hcfg
-    ?sync_mount ?(daemons = true) () =
+let mkfs_and_mount device ?journal_blocks ?shards ?hcfg ?(daemons = true) () =
   (* The journal must hold the undo entries of every pending (ordered)
      transaction; those scale with the number of buffered blocks. Default
      to ~16 entry slots per buffer block unless told otherwise. *)
@@ -923,19 +919,19 @@ let mkfs_and_mount device ?journal_blocks ?inodes_per_mb ?shards ?hcfg
       Some (max 64 (buffer_blocks * 16 / slots_per_block))
   in
   let pmfs =
-    Pmfs.mkfs_and_mount device ?journal_blocks ?inodes_per_mb ?shards
+    Pmfs.mkfs_and_mount device ?journal_blocks ?shards
       ~journal_cleaner:daemons ()
   in
-  let t = create ?hcfg ?sync_mount pmfs in
+  let t = create ?hcfg pmfs in
   if daemons then start_daemons t;
   t
 
 (* Mount an existing image (e.g. a crash snapshot): PMFS mount runs log
    recovery and rebuilds the allocators; HiNFS state on top (buffer, benefit
    model, pending transactions) is all volatile and starts empty. *)
-let mount device ?hcfg ?sync_mount ?(daemons = true) () =
+let mount device ?hcfg ?(daemons = true) () =
   let pmfs = Pmfs.mount device ~journal_cleaner:daemons () in
-  let t = create ?hcfg ?sync_mount pmfs in
+  let t = create ?hcfg pmfs in
   if daemons then start_daemons t;
   t
 
@@ -946,7 +942,7 @@ module Backend : Hinfs_vfs.Backend.S with type t = t = struct
 
   let fs_name _ = "hinfs"
   let device = device
-  let sync_mount t = t.sync_mount
+  let sync_mount _ = false
   let root_ino _ = Layout.root_ino
   let lookup t ~dir name = Pmfs.lookup t.pmfs ~dir name
   let create_file t ~dir name = Pmfs.create_file t.pmfs ~dir name

@@ -17,19 +17,11 @@ type file_state
 
 (** {1 Mount lifecycle} *)
 
-val create : ?hcfg:Hconfig.t -> ?sync_mount:bool -> Hinfs_pmfs.Pmfs.t -> t
-(** Wrap a mounted PMFS with the HiNFS buffer layer. *)
-
-val start_daemons : t -> unit
-(** Spawn the background writeback threads (call from inside a process). *)
-
 val mkfs_and_mount :
   Hinfs_nvmm.Device.t ->
   ?journal_blocks:int ->
-  ?inodes_per_mb:int ->
   ?shards:int ->
   ?hcfg:Hconfig.t ->
-  ?sync_mount:bool ->
   ?daemons:bool ->
   unit ->
   t
@@ -43,7 +35,6 @@ val mkfs_and_mount :
 val mount :
   Hinfs_nvmm.Device.t ->
   ?hcfg:Hconfig.t ->
-  ?sync_mount:bool ->
   ?daemons:bool ->
   unit ->
   t
@@ -59,22 +50,12 @@ val handle : t -> Hinfs_vfs.Vfs.handle
 (** {1 Accessors} *)
 
 val pmfs : t -> Hinfs_pmfs.Pmfs.t
-val device : t -> Hinfs_nvmm.Device.t
-val stats : t -> Hinfs_stats.Stats.t
-val hconfig : t -> Hconfig.t
 val shard_count : t -> int
 (** Number of hot-state shards (per-shard buffer pool, journal, allocator
     ranges), as recorded in the superblock at mkfs time. *)
 
 val shard_pool : t -> int -> Buffer_pool.t
 (** The given shard's DRAM buffer pool. *)
-
-val shard_of : t -> int -> int
-(** Home shard of an inode number. *)
-
-val recovered_txns : t -> int
-(** Uncommitted transactions the underlying PMFS rolled back during this
-    mount's log recovery (0 after a clean mount). *)
 
 (** {1 Inode-level operations}
 
@@ -94,18 +75,8 @@ val fsync : t -> ino:int -> unit
 (** Flush the file's dirty buffered blocks, commit its pending metadata
     transaction, and update the Buffer Benefit Model. *)
 
-val truncate : t -> ino:int -> size:int -> unit
 val unlink : t -> dir:int -> string -> unit
 
-val rename :
-  t -> src_dir:int -> src:string -> dst_dir:int -> dst:string -> unit
-
-val mmap : t -> ino:int -> unit
-(** Flush and evict the file's buffered blocks and pin them
-    Eager-Persistent until {!munmap} (§4.2). *)
-
-val munmap : t -> ino:int -> unit
-val msync : t -> ino:int -> unit
 val sync_all : t -> unit
 
 (** {1 Introspection (tests, benchmarks)} *)
@@ -121,10 +92,6 @@ val is_block_buffered : t -> ino:int -> fblock:int -> bool
 
 val block_state_eager : t -> ino:int -> fblock:int -> bool
 (** The checker's current verdict for the block (decay applied). *)
-
-val drop_buffers : t -> int -> unit
-(** Discard a dying file's buffered blocks without writeback and abort its
-    pending transaction (used by unlink/rename-replace). *)
 
 val flush_file :
   ?background:bool ->

@@ -43,11 +43,11 @@ let max_fblocks geometry =
   let p = ptrs_per_block geometry in
   direct_ptrs + p + (p * p)
 
-let geometry_of ?(journal_blocks = 64) ?(inodes_per_mb = 512) ~block_size
-    ~total_blocks () =
+(* 512 inodes per MB of file system. *)
+let geometry_of ?(journal_blocks = 64) ~block_size ~total_blocks () =
   let bits_per_block = block_size * 8 in
   let mb = total_blocks * block_size / (1024 * 1024) in
-  let inode_count = max 256 (inodes_per_mb * max 1 mb) in
+  let inode_count = max 256 (512 * max 1 mb) in
   let itable_blocks = ((inode_count * inode_size) + block_size - 1) / block_size in
   let inode_count = itable_blocks * block_size / inode_size in
   let ibm_blocks = (inode_count + bits_per_block - 1) / bits_per_block in

@@ -45,7 +45,6 @@ type t = {
   bbm : Bitmap.t; (* DRAM mirror of the data-block bitmap *)
   ibm : Bitmap.t; (* DRAM mirror of the inode bitmap *)
   sync_mount : bool;
-  commit_interval : int64;
   mutable mounted : bool;
   mutable stopping : bool;
   mutable daemons_started : bool;
@@ -53,7 +52,6 @@ type t = {
 
 let device t = Blockdev.device t.bdev
 let bdev t = t.bdev
-let total_blocks t = t.geo.Elayout.total_blocks
 let now t = Engine.now (Device.engine (device t))
 let block_size t = t.geo.Elayout.block_size
 let mode t = t.mode
@@ -154,7 +152,6 @@ let free_inode_num t ino =
   set_bitmap_bit t ~bitmap_start:t.geo.Elayout.ibm_start ~index:(ino - 1) false
 
 let free_data_blocks t = Bitmap.count_clear t.bbm
-let free_inodes t = Bitmap.count_clear t.ibm
 
 let journal_commits t =
   match t.journal with None -> 0 | Some bj -> Bj.commits bj
@@ -701,7 +698,7 @@ let rename t ~src_dir ~src ~dst_dir ~dst =
 
 (* --- mkfs / mount / lifecycle --- *)
 
-let mkfs device ?journal_blocks ?inodes_per_mb ?total_blocks () =
+let mkfs device ?journal_blocks ?total_blocks () =
   let config = Device.config device in
   let block_size = config.Config.block_size in
   (* [total_blocks] lets a durability tier (lib/nvcache) reserve the tail
@@ -713,8 +710,7 @@ let mkfs device ?journal_blocks ?inodes_per_mb ?total_blocks () =
   if total_blocks < 1 || total_blocks > Config.blocks config then
     invalid_arg "Extfs.mkfs: bad total_blocks";
   let geo =
-    Elayout.geometry_of ?journal_blocks ?inodes_per_mb ~block_size
-      ~total_blocks ()
+    Elayout.geometry_of ?journal_blocks ~block_size ~total_blocks ()
   in
   let zero = Bytes.make block_size '\000' in
   for b = 0 to geo.Elayout.data_start - 1 do
@@ -755,8 +751,7 @@ let load_bitmap device geo ~start ~blocks ~bits =
   done;
   bitmap
 
-let mount device ~mode ?(sync_mount = false) ?(cache_pages = 4096)
-    ?(commit_interval = 5_000_000_000L) () =
+let mount device ~mode ?(sync_mount = false) ?(cache_pages = 4096) () =
   let config = Device.config device in
   let block_size = config.Config.block_size in
   let sb = Device.peek_persistent device ~addr:0 ~len:block_size in
@@ -796,11 +791,13 @@ let mount device ~mode ?(sync_mount = false) ?(cache_pages = 4096)
       bbm;
       ibm;
       sync_mount;
-      commit_interval;
       mounted = true;
       stopping = false;
       daemons_started = false;
     }
+
+(* jbd commits the running transaction every 5 s. *)
+let commit_interval_ns = 5_000_000_000L
 
 (* pdflush + periodic jbd commit daemons. Call from inside a process. *)
 let start_daemons t =
@@ -811,7 +808,7 @@ let start_daemons t =
     Proc.spawn ~name:"jbd-commit" (fun () ->
         let rec loop () =
           if not t.stopping then begin
-            Proc.delay t.commit_interval;
+            Proc.delay commit_interval_ns;
             if not t.stopping then begin
               commit_journal t;
               loop ()
@@ -832,10 +829,10 @@ let unmount t =
     sync_all t
   end
 
-let mkfs_and_mount device ~mode ?journal_blocks ?inodes_per_mb ?total_blocks
-    ?sync_mount ?cache_pages ?commit_interval ?(daemons = false) () =
-  mkfs device ?journal_blocks ?inodes_per_mb ?total_blocks ();
-  let t = mount device ~mode ?sync_mount ?cache_pages ?commit_interval () in
+let mkfs_and_mount device ~mode ?journal_blocks ?total_blocks ?sync_mount
+    ?cache_pages ?(daemons = false) () =
+  mkfs device ?journal_blocks ?total_blocks ();
+  let t = mount device ~mode ?sync_mount ?cache_pages () in
   if daemons then start_daemons t;
   t
 

@@ -9,8 +9,6 @@
       moves directly to NVMM; metadata keeps the cache-and-journal path. *)
 type mode = Ext2 | Ext4 | Ext4_dax
 
-val mode_name : mode -> string
-
 type t
 
 (** {1 mkfs / mount} *)
@@ -18,7 +16,6 @@ type t
 val mkfs :
   Hinfs_nvmm.Device.t ->
   ?journal_blocks:int ->
-  ?inodes_per_mb:int ->
   ?total_blocks:int ->
   unit ->
   unit
@@ -31,7 +28,6 @@ val mount :
   mode:mode ->
   ?sync_mount:bool ->
   ?cache_pages:int ->
-  ?commit_interval:int64 ->
   unit ->
   t
 (** Replays the journal (EXT4 modes), loads the allocation bitmaps, builds
@@ -45,45 +41,32 @@ val mkfs_and_mount :
   Hinfs_nvmm.Device.t ->
   mode:mode ->
   ?journal_blocks:int ->
-  ?inodes_per_mb:int ->
   ?total_blocks:int ->
   ?sync_mount:bool ->
   ?cache_pages:int ->
-  ?commit_interval:int64 ->
   ?daemons:bool ->
   unit ->
   t
 
 val unmount : t -> unit
-val sync_all : t -> unit
 
 (** {1 Accessors} *)
 
 val mode : t -> mode
-val device : t -> Hinfs_nvmm.Device.t
 
 val bdev : t -> Hinfs_blockdev.Blockdev.t
 (** The NVMMBD instance this mount issues requests to — the attachment
     point for a {!Hinfs_blockdev.Blockdev.tier}. *)
 
-val total_blocks : t -> int
 val free_data_blocks : t -> int
-val free_inodes : t -> int
 val journal_commits : t -> int
 
 (** {1 Inode operations} *)
-
-val inode_size : t -> int -> int
-val stat_of : t -> int -> Hinfs_vfs.Types.stat
-
-val read :
-  t -> ino:int -> off:int -> len:int -> into:Bytes.t -> into_off:int -> int
 
 val write :
   t -> ino:int -> off:int -> src:Bytes.t -> src_off:int -> len:int ->
   sync:bool -> int
 
-val truncate : t -> ino:int -> size:int -> unit
 val fsync : t -> ino:int -> unit
 
 (** {1 Namespace}
@@ -91,16 +74,7 @@ val fsync : t -> ino:int -> unit
     The operations below expect the preconditions of
     {!Hinfs_vfs.Backend.S}: the VFS decides every namespace errno. *)
 
-val lookup : t -> dir:int -> string -> int option
 val create_file : t -> dir:int -> string -> int
-val mkdir : t -> dir:int -> string -> int
-val unlink : t -> dir:int -> string -> unit
-val rmdir : t -> dir:int -> string -> unit
-
-val rename :
-  t -> src_dir:int -> src:string -> dst_dir:int -> dst:string -> unit
-
-val readdir : t -> dir:int -> (string * int) list
 
 (** {1 VFS} *)
 

@@ -18,9 +18,6 @@ val default_spec : spec
     (buffer ~0.4x dataset, page cache ~0.6x dataset, 1 GB/s NVMM at
     200 ns), sizes divided by ~80. See EXPERIMENTS.md. *)
 
-val trace_spec : spec
-(** Fig. 12 sizing: DRAM buffer = 1/10 of the trace working set. *)
-
 val config_of : spec -> Hinfs_nvmm.Config.t
 
 (** {2 Running a cell}

@@ -3,11 +3,6 @@
     Derived entirely from deterministic virtual-clock data — two runs with
     the same seed produce byte-identical files. *)
 
-val schema_version : int
-
-val summary_json : Hinfs_obs.Hist.summary -> Hinfs_obs.Ojson.t
-(** [{"count", "min", "mean", "p50", "p90", "p99", "p999", "max"}]. *)
-
 val experiment_json :
   name:string ->
   fs:string ->

@@ -1,7 +1,5 @@
 (* Table/figure rendering helpers for the benchmark harness. *)
 
-let hr ppf width = Fmt.pf ppf "%s@." (String.make width '-')
-
 let heading ppf title =
   Fmt.pf ppf "@.==== %s ====@.@." title
 
@@ -189,4 +187,3 @@ let f1 v = Fmt.str "%.1f" v
 let f2 v = Fmt.str "%.2f" v
 let f0 v = Fmt.str "%.0f" v
 let ms ns = Fmt.str "%.2f" (Int64.to_float ns /. 1e6)
-let pct v = Fmt.str "%.1f%%" (100.0 *. v)

@@ -1,6 +1,5 @@
 (** Table/figure rendering helpers for the benchmark harness. *)
 
-val hr : Format.formatter -> int -> unit
 val heading : Format.formatter -> string -> unit
 val subheading : Format.formatter -> string -> unit
 
@@ -39,6 +38,3 @@ val f1 : float -> string
 val f2 : float -> string
 val ms : int64 -> string
 (** Nanoseconds rendered as milliseconds with two decimals. *)
-
-val pct : float -> string
-(** A fraction rendered as a percentage. *)

@@ -64,7 +64,6 @@ let create bdev ~first_block ~blocks =
   }
 
 let commits t = t.commits
-let running_blocks t = Hashtbl.length t.running
 
 (* Register a dirty metadata block in the running transaction. The content
    provider is called at commit time so the freshest image is journaled. *)

@@ -10,8 +10,6 @@ type t
 val create : Hinfs_blockdev.Blockdev.t -> first_block:int -> blocks:int -> t
 
 val commits : t -> int
-val running_blocks : t -> int
-
 val journal_metadata : t -> block:int -> content:(unit -> Bytes.t) -> unit
 (** Add a dirty metadata block to the running transaction. [content] is
     called at commit time to obtain the freshest image. *)
@@ -21,8 +19,6 @@ val add_ordered_data : t -> (unit -> unit) -> unit
 
 val forget : t -> block:int -> unit
 (** Drop a freed block from the running transaction (jbd2 "forget"). *)
-
-val max_blocks_per_txn : t -> int
 
 val commit : t -> unit
 (** Commit the running transaction (no-op if it is empty). *)

@@ -120,14 +120,9 @@ val encode_entry :
 val entry_crc_ok : Bytes.t -> bool
 (** Whether a raw 64-byte entry's stored CRC matches its contents. *)
 
-val type_data : int
 val type_commit : int
 
-val type_epoch_commit : int
-(** Cross-shard commit entry; its payload is the 8-byte (LE) epoch id. *)
-
 val entry_size : int
-val payload_capacity : int
 
 val count_valid_entries :
   Hinfs_nvmm.Device.t -> first_block:int -> blocks:int -> int

@@ -23,8 +23,6 @@ val committed : t -> int
 val commits : t -> int
 (** Number of epoch-record commits this mount (observability gauge). *)
 
-val next_epoch : t -> int
-
 val commit : t -> int -> unit
 (** Persist the record with the given epoch as the committed watermark:
     the atomic commit point. Timed; call from inside a simulation

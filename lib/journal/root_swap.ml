@@ -19,7 +19,6 @@ module Crc32c = Hinfs_structures.Crc32c
 let magic = 0x436F5721
 let n_ptrs = 5
 let slot_size = 64
-let region_size = 2 * slot_size
 let crc_off = 56
 
 type desc = { seq : int64; ptrs : int64 array }

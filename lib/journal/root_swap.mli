@@ -18,21 +18,6 @@ type desc = {
   ptrs : int64 array;  (** exactly {!n_ptrs} root pointers / scalars *)
 }
 
-val n_ptrs : int
-(** Number of 64-bit payload words carried by a descriptor (5). *)
-
-val slot_size : int
-(** Bytes per slot: 64, one cacheline. *)
-
-val region_size : int
-(** Bytes occupied by the two slots: 128. *)
-
-val encode : desc -> Bytes.t
-(** [slot_size] bytes: magic, seq, ptrs, trailing CRC-32C over the rest. *)
-
-val decode : Bytes.t -> desc option
-(** [None] if the magic or the checksum does not match. *)
-
 val write_initial : Device.t -> addr:int -> desc -> unit
 (** mkfs-time: store the descriptor into both slots through the untimed
     reliable path and fence. *)

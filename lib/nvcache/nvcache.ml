@@ -222,7 +222,6 @@ type t = {
   mutable bypasses : int;
 }
 
-let design t = t.design
 let backlog t = Queue.length t.queue
 let appends t = t.appends
 let absorbed_bytes t = t.absorbed_bytes
@@ -915,16 +914,12 @@ let start_daemons st =
   start_destage_daemon st.st_cache
 
 let mkfs_and_mount device ~design ~mode ?cache_bytes ?journal_blocks
-    ?inodes_per_mb ?sync_mount ?cache_pages ?commit_interval
-    ?(daemons = false) () =
+    ?sync_mount ?cache_pages ?(daemons = false) () =
   let config = Device.config device in
   let backend_blocks, _, _ = area_of config cache_bytes in
-  Extfs.mkfs device ?journal_blocks ?inodes_per_mb ~total_blocks:backend_blocks
-    ();
+  Extfs.mkfs device ?journal_blocks ~total_blocks:backend_blocks ();
   format device ~design ?cache_bytes ();
-  let fs =
-    Extfs.mount device ~mode ?sync_mount ?cache_pages ?commit_interval ()
-  in
+  let fs = Extfs.mount device ~mode ?sync_mount ?cache_pages () in
   let tier =
     create_tier device ~design ~cache_bytes ~bdev:(Extfs.bdev fs) ~next_seq:1
   in
@@ -933,12 +928,10 @@ let mkfs_and_mount device ~design ~mode ?cache_bytes ?journal_blocks
   if daemons then start_daemons st;
   st
 
-let mount device ~mode ?cache_bytes ?sync_mount ?cache_pages ?commit_interval
+let mount device ~mode ?cache_bytes ?sync_mount ?cache_pages
     ?(daemons = false) () =
   let rec_result = recover device ?cache_bytes () in
-  let fs =
-    Extfs.mount device ~mode ?sync_mount ?cache_pages ?commit_interval ()
-  in
+  let fs = Extfs.mount device ~mode ?sync_mount ?cache_pages () in
   (* recover just persisted an empty cache header carrying the next
      sequence number; read it back as the tier's starting point. *)
   let config = Device.config device in

@@ -41,11 +41,6 @@ type recovery = {
 val default_cache_bytes : Hinfs_nvmm.Config.t -> int
 (** Device-size/8, clamped to [64 KiB, 64 MiB] and block-aligned. *)
 
-val format :
-  Hinfs_nvmm.Device.t -> design:design -> ?cache_bytes:int -> unit -> unit
-(** Untimed: write a fresh empty cache header (and, paging, zero the slot
-    entry table) over the tail [cache_bytes] of the device. *)
-
 val recover : Hinfs_nvmm.Device.t -> ?cache_bytes:int -> unit -> recovery
 (** Replay the cache area onto the backend blocks, untimed but visible to
     the persistence recorder ({!Hinfs_nvmm.Device.poke_flushed} +
@@ -66,10 +61,8 @@ val mkfs_and_mount :
   mode:Hinfs_extfs.Extfs.mode ->
   ?cache_bytes:int ->
   ?journal_blocks:int ->
-  ?inodes_per_mb:int ->
   ?sync_mount:bool ->
   ?cache_pages:int ->
-  ?commit_interval:int64 ->
   ?daemons:bool ->
   unit ->
   stack
@@ -84,7 +77,6 @@ val mount :
   ?cache_bytes:int ->
   ?sync_mount:bool ->
   ?cache_pages:int ->
-  ?commit_interval:int64 ->
   ?daemons:bool ->
   unit ->
   stack
@@ -92,7 +84,6 @@ val mount :
     (running its own journal replay on the now-consistent backend) and
     attach an empty tier. *)
 
-val start_daemons : stack -> unit
 val unmount : stack -> unit
 (** Flush the file system into the tier, drain the destage queue, stop the
     daemon: a clean unmount leaves the cache empty and the backend
@@ -106,7 +97,6 @@ val last_recovery : stack -> recovery option
 
 (** {1 Introspection (tests, gauges, report)} *)
 
-val design : t -> design
 val capacity_bytes : t -> int
 (** Payload capacity: ring data region (logging) / slot payloads (paging). *)
 

@@ -44,7 +44,6 @@ let set_fault_injector t f = t.injector <- f
 let injected_failure t =
   match t.injector with None -> false | Some f -> f ()
 
-let capacity t = t.count
 let free_blocks t = Bitmap.count_clear t.used
 let used_blocks t = Bitmap.count_set t.used
 

@@ -14,7 +14,6 @@ type policy = Lowest_free | Rolling
 type t
 
 val create : policy:policy -> first_block:int -> count:int -> t
-val capacity : t -> int
 val free_blocks : t -> int
 val used_blocks : t -> int
 val contains : t -> int -> bool

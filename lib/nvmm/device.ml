@@ -319,12 +319,10 @@ let charge ?span t cat f =
 
 (* A fixed cost computed by the caller. The time is booked before the
    sleep, so a run that ends mid-sleep still counts it; 0 does nothing. *)
-let charge_ns ?span t cat ns =
+let charge_ns t cat ns =
   if ns > 0 then begin
-    let t0 = match span with Some _ -> Proc.now () | None -> 0L in
     Stats.add_time t.stats cat (Int64.of_int ns);
-    Proc.delay_int ns;
-    match span with Some k -> Obs.span_since k ~t0 | None -> ()
+    Proc.delay_int ns
   end
 
 (* A CPU copy of [len] bytes at DRAM speed, one cost per cacheline. *)
@@ -620,17 +618,14 @@ let read t ~cat ~addr ~len ~into ~off =
     Stats.add_nvmm_read t.stats len
   end
 
-(* Bounded retry of transient media faults under [policy], each retry
-   after a backoff charged on the clock as a [Dev_retry] span. The final
-   [Fault.Media_error] (poison, or retries used up) propagates. *)
-let read_retrying t ~policy ~cat ~addr ~len ~into ~off =
+(* Bounded retry of transient media faults: up to three immediate
+   retries. The final [Fault.Media_error] (poison, or retries used up)
+   propagates. *)
+let read_retrying t ~cat ~addr ~len ~into ~off =
   let rec go attempt =
     try read t ~cat ~addr ~len ~into ~off with
-    | Fault.Media_error { transient = true; _ }
-      when attempt < policy.Fault.max_retries ->
+    | Fault.Media_error { transient = true; _ } when attempt < 3 ->
       Stats.add_media_retry t.stats;
-      charge_ns ~span:Obs.Dev_retry t cat
-        (Fault.retry_backoff_ns policy ~attempt);
       go (attempt + 1)
   in
   go 0
@@ -831,7 +826,6 @@ let get_u32 t addr =
       Int32.to_int (Bytes.get_int32_le b o) land 0xFFFFFFFF)
 
 let get_u64 t addr = get_word t addr 8 Bytes.get_int64_le
-let get_int t addr = Int64.to_int (get_u64 t addr)
 
 let set_bytes t ~cat ~addr bytes =
   write_cached t ~cat ~addr ~src:bytes ~off:0 ~len:(Bytes.length bytes)
@@ -845,8 +839,6 @@ let set_u8 = set_word 1 Bytes.set_uint8
 let set_u16 = set_word 2 Bytes.set_uint16_le
 let set_u32 = set_word 4 (fun b o v -> Bytes.set_int32_le b o (Int32.of_int v))
 let set_u64 = set_word 8 Bytes.set_int64_le
-
-let set_int t ~cat addr v = set_u64 t ~cat addr (Int64.of_int v)
 
 (* --- crash injection --- *)
 

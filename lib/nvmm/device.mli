@@ -35,11 +35,10 @@ val bandwidth : t -> Hinfs_sim.Resource.t
     The device is the one place a cost becomes virtual time and
     {!Hinfs_stats.Stats} time; every layer above charges through it. *)
 
-val charge_ns :
-  ?span:Hinfs_obs.Obs.kind -> t -> Hinfs_stats.Stats.category -> int -> unit
+val charge_ns : t -> Hinfs_stats.Stats.category -> int -> unit
 (** [charge_ns t cat ns] books [ns] to [cat], then sleeps [ns] (so a run
-    that stops mid-sleep still counts it). With [span], the sleep is also
-    recorded as that [Obs] span. A charge of 0 or less does nothing. *)
+    that stops mid-sleep still counts it). A charge of 0 or less does
+    nothing. *)
 
 val charge_memcpy :
   t -> Hinfs_stats.Stats.category -> [ `Read | `Write ] -> int -> unit
@@ -64,16 +63,14 @@ val read :
 
 val read_retrying :
   t ->
-  policy:Fault.retry_policy ->
   cat:Hinfs_stats.Stats.category ->
   addr:int ->
   len:int ->
   into:Bytes.t ->
   off:int ->
   unit
-(** {!read}, retrying transient faults up to [policy.max_retries] times
-    after the policy's backoff (charged to [cat], an [Obs.Dev_retry] span,
-    counted by [Stats.add_media_retry]). The final {!Fault.Media_error}
+(** {!read}, retrying transient faults up to 3 times, immediately (each
+    retry counted by [Stats.add_media_retry]). The final {!Fault.Media_error}
     propagates: a poisoned line, or a transient fault past the budget. *)
 
 val read_alloc :
@@ -133,12 +130,10 @@ val get_u8 : t -> int -> int
 val get_u16 : t -> int -> int
 val get_u32 : t -> int -> int
 val get_u64 : t -> int -> int64
-val get_int : t -> int -> int
 val set_u8 : t -> cat:Hinfs_stats.Stats.category -> int -> int -> unit
 val set_u16 : t -> cat:Hinfs_stats.Stats.category -> int -> int -> unit
 val set_u32 : t -> cat:Hinfs_stats.Stats.category -> int -> int -> unit
 val set_u64 : t -> cat:Hinfs_stats.Stats.category -> int -> int64 -> unit
-val set_int : t -> cat:Hinfs_stats.Stats.category -> int -> int -> unit
 val set_bytes : t -> cat:Hinfs_stats.Stats.category -> addr:int -> Bytes.t -> unit
 
 (** {1 Untimed access (setup, recovery inspection, tests)} *)

@@ -68,35 +68,6 @@ let create ?(poison_rate = 0.0) ?(transient_rate = 0.0) ~seed () =
     heals = 0;
   }
 
-let seed t = t.seed
-let poison_rate t = t.poison_rate
-let transient_rate t = t.transient_rate
-
-(* --- transient-read retry policy ---
-
-   How a mount reacts to [Media_error { transient = true }]: retry up to
-   [max_retries] times, sleeping [backoff_ns * multiplier^attempt] of
-   virtual time before each retry (the driver poll model: back off so a
-   busy line's ECC recovery can complete). The backoff is charged on the
-   simulated clock by the caller, so retries are visible in dev.* latency
-   histograms rather than free. [default_retry] reproduces the historical
-   hardcoded behaviour (3 immediate retries, no backoff). *)
-
-type retry_policy = {
-  max_retries : int;  (** retries after the first failed attempt *)
-  backoff_ns : int;  (** virtual-time sleep before the first retry *)
-  backoff_multiplier : int;  (** geometric growth per further retry *)
-}
-
-let default_retry = { max_retries = 3; backoff_ns = 0; backoff_multiplier = 2 }
-
-let retry_backoff_ns policy ~attempt =
-  if policy.backoff_ns <= 0 then 0
-  else begin
-    let rec pow acc n = if n <= 0 then acc else pow (acc * policy.backoff_multiplier) (n - 1) in
-    policy.backoff_ns * pow 1 attempt
-  end
-
 (* --- device hooks (line-index granularity) --- *)
 
 type load_fault = Poisoned | Transient

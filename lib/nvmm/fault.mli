@@ -23,29 +23,6 @@ val create :
     that a load faults once. Both default to [0.] (explicit injection
     only). *)
 
-val seed : t -> int64
-val poison_rate : t -> float
-val transient_rate : t -> float
-
-(** {1 Transient-read retry policy}
-
-    How a mount reacts to [Media_error { transient = true }]: up to
-    [max_retries] retries, backing off [backoff_ns * multiplier^attempt]
-    of virtual time before each (charged on the simulated clock by the
-    caller, so retries show up in dev.* latency histograms). *)
-
-type retry_policy = {
-  max_retries : int;  (** retries after the first failed attempt *)
-  backoff_ns : int;  (** virtual-time sleep before the first retry *)
-  backoff_multiplier : int;  (** geometric growth per further retry *)
-}
-
-val default_retry : retry_policy
-(** The historical behaviour: 3 immediate retries, no backoff. *)
-
-val retry_backoff_ns : retry_policy -> attempt:int -> int
-(** Backoff to charge before retry number [attempt] (0-based). *)
-
 (** {1 Device hooks} — called by {!Device} with cacheline indices. *)
 
 type load_fault = Poisoned | Transient

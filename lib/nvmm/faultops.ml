@@ -57,8 +57,6 @@ let create ?(block_alloc_rate = 0.0) ?(inode_alloc_rate = 0.0)
     injected = [| 0; 0; 0 |];
   }
 
-let seed t = t.seed
-
 let force t kind ~after =
   if after < 0 then invalid_arg "Faultops.force: negative countdown";
   t.forced.(kind_index kind) <- Some after
@@ -86,4 +84,3 @@ let check t kind =
 
 let opportunities t kind = t.opportunities.(kind_index kind)
 let injected t kind = t.injected.(kind_index kind)
-let total_injected t = Array.fold_left ( + ) 0 t.injected

@@ -22,8 +22,6 @@ val create :
   t
 (** Rates are per-opportunity injection probabilities in [0, 1]. *)
 
-val seed : t -> int64
-
 val force : t -> kind -> after:int -> unit
 (** Arm a deterministic one-shot: the [after]-th next opportunity of [kind]
     fails ([after = 0] fails the very next one). Takes priority over — and
@@ -36,4 +34,3 @@ val check : t -> kind -> bool
 
 val opportunities : t -> kind -> int
 val injected : t -> kind -> int
-val total_injected : t -> int

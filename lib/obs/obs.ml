@@ -45,7 +45,6 @@ type kind =
   | Nvcache_replay
   | Snapshot_commit
   | Snapshot_gc
-  | Dev_retry
   (* Serving-layer request classes (lib/server): one span per request,
      covering decode -> dispatch -> encode on the worker fiber. *)
   | Req_lookup
@@ -105,19 +104,18 @@ let kind_index = function
   | Nvcache_replay -> 28
   | Snapshot_commit -> 29
   | Snapshot_gc -> 30
-  | Dev_retry -> 31
-  | Req_lookup -> 32
-  | Req_getattr -> 33
-  | Req_read -> 34
-  | Req_write -> 35
-  | Req_create -> 36
-  | Req_remove -> 37
-  | Req_rename -> 38
-  | Req_commit -> 39
-  | Srv_queue -> 40
-  | Srv_decode -> 41
-  | Srv_encode -> 42
-  | Srv_flush -> 43
+  | Req_lookup -> 31
+  | Req_getattr -> 32
+  | Req_read -> 33
+  | Req_write -> 34
+  | Req_create -> 35
+  | Req_remove -> 36
+  | Req_rename -> 37
+  | Req_commit -> 38
+  | Srv_queue -> 39
+  | Srv_decode -> 40
+  | Srv_encode -> 41
+  | Srv_flush -> 42
 
 let all_kinds =
   [
@@ -126,7 +124,7 @@ let all_kinds =
     Op_truncate; Op_mmap; Op_munmap; Op_msync; Op_sync_all; Op_unmount;
     Journal_commit; Journal_recover; Writeback; Buffer_fetch; Flush; Fence;
     Slot_wait; Nvcache_append; Nvcache_destage; Nvcache_replay;
-    Snapshot_commit; Snapshot_gc; Dev_retry;
+    Snapshot_commit; Snapshot_gc;
     Req_lookup; Req_getattr; Req_read; Req_write; Req_create; Req_remove;
     Req_rename; Req_commit; Srv_queue; Srv_decode; Srv_encode; Srv_flush;
   ]
@@ -165,7 +163,6 @@ let kind_name = function
   | Nvcache_replay -> "nvcache.replay"
   | Snapshot_commit -> "snapshot.commit"
   | Snapshot_gc -> "snapshot.gc"
-  | Dev_retry -> "dev.retry"
   | Req_lookup -> "req.lookup"
   | Req_getattr -> "req.getattr"
   | Req_read -> "req.read"
@@ -200,7 +197,6 @@ type event =
 type t = {
   engine : Engine.t;
   trace : bool;
-  max_events : int;
   hists : Hist.t array;
   counters : (string, Hist.t) Hashtbl.t;
   stacks : (int, frame list ref) Hashtbl.t;
@@ -211,11 +207,13 @@ type t = {
   mutable switches : int;
 }
 
-let create ?(trace = false) ?(max_events = 200_000) engine =
+(* Trace events kept for export; later ones are counted as dropped. *)
+let max_events = 200_000
+
+let create ?(trace = false) engine =
   {
     engine;
     trace;
-    max_events;
     hists = Array.init n_kinds (fun _ -> Hist.create ());
     counters = Hashtbl.create 16;
     stacks = Hashtbl.create 16;
@@ -232,7 +230,7 @@ let current () = !cur
 let enabled () = match !cur with None -> false | Some _ -> true
 
 let push_event o e =
-  if o.n_events >= o.max_events then o.dropped <- o.dropped + 1
+  if o.n_events >= max_events then o.dropped <- o.dropped + 1
   else begin
     o.events <- e :: o.events;
     o.n_events <- o.n_events + 1
@@ -359,7 +357,8 @@ let counter_summaries o =
   Hashtbl.fold (fun name h acc -> (name, Hist.summarize h) :: acc) o.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let start_sampler ?(period_ns = 1_000_000L) o ~gauges =
+let start_sampler o ~gauges =
+  let period_ns = 1_000_000L in
   let stop = ref false in
   Engine.spawn o.engine ~name:"obs-sampler" (fun () ->
       while not !stop do
@@ -437,4 +436,3 @@ let chrome_trace o =
       ("displayTimeUnit", Ojson.String "ns");
       ("droppedEvents", Ojson.Int o.dropped);
     ]
-

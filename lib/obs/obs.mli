@@ -48,7 +48,6 @@ type kind =
   | Nvcache_replay  (** nvcache mount-time log/slot replay *)
   | Snapshot_commit  (** CoW root-swap commit (refcount fixpoint + swap) *)
   | Snapshot_gc  (** CoW snapshot deletion / rollback refcount walk *)
-  | Dev_retry  (** transient-media-read retry backoff (charged on clock) *)
   | Req_lookup  (** serving layer: LOOKUP request, decode to reply *)
   | Req_getattr
   | Req_read
@@ -77,14 +76,11 @@ type ev =
 val kind_name : kind -> string
 (** Stable dotted name, e.g. ["op.read"], ["journal.commit"]. *)
 
-val ev_name : ev -> string
-val all_kinds : kind list
-
 type t
 
-val create : ?trace:bool -> ?max_events:int -> Engine.t -> t
+val create : ?trace:bool -> Engine.t -> t
 (** [trace] (default [false]) keeps individual events for Chrome-trace
-    export, capped at [max_events] (default 200_000, overflow counted in
+    export, capped at 200_000 (overflow counted in
     {!dropped_events}); histograms and counters are always maintained. *)
 
 val install : t -> unit
@@ -138,10 +134,9 @@ val nonempty_hists : t -> (kind * Hist.summary) list
 val counter_summaries : t -> (string * Hist.summary) list
 (** Per-counter sample statistics, sorted by counter name. *)
 
-val start_sampler :
-  ?period_ns:int64 -> t -> gauges:(string * (unit -> int)) list -> unit -> unit
+val start_sampler : t -> gauges:(string * (unit -> int)) list -> unit -> unit
 (** [start_sampler t ~gauges] spawns a simulation process sampling every
-    gauge each [period_ns] (default 1 ms of virtual time) into {!counter}.
+    gauge each 1 ms of virtual time into {!counter}.
     Returns a stop function; the sampler exits at its next tick after stop,
     so the engine still drains. *)
 

@@ -264,5 +264,4 @@ let to_float = function
   | Int i -> Some (float_of_int i)
   | _ -> None
 
-let to_str = function String s -> Some s | _ -> None
 let to_list = function List l -> Some l | _ -> None

@@ -35,5 +35,4 @@ val to_int : t -> int option
 val to_float : t -> float option
 (** Accepts [Int] too. *)
 
-val to_str : t -> string option
 val to_list : t -> t list option

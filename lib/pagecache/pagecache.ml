@@ -43,18 +43,19 @@ type t = {
   flusher_wakeup : Condvar.t;
   mutable flusher_running : bool;
   mutable stop_flusher : bool;
-  (* knobs (pdflush-like defaults) *)
-  flush_interval : int64; (* periodic writeback period *)
-  dirty_ratio : float; (* wake the flusher above this *)
-  dirty_background_ratio : float; (* flusher cleans down to this *)
   (* statistics *)
   mutable hits : int;
   mutable misses : int;
   mutable foreground_writebacks : int;
 }
 
-let create ?(flush_interval = 5_000_000_000L) ?(dirty_ratio = 0.2)
-    ?(dirty_background_ratio = 0.1) bdev ~capacity_pages =
+(* pdflush-like defaults: periodic writeback every 5 s, the flusher woken
+   above 20% dirty pages and cleaning down to 10%. *)
+let flush_interval_ns = 5_000_000_000L
+let dirty_ratio = 0.2
+let dirty_background_ratio = 0.1
+
+let create bdev ~capacity_pages =
   if capacity_pages < 8 then
     invalid_arg "Pagecache.create: capacity too small";
   {
@@ -65,9 +66,6 @@ let create ?(flush_interval = 5_000_000_000L) ?(dirty_ratio = 0.2)
     flusher_wakeup = Condvar.create (Device.engine (Blockdev.device bdev));
     flusher_running = false;
     stop_flusher = false;
-    flush_interval;
-    dirty_ratio;
-    dirty_background_ratio;
     hits = 0;
     misses = 0;
     foreground_writebacks = 0;
@@ -76,7 +74,6 @@ let create ?(flush_interval = 5_000_000_000L) ?(dirty_ratio = 0.2)
 let block_size t = Blockdev.block_size t.bdev
 let cached_pages t = Lru.length t.pages
 let dirty_pages t = t.dirty_count
-let hits t = t.hits
 let misses t = t.misses
 let foreground_writebacks t = t.foreground_writebacks
 
@@ -105,7 +102,7 @@ let mark_dirty t page =
     if
       t.flusher_running
       && float_of_int t.dirty_count
-         > t.dirty_ratio *. float_of_int t.capacity
+         > dirty_ratio *. float_of_int t.capacity
     then ignore (Condvar.signal t.flusher_wakeup)
   end
 
@@ -301,10 +298,10 @@ let start_flusher t =
   Proc.spawn ~name:"pdflush" (fun () ->
       let rec loop () =
         if not t.stop_flusher then begin
-          ignore (Condvar.wait_timeout t.flusher_wakeup ~timeout:t.flush_interval);
+          ignore (Condvar.wait_timeout t.flusher_wakeup ~timeout:flush_interval_ns);
           if not t.stop_flusher then begin
             let target =
-              int_of_float (t.dirty_background_ratio *. float_of_int t.capacity)
+              int_of_float (dirty_background_ratio *. float_of_int t.capacity)
             in
             (* Oldest-dirtied first. *)
             let dirty = ref [] in

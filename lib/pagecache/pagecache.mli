@@ -8,18 +8,13 @@
 type t
 type page
 
-val create :
-  ?flush_interval:int64 ->
-  ?dirty_ratio:float ->
-  ?dirty_background_ratio:float ->
-  Hinfs_blockdev.Blockdev.t ->
-  capacity_pages:int ->
-  t
+val create : Hinfs_blockdev.Blockdev.t -> capacity_pages:int -> t
+(** pdflush-like policy: the flusher runs every 5 s of virtual time, is
+    woken early once more than 20% of the pages are dirty, and cleans down
+    to 10%. *)
 
-val block_size : t -> int
 val cached_pages : t -> int
 val dirty_pages : t -> int
-val hits : t -> int
 val misses : t -> int
 val foreground_writebacks : t -> int
 

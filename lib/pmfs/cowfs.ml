@@ -86,7 +86,6 @@ type t = {
   mutable commits : int;
   mutable mounted : bool;
   mutable read_only : string option;
-  sync_mount : bool;
   mutable commit_fault : (unit -> bool) option;
   (* Test hook: skip the payload fence before the root swap, making the
      descriptor and its payload race in the same fence window (the torn
@@ -164,8 +163,7 @@ let put_u8 t ~cat addr v =
 
 let read_or_eio t ~cat ~addr ~len ~into ~off =
   try
-    Device.read_retrying t.device ~policy:Fault.default_retry ~cat ~addr ~len
-      ~into ~off
+    Device.read_retrying t.device ~cat ~addr ~len ~into ~off
   with Fault.Media_error { addr = fault_addr; _ } ->
     Errno.raise_error EIO "uncorrectable NVMM media error at %#x" fault_addr
 
@@ -759,7 +757,7 @@ let mkfs device () =
   in
   Root_swap.write_initial device ~addr:0 desc
 
-let mount device ?(sync_mount = false) () =
+let mount device () =
   match Root_swap.load device ~addr:0 with
   | Error `Absent -> Errno.raise_error EINVAL "no cowfs root descriptor"
   | Error `Corrupt ->
@@ -795,7 +793,6 @@ let mount device ?(sync_mount = false) () =
         commits = 0;
         mounted = true;
         read_only = None;
-        sync_mount;
         commit_fault = None;
         sabotage_skip_payload_fence = false;
       }
@@ -814,9 +811,9 @@ let mount device ?(sync_mount = false) () =
     done;
     t
 
-let mkfs_and_mount device ?sync_mount () =
+let mkfs_and_mount device () =
   mkfs device ();
-  mount device ?sync_mount ()
+  mount device ()
 
 let attach_faultops t fo =
   let module Faultops = Hinfs_nvmm.Faultops in
@@ -1275,7 +1272,7 @@ module Backend : Hinfs_vfs.Backend.S with type t = t = struct
 
   let fs_name _ = "cowfs"
   let device = device
-  let sync_mount t = t.sync_mount
+  let sync_mount _ = false
   let root_ino _ = root_ino
   let lookup = lookup
   let create_file = create_file
@@ -1302,20 +1299,4 @@ end
 
 module Vfs_layer = Hinfs_vfs.Vfs.Make (Backend)
 
-let handle t =
-  let h = Vfs_layer.handle t in
-  {
-    h with
-    Hinfs_vfs.Vfs.snap_ops =
-      Some
-        {
-          Hinfs_vfs.Vfs.snapshot = (fun () -> snapshot t);
-          clone = (fun id -> clone t ~snap_id:id);
-          rollback = (fun id -> rollback t ~snap_id:id);
-          snapshot_delete = (fun id -> snapshot_delete t ~snap_id:id);
-          snapshots = (fun () -> with_read t (fun () -> snapshots t));
-          txn_begin = (fun () -> txn_begin t);
-          txn_commit = (fun () -> txn_commit t);
-          txn_abort = (fun () -> txn_abort t);
-        };
-  }
+let handle = Vfs_layer.handle

@@ -65,16 +65,16 @@ module Sb = struct
   let crc_len = clean_unmount_off
 end
 
-(* Derive a geometry from a device size and tuning knobs. The journal is
-   rounded up to a multiple of [shards] so every shard's region has the
-   same capacity; one block past the journal holds the epoch record. *)
-let geometry_of_config ?(journal_blocks = 64) ?(inodes_per_mb = 512)
-    ?(shards = 1) config =
+(* Derive a geometry from a device size and tuning knobs: 512 inodes per
+   MB of device. The journal is rounded up to a multiple of [shards] so
+   every shard's region has the same capacity; one block past the journal
+   holds the epoch record. *)
+let geometry_of_config ?(journal_blocks = 64) ?(shards = 1) config =
   if shards < 1 then invalid_arg "Layout: shards must be >= 1";
   let block_size = config.Config.block_size in
   let total_blocks = Config.blocks config in
   let mb = config.Config.nvmm_size / (1024 * 1024) in
-  let inode_count = max 256 (inodes_per_mb * max 1 mb) in
+  let inode_count = max 256 (512 * max 1 mb) in
   let itable_blocks =
     ((inode_count * Media.inode_size) + block_size - 1) / block_size
   in

@@ -26,14 +26,12 @@ module Obs = Hinfs_obs.Obs
 
 type t = {
   ctx : Fs_ctx.t;
-  sync_mount : bool;
   mutable mounted : bool;
   recovered_txns : int;
   recovered_by_shard : int array; (* rolled-back txns per shard journal *)
   mutable mount_fault : string option; (* first fault on the mount domain *)
   shard_faults : string option array; (* first fault per shard domain *)
   failed_repairs : int array; (* per repair domain, see [domain_fault] *)
-  mutable retry : Fault.retry_policy; (* transient-read retry/backoff *)
 }
 
 let ctx t = t.ctx
@@ -51,7 +49,6 @@ let epoch t = Fs_ctx.epoch t.ctx
 let recovered_txns t = t.recovered_txns
 let recovered_by_shard t = Array.copy t.recovered_by_shard
 let free_data_blocks t = Fs_ctx.free_data_blocks t.ctx
-let free_inodes t = Fs_ctx.free_inodes t.ctx
 
 (* Crash-fixture sabotage: when set, cross-shard renames commit each
    shard's transaction independently instead of through the epoch record,
@@ -70,9 +67,6 @@ let set_sabotage_skip_epoch v = sabotage_skip_epoch := v
    a degraded domain keeps the reason of its first fault. It still serves
    reads and fsync (DRAM or replicas may hold the only good copy) but
    rejects mutations with EROFS until a repair pass re-admits it. *)
-
-let retry_policy t = t.retry
-let set_retry_policy t policy = t.retry <- policy
 
 (* Whole-mount view, unchanged for shards = 1: [read_only] means no write
    anywhere can succeed. *)
@@ -107,11 +101,6 @@ let end_repair t s ~ok =
   end
   else t.failed_repairs.(s) <- t.failed_repairs.(s) + 1
 
-let check_writable t =
-  match t.mount_fault with
-  | None -> ()
-  | Some r -> Errno.raise_error EROFS "file system is read-only: %s" r
-
 (* Writes need the mount and the inode's home shard both healthy. *)
 let check_writable_ino t ~ino =
   match t.mount_fault with
@@ -145,14 +134,13 @@ let shard_of_addr t addr =
   end
   else None
 
-(* Transient media faults are retried under the mount's policy
-   ({!Device.read_retrying}). Unrecoverable (poisoned-line) faults degrade
-   the owning fault domain and surface as EIO on the data path; a repair
-   pass ([Hinfs_fsck.Repair.run_once]) can re-admit the domain. *)
+(* Transient media faults are retried ({!Device.read_retrying}).
+   Unrecoverable (poisoned-line) faults degrade the owning fault domain and
+   surface as EIO on the data path; a repair pass
+   ([Hinfs_fsck.Repair.run_once]) can re-admit the domain. *)
 let read_or_eio t ~cat ~addr ~len ~into ~off =
   try
-    Device.read_retrying (device t) ~policy:t.retry ~cat ~addr ~len ~into
-      ~off
+    Device.read_retrying (device t) ~cat ~addr ~len ~into ~off
   with Fault.Media_error { addr = fault_addr; _ } ->
     (match shard_of_addr t fault_addr with
     | Some s ->
@@ -166,11 +154,9 @@ let now t = Engine.now (Device.engine (device t))
 
 (* --- mkfs / mount --- *)
 
-let mkfs device ?journal_blocks ?inodes_per_mb ?shards () =
+let mkfs device ?journal_blocks ?shards () =
   let config = Device.config device in
-  let geo =
-    Layout.geometry_of_config ?journal_blocks ?inodes_per_mb ?shards config
-  in
+  let geo = Layout.geometry_of_config ?journal_blocks ?shards config in
   (* Zero the metadata regions. *)
   let zero = Bytes.make geo.Layout.block_size '\000' in
   for b = 0 to geo.Layout.data_start - 1 do
@@ -241,8 +227,7 @@ let itable_poison_reasons device geo =
     by_shard []
   |> List.sort compare
 
-let mount device ?(sync_mount = false) ?(journal_cleaner = false)
-    ?(retry = Fault.default_retry) () =
+let mount device ?(journal_cleaner = false) () =
   match Layout.read_superblock device with
   | `Absent -> Errno.raise_error EINVAL "no PMFS superblock on device"
   | `Corrupt ->
@@ -306,14 +291,12 @@ let mount device ?(sync_mount = false) ?(journal_cleaner = false)
     let t =
       {
         ctx;
-        sync_mount;
         mounted = true;
         recovered_txns = rolled_back;
         recovered_by_shard = Array.map (fun r -> r.Log.rolled_back) recoveries;
         mount_fault = None;
         shard_faults = Array.make nshards None;
         failed_repairs = Array.make nshards 0;
-        retry;
       }
     in
     (* Dropped (untrusted) journal records degrade only the shard whose
@@ -331,10 +314,9 @@ let mount device ?(sync_mount = false) ?(journal_cleaner = false)
       (itable_poison_reasons device geo);
     t
 
-let mkfs_and_mount device ?journal_blocks ?inodes_per_mb ?shards ?sync_mount
-    ?journal_cleaner ?retry () =
-  mkfs device ?journal_blocks ?inodes_per_mb ?shards ();
-  mount device ?sync_mount ?journal_cleaner ?retry ()
+let mkfs_and_mount device ?journal_blocks ?shards ?journal_cleaner () =
+  mkfs device ?journal_blocks ?shards ();
+  mount device ?journal_cleaner ()
 
 (* Wire an operation-level fault injector into every software resource
    path of this mount: data-block allocation, inode allocation, and
@@ -823,7 +805,7 @@ module Backend : Hinfs_vfs.Backend.S with type t = t = struct
 
   let fs_name _ = "pmfs"
   let device = device
-  let sync_mount t = t.sync_mount
+  let sync_mount _ = false
   let root_ino _ = Layout.root_ino
   let lookup = lookup
   let create_file = create_file

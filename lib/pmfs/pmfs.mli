@@ -13,7 +13,6 @@ type t
 val mkfs :
   Hinfs_nvmm.Device.t ->
   ?journal_blocks:int ->
-  ?inodes_per_mb:int ->
   ?shards:int ->
   unit ->
   unit
@@ -23,9 +22,7 @@ val mkfs :
 
 val mount :
   Hinfs_nvmm.Device.t ->
-  ?sync_mount:bool ->
   ?journal_cleaner:bool ->
-  ?retry:Hinfs_nvmm.Fault.retry_policy ->
   unit ->
   t
 (** Mounts the device (running undo-log recovery if the previous session
@@ -36,11 +33,8 @@ val mount :
 val mkfs_and_mount :
   Hinfs_nvmm.Device.t ->
   ?journal_blocks:int ->
-  ?inodes_per_mb:int ->
   ?shards:int ->
-  ?sync_mount:bool ->
   ?journal_cleaner:bool ->
-  ?retry:Hinfs_nvmm.Fault.retry_policy ->
   unit ->
   t
 
@@ -68,12 +62,8 @@ val attach_faultops : t -> Hinfs_nvmm.Faultops.t option -> unit
     domain: it keeps serving reads and fsync but rejects mutations with
     [EROFS], while sibling shards keep serving read-write. A repair pass
     ([Hinfs_fsck.Repair.run_once]) re-admits the domain in place. Transient
-    media faults on the data path are retried under a configurable backoff
-    policy charged on the virtual clock; persistent ones surface as
-    [EIO]. *)
-
-val retry_policy : t -> Hinfs_nvmm.Fault.retry_policy
-val set_retry_policy : t -> Hinfs_nvmm.Fault.retry_policy -> unit
+    media faults on the data path are retried up to 3 times, immediately;
+    persistent ones surface as [EIO]. *)
 
 val read_only : t -> bool
 (** Whole-mount view: [true] when the mount domain is degraded (no write
@@ -113,9 +103,6 @@ val shard_of_addr : t -> int -> int option
     slot, or data block), for fault attribution; [None] for mount-scoped
     addresses (superblock, epoch record). *)
 
-val check_writable : t -> unit
-(** Raise [EROFS] when the mount domain is degraded. *)
-
 val check_writable_ino : t -> ino:int -> unit
 (** Raise [EROFS] when the mount or [ino]'s home shard cannot take
     writes; mutations call this first. *)
@@ -137,7 +124,6 @@ val shard_count : t -> int
 val shard_of_ino : t -> int -> int
 val epoch : t -> Hinfs_journal.Epoch.t
 val free_data_blocks : t -> int
-val free_inodes : t -> int
 
 val set_sabotage_skip_epoch : bool -> unit
 (** Crash-fixture sabotage (global): cross-shard renames commit each
@@ -147,7 +133,6 @@ val set_sabotage_skip_epoch : bool -> unit
 
 (** {1 Inode operations} *)
 
-val check_ino : t -> int -> unit
 val inode_size : t -> int -> int
 val stat_of : t -> int -> Hinfs_vfs.Types.stat
 
@@ -190,7 +175,6 @@ val rename :
   t -> src_dir:int -> src:string -> dst_dir:int -> dst:string -> unit
 
 val readdir : t -> dir:int -> (string * int) list
-val sync_all : t -> unit
 
 (** {1 Lower-level data operations (the HiNFS substrate)} *)
 

@@ -108,19 +108,6 @@ let note_rename t ~src ~dst =
     Hashtbl.replace t.by_path dst slot);
   clobbered
 
-(* Whole-tree replacement (rollback / snapshot delete): every outstanding
-   handle predates the new tree, so all of them go stale at once — even
-   ones whose path and inode number happen to exist again afterwards. *)
-let invalidate_all t =
-  let n = Hashtbl.length t.by_path in
-  Hashtbl.iter
-    (fun _ slot ->
-      let e = Hashtbl.find t.slots slot in
-      e.stale <- true)
-    t.by_path;
-  Hashtbl.reset t.by_path;
-  n
-
 (* Deterministic table dump for the seeded-run equality test. *)
 let dump t =
   Hashtbl.fold (fun _ e acc -> (e.slot, e.gen, e.ino, e.path, e.stale) :: acc)

@@ -14,11 +14,7 @@
    - REMOVE stales the path's handle and closes its cached open before
      the unlink (the VFS refuses to unlink open files);
    - RENAME carries the handle to the new name and stales whatever was
-     clobbered at the destination;
-   - rollback / snapshot-delete go through [rollback]/[snapshot_delete]
-     here, which stale every handle and drop every cached open before
-     the tree swap — a handle minted before the swap can never be served
-     after it, per the ESTALE contract in Hinfs_vfs.Errno. *)
+     clobbered at the destination. *)
 
 module Engine = Hinfs_sim.Engine
 module Proc = Hinfs_sim.Proc
@@ -256,26 +252,3 @@ let rpc t ~sid req =
   reply
 
 let establish t = Session.establish t.sessions
-
-(* --- snapshot surface --- *)
-
-(* Whole-tree replacement invalidates every handle and cached open
-   before the swap: a stale handle must never be served from the new
-   tree (see the ESTALE contract). Cached opens are dropped unflushed —
-   their data belongs to the tree being replaced. *)
-let snap_ops t =
-  match t.vfs.Vfs.snap_ops with
-  | Some ops -> ops
-  | None -> Errno.raise_error EINVAL "%s has no snapshot surface" t.vfs.Vfs.fs_name
-
-let snapshot t = (snap_ops t).Vfs.snapshot ()
-
-let rollback t id =
-  Ofcache.drop_all t.cache;
-  ignore (Fhandle.invalidate_all t.handles);
-  (snap_ops t).Vfs.rollback id
-
-let snapshot_delete t id =
-  Ofcache.drop_all t.cache;
-  ignore (Fhandle.invalidate_all t.handles);
-  (snap_ops t).Vfs.snapshot_delete id

@@ -199,25 +199,9 @@ let step t =
     thunk ();
     true
 
-let run ?until t =
-  let continue_run () =
-    if t.fatal <> None then false
-    else
-      match until with
-      | None -> true
-      | Some limit -> (
-        match Heap.peek t.events with
-        | None -> true
-        | Some { time; _ } -> Int64.compare time limit <= 0)
-  in
-  let rec loop () = if continue_run () && step t then loop () in
+let run t =
+  let rec loop () = if t.fatal = None && step t then loop () in
   loop ();
-  (match until with
-  | Some limit when t.fatal = None && Int64.compare t.now limit < 0 ->
-    (* Even if the queue drained early, the clock advances to the horizon so
-       that rate computations use the requested window. *)
-    t.now <- limit
-  | _ -> ());
   match t.fatal with
   | None -> ()
   | Some (e, bt) ->

@@ -49,13 +49,6 @@ val set_proc_hooks :
 
 val clear_proc_hooks : t -> unit
 
-val at : t -> int64 -> (unit -> unit) -> unit
-(** [at t time thunk] schedules [thunk] to run at virtual [time].
-    @raise Invalid_argument if [time] is in the past. *)
-
-val after : t -> int64 -> (unit -> unit) -> unit
-(** [after t d thunk] is [at t (now t + d) thunk]. *)
-
 type timer
 (** A scheduled event that can be cancelled before it fires. *)
 
@@ -79,11 +72,6 @@ val is_fired : 'a waker -> bool
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** Schedule a new process to start at the current virtual time. *)
 
-val step : t -> bool
-(** Run the single earliest event. Returns [false] if the queue is empty. *)
-
-val run : ?until:int64 -> t -> unit
-(** Run events until the queue drains, or past the [until] horizon. If the
-    horizon is given, the clock is advanced to it even when the queue drains
-    early. The first uncaught exception from any process aborts the run and
-    is re-raised here. *)
+val run : t -> unit
+(** Run events until the queue drains. The first uncaught exception from
+    any process aborts the run and is re-raised here. *)

@@ -80,8 +80,6 @@ let add t ~time ~seq payload =
   sift_up t (t.size - 1) entry;
   entry
 
-let peek t = if t.size = 0 then None else Some t.data.(0)
-
 (* Fill the hole at [i] with the last entry, which may belong above or
    below it. *)
 let fill_hole t i =

@@ -21,9 +21,6 @@ val add : 'a t -> time:int64 -> seq:int -> 'a -> 'a entry
     handle {!remove} takes. The caller is responsible for supplying strictly
     increasing [seq] values. *)
 
-val peek : 'a t -> 'a entry option
-(** Earliest entry without removing it. *)
-
 val pop : 'a t -> 'a entry option
 (** Remove and return the earliest entry. *)
 

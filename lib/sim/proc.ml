@@ -8,8 +8,6 @@ let delay ns =
 
 let delay_int ns = delay (Int64.of_int ns)
 
-let yield () = Effect.perform (Engine.Delay 0L)
-
 let spawn ?(name = "process") f = Effect.perform (Engine.Spawn (name, f))
 
 let suspend register = Effect.perform (Engine.Suspend register)

@@ -13,9 +13,6 @@ val delay : int64 -> unit
 val delay_int : int -> unit
 (** [delay] taking an [int] of nanoseconds. *)
 
-val yield : unit -> unit
-(** Give other processes scheduled at the current time a chance to run. *)
-
 val spawn : ?name:string -> (unit -> unit) -> unit
 (** Start a child process at the current virtual time. *)
 

@@ -26,7 +26,6 @@ let create ~name ~capacity =
     total_waits = 0;
   }
 
-let name t = t.name
 let capacity t = t.capacity
 let available t = t.available
 let queued t = Queue.length t.waiters

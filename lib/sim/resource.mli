@@ -8,7 +8,6 @@ type t
 
 val create : name:string -> capacity:int -> t
 
-val name : t -> string
 val capacity : t -> int
 
 val available : t -> int
@@ -26,10 +25,6 @@ val peak_queue : t -> int
 val try_acquire : t -> int -> bool
 (** Non-blocking acquire; fails (returns [false]) if the units are not
     immediately available or other processes are already queued. *)
-
-val acquire : t -> int -> unit
-(** Blocking acquire of [amount] units. Must run inside a process.
-    @raise Invalid_argument if [amount] exceeds the capacity. *)
 
 val release : t -> int -> unit
 

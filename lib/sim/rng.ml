@@ -8,8 +8,6 @@ type t = { mutable state : int64 }
 
 let create ~seed = { state = seed }
 
-let copy t = { state = t.state }
-
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 let next_int64 t =
@@ -43,19 +41,3 @@ let chance t p = float t < p
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
   arr.(int t (Array.length arr))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
-(* Marsaglia polar method would need caching; a simple Box-Muller transform
-   keeps the generator stateless beyond the seed. *)
-let gaussian t ~mean ~stddev =
-  let u1 = max 1e-12 (float t) in
-  let u2 = float t in
-  let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
-  mean +. (stddev *. z)

@@ -3,7 +3,6 @@
 type t
 
 val create : seed:int64 -> t
-val copy : t -> t
 
 val next_int64 : t -> int64
 
@@ -22,5 +21,3 @@ val chance : t -> float -> bool
 (** [chance t p] is [true] with probability [p]. *)
 
 val pick : t -> 'a array -> 'a
-val shuffle : t -> 'a array -> unit
-val gaussian : t -> mean:float -> stddev:float -> float

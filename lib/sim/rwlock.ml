@@ -13,9 +13,6 @@ type t = {
 
 let create () = { readers = 0; writer = false; queue = Queue.create () }
 
-let readers t = t.readers
-let write_locked t = t.writer
-
 (* Admit queued waiters in FIFO order: a writer is admitted only when the
    lock is completely free; consecutive readers at the head are admitted
    together. *)

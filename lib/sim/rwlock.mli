@@ -5,11 +5,5 @@
 type t
 
 val create : unit -> t
-val readers : t -> int
-val write_locked : t -> bool
-val read_lock : t -> unit
-val read_unlock : t -> unit
-val write_lock : t -> unit
-val write_unlock : t -> unit
 val with_read : t -> (unit -> 'a) -> 'a
 val with_write : t -> (unit -> 'a) -> 'a

@@ -33,9 +33,6 @@ let create ~n ~theta =
   in
   { n; theta; alpha; zetan; eta; half_pow_theta = Float.pow 0.5 theta }
 
-let n t = t.n
-let theta t = t.theta
-
 let sample t rng =
   let u = Rng.float rng in
   let uz = u *. t.zetan in

@@ -8,8 +8,5 @@ type t
 val create : n:int -> theta:float -> t
 (** @raise Invalid_argument unless [n > 0] and [0 <= theta < 1]. *)
 
-val n : t -> int
-val theta : t -> float
-
 val sample : t -> Rng.t -> int
 (** Draw a rank in [0, n); rank 0 is the most popular. *)

@@ -13,7 +13,6 @@ let create length =
   if length < 0 then invalid_arg "Bitmap.create: negative length";
   { bits = Bytes.make ((length + 7) / 8) '\000'; length; set_count = 0 }
 
-let length t = t.length
 let count_set t = t.set_count
 let count_clear t = t.length - t.set_count
 
@@ -72,23 +71,3 @@ let find_first_clear ?(from = 0) t =
 let find_first_set ?(from = 0) t =
   if from < 0 then invalid_arg "Bitmap.find_first_set: negative start";
   find_first t ~from ~want:true
-
-let iter_set t f =
-  for i = 0 to t.length - 1 do
-    if get t i then f i
-  done
-
-let fold_set t init f =
-  let acc = ref init in
-  iter_set t (fun i -> acc := f !acc i);
-  !acc
-
-let copy t =
-  { bits = Bytes.copy t.bits; length = t.length; set_count = t.set_count }
-
-let pp ppf t =
-  Fmt.pf ppf "@[<h>";
-  for i = 0 to t.length - 1 do
-    Fmt.pf ppf "%c" (if get t i then '1' else '0')
-  done;
-  Fmt.pf ppf "@]"

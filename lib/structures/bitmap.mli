@@ -5,7 +5,6 @@ type t
 val create : int -> t
 (** All bits initially clear. *)
 
-val length : t -> int
 val count_set : t -> int
 val count_clear : t -> int
 
@@ -17,8 +16,3 @@ val clear_all : t -> unit
 
 val find_first_clear : ?from:int -> t -> int option
 val find_first_set : ?from:int -> t -> int option
-
-val iter_set : t -> (int -> unit) -> unit
-val fold_set : t -> 'a -> ('a -> int -> 'a) -> 'a
-val copy : t -> t
-val pp : Format.formatter -> t -> unit

@@ -20,7 +20,6 @@ and 'a t = {
 let create () = { head = None; tail = None; size = 0 }
 
 let length t = t.size
-let is_empty t = t.size = 0
 
 let make_node value = { value; prev = None; next = None; owner = None }
 
@@ -74,22 +73,11 @@ let move_to_back t node =
   remove t node;
   push_back t node
 
-let move_to_front t node =
-  remove t node;
-  push_front t node
-
 let peek_front t = Option.map (fun n -> n.value) t.head
 let peek_back t = Option.map (fun n -> n.value) t.tail
 
 let pop_front t =
   match t.head with
-  | None -> None
-  | Some node ->
-    remove t node;
-    Some node.value
-
-let pop_back t =
-  match t.tail with
   | None -> None
   | Some node ->
     remove t node;

@@ -9,7 +9,6 @@ type 'a t
 
 val create : unit -> 'a t
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 val make_node : 'a -> 'a node
 val value : 'a node -> 'a
@@ -22,12 +21,9 @@ val remove : 'a t -> 'a node -> unit
 (** @raise Invalid_argument if the node is not linked to this list. *)
 
 val move_to_back : 'a t -> 'a node -> unit
-val move_to_front : 'a t -> 'a node -> unit
-
 val peek_front : 'a t -> 'a option
 val peek_back : 'a t -> 'a option
 val pop_front : 'a t -> 'a option
-val pop_back : 'a t -> 'a option
 
 val iter : 'a t -> ('a -> unit) -> unit
 (** Front-to-back iteration; [f] may remove the node it is visiting. *)

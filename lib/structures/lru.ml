@@ -68,10 +68,3 @@ let find_lru_matching t f =
   !result
 
 let iter t f = Dlist.iter t.order (fun (k, v) -> f k v)
-
-let clear t =
-  Hashtbl.reset t.table;
-  let rec drain () =
-    match Dlist.pop_front t.order with None -> () | Some _ -> drain ()
-  in
-  drain ()

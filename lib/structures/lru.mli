@@ -27,5 +27,3 @@ val find_lru_matching : ('k, 'v) t -> ('k -> 'v -> bool) -> ('k * 'v) option
 
 val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit
 (** From least to most recently used. *)
-
-val clear : ('k, 'v) t -> unit

@@ -43,7 +43,6 @@ type t = {
 }
 
 let name t = t.trace_name
-let length t = List.length t.ops
 let ops t = t.ops
 
 (* --- generator scaffolding ---

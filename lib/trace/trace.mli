@@ -17,7 +17,6 @@ type op =
 type t
 
 val name : t -> string
-val length : t -> int
 val ops : t -> op list
 
 (** {1 Generators} *)

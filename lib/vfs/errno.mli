@@ -13,12 +13,11 @@
     hand out identity tokens outliving a single syscall (the lib/server
     file-handle table). A handle goes permanently stale when the object it
     named stops being that object: the path was unlinked (even if later
-    re-created — the re-creation carries a fresh generation), the path was
-    renamed over, or the whole tree was replaced under it by a
-    [rollback]/[snapshot_delete] on the snapshot surface. Revalidation
-    must fail with [ESTALE] {e before} touching any inode state, so a
-    stale handle can never read or mutate whichever unrelated inode now
-    holds its old inode number; the client's recovery is a fresh LOOKUP. *)
+    re-created — the re-creation carries a fresh generation) or the path
+    was renamed over. Revalidation must fail with [ESTALE] {e before}
+    touching any inode state, so a stale handle can never read or mutate
+    whichever unrelated inode now holds its old inode number; the client's
+    recovery is a fresh LOOKUP. *)
 
 type t =
   | ENOENT

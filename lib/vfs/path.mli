@@ -3,8 +3,6 @@
     The namespace is deliberately simple: absolute slash-separated paths,
     no symlinks, no "." or "..". *)
 
-val is_valid_component : string -> bool
-
 val split : string -> string list
 (** ["/a/b/c"] -> [["a"; "b"; "c"]]; ["/"] -> [[]].
     @raise Errno.Fs_error EINVAL on relative paths or bad components. *)

@@ -20,21 +20,6 @@ module Obs = Hinfs_obs.Obs
 
 type fd = int
 
-(* Whole-FS snapshot / transaction surface. Only CoW-capable backends
-   provide one; everyone else leaves [handle.snap_ops] at [None]. Kept as
-   a nested record (rather than more handle fields) so existing [{ h with
-   ... }] functional updates in interposing tiers carry it untouched. *)
-type snap_ops = {
-  snapshot : unit -> int;  (** commit + register a snapshot; returns its id *)
-  clone : int -> int;  (** new snapshot sharing an existing snapshot's tree *)
-  rollback : int -> unit;  (** working tree := snapshot's tree (committed) *)
-  snapshot_delete : int -> unit;  (** drop a snapshot; GC unshared blocks *)
-  snapshots : unit -> (int * int64) list;  (** [(id, commit seq)] live list *)
-  txn_begin : unit -> unit;
-  txn_commit : unit -> unit;
-  txn_abort : unit -> unit;
-}
-
 type handle = {
   fs_name : string;
   open_ : string -> Types.flags -> fd;
@@ -59,7 +44,6 @@ type handle = {
   msync : fd -> unit;
   sync_all : unit -> unit;
   unmount : unit -> unit;
-  snap_ops : snap_ops option;
 }
 
 module Make (B : Backend.S) = struct
@@ -378,6 +362,9 @@ module Make (B : Backend.S) = struct
             Option.iter
               (fun victim ->
                 check_replace t ~ino ~victim dst;
+                if is_open t victim then
+                  Errno.raise_error EINVAL
+                    "%s is still open (deferred deletion unsupported)" dst;
                 drop_victim t victim)
               victim;
             B.rename t.fs ~src_dir ~src:src_name ~dst_dir ~dst:dst_name
@@ -531,6 +518,5 @@ module Make (B : Backend.S) = struct
       msync = spanned1 Obs.Op_msync (msync t);
       sync_all = spanned1 Obs.Op_sync_all (fun () -> sync_all t);
       unmount = spanned1 Obs.Op_unmount (fun () -> unmount t);
-      snap_ops = None;
     }
 end

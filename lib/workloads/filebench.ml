@@ -297,11 +297,3 @@ let varmail ?(params = { default_params with
             incr ops);
         !ops);
   }
-
-let all ?params () =
-  [
-    fileserver ?params ();
-    webserver ();
-    webproxy ();
-    varmail ();
-  ]

@@ -26,5 +26,3 @@ val webproxy : ?params:params -> unit -> Workload.t
 val varmail : ?params:params -> unit -> Workload.t
 (** Mail server: create-append-fsync / read-append-fsync — mostly
     eager-persistent appends. *)
-
-val all : ?params:params -> unit -> Workload.t list

@@ -46,14 +46,3 @@ let populate (h : Vfs.handle) t rng ~io_size =
     write_stream h fd ~scratch ~size:(sample_size t rng) ~io_size;
     h.Vfs.close fd
   done
-
-(* Read a whole file in [io_size] chunks; returns bytes read. *)
-let read_whole (h : Vfs.handle) path ~scratch ~io_size =
-  let fd = h.Vfs.open_ path Types.rdonly in
-  let rec loop total =
-    let n = h.Vfs.read fd scratch (min io_size (Bytes.length scratch)) in
-    if n > 0 then loop (total + n) else total
-  in
-  let total = loop 0 in
-  h.Vfs.close fd;
-  total

@@ -13,19 +13,6 @@ val file_path : t -> int -> string
 val sample_size : t -> Hinfs_sim.Rng.t -> int
 (** Draw a file size around the mean (clamped gamma-like distribution). *)
 
-val write_stream :
-  Hinfs_vfs.Vfs.handle ->
-  Hinfs_vfs.Vfs.fd ->
-  scratch:Bytes.t ->
-  size:int ->
-  io_size:int ->
-  unit
-(** Write [size] bytes sequentially in [io_size] chunks. *)
-
 val populate :
   Hinfs_vfs.Vfs.handle -> t -> Hinfs_sim.Rng.t -> io_size:int -> unit
 (** Create the directory tree and all files (idempotent on directories). *)
-
-val read_whole :
-  Hinfs_vfs.Vfs.handle -> string -> scratch:Bytes.t -> io_size:int -> int
-(** Open, read to EOF in chunks, close; returns bytes read. *)

@@ -16,6 +16,10 @@ cd "$(dirname "$0")/.."
 dune build
 dune runtest
 
+# Size of lib/ for the log (gates nothing): lines, optional parameters,
+# .mli values no other module reads.
+sh scripts/census.sh
+
 dune build @obs-smoke --force
 # Every hinfs_cli subcommand once (not in runtest, so tier-1 wall time
 # does not move); each must exit 0.

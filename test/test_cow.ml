@@ -3,9 +3,8 @@
    transactions held to the crash-image standard (a device image taken
    mid-transaction mounts to the pre-transaction state, bit for bit),
    abort paths proven net-zero under injected allocation and commit
-   faults, newest-root-slot poison fallback with repair, the VFS
-   [snap_ops] surface, and fsck vacuity (a corrupted refcount really is
-   flagged). *)
+   faults, newest-root-slot poison fallback with repair, and fsck
+   vacuity (a corrupted refcount really is flagged). *)
 
 module Stats = Hinfs_stats.Stats
 module Device = Hinfs_nvmm.Device
@@ -268,7 +267,7 @@ let test_root_slot_poison_fallback () =
    consumes the pending transient and the read returns the true bytes
    instead of EIO. A load stops at its first faulting line, so each retry
    clears one line: the read spans two lines, within the three-retry
-   budget of [Fault.default_retry]. *)
+   budget of [Device.read_retrying]. *)
 let test_transient_read_retried () =
   Testkit.run_sim (fun engine ->
       let stats = Stats.create () in
@@ -355,48 +354,6 @@ let test_malformed_dirent () =
       check_bool "readdir fails with EIO" true
         (eio (fun () -> Cowfs.readdir fs ~dir:root)))
 
-(* --- VFS snap_ops surface --- *)
-
-let test_handle_snap_ops () =
-  Testkit.run_sim (fun engine ->
-      let device = Testkit.make_device engine in
-      let fs = Cowfs.mkfs_and_mount device () in
-      let h = Cowfs.handle fs in
-      let ops =
-        match h.Vfs.snap_ops with
-        | Some ops -> ops
-        | None -> Alcotest.fail "cowfs handle must expose snap_ops"
-      in
-      let data = Testkit.pattern_bytes ~seed:15 1200 in
-      let fd = h.Vfs.open_ "/f" { Types.creat with Types.truncate = true } in
-      ignore (h.Vfs.write fd data (Bytes.length data));
-      h.Vfs.fsync fd;
-      h.Vfs.close fd;
-      let s = ops.Vfs.snapshot () in
-      let fd = h.Vfs.open_ "/f" { Types.creat with Types.truncate = true } in
-      ignore (h.Vfs.write fd (Bytes.make 10 'x') 10);
-      h.Vfs.close fd;
-      (* An aborted transaction takes its file with it. *)
-      ops.Vfs.txn_begin ();
-      let fd = h.Vfs.open_ "/g" { Types.creat with Types.truncate = true } in
-      ignore (h.Vfs.write fd data (Bytes.length data));
-      h.Vfs.close fd;
-      ops.Vfs.txn_abort ();
-      (match h.Vfs.open_ "/g" Types.rdonly with
-      | _ -> Alcotest.fail "/g must vanish with the aborted transaction"
-      | exception Errno.Fs_error (Errno.ENOENT, _) -> ());
-      ops.Vfs.rollback s;
-      let fd = h.Vfs.open_ "/f" Types.rdonly in
-      let buf = Bytes.create (Bytes.length data) in
-      let n = h.Vfs.pread fd ~off:0 buf (Bytes.length data) in
-      h.Vfs.close fd;
-      check_int "rollback restored length" (Bytes.length data) n;
-      Testkit.check_bytes "rollback restored content" data buf;
-      check_int "one snapshot live" 1 (List.length (ops.Vfs.snapshots ()));
-      ops.Vfs.snapshot_delete s;
-      check_int "snapshot deleted" 0 (List.length (ops.Vfs.snapshots ()));
-      fsck_clean "after vfs snap_ops" fs)
-
 let () =
   Alcotest.run "cow"
     [
@@ -437,6 +394,4 @@ let () =
             test_fsck_flags_refcount_corruption;
           Alcotest.test_case "malformed dirent" `Quick test_malformed_dirent;
         ] );
-      ( "vfs",
-        [ Alcotest.test_case "handle snap_ops" `Quick test_handle_snap_ops ] );
     ]

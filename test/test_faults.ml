@@ -444,50 +444,30 @@ let test_degraded_shard_vfs_boundary () =
         (h.Vfs.pread vfd ~off:0 buf 512);
       check_bool "all domains healthy again" true (Pmfs.fully_healthy fs))
 
-(* Satellite: the transient-read retry policy is configurable and its
-   backoff is charged on the virtual clock, visible in the dev.retry
-   histogram. *)
-let test_retry_backoff_charged () =
-  let obs_ref = ref None in
-  Fun.protect ~finally:(fun () -> Obs.uninstall ()) (fun () ->
-      Testkit.run_sim (fun engine ->
-          let obs = Obs.create engine in
-          Obs.install obs;
-          obs_ref := Some obs;
-          let stats = Stats.create () in
-          let d, fs = Testkit.make_pmfs ~stats engine in
-          Pmfs.set_retry_policy fs
-            { Fault.max_retries = 2; backoff_ns = 5_000; backoff_multiplier = 2 };
-          let len = 4096 in
-          let payload = Testkit.pattern_bytes ~seed:21 len in
-          let ino = Pmfs.create_file fs ~dir:root "jittery" in
-          ignore
-            (Pmfs.write fs ~ino ~off:0 ~src:payload ~src_off:0 ~len ~sync:true);
-          (* Every fresh line faults once; a single-line read therefore
-             faults on the first attempt and succeeds on the retry. *)
-          Device.set_fault_model d
-            (Some (Fault.create ~transient_rate:1.0 ~seed:11L ()));
-          let t0 = Engine.now engine in
-          let buf = Bytes.create line_size in
-          let n =
-            Pmfs.read fs ~ino ~off:0 ~len:line_size ~into:buf ~into_off:0
-          in
-          check_int "read completes under storm" line_size n;
-          Testkit.check_bytes "retried read returns true data"
-            (Bytes.sub payload 0 line_size)
-            buf;
-          let retries = Stats.media_retries stats in
-          check_bool "retries recorded" true (retries > 0);
-          let elapsed = Int64.sub (Engine.now engine) t0 in
-          check_bool "backoff charged on the virtual clock" true
-            (Int64.compare elapsed (Int64.of_int (retries * 5_000)) >= 0);
-          check_bool "no degradation from transient faults" true
-            (Pmfs.fully_healthy fs));
-      match !obs_ref with
-      | None -> Alcotest.fail "obs sink never installed"
-      | Some obs ->
-        check_bool "dev.retry histogram populated" true
-          ((Obs.hist obs Obs.Dev_retry).Hist.count > 0))
+(* PMFS's data path retries a transient read fault: under a storm that
+   faults every fresh line once, the read still completes with the
+   written bytes, the retries are counted, and no domain degrades. *)
+let test_transient_storm_retried () =
+  Testkit.run_sim (fun engine ->
+      let stats = Stats.create () in
+      let d, fs = Testkit.make_pmfs ~stats engine in
+      let len = 4096 in
+      let payload = Testkit.pattern_bytes ~seed:21 len in
+      let ino = Pmfs.create_file fs ~dir:root "jittery" in
+      ignore (Pmfs.write fs ~ino ~off:0 ~src:payload ~src_off:0 ~len ~sync:true);
+      (* Every fresh line faults once; a single-line read therefore
+         faults on the first attempt and succeeds on the retry. *)
+      Device.set_fault_model d
+        (Some (Fault.create ~transient_rate:1.0 ~seed:11L ()));
+      let buf = Bytes.create line_size in
+      let n = Pmfs.read fs ~ino ~off:0 ~len:line_size ~into:buf ~into_off:0 in
+      check_int "read completes under storm" line_size n;
+      Testkit.check_bytes "retried read returns true data"
+        (Bytes.sub payload 0 line_size)
+        buf;
+      check_bool "retries recorded" true (Stats.media_retries stats > 0);
+      check_bool "no degradation from transient faults" true
+        (Pmfs.fully_healthy fs))
 
 (* A degraded domain is not degraded-forever: the repair pass runs in
    place — journal re-replay, scrub, fsck — and re-admits the domain once
@@ -594,8 +574,8 @@ let () =
         [
           Alcotest.test_case "degraded shard at the VFS boundary" `Quick
             test_degraded_shard_vfs_boundary;
-          Alcotest.test_case "retry backoff charged on virtual clock" `Quick
-            test_retry_backoff_charged;
+          Alcotest.test_case "transient storm retried" `Quick
+            test_transient_storm_retried;
           Alcotest.test_case "unsharded mount repaired in place" `Quick
             (test_repair_in_place ~shards:1);
           Alcotest.test_case "sharded mount repaired in place" `Quick

@@ -193,40 +193,6 @@ let test_generation_bump () =
             | Wire.R_attr _ -> true
             | _ -> false)))
 
-(* --- ESTALE after rollback / snapshot delete --- *)
-
-let test_estale_after_rollback () =
-  Testkit.run_sim (fun engine ->
-      let device = Testkit.make_device engine in
-      let fs = Cowfs.mkfs_and_mount device () in
-      with_server engine (Cowfs.handle fs) (fun srv ->
-          let sid = Server.establish srv in
-          let rpc r = Server.rpc srv ~sid r in
-          let fh, _ = expect_handle (rpc (Wire.Create "/f")) in
-          expect_ok (rpc (Wire.Write (fh, 0, "before", true)));
-          let snap = Server.snapshot srv in
-          expect_ok (rpc (Wire.Write (fh, 0, "AFTER!", true)));
-          Server.rollback srv snap;
-          (* revalidation must ESTALE before serving any inode state from
-             the rolled-back tree — even though the path exists again *)
-          check_bool "handle stale after rollback" true
-            (expect_err (rpc (Wire.Getattr fh)) = Errno.ESTALE);
-          check_bool "reads blocked too" true
-            (expect_err (rpc (Wire.Read (fh, 0, 6))) = Errno.ESTALE);
-          (* fresh lookup sees the rolled-back content *)
-          let fh2, _ = expect_handle (rpc (Wire.Lookup "/f")) in
-          check_string "rolled-back data" "before"
-            (expect_data (rpc (Wire.Read (fh2, 0, 6))));
-          (* snapshot_delete also invalidates outstanding handles *)
-          let snap2 = Server.snapshot srv in
-          check_bool "live before delete" true
-            (match rpc (Wire.Getattr fh2) with
-            | Wire.R_attr _ -> true
-            | _ -> false);
-          Server.snapshot_delete srv snap2;
-          check_bool "handle stale after snapshot delete" true
-            (expect_err (rpc (Wire.Getattr fh2)) = Errno.ESTALE)))
-
 (* --- bounded open-file cache --- *)
 
 let test_bounded_eviction () =
@@ -352,8 +318,6 @@ let () =
         [
           Alcotest.test_case "generation bump on recreate" `Quick
             test_generation_bump;
-          Alcotest.test_case "ESTALE after rollback" `Quick
-            test_estale_after_rollback;
           Alcotest.test_case "fleet determinism" `Quick test_fleet_determinism;
         ] );
       ( "ofcache",

@@ -136,20 +136,6 @@ let test_spawn_interleaving () =
     [ "a0"; "b0"; "b5"; "a10"; "main20" ]
     (List.rev !trace)
 
-let test_run_until_horizon () =
-  let engine = Engine.create () in
-  let fired = ref 0 in
-  Engine.spawn engine (fun () ->
-      let rec loop () =
-        Proc.delay 10L;
-        incr fired;
-        if !fired < 1000 then loop ()
-      in
-      loop ());
-  Engine.run ~until:55L engine;
-  check_int "events before horizon" 5 !fired;
-  check_i64 "clock at horizon" 55L (Engine.now engine)
-
 let test_exception_propagates () =
   let engine = Engine.create () in
   Engine.spawn engine (fun () ->
@@ -465,7 +451,6 @@ let () =
             test_delay_advances_clock;
           Alcotest.test_case "same-time FIFO" `Quick test_same_time_fifo;
           Alcotest.test_case "interleaving" `Quick test_spawn_interleaving;
-          Alcotest.test_case "run until horizon" `Quick test_run_until_horizon;
           Alcotest.test_case "exception propagates" `Quick
             test_exception_propagates;
           Alcotest.test_case "negative delay is a no-op" `Quick

@@ -338,6 +338,8 @@ let namespace_rows =
     row "rename a file over a file"
       ~after:(edited ~gone:[ "/a=/a"; "/b=/b" ] ~added:[ "/a=/b" ] ())
       (fun h -> h.Vfs.rename "/b" "/a");
+    row "rename onto an open file" ~expect:EINVAL (fun h ->
+        with_open h "/a" Types.rdonly (fun _ -> h.Vfs.rename "/b" "/a"));
     row "pread at offset -1" ~expect:EINVAL (fun h ->
         with_open h "/a" Types.rdonly (fun fd ->
             ignore (h.Vfs.pread fd ~off:(-1) (Bytes.create 10) 10)));

@@ -29,22 +29,19 @@ let make_device ?(config = small_config) ?stats engine =
   Device.create engine stats config
 
 (* Fresh PMFS on a fresh device, inside a running simulation. *)
-let make_pmfs ?config ?stats ?(sync_mount = false) engine =
+let make_pmfs ?config ?stats engine =
   let device = make_device ?config ?stats engine in
-  let fs =
-    Hinfs_pmfs.Pmfs.mkfs_and_mount device ~journal_blocks:32 ~sync_mount ()
-  in
+  let fs = Hinfs_pmfs.Pmfs.mkfs_and_mount device ~journal_blocks:32 () in
   (device, fs)
 
 (* Fresh HiNFS on a fresh device, inside a running simulation. Daemons are
    off by default so the engine drains when the test finishes; pass
    [daemons:true] and remember to unmount. *)
-let make_hinfs ?config ?stats ?shards ?hcfg ?(sync_mount = false)
-    ?(daemons = false) engine =
+let make_hinfs ?config ?stats ?shards ?hcfg ?(daemons = false) engine =
   let device = make_device ?config ?stats engine in
   let fs =
     Hinfs.Fs.mkfs_and_mount device ~journal_blocks:32 ?shards ?hcfg
-      ~sync_mount ~daemons ()
+      ~daemons ()
   in
   (device, fs)
 
