@@ -32,59 +32,84 @@ type block = {
   mutable in_use : bool;
 }
 
+(* Descriptors are made on first [alloc]: [blocks] holds ids [0, made),
+   growing by doubling, so an empty pool costs a few words whatever its
+   capacity. Ids go out in the eager FIFO's order: never-made ids
+   ascending (they sat at the front of that queue), then freed ids in the
+   order they were freed. *)
 type t = {
-  blocks : block array;
+  capacity : int;
+  mutable blocks : block array;
+  mutable made : int;
   block_size : int;
   lines_per_block : int;
-  free : int Queue.t;
+  free : int Queue.t; (* freed ids *)
   lrw : int Dlist.t;
   mutable free_count : int;
 }
 
 let create ~capacity ~block_size ~lines_per_block =
   if capacity <= 0 then invalid_arg "Buffer_pool.create: empty pool";
-  let blocks =
-    Array.init capacity (fun id ->
-        {
-          id;
-          data = Bytes.empty;
-          node = Dlist.make_node id;
-          ino = 0;
-          fblock = 0;
-          home = 0;
-          present = Clbitmap.empty;
-          dirty = Clbitmap.empty;
-          home_valid = Clbitmap.empty;
-          last_written = 0L;
-          pinned = 0;
-          in_use = false;
-        })
-  in
-  let free = Queue.create () in
-  Array.iter (fun b -> Queue.add b.id free) blocks;
   {
-    blocks;
+    capacity;
+    blocks = [||];
+    made = 0;
     block_size;
     lines_per_block;
-    free;
+    free = Queue.create ();
     lrw = Dlist.create ();
     free_count = capacity;
   }
 
-let capacity t = Array.length t.blocks
+let capacity t = t.capacity
 let free_count t = t.free_count
-let used_count t = capacity t - t.free_count
-let block t id = t.blocks.(id)
+let used_count t = t.capacity - t.free_count
 
-let free_fraction t = float_of_int t.free_count /. float_of_int (capacity t)
+let block t id =
+  if id < 0 || id >= t.made then invalid_arg "Buffer_pool.block: unknown id";
+  t.blocks.(id)
+
+let free_fraction t = float_of_int t.free_count /. float_of_int t.capacity
+
+(* The next block in FIFO order: a new descriptor while some id was never
+   handed out, else the block freed longest ago. *)
+let take t =
+  if t.made = t.capacity then
+    Option.map (Array.get t.blocks) (Queue.take_opt t.free)
+  else begin
+    let id = t.made in
+    let b =
+      {
+        id;
+        data = Bytes.empty;
+        node = Dlist.make_node id;
+        ino = 0;
+        fblock = 0;
+        home = 0;
+        present = Clbitmap.empty;
+        dirty = Clbitmap.empty;
+        home_valid = Clbitmap.empty;
+        last_written = 0L;
+        pinned = 0;
+        in_use = false;
+      }
+    in
+    if id = Array.length t.blocks then begin
+      let grown = Array.make (Int.min t.capacity (max 16 (2 * id))) b in
+      Array.blit t.blocks 0 grown 0 id;
+      t.blocks <- grown
+    end;
+    t.blocks.(id) <- b;
+    t.made <- id + 1;
+    Some b
+  end
 
 (* Take a free block and bind it to (ino, fblock, home). *)
 let alloc t ~ino ~fblock ~home ~now =
-  match Queue.take_opt t.free with
+  match take t with
   | None -> None
-  | Some id ->
+  | Some b ->
     t.free_count <- t.free_count - 1;
-    let b = t.blocks.(id) in
     assert (not b.in_use);
     if Bytes.length b.data = 0 then b.data <- Bytes.create t.block_size;
     b.ino <- ino;

@@ -1,6 +1,9 @@
 (** The DRAM write buffer pool (paper §3.2): a fixed population of 4 KB
     DRAM blocks on a free list and a global LRW (Least Recently Written)
-    list. Each block carries its Cacheline Bitmaps:
+    list. A block's descriptor is made on its first {!alloc}, so an unused
+    pool costs a few words whatever its capacity; ids are handed out in
+    FIFO order (never-used ids ascending, then freed ids in the order they
+    were freed). Each block carries its Cacheline Bitmaps:
 
     - [present]: lines holding valid data in DRAM;
     - [dirty]: lines awaiting writeback (subset of [present]);
@@ -30,6 +33,7 @@ val free_count : t -> int
 val used_count : t -> int
 val free_fraction : t -> float
 val block : t -> int -> block
+(** @raise Invalid_argument for an id {!alloc} never handed out. *)
 
 val alloc : t -> ino:int -> fblock:int -> home:int -> now:int64 -> block option
 (** Take a free block and bind it; [None] when the pool is exhausted (the

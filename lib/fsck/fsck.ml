@@ -85,7 +85,7 @@ let pp_report ppf r =
 
 type namespace = {
   device : Device.t;
-  peek : Device.t -> addr:int -> len:int -> Bytes.t;
+  persistent : bool; (* dirents read in the persistent view *)
   inode_count : int;
   live : int -> int option; (* address of an in-use inode *)
   add : string -> unit;
@@ -93,10 +93,10 @@ type namespace = {
   subdirs : (int, int) Hashtbl.t; (* dir ino -> subdirectory entries *)
 }
 
-let namespace ~device ~peek ~inode_count ~live ~add =
+let namespace ~device ~persistent ~inode_count ~live ~add =
   {
     device;
-    peek;
+    persistent;
     inode_count;
     live;
     add;
@@ -125,7 +125,7 @@ let check_inode ns ~ino ~ia =
       ns.add
         (Fmt.str "dir %d: size %d not a multiple of the block size" ino size);
     try
-      Media.Dirent.scan ~peek:ns.peek device ~ia
+      Media.Dirent.scan ~persistent:ns.persistent device ~ia
         (fun ~fblock:_ ~block ~slot entry ->
           (match entry with
           | Media.Dirent.Free -> ()
@@ -216,7 +216,7 @@ let check_pmfs fs =
   end;
   (* 2. Root inode. *)
   let ns =
-    namespace ~device ~peek:Device.peek_persistent
+    namespace ~device ~persistent:true
       ~inode_count:geo.Layout.inode_count ~add ~live:(fun ino ->
         if Layout.Inode.in_use device geo ino then
           Some (Layout.Inode.addr geo ino)
@@ -487,7 +487,7 @@ let check_cow fs =
      (dir links = 2 + subdirs; file links = dirent references). *)
   let imap = Cowfs.imap_root fs in
   let ns =
-    namespace ~device ~peek:Device.peek ~inode_count:(Cowfs.inode_count fs)
+    namespace ~device ~persistent:false ~inode_count:(Cowfs.inode_count fs)
       ~add ~live:(Cowfs.live_inode_at fs ~imap)
   in
   let inodes_checked = ref 0 in

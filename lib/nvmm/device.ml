@@ -273,8 +273,9 @@ let rec medium_read t ~addr dst doff len =
   if n < len then medium_read t ~addr:(addr + n) dst (doff + n) (len - n)
 
 (* Store [src] from [off] to medium bytes [addr, addr+len). A whole page
-   of one value [c] becomes [c]'s fill table; any other line stored is
-   replaced by a new one, settled, with the old line's unstored bytes. *)
+   of one value [c] becomes [c]'s fill table, and a whole line of one
+   value [c]'s fill line; any other line stored is replaced by a new one,
+   settled, with the old line's unstored bytes. *)
 let rec medium_write t ~addr src off len =
   let ps = page_size t and ls = line_size t in
   let p = addr / ps in
@@ -287,11 +288,19 @@ let rec medium_write t ~addr src off len =
     while !pos < po + n do
       let lo = !pos - (!s * ls) in
       let k = Int.min (ls - lo) (po + n - !pos) in
+      let from = off + !pos - po in
       let line =
-        if k < ls then Bytes.copy t.pages.(p).(!s) else Bytes.create ls
+        if k < ls then begin
+          let line = Bytes.copy t.pages.(p).(!s) in
+          Bytes.blit src from line lo k;
+          settle t line
+        end
+        else
+          let c = Bytes.unsafe_get src from in
+          if uniform src from ls c then (fill_table t c).(0)
+          else Bytes.sub src from ls
       in
-      Bytes.blit src (off + !pos - po) line lo k;
-      set_slot t p !s (settle t line);
+      set_slot t p !s line;
       pos := !pos + k;
       incr s
     done
@@ -773,6 +782,50 @@ let peek_persistent t ~addr ~len =
   let buf = Bytes.create len in
   if len > 0 then medium_read t ~addr buf 0 len;
   buf
+
+(* Records of [size] bytes from [addr] on, visited in place: per page one
+   table lookup, and an overlay probe per line only when the page has
+   dirty lines (never in the persistent view). A record crossing a line
+   is copied out through [peek]. *)
+let walk_records t ~persistent ~addr ~len ~size f =
+  check_range t ~addr ~len;
+  if size <= 0 then invalid_arg "Device.walk_records: size must be positive";
+  let ls = line_size t and ps = page_size t in
+  let last = addr + len - size in
+  let rec page a =
+    a > last
+    ||
+    let p = a / ps in
+    let tbl = t.pages.(p) in
+    let probe = (not persistent) && t.dirty_in_page.(p) > 0 in
+    let first_line = p * t.lines_per_page in
+    let rec record a =
+      if a > last then true
+      else if a / ps <> p then page a
+      else
+        let lo = a land (ls - 1) in
+        let more =
+          if lo + size > ls then
+            f
+              ((if persistent then peek_persistent else peek) t ~addr:a
+                 ~len:size)
+              0
+          else
+            let idx = a / ls in
+            let line =
+              if probe then
+                match Ltbl.find_opt t.overlay idx with
+                | Some line -> line
+                | None -> tbl.(idx - first_line)
+              else tbl.(idx - first_line)
+            in
+            f line lo
+        in
+        more && record (a + size)
+    in
+    record a
+  in
+  page addr
 
 (* Untimed raw store, for mkfs-time initialisation and tests. Writes the
    medium directly and drops any cached copy. *)

@@ -144,6 +144,22 @@ val peek : t -> addr:int -> len:int -> Bytes.t
 val peek_persistent : t -> addr:int -> len:int -> Bytes.t
 (** Medium contents only — what a crash would leave behind. *)
 
+val walk_records :
+  t ->
+  persistent:bool ->
+  addr:int ->
+  len:int ->
+  size:int ->
+  (Bytes.t -> int -> bool) ->
+  bool
+(** [walk_records t ~addr ~len ~size f] calls [f buf off] on each whole
+    [size]-byte record of [\[addr, addr+len)] in address order, the record
+    being [buf] from [off], until [f] returns [false]; returns [false] iff
+    [f] stopped the walk. Untimed, in {!peek_persistent}'s view if
+    [persistent], else in {!peek}'s coherent one. A record inside one
+    cacheline is read where it lies, with no copy: [f] must neither
+    write nor keep [buf], and must not store to the device. *)
+
 val poke : t -> addr:int -> src:Bytes.t -> off:int -> len:int -> unit
 (** Untimed raw store to the medium (mkfs-time initialisation). *)
 

@@ -181,58 +181,72 @@ module Dirent = struct
     | Live of string * int (* name, inode number *)
     | Bad_name_len of int (* in-use slot whose name length is out of range *)
 
-  (* The single decoder: a name length outside [1, max_name_len] is
-     reported, never trusted. *)
-  let decode raw =
-    let ino = Int32.to_int (Bytes.get_int32_le raw 0) in
+  (* The fields of the slot at [off] of [raw], read in place. A name
+     length outside [1, max_name_len] is reported, never trusted. *)
+  let ino_at raw off = Int32.to_int (Bytes.get_int32_le raw off)
+  let name_len_at raw off = Bytes.get_uint16_le raw (off + 4)
+  let valid_len len = len > 0 && len <= max_name_len
+
+  let decode raw off =
+    let ino = ino_at raw off in
     if ino = 0 then Free
     else begin
-      let len = Bytes.get_uint16_le raw 4 in
-      if len = 0 || len > max_name_len then Bad_name_len len
-      else Live (Bytes.sub_string raw 6 len, ino)
+      let len = name_len_at raw off in
+      if valid_len len then Live (Bytes.sub_string raw (off + 6) len, ino)
+      else Bad_name_len len
     end
 
   (* Visit every slot of the directory whose inode is at [ia], in file
-     block then slot order, until [f] returns false. Each dirent is read
-     through [peek] (the coherent view unless the caller asks for the
-     persistent one). *)
-  let scan ?(peek = Device.peek) device ~ia f =
+     block then slot order, until [f] returns false. [f] sees the slot in
+     place, [raw] from [off] (the coherent view unless [persistent]), and
+     must not keep [raw]. *)
+  let walk ?(persistent = false) device ~ia f =
     let bs = block_size device in
-    let per_block = bs / size in
     let nblocks = Inode.size device ia / bs in
     let rec block_loop fblock =
       if fblock < nblocks then
         match Tree.lookup device ~ia fblock with
         | None -> block_loop (fblock + 1)
         | Some block ->
-          let rec slot_loop slot =
-            if slot >= per_block then block_loop (fblock + 1)
-            else begin
-              let raw =
-                peek device ~addr:((block * bs) + (slot * size)) ~len:size
-              in
-              if f ~fblock ~block ~slot (decode raw) then slot_loop (slot + 1)
-            end
-          in
-          slot_loop 0
+          let slot = ref (-1) in
+          if
+            Device.walk_records device ~persistent ~addr:(block * bs) ~len:bs
+              ~size (fun raw off ->
+                incr slot;
+                f ~fblock ~block ~slot:!slot raw off)
+          then block_loop (fblock + 1)
     in
     block_loop 0
 
-  (* Live entries only; a malformed dirent fails the walk with EIO. *)
-  let iter device ~ia f =
-    scan device ~ia (fun ~fblock ~block ~slot -> function
-      | Free -> true
-      | Live (name, ino) -> f ~fblock ~block ~slot ~name ~ino
-      | Bad_name_len len ->
-        Errno.raise_error EIO
-          "dirent block %d slot %d has bad name length %d" block slot len)
+  let scan ?persistent device ~ia f =
+    walk ?persistent device ~ia (fun ~fblock ~block ~slot raw off ->
+        f ~fblock ~block ~slot (decode raw off))
+
+  (* The name length of an in-use slot; a malformed dirent fails the walk
+     with EIO. *)
+  let live_name_len ~block ~slot raw off =
+    let len = name_len_at raw off in
+    if not (valid_len len) then
+      Errno.raise_error EIO "dirent block %d slot %d has bad name length %d"
+        block slot len;
+    len
 
   type found = { ino : int; fblock : int; block : int; slot : int }
 
+  (* Names are compared where they lie, with no copy. *)
   let find device ~ia name =
+    let n = String.length name in
+    let rec same raw off i =
+      i >= n
+      || Bytes.unsafe_get raw (off + i) = String.unsafe_get name i
+         && same raw off (i + 1)
+    in
     let result = ref None in
-    iter device ~ia (fun ~fblock ~block ~slot ~name:entry ~ino ->
-        if String.equal entry name then begin
+    walk device ~ia (fun ~fblock ~block ~slot raw off ->
+        let ino = ino_at raw off in
+        if ino = 0 then true
+        else if live_name_len ~block ~slot raw off = n && same raw (off + 6) 0
+        then begin
           result := Some { ino; fblock; block; slot };
           false
         end
@@ -241,8 +255,12 @@ module Dirent = struct
 
   let list device ~ia =
     let acc = ref [] in
-    iter device ~ia (fun ~fblock:_ ~block:_ ~slot:_ ~name ~ino ->
-        acc := (name, ino) :: !acc;
+    walk device ~ia (fun ~fblock:_ ~block ~slot raw off ->
+        let ino = ino_at raw off in
+        if ino <> 0 then begin
+          let len = live_name_len ~block ~slot raw off in
+          acc := (Bytes.sub_string raw (off + 6) len, ino) :: !acc
+        end;
         true);
     List.rev !acc
 
@@ -250,8 +268,8 @@ module Dirent = struct
      (fblock, block, slot). *)
   let free_slot device ~ia =
     let result = ref None in
-    scan device ~ia (fun ~fblock ~block ~slot entry ->
-        if entry = Free then begin
+    walk device ~ia (fun ~fblock ~block ~slot raw off ->
+        if ino_at raw off = 0 then begin
           result := Some (fblock, block, slot);
           false
         end

@@ -3,7 +3,10 @@
    Processes are cooperative fibers implemented with OCaml 5 effect handlers.
    A process performs [Delay]/[Suspend] effects to give up control; the
    engine resumes it from the event queue when its wakeup time arrives (or
-   when some other process wakes it explicitly through a {!waker}).
+   when some other process wakes it explicitly through a {!waker}). A
+   delay after which the process would be the next event anyway moves the
+   clock in place instead ([try_advance]), and the clock is read without
+   an effect ([running]).
 
    The engine is strictly single-threaded and deterministic: events with the
    same virtual timestamp fire in the order they were scheduled. *)
@@ -16,7 +19,6 @@ type 'a waker = {
 }
 
 type _ Effect.t +=
-  | Now : int64 Effect.t
   | Delay : int64 -> unit Effect.t
   | Spawn : (string * (unit -> unit)) -> unit Effect.t
   | Suspend : ('a waker -> unit) -> 'a Effect.t
@@ -142,8 +144,6 @@ let rec exec : t -> string -> (unit -> unit) -> unit =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Now ->
-            Some (fun (k : (a, unit) continuation) -> continue k t.now)
           | Delay d ->
             Some
               (fun (k : (a, unit) continuation) ->
@@ -199,9 +199,34 @@ let step t =
     thunk ();
     true
 
+(* The engine whose [run] is innermost on the stack: the one whose
+   processes are running. *)
+let current : t option ref = ref None
+
+let running () =
+  match !current with
+  | Some t -> t
+  | None -> invalid_arg "Engine: no simulation running"
+
+(* A process delaying by [d] resumes as the next event when every queued
+   event is due strictly after [now + d]: popping it would only set the
+   clock. An event due at exactly [now + d] was queued first, so it runs
+   first and the delay goes through the queue. *)
+let try_advance t d =
+  let until = Int64.add t.now d in
+  t.cur_pid <> 0
+  && t.fatal = None
+  && Heap.all_after t.events until
+  && begin
+    t.now <- until;
+    true
+  end
+
 let run t =
+  let outer = !current in
+  current := Some t;
   let rec loop () = if t.fatal = None && step t then loop () in
-  loop ();
+  Fun.protect ~finally:(fun () -> current := outer) loop;
   match t.fatal with
   | None -> ()
   | Some (e, bt) ->

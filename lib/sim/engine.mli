@@ -15,7 +15,6 @@ type 'a waker
     already-fired waker is a no-op, which makes timed waits race-free. *)
 
 type _ Effect.t +=
-  | Now : int64 Effect.t
   | Delay : int64 -> unit Effect.t
   | Spawn : (string * (unit -> unit)) -> unit Effect.t
   | Suspend : ('a waker -> unit) -> 'a Effect.t
@@ -74,4 +73,17 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
 
 val run : t -> unit
 (** Run events until the queue drains. The first uncaught exception from
-    any process aborts the run and is re-raised here. *)
+    any process aborts the run and is re-raised here. While it runs, [t]
+    is the {!running} engine; the previous one is restored when it returns
+    or raises, so runs nest. *)
+
+val running : unit -> t
+(** The engine of the innermost {!run} in progress.
+    @raise Invalid_argument outside any run. *)
+
+val try_advance : t -> int64 -> bool
+(** [try_advance t d], from a process of [t] and for [d > 0]: when every
+    queued event is due strictly after [now t + d], moves the clock there
+    and returns [true] (the process would be the next event popped, so
+    this is exact); otherwise returns [false] and the caller must perform
+    [Delay d]. Only {!Proc.delay} calls it. *)

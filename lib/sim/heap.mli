@@ -16,6 +16,10 @@ val create : unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
+val all_after : 'a t -> int64 -> bool
+(** [all_after t time]: every entry is due strictly after [time] (true
+    when [t] is empty). *)
+
 val add : 'a t -> time:int64 -> seq:int -> 'a -> 'a entry
 (** [add t ~time ~seq payload] inserts an event and returns its entry, the
     handle {!remove} takes. The caller is responsible for supplying strictly

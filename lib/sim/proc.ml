@@ -1,10 +1,16 @@
-(* In-process API: helpers performing the engine's effects. Only valid while
-   running inside a process spawned on an {!Engine.t}. *)
+(* In-process API: the clock of the running engine and helpers performing
+   its effects. Only valid while running inside a process spawned on an
+   {!Engine.t}. *)
 
-let now () = Effect.perform Engine.Now
+let now () = Engine.now (Engine.running ())
 
+(* The one place a process's clock moves: in place when no other event can
+   come first, else through the event queue. *)
 let delay ns =
-  if Int64.compare ns 0L > 0 then Effect.perform (Engine.Delay ns)
+  if
+    Int64.compare ns 0L > 0
+    && not (Engine.try_advance (Engine.running ()) ns)
+  then Effect.perform (Engine.Delay ns)
 
 let delay_int ns = delay (Int64.of_int ns)
 

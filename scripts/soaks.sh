@@ -9,8 +9,10 @@
 #
 #   sh scripts/soaks.sh > a.txt   # in each checkout, then: diff a.txt b.txt
 #
-# Failures go to stderr; the script runs every driver and exits 1 if any
-# of them failed.
+# Failures go to stderr, and so does each run's wall-clock time (a
+# "<name> seed=<n>: <s> s" line; it needs GNU date), so the log tracks
+# host cost per program while stdout stays diffable. The script runs
+# every program and exits 1 if any of them failed.
 
 cd "$(dirname "$0")/.."
 dune build || exit 1
@@ -20,11 +22,15 @@ for seed in default 4242 1001 90210; do
   for driver in fault_soak torture_soak nvcache_soak cow_soak shard_soak \
     serve_soak crashmc_smoke crashmc_recovery; do
     echo "== $driver seed=$seed"
+    t0=$(date +%s%N)
     if [ "$seed" = default ]; then
       ./_build/default/test/$driver.exe || status=1
     else
       SOAK_SEED=$seed ./_build/default/test/$driver.exe || status=1
     fi
+    ms=$((($(date +%s%N) - t0) / 1000000))
+    printf '%s seed=%s: %d.%03d s\n' "$driver" "$seed" $((ms / 1000)) \
+      $((ms % 1000)) >&2
   done
 done
 exit $status

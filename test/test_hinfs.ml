@@ -890,6 +890,60 @@ let hinfs_crash_prop =
             synced_at_crash;
           !ok))
 
+(* --- buffer pool --- *)
+
+module Buffer_pool = Hinfs.Buffer_pool
+
+(* The pool makes descriptors on first use but hands out ids exactly as an
+   eager pool's FIFO free queue would: this is that queue. *)
+let test_pool_matches_fifo_model () =
+  let capacity = 64 in
+  let pool = Buffer_pool.create ~capacity ~block_size:4096 ~lines_per_block:64 in
+  let model = Queue.create () in
+  for id = 0 to capacity - 1 do
+    Queue.add id model
+  done;
+  let rng = Rng.create ~seed:27L in
+  let in_use = ref [] in
+  for step = 1 to 5000 do
+    let free_one = !in_use <> [] && Rng.int rng 100 < 45 in
+    if free_one then begin
+      let i = Rng.int rng (List.length !in_use) in
+      let b = List.nth !in_use i in
+      in_use := List.filter (fun x -> x != b) !in_use;
+      Buffer_pool.free pool b;
+      Queue.add b.Buffer_pool.id model
+    end
+    else begin
+      let got =
+        Option.map
+          (fun b -> b.Buffer_pool.id)
+          (Buffer_pool.alloc pool ~ino:1 ~fblock:step ~home:0 ~now:0L)
+      in
+      let want = Queue.take_opt model in
+      Alcotest.(check (option int)) (Fmt.str "step %d: id" step) want got;
+      Option.iter
+        (fun id -> in_use := Buffer_pool.block pool id :: !in_use)
+        got
+    end;
+    check_int (Fmt.str "step %d: free_count" step) (Queue.length model)
+      (Buffer_pool.free_count pool);
+    check_int (Fmt.str "step %d: used_count" step) (List.length !in_use)
+      (Buffer_pool.used_count pool)
+  done
+
+let test_empty_pool_is_small () =
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let pool =
+    Buffer_pool.create ~capacity:(1 lsl 20) ~block_size:4096 ~lines_per_block:64
+  in
+  Gc.minor ();
+  let allocated = Gc.allocated_bytes () -. before in
+  check_int "capacity" (1 lsl 20) (Buffer_pool.capacity (Sys.opaque_identity pool));
+  check_bool (Fmt.str "a 2^20-block pool allocates %.0f B, under 1 KB" allocated)
+    true (allocated < 1024.)
+
 let () =
   Alcotest.run "hinfs"
     [
@@ -920,6 +974,13 @@ let () =
             test_journal_backpressure;
           Alcotest.test_case "rename drops victim buffers" `Quick
             test_rename_replace_drops_victim_buffers;
+        ] );
+      ( "buffer-pool",
+        [
+          Alcotest.test_case "lazy pool matches FIFO model" `Quick
+            test_pool_matches_fifo_model;
+          Alcotest.test_case "empty pool is small" `Quick
+            test_empty_pool_is_small;
         ] );
       ( "clfw",
         [

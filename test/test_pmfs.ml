@@ -296,9 +296,15 @@ let test_malformed_dirent () =
       ignore (Pmfs.create_file fs ~dir:root "victim");
       let block = Option.get (Pmfs.Data.lookup_block fs ~ino:root ~fblock:0) in
       let bad_len = Bytes.make 2 '\255' in
-      Device.poke device
-        ~addr:(Pmfs.Data.block_addr fs block + 4)
-        ~src:bad_len ~off:0 ~len:2;
+      let base = Pmfs.Data.block_addr fs block in
+      Device.poke device ~addr:(base + 4) ~src:bad_len ~off:0 ~len:2;
+      (* A dirty line in the same page: the walk reads this page through
+         the CPU-cache overlay. *)
+      let spare = base + (62 * Media.Dirent.size) in
+      Device.set_bytes device ~cat:Stats.Other ~addr:spare
+        (Bytes.make Media.Dirent.size '\000');
+      check_bool "the page has a dirty line" true
+        (Device.is_dirty_line device (spare / 64));
       check_bool "fsck reports the bad name length" true
         (List.mem
            (Fmt.str "dir %d: dirent block %d slot 0 has bad name length 65535"
@@ -314,6 +320,27 @@ let test_malformed_dirent () =
         (eio (fun () -> Pmfs.lookup fs ~dir:root "victim"));
       check_bool "readdir fails with EIO" true
         (eio (fun () -> Pmfs.readdir fs ~dir:root)))
+
+(* Lookups read dirents in the coherent view: an entry stored in the CPU
+   cache and never flushed is found, and a crash loses it. *)
+let test_unflushed_dirent () =
+  Testkit.run_sim (fun engine ->
+      let device, fs = Testkit.make_pmfs engine in
+      let ino = Pmfs.create_file fs ~dir:root "kept" in
+      let block = Option.get (Pmfs.Data.lookup_block fs ~ino:root ~fblock:0) in
+      let addr = Pmfs.Data.block_addr fs block + (63 * Media.Dirent.size) in
+      Device.set_bytes device ~cat:Stats.Other ~addr
+        (Media.Dirent.encode ~name:"cached" ~ino);
+      check_bool "the dirent is only in the CPU cache" true
+        (Device.is_dirty_line device (addr / 64));
+      Alcotest.(check (option int)) "found before the crash" (Some ino)
+        (Pmfs.lookup fs ~dir:root "cached");
+      Device.crash device;
+      let fs = Pmfs.mount device () in
+      Alcotest.(check (option int)) "gone after the crash" None
+        (Pmfs.lookup fs ~dir:root "cached");
+      Alcotest.(check (option int)) "the committed entry stays" (Some ino)
+        (Pmfs.lookup fs ~dir:root "kept"))
 
 let test_rename () =
   Testkit.run_sim (fun engine ->
@@ -675,6 +702,7 @@ let () =
           Alcotest.test_case "dirents span blocks" `Quick
             test_many_dirents_span_blocks;
           Alcotest.test_case "malformed dirent" `Quick test_malformed_dirent;
+          Alcotest.test_case "unflushed dirent" `Quick test_unflushed_dirent;
           Alcotest.test_case "rename" `Quick test_rename;
         ] );
       ( "persistence",

@@ -155,6 +155,77 @@ let test_negative_delay_rejected () =
      yielding), so no exception is expected from the helper... *)
   check_bool "no exception from Proc.delay" false !raised
 
+(* A delay moves the clock in place only when every queued event is due
+   strictly later; one due at exactly the wake-up time was queued first
+   and runs first. *)
+let test_delay_tie_runs_queued_event_first () =
+  let trace = ref [] in
+  let record x = trace := (x, Proc.now ()) :: !trace in
+  Testkit.run_sim (fun engine ->
+      ignore (Engine.timer engine 10L (fun () -> record "event"));
+      Proc.delay 9L;
+      check_int "in place: the event is still the only one queued" 1
+        (Engine.pending engine);
+      record "fiber9";
+      Proc.delay 1L;
+      record "fiber10");
+  Alcotest.(check (list (pair string int64)))
+    "the tied event runs before the fiber resumes"
+    [ ("fiber9", 9L); ("event", 10L); ("fiber10", 10L) ]
+    (List.rev !trace)
+
+let test_lone_fiber_delays_in_place () =
+  let engine = Engine.create () in
+  let switches = ref 0 in
+  Engine.set_proc_hooks engine
+    ~on_spawn:(fun _ _ -> ())
+    ~on_switch:(fun _ -> incr switches);
+  let final = ref 0L in
+  Engine.spawn engine (fun () ->
+      Proc.delay 100L;
+      Proc.delay 20L;
+      Proc.delay 3L;
+      final := Proc.now ());
+  Engine.run engine;
+  check_i64 "clock" 123L !final;
+  check_i64 "engine clock" 123L (Engine.now engine);
+  check_int "one switch, into the fiber; none per delay" 1 !switches
+
+(* [Proc.now] and [Proc.delay] act on the innermost run's engine; the
+   outer one is current again once the inner run returns or raises. *)
+let test_nested_run_clock () =
+  let inner_now = ref [] in
+  let outer_now = ref [] in
+  Testkit.run_sim (fun _ ->
+      Proc.delay 100L;
+      let inner = Engine.create () in
+      Engine.spawn inner (fun () ->
+          Proc.delay 7L;
+          inner_now := Proc.now () :: !inner_now);
+      Engine.run inner;
+      outer_now := Proc.now () :: !outer_now;
+      let failing = Engine.create () in
+      Engine.spawn failing (fun () ->
+          Proc.delay 3L;
+          inner_now := Proc.now () :: !inner_now;
+          failwith "inner");
+      (try Engine.run failing with Failure _ -> ());
+      outer_now := Proc.now () :: !outer_now;
+      Proc.delay 1L;
+      outer_now := Proc.now () :: !outer_now);
+  Alcotest.(check (list int64)) "inner clocks" [ 7L; 3L ] (List.rev !inner_now);
+  Alcotest.(check (list int64))
+    "outer clock after each inner run" [ 100L; 100L; 101L ]
+    (List.rev !outer_now)
+
+let test_outside_run_fails () =
+  let fails f = match f () with _ -> false | exception _ -> true in
+  check_bool "now before any run" true (fails Proc.now);
+  check_bool "delay before any run" true (fails (fun () -> Proc.delay 5L));
+  Testkit.run_sim (fun _ -> Proc.delay 5L);
+  check_bool "now after a run" true (fails Proc.now);
+  check_bool "delay after a run" true (fails (fun () -> Proc.delay 5L))
+
 (* --- resources --- *)
 
 let test_resource_limits_concurrency () =
@@ -457,6 +528,13 @@ let () =
             test_negative_delay_rejected;
           Alcotest.test_case "signalled timed wait leaves no event" `Quick
             test_condvar_signal_cancels_timer;
+          Alcotest.test_case "delay tie runs queued event first" `Quick
+            test_delay_tie_runs_queued_event_first;
+          Alcotest.test_case "lone fiber delays in place" `Quick
+            test_lone_fiber_delays_in_place;
+          Alcotest.test_case "nested run clock" `Quick test_nested_run_clock;
+          Alcotest.test_case "now and delay fail outside a run" `Quick
+            test_outside_run_fails;
         ] );
       ( "resource",
         [
