@@ -752,37 +752,34 @@ let baseline () =
       ("fio", fun () -> Fio.make ());
     ]
   in
+  (* One cell: print its subheading, latency and gauges, and emit its
+     artifact entry. *)
+  let report_cell ~name ~fs ~ops ~elapsed_ns obs =
+    Report.subheading ppf (Fmt.str "%s / %s" name fs);
+    Report.latency ppf obs;
+    Report.gauges ppf obs;
+    Fmt.pf ppf "@.";
+    Profile.experiment_json ~name ~fs ~ops ~elapsed_ns obs
+  in
+  let rate_cell kind (name, make) =
+    let result, _stats, obs =
+      Experiment.run_workload ~obs:`Hist ~spec ~threads:2 ~duration kind
+        (make ())
+    in
+    report_cell ~name ~fs:(Fixtures.name kind) ~ops:result.Workload.ops
+      ~elapsed_ns:result.Workload.elapsed_ns obs
+  in
   let experiments =
     List.concat_map
       (fun kind ->
-        let fs = Fixtures.name kind in
-        let rates =
-          List.map
-            (fun (wname, make) ->
-              let result, _stats, obs =
-                Experiment.run_workload ~obs:`Hist ~spec ~threads:2 ~duration
-                  kind (make ())
-              in
-              Report.subheading ppf (Fmt.str "%s / %s" wname fs);
-              Report.latency ppf obs;
-              Report.gauges ppf obs;
-              Fmt.pf ppf "@.";
-              Profile.experiment_json ~name:wname ~fs
-                ~ops:result.Workload.ops
-                ~elapsed_ns:result.Workload.elapsed_ns obs)
-            rate_cells
-        in
+        let rates = List.map (rate_cell kind) rate_cells in
         let jobs =
           List.map
             (fun (jname, job) ->
               let r, _stats, obs =
                 Experiment.run_job ~obs:`Hist ~spec kind job
               in
-              Report.subheading ppf (Fmt.str "%s / %s" jname fs);
-              Report.latency ppf obs;
-              Report.gauges ppf obs;
-              Fmt.pf ppf "@.";
-              Profile.experiment_json ~name:jname ~fs
+              report_cell ~name:jname ~fs:(Fixtures.name kind)
                 ~ops:r.Workload.jr_ops ~elapsed_ns:r.Workload.jr_elapsed_ns
                 obs)
             [ ("postmark", Postmark.make ()) ]
@@ -796,18 +793,7 @@ let baseline () =
      tier. *)
   let nv_experiments =
     List.map
-      (fun kind ->
-        let fs = Fixtures.name kind in
-        let result, _stats, obs =
-          Experiment.run_workload ~obs:`Hist ~spec ~threads:2 ~duration kind
-            (Filebench.varmail ())
-        in
-        Report.subheading ppf (Fmt.str "varmail / %s" fs);
-        Report.latency ppf obs;
-        Report.gauges ppf obs;
-        Fmt.pf ppf "@.";
-        Profile.experiment_json ~name:"varmail" ~fs ~ops:result.Workload.ops
-          ~elapsed_ns:result.Workload.elapsed_ns obs)
+      (fun kind -> rate_cell kind ("varmail", fun () -> Filebench.varmail ()))
       [
         Fixtures.Ext4_sync;
         Fixtures.Ext2_nvlog;
@@ -821,20 +807,10 @@ let baseline () =
      above — the committed artifact records what CoW commit costs on a
      create/append-heavy workload. *)
   let cow_experiments =
-    List.map
-      (fun kind ->
-        let fs = Fixtures.name kind in
-        let result, _stats, obs =
-          Experiment.run_workload ~obs:`Hist ~spec ~threads:2 ~duration kind
-            (Filebench.fileserver ())
-        in
-        Report.subheading ppf (Fmt.str "fileserver / %s" fs);
-        Report.latency ppf obs;
-        Report.gauges ppf obs;
-        Fmt.pf ppf "@.";
-        Profile.experiment_json ~name:"fileserver" ~fs
-          ~ops:result.Workload.ops ~elapsed_ns:result.Workload.elapsed_ns obs)
-      [ Fixtures.Cow_fs ]
+    [
+      rate_cell Fixtures.Cow_fs
+        ("fileserver", fun () -> Filebench.fileserver ());
+    ]
   in
   (* Shard scalability sweep (1 -> 512 simulated processes): each process
      owns one file in one of [shards] directories; directories are placed

@@ -49,9 +49,7 @@ type file_state = {
   mutable index : int Block_index.t; (* fblock -> pool block id *)
   model : Benefit.file_model;
   mutable dirty_blocks : int; (* buffered blocks with dirty cachelines *)
-  mutable pending_txn : Log.txn option;
-  mutable pending_allocs : int list; (* NVMM blocks allocated under the
-                                        pending txn, for abort reclaim *)
+  mutable pending_txn : Log.txn option; (* owns its NVMM allocations *)
   mutable writers : int; (* writes in flight (commit barrier) *)
 }
 
@@ -132,7 +130,6 @@ let file_state t ino =
         model = Benefit.create_file_model ();
         dirty_blocks = 0;
         pending_txn = None;
-        pending_allocs = [];
         writers = 0;
       }
     in
@@ -162,30 +159,30 @@ let get_pending_txn t fst =
     fst.pending_txn <- Some txn;
     txn
 
-(* Commit the pending transaction. Callers must ensure all the file's
-   buffered dirty data has been persisted (ordered mode).
+(* The one place a file lets go of its pending transaction: once the
+   transaction has committed, or ([dying]) right before a dying file's
+   abort, so nothing logs into it while the abort runs.
 
-   Detach the transaction only once the commit lands: if commit fails
-   partway (a journal-slot fault at the commit entry, a media error on the
-   flush), the still-uncommitted transaction stays pending — its undo
-   entries and block allocations remain owned by this file and the next
-   barrier retries the commit. Aborting here instead would roll back the
-   metadata of earlier lazy writes whose buffered data still references the
-   allocated home blocks. *)
+   A commit that fails before its commit entry lands (a journal-slot fault,
+   a media error on the flush) leaves the transaction pending: its undo
+   entries and block allocations stay with this file and the next barrier
+   retries the commit. Aborting instead would roll back the metadata of
+   earlier lazy writes whose buffered data still references the allocated
+   home blocks. *)
+let let_go ?(dying = false) fst =
+  match fst.pending_txn with
+  | Some txn when dying || Log.txn_committed txn -> fst.pending_txn <- None
+  | _ -> ()
+
+(* Commit the pending transaction. Callers must ensure all the file's
+   buffered dirty data has been persisted (ordered mode). *)
 let commit_pending t fst =
   match fst.pending_txn with
   | None -> ()
   | Some txn ->
-    (try Log.commit (log_of t fst) txn
-     with e ->
-       if Log.txn_committed txn then begin
-         (* Durable, only the checkpoint tripped: safe to detach. *)
-         fst.pending_txn <- None;
-         fst.pending_allocs <- []
-       end;
-       raise e);
-    fst.pending_txn <- None;
-    fst.pending_allocs <- []
+    Fun.protect
+      ~finally:(fun () -> let_go fst)
+      (fun () -> Log.commit (log_of t fst) txn)
 
 (* Commit if the ordered-mode invariant allows it right now. *)
 let maybe_commit t fst =
@@ -197,20 +194,6 @@ let maybe_commit t fst =
    stays pending and the next explicit barrier (fsync, unmount) surfaces
    any persistent error. *)
 let try_commit t fst = try maybe_commit t fst with _ -> ()
-
-(* Abort the pending transaction and reclaim the NVMM blocks it had
-   allocated (unlink of a never-synced file). *)
-let abort_pending t fst =
-  match fst.pending_txn with
-  | None -> ()
-  | Some txn ->
-    fst.pending_txn <- None;
-    Log.abort (log_of t fst) txn;
-    let ctx = Pmfs.ctx t.pmfs in
-    List.iter
-      (fun block -> Hinfs_pmfs.Fs_ctx.free_block ctx block)
-      fst.pending_allocs;
-    fst.pending_allocs <- []
 
 (* --- writeback --- *)
 
@@ -235,12 +218,8 @@ let mark_block_dirty t fst b lines =
    If [evict], the block is also freed (unless re-dirtied concurrently). *)
 let rec flush_block ?(background = false) ?(cat = Stats.Write_access) t b ~evict
     =
-  Obs.span_begin Obs.Writeback;
-  match flush_block_body ~background ~cat t b ~evict with
-  | () -> Obs.span_end Obs.Writeback
-  | exception e ->
-    Obs.span_end Obs.Writeback;
-    raise e
+  Obs.with_span Obs.Writeback (fun () ->
+      flush_block_body ~background ~cat t b ~evict)
 
 and flush_block_body ~background ~cat t b ~evict =
   let fst = file_state t b.Buffer_pool.ino in
@@ -463,17 +442,8 @@ let lazy_write_segment t fst ~fblock ~in_block ~src ~src_off ~len =
         match Pmfs.Data.lookup_block t.pmfs ~ino:fst.f_ino ~fblock with
         | Some home -> (home, false)
         | None ->
-          let txn = get_pending_txn t fst in
-          (* Record the allocation even if ensure_block raises mid-op: the
-             pending transaction's abort path reclaims pending_allocs, and
-             blocks it never hears about would leak. *)
-          let allocated = ref [] in
-          Fun.protect
-            ~finally:(fun () ->
-              fst.pending_allocs <- !allocated @ fst.pending_allocs)
-            (fun () ->
-              Pmfs.Data.ensure_block t.pmfs txn ~ino:fst.f_ino ~fblock
-                ~allocated)
+          Pmfs.Data.ensure_block t.pmfs (get_pending_txn t fst) ~ino:fst.f_ino
+            ~fblock
       in
       let b = alloc_buffer_block t ~ino:fst.f_ino ~fblock ~home in
       b.Buffer_pool.home_valid <-
@@ -759,7 +729,13 @@ let drop_buffers t ino =
       Obs.instant Obs.Ev_dead_drop ~a:ino ~b:!dropped;
       ignore (Condvar.broadcast sh.free_cv)
     end;
-    abort_pending t fst;
+    (* The never-synced file's metadata rolls back, and the abort reclaims
+       the NVMM blocks its lazy writes allocated. *)
+    (match fst.pending_txn with
+    | Some txn ->
+      let_go ~dying:true fst;
+      Log.abort (log_of t fst) txn
+    | None -> ());
     Hashtbl.remove t.files ino
 
 (* The victim's buffers die with it; the namespace outcome itself was
@@ -847,23 +823,16 @@ let sync_all t =
   (match shards_touched with
   | [] | [ _ ] -> List.iter (fun fst -> commit_pending t fst) pending
   | _ ->
-    Hinfs_journal.Epoch.with_barrier (Pmfs.epoch t.pmfs) (fun ep ->
-        List.iter
-          (fun fst ->
-            match fst.pending_txn with
-            | Some txn -> Log.prepare_epoch (log_of t fst) txn ~epoch:ep
-            | None -> ())
-          pending;
-        Hinfs_journal.Epoch.commit (Pmfs.epoch t.pmfs) ep;
-        List.iter
-          (fun fst ->
-            match fst.pending_txn with
-            | Some txn ->
-              Log.finish_epoch (log_of t fst) txn;
-              fst.pending_txn <- None;
-              fst.pending_allocs <- []
-            | None -> ())
-          pending));
+    Hinfs_journal.Epoch.with_barrier (Pmfs.epoch t.pmfs) (fun id ->
+        let parts =
+          List.filter_map
+            (fun fst ->
+              Option.map (fun txn -> (log_of t fst, txn)) fst.pending_txn)
+            pending
+        in
+        Fun.protect
+          ~finally:(fun () -> List.iter (fun fst -> let_go fst) pending)
+          (fun () -> Log.commit_group (Pmfs.epoch t.pmfs) ~id parts)));
   Device.mfence (device t) ~cat:Stats.Other
 
 let unmount t =

@@ -138,13 +138,7 @@ let commit_batch t entries =
    journal write), the not-yet-committed entries are put back into the
    running transaction instead of being dropped — losing them would
    silently skip their metadata on the next commit. *)
-let rec commit t =
-  Obs.span_begin Obs.Journal_commit;
-  match commit_locked t with
-  | () -> Obs.span_end Obs.Journal_commit
-  | exception e ->
-    Obs.span_end Obs.Journal_commit;
-    raise e
+let rec commit t = Obs.with_span Obs.Journal_commit (fun () -> commit_locked t)
 
 and commit_locked t =
   Resource.with_resource t.lock 1 @@ fun () ->

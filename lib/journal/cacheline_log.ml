@@ -47,6 +47,11 @@ let type_epoch_commit = 3
 
 exception Journal_full
 
+type resource = Block | Inode
+
+(* Numbers a transaction owns until it ends, by resource. *)
+type owned = { mutable blocks : int list; mutable inodes : int list }
+
 type txn = {
   id : int;
   mutable slots : int list; (* data-entry slots, newest first *)
@@ -54,6 +59,8 @@ type txn = {
   logged : (int * int, unit) Hashtbl.t; (* ranges already journaled *)
   mutable committed : bool;
   mutable epoch_slot : int option; (* slot of the epoch-commit entry *)
+  allocated : owned; (* handed back by [abort] *)
+  released : owned; (* handed back once committed *)
 }
 
 type t = {
@@ -83,6 +90,8 @@ type t = {
   mutable entries_written : int;
   (* operation-level fault hook: [true] = fail this slot allocation *)
   mutable injector : (unit -> bool) option;
+  (* returns a number a transaction owned to its allocator *)
+  mutable reclaim : resource -> int -> unit;
 }
 
 let cat = Stats.Journal
@@ -113,9 +122,11 @@ let create device ~first_block ~blocks =
     txns_committed = 0;
     entries_written = 0;
     injector = None;
+    reclaim = (fun _ _ -> invalid_arg "Cacheline_log: no reclaim hook");
   }
 
 let set_fault_injector t f = t.injector <- f
+let set_reclaim t f = t.reclaim <- f
 
 (* Re-arm a live log handle after its on-media region was recovered and
    wiped out-of-band (the online repair pass runs {!recover} over
@@ -139,21 +150,27 @@ let entries_written t = t.entries_written
 
 let slot_addr t slot = t.base + (slot * entry_size)
 
+let release_slot t slot =
+  t.slot_free.(slot) <- true;
+  t.free_slots <- t.free_slots + 1
+
+let zero_entry = Bytes.make entry_size '\000'
+
+(* Clear a slot's valid flag on the medium and free it. *)
+let clear_slot ?(background = false) t slot =
+  let addr = slot_addr t slot in
+  Device.write_cached t.device ~cat ~addr ~src:zero_entry ~off:0
+    ~len:entry_size;
+  Device.clflush ~background t.device ~cat ~addr ~len:entry_size;
+  release_slot t slot
+
 (* Zero a retired transaction's entries on the medium and free the slots:
    data entries first, fence, then the commit entry, so a crash can never
    expose data entries without their commit. *)
-let clean_txn ?(background = false) t (slots, commit_slot) =
-  let zero = Bytes.make entry_size '\000' in
-  let clear slot =
-    let addr = t.base + (slot * entry_size) in
-    Device.write_cached t.device ~cat ~addr ~src:zero ~off:0 ~len:entry_size;
-    Device.clflush ~background t.device ~cat ~addr ~len:entry_size;
-    t.slot_free.(slot) <- true;
-    t.free_slots <- t.free_slots + 1
-  in
-  List.iter clear slots;
+let clean_txn ?background t (slots, commit_slot) =
+  List.iter (clear_slot ?background t) slots;
   Device.mfence t.device ~cat;
-  clear commit_slot;
+  clear_slot ?background t commit_slot;
   Device.mfence t.device ~cat
 
 let drain_pending ?background t =
@@ -183,10 +200,6 @@ let alloc_slot t =
   in
   scan t.cursor t.capacity
 
-let release_slot t slot =
-  t.slot_free.(slot) <- true;
-  t.free_slots <- t.free_slots + 1
-
 let begin_txn t =
   let id = t.next_txn in
   t.next_txn <- id + 1;
@@ -198,9 +211,34 @@ let begin_txn t =
     logged = Hashtbl.create 8;
     committed = false;
     epoch_slot = None;
+    allocated = { blocks = []; inodes = [] };
+    released = { blocks = []; inodes = [] };
   }
 
 let txn_committed txn = txn.committed
+
+(* --- allocation lifetime ---
+
+   A transaction owns the numbers allocated under it and those it
+   releases. Abort hands the allocations back: nothing committed points
+   at them. Commit hands the releases back: before it, an abort could
+   restore pointers to them, and a number re-issued in between would be
+   reachable twice. Each hand-back runs at the end of [abort] or of the
+   commit (after its checkpoint), where no yield separates it from the
+   caller: the allocators are lowest-free-first, so a free moved across a
+   yield would change which number the next allocation gets. *)
+
+let add owned r n =
+  match r with
+  | Block -> owned.blocks <- n :: owned.blocks
+  | Inode -> owned.inodes <- n :: owned.inodes
+
+let allocated txn r n = add txn.allocated r n
+let released txn r n = add txn.released r n
+
+let hand_back t owned =
+  List.iter (t.reclaim Block) owned.blocks;
+  List.iter (t.reclaim Inode) owned.inodes
 
 (* Build one entry image: checksum set before the valid flag, so a record
    is only ever valid-with-CRC (single-cacheline writes are not reordered
@@ -278,101 +316,72 @@ let log t txn ~addr ~len =
   if len > 0 then txn.ranges <- (addr, len) :: txn.ranges
   end
 
-(* Clear a slot's valid flag on the medium and free it. *)
-let clear_slot t slot =
-  let zero = Bytes.make entry_size '\000' in
-  let addr = slot_addr t slot in
-  Device.write_cached t.device ~cat ~addr ~src:zero ~off:0 ~len:entry_size;
-  Device.clflush t.device ~cat ~addr ~len:entry_size;
-  release_slot t slot
+(* The step commit and the epoch path share: persist the in-place updates
+   the transaction covers, then append its closing entry. *)
+let seal t txn ~entry_type ~payload =
+  List.iter
+    (fun (addr, len) -> Device.clflush t.device ~cat ~addr ~len)
+    txn.ranges;
+  Device.mfence t.device ~cat;
+  write_entry t ~txn_id:txn.id ~entry_type ~addr:0 ~payload
+
+(* The transaction is durable: mark it committed and checkpoint its
+   entries — handed to the background cleaner when one is running, else
+   cleaned inline. *)
+let retire t txn (slots, closing_slot) =
+  txn.committed <- true;
+  t.txns_committed <- t.txns_committed + 1;
+  t.live_txns <- t.live_txns - 1;
+  match t.cleaner with
+  | Some cv ->
+    Queue.add (slots, closing_slot) t.pending_clean;
+    ignore (Condvar.signal cv)
+  | None -> clean_txn t (slots, closing_slot)
 
 let commit t txn =
   if txn.committed then
     invalid_arg "Cacheline_log.commit: txn already committed";
-  Obs.span_begin Obs.Journal_commit;
-  match
-    begin
-      (* 1. Persist the in-place updates covered by this transaction. *)
-      List.iter
-        (fun (addr, len) -> Device.clflush t.device ~cat ~addr ~len)
-        txn.ranges;
-      Device.mfence t.device ~cat;
-      (* 2. Persist the commit entry: the transaction is now durable. *)
+  Obs.with_span Obs.Journal_commit (fun () ->
       let commit_slot =
-        write_entry t ~txn_id:txn.id ~entry_type:type_commit ~addr:0
-          ~payload:Bytes.empty
+        seal t txn ~entry_type:type_commit ~payload:Bytes.empty
       in
-      txn.committed <- true;
-      t.txns_committed <- t.txns_committed + 1;
-      t.live_txns <- t.live_txns - 1;
-      (* A transaction that was [prepare_epoch]ed but then committed the
-         ordinary way (e.g. the cross-shard path degraded to per-shard
-         commits) still has a valid epoch entry on the medium; clean it
-         with the rest. *)
+      (* A transaction prepared for an epoch that then failed to land,
+         and is now committed the ordinary way (a retried HiNFS pending
+         transaction), still has a valid epoch entry on the medium: clean
+         it with the rest. *)
       let slots =
         match txn.epoch_slot with
         | Some s -> s :: txn.slots
         | None -> txn.slots
       in
-      (* 3. Checkpoint: hand the entries to the background cleaner when one
-         is running; otherwise clean inline. *)
-      match t.cleaner with
-      | Some cv ->
-        Queue.add (slots, commit_slot) t.pending_clean;
-        ignore (Condvar.signal cv)
-      | None -> clean_txn t (slots, commit_slot)
-    end
-  with
-  | () -> Obs.span_end Obs.Journal_commit
-  | exception e ->
-    Obs.span_end Obs.Journal_commit;
-    raise e
+      retire t txn (slots, commit_slot);
+      hand_back t txn.released)
 
 (* --- epoch-based cross-shard commit ---
 
    A cross-shard operation holds one transaction per touched shard. Each
-   is [prepare_epoch]ed: its in-place updates are persisted and an
-   epoch-commit entry carrying the shared epoch id is appended — but the
-   transaction is NOT yet durable. The caller then persists the epoch
-   record (a single-cacheline store, the atomic commit point) and calls
-   [finish_epoch] on each transaction to checkpoint it. A crash before the
-   record lands rolls every participant back at recovery; a crash after
-   keeps them all. *)
+   is prepared: its in-place updates are persisted and an epoch-commit
+   entry carrying the shared epoch id is appended — but the transaction
+   is NOT yet durable. Then the epoch record is persisted (a
+   single-cacheline store, the atomic commit point) and every
+   participant is retired. A crash before the record lands rolls every
+   participant back at recovery; a crash after keeps them all. *)
 
-let prepare_epoch t txn ~epoch =
-  if txn.committed then
-    invalid_arg "Cacheline_log.prepare_epoch: txn already committed";
-  if txn.epoch_slot <> None then
-    invalid_arg "Cacheline_log.prepare_epoch: txn already prepared";
-  (* 1. Persist the in-place updates covered by this transaction. *)
-  List.iter
-    (fun (addr, len) -> Device.clflush t.device ~cat ~addr ~len)
-    txn.ranges;
-  Device.mfence t.device ~cat;
-  (* 2. Persist the epoch-commit entry. Not a durability point yet: the
-     entry only takes effect once the epoch record covers [epoch]. *)
+let commit_group epoch ~id parts =
   let payload = Bytes.create 8 in
-  Bytes.set_int64_le payload 0 (Int64.of_int epoch);
-  let slot =
-    write_entry t ~txn_id:txn.id ~entry_type:type_epoch_commit ~addr:0
-      ~payload
-  in
-  txn.epoch_slot <- Some slot
-
-(* The epoch record covering this transaction's epoch is durable: retire
-   the transaction exactly as [commit] would after its commit entry. *)
-let finish_epoch t txn =
-  match txn.epoch_slot with
-  | None -> invalid_arg "Cacheline_log.finish_epoch: txn not prepared"
-  | Some slot ->
-    txn.committed <- true;
-    t.txns_committed <- t.txns_committed + 1;
-    t.live_txns <- t.live_txns - 1;
-    (match t.cleaner with
-    | Some cv ->
-      Queue.add (txn.slots, slot) t.pending_clean;
-      ignore (Condvar.signal cv)
-    | None -> clean_txn t (txn.slots, slot))
+  Bytes.set_int64_le payload 0 (Int64.of_int id);
+  List.iter
+    (fun (t, txn) ->
+      if txn.committed || txn.epoch_slot <> None then
+        invalid_arg "Cacheline_log.commit_group: txn committed or prepared";
+      txn.epoch_slot <-
+        Some (seal t txn ~entry_type:type_epoch_commit ~payload))
+    parts;
+  Epoch.commit epoch id;
+  List.iter
+    (fun (t, txn) -> retire t txn (txn.slots, Option.get txn.epoch_slot))
+    parts;
+  List.iter (fun (t, txn) -> hand_back t txn.released) parts
 
 (* Abort: restore old contents (volatile first, then persisted) and clear
    the entries. Used on ENOSPC-style failure paths. *)
@@ -410,7 +419,8 @@ let abort t txn =
      hold this transaction's (aborted) undo entries, and recovery would roll
      the later committed value back. *)
   Device.mfence t.device ~cat;
-  t.live_txns <- t.live_txns - 1
+  t.live_txns <- t.live_txns - 1;
+  hand_back t txn.allocated
 
 (* --- background cleaner lifecycle --- *)
 
@@ -609,14 +619,8 @@ let recover_body device ~first_block ~blocks ~committed_epoch =
   { rolled_back = Hashtbl.length rolled_back; dropped = !dropped }
 
 let recover device ?(committed_epoch = 0) ~first_block ~blocks () =
-  Obs.span_begin Obs.Journal_recover;
-  match recover_body device ~first_block ~blocks ~committed_epoch with
-  | r ->
-    Obs.span_end Obs.Journal_recover;
-    r
-  | exception e ->
-    Obs.span_end Obs.Journal_recover;
-    raise e
+  Obs.with_span Obs.Journal_recover (fun () ->
+      recover_body device ~first_block ~blocks ~committed_epoch)
 
 (* Fsck helper: number of valid entries currently on the medium in the
    journal region. Immediately after recovery (and after clean unmount)

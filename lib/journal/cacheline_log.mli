@@ -44,21 +44,50 @@ val log : t -> txn -> addr:int -> len:int -> unit
     updating the range in place. *)
 
 val commit : t -> txn -> unit
+(** Commit: persist the in-place updates and a commit entry, checkpoint
+    the entries, then hand the transaction's releases back. Raises
+    [Invalid_argument] on a committed transaction. *)
+
 val abort : t -> txn -> unit
+(** Roll the logged ranges back, clear the entries, then hand the
+    transaction's allocations back. *)
 
-(** {2 Epoch-based cross-shard commit}
+(** {2 Allocation lifetime}
 
-    A cross-shard operation (rename across shards, multi-file fsync) holds
-    one transaction per touched shard, all stamped with one epoch id:
-    {!prepare_epoch} each (persists the in-place updates and appends an
-    epoch-commit entry, {b not} yet durable), persist the filesystem's
-    epoch record ({!Epoch.commit} — the single-cacheline atomic commit
-    point), then {!finish_epoch} each to checkpoint. A crash before the
-    record covers the epoch rolls every participant back at {!recover}
-    time; a crash after keeps them all. *)
+    A transaction owns the blocks and inodes allocated under it and those
+    it releases. {!abort} returns the allocations to their allocators; a
+    commit ({!commit}, {!commit_group}) returns the releases. Either runs
+    as the last step of the call, after its checkpoint, so nothing yields
+    between the hand-back and the caller. Numbers, not closures, are
+    recorded. *)
 
-val prepare_epoch : t -> txn -> epoch:int -> unit
-val finish_epoch : t -> txn -> unit
+type resource = Block | Inode
+
+val set_reclaim : t -> (resource -> int -> unit) -> unit
+(** The function that returns a number to its allocator (the mount's
+    shard-routed free). A transaction that owns a number on a log with no
+    hook raises [Invalid_argument] when it ends. *)
+
+val allocated : txn -> resource -> int -> unit
+(** [n] was allocated under the transaction: an abort frees it. *)
+
+val released : txn -> resource -> int -> unit
+(** [n] is released by the transaction: it is freed once the transaction
+    commits, never before — an abort restores the pointers to it. *)
+
+(** {2 Epoch-based cross-shard commit} *)
+
+val commit_group : Epoch.t -> id:int -> (t * txn) list -> unit
+(** Commit one transaction per touched shard atomically, under epoch [id]
+    (from {!Epoch.with_barrier}): prepare each participant in order
+    (persist its updates, append an epoch-commit entry that is {b not}
+    yet durable), persist the epoch record ({!Epoch.commit}, the
+    single-cacheline commit point), retire each, then hand back every
+    participant's releases. A crash before the record covers [id] rolls
+    every participant back at {!recover}; a crash after keeps them all.
+    On an exception before the record lands no participant is committed:
+    each stays open (possibly prepared) for the caller to {!abort}, or to
+    {!commit} later. *)
 
 val with_txn : t -> (txn -> 'a) -> 'a
 (** Run [f] in a transaction; commits on return, aborts on exception. *)

@@ -3,7 +3,7 @@
 
    Per-shard cacheline logs commit single-shard transactions with ordinary
    commit entries. A cross-shard operation instead stamps one transaction
-   per shard with a shared epoch id (Cacheline_log.prepare_epoch) and then
+   per shard with a shared epoch id (Cacheline_log.commit_group) and then
    persists this record; because the record is one cacheline, its store is
    atomic, and every participant becomes durable at the same instant.
 

@@ -4,7 +4,7 @@
     Per-shard {!Cacheline_log}s commit single-shard transactions with
     ordinary commit entries. A cross-shard operation stamps one
     transaction per shard with a shared epoch id
-    ({!Cacheline_log.prepare_epoch}), then persists this record — one
+    ({!Cacheline_log.commit_group}), then persists this record — one
     cacheline, hence atomic — making every participant durable at once.
     The record is a watermark: all epochs at or below its value are
     committed. Mount resets it (generation-local), so runtime epochs start

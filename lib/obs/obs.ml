@@ -291,6 +291,16 @@ let span_end kind =
       if f.fkind <> kind then o.mismatches <- o.mismatches + 1;
       record_closed o ~kind ~pid ~t0:f.t0)
 
+let with_span kind f =
+  span_begin kind;
+  match f () with
+  | r ->
+    span_end kind;
+    r
+  | exception e ->
+    span_end kind;
+    raise e
+
 let span_since kind ~t0 =
   match !cur with
   | None -> ()

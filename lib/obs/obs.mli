@@ -100,6 +100,11 @@ val span_end : kind -> unit
     innermost frame; a kind mismatch or pop of an empty stack increments
     {!mismatches} instead of raising. *)
 
+val with_span : kind -> (unit -> 'a) -> 'a
+(** [with_span kind f] runs [f] inside a [kind] span, closed on return or
+    exception. For internal phases; the per-call closure is why the VFS
+    keeps its own allocation-free wrappers. *)
+
 val span_since : kind -> t0:int64 -> unit
 (** Record a completed span from [t0] to now on the current process without
     touching the span stack. For leaf phases measured around a wait (e.g.

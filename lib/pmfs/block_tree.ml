@@ -63,10 +63,9 @@ let iter_index_nodes ctx ~ino f =
    root becomes slot 0 of each fresh root node. Inode height/root updates go
    through [txn]; the fresh node's slot-0 store does not (the node is
    unreachable until the transaction commits). Every allocated block is
-   reported through [allocated] so the caller can reclaim it if the
-   transaction is later aborted; every journaled mutation pushes an
-   [undo] thunk restoring the old value (see [ensure]). *)
-let grow ctx log txn ~ino ~fblock ~allocated ~undo =
+   pushed onto [built] and every journaled mutation pushes an [undo]
+   thunk restoring the old value (see [ensure]). *)
+let grow ctx log txn ~ino ~fblock ~built ~undo =
   let device = ctx.Fs_ctx.device in
   let geo = ctx.Fs_ctx.geo in
   let shard = Fs_ctx.shard_of_ino ctx ino in
@@ -77,7 +76,7 @@ let grow ctx log txn ~ino ~fblock ~allocated ~undo =
     let height = Layout.Inode.height device geo ino in
     let root = Layout.Inode.tree_root device geo ino in
     let node = alloc_index_node ctx ~shard in
-    allocated := node :: !allocated;
+    built := node :: !built;
     let slot0 = Media.Tree.ptr_addr device node 0 in
     Device.set_u64 device ~cat:mcat slot0 (Int64.of_int root);
     Device.clflush device ~cat:mcat ~addr:slot0 ~len:8;
@@ -93,7 +92,7 @@ let grow ctx log txn ~ino ~fblock ~allocated ~undo =
 
 (* Descend from an index node to the data block for [fblock], allocating
    missing index nodes and the data block as needed. *)
-let rec descend_ensure ctx log ~shard txn ~fblock ~allocated ~undo node level =
+let rec descend_ensure ctx log ~shard txn ~fblock ~built ~undo node level =
   let device = ctx.Fs_ctx.device in
   let slot = Media.Tree.slot device ~level fblock in
   let ptr = Media.Tree.read_ptr device node slot in
@@ -101,7 +100,7 @@ let rec descend_ensure ctx log ~shard txn ~fblock ~allocated ~undo node level =
     if ptr <> 0 then (ptr, false)
     else begin
       let data = alloc_block ctx ~shard in
-      allocated := data :: !allocated;
+      built := data :: !built;
       write_ptr device log txn node slot data;
       undo :=
         (fun () ->
@@ -112,10 +111,10 @@ let rec descend_ensure ctx log ~shard txn ~fblock ~allocated ~undo node level =
       (data, true)
     end
   else if ptr <> 0 then
-    descend_ensure ctx log ~shard txn ~fblock ~allocated ~undo ptr (level - 1)
+    descend_ensure ctx log ~shard txn ~fblock ~built ~undo ptr (level - 1)
   else begin
     let child = alloc_index_node ctx ~shard in
-    allocated := child :: !allocated;
+    built := child :: !built;
     write_ptr device log txn node slot child;
     undo :=
       (fun () ->
@@ -123,14 +122,13 @@ let rec descend_ensure ctx log ~shard txn ~fblock ~allocated ~undo node level =
           (Media.Tree.ptr_addr device node slot)
           0L)
       :: !undo;
-    descend_ensure ctx log ~shard txn ~fblock ~allocated ~undo child (level - 1)
+    descend_ensure ctx log ~shard txn ~fblock ~built ~undo child (level - 1)
   end
 
 (* Find the data block for [fblock], allocating the tree path and the data
-   block as needed. Returns [(block, freshly_allocated, allocated_blocks)]
-   where [allocated_blocks] lists every NVMM block (index nodes + data)
-   allocated by this call — the caller must return them to the allocator if
-   it aborts [txn]. *)
+   block as needed. Returns [(block, freshly_allocated)]; every NVMM block
+   (index nodes + data) the call allocated is owned by [txn] from its
+   return on, so an abort reclaims it. *)
 let ensure ctx txn ~ino ~fblock =
   if fblock < 0 then invalid_arg "Block_tree.ensure: negative file block";
   let device = ctx.Fs_ctx.device in
@@ -139,16 +137,16 @@ let ensure ctx txn ~ino ~fblock =
   let shard = Fs_ctx.shard_of_ino ctx ino in
   let inode_addr = Layout.Inode.addr geo ino in
   let root = Layout.Inode.tree_root device geo ino in
-  let allocated = ref [] in
+  let built = ref [] in
   let undo = ref [] in
   (* Failure atomicity: a mid-path allocation failure (ENOSPC, injected
      fault) raises after part of the path was built. A failed ensure must be
      net-zero: the undo thunks restore every pointer and inode field this
      call changed (the addresses are already journaled under [txn], so a
      later abort re-restores the same values — idempotent), and the
-     partially allocated blocks are reclaimed. This matters for HiNFS's
-     long-lived pending transactions, which must stay valid for *either*
-     commit or abort after a failed segment. *)
+     partially allocated blocks are reclaimed here, never handed to [txn].
+     This matters for HiNFS's long-lived pending transactions, which must
+     stay valid for *either* commit or abort after a failed segment. *)
   let result =
     try
     if root = 0 then begin
@@ -156,7 +154,7 @@ let ensure ctx txn ~ino ~fblock =
       let h = Media.Tree.needed_height device fblock in
       if h = 0 then begin
         let data = alloc_block ctx ~shard in
-        allocated := data :: !allocated;
+        built := data :: !built;
         Log.log log txn ~addr:inode_addr ~len:24;
         Layout.Inode.set_tree_root device ~cat:mcat geo ino data;
         (data, true)
@@ -164,7 +162,7 @@ let ensure ctx txn ~ino ~fblock =
       else begin
         let old_height = Layout.Inode.height device geo ino in
         let node = alloc_index_node ctx ~shard in
-        allocated := node :: !allocated;
+        built := node :: !built;
         Log.log log txn ~addr:inode_addr ~len:24;
         Layout.Inode.set_height device ~cat:mcat geo ino h;
         Layout.Inode.set_tree_root device ~cat:mcat geo ino node;
@@ -173,35 +171,32 @@ let ensure ctx txn ~ino ~fblock =
             Layout.Inode.set_height device ~cat:mcat geo ino old_height;
             Layout.Inode.set_tree_root device ~cat:mcat geo ino 0)
           :: !undo;
-        descend_ensure ctx log ~shard txn ~fblock ~allocated ~undo node h
+        descend_ensure ctx log ~shard txn ~fblock ~built ~undo node h
       end
     end
     else begin
-      grow ctx log txn ~ino ~fblock ~allocated ~undo;
+      grow ctx log txn ~ino ~fblock ~built ~undo;
       let height = Layout.Inode.height device geo ino in
       let root = Layout.Inode.tree_root device geo ino in
       if height = 0 then begin
         assert (fblock = 0);
         (root, false)
       end
-      else descend_ensure ctx log ~shard txn ~fblock ~allocated ~undo root height
+      else descend_ensure ctx log ~shard txn ~fblock ~built ~undo root height
     end
     with e ->
       List.iter (fun f -> f ()) !undo;
-      List.iter (Fs_ctx.free_block ctx) !allocated;
+      List.iter (Fs_ctx.free ctx Block) !built;
       raise e
   in
-  let block, fresh = result in
-  (block, fresh, !allocated)
+  List.iter (Log.allocated txn Block) !built;
+  result
 
 (* --- freeing --- *)
 
 (* Detach all tree blocks (index + data) from the inode: root/height/blocks
-   are reset through [txn], and the detached blocks are *returned*, not
-   freed — the caller hands them to the allocator only after the
-   transaction commits. Freeing inside the transaction would let an abort
-   restore the pointers to blocks the allocator already re-issued
-   (reachable-but-free corruption). The freed blocks need no on-NVMM
+   are reset through [txn], which releases the blocks — they go
+   back to the allocator once it commits. The freed blocks need no on-NVMM
    scrubbing: nothing reachable points at them once the transaction commits
    (the allocator is rebuilt from live trees at mount).
 
@@ -212,31 +207,33 @@ let free_all ctx log txn ~ino =
   let device = ctx.Fs_ctx.device in
   let geo = ctx.Fs_ctx.geo in
   let inode_addr = Layout.Inode.addr geo ino in
-  let detached = ref [] in
-  iter_blocks ctx ~ino (fun _fblock block -> detached := block :: !detached);
-  iter_index_nodes ctx ~ino (fun node -> detached := node :: !detached);
+  iter_blocks ctx ~ino (fun _fblock block -> Log.released txn Block block);
+  iter_index_nodes ctx ~ino (Log.released txn Block);
   Log.log log txn ~addr:inode_addr ~len:40;
   Layout.Inode.set_height device ~cat:mcat geo ino 0;
   Layout.Inode.set_tree_root device ~cat:mcat geo ino 0;
-  Layout.Inode.set_blocks device ~cat:mcat geo ino 0;
-  List.rev !detached
+  Layout.Inode.set_blocks device ~cat:mcat geo ino 0
 
 (* Detach data blocks with fblock >= keep_blocks (truncate). Index nodes
    that become empty are left in place (they are reclaimed when the file is
-   deleted); pointers to detached data blocks are zeroed through the txn.
-   As with [free_all], the detached blocks are returned for the caller to
-   free after commit, never freed inside the transaction. *)
+   deleted); pointers to the cut-off data blocks are zeroed through the txn,
+   which releases the blocks as [free_all] does. Returns how many it
+   released. *)
 let free_from ctx txn ~ino ~keep_blocks =
   let device = ctx.Fs_ctx.device in
   let geo = ctx.Fs_ctx.geo in
   let log = Fs_ctx.log_for ctx ~ino in
   let height = Layout.Inode.height device geo ino in
   let root = Layout.Inode.tree_root device geo ino in
-  let detached = ref [] in
+  let released = ref 0 in
+  let release block =
+    Log.released txn Block block;
+    incr released
+  in
   if root <> 0 then
     if height = 0 then begin
       if keep_blocks <= 0 then begin
-        detached := root :: !detached;
+        release root;
         Log.log log txn ~addr:(Layout.Inode.addr geo ino) ~len:24;
         Layout.Inode.set_tree_root device ~cat:mcat geo ino 0
       end
@@ -251,7 +248,7 @@ let free_from ctx txn ~ino ~keep_blocks =
             let ptr = Media.Tree.read_ptr device node slot in
             if ptr <> 0 then
               if level = 1 then begin
-                detached := ptr :: !detached;
+                release ptr;
                 write_ptr device log txn node slot 0
               end
               else walk ptr (level - 1) fblock_base
@@ -260,4 +257,4 @@ let free_from ctx txn ~ino ~keep_blocks =
       in
       walk root height 0
     end;
-  List.rev !detached
+  !released

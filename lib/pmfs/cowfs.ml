@@ -625,53 +625,44 @@ let fold_refcounts t ~cat =
   (new_refs, to_free)
 
 let commit_locked t ~cat =
-  if window_dirty t then begin
-    Obs.span_begin Obs.Snapshot_commit;
-    match
-      (match t.commit_fault with
-      | Some f when f () ->
-        Errno.raise_error EIO "injected commit fault before root swap"
-      | _ -> ());
-      let new_refs, to_free = fold_refcounts t ~cat in
-      (* Order the whole shadow payload before publishing the root that
-         reaches it. The sabotage hook skips exactly this fence: the
-         descriptor then races its own payload inside one fence window —
-         the torn-root-swap failure mode crashmc must be able to see. *)
-      if not t.sabotage_skip_payload_fence then Device.mfence t.device ~cat;
-      let desc =
-        {
-          Root_swap.seq = Int64.succ t.committed.Root_swap.seq;
-          ptrs =
-            [|
-              Int64.of_int t.imap_root;
-              Int64.of_int t.refcount_root;
-              Int64.of_int t.snap_table;
-              Int64.of_int t.next_snap_id;
-              Int64.of_int t.inode_count;
-            |];
-        }
-      in
-      Root_swap.commit t.device ~cat ~addr:0 desc;
-      (desc, new_refs, to_free)
-    with
-    | desc, new_refs, to_free ->
-      (* The swap is durable: retire the window. Zero-ref blocks are only
-         now handed back, so no crash image that mounts the *previous*
-         root can see them reused. *)
-      t.committed <- desc;
-      Hashtbl.iter (fun b v -> t.refs.(b) <- v) new_refs;
-      List.iter (fun b -> Allocator.free t.balloc b) to_free;
-      List.iter (fun ino -> Allocator.free t.ialloc ino) t.ino_released;
-      t.ino_released <- [];
-      t.ino_news <- [];
-      Hashtbl.reset t.shadow;
-      Hashtbl.reset t.deltas;
-      t.commits <- t.commits + 1;
-      Obs.span_end Obs.Snapshot_commit
-    | exception e ->
-      Obs.span_end Obs.Snapshot_commit;
-      raise e
-  end
+  if window_dirty t then
+    Obs.with_span Obs.Snapshot_commit (fun () ->
+        (match t.commit_fault with
+        | Some f when f () ->
+          Errno.raise_error EIO "injected commit fault before root swap"
+        | _ -> ());
+        let new_refs, to_free = fold_refcounts t ~cat in
+        (* Order the whole shadow payload before publishing the root that
+           reaches it. The sabotage hook skips exactly this fence: the
+           descriptor then races its own payload inside one fence window —
+           the torn-root-swap failure mode crashmc must be able to see. *)
+        if not t.sabotage_skip_payload_fence then Device.mfence t.device ~cat;
+        let desc =
+          {
+            Root_swap.seq = Int64.succ t.committed.Root_swap.seq;
+            ptrs =
+              [|
+                Int64.of_int t.imap_root;
+                Int64.of_int t.refcount_root;
+                Int64.of_int t.snap_table;
+                Int64.of_int t.next_snap_id;
+                Int64.of_int t.inode_count;
+              |];
+          }
+        in
+        Root_swap.commit t.device ~cat ~addr:0 desc;
+        (* The swap is durable: retire the window. Zero-ref blocks are only
+           now handed back, so no crash image that mounts the *previous*
+           root can see them reused. *)
+        t.committed <- desc;
+        Hashtbl.iter (fun b v -> t.refs.(b) <- v) new_refs;
+        List.iter (fun b -> Allocator.free t.balloc b) to_free;
+        List.iter (fun ino -> Allocator.free t.ialloc ino) t.ino_released;
+        t.ino_released <- [];
+        t.ino_news <- [];
+        Hashtbl.reset t.shadow;
+        Hashtbl.reset t.deltas;
+        t.commits <- t.commits + 1)
 
 let maybe_commit t ~cat = if t.txn_depth = 0 then commit_locked t ~cat
 
@@ -1141,16 +1132,10 @@ let snapshot_delete t ~snap_id =
         match (snap_find t snap_id, snap_slot_of t snap_id) with
         | Some s, Some slot ->
           commit_locked t ~cat:ccat;
-          Obs.span_begin Obs.Snapshot_gc;
-          (match
-             snap_store t ~cat:ccat ~slot ~id:0 ~imap:0 ~seq:0L;
-             walk_delta t ~imap:s.snap_imap (-1);
-             commit_locked t ~cat:ccat
-           with
-          | () -> Obs.span_end Obs.Snapshot_gc
-          | exception e ->
-            Obs.span_end Obs.Snapshot_gc;
-            raise e)
+          Obs.with_span Obs.Snapshot_gc (fun () ->
+              snap_store t ~cat:ccat ~slot ~id:0 ~imap:0 ~seq:0L;
+              walk_delta t ~imap:s.snap_imap (-1);
+              commit_locked t ~cat:ccat)
         | _ -> Errno.raise_error ENOENT "no snapshot %d" snap_id
       with
       | () -> ()
@@ -1168,22 +1153,16 @@ let rollback t ~snap_id =
         | Some s ->
           (* Discard the open window, then retarget the working tree. *)
           abort_window t;
-          Obs.span_begin Obs.Snapshot_gc;
-          (match
-             walk_delta t ~imap:t.imap_root (-1);
-             t.imap_root <- s.snap_imap;
-             walk_delta t ~imap:s.snap_imap 1;
-             Allocator.reset t.ialloc;
-             for ino = 1 to t.inode_count do
-               if in_use_at t ~imap:t.imap_root ino then
-                 Allocator.mark_allocated t.ialloc ino
-             done;
-             commit_locked t ~cat:ccat
-           with
-          | () -> Obs.span_end Obs.Snapshot_gc
-          | exception e ->
-            Obs.span_end Obs.Snapshot_gc;
-            raise e)
+          Obs.with_span Obs.Snapshot_gc (fun () ->
+              walk_delta t ~imap:t.imap_root (-1);
+              t.imap_root <- s.snap_imap;
+              walk_delta t ~imap:s.snap_imap 1;
+              Allocator.reset t.ialloc;
+              for ino = 1 to t.inode_count do
+                if in_use_at t ~imap:t.imap_root ino then
+                  Allocator.mark_allocated t.ialloc ino
+              done;
+              commit_locked t ~cat:ccat)
       with
       | () -> ()
       | exception e ->

@@ -32,47 +32,35 @@ let write_dirent ctx txn ~dir ~block ~slot ~name ~ino =
   Device.set_bytes ctx.Fs_ctx.device ~cat:mcat ~addr
     (Media.Dirent.encode ~name ~ino)
 
-(* Insert an entry. Returns the NVMM blocks allocated for the directory by
-   this call (a fresh dirent block plus any index nodes): they are only
-   reachable once [txn] commits, so a caller that aborts the transaction
-   must hand them back to the allocator. A failure *inside* [add] reclaims
-   its own allocations before re-raising. *)
+(* Insert an entry. A fresh dirent block and any index nodes it needs are
+   owned by [txn]: an abort hands them back to the allocator. *)
 let add ctx txn ~dir name ~ino =
   Media.Dirent.check_name name;
   let device = ctx.Fs_ctx.device in
   let geo = ctx.Fs_ctx.geo in
-  let allocated = ref [] in
-  try
-    let block, slot =
-      match Media.Dirent.free_slot device ~ia:(dir_ia ctx dir) with
-      | Some (_fblock, block, slot) -> (block, slot)
-      | None ->
-        (* Append a fresh dirent block: zero it persistently before it
-           becomes reachable, then extend the directory size. *)
-        let nblocks =
-          Layout.Inode.size device geo dir / geo.Layout.block_size
-        in
-        let block, fresh, blocks =
-          Block_tree.ensure ctx txn ~ino:dir ~fblock:nblocks
-        in
-        allocated := blocks;
-        if fresh then
-          Device.zero_nt device ~cat:mcat
-            ~addr:(Fs_ctx.block_addr ctx block)
-            ~len:geo.Layout.block_size;
-        let inode_addr = Layout.Inode.addr geo dir in
-        Log.log (Fs_ctx.log_for ctx ~ino:dir) txn ~addr:inode_addr ~len:40;
-        Layout.Inode.set_size device ~cat:mcat geo dir
-          ((nblocks + 1) * geo.Layout.block_size);
-        Layout.Inode.set_blocks device ~cat:mcat geo dir
-          (Layout.Inode.blocks device geo dir + if fresh then 1 else 0);
-        (block, 0)
-    in
-    write_dirent ctx txn ~dir ~block ~slot ~name ~ino;
-    !allocated
-  with e ->
-    List.iter (Fs_ctx.free_block ctx) !allocated;
-    raise e
+  let block, slot =
+    match Media.Dirent.free_slot device ~ia:(dir_ia ctx dir) with
+    | Some (_fblock, block, slot) -> (block, slot)
+    | None ->
+      (* Append a fresh dirent block: zero it persistently before it
+         becomes reachable, then extend the directory size. *)
+      let nblocks =
+        Layout.Inode.size device geo dir / geo.Layout.block_size
+      in
+      let block, fresh = Block_tree.ensure ctx txn ~ino:dir ~fblock:nblocks in
+      if fresh then
+        Device.zero_nt device ~cat:mcat
+          ~addr:(Fs_ctx.block_addr ctx block)
+          ~len:geo.Layout.block_size;
+      let inode_addr = Layout.Inode.addr geo dir in
+      Log.log (Fs_ctx.log_for ctx ~ino:dir) txn ~addr:inode_addr ~len:40;
+      Layout.Inode.set_size device ~cat:mcat geo dir
+        ((nblocks + 1) * geo.Layout.block_size);
+      Layout.Inode.set_blocks device ~cat:mcat geo dir
+        (Layout.Inode.blocks device geo dir + if fresh then 1 else 0);
+      (block, 0)
+  in
+  write_dirent ctx txn ~dir ~block ~slot ~name ~ino
 
 let remove ctx txn ~dir name =
   match find ctx ~dir name with

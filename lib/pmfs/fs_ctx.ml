@@ -63,10 +63,13 @@ let alloc_block t ~shard =
 let alloc_ino t ~shard =
   alloc_in t ~shard (fun sh -> Allocator.alloc sh.ialloc)
 
-let free_block t block =
-  Allocator.free t.shards.(shard_of_block t block).balloc block
-
-let free_ino t ino = Allocator.free t.shards.(shard_of_ino t ino).ialloc ino
+(* Return a block or inode number to the range that owns it. Numbers a
+   transaction allocated or released come back through here when it ends
+   ({!Log.set_reclaim}). *)
+let free t (r : Log.resource) n =
+  match r with
+  | Block -> Allocator.free t.shards.(shard_of_block t n).balloc n
+  | Inode -> Allocator.free t.shards.(shard_of_ino t n).ialloc n
 
 let block_is_allocated t block =
   let sh = t.shards.(shard_of_block t block) in

@@ -284,6 +284,8 @@ let mount device ?(journal_cleaner = false) () =
           })
     in
     let ctx = { Fs_ctx.device; geo; shards; epoch; rr_next = 0 } in
+    Fs_ctx.iter_shards ctx (fun _ sh ->
+        Log.set_reclaim sh.Fs_ctx.log (Fs_ctx.free ctx));
     rebuild_allocators ctx;
     Layout.write_superblock device geo ~clean:false;
     if journal_cleaner then
@@ -356,15 +358,12 @@ module Data = struct
 
   (* Find-or-allocate the NVMM home block for [fblock] inside [txn];
      zero-filling a fresh block's uncovered range is the caller's job.
-     Updates the inode's block count. Blocks allocated by the call (index
-     nodes + data) are pushed onto [allocated] *before* the block-count
-     journaling below, which can itself fail mid-op (journal exhaustion,
-     injected fault): recording them first means an aborting caller
-     reclaims them even when this call raises, so a failed write leaks
-     nothing. *)
-  let ensure_block t txn ~ino ~fblock ~allocated =
-    let block, fresh, blocks = Block_tree.ensure t.ctx txn ~ino ~fblock in
-    allocated := blocks @ !allocated;
+     Updates the inode's block count. The blocks the call allocated (index
+     nodes + data) are owned by [txn] before the block-count journaling
+     below, which can itself fail mid-op (journal exhaustion, injected
+     fault): an abort reclaims them even when this call raises. *)
+  let ensure_block t txn ~ino ~fblock =
+    let block, fresh = Block_tree.ensure t.ctx txn ~ino ~fblock in
     if fresh then begin
       let device = device t in
       let geo = geometry t in
@@ -455,7 +454,6 @@ let write_direct ?(background = false) ?(cat = Stats.Write_access) t ~ino ~off
   let size = inode_size t ino in
   let log = log_for t ~ino in
   let txn_ref = ref None in
-  let allocated = ref [] in
   let get_txn () =
     match !txn_ref with
     | Some txn -> txn
@@ -475,7 +473,7 @@ let write_direct ?(background = false) ?(cat = Stats.Write_access) t ~ino ~off
         | Some block -> block
         | None ->
           let block, fresh =
-            Data.ensure_block t (get_txn ()) ~ino ~fblock ~allocated
+            Data.ensure_block t (get_txn ()) ~ino ~fblock
           in
           if fresh then
             Data.zero_fresh_block ~background t ~cat ~block
@@ -504,14 +502,13 @@ let write_direct ?(background = false) ?(cat = Stats.Write_access) t ~ino ~off
         | None -> Data.touch_mtime_atomic t ~ino);
      (match !txn_ref with Some txn -> Log.commit log txn | None -> ())
    with e ->
-     (* Mid-op failure (ENOSPC, journal exhaustion, injected fault): roll
-        the metadata back and reclaim every block this write allocated, so
-        a failed write leaks nothing. Data already streamed into those
-        blocks becomes unreachable with them. *)
+     (* Mid-op failure (ENOSPC, journal exhaustion, injected fault): the
+        abort rolls the metadata back and reclaims every block this write
+        allocated, so a failed write leaks nothing. Data already streamed
+        into those blocks becomes unreachable with them. *)
      (match !txn_ref with
      | Some txn when not (Log.txn_committed txn) -> Log.abort log txn
      | _ -> ());
-     List.iter (Fs_ctx.free_block t.ctx) !allocated;
      raise e);
   len
 
@@ -526,20 +523,16 @@ let truncate t ~ino ~size =
   let geo = geometry t in
   let bs = geo.Layout.block_size in
   let old_size = inode_size t ino in
-  if size <> old_size then begin
-    (* Blocks detached inside the transaction go back to the allocator only
-       after commit: an abort restores the pointers, so freeing early would
-       corrupt (reachable blocks the allocator re-issues). *)
-    let detached = ref [] in
+  if size <> old_size then
     Log.with_txn (log_for t ~ino) (fun txn ->
         if size < old_size then begin
           let keep_blocks = (size + bs - 1) / bs in
-          detached := Block_tree.free_from t.ctx txn ~ino ~keep_blocks;
+          let released = Block_tree.free_from t.ctx txn ~ino ~keep_blocks in
           let device = device t in
           let addr = Layout.Inode.addr geo ino + Media.Inode.blocks_off in
           Log.log (log_for t ~ino) txn ~addr ~len:8;
           Layout.Inode.set_blocks device ~cat:Stats.Other geo ino
-            (Layout.Inode.blocks device geo ino - List.length !detached);
+            (Layout.Inode.blocks device geo ino - released);
           (* Zero the tail of the last kept block so a later size extension
              cannot expose stale bytes. *)
           let tail = size mod bs in
@@ -553,9 +546,7 @@ let truncate t ~ino ~size =
           end
         end;
         Data.update_size t txn ~ino ~size;
-        Data.touch_mtime_txn t txn ~ino);
-    List.iter (Fs_ctx.free_block t.ctx) !detached
-  end
+        Data.touch_mtime_txn t txn ~ino)
 
 let fsync t ~ino =
   check_ino t ino;
@@ -615,19 +606,13 @@ let create_entry t ~dir name ~kind =
   match Fs_ctx.alloc_ino t.ctx ~shard with
   | None -> Errno.raise_error ENOSPC "out of inodes"
   | Some ino ->
+    (* The inode is taken before the transaction begins (running out of
+       inodes aborts nothing); the transaction owns it from its start. *)
     let log = log_for t ~ino:dir in
-    let allocated = ref [] in
-    (try
-       Log.with_txn log (fun txn ->
-           init_inode t log txn ~ino ~kind;
-           allocated := Dir.add t.ctx txn ~dir name ~ino)
-     with e ->
-       (* The abort rolled the metadata back; reclaim the dirent blocks
-          [Dir.add] allocated (empty if it was [Dir.add] that failed — it
-          reclaims its own) and the inode number. *)
-       List.iter (Fs_ctx.free_block t.ctx) !allocated;
-       Fs_ctx.free_ino t.ctx ino;
-       raise e);
+    Log.with_txn log (fun txn ->
+        Log.allocated txn Inode ino;
+        init_inode t log txn ~ino ~kind;
+        Dir.add t.ctx txn ~dir name ~ino);
     ino
 
 let create_file t ~dir name =
@@ -636,148 +621,94 @@ let create_file t ~dir name =
 let mkdir t ~dir name =
   create_entry t ~dir name ~kind:Media.Inode.kind_directory
 
-(* Release an inode and detach all its blocks; returns the detached blocks
-   for the caller to free after the transaction commits. Caller must have
-   removed all directory entries pointing at it. Frees a directory victim
-   (an empty directory replaced by rename) the same way. *)
+(* Release an inode and all its blocks under [txn]: they go back to the
+   allocators once it commits. Caller must have removed all directory
+   entries pointing at it. Frees a directory victim (an empty directory
+   replaced by rename) the same way. *)
 let free_inode t log txn ~ino =
   let device = device t in
   let geo = geometry t in
-  let detached = Block_tree.free_all t.ctx log txn ~ino in
+  Block_tree.free_all t.ctx log txn ~ino;
   let addr = Layout.Inode.addr geo ino in
   Log.log log txn ~addr ~len:8;
   Layout.Inode.set_in_use device ~cat:Stats.Other geo ino false;
   Layout.Inode.set_kind device ~cat:Stats.Other geo ino Media.Inode.kind_free;
   Layout.Inode.set_links device ~cat:Stats.Other geo ino 0;
-  detached
+  Log.released txn Inode ino
 
 let unlink t ~dir name =
   check_writable_ino t ~ino:dir;
   check_ino t dir;
   let ino = entry t ~dir name in
   let log = log_for t ~ino:dir in
-  let detached = ref [] in
   Log.with_txn log (fun txn ->
       ignore (Dir.remove t.ctx txn ~dir name);
       let links = Layout.Inode.links (device t) (geometry t) ino in
-      if links <= 1 then detached := free_inode t log txn ~ino
+      if links <= 1 then free_inode t log txn ~ino
       else begin
         let addr = Layout.Inode.addr (geometry t) ino + Media.Inode.links_off in
         Log.log log txn ~addr ~len:2;
         Layout.Inode.set_links (device t) ~cat:Stats.Other (geometry t) ino
           (links - 1)
-      end);
-  (* Committed: the blocks and the inode number are now reclaimable. *)
-  List.iter (Fs_ctx.free_block t.ctx) !detached;
-  if Layout.Inode.links (device t) (geometry t) ino = 0 then
-    Fs_ctx.free_ino t.ctx ino
+      end)
 
 let rmdir t ~dir name =
   check_writable_ino t ~ino:dir;
   check_ino t dir;
   let ino = entry t ~dir name in
   let log = log_for t ~ino:dir in
-  let detached = ref [] in
   Log.with_txn log (fun txn ->
       ignore (Dir.remove t.ctx txn ~dir name);
-      detached := free_inode t log txn ~ino);
-  List.iter (Fs_ctx.free_block t.ctx) !detached;
-  Fs_ctx.free_ino t.ctx ino
+      free_inode t log txn ~ino)
 
-(* Rename within one shard: both directories journal into the same log, so
-   one ordinary transaction covers target replacement, insertion, and
-   source removal. *)
-let rename_same_shard t ~src_dir ~src ~dst_dir ~dst ~ino =
-  let log = log_for t ~ino:src_dir in
-  (* Resources released by replacing the target — its blocks and inode
-     number — go back to the allocators only after commit; blocks the
-     [Dir.add] allocates must conversely be reclaimed if the transaction
-     aborts after it returned. *)
-  let detached = ref [] in
-  let replaced = ref None in
-  let added = ref [] in
-  (try
-     Log.with_txn log (fun txn ->
-         (match Dir.lookup t.ctx ~dir:dst_dir dst with
-         | Some existing ->
-           ignore (Dir.remove t.ctx txn ~dir:dst_dir dst);
-           detached := free_inode t log txn ~ino:existing;
-           replaced := Some existing
-         | None -> ());
-         added := Dir.add t.ctx txn ~dir:dst_dir dst ~ino;
-         ignore (Dir.remove t.ctx txn ~dir:src_dir src))
-   with e ->
-     List.iter (Fs_ctx.free_block t.ctx) !added;
-     raise e);
-  List.iter (Fs_ctx.free_block t.ctx) !detached;
-  match !replaced with
-  | Some existing -> Fs_ctx.free_ino t.ctx existing
-  | None -> ()
-
-(* Rename across shards: one transaction per side, atomically committed
-   through the epoch record. Each side's mutations journal into its own
-   shard's log; both transactions are stamped with one epoch id and become
-   durable together when the epoch record persists (the single-cacheline
-   commit point). A crash before the record covers the epoch rolls both
-   sides back at recovery; a crash after keeps both — the entry is never
-   visible in both directories, nor in neither. *)
-let rename_cross_shard t ~src_dir ~src ~dst_dir ~dst ~ino =
-  let src_log = log_for t ~ino:src_dir in
-  let dst_log = log_for t ~ino:dst_dir in
-  let detached = ref [] in
-  let replaced = ref None in
-  let added = ref [] in
-  Hinfs_journal.Epoch.with_barrier (epoch t) (fun ep ->
-      let src_txn = Log.begin_txn src_log in
-      let dst_txn =
-        try Log.begin_txn dst_log
-        with e ->
-          Log.abort src_log src_txn;
-          raise e
-      in
-      try
-        (match Dir.lookup t.ctx ~dir:dst_dir dst with
-        | Some existing ->
-          ignore (Dir.remove t.ctx dst_txn ~dir:dst_dir dst);
-          detached := free_inode t dst_log dst_txn ~ino:existing;
-          replaced := Some existing
-        | None -> ());
-        added := Dir.add t.ctx dst_txn ~dir:dst_dir dst ~ino;
-        ignore (Dir.remove t.ctx src_txn ~dir:src_dir src);
-        if !sabotage_skip_epoch then begin
-          (* Two independent durable commit points: a crash between them
-             leaves the entry live in both directories — exactly the tear
-             the epoch record closes. Vacuity fixtures only. *)
-          Log.commit dst_log dst_txn;
-          Device.mfence (device t) ~cat:Stats.Other;
-          Log.commit src_log src_txn
-        end
-        else begin
-          Log.prepare_epoch dst_log dst_txn ~epoch:ep;
-          Log.prepare_epoch src_log src_txn ~epoch:ep;
-          Hinfs_journal.Epoch.commit (epoch t) ep;
-          Log.finish_epoch dst_log dst_txn;
-          Log.finish_epoch src_log src_txn
-        end
-      with e ->
-        if not (Log.txn_committed dst_txn) then Log.abort dst_log dst_txn;
-        if not (Log.txn_committed src_txn) then Log.abort src_log src_txn;
-        List.iter (Fs_ctx.free_block t.ctx) !added;
-        raise e);
-  List.iter (Fs_ctx.free_block t.ctx) !detached;
-  match !replaced with
-  | Some existing -> Fs_ctx.free_ino t.ctx existing
-  | None -> ()
-
+(* Rename: replace the target if one exists, insert the entry, remove the
+   source. Within one shard both directories journal into the same log and
+   one ordinary transaction covers all three steps. Across shards each side
+   journals into its own shard's log, and the two transactions commit
+   atomically through the epoch record (the single-cacheline commit
+   point): a crash before the record covers the epoch rolls both sides
+   back at recovery, a crash after keeps both — the entry is never visible
+   in both directories, nor in neither. *)
 let rename t ~src_dir ~src ~dst_dir ~dst =
   check_writable_ino t ~ino:src_dir;
   check_writable_ino t ~ino:dst_dir;
   check_ino t src_dir;
   check_ino t dst_dir;
   let ino = entry t ~dir:src_dir src in
-  if shard_of_ino t src_dir = shard_of_ino t dst_dir then
-    rename_same_shard t ~src_dir ~src ~dst_dir ~dst ~ino
-  else rename_cross_shard t ~src_dir ~src ~dst_dir ~dst ~ino
+  let src_log = log_for t ~ino:src_dir in
+  let dst_log = log_for t ~ino:dst_dir in
+  let move ~src_txn ~dst_txn =
+    (match Dir.lookup t.ctx ~dir:dst_dir dst with
+    | Some existing ->
+      ignore (Dir.remove t.ctx dst_txn ~dir:dst_dir dst);
+      free_inode t dst_log dst_txn ~ino:existing
+    | None -> ());
+    Dir.add t.ctx dst_txn ~dir:dst_dir dst ~ino;
+    ignore (Dir.remove t.ctx src_txn ~dir:src_dir src)
+  in
+  if src_log == dst_log then
+    Log.with_txn src_log (fun txn -> move ~src_txn:txn ~dst_txn:txn)
+  else
+    Hinfs_journal.Epoch.with_barrier (epoch t) (fun id ->
+        let src_txn = Log.begin_txn src_log in
+        let dst_txn = Log.begin_txn dst_log in
+        try
+          move ~src_txn ~dst_txn;
+          if !sabotage_skip_epoch then begin
+            (* Two independent durable commit points: a crash between them
+               leaves the entry live in both directories — exactly the tear
+               the epoch record closes. Vacuity fixtures only. *)
+            Log.commit dst_log dst_txn;
+            Device.mfence (device t) ~cat:Stats.Other;
+            Log.commit src_log src_txn
+          end
+          else
+            Log.commit_group (epoch t) ~id
+              [ (dst_log, dst_txn); (src_log, src_txn) ]
+        with e ->
+          if not (Log.txn_committed dst_txn) then Log.abort dst_log dst_txn;
+          if not (Log.txn_committed src_txn) then Log.abort src_log src_txn;
+          raise e)
 
 let readdir t ~dir =
   check_ino t dir;

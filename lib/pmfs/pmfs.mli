@@ -184,12 +184,13 @@ module Data : sig
 
   val ensure_block :
     t -> Hinfs_journal.Cacheline_log.txn -> ino:int -> fblock:int ->
-    allocated:int list ref -> int * bool
+    int * bool
   (** Find-or-allocate the NVMM home block inside [txn]. Returns
-      [(block, fresh)]; every block the call allocated (index nodes +
-      data) is pushed onto [allocated] before anything that can raise, so
-      the caller can reclaim them when the transaction aborts — even when
-      [ensure_block] itself raises mid-op. *)
+      [(block, fresh)]. The blocks the call allocated (index nodes + data)
+      are owned by [txn] before anything after the allocation can raise,
+      so an abort reclaims them — even when [ensure_block] itself raises
+      mid-op; an allocation that fails part-way frees its partial path
+      itself and leaves [txn] valid for commit or abort. *)
 
   val update_size :
     t -> Hinfs_journal.Cacheline_log.txn -> ino:int -> size:int -> unit

@@ -50,15 +50,11 @@ let misses t = t.misses
 let close_entry t (e : entry) ~flush =
   let flush_exn =
     if flush && e.dirty then begin
-      Obs.span_begin Obs.Srv_flush;
-      match t.vfs.Vfs.fsync e.fd with
+      match Obs.with_span Obs.Srv_flush (fun () -> t.vfs.Vfs.fsync e.fd) with
       | () ->
-        Obs.span_end Obs.Srv_flush;
         e.dirty <- false;
         None
-      | exception ex ->
-        Obs.span_end Obs.Srv_flush;
-        Some ex
+      | exception ex -> Some ex
     end
     else None
   in
@@ -149,15 +145,10 @@ let commit t ino =
   | Some e ->
     if e.dirty then begin
       e.pins <- e.pins + 1;
-      Obs.span_begin Obs.Srv_flush;
-      (match t.vfs.Vfs.fsync e.fd with
-      | () ->
-        Obs.span_end Obs.Srv_flush;
-        e.pins <- e.pins - 1
-      | exception ex ->
-        Obs.span_end Obs.Srv_flush;
-        e.pins <- e.pins - 1;
-        raise ex);
+      Fun.protect
+        ~finally:(fun () -> e.pins <- e.pins - 1)
+        (fun () ->
+          Obs.with_span Obs.Srv_flush (fun () -> t.vfs.Vfs.fsync e.fd));
       e.dirty <- false
     end
 

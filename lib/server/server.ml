@@ -105,13 +105,7 @@ let revalidate_stat t (e : Fhandle.entry) =
   end;
   st
 
-let flush_fd t fd =
-  Obs.span_begin Obs.Srv_flush;
-  match t.vfs.Vfs.fsync fd with
-  | () -> Obs.span_end Obs.Srv_flush
-  | exception ex ->
-    Obs.span_end Obs.Srv_flush;
-    raise ex
+let flush_fd t fd = Obs.with_span Obs.Srv_flush (fun () -> t.vfs.Vfs.fsync fd)
 
 let dispatch t ~sid (req : Wire.req) : Wire.reply =
   match req with

@@ -8,7 +8,8 @@
 # under a small SOAK_SEED matrix (scripts/soaks.sh): every seed drives a
 # different op mix, crash fence, fault schedule and crash-image sample,
 # so three seeds triple the state space each gate covers without
-# touching the (seeded, reproducible) default runtest pass.
+# touching the (seeded, reproducible) default runtest pass. Their stdout
+# is held to test/soaks.expected.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -25,7 +26,20 @@ dune build @obs-smoke --force
 # does not move); each must exit 0.
 dune build @cli-smoke --force
 
-sh scripts/soaks.sh
+# The soak and crashmc stdout is a pure function of the source and the
+# seeds: it must equal the committed test/soaks.expected byte for byte. A
+# change that moves it commits the regenerated file
+# (sh scripts/soaks.sh > test/soaks.expected) and explains every moved
+# line in CHANGES.md, as for BENCH_HINFS.json.
+soaks_out=$(mktemp /tmp/soaks.XXXXXX.txt)
+sh scripts/soaks.sh > "$soaks_out"
+if ! cmp -s test/soaks.expected "$soaks_out"; then
+    echo "soaks FAIL: output differs from test/soaks.expected" >&2
+    diff test/soaks.expected "$soaks_out" >&2 || true
+    rm -f "$soaks_out"
+    exit 1
+fi
+rm -f "$soaks_out"
 
 sh scripts/bench_check.sh
 

@@ -9,6 +9,12 @@
 #
 #   sh scripts/soaks.sh > a.txt   # in each checkout, then: diff a.txt b.txt
 #
+# The expected stdout is committed as test/soaks.expected, and
+# scripts/ci.sh fails with the diff when a fresh run differs; a change
+# that moves it regenerates the file with
+#
+#   sh scripts/soaks.sh > test/soaks.expected
+#
 # Failures go to stderr, and so does each run's wall-clock time (a
 # "<name> seed=<n>: <s> s" line; it needs GNU date), so the log tracks
 # host cost per program while stdout stays diffable. The script runs

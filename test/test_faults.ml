@@ -235,6 +235,202 @@ let test_enospc_exhaustion_leak_free () =
       check_int "data intact" chunk n;
       Testkit.check_bytes "data intact after remount" payload buf)
 
+(* --- forced failures are net-zero ---
+
+   Every PMFS namespace and data op, failed at each opportunity of each
+   operation-level fault kind, must hand back every block and inode it
+   took: the free counts equal those before the op, and fsck finds no
+   leak on the live mount. Each attempt runs on a fresh mount, so a
+   failure at opportunity [k] sees exactly the state the op started
+   from. *)
+
+module Faultops = Hinfs_nvmm.Faultops
+module Fs_ctx = Hinfs_pmfs.Fs_ctx
+
+let dirents_per_block = 4096 / Hinfs_pmfs.Media.Dirent.size
+
+let put fs ~ino ~fblock ~blocks =
+  let len = blocks * 4096 in
+  ignore
+    (Pmfs.write fs ~ino ~off:(fblock * 4096) ~src:(Bytes.make len 'd')
+       ~src_off:0 ~len ~sync:true)
+
+(* A directory holding [n] entries. *)
+let dir_with fs name n =
+  let dir = Pmfs.mkdir fs ~dir:root name in
+  for i = 1 to n do
+    ignore (Pmfs.create_file fs ~dir (Fmt.str "e%02d" i))
+  done;
+  dir
+
+(* Each case sets up its preconditions and returns the op to fail. *)
+let net_zero_cases =
+  [
+    ( "create",
+      fun fs ->
+        (* Its dirent block is full: the insertion allocates. *)
+        let dir = dir_with fs "d" dirents_per_block in
+        fun () -> ignore (Pmfs.create_file fs ~dir "new") );
+    ( "write",
+      fun fs ->
+        let ino = Pmfs.create_file fs ~dir:root "f" in
+        put fs ~ino ~fblock:0 ~blocks:1;
+        (* Block 600 needs a taller tree: index nodes plus data. *)
+        fun () -> put fs ~ino ~fblock:600 ~blocks:2 );
+    ( "truncate",
+      fun fs ->
+        let ino = Pmfs.create_file fs ~dir:root "f" in
+        put fs ~ino ~fblock:0 ~blocks:4;
+        fun () -> Pmfs.truncate fs ~ino ~size:4196 );
+    ( "unlink",
+      fun fs ->
+        let ino = Pmfs.create_file fs ~dir:root "f" in
+        put fs ~ino ~fblock:0 ~blocks:3;
+        put fs ~ino ~fblock:600 ~blocks:1;
+        fun () -> Pmfs.unlink fs ~dir:root "f" );
+    ( "rename same shard",
+      fun fs ->
+        let dir = dir_with fs "d" (dirents_per_block - 1) in
+        let ino = Pmfs.create_file fs ~dir "src" in
+        put fs ~ino ~fblock:0 ~blocks:1;
+        (* The dirent block is full: the insertion, which runs before the
+           source's removal, allocates. *)
+        fun () -> Pmfs.rename fs ~src_dir:dir ~src:"src" ~dst_dir:dir ~dst:"dst"
+    );
+    ( "rename cross shard",
+      fun fs ->
+        let a = Pmfs.mkdir fs ~dir:root "a" in
+        let b = Pmfs.mkdir fs ~dir:root "b" in
+        if Pmfs.shard_of_ino fs a = Pmfs.shard_of_ino fs b then
+          Alcotest.fail "directories a and b share a shard";
+        let ino = Pmfs.create_file fs ~dir:a "src" in
+        put fs ~ino ~fblock:0 ~blocks:1;
+        let victim = Pmfs.create_file fs ~dir:b "dst" in
+        put fs ~ino:victim ~fblock:0 ~blocks:2;
+        (* Replacing the target releases its blocks and inode. *)
+        fun () -> Pmfs.rename fs ~src_dir:a ~src:"src" ~dst_dir:b ~dst:"dst" );
+  ]
+
+(* Force [name]'s op to fail at opportunity [k] of [kind]. A sharded
+   mount absorbs a failed allocation by borrowing from the next shard's
+   range, so a fault that fires need not fail the op. *)
+let fail_at ~shards (name, setup) kind k =
+  Testkit.run_sim (fun engine ->
+      let d = Testkit.make_device engine in
+      let fs = Pmfs.mkfs_and_mount d ~journal_blocks:32 ~shards () in
+      let op = setup fs in
+      let fo = Faultops.create ~seed:1L () in
+      Pmfs.attach_faultops fs (Some fo);
+      let ctx = Pmfs.ctx fs in
+      let blocks = Fs_ctx.free_data_blocks ctx in
+      let inodes = Fs_ctx.free_inodes ctx in
+      Faultops.force fo kind ~after:k;
+      let what =
+        Fmt.str "%s, %d shard(s), %s at opportunity %d" name shards
+          (Faultops.kind_name kind) k
+      in
+      match op () with
+      | () ->
+        if Faultops.injected fo kind = 0 then `Not_reached
+        else if shards > 1 && kind <> Faultops.Journal_slot then `Absorbed
+        else Alcotest.failf "%s: the fault fired but the op succeeded" what
+      | exception _ ->
+        check_int (what ^ ": the forced fault failed it") 1
+          (Faultops.injected fo kind);
+        check_int (what ^ ": free blocks") blocks (Fs_ctx.free_data_blocks ctx);
+        check_int (what ^ ": free inodes") inodes (Fs_ctx.free_inodes ctx);
+        let r = Fsck.check_pmfs fs in
+        check_bool
+          (Fmt.str "%s: fsck clean: %a" what Fsck.pp_report r)
+          true (Fsck.ok r);
+        check_int (what ^ ": leaked blocks") 0 r.Fsck.leaked_blocks;
+        check_int (what ^ ": leaked inodes") 0 r.Fsck.leaked_inodes;
+        `Failed)
+
+let test_forced_failures_net_zero ~shards () =
+  List.iter
+    (fun ((name, _) as case) ->
+      if shards > 1 || name <> "rename cross shard" then
+        List.iter
+          (fun kind ->
+            let rec count k failed =
+              match fail_at ~shards case kind k with
+              | `Not_reached -> failed
+              | `Absorbed -> count (k + 1) failed
+              | `Failed -> count (k + 1) (failed + 1)
+            in
+            let failed = count 0 0 in
+            (* Vacuity: the paths this test exists for are reached. *)
+            let expected =
+              match (kind, name) with
+              | Faultops.Journal_slot, _ -> true
+              | Faultops.Inode_alloc, "create" -> shards = 1
+              | Faultops.Block_alloc,
+                ("create" | "write" | "rename same shard") ->
+                shards = 1
+              | _ -> false
+            in
+            if expected then
+              check_bool
+                (Fmt.str "%s fails at some %s opportunity" name
+                   (Faultops.kind_name kind))
+                true (failed > 0))
+          Faultops.kinds)
+    net_zero_cases
+
+(* HiNFS: a lazy write's segment fails inside [Block_tree.ensure], after
+   it allocated part of the path. The pending transaction must stay valid
+   for either ending: unlink aborts it, fsync commits it, and both leave
+   the allocators covering exactly the reachable set. *)
+let test_hinfs_failed_segment ~unlink () =
+  Testkit.run_sim (fun engine ->
+      let _d, fs = Testkit.make_hinfs ~hcfg:Testkit.small_hcfg engine in
+      let pmfs = Hinfs.Fs.pmfs fs in
+      let ctx = Pmfs.ctx pmfs in
+      (* The root directory's first dirent block outlives the file. *)
+      ignore (Pmfs.create_file pmfs ~dir:root "keep");
+      let blocks = Fs_ctx.free_data_blocks ctx in
+      let inodes = Fs_ctx.free_inodes ctx in
+      let ino = Pmfs.create_file pmfs ~dir:root "lazy" in
+      let fo = Faultops.create ~seed:1L () in
+      Pmfs.attach_faultops pmfs (Some fo);
+      let src = Bytes.make 4096 'z' in
+      let write fblock =
+        ignore
+          (Hinfs.Fs.write fs ~ino ~off:(fblock * 4096) ~src ~src_off:0
+             ~len:4096 ~sync:false)
+      in
+      write 0;
+      check_int "lazy write holds a pending transaction" 1
+        (Hinfs.Fs.pending_txns fs);
+      (* Block 600 grows the tree by two index nodes, then needs a child
+         node and the data block: fail the child, after the two nodes. *)
+      Faultops.force fo Faultops.Block_alloc ~after:2;
+      (match write 600 with
+      | () -> Alcotest.fail "the forced allocation failure did not fire"
+      | exception Errno.Fs_error (Errno.ENOSPC, _) -> ());
+      check_int "failed inside ensure" 1
+        (Faultops.injected fo Faultops.Block_alloc);
+      check_int "the pending transaction survives" 1
+        (Hinfs.Fs.pending_txns fs);
+      if unlink then begin
+        Hinfs.Fs.unlink fs ~dir:root "lazy";
+        check_int "abort hands every block back" blocks
+          (Fs_ctx.free_data_blocks ctx);
+        check_int "and the inode" inodes (Fs_ctx.free_inodes ctx)
+      end
+      else begin
+        Hinfs.Fs.fsync fs ~ino;
+        check_int "commit keeps the first write's block" (blocks - 1)
+          (Fs_ctx.free_data_blocks ctx);
+        check_int "and the inode" (inodes - 1) (Fs_ctx.free_inodes ctx)
+      end;
+      check_int "no pending transaction left" 0 (Hinfs.Fs.pending_txns fs);
+      let r = Fsck.check_pmfs pmfs in
+      check_bool (Fmt.str "fsck clean: %a" Fsck.pp_report r) true (Fsck.ok r);
+      check_int "no leaked blocks" 0 r.Fsck.leaked_blocks;
+      check_int "no leaked inodes" 0 r.Fsck.leaked_inodes)
+
 (* --- CRC-guarded journal recovery --- *)
 
 let journal_first = 1
@@ -557,6 +753,14 @@ let () =
         [
           Alcotest.test_case "ENOSPC soak is leak-free" `Quick
             test_enospc_exhaustion_leak_free;
+          Alcotest.test_case "forced failures net-zero, unsharded" `Quick
+            (test_forced_failures_net_zero ~shards:1);
+          Alcotest.test_case "forced failures net-zero, 4 shards" `Quick
+            (test_forced_failures_net_zero ~shards:4);
+          Alcotest.test_case "hinfs failed segment, then unlink" `Quick
+            (test_hinfs_failed_segment ~unlink:true);
+          Alcotest.test_case "hinfs failed segment, then fsync" `Quick
+            (test_hinfs_failed_segment ~unlink:false);
         ] );
       ( "journal-crc",
         [

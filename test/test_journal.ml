@@ -395,6 +395,209 @@ let test_epoch_reset_recrash () =
             done)
           counts)
 
+(* --- allocation lifetime ---
+
+   A transaction owns what is allocated under it and what it releases:
+   abort hands the allocations back, commit (plain or group) the
+   releases. The allocators here stand in for a mount's block and inode
+   ranges. *)
+
+module Allocator = Hinfs_nvmm.Allocator
+
+let make_allocators () =
+  ( Allocator.create ~policy:Lowest_free ~first_block:100 ~count:64,
+    Allocator.create ~policy:Lowest_free ~first_block:1 ~count:16 )
+
+let attach_reclaim log (balloc, ialloc) =
+  Log.set_reclaim log (fun r n ->
+      match r with
+      | Log.Block -> Allocator.free balloc n
+      | Log.Inode -> Allocator.free ialloc n)
+
+let alloc a = Option.get (Allocator.alloc a)
+
+let test_allocation_lifetime () =
+  Testkit.run_sim (fun engine ->
+      let d, log = make_log engine in
+      let ((balloc, ialloc) as allocs) = make_allocators () in
+      attach_reclaim log allocs;
+      let old = Testkit.pattern_bytes ~seed:11 32 in
+      Device.write_nt d ~cat ~addr:target_base ~src:old ~off:0 ~len:32;
+      let run ~commit =
+        let txn = Log.begin_txn log in
+        let b = alloc balloc and ino = alloc ialloc in
+        Log.allocated txn Log.Block b;
+        Log.allocated txn Log.Inode ino;
+        Log.log log txn ~addr:target_base ~len:32;
+        Device.write_cached d ~cat ~addr:target_base
+          ~src:(Bytes.make 32 'n') ~off:0 ~len:32;
+        if commit then Log.commit log txn else Log.abort log txn;
+        (b, ino)
+      in
+      let b, ino = run ~commit:false in
+      check_int "abort reclaims the block" 64 (Allocator.free_blocks balloc);
+      check_int "abort reclaims the inode" 16 (Allocator.free_blocks ialloc);
+      Testkit.check_bytes "abort restores" old
+        (Device.peek d ~addr:target_base ~len:32);
+      let b', ino' = run ~commit:true in
+      check_int "lowest free block reissued" b b';
+      check_int "lowest free inode reissued" ino ino';
+      check_bool "commit keeps the block" true
+        (Allocator.is_allocated balloc b);
+      check_bool "commit keeps the inode" true
+        (Allocator.is_allocated ialloc ino))
+
+let test_release_after_commit () =
+  List.iter
+    (fun cleaner ->
+      Testkit.run_sim (fun engine ->
+          let d, log = make_log engine in
+          let ((balloc, ialloc) as allocs) = make_allocators () in
+          attach_reclaim log allocs;
+          if cleaner then Log.start_cleaner log;
+          let b = alloc balloc and ino = alloc ialloc in
+          let release_in txn =
+            Log.log log txn ~addr:target_base ~len:8;
+            Device.write_cached d ~cat ~addr:target_base
+              ~src:(Bytes.make 8 'r') ~off:0 ~len:8;
+            Log.released txn Log.Block b;
+            Log.released txn Log.Inode ino
+          in
+          let name what = Printf.sprintf "%s (cleaner %b)" what cleaner in
+          (* An aborted release never happens. *)
+          let txn = Log.begin_txn log in
+          release_in txn;
+          Log.abort log txn;
+          check_bool (name "aborted release keeps the block") true
+            (Allocator.is_allocated balloc b);
+          (* A commit that fails before its entry lands releases nothing. *)
+          let txn = Log.begin_txn log in
+          release_in txn;
+          check_bool (name "held until commit") true
+            (Allocator.is_allocated balloc b);
+          Log.set_fault_injector log (Some (fun () -> true));
+          (match Log.commit log txn with
+          | () -> Alcotest.fail "commit entry should have failed"
+          | exception Log.Journal_full -> ());
+          Log.set_fault_injector log None;
+          check_bool (name "failed commit keeps the block") true
+            (Allocator.is_allocated balloc b);
+          Log.commit log txn;
+          check_bool (name "commit frees the block") false
+            (Allocator.is_allocated balloc b);
+          check_bool (name "commit frees the inode") false
+            (Allocator.is_allocated ialloc ino);
+          Log.stop_cleaner log))
+    [ false; true ]
+
+(* Two logs in one device, one epoch record: the participants of a
+   cross-shard operation. *)
+let log2_first = 24
+
+let target2 = 40 * 4096
+
+let make_group engine =
+  let d, log1 = make_log engine in
+  let log2 = Log.create d ~first_block:log2_first ~blocks:journal_blocks in
+  let ep = Epoch.create d ~block:epoch_block in
+  let allocs = make_allocators () in
+  attach_reclaim log1 allocs;
+  attach_reclaim log2 allocs;
+  (d, log1, log2, ep, allocs)
+
+(* Update [addr] under a fresh transaction on [log] that also allocates
+   one block and releases [victim]. *)
+let participant d log (balloc, _) ~addr ~victim =
+  let txn = Log.begin_txn log in
+  Log.allocated txn Log.Block (alloc balloc);
+  Log.released txn Log.Block victim;
+  Log.log log txn ~addr ~len:16;
+  Device.write_cached d ~cat ~addr ~src:(Bytes.make 16 'g') ~off:0 ~len:16;
+  txn
+
+let test_group_commit_retires_both () =
+  Testkit.run_sim (fun engine ->
+      let d, log1, log2, ep, ((balloc, _) as allocs) = make_group engine in
+      let v1 = alloc balloc and v2 = alloc balloc in
+      let t1 = participant d log1 allocs ~addr:target_base ~victim:v1 in
+      let t2 = participant d log2 allocs ~addr:target2 ~victim:v2 in
+      Epoch.with_barrier ep (fun id ->
+          Log.commit_group ep ~id [ (log1, t1); (log2, t2) ]);
+      check_bool "first retired" true (Log.txn_committed t1);
+      check_bool "second retired" true (Log.txn_committed t2);
+      check_int "no live txns" 0 (Log.live_txns log1 + Log.live_txns log2);
+      check_int "record covers the epoch" 1 (Epoch.committed ep);
+      check_int "slots recycled" (2 * Log.capacity log1)
+        (Log.free_slots log1 + Log.free_slots log2);
+      check_bool "releases handed back" false
+        (Allocator.is_allocated balloc v1 || Allocator.is_allocated balloc v2);
+      check_int "allocations kept" 62 (Allocator.free_blocks balloc);
+      Device.crash d;
+      let committed_epoch = Epoch.read_committed d ~block:epoch_block in
+      List.iter
+        (fun (first_block, addr) ->
+          let r =
+            Log.recover d ~committed_epoch ~first_block
+              ~blocks:journal_blocks ()
+          in
+          check_int "nothing to roll back" 0 r.Log.rolled_back;
+          Testkit.check_bytes "update durable" (Bytes.make 16 'g')
+            (Device.peek_persistent d ~addr ~len:16))
+        [ (journal_first, target_base); (log2_first, target2) ])
+
+(* The second participant cannot append its epoch entry, so the record
+   never lands: neither transaction commits, a crash rolls both back, and
+   aborting both leaves the allocators exact. *)
+let test_group_without_record_aborts_both () =
+  let failed_group ~crash =
+    Testkit.run_sim (fun engine ->
+        let d, log1, log2, ep, ((balloc, _) as allocs) = make_group engine in
+        let v1 = alloc balloc and v2 = alloc balloc in
+        let t1 = participant d log1 allocs ~addr:target_base ~victim:v1 in
+        let t2 = participant d log2 allocs ~addr:target2 ~victim:v2 in
+        Log.set_fault_injector log2 (Some (fun () -> true));
+        (match
+           Epoch.with_barrier ep (fun id ->
+               Log.commit_group ep ~id [ (log1, t1); (log2, t2) ])
+         with
+        | () -> Alcotest.fail "group should have failed"
+        | exception Log.Journal_full -> ());
+        Log.set_fault_injector log2 None;
+        check_bool "neither committed" false
+          (Log.txn_committed t1 || Log.txn_committed t2);
+        check_int "record not advanced" 0 (Epoch.committed ep);
+        if crash then begin
+          Device.crash d;
+          let committed_epoch = Epoch.read_committed d ~block:epoch_block in
+          List.iter
+            (fun (first_block, addr) ->
+              let r =
+                Log.recover d ~committed_epoch ~first_block
+                  ~blocks:journal_blocks ()
+              in
+              check_int "rolled back" 1 r.Log.rolled_back;
+              Testkit.check_bytes "update undone" (Bytes.make 16 '\000')
+                (Device.peek_persistent d ~addr ~len:16))
+            [ (journal_first, target_base); (log2_first, target2) ]
+        end
+        else begin
+          Log.abort log2 t2;
+          Log.abort log1 t1;
+          check_int "allocations reclaimed, releases kept" 62
+            (Allocator.free_blocks balloc);
+          check_bool "victims still allocated" true
+            (Allocator.is_allocated balloc v1
+            && Allocator.is_allocated balloc v2);
+          check_int "no valid entries" 0
+            (Log.count_valid_entries d ~first_block:journal_first
+               ~blocks:journal_blocks
+            + Log.count_valid_entries d ~first_block:log2_first
+                ~blocks:journal_blocks)
+        end)
+  in
+  failed_group ~crash:true;
+  failed_group ~crash:false
+
 let () =
   Alcotest.run "journal"
     [
@@ -432,5 +635,16 @@ let () =
             test_epoch_heal_poisoned_record;
           Alcotest.test_case "re-crash mid generation reset" `Quick
             test_epoch_reset_recrash;
+        ] );
+      ( "lifecycle",
+        [
+          Alcotest.test_case "abort reclaims, commit keeps" `Quick
+            test_allocation_lifetime;
+          Alcotest.test_case "release only after commit" `Quick
+            test_release_after_commit;
+          Alcotest.test_case "group commit retires both" `Quick
+            test_group_commit_retires_both;
+          Alcotest.test_case "group without record aborts both" `Quick
+            test_group_without_record_aborts_both;
         ] );
     ]
