@@ -1,11 +1,20 @@
 (* The DRAM write buffer pool (paper §3.2).
 
-   A fixed population of 4 KB DRAM blocks, each backed by host memory
-   from its first [alloc] on (a mount that never fills its pool pays only
-   for the blocks it used). Blocks in use are linked on the
+   A fixed population of 4 KB DRAM blocks, each with a descriptor from its
+   first [alloc] on (a mount that never fills its pool pays only for the
+   blocks it used). Blocks in use are linked on the
    global LRW (Least Recently Written) list — front = least recently
    written, back = MRW — which the background writeback threads consume
    from the front. Free blocks sit on a free list.
+
+   A block holds its data as the NVMM medium does (Device): a table of
+   64 B cachelines, each either a value nobody writes — the medium's own
+   line when it was fetched from home or written back, a fill line when
+   it holds one byte value — or private to the block and written in place
+   (the [own] bitmap). A store into a shared line first takes a private
+   copy of it; a writeback hands the private lines to the medium and
+   clears their [own] bits in the same step, so a clean block shares every
+   line with its home instead of holding a second copy of it.
 
    Each block carries its Cacheline Bitmaps:
    - [present]: lines with valid data in DRAM,
@@ -13,13 +22,15 @@
    - [home_valid]: lines of the NVMM home block that hold valid data (all
      set when the home block pre-existed; grows as lines are flushed). A
      block may only be freed once home_valid covers every line, so NVMM
-     reads after eviction never see stale medium bytes. *)
+     reads after eviction never see stale medium bytes;
+   - [own]: lines private to the block. *)
 
 module Dlist = Hinfs_structures.Dlist
+module Device = Hinfs_nvmm.Device
 
 type block = {
   id : int;
-  mutable data : Bytes.t; (* empty until the block is first allocated *)
+  lines : Bytes.t array; (* the block's cachelines: private iff in [own] *)
   node : int Dlist.node; (* membership in the LRW list (value = id) *)
   mutable ino : int;
   mutable fblock : int;
@@ -27,6 +38,7 @@ type block = {
   mutable present : Clbitmap.t;
   mutable dirty : Clbitmap.t;
   mutable home_valid : Clbitmap.t;
+  mutable own : Clbitmap.t;
   mutable last_written : int64;
   mutable pinned : int; (* foreground use / in-flight writeback *)
   mutable in_use : bool;
@@ -43,6 +55,7 @@ type t = {
   mutable made : int;
   block_size : int;
   lines_per_block : int;
+  blank : Bytes.t; (* the line a block holds where it holds no data *)
   free : int Queue.t; (* freed ids *)
   lrw : int Dlist.t;
   mutable free_count : int;
@@ -56,6 +69,7 @@ let create ~capacity ~block_size ~lines_per_block =
     made = 0;
     block_size;
     lines_per_block;
+    blank = Bytes.make (block_size / lines_per_block) '\000';
     free = Queue.create ();
     lrw = Dlist.create ();
     free_count = capacity;
@@ -81,7 +95,7 @@ let take t =
     let b =
       {
         id;
-        data = Bytes.empty;
+        lines = Array.make t.lines_per_block t.blank;
         node = Dlist.make_node id;
         ino = 0;
         fblock = 0;
@@ -89,6 +103,7 @@ let take t =
         present = Clbitmap.empty;
         dirty = Clbitmap.empty;
         home_valid = Clbitmap.empty;
+        own = Clbitmap.empty;
         last_written = 0L;
         pinned = 0;
         in_use = false;
@@ -111,7 +126,6 @@ let alloc t ~ino ~fblock ~home ~now =
   | Some b ->
     t.free_count <- t.free_count - 1;
     assert (not b.in_use);
-    if Bytes.length b.data = 0 then b.data <- Bytes.create t.block_size;
     b.ino <- ino;
     b.fblock <- fblock;
     b.home <- home;
@@ -128,6 +142,9 @@ let free t b =
   if not b.in_use then invalid_arg "Buffer_pool.free: block not in use";
   if b.pinned > 0 then invalid_arg "Buffer_pool.free: block pinned";
   b.in_use <- false;
+  (* Freed blocks must not pin dead medium lines. *)
+  Array.fill b.lines 0 t.lines_per_block t.blank;
+  b.own <- Clbitmap.empty;
   if Dlist.is_linked b.node then Dlist.remove t.lrw b.node;
   Queue.add b.id t.free;
   t.free_count <- t.free_count + 1
@@ -154,3 +171,91 @@ let lrw_ids t =
   let acc = ref [] in
   Dlist.iter t.lrw (fun id -> acc := id :: !acc);
   List.rev !acc
+
+let private_lines t =
+  let n = ref 0 in
+  for id = 0 to t.made - 1 do
+    n := !n + Clbitmap.count t.blocks.(id).own
+  done;
+  !n
+
+(* --- block data ---
+
+   Every line a block stores into is private afterwards, except a whole
+   line of one byte value, which becomes that value's fill line. A store
+   into a private line writes it in place; into a shared one, it writes a
+   copy (of the source, for a whole line). *)
+
+let line_size b = Bytes.length b.lines.(0)
+
+let store dev b ~off ~src ~src_off ~len =
+  let ls = line_size b and nlines = Array.length b.lines in
+  let whole =
+    if len = nlines * ls then Device.fill_of dev src ~off:src_off ~len
+    else None
+  in
+  match whole with
+  | Some fill ->
+    Array.fill b.lines 0 nlines fill;
+    b.own <- Clbitmap.empty
+  | None ->
+    (* The lines that become fill lines and those that become private,
+       as local words (no closure, so unboxed): one [own] update. *)
+    let filled = ref 0L and made = ref 0L in
+    if len > 0 then
+      for i = off / ls to (off + len - 1) / ls do
+        let lo = Int.max off (i * ls) in
+        let k = Int.min (off + len) ((i + 1) * ls) - lo in
+        let from = src_off + lo - off and bit = Int64.shift_left 1L i in
+        let fill =
+          if k = ls then Device.fill_of dev src ~off:from ~len:ls else None
+        in
+        match fill with
+        | Some fill ->
+          b.lines.(i) <- fill;
+          filled := Int64.logor !filled bit
+        | None when Clbitmap.mem b.own i ->
+          Bytes.blit src from b.lines.(i) (lo - (i * ls)) k
+        | None ->
+          let line =
+            if k = ls then Bytes.sub src from ls
+            else begin
+              let line = Bytes.copy b.lines.(i) in
+              Bytes.blit src from line (lo - (i * ls)) k;
+              line
+            end
+          in
+          b.lines.(i) <- line;
+          made := Int64.logor !made bit
+      done;
+    b.own <- Clbitmap.diff (Clbitmap.union b.own !made) !filled
+
+let load b ~off ~len ~into ~into_off =
+  let ls = line_size b in
+  if len > 0 then
+    for i = off / ls to (off + len - 1) / ls do
+      let lo = Int.max off (i * ls) in
+      let k = Int.min (off + len) ((i + 1) * ls) - lo in
+      Bytes.blit b.lines.(i) (lo - (i * ls)) into (into_off + lo - off) k
+    done
+
+(* Lines [first, first+count) are no longer private: called in the same
+   step, with no yield between, as the device call that shared them. *)
+let share b ~first ~count =
+  b.own <-
+    Clbitmap.diff b.own
+      (Clbitmap.add_range Clbitmap.empty ~first ~last:(first + count - 1))
+
+let fetch dev ~cat b ~addr ~first ~count =
+  Device.read_lines dev ~cat ~addr ~len:(count * line_size b) ~into:b.lines
+    ~first;
+  share b ~first ~count
+
+let fill_zeros dev b ~first ~count =
+  Array.fill b.lines first count (Device.fill_line dev '\000');
+  share b ~first ~count
+
+let write_back ~background dev ~cat b ~addr ~first ~count =
+  Device.write_nt_lines ~background dev ~cat ~addr ~len:(count * line_size b)
+    ~lines:b.lines ~first;
+  share b ~first ~count

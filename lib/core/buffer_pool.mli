@@ -3,16 +3,28 @@
     list. A block's descriptor is made on its first {!alloc}, so an unused
     pool costs a few words whatever its capacity; ids are handed out in
     FIFO order (never-used ids ascending, then freed ids in the order they
-    were freed). Each block carries its Cacheline Bitmaps:
+    were freed).
+
+    A block holds its data as the NVMM medium does: a table of cachelines,
+    each either an immutable value it may share — the medium's own line of
+    its home, fetched or written back, or a fill line of one byte value —
+    or a line private to the block, written in place. Only the lines
+    written since the last writeback are private, so a clean block holds
+    no copy of the data its home holds. Each block carries its Cacheline
+    Bitmaps:
 
     - [present]: lines holding valid data in DRAM;
     - [dirty]: lines awaiting writeback (subset of [present]);
     - [home_valid]: lines of the NVMM home block known to hold valid data
-      (all set when the home pre-existed; completed at first writeback). *)
+      (all set when the home pre-existed; completed at first writeback);
+    - [own]: lines private to the block. *)
 
 type block = {
   id : int;
-  mutable data : Bytes.t;  (** empty until the block's first {!alloc} *)
+  lines : Bytes.t array;
+      (** the block's cachelines, set only through the block-data
+          functions below; only the private ones ([own]) are written in
+          place *)
   node : int Hinfs_structures.Dlist.node;
   mutable ino : int;
   mutable fblock : int;
@@ -20,6 +32,7 @@ type block = {
   mutable present : Clbitmap.t;
   mutable dirty : Clbitmap.t;
   mutable home_valid : Clbitmap.t;
+  mutable own : Clbitmap.t;
   mutable last_written : int64;
   mutable pinned : int;  (** foreground use / in-flight writeback *)
   mutable in_use : bool;
@@ -40,7 +53,8 @@ val alloc : t -> ino:int -> fblock:int -> home:int -> now:int64 -> block option
     caller stalls on the writeback daemons). *)
 
 val free : t -> block -> unit
-(** @raise Invalid_argument if the block is pinned or not in use. *)
+(** Drops the block's lines.
+    @raise Invalid_argument if the block is pinned or not in use. *)
 
 val touch_written : t -> block -> now:int64 -> unit
 (** Record a write: moves the block to the MRW end. *)
@@ -49,3 +63,53 @@ val pick_victim : t -> block option
 (** Victim selection: the least recently written unpinned block. *)
 
 val lrw_ids : t -> int list
+
+val private_lines : t -> int
+(** Lines of all blocks that are private to their block. *)
+
+(** {1 Block data}
+
+    [dev] is the device of the blocks' homes; [addr] a line-aligned byte
+    address on it, of the line for [first]. *)
+
+val store :
+  Hinfs_nvmm.Device.t ->
+  block ->
+  off:int ->
+  src:Bytes.t ->
+  src_off:int ->
+  len:int ->
+  unit
+(** Copy [len] bytes of [src] into the block from byte [off] (untimed: the
+    caller charges the copy). A whole block or line of one byte value
+    becomes that value's fill line; any other line written is private. *)
+
+val load : block -> off:int -> len:int -> into:Bytes.t -> into_off:int -> unit
+(** Copy [len] bytes of the block from byte [off] into [into] (untimed). *)
+
+val fetch :
+  Hinfs_nvmm.Device.t ->
+  cat:Hinfs_stats.Stats.category ->
+  block ->
+  addr:int ->
+  first:int ->
+  count:int ->
+  unit
+(** Lines [first, first+count) take the device's lines from [addr] by
+    value ({!Hinfs_nvmm.Device.read_lines}). *)
+
+val fill_zeros : Hinfs_nvmm.Device.t -> block -> first:int -> count:int -> unit
+(** Lines [first, first+count) become the zero fill line (untimed). *)
+
+val write_back :
+  background:bool ->
+  Hinfs_nvmm.Device.t ->
+  cat:Hinfs_stats.Stats.category ->
+  block ->
+  addr:int ->
+  first:int ->
+  count:int ->
+  unit
+(** Store lines [first, first+count) at [addr] by value
+    ({!Hinfs_nvmm.Device.write_nt_lines}): the lines are the medium's
+    afterwards, and no longer private. *)

@@ -238,9 +238,9 @@ and flush_block_body ~background ~cat t b ~evict =
       in
       if not (Clbitmap.is_empty snapshot) then begin
         Clbitmap.iter_set_runs snapshot ~nlines (fun ~first ~count ->
-            Device.write_nt ~background dev ~cat
+            Buffer_pool.write_back ~background dev ~cat b
               ~addr:(home_addr + (first * cl))
-              ~src:b.Buffer_pool.data ~off:(first * cl) ~len:(count * cl));
+              ~first ~count);
         Device.mfence dev ~cat;
         Stats.add_coalesced_cachelines (stats t) (Clbitmap.count snapshot)
       end;
@@ -414,12 +414,12 @@ let fetch_lines t b lines =
   let obs_t0 = if Obs.enabled () then Proc.now () else 0L in
   let from_home = Clbitmap.inter needed b.Buffer_pool.home_valid in
   Clbitmap.iter_set_runs from_home ~nlines (fun ~first ~count ->
-      Device.read dev ~cat:Stats.Write_access
+      Buffer_pool.fetch dev ~cat:Stats.Write_access b
         ~addr:(home_addr + (first * cl))
-        ~len:(count * cl) ~into:b.Buffer_pool.data ~off:(first * cl));
+        ~first ~count);
   let as_zero = Clbitmap.diff needed b.Buffer_pool.home_valid in
   Clbitmap.iter_set_runs as_zero ~nlines (fun ~first ~count ->
-      Bytes.fill b.Buffer_pool.data (first * cl) (count * cl) '\000');
+      Buffer_pool.fill_zeros dev b ~first ~count);
   if not (Clbitmap.is_empty needed) then
     Obs.span_since Obs.Buffer_fetch ~t0:obs_t0;
   b.Buffer_pool.present <- Clbitmap.union b.Buffer_pool.present lines
@@ -466,7 +466,7 @@ let lazy_write_segment t fst ~fblock ~in_block ~src ~src_off ~len =
       in
       fetch_lines t b to_fetch;
       Device.charge_memcpy (device t) Stats.Write_access `Write len;
-      Bytes.blit src src_off b.Buffer_pool.data in_block len;
+      Buffer_pool.store (device t) b ~off:in_block ~src ~src_off ~len;
       let dirty_lines =
         if t.hcfg.Hconfig.clfw then lines else Clbitmap.full_mask nlines
       in
@@ -494,7 +494,7 @@ let eager_write_segment t fst ~fblock ~in_block ~src ~src_off ~len =
         fetch_lines t b
           (Clbitmap.boundary_partials ~cacheline_size:cl ~off:in_block ~len);
         Device.charge_memcpy (device t) Stats.Write_access `Write len;
-        Bytes.blit src src_off b.Buffer_pool.data in_block len;
+        Buffer_pool.store (device t) b ~off:in_block ~src ~src_off ~len;
         mark_block_dirty t fst b lines);
     flush_block t b ~evict:false
   | None ->
@@ -620,7 +620,7 @@ let read_buffered_segment t b ~in_block ~len ~into ~into_off =
       let dst_off = into_off + (run_start - seg_start) in
       if from_dram then begin
         Device.charge_memcpy (device t) Stats.Read_access `Read n;
-        Bytes.blit b.Buffer_pool.data run_start into dst_off n
+        Buffer_pool.load b ~off:run_start ~len:n ~into ~into_off:dst_off
       end
       else if
         Clbitmap.is_empty

@@ -28,14 +28,15 @@
    category, because that is exactly the foreground/background interference
    the paper discusses (§3.2.1). *)
 
-(* Tables keyed by cacheline index. [Hashtbl.hash] keeps the buckets, and
-   so the iteration order, of the polymorphic table; the gain is the
-   int-specialised equality. *)
+(* Tables keyed by cacheline index, hashed by the index itself: adjacent
+   lines fall in adjacent buckets, and a lookup makes no C call. Nothing
+   reads an [Ltbl]'s iteration order: every walk that reaches the output
+   sorts by index or only counts. *)
 module Ltbl = Hashtbl.Make (struct
   type t = int
 
   let equal = Int.equal
-  let hash = Hashtbl.hash
+  let hash (idx : int) = idx
 end)
 
 (* Persistence-event recorder (off by default, zero cost when disabled).
@@ -232,10 +233,18 @@ let medium_line t idx =
   let p = idx / t.lines_per_page in
   t.pages.(p).(idx - (p * t.lines_per_page))
 
-(* [line], a fresh line nobody else holds, or the fill line of its bytes. *)
+let fill_line t c = (fill_table t c).(0)
+
+let fill_of t src ~off ~len =
+  if len <= 0 || off < 0 || off + len > Bytes.length src then
+    invalid_arg "Device.fill_of: bad range";
+  let c = Bytes.unsafe_get src off in
+  if uniform src off len c then Some (fill_line t c) else None
+
+(* [line], a line nobody writes again, or the fill line of its bytes. *)
 let settle t line =
   let c = Bytes.unsafe_get line 0 in
-  if uniform line 0 (Bytes.length line) c then (fill_table t c).(0) else line
+  if uniform line 0 (Bytes.length line) c then fill_line t c else line
 
 (* Point slot [s] of page [p] at [line], which nobody writes again. A page
    of one fill line becomes its fill table (pages fill in address order,
@@ -297,7 +306,7 @@ let rec medium_write t ~addr src off len =
         end
         else
           let c = Bytes.unsafe_get src from in
-          if uniform src from ls c then (fill_table t c).(0)
+          if uniform src from ls c then fill_line t c
           else Bytes.sub src from ls
       in
       set_slot t p !s line;
@@ -610,20 +619,53 @@ let verify_range t ~addr ~len =
 
 (* --- timed data-path operations --- *)
 
+(* The timed part of a load of [addr, addr+len): the access latency, then
+   the fault check. The loads have happened when it returns: poisoned or
+   transient-faulting lines machine-check here, after the access paid its
+   latency. The caller copies with no yield after it, then counts. *)
+let begin_load t ~cat ~addr ~len =
+  let lines = Config.cachelines_in t.config ~addr ~len in
+  charge t cat (fun () -> Proc.delay_int (lines * t.config.Config.dram_read_ns));
+  fault_check_load t ~addr ~len
+
 let read t ~cat ~addr ~len ~into ~off =
   check_range t ~addr ~len;
   if off < 0 || off + len > Bytes.length into then
     invalid_arg "Device.read: destination range out of bounds";
   if len > 0 then begin
-    let lines = Config.cachelines_in t.config ~addr ~len in
-    charge t cat (fun () ->
-        Proc.delay_int (lines * t.config.Config.dram_read_ns));
-    (* The loads have happened: poisoned/transient-faulting lines machine-
-       check here, after the access paid its latency. *)
-    fault_check_load t ~addr ~len;
+    begin_load t ~cat ~addr ~len;
     medium_read t ~addr into off len;
     (* Patch bytes whose cachelines are dirty in the CPU cache. *)
     cached_spans t Load ~addr ~len into off;
+    Stats.add_nvmm_read t.stats len
+  end
+
+(* Whole lines [addr, addr+len) of a range a caller hands over by value:
+   [addr] and [len] must be line-aligned, and [lines] must have a slot
+   from [first] for each. *)
+let check_lines t name ~addr ~len ~lines ~first =
+  check_range t ~addr ~len;
+  let ls = line_size t in
+  if addr mod ls <> 0 || len mod ls <> 0 then
+    invalid_arg (name ^ ": range not line-aligned");
+  if first < 0 || first + (len / ls) > Array.length lines then
+    invalid_arg (name ^ ": line slots out of bounds")
+
+(* [read] of whole lines, by value: slot [first + i] takes line [i] of the
+   range, the medium's own line, or a copy of the line's dirty cached
+   version (the overlay writes its lines in place). *)
+let read_lines t ~cat ~addr ~len ~into ~first =
+  check_lines t "Device.read_lines" ~addr ~len ~lines:into ~first;
+  if len > 0 then begin
+    begin_load t ~cat ~addr ~len;
+    let ls = line_size t in
+    let idx0 = addr / ls in
+    for i = 0 to (len / ls) - 1 do
+      let idx = idx0 + i in
+      into.(first + i) <-
+        (if is_dirty_line t idx then Bytes.copy (Ltbl.find t.overlay idx)
+         else medium_line t idx)
+    done;
     Stats.add_nvmm_read t.stats len
   end
 
@@ -675,14 +717,51 @@ let rec nt_zeros t ~addr ~len =
   else nt_copy t ~addr t.fills.(0).(0) 0 n;
   if n < len then nt_zeros t ~addr:(addr + n) ~len:(len - n)
 
-(* The one timed non-temporal store: [src] from [off], or zeros when
-   [zeros] ([src] unused). *)
-let store_nt ~background t ~cat ~addr ~len ~zeros src off =
+(* [nt_copy] of whole lines handed over by value: slot [first + i] of
+   [lines] is settled, becomes the medium's line [i] of the range, and
+   takes the settled value back. A whole page of one fill line becomes
+   its fill table, with no table copied. Every line is whole, so
+   [Merge_nt] drops each cached copy and reads no source. *)
+let nt_lines t ~addr ~len lines first =
+  let ps = page_size t and ls = line_size t in
+  for i = first to first + (len / ls) - 1 do
+    if not (is_fill_line t.fills lines.(i)) then lines.(i) <- settle t lines.(i)
+  done;
+  let rec page a i =
+    if a < addr + len then begin
+      let p = a / ps in
+      let s = (a - (p * ps)) / ls in
+      let k = Int.min (t.lines_per_page - s) ((addr + len - a) / ls) in
+      let line = lines.(i) in
+      let rec same j = j >= i + k || (lines.(j) == line && same (j + 1)) in
+      if k = t.lines_per_page && is_fill_line t.fills line && same i then
+        fill_page t p (Bytes.unsafe_get line 0)
+      else
+        for j = 0 to k - 1 do
+          set_slot t p (s + j) lines.(i + j)
+        done;
+      page (a + (k * ls)) (i + k)
+    end
+  in
+  page addr first;
+  cached_spans t Merge_nt ~addr ~len Bytes.empty 0
+
+(* What a non-temporal store stores. *)
+type nt_source =
+  | Copy of Bytes.t * int (* the bytes from an offset *)
+  | Zeros
+  | Lines of Bytes.t array * int (* whole lines by value, from a slot *)
+
+(* The one timed non-temporal store. *)
+let store_nt ~background t ~cat ~addr ~len source =
   if len > 0 then begin
     let lines = Config.cachelines_in t.config ~addr ~len in
     charge t cat (fun () -> stream_lines t lines);
     record_nt_pre t ~addr ~len;
-    if zeros then nt_zeros t ~addr ~len else nt_copy t ~addr src off len;
+    (match source with
+    | Copy (src, off) -> nt_copy t ~addr src off len
+    | Zeros -> nt_zeros t ~addr ~len
+    | Lines (lines, first) -> nt_lines t ~addr ~len lines first);
     record_nt_post t ~addr ~len;
     fault_store_range t ~addr ~len;
     Stats.add_nvmm_written ~background t.stats len
@@ -692,11 +771,15 @@ let write_nt ?(background = false) t ~cat ~addr ~src ~off ~len =
   check_range t ~addr ~len;
   if off < 0 || off + len > Bytes.length src then
     invalid_arg "Device.write_nt: source range out of bounds";
-  store_nt ~background t ~cat ~addr ~len ~zeros:false src off
+  store_nt ~background t ~cat ~addr ~len (Copy (src, off))
+
+let write_nt_lines ~background t ~cat ~addr ~len ~lines ~first =
+  check_lines t "Device.write_nt_lines" ~addr ~len ~lines ~first;
+  store_nt ~background t ~cat ~addr ~len (Lines (lines, first))
 
 let zero_nt ?(background = false) t ~cat ~addr ~len =
   check_range t ~addr ~len;
-  store_nt ~background t ~cat ~addr ~len ~zeros:true Bytes.empty 0
+  store_nt ~background t ~cat ~addr ~len Zeros
 
 let write_cached t ~cat ~addr ~src ~off ~len =
   check_range t ~addr ~len;

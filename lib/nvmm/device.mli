@@ -61,6 +61,20 @@ val read :
     in the range is poisoned or draws a transient read fault; the access
     latency is charged either way, so a retry pays again. *)
 
+val read_lines :
+  t ->
+  cat:Hinfs_stats.Stats.category ->
+  addr:int ->
+  len:int ->
+  into:Bytes.t array ->
+  first:int ->
+  unit
+(** {!read} of whole lines by value: slot [first + i] of [into] takes
+    cacheline [i] of the line-aligned range — the medium's own immutable
+    line, or a private copy of a line dirty in the CPU cache. Charged,
+    fault-checked and counted exactly as {!read}. Nobody may write a value
+    it stores. *)
+
 val read_retrying :
   t ->
   cat:Hinfs_stats.Stats.category ->
@@ -87,6 +101,23 @@ val write_nt :
   unit
 (** Non-temporal store: persistent immediately, pays NVMM latency and
     bandwidth. [background] attributes the bytes to background writeback. *)
+
+val write_nt_lines :
+  background:bool ->
+  t ->
+  cat:Hinfs_stats.Stats.category ->
+  addr:int ->
+  len:int ->
+  lines:Bytes.t array ->
+  first:int ->
+  unit
+(** {!write_nt} of whole lines by value: cacheline [i] of the line-aligned
+    range becomes the line in slot [first + i] of [lines], not a copy of
+    it. A line of one byte value stored is replaced by that value's fill
+    line, and each slot takes the value the medium now holds. From the
+    call on, the medium holds those values: nobody may write them again.
+    Charged, recorded, fault-checked, merged with the CPU cache and
+    counted exactly as {!write_nt}, at the same point in time. *)
 
 val zero_nt :
   ?background:bool ->
@@ -120,6 +151,21 @@ val clflush :
     issue cost. *)
 
 val mfence : t -> cat:Hinfs_stats.Stats.category -> unit
+
+(** {1 Shared lines}
+
+    The medium's cachelines are immutable values that images, crash
+    states and the DRAM buffer may hold. A line of one byte value [c] is
+    [c]'s fill line, one per device (shared with its images and the
+    devices made from them). *)
+
+val fill_line : t -> char -> Bytes.t
+(** The fill line of a byte value. Nobody may write it. *)
+
+val fill_of : t -> Bytes.t -> off:int -> len:int -> Bytes.t option
+(** [fill_of t src ~off ~len] is the fill line of [c] when [src] holds [c]
+    in every byte of [\[off, off+len)], by word compares.
+    @raise Invalid_argument for an empty range or one outside [src]. *)
 
 (** {1 Typed metadata accessors}
 

@@ -121,12 +121,19 @@ let dispatch t ~sid (req : Wire.req) : Wire.reply =
     Ofcache.with_open t.cache ~ino:e.ino ~path:e.path ~sid (fun fd ->
         let buf = Bytes.create len in
         let n = t.vfs.Vfs.pread fd ~off buf len in
-        Wire.R_data (Bytes.sub_string buf 0 n))
+        (* [buf] is not written again: a full read is the reply as is. *)
+        Wire.R_data
+          (if n = len then Bytes.unsafe_to_string buf
+           else Bytes.sub_string buf 0 n))
   | Write (fh, off, data, stable) ->
     let e = Fhandle.resolve t.handles fh in
     Ofcache.with_open t.cache ~ino:e.ino ~path:e.path ~sid (fun fd ->
-        let src = Bytes.of_string data in
-        let n = t.vfs.Vfs.pwrite fd ~off src (Bytes.length src) in
+        (* A write reads its source and keeps none of it, so the decoded
+           payload is handed over without a copy. *)
+        let n =
+          t.vfs.Vfs.pwrite fd ~off (Bytes.unsafe_of_string data)
+            (String.length data)
+        in
         if stable then begin
           flush_fd t fd;
           Ofcache.clear_dirty t.cache e.ino

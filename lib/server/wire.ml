@@ -97,15 +97,39 @@ let errno_of_code : int -> Errno.t = function
   | 12 -> ESTALE
   | n -> invalid_arg (Printf.sprintf "Wire.errno_of_code: %d" n)
 
-(* --- primitives --- *)
+(* --- primitives ---
 
-let put_i64 b v = Buffer.add_int64_le b v
-let put_int b v = Buffer.add_int64_le b (Int64.of_int v)
-let put_bool b v = Buffer.add_char b (if v then '\001' else '\000')
+   A message is encoded into one buffer of exactly its size, worked out
+   first from its fields: the tag 1 byte, an integer 8, a bool 1, a
+   string 8 plus its bytes, a stat six integers. *)
 
-let put_str b s =
-  put_int b (String.length s);
-  Buffer.add_string b s
+type writer = { buf : Bytes.t; mutable pos : int }
+
+let writer size = { buf = Bytes.create size; pos = 0 }
+
+let put_char w c =
+  Bytes.set w.buf w.pos c;
+  w.pos <- w.pos + 1
+
+let put_i64 w v =
+  Bytes.set_int64_le w.buf w.pos v;
+  w.pos <- w.pos + 8
+
+let put_int w v = put_i64 w (Int64.of_int v)
+let put_bool w v = put_char w (if v then '\001' else '\000')
+
+let put_str w s =
+  put_int w (String.length s);
+  Bytes.blit_string s 0 w.buf w.pos (String.length s);
+  w.pos <- w.pos + String.length s
+
+(* The message, which the puts must have filled exactly. *)
+let contents w =
+  assert (w.pos = Bytes.length w.buf);
+  w.buf
+
+let str_size s = 8 + String.length s
+let stat_size = 6 * 8
 
 let get_i64 buf pos =
   let v = Bytes.get_int64_le buf !pos in
@@ -125,13 +149,13 @@ let get_str buf pos =
   pos := !pos + n;
   s
 
-let put_stat b (st : Types.stat) =
-  put_int b st.ino;
-  put_int b (match st.kind with Types.Regular -> 0 | Types.Directory -> 1);
-  put_int b st.size;
-  put_int b st.nlink;
-  put_int b st.blocks;
-  put_i64 b st.mtime_ns
+let put_stat w (st : Types.stat) =
+  put_int w st.ino;
+  put_int w (match st.kind with Types.Regular -> 0 | Types.Directory -> 1);
+  put_int w st.size;
+  put_int w st.nlink;
+  put_int w st.blocks;
+  put_i64 w st.mtime_ns
 
 let get_stat buf pos : Types.stat =
   let ino = get_int buf pos in
@@ -149,40 +173,47 @@ let get_stat buf pos : Types.stat =
 
 (* --- requests --- *)
 
+let req_size = function
+  | Lookup path | Create path | Remove path -> 1 + str_size path
+  | Getattr _ | Commit _ -> 1 + 8
+  | Read _ -> 1 + 24
+  | Write (_, _, data, _) -> 1 + 16 + str_size data + 1
+  | Rename (src, dst) -> 1 + str_size src + str_size dst
+
 let encode_req req =
-  let b = Buffer.create 64 in
+  let b = writer (req_size req) in
   (match req with
   | Lookup path ->
-    Buffer.add_char b '\001';
+    put_char b '\001';
     put_str b path
   | Getattr fh ->
-    Buffer.add_char b '\002';
+    put_char b '\002';
     put_i64 b fh
   | Read (fh, off, len) ->
-    Buffer.add_char b '\003';
+    put_char b '\003';
     put_i64 b fh;
     put_int b off;
     put_int b len
   | Write (fh, off, data, stable) ->
-    Buffer.add_char b '\004';
+    put_char b '\004';
     put_i64 b fh;
     put_int b off;
     put_str b data;
     put_bool b stable
   | Create path ->
-    Buffer.add_char b '\005';
+    put_char b '\005';
     put_str b path
   | Remove path ->
-    Buffer.add_char b '\006';
+    put_char b '\006';
     put_str b path
   | Rename (src, dst) ->
-    Buffer.add_char b '\007';
+    put_char b '\007';
     put_str b src;
     put_str b dst
   | Commit fh ->
-    Buffer.add_char b '\008';
+    put_char b '\008';
     put_i64 b fh);
-  Buffer.to_bytes b
+  contents b
 
 let decode_req buf =
   let pos = ref 1 in
@@ -211,31 +242,39 @@ let decode_req buf =
 
 (* --- replies --- *)
 
+let reply_size = function
+  | R_handle _ -> 1 + 8 + stat_size
+  | R_attr _ -> 1 + stat_size
+  | R_data data -> 1 + str_size data
+  | R_written _ -> 1 + 16
+  | R_ok _ | R_err _ -> 1 + 8
+  | R_expired -> 1
+
 let encode_reply reply =
-  let b = Buffer.create 64 in
+  let b = writer (reply_size reply) in
   (match reply with
   | R_handle (fh, st) ->
-    Buffer.add_char b '\001';
+    put_char b '\001';
     put_i64 b fh;
     put_stat b st
   | R_attr st ->
-    Buffer.add_char b '\002';
+    put_char b '\002';
     put_stat b st
   | R_data data ->
-    Buffer.add_char b '\003';
+    put_char b '\003';
     put_str b data
   | R_written (n, verifier) ->
-    Buffer.add_char b '\004';
+    put_char b '\004';
     put_int b n;
     put_i64 b verifier
   | R_ok verifier ->
-    Buffer.add_char b '\005';
+    put_char b '\005';
     put_i64 b verifier
   | R_err code ->
-    Buffer.add_char b '\006';
+    put_char b '\006';
     put_int b (errno_to_code code)
-  | R_expired -> Buffer.add_char b '\007');
-  Buffer.to_bytes b
+  | R_expired -> put_char b '\007');
+  contents b
 
 let decode_reply buf =
   let pos = ref 1 in

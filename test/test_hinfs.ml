@@ -64,6 +64,57 @@ let test_clbitmap_runs () =
   check_int "count" 5 (Clbitmap.count m);
   check_int "full mask 64" 64 (Clbitmap.count (Clbitmap.full_mask 64))
 
+(* [count], [iter_runs] and [iter_set_runs] work on whole words; these are
+   their definitions bit by bit. *)
+let naive_count m =
+  List.length (List.filter (Clbitmap.mem m) (List.init 64 Fun.id))
+
+let naive_runs m ~nlines =
+  let rec go i acc =
+    if i >= nlines then List.rev acc
+    else
+      let set = Clbitmap.mem m i in
+      let rec stop j = if j < nlines && Clbitmap.mem m j = set then stop (j + 1) else j in
+      let j = stop (i + 1) in
+      go j ((i, j - i, set) :: acc)
+  in
+  go 0 []
+
+(* Uniform words have short runs; unions of ranges have long ones and
+   bits 0 and 63 often set. *)
+let bitmap_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        ui64;
+        map
+          (List.fold_left
+             (fun m (a, b) ->
+               Clbitmap.add_range m ~first:(min a b) ~last:(max a b))
+             Clbitmap.empty)
+          (list_size (int_range 0 4) (pair (int_bound 63) (int_bound 63)));
+      ])
+
+let clbitmap_words_prop =
+  QCheck.Test.make ~name:"clbitmap word arithmetic matches bit by bit"
+    ~count:2000
+    (QCheck.make
+       ~print:QCheck.Print.(pair (fun m -> Printf.sprintf "0x%Lx" m) int)
+       QCheck.Gen.(pair bitmap_gen (int_range 0 64)))
+    (fun (m, nlines) ->
+      let runs = ref [] and set_runs = ref [] in
+      Clbitmap.iter_runs m ~nlines (fun ~first ~count ~set ->
+          runs := (first, count, set) :: !runs);
+      Clbitmap.iter_set_runs m ~nlines (fun ~first ~count ->
+          set_runs := (first, count) :: !set_runs);
+      let want = naive_runs m ~nlines in
+      Clbitmap.count m = naive_count m
+      && List.rev !runs = want
+      && List.rev !set_runs
+         = List.filter_map
+             (fun (first, count, set) -> if set then Some (first, count) else None)
+             want)
+
 (* --- buffering basics --- *)
 
 let test_lazy_write_buffered_not_persistent () =
@@ -944,6 +995,264 @@ let test_empty_pool_is_small () =
   check_bool (Fmt.str "a 2^20-block pool allocates %.0f B, under 1 KB" allocated)
     true (allocated < 1024.)
 
+(* --- the shared-line buffer ---
+
+   A block shares immutable lines with its home's medium, and keeps
+   private only the lines written since it last handed them over. A
+   random sequence of block and device operations runs over one block and
+   its home page, next to a flat model: the block's bytes, the medium's,
+   and the CPU cache's coherent view. After every step the block reads as
+   the model, and the medium, every snapshot taken and every crash image
+   read as theirs: a line written in place while shared would change one
+   of them. *)
+
+type line_op =
+  | L_write of int * int * int  (** offset, length, payload *)
+  | L_whole of int  (** the whole block, payload *)
+  | L_read of int * int
+  | L_fetch of int * int  (** first line, count *)
+  | L_zeros of int * int
+  | L_flush of int * int
+  | L_evict  (** write every line back, then free the block *)
+  | L_free
+  | L_cached of int * int * int  (** cached store into the home *)
+  | L_clflush of int * int
+  | L_fence
+  | L_snapshot
+  | L_crash of int  (** a crash image (choice seed), then a crash *)
+
+let show_line_op = function
+  | L_write (o, l, p) -> Fmt.str "write %d+%d #%d" o l p
+  | L_whole p -> Fmt.str "whole #%d" p
+  | L_read (o, l) -> Fmt.str "read %d+%d" o l
+  | L_fetch (f, c) -> Fmt.str "fetch %d+%d" f c
+  | L_zeros (f, c) -> Fmt.str "zeros %d+%d" f c
+  | L_flush (f, c) -> Fmt.str "flush %d+%d" f c
+  | L_evict -> "evict"
+  | L_free -> "free"
+  | L_cached (o, l, p) -> Fmt.str "cached %d+%d #%d" o l p
+  | L_clflush (f, c) -> Fmt.str "clflush %d+%d" f c
+  | L_fence -> "fence"
+  | L_snapshot -> "snapshot"
+  | L_crash s -> Fmt.str "crash %d" s
+
+(* Payload [p]: a run of one byte value when [p] is even (one of four,
+   one of them the value page 2 of the medium is filled with), else
+   pseudo-random bytes. *)
+let line_payload p len =
+  if p mod 2 = 0 then Bytes.make len "abcd".[p / 2 mod 4]
+  else Testkit.pattern_bytes ~seed:p len
+
+let line_op_gen =
+  let open QCheck.Gen in
+  let span =
+    oneof
+      [
+        (let* off = int_bound 4095 in
+         let* len = int_range 1 (4096 - off) in
+         return (off, len));
+        (let* first = int_bound 63 in
+         let* count = int_range 1 (64 - first) in
+         return (first * 64, count * 64));
+      ]
+  in
+  let lines =
+    let* first = int_bound 63 in
+    let* count = int_range 1 (Int.min 8 (64 - first)) in
+    return (first, count)
+  in
+  frequency
+    [
+      (6, map2 (fun (o, l) p -> L_write (o, l, p)) span (int_bound 9));
+      (2, map (fun p -> L_whole p) (int_bound 9));
+      (3, map (fun (o, l) -> L_read (o, l)) span);
+      (3, map (fun (f, c) -> L_fetch (f, c)) lines);
+      (1, map (fun (f, c) -> L_zeros (f, c)) lines);
+      (4, map (fun (f, c) -> L_flush (f, c)) lines);
+      (1, return L_evict);
+      (1, return L_free);
+      (2, map2 (fun (o, l) p -> L_cached (o, l, p)) span (int_bound 9));
+      (2, map (fun (f, c) -> L_clflush (f, c)) lines);
+      (2, return L_fence);
+      (1, return L_snapshot);
+      (1, map (fun s -> L_crash s) (int_bound 1000));
+    ]
+
+let run_line_ops engine ops =
+  let module Pool = Buffer_pool in
+  let config = { Config.default with Config.nvmm_size = 4 * 4096 } in
+  let d = Testkit.make_device ~config engine in
+  let size = config.Config.nvmm_size and bs = 4096 and ls = 64 in
+  let cat = Stats.Write_access in
+  let home = bs in
+  (* Page 2 is the fill table of 'a', which block lines of 'a' share. *)
+  Device.poke d ~addr:(2 * bs) ~src:(Bytes.make bs 'a') ~off:0 ~len:bs;
+  Device.enable_recording d;
+  let medium = Device.peek_persistent d ~addr:0 ~len:size in
+  let view = Bytes.copy medium and cached = Array.make (size / ls) false in
+  let pool = Pool.create ~capacity:1 ~block_size:bs ~lines_per_block:64 in
+  let alloc () =
+    Option.get (Pool.alloc pool ~ino:1 ~fblock:0 ~home:1 ~now:0L)
+  in
+  let b = ref (alloc ()) and model = ref (Bytes.make bs '\000') in
+  let images = ref [] and bad = ref None and step = ref 0 in
+  let fail what =
+    if !bad = None then bad := Some (Fmt.str "op %d: %s" !step what)
+  in
+  let check what expected actual =
+    if not (Bytes.equal expected actual) then fail what
+  in
+  let renew () =
+    Pool.free pool !b;
+    (* A freed block pins no line of the medium. *)
+    let lines = !b.Pool.lines in
+    if not (Array.for_all (fun l -> l == lines.(0)) lines) then
+      fail "a freed block keeps its lines";
+    b := alloc ();
+    model := Bytes.make bs '\000'
+  in
+  let write_back first count =
+    Pool.write_back ~background:false d ~cat !b ~addr:(home + (first * ls))
+      ~first ~count;
+    let run = Clbitmap.add_range Clbitmap.empty ~first ~last:(first + count - 1) in
+    if not (Clbitmap.is_empty (Clbitmap.inter !b.Pool.own run)) then
+      fail "a line written back is still private";
+    for i = first to first + count - 1 do
+      cached.((home / ls) + i) <- false
+    done;
+    Bytes.blit !model (first * ls) medium (home + (first * ls)) (count * ls);
+    Bytes.blit !model (first * ls) view (home + (first * ls)) (count * ls)
+  in
+  let store off len p =
+    let src = line_payload p len in
+    Pool.store d !b ~off ~src ~src_off:0 ~len;
+    Bytes.blit src 0 !model off len;
+    (* The block keeps none of its source. *)
+    Bytes.fill src 0 len '\255'
+  in
+  List.iter
+    (fun op ->
+      incr step;
+      (match op with
+      | L_write (off, len, p) -> store off len p
+      | L_whole p -> store 0 bs p
+      | L_read (off, len) ->
+        let into = Bytes.make (len + 2) '?' in
+        Pool.load !b ~off ~len ~into ~into_off:1;
+        check "read" (Bytes.sub !model off len) (Bytes.sub into 1 len)
+      | L_fetch (first, count) ->
+        Pool.fetch d ~cat !b ~addr:(home + (first * ls)) ~first ~count;
+        Bytes.blit view (home + (first * ls)) !model (first * ls) (count * ls)
+      | L_zeros (first, count) ->
+        Pool.fill_zeros d !b ~first ~count;
+        Bytes.fill !model (first * ls) (count * ls) '\000'
+      | L_flush (first, count) -> write_back first count
+      | L_evict ->
+        write_back 0 64;
+        renew ()
+      | L_free -> renew ()
+      | L_cached (off, len, p) ->
+        let src = line_payload p len in
+        Device.write_cached d ~cat ~addr:(home + off) ~src ~off:0 ~len;
+        Bytes.blit src 0 view (home + off) len;
+        for i = (home + off) / ls to (home + off + len - 1) / ls do
+          cached.(i) <- true
+        done
+      | L_clflush (first, count) ->
+        Device.clflush d ~cat ~addr:(home + (first * ls)) ~len:(count * ls);
+        for i = (home / ls) + first to (home / ls) + first + count - 1 do
+          if cached.(i) then
+            Bytes.blit view (i * ls) medium (i * ls) ls;
+          cached.(i) <- false
+        done
+      | L_fence -> Device.mfence d ~cat
+      | L_snapshot -> images := (Device.snapshot d, Bytes.copy medium) :: !images
+      | L_crash seed ->
+        let state = Device.capture_crash_state d in
+        let rng = Random.State.make [| seed |] in
+        let choice =
+          Array.of_list
+            (List.map
+               (fun (_, c) -> Random.State.int rng (Array.length c))
+               state.Device.cs_choices)
+        in
+        let image = Device.materialize_crash_image state ~choice in
+        let expected = Bytes.copy medium in
+        List.iteri
+          (fun i (idx, c) -> Bytes.blit c.(choice.(i)) 0 expected (idx * ls) ls)
+          state.Device.cs_choices;
+        check "crash image" expected (Device.image_to_bytes image);
+        images :=
+          (image, expected) :: (state.Device.cs_image, Bytes.copy medium)
+          :: !images;
+        (* DRAM and the CPU cache are lost. *)
+        Device.crash d;
+        Bytes.blit medium 0 view 0 size;
+        Array.fill cached 0 (Array.length cached) false;
+        renew ());
+      let whole = Bytes.create bs in
+      Pool.load !b ~off:0 ~len:bs ~into:whole ~into_off:0;
+      check "block" !model whole;
+      check "medium" medium (Device.peek_persistent d ~addr:0 ~len:size);
+      check "coherent view" view (Device.peek d ~addr:0 ~len:size);
+      List.iter
+        (fun (image, bytes) -> check "an image" bytes (Device.image_to_bytes image))
+        !images)
+    ops;
+  !bad
+
+let shared_line_buffer_prop =
+  QCheck.Test.make ~name:"shared-line buffer matches a flat block" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list show_line_op)
+       QCheck.Gen.(list_size (int_range 1 60) line_op_gen))
+    (fun ops ->
+      match Testkit.run_sim (fun engine -> run_line_ops engine ops) with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_reportf "%s" msg)
+
+(* Several MB of non-uniform data written and synced through HiNFS leave
+   the pool with no private line: every clean block shares its lines with
+   the medium instead of holding a second copy of them. *)
+let test_clean_pool_holds_no_private_line () =
+  Testkit.run_sim (fun engine ->
+      let hcfg = { Hconfig.default with Hconfig.buffer_bytes = 1024 * 4096 } in
+      let config = { Config.default with Config.nvmm_size = 32 * 1024 * 1024 } in
+      let d, fs = Testkit.make_hinfs ~config ~hcfg engine in
+      let pool = H.shard_pool fs 0 in
+      let files = 4 and len = (768 * 1024) + 100 in
+      let payload i = Testkit.pattern_bytes ~seed:(i + 1) len in
+      let before = Device.resident_lines d in
+      let inos =
+        List.init files (fun i ->
+            let ino = Pmfs.create_file (H.pmfs fs) ~dir:root (Fmt.str "f%d" i) in
+            (* Unaligned pieces: partial lines are fetched, then written. *)
+            let src = payload i and pos = ref 0 in
+            while !pos < len do
+              let n = Int.min (1000 + (37 * i)) (len - !pos) in
+              ignore (H.write fs ~ino ~off:!pos ~src ~src_off:!pos ~len:n ~sync:false);
+              pos := !pos + n
+            done;
+            ino)
+      in
+      let buffered = H.buffered_blocks fs in
+      check_bool
+        (Fmt.str "%d blocks buffered, most of the files" buffered)
+        true (buffered * 4096 > files * len / 2);
+      check_bool "dirty lines are private" true (Buffer_pool.private_lines pool > 0);
+      H.sync_all fs;
+      check_int "the blocks stay buffered" buffered (H.buffered_blocks fs);
+      check_int "private lines after sync_all" 0 (Buffer_pool.private_lines pool);
+      let grown = Device.resident_lines d - before in
+      check_bool
+        (Fmt.str "the medium holds the data's %d lines (%d)" (files * len / 64) grown)
+        true (grown >= files * len / 64);
+      List.iteri
+        (fun i ino ->
+          Testkit.check_bytes (Fmt.str "f%d reads back" i) (payload i)
+            (fst (read_back fs ~ino ~off:0 ~len)))
+        inos)
+
 let () =
   Alcotest.run "hinfs"
     [
@@ -953,7 +1262,8 @@ let () =
           Alcotest.test_case "boundary partials" `Quick
             test_clbitmap_boundary_partials;
           Alcotest.test_case "runs" `Quick test_clbitmap_runs;
-        ] );
+        ]
+        @ Testkit.qcheck_cases [ clbitmap_words_prop ] );
       ( "buffering",
         [
           Alcotest.test_case "lazy write buffered" `Quick
@@ -981,7 +1291,10 @@ let () =
             test_pool_matches_fifo_model;
           Alcotest.test_case "empty pool is small" `Quick
             test_empty_pool_is_small;
-        ] );
+          Alcotest.test_case "clean pool holds no private line" `Quick
+            test_clean_pool_holds_no_private_line;
+        ]
+        @ Testkit.qcheck_cases [ shared_line_buffer_prop ] );
       ( "clfw",
         [
           Alcotest.test_case "flush granularity" `Quick
