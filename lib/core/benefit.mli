@@ -10,8 +10,9 @@
     Blocks violating the inequality turn Eager-Persistent; the state decays
     back to Lazy after [eager_decay_ns] without a sync on the file. *)
 
-type block_meta
 type file_model
+(** Per-block state in flat arrays indexed by file block: updating it
+    allocates nothing. *)
 
 val create_file_model : unit -> file_model
 

@@ -23,7 +23,14 @@
      set when the home block pre-existed; grows as lines are flushed). A
      block may only be freed once home_valid covers every line, so NVMM
      reads after eviction never see stale medium bytes;
-   - [own]: lines private to the block. *)
+   - [own]: lines private to the block.
+
+   The bitmaps and the last-write time are 64-bit words, which an OCaml
+   int cannot hold; a mutable [int64] field would take a fresh box at
+   every update, stored into a descriptor that lives in the major heap,
+   so each box would be promoted and die there. They live unboxed in the
+   block's [bits] instead, read and updated only here, with the [int64]
+   primitives (which the compiler keeps unboxed within this module). *)
 
 module Dlist = Hinfs_structures.Dlist
 module Device = Hinfs_nvmm.Device
@@ -32,17 +39,48 @@ type block = {
   id : int;
   lines : Bytes.t array; (* the block's cachelines: private iff in [own] *)
   node : int Dlist.node; (* membership in the LRW list (value = id) *)
+  bits : Bytes.t; (* the words at the offsets below *)
   mutable ino : int;
   mutable fblock : int;
   mutable home : int; (* NVMM home block number *)
-  mutable present : Clbitmap.t;
-  mutable dirty : Clbitmap.t;
-  mutable home_valid : Clbitmap.t;
-  mutable own : Clbitmap.t;
-  mutable last_written : int64;
   mutable pinned : int; (* foreground use / in-flight writeback *)
   mutable in_use : bool;
 }
+
+let present_off = 0
+let dirty_off = 8
+let home_valid_off = 16
+let own_off = 24
+let last_written_off = 32
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let present b = get64 b.bits present_off
+let dirty b = get64 b.bits dirty_off
+let home_valid b = get64 b.bits home_valid_off
+let own b = get64 b.bits own_off
+let last_written b = get64 b.bits last_written_off
+let is_dirty b = get64 b.bits dirty_off <> 0L
+let clear_dirty b = set64 b.bits dirty_off 0L
+let set_home_valid b lines = set64 b.bits home_valid_off lines
+
+let add_present b lines =
+  set64 b.bits present_off (Int64.logor (get64 b.bits present_off) lines)
+
+let add_dirty b lines =
+  let was_clean = get64 b.bits dirty_off = 0L in
+  set64 b.bits dirty_off (Int64.logor (get64 b.bits dirty_off) lines);
+  add_present b lines;
+  was_clean && lines <> 0L
+
+let clean_lines b lines =
+  let pre = get64 b.bits dirty_off in
+  let post = Int64.logand pre (Int64.lognot lines) in
+  set64 b.bits dirty_off post;
+  set64 b.bits home_valid_off
+    (Int64.logor (get64 b.bits home_valid_off) lines);
+  pre <> 0L && post = 0L
 
 (* Descriptors are made on first [alloc]: [blocks] holds ids [0, made),
    growing by doubling, so an empty pool costs a few words whatever its
@@ -97,14 +135,10 @@ let take t =
         id;
         lines = Array.make t.lines_per_block t.blank;
         node = Dlist.make_node id;
+        bits = Bytes.make 40 '\000';
         ino = 0;
         fblock = 0;
         home = 0;
-        present = Clbitmap.empty;
-        dirty = Clbitmap.empty;
-        home_valid = Clbitmap.empty;
-        own = Clbitmap.empty;
-        last_written = 0L;
         pinned = 0;
         in_use = false;
       }
@@ -129,10 +163,10 @@ let alloc t ~ino ~fblock ~home ~now =
     b.ino <- ino;
     b.fblock <- fblock;
     b.home <- home;
-    b.present <- Clbitmap.empty;
-    b.dirty <- Clbitmap.empty;
-    b.home_valid <- Clbitmap.empty;
-    b.last_written <- now;
+    set64 b.bits present_off 0L;
+    set64 b.bits dirty_off 0L;
+    set64 b.bits home_valid_off 0L;
+    set64 b.bits last_written_off now;
     b.pinned <- 0;
     b.in_use <- true;
     Dlist.push_back t.lrw b.node;
@@ -144,14 +178,14 @@ let free t b =
   b.in_use <- false;
   (* Freed blocks must not pin dead medium lines. *)
   Array.fill b.lines 0 t.lines_per_block t.blank;
-  b.own <- Clbitmap.empty;
+  set64 b.bits own_off 0L;
   if Dlist.is_linked b.node then Dlist.remove t.lrw b.node;
   Queue.add b.id t.free;
   t.free_count <- t.free_count + 1
 
 (* Record a write: the block moves to the MRW end. *)
 let touch_written t b ~now =
-  b.last_written <- now;
+  set64 b.bits last_written_off now;
   Dlist.move_to_back t.lrw b.node
 
 (* Victim selection: the least recently written unpinned block. *)
@@ -175,7 +209,7 @@ let lrw_ids t =
 let private_lines t =
   let n = ref 0 in
   for id = 0 to t.made - 1 do
-    n := !n + Clbitmap.count t.blocks.(id).own
+    n := !n + Clbitmap.count (own t.blocks.(id))
   done;
   !n
 
@@ -197,10 +231,11 @@ let store dev b ~off ~src ~src_off ~len =
   match whole with
   | Some fill ->
     Array.fill b.lines 0 nlines fill;
-    b.own <- Clbitmap.empty
+    set64 b.bits own_off 0L
   | None ->
     (* The lines that become fill lines and those that become private,
        as local words (no closure, so unboxed): one [own] update. *)
+    let own = get64 b.bits own_off in
     let filled = ref 0L and made = ref 0L in
     if len > 0 then
       for i = off / ls to (off + len - 1) / ls do
@@ -214,7 +249,7 @@ let store dev b ~off ~src ~src_off ~len =
         | Some fill ->
           b.lines.(i) <- fill;
           filled := Int64.logor !filled bit
-        | None when Clbitmap.mem b.own i ->
+        | None when Int64.logand own bit <> 0L ->
           Bytes.blit src from b.lines.(i) (lo - (i * ls)) k
         | None ->
           let line =
@@ -228,7 +263,8 @@ let store dev b ~off ~src ~src_off ~len =
           b.lines.(i) <- line;
           made := Int64.logor !made bit
       done;
-    b.own <- Clbitmap.diff (Clbitmap.union b.own !made) !filled
+    set64 b.bits own_off
+      (Int64.logand (Int64.logor own !made) (Int64.lognot !filled))
 
 let load b ~off ~len ~into ~into_off =
   let ls = line_size b in
@@ -242,9 +278,11 @@ let load b ~off ~len ~into ~into_off =
 (* Lines [first, first+count) are no longer private: called in the same
    step, with no yield between, as the device call that shared them. *)
 let share b ~first ~count =
-  b.own <-
-    Clbitmap.diff b.own
-      (Clbitmap.add_range Clbitmap.empty ~first ~last:(first + count - 1))
+  let run =
+    if count >= 64 then -1L
+    else Int64.shift_left (Int64.pred (Int64.shift_left 1L count)) first
+  in
+  set64 b.bits own_off (Int64.logand (own b) (Int64.lognot run))
 
 let fetch dev ~cat b ~addr ~first ~count =
   Device.read_lines dev ~cat ~addr ~len:(count * line_size b) ~into:b.lines

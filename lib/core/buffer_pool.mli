@@ -17,7 +17,13 @@
     - [dirty]: lines awaiting writeback (subset of [present]);
     - [home_valid]: lines of the NVMM home block known to hold valid data
       (all set when the home pre-existed; completed at first writeback);
-    - [own]: lines private to the block. *)
+    - [own]: lines private to the block.
+
+    The bitmaps and the time of the last write are 64-bit words kept
+    unboxed in the block's [bits], so updating them allocates nothing:
+    they are read through the accessors below and updated by the
+    operations that name their rule ({!add_dirty}, {!clean_lines}), never
+    stored as boxed values in the long-lived descriptor. *)
 
 type block = {
   id : int;
@@ -26,17 +32,42 @@ type block = {
           functions below; only the private ones ([own]) are written in
           place *)
   node : int Hinfs_structures.Dlist.node;
+  bits : Bytes.t;
+      (** the Cacheline Bitmaps and the last-write time, unboxed; set
+          only through the functions below *)
   mutable ino : int;
   mutable fblock : int;
   mutable home : int;  (** NVMM home block number *)
-  mutable present : Clbitmap.t;
-  mutable dirty : Clbitmap.t;
-  mutable home_valid : Clbitmap.t;
-  mutable own : Clbitmap.t;
-  mutable last_written : int64;
   mutable pinned : int;  (** foreground use / in-flight writeback *)
   mutable in_use : bool;
 }
+
+(** {1 Cacheline Bitmaps} *)
+
+val present : block -> Clbitmap.t
+val dirty : block -> Clbitmap.t
+val home_valid : block -> Clbitmap.t
+val own : block -> Clbitmap.t
+
+val last_written : block -> int64
+(** Virtual time of the block's last write ({!alloc}, {!touch_written}). *)
+
+val is_dirty : block -> bool
+val clear_dirty : block -> unit
+val set_home_valid : block -> Clbitmap.t -> unit
+
+val add_present : block -> Clbitmap.t -> unit
+(** The lines hold valid data in DRAM. *)
+
+val add_dirty : block -> Clbitmap.t -> bool
+(** The lines were written: they are dirty and present. [true] iff the
+    block was clean and is dirty now. *)
+
+val clean_lines : block -> Clbitmap.t -> bool
+(** The lines were written back: they are clean, and valid at home.
+    [true] iff the block was dirty and is clean now. *)
+
+(** {1 The pool} *)
 
 type t
 

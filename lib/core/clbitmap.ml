@@ -30,7 +30,6 @@ let range ~first ~last =
 
 let add_range t ~first ~last = Int64.logor t (range ~first ~last)
 
-let union = Int64.logor
 let inter = Int64.logand
 let diff a b = Int64.logand a (Int64.lognot b)
 let is_empty t = Int64.equal t 0L

@@ -1,5 +1,11 @@
 (** Cacheline Bitmap (paper §3.2.1): one bit per cacheline of a buffer
-    block, packed into an [int64] (64 lines x 64 B = 4 KB). *)
+    block, packed into an [int64] (64 lines x 64 B = 4 KB).
+
+    Values are immutable words for computing with. A long-lived holder
+    does not keep one in a mutable field, where each update would store a
+    fresh box into a record in the major heap: {!Buffer_pool} and
+    {!Benefit} keep their bitmaps unboxed in [Bytes] and update them in
+    place. *)
 
 type t = int64
 
@@ -11,7 +17,6 @@ val full_mask : int -> t
 val mem : t -> int -> bool
 
 val add_range : t -> first:int -> last:int -> t
-val union : t -> t -> t
 val inter : t -> t -> t
 
 val diff : t -> t -> t

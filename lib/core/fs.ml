@@ -39,14 +39,16 @@ module Layout = Hinfs_pmfs.Layout
 module Obs = Hinfs_obs.Obs
 
 (* The DRAM Block Index (§3.2) maps a file block to its buffer-pool
-   block. The paper uses a B-tree; a balanced map gives the same ordered
-   find/insert/remove, and the simulator charges no virtual time for index
-   operations, so the choice moves no figure. *)
-module Block_index = Map.Make (Int)
+   block. The paper uses a B-tree; a [Blockmap] gives the same ordered
+   find/insert/remove, and the simulator charges no virtual time for
+   index operations, so the choice moves no figure. An insert or remove
+   writes in place and allocates nothing in the file's long-lived
+   state. *)
+module Blockmap = Hinfs_structures.Blockmap
 
 type file_state = {
   f_ino : int;
-  mutable index : int Block_index.t; (* fblock -> pool block id *)
+  index : Blockmap.t; (* fblock -> pool block id *)
   model : Benefit.file_model;
   mutable dirty_blocks : int; (* buffered blocks with dirty cachelines *)
   mutable pending_txn : Log.txn option; (* owns its NVMM allocations *)
@@ -126,7 +128,7 @@ let file_state t ino =
     let fs =
       {
         f_ino = ino;
-        index = Block_index.empty;
+        index = Blockmap.create ();
         model = Benefit.create_file_model ();
         dirty_blocks = 0;
         pending_txn = None;
@@ -137,9 +139,9 @@ let file_state t ino =
     fs
 
 let buffered_block t fst fblock =
-  match Block_index.find_opt fblock fst.index with
-  | None -> None
-  | Some id ->
+  match Blockmap.find fst.index fblock with
+  | -1 -> None
+  | id ->
     let b = Buffer_pool.block (spool t fst.f_ino) id in
     if b.Buffer_pool.in_use && b.Buffer_pool.ino = fst.f_ino
        && b.Buffer_pool.fblock = fblock
@@ -198,10 +200,7 @@ let try_commit t fst = try maybe_commit t fst with _ -> ()
 (* --- writeback --- *)
 
 let mark_block_dirty t fst b lines =
-  let was_clean = Clbitmap.is_empty b.Buffer_pool.dirty in
-  b.Buffer_pool.dirty <- Clbitmap.union b.Buffer_pool.dirty lines;
-  b.Buffer_pool.present <- Clbitmap.union b.Buffer_pool.present lines;
-  if was_clean && not (Clbitmap.is_empty b.Buffer_pool.dirty) then
+  if Buffer_pool.add_dirty b lines then
     fst.dirty_blocks <- fst.dirty_blocks + 1;
   Buffer_pool.touch_written (spool t fst.f_ino) b ~now:(now t)
 
@@ -232,8 +231,8 @@ and flush_block_body ~background ~cat t b ~evict =
     ~finally:(fun () -> b.Buffer_pool.pinned <- b.Buffer_pool.pinned - 1)
     (fun () ->
       let snapshot =
-        if t.hcfg.Hconfig.clfw then b.Buffer_pool.dirty
-        else if Clbitmap.is_empty b.Buffer_pool.dirty then Clbitmap.empty
+        if t.hcfg.Hconfig.clfw then Buffer_pool.dirty b
+        else if not (Buffer_pool.is_dirty b) then Clbitmap.empty
         else Clbitmap.full_mask nlines
       in
       if not (Clbitmap.is_empty snapshot) then begin
@@ -246,31 +245,26 @@ and flush_block_body ~background ~cat t b ~evict =
       end;
       (* Read-and-clear atomically (no yield between): a concurrent flusher
          of the same block must not double-decrement [dirty_blocks]. *)
-      let pre = b.Buffer_pool.dirty in
-      b.Buffer_pool.dirty <- Clbitmap.diff pre snapshot;
-      b.Buffer_pool.home_valid <-
-        Clbitmap.union b.Buffer_pool.home_valid snapshot;
-      if (not (Clbitmap.is_empty pre))
-         && Clbitmap.is_empty b.Buffer_pool.dirty
-      then fst.dirty_blocks <- fst.dirty_blocks - 1;
+      if Buffer_pool.clean_lines b snapshot then
+        fst.dirty_blocks <- fst.dirty_blocks - 1;
       if (evict || not (Clbitmap.is_empty snapshot))
-         && not (Clbitmap.equal b.Buffer_pool.home_valid
+         && not (Clbitmap.equal (Buffer_pool.home_valid b)
                    (Clbitmap.full_mask nlines))
       then begin
         let missing =
-          Clbitmap.diff (Clbitmap.full_mask nlines) b.Buffer_pool.home_valid
+          Clbitmap.diff (Clbitmap.full_mask nlines) (Buffer_pool.home_valid b)
         in
         Clbitmap.iter_set_runs missing ~nlines (fun ~first ~count ->
             Device.zero_nt ~background dev ~cat
               ~addr:(home_addr + (first * cl))
               ~len:(count * cl));
         if not (Clbitmap.is_empty missing) then Device.mfence dev ~cat;
-        b.Buffer_pool.home_valid <- Clbitmap.full_mask nlines
+        Buffer_pool.set_home_valid b (Clbitmap.full_mask nlines)
       end);
-  if evict && Clbitmap.is_empty b.Buffer_pool.dirty && b.Buffer_pool.pinned = 0
+  if evict && (not (Buffer_pool.is_dirty b)) && b.Buffer_pool.pinned = 0
   then begin
     let sh = shard_for t b.Buffer_pool.ino in
-    fst.index <- Block_index.remove b.Buffer_pool.fblock fst.index;
+    Blockmap.remove fst.index b.Buffer_pool.fblock;
     Buffer_pool.free sh.pool b;
     Stats.eviction (stats t);
     ignore (Condvar.broadcast sh.free_cv)
@@ -279,13 +273,12 @@ and flush_block_body ~background ~cat t b ~evict =
 (* Flush (and optionally evict) every buffered block of a file. *)
 let flush_file ?background ?cat t fst ~evict =
   let pool = spool t fst.f_ino in
-  let ids = Block_index.fold (fun _fblock id acc -> id :: acc) fst.index [] in
   List.iter
-    (fun id ->
+    (fun (_, id) ->
       let b = Buffer_pool.block pool id in
       if b.Buffer_pool.in_use && b.Buffer_pool.ino = fst.f_ino then
         flush_block ?background ?cat t b ~evict)
-    ids
+    (Blockmap.to_list fst.index)
 
 (* Flush a file's dirty data and commit its pending metadata: the ordered
    barrier used by fsync, eager-write conflicts, truncate and unmount. *)
@@ -338,8 +331,8 @@ let daemon_body t sh =
             (fun id ->
               let b = Buffer_pool.block sh.pool id in
               b.Buffer_pool.in_use
-              && (not (Clbitmap.is_empty b.Buffer_pool.dirty))
-              && Int64.compare b.Buffer_pool.last_written cutoff <= 0)
+              && Buffer_pool.is_dirty b
+              && Int64.compare (Buffer_pool.last_written b) cutoff <= 0)
             (Buffer_pool.lrw_ids sh.pool)
         in
         List.iter
@@ -410,19 +403,19 @@ let fetch_lines t b lines =
   let cl = cacheline t in
   let nlines = lines_per_block t in
   let home_addr = Pmfs.Data.block_addr t.pmfs b.Buffer_pool.home in
-  let needed = Clbitmap.diff lines b.Buffer_pool.present in
+  let needed = Clbitmap.diff lines (Buffer_pool.present b) in
   let obs_t0 = if Obs.enabled () then Proc.now () else 0L in
-  let from_home = Clbitmap.inter needed b.Buffer_pool.home_valid in
+  let from_home = Clbitmap.inter needed (Buffer_pool.home_valid b) in
   Clbitmap.iter_set_runs from_home ~nlines (fun ~first ~count ->
       Buffer_pool.fetch dev ~cat:Stats.Write_access b
         ~addr:(home_addr + (first * cl))
         ~first ~count);
-  let as_zero = Clbitmap.diff needed b.Buffer_pool.home_valid in
+  let as_zero = Clbitmap.diff needed (Buffer_pool.home_valid b) in
   Clbitmap.iter_set_runs as_zero ~nlines (fun ~first ~count ->
       Buffer_pool.fill_zeros dev b ~first ~count);
   if not (Clbitmap.is_empty needed) then
     Obs.span_since Obs.Buffer_fetch ~t0:obs_t0;
-  b.Buffer_pool.present <- Clbitmap.union b.Buffer_pool.present lines
+  Buffer_pool.add_present b lines
 
 (* One block-aligned segment of a lazy-persistent write. *)
 let lazy_write_segment t fst ~fblock ~in_block ~src ~src_off ~len =
@@ -446,9 +439,9 @@ let lazy_write_segment t fst ~fblock ~in_block ~src ~src_off ~len =
             ~fblock
       in
       let b = alloc_buffer_block t ~ino:fst.f_ino ~fblock ~home in
-      b.Buffer_pool.home_valid <-
+      Buffer_pool.set_home_valid b
         (if fresh then Clbitmap.empty else Clbitmap.full_mask nlines);
-      fst.index <- Block_index.add fblock b.Buffer_pool.id fst.index;
+      Blockmap.add fst.index fblock b.Buffer_pool.id;
       b
   in
   b.Buffer_pool.pinned <- b.Buffer_pool.pinned + 1;
@@ -626,7 +619,7 @@ let read_buffered_segment t b ~in_block ~len ~into ~into_off =
         Clbitmap.is_empty
           (Clbitmap.inter
              (Clbitmap.of_byte_range ~cacheline_size:cl ~off:run_start ~len:n)
-             b.Buffer_pool.home_valid)
+             (Buffer_pool.home_valid b))
       then begin
         (* Never written anywhere: zero fill. *)
         Device.charge_memcpy (device t) Stats.Read_access `Read n;
@@ -637,7 +630,7 @@ let read_buffered_segment t b ~in_block ~len ~into ~into_off =
           ~len:n ~into ~off:dst_off
     end
   in
-  Clbitmap.iter_runs b.Buffer_pool.present ~nlines (fun ~first ~count ~set ->
+  Clbitmap.iter_runs (Buffer_pool.present b) ~nlines (fun ~first ~count ~set ->
       copy_run ~first ~count ~from_dram:set)
 
 let read t ~ino ~off ~len ~into ~into_off =
@@ -710,20 +703,19 @@ let drop_buffers t ino =
   | Some fst ->
     let st = stats t in
     let sh = shard_for t ino in
-    let ids = Block_index.fold (fun _ id acc -> id :: acc) fst.index [] in
     let dropped = ref 0 in
     List.iter
-      (fun id ->
+      (fun (_, id) ->
         let b = Buffer_pool.block sh.pool id in
         if b.Buffer_pool.in_use && b.Buffer_pool.ino = ino then begin
           wait_unpinned b;
           if b.Buffer_pool.in_use && b.Buffer_pool.ino = ino then begin
-            if not (Clbitmap.is_empty b.Buffer_pool.dirty) then incr dropped;
-            b.Buffer_pool.dirty <- Clbitmap.empty;
+            if Buffer_pool.is_dirty b then incr dropped;
+            Buffer_pool.clear_dirty b;
             Buffer_pool.free sh.pool b
           end
         end)
-      ids;
+      (Blockmap.to_list fst.index);
     Stats.dead_block_drop st !dropped;
     if !dropped > 0 then begin
       Obs.instant Obs.Ev_dead_drop ~a:ino ~b:!dropped;
@@ -756,9 +748,6 @@ let truncate t ~ino ~size =
   (* Buffered blocks beyond the new size die; the rest are flushed so the
      (journaled) truncate applies to a stable persistent state. *)
   let pool = spool t ino in
-  let ids =
-    Block_index.fold (fun fblock id acc -> (fblock, id) :: acc) fst.index []
-  in
   List.iter
     (fun (fblock, id) ->
       let b = Buffer_pool.block pool id in
@@ -767,15 +756,15 @@ let truncate t ~ino ~size =
       then begin
         wait_unpinned b;
         if b.Buffer_pool.in_use && b.Buffer_pool.ino = ino then begin
-          if not (Clbitmap.is_empty b.Buffer_pool.dirty) then begin
+          if Buffer_pool.is_dirty b then begin
             fst.dirty_blocks <- fst.dirty_blocks - 1;
-            b.Buffer_pool.dirty <- Clbitmap.empty
+            Buffer_pool.clear_dirty b
           end;
-          fst.index <- Block_index.remove fblock fst.index;
+          Blockmap.remove fst.index fblock;
           Buffer_pool.free pool b
         end
       end)
-    ids;
+    (Blockmap.to_list fst.index);
   sync_file_data t fst;
   Pmfs.truncate t.pmfs ~ino ~size
 

@@ -31,6 +31,7 @@ module Device = Hinfs_nvmm.Device
 module Config = Hinfs_nvmm.Config
 module Crc32c = Hinfs_structures.Crc32c
 module Obs = Hinfs_obs.Obs
+module Itbl = Hinfs_structures.Itbl
 
 let entry_size = 64
 let payload_capacity = 40
@@ -49,18 +50,103 @@ exception Journal_full
 
 type resource = Block | Inode
 
-(* Numbers a transaction owns until it ends, by resource. *)
-type owned = { mutable blocks : int list; mutable inodes : int list }
+(* --- per-transaction bookkeeping ---
+
+   A transaction's slots, ranges and owned numbers live in a [book]: flat
+   int arrays in insertion order, walked newest-first where the order
+   matters. The log keeps its books for reuse: a transaction takes one
+   from the pool, and it returns there once the transaction has ended and
+   the cleaner has checkpointed its entries. Books live in the major heap,
+   and logging into one stores ints, so a transaction leaves no garbage
+   for the collector to promote. *)
+
+type book = {
+  mutable slots : int array; (* data-entry slots, in log order *)
+  mutable nslots : int;
+  mutable ranges : int array; (* target (addr, len) pairs to flush *)
+  mutable nranges : int; (* pairs *)
+  logged : unit Itbl.t;
+      (* ranges already journaled, by [range_key]: a range whose entries
+         could not all be appended stays here though it is not in
+         [ranges] *)
+  (* numbers the transaction owns, newest last, each [4n + 2k + r]: [k]
+     is 1 for a release (handed back at commit) and 0 for an allocation
+     (handed back at abort), [r] is 1 for an inode and 0 for a block *)
+  mutable owned : int array;
+  mutable nowned : int;
+  mutable epoch_slot : int; (* slot of the epoch-commit entry, or -1 *)
+  mutable holds : int; (* the live transaction, commits, clean items *)
+  mutable commits : int; (* commits in flight *)
+  mutable next : book; (* link in the pool *)
+}
+
+let make_book () =
+  let rec b =
+    {
+      slots = Array.make 8 0;
+      nslots = 0;
+      ranges = Array.make 16 0;
+      nranges = 0;
+      logged = Itbl.create ~dummy:() 8;
+      owned = Array.make 4 0;
+      nowned = 0;
+      epoch_slot = -1;
+      holds = 0;
+      commits = 0;
+      next = b;
+    }
+  in
+  b
+
+(* The end of every book chain, and the book of a committed transaction. *)
+let nil = make_book ()
+
+(* [a], whose first [n] elements are in use, with room for [k] more. *)
+let room a n k =
+  if n + k <= Array.length a then a
+  else begin
+    let grown = Array.make (2 * (n + k)) 0 in
+    Array.blit a 0 grown 0 n;
+    grown
+  end
+
+let push_slot b slot =
+  b.slots <- room b.slots b.nslots 1;
+  b.slots.(b.nslots) <- slot;
+  b.nslots <- b.nslots + 1
+
+let push_range b addr len =
+  b.ranges <- room b.ranges (2 * b.nranges) 2;
+  b.ranges.(2 * b.nranges) <- addr;
+  b.ranges.((2 * b.nranges) + 1) <- len;
+  b.nranges <- b.nranges + 1
+
+(* One int per range: a range is at most [max_range] bytes, and starts
+   below 2^42. *)
+let len_bits = 20
+let max_range = (1 lsl len_bits) - 1
+
+let range_key addr len =
+  if len > max_range || addr < 0 || addr lsr (62 - len_bits) <> 0 then
+    invalid_arg "Cacheline_log.log: range out of bounds";
+  (addr lsl len_bits) lor len
+
+let push_owned b code =
+  b.owned <- room b.owned b.nowned 1;
+  b.owned.(b.nowned) <- code;
+  b.nowned <- b.nowned + 1
+
+let reset_book b =
+  b.nslots <- 0;
+  b.nranges <- 0;
+  Itbl.clear b.logged;
+  b.nowned <- 0;
+  b.epoch_slot <- -1
 
 type txn = {
   id : int;
-  mutable slots : int list; (* data-entry slots, newest first *)
-  mutable ranges : (int * int) list; (* target ranges to flush at commit *)
-  logged : (int * int, unit) Hashtbl.t; (* ranges already journaled *)
+  mutable book : book; (* [nil] once committed *)
   mutable committed : bool;
-  mutable epoch_slot : int option; (* slot of the epoch-commit entry *)
-  allocated : owned; (* handed back by [abort] *)
-  released : owned; (* handed back once committed *)
 }
 
 type t = {
@@ -79,10 +165,18 @@ type t = {
   mutable next_txn : int;
   mutable next_seq : int;
   mutable live_txns : int;
+  mutable pool : book; (* books nothing holds *)
   (* background log cleaner (PMFS's pmfs_clean_journal runs in a kthread;
      checkpointing entries off the critical path is what keeps commit
-     latency low) *)
-  pending_clean : (int list * int) Queue.t; (* (data slots, commit slot) *)
+     latency low): a ring of retired transactions, oldest first, each a
+     book, how many of its data slots to clear, a superseded entry to
+     clear with them (or -1) and the closing entry *)
+  mutable q_book : book array;
+  mutable q_slots : int array;
+  mutable q_extra : int array;
+  mutable q_closing : int array;
+  mutable q_head : int;
+  mutable q_len : int;
   mutable cleaner : Condvar.t option;
   mutable stop_cleaner : bool;
   (* statistics *)
@@ -116,7 +210,13 @@ let create device ~first_block ~blocks =
     next_txn = 1;
     next_seq = 1;
     live_txns = 0;
-    pending_clean = Queue.create ();
+    pool = nil;
+    q_book = Array.make 8 nil;
+    q_slots = Array.make 8 0;
+    q_extra = Array.make 8 0;
+    q_closing = Array.make 8 0;
+    q_head = 0;
+    q_len = 0;
     cleaner = None;
     stop_cleaner = false;
     txns_committed = 0;
@@ -127,6 +227,59 @@ let create device ~first_block ~blocks =
 
 let set_fault_injector t f = t.injector <- f
 let set_reclaim t f = t.reclaim <- f
+
+(* Drop one hold on [b]; the last returns it to the pool. *)
+let release_book t b =
+  b.holds <- b.holds - 1;
+  if b.holds = 0 then begin
+    reset_book b;
+    b.next <- t.pool;
+    t.pool <- b
+  end
+
+let take_book t =
+  let b = t.pool in
+  let b =
+    if b == nil then make_book ()
+    else begin
+      t.pool <- b.next;
+      b
+    end
+  in
+  b.next <- nil;
+  b.holds <- 1;
+  b
+
+let enqueue_clean t b ~slots ~extra ~closing =
+  let cap = Array.length t.q_book in
+  if t.q_len = cap then begin
+    let grow a x =
+      Array.init (2 * cap) (fun i ->
+          if i < cap then a.((t.q_head + i) mod cap) else x)
+    in
+    t.q_book <- grow t.q_book nil;
+    t.q_slots <- grow t.q_slots 0;
+    t.q_extra <- grow t.q_extra 0;
+    t.q_closing <- grow t.q_closing 0;
+    t.q_head <- 0
+  end;
+  let i = (t.q_head + t.q_len) mod Array.length t.q_book in
+  b.holds <- b.holds + 1;
+  t.q_book.(i) <- b;
+  t.q_slots.(i) <- slots;
+  t.q_extra.(i) <- extra;
+  t.q_closing.(i) <- closing;
+  t.q_len <- t.q_len + 1
+
+(* Take the oldest clean item off the ring: its slot is [q_head] before
+   the call. *)
+let dequeue_clean t =
+  let i = t.q_head in
+  let b = t.q_book.(i) in
+  t.q_book.(i) <- nil;
+  t.q_head <- (i + 1) mod Array.length t.q_book;
+  t.q_len <- t.q_len - 1;
+  b
 
 (* Re-arm a live log handle after its on-media region was recovered and
    wiped out-of-band (the online repair pass runs {!recover} over
@@ -140,7 +293,9 @@ let reset_runtime t =
   Array.fill t.slot_free 0 t.capacity true;
   t.free_slots <- t.capacity;
   t.cursor <- 0;
-  Queue.clear t.pending_clean
+  while t.q_len > 0 do
+    release_book t (dequeue_clean t)
+  done
 
 let capacity t = t.capacity
 let free_slots t = t.free_slots
@@ -165,17 +320,26 @@ let clear_slot ?(background = false) t slot =
   release_slot t slot
 
 (* Zero a retired transaction's entries on the medium and free the slots:
-   data entries first, fence, then the commit entry, so a crash can never
-   expose data entries without their commit. *)
-let clean_txn ?background t (slots, commit_slot) =
-  List.iter (clear_slot ?background t) slots;
+   data entries first ([extra], an epoch entry a commit superseded, then
+   the first [slots] data entries newest-first), fence, then the closing
+   entry, so a crash can never expose data entries without their commit. *)
+let clean_txn ?background t b ~slots ~extra ~closing =
+  if extra >= 0 then clear_slot ?background t extra;
+  for i = slots - 1 downto 0 do
+    clear_slot ?background t b.slots.(i)
+  done;
   Device.mfence t.device ~cat;
-  clear_slot ?background t commit_slot;
+  clear_slot ?background t closing;
   Device.mfence t.device ~cat
 
 let drain_pending ?background t =
-  while not (Queue.is_empty t.pending_clean) do
-    clean_txn ?background t (Queue.pop t.pending_clean)
+  while t.q_len > 0 do
+    let i = t.q_head in
+    let slots = t.q_slots.(i) and extra = t.q_extra.(i) in
+    let closing = t.q_closing.(i) in
+    let b = dequeue_clean t in
+    clean_txn ?background t b ~slots ~extra ~closing;
+    release_book t b
   done
 
 let alloc_slot t =
@@ -204,16 +368,7 @@ let begin_txn t =
   let id = t.next_txn in
   t.next_txn <- id + 1;
   t.live_txns <- t.live_txns + 1;
-  {
-    id;
-    slots = [];
-    ranges = [];
-    logged = Hashtbl.create 8;
-    committed = false;
-    epoch_slot = None;
-    allocated = { blocks = []; inodes = [] };
-    released = { blocks = []; inodes = [] };
-  }
+  { id; book = take_book t; committed = false }
 
 let txn_committed txn = txn.committed
 
@@ -228,17 +383,29 @@ let txn_committed txn = txn.committed
    caller: the allocators are lowest-free-first, so a free moved across a
    yield would change which number the next allocation gets. *)
 
-let add owned r n =
-  match r with
-  | Block -> owned.blocks <- n :: owned.blocks
-  | Inode -> owned.inodes <- n :: owned.inodes
+let own txn ~release r n =
+  let b = txn.book in
+  if b != nil then
+    push_owned b
+      ((4 * n)
+      + (if release then 2 else 0)
+      + match r with Block -> 0 | Inode -> 1)
 
-let allocated txn r n = add txn.allocated r n
-let released txn r n = add txn.released r n
+let allocated txn r n = own txn ~release:false r n
+let released txn r n = own txn ~release:true r n
 
-let hand_back t owned =
-  List.iter (t.reclaim Block) owned.blocks;
-  List.iter (t.reclaim Inode) owned.inodes
+(* The allocations or the releases, newest first: the blocks, then the
+   inodes. *)
+let hand_back t b ~release =
+  let kind = if release then 2 else 0 in
+  let each r bit =
+    for i = b.nowned - 1 downto 0 do
+      let c = b.owned.(i) in
+      if c land 3 = kind + bit then t.reclaim r (c lsr 2)
+    done
+  in
+  each Block 0;
+  each Inode 1
 
 (* Build one entry image: checksum set before the valid flag, so a record
    is only ever valid-with-CRC (single-cacheline writes are not reordered
@@ -297,65 +464,91 @@ let log t txn ~addr ~len =
      are applied newest-first, so the oldest (first) logged value wins
      regardless. Skipping duplicates keeps long-lived ordered transactions
      (HiNFS pending txns) from exhausting the log. *)
-  if Hashtbl.mem txn.logged (addr, len) then ()
-  else begin
-  Hashtbl.replace txn.logged (addr, len) ();
-  let rec chunks off remaining =
-    if remaining > 0 then begin
-      let chunk = min payload_capacity remaining in
-      let old = Device.peek t.device ~addr:(addr + off) ~len:chunk in
+  if len > 0 && not (Itbl.mem txn.book.logged (range_key addr len)) then begin
+    Itbl.replace txn.book.logged (range_key addr len) ();
+    let off = ref 0 in
+    while !off < len do
+      let chunk = min payload_capacity (len - !off) in
+      let old = Device.peek t.device ~addr:(addr + !off) ~len:chunk in
       let slot =
-        write_entry t ~txn_id:txn.id ~entry_type:type_data ~addr:(addr + off)
-          ~payload:old
+        write_entry t ~txn_id:txn.id ~entry_type:type_data
+          ~addr:(addr + !off) ~payload:old
       in
-      txn.slots <- slot :: txn.slots;
-      chunks (off + chunk) (remaining - chunk)
-    end
-  in
-  chunks 0 len;
-  if len > 0 then txn.ranges <- (addr, len) :: txn.ranges
+      (* Read the book after the append: the transaction may have ended
+         while it waited. *)
+      if txn.book != nil then push_slot txn.book slot;
+      off := !off + chunk
+    done;
+    if txn.book != nil then push_range txn.book addr len
   end
 
 (* The step commit and the epoch path share: persist the in-place updates
-   the transaction covers, then append its closing entry. *)
-let seal t txn ~entry_type ~payload =
-  List.iter
-    (fun (addr, len) -> Device.clflush t.device ~cat ~addr ~len)
-    txn.ranges;
+   the transaction covers, newest range first, then append its closing
+   entry. *)
+let seal t txn b ~entry_type ~payload =
+  for i = b.nranges - 1 downto 0 do
+    Device.clflush t.device ~cat ~addr:b.ranges.(2 * i)
+      ~len:b.ranges.((2 * i) + 1)
+  done;
   Device.mfence t.device ~cat;
   write_entry t ~txn_id:txn.id ~entry_type ~addr:0 ~payload
 
 (* The transaction is durable: mark it committed and checkpoint its
    entries — handed to the background cleaner when one is running, else
-   cleaned inline. *)
-let retire t txn (slots, closing_slot) =
+   cleaned inline. [b] is the book the commit started with. *)
+let retire t txn b ~extra ~closing =
   txn.committed <- true;
   t.txns_committed <- t.txns_committed + 1;
   t.live_txns <- t.live_txns - 1;
   match t.cleaner with
   | Some cv ->
-    Queue.add (slots, closing_slot) t.pending_clean;
+    enqueue_clean t b ~slots:b.nslots ~extra ~closing;
     ignore (Condvar.signal cv)
-  | None -> clean_txn t (slots, closing_slot)
+  | None -> clean_txn t b ~slots:b.nslots ~extra ~closing
+
+(* A commit holds the transaction's book from its start to its end. Two
+   commits of one transaction can overlap (both passed the committed check
+   before either retired it): each then retires, cleans and hands back the
+   entries the transaction holds at that point, and the transaction keeps
+   its book until the last of them ends. *)
+let hold txn =
+  let b = txn.book in
+  b.holds <- b.holds + 1;
+  b.commits <- b.commits + 1;
+  b
+
+let unhold t b =
+  b.commits <- b.commits - 1;
+  release_book t b
+
+(* The committed transaction's releases go back, and the commit lets go of
+   the book; the last commit in flight detaches it from the transaction. *)
+let finish t txn b =
+  hand_back t b ~release:true;
+  if b.commits = 1 && txn.book == b then begin
+    txn.book <- nil;
+    release_book t b
+  end;
+  unhold t b
 
 let commit t txn =
   if txn.committed then
     invalid_arg "Cacheline_log.commit: txn already committed";
+  let b = hold txn in
   Obs.with_span Obs.Journal_commit (fun () ->
       let commit_slot =
-        seal t txn ~entry_type:type_commit ~payload:Bytes.empty
+        match seal t txn b ~entry_type:type_commit ~payload:Bytes.empty with
+        | slot -> slot
+        | exception e ->
+          unhold t b;
+          raise e
       in
       (* A transaction prepared for an epoch that then failed to land,
          and is now committed the ordinary way (a retried HiNFS pending
          transaction), still has a valid epoch entry on the medium: clean
          it with the rest. *)
-      let slots =
-        match txn.epoch_slot with
-        | Some s -> s :: txn.slots
-        | None -> txn.slots
-      in
-      retire t txn (slots, commit_slot);
-      hand_back t txn.released)
+      retire t txn b ~extra:b.epoch_slot ~closing:commit_slot;
+      finish t txn b)
 
 (* --- epoch-based cross-shard commit ---
 
@@ -370,57 +563,65 @@ let commit t txn =
 let commit_group epoch ~id parts =
   let payload = Bytes.create 8 in
   Bytes.set_int64_le payload 0 (Int64.of_int id);
-  List.iter
-    (fun (t, txn) ->
-      if txn.committed || txn.epoch_slot <> None then
-        invalid_arg "Cacheline_log.commit_group: txn committed or prepared";
-      txn.epoch_slot <-
-        Some (seal t txn ~entry_type:type_epoch_commit ~payload))
-    parts;
-  Epoch.commit epoch id;
-  List.iter
-    (fun (t, txn) -> retire t txn (txn.slots, Option.get txn.epoch_slot))
-    parts;
-  List.iter (fun (t, txn) -> hand_back t txn.released) parts
+  let held = ref [] in
+  let books =
+    try
+      List.iter
+        (fun (t, txn) ->
+          if txn.committed || txn.book.epoch_slot >= 0 then
+            invalid_arg "Cacheline_log.commit_group: txn committed or prepared";
+          let b = hold txn in
+          held := (t, b) :: !held;
+          b.epoch_slot <- seal t txn b ~entry_type:type_epoch_commit ~payload)
+        parts;
+      Epoch.commit epoch id;
+      List.rev_map snd !held
+    with e ->
+      List.iter (fun (t, b) -> unhold t b) !held;
+      raise e
+  in
+  List.iter2
+    (fun (t, txn) b -> retire t txn b ~extra:(-1) ~closing:b.epoch_slot)
+    parts books;
+  List.iter2 (fun (t, txn) b -> finish t txn b) parts books
 
 (* Abort: restore old contents (volatile first, then persisted) and clear
    the entries. Used on ENOSPC-style failure paths. *)
 let abort t txn =
   if txn.committed then invalid_arg "Cacheline_log.abort: txn committed";
+  let b = txn.book in
   (* Undo newest-first so the oldest logged value lands last. *)
-  let entries =
-    List.map
-      (fun slot ->
-        let raw =
-          Device.peek t.device ~addr:(slot_addr t slot) ~len:entry_size
-        in
-        (slot, raw))
-      txn.slots
-  in
-  List.iter
-    (fun (_slot, raw) ->
-      let addr = Int64.to_int (Bytes.get_int64_le raw 0) in
-      let len = Bytes.get_uint16_le raw 16 in
-      let payload = Bytes.sub raw 19 len in
-      Device.write_cached t.device ~cat ~addr ~src:payload ~off:0 ~len;
-      Device.clflush t.device ~cat ~addr ~len)
-    entries;
+  for i = b.nslots - 1 downto 0 do
+    let raw =
+      Device.peek t.device ~addr:(slot_addr t b.slots.(i)) ~len:entry_size
+    in
+    let addr = Int64.to_int (Bytes.get_int64_le raw 0) in
+    let len = Bytes.get_uint16_le raw 16 in
+    let payload = Bytes.sub raw 19 len in
+    Device.write_cached t.device ~cat ~addr ~src:payload ~off:0 ~len;
+    Device.clflush t.device ~cat ~addr ~len
+  done;
   Device.mfence t.device ~cat;
-  List.iter (fun slot -> clear_slot t slot) txn.slots;
+  for i = b.nslots - 1 downto 0 do
+    clear_slot t b.slots.(i)
+  done;
   (* A prepared-but-never-committed epoch entry (the epoch record did not
      land) is dead weight: clear it with the data entries. *)
-  (match txn.epoch_slot with
-  | Some slot ->
-    clear_slot t slot;
-    txn.epoch_slot <- None
-  | None -> ());
+  if b.epoch_slot >= 0 then begin
+    clear_slot t b.epoch_slot;
+    b.epoch_slot <- -1
+  end;
   (* Order the cleared slots before anything that follows the abort: without
      this fence a crash can persist a later transaction's update yet still
      hold this transaction's (aborted) undo entries, and recovery would roll
      the later committed value back. *)
   Device.mfence t.device ~cat;
   t.live_txns <- t.live_txns - 1;
-  hand_back t txn.allocated
+  hand_back t b ~release:false;
+  (* The transaction stays open to stray use after an abort, on a book of
+     its own; its pooled one goes back. *)
+  txn.book <- make_book ();
+  release_book t b
 
 (* --- background cleaner lifecycle --- *)
 
@@ -434,7 +635,7 @@ let start_cleaner t =
   Proc.spawn ~name:"journal-cleaner" (fun () ->
       let rec loop () =
         if not t.stop_cleaner then begin
-          if Queue.is_empty t.pending_clean then
+          if t.q_len = 0 then
             ignore (Condvar.wait_timeout cv ~timeout:100_000_000L);
           drain_pending ~background:true t;
           loop ()

@@ -14,7 +14,15 @@
     Locking requirement (standard for undo logs): a range logged by a live
     transaction must not be logged or modified by another transaction until
     the first commits or aborts. The file system guarantees this with its
-    namespace and per-inode locks. *)
+    namespace and per-inode locks.
+
+    A transaction's bookkeeping (its entry slots, logged ranges, their
+    deduplication table and the numbers it owns) is flat int arrays that
+    the log reuses from one transaction to the next, so logging, committing
+    and aborting allocate nothing once they reach their working size.
+    Order is kept where the device sees it: a commit flushes the ranges
+    and the cleaner clears the slots newest first, and an abort undoes
+    newest first. *)
 
 type t
 type txn

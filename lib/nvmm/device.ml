@@ -28,16 +28,11 @@
    category, because that is exactly the foreground/background interference
    the paper discusses (§3.2.1). *)
 
-(* Tables keyed by cacheline index, hashed by the index itself: adjacent
-   lines fall in adjacent buckets, and a lookup makes no C call. Nothing
-   reads an [Ltbl]'s iteration order: every walk that reaches the output
-   sorts by index or only counts. *)
-module Ltbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash (idx : int) = idx
-end)
+(* Tables keyed by cacheline index, by open addressing: a line entering
+   or leaving one allocates nothing. Nothing reads an [Itbl]'s iteration
+   order: every walk that reaches the output sorts by index or only
+   counts. *)
+module Itbl = Hinfs_structures.Itbl
 
 (* Persistence-event recorder (off by default, zero cost when disabled).
 
@@ -73,17 +68,20 @@ module Record = struct
 
   type t = {
     mutable epoch : int; (* fences seen since recording was enabled *)
-    lines : line Ltbl.t; (* cacheline index -> pending record *)
+    lines : line Itbl.t; (* cacheline index -> pending record *)
     mutable stores : int;
     mutable flushes : int;
     mutable fences : int;
     mutable on_fence : unit -> unit;
   }
 
+  (* The [lines] table's empty value. *)
+  let no_line = { base = Bytes.empty; versions = []; store_epoch = -1 }
+
   let create () =
     {
       epoch = 0;
-      lines = Ltbl.create 256;
+      lines = Itbl.create ~dummy:no_line 256;
       stores = 0;
       flushes = 0;
       fences = 0;
@@ -104,11 +102,14 @@ type t = {
   config : Config.t;
   pages : table array; (* page index -> lines; a fill table, or private *)
   owned : Bytes.t; (* per page: '\001' when this device may set slots *)
+  spares : table array; (* [0, nspares): owned tables no page uses *)
+  mutable nspares : int;
   fills : table array;
       (* byte value -> its fill table, empty until first used; entry 0 is
          the zero table. Shared with the images and the devices made from
          them, which only ever add entries. *)
-  overlay : Bytes.t Ltbl.t; (* cacheline index -> line content *)
+  overlay : Bytes.t Itbl.t;
+      (* cacheline index -> line content; [Bytes.empty] for none *)
   dirty_in_page : int array; (* page index -> overlay lines in it *)
   mutable dirty_lines : int; (* overlay lines in all *)
   lines_per_page : int;
@@ -134,6 +135,9 @@ module Resource = Hinfs_sim.Resource
 module Stats = Hinfs_stats.Stats
 module Obs = Hinfs_obs.Obs
 
+(* Owned tables kept for reuse, at most (see [own_page]). *)
+let max_spares = 32
+
 (* A device over [pages] (a table the device may keep: nothing else holds
    it), owning none of them. *)
 let of_pages engine stats config ~fills pages =
@@ -143,8 +147,10 @@ let of_pages engine stats config ~fills pages =
     config;
     pages;
     owned = Bytes.make (Array.length pages) '\000';
+    spares = Array.make max_spares [||];
+    nspares = 0;
     fills;
-    overlay = Ltbl.create 4096;
+    overlay = Itbl.create ~dummy:Bytes.empty 1024;
     dirty_in_page = Array.make (Array.length pages) 0;
     dirty_lines = 0;
     lines_per_page = Config.cachelines_per_block config;
@@ -182,11 +188,27 @@ let check_range t ~addr ~len =
 let page_size t = t.config.Config.block_size
 
 (* Table [p], made settable in place: a table the device does not own (a
-   fill table, or one shared with an image) is copied first. *)
+   fill table, or one shared with an image) is copied first, into a spare
+   table when there is one. Pages cycle between fill and owned: a data
+   page written whole with one byte value collapses to that value's fill
+   table, a journal or metadata page whose lines are all cleared to the
+   zero table, and their next partial store owns them again. A fresh copy
+   each time would be a table promoted to the major heap only to die
+   there. *)
 let own_page t p =
   if Bytes.unsafe_get t.owned p = '\001' then t.pages.(p)
   else begin
-    let tbl = Array.copy t.pages.(p) in
+    let src = t.pages.(p) in
+    let tbl =
+      if t.nspares = 0 then Array.copy src
+      else begin
+        t.nspares <- t.nspares - 1;
+        let tbl = t.spares.(t.nspares) in
+        t.spares.(t.nspares) <- [||];
+        Array.blit src 0 tbl 0 (Array.length src);
+        tbl
+      end
+    in
     t.pages.(p) <- tbl;
     Bytes.unsafe_set t.owned p '\001';
     tbl
@@ -202,8 +224,18 @@ let fill_table t c =
     tbl
   end
 
+(* Page [p] becomes [c]'s fill table. The table it drops, when owned, is
+   no image's and no other page's: it becomes a spare, holding the fill
+   line, so that it pins no dead line. *)
 let fill_page t p c =
-  t.pages.(p) <- fill_table t c;
+  let fill = fill_table t c in
+  if Bytes.unsafe_get t.owned p = '\001' && t.nspares < max_spares then begin
+    let tbl = t.pages.(p) in
+    Array.fill tbl 0 (Array.length tbl) fill.(0);
+    t.spares.(t.nspares) <- tbl;
+    t.nspares <- t.nspares + 1
+  end;
+  t.pages.(p) <- fill;
   Bytes.unsafe_set t.owned p '\000'
 
 (* A table or line is a fill one iff it is the one of its first byte. *)
@@ -364,27 +396,28 @@ let count_line t idx delta =
   t.dirty_lines <- t.dirty_lines + delta
 
 let add_overlay t idx line =
-  Ltbl.add t.overlay idx line;
+  Itbl.replace t.overlay idx line;
   count_line t idx 1
 
 let drop_overlay t idx =
-  Ltbl.remove t.overlay idx;
+  Itbl.remove t.overlay idx;
   count_line t idx (-1)
 
 let overlay_line t idx =
-  match Ltbl.find_opt t.overlay idx with
-  | Some line -> line
-  | None ->
+  let line = Itbl.get t.overlay idx in
+  if line != Bytes.empty then line
+  else begin
     let line = Bytes.copy (medium_line t idx) in
     add_overlay t idx line;
     line
+  end
 
 let dirty_cachelines t = t.dirty_lines
 
 let is_dirty_line t idx =
   t.dirty_lines > 0
   && t.dirty_in_page.(idx / t.lines_per_page) > 0
-  && Ltbl.mem t.overlay idx
+  && Itbl.mem t.overlay idx
 
 (* The one loop over the cached lines a byte range [addr, addr+len)
    touches, each clipped to the range; [buf] holds the range from [off].
@@ -400,7 +433,7 @@ let cached_spans t op ~addr ~len buf off =
     let ls = line_size t in
     for idx = addr / ls to (addr + len - 1) / ls do
       if is_dirty_line t idx then begin
-        let line = Ltbl.find t.overlay idx in
+        let line = Itbl.get t.overlay idx in
         let line_start = idx * ls in
         let copy_start = Int.max addr line_start in
         let n = Int.min (addr + len) (line_start + ls) - copy_start in
@@ -416,15 +449,15 @@ let cached_spans t op ~addr ~len buf off =
 
 let dirty_line_addrs t =
   let ls = line_size t in
-  Ltbl.fold (fun idx _ acc -> (idx * ls) :: acc) t.overlay []
+  Itbl.fold (fun idx _ acc -> (idx * ls) :: acc) t.overlay []
   |> List.sort compare
 
 (* --- recorder hooks (no-ops when recording is disabled) --- *)
 
 let record_line t (r : Record.t) idx =
-  match Ltbl.find_opt r.Record.lines idx with
-  | Some rl -> rl
-  | None ->
+  let rl = Itbl.get r.Record.lines idx in
+  if rl != Record.no_line then rl
+  else begin
     let rl =
       {
         Record.base = medium_line t idx;
@@ -432,8 +465,9 @@ let record_line t (r : Record.t) idx =
         store_epoch = -1;
       }
     in
-    Ltbl.add r.Record.lines idx rl;
+    Itbl.replace r.Record.lines idx rl;
     rl
+  end
 
 (* Called BEFORE the store mutates the overlay line: if the line is dirty
    from an earlier epoch, the pre-store cached content is itself a legal
@@ -444,14 +478,15 @@ let record_store t idx =
   | Some r ->
     r.Record.stores <- r.Record.stores + 1;
     let rl = record_line t r idx in
-    (match Ltbl.find_opt t.overlay idx with
-    | Some line
-      when rl.Record.store_epoch >= 0 && rl.Record.store_epoch < r.Record.epoch
-      ->
+    let line = Itbl.get t.overlay idx in
+    if
+      line != Bytes.empty
+      && rl.Record.store_epoch >= 0
+      && rl.Record.store_epoch < r.Record.epoch
+    then
       rl.Record.versions <-
         { Record.content = Bytes.copy line; flushed = false }
-        :: rl.Record.versions
-    | _ -> ());
+        :: rl.Record.versions;
     rl.Record.store_epoch <- r.Record.epoch
 
 (* Called with the dirty line content just before it is blitted to the
@@ -503,7 +538,7 @@ let record_nt_post t ~addr ~len =
 let record_fence_collapse (r : Record.t) dirty_line =
   r.Record.epoch <- r.Record.epoch + 1;
   let drop = ref [] in
-  Ltbl.iter
+  Itbl.iter
     (fun idx (rl : Record.line) ->
       let rec collapse newer = function
         | [] -> ()
@@ -516,7 +551,7 @@ let record_fence_collapse (r : Record.t) dirty_line =
       if rl.Record.versions = [] && not (dirty_line idx) then
         drop := idx :: !drop)
     r.Record.lines;
-  List.iter (Ltbl.remove r.Record.lines) !drop
+  List.iter (Itbl.remove r.Record.lines) !drop
 
 let record_fence t =
   match t.recorder with
@@ -538,7 +573,7 @@ let record_forget t ~addr ~len =
       let ls = line_size t in
       let first = addr / ls and last = (addr + len - 1) / ls in
       for idx = first to last do
-        Ltbl.remove r.Record.lines idx
+        Itbl.remove r.Record.lines idx
       done
     end
 
@@ -663,7 +698,7 @@ let read_lines t ~cat ~addr ~len ~into ~first =
     for i = 0 to (len / ls) - 1 do
       let idx = idx0 + i in
       into.(first + i) <-
-        (if is_dirty_line t idx then Bytes.copy (Ltbl.find t.overlay idx)
+        (if is_dirty_line t idx then Bytes.copy (Itbl.get t.overlay idx)
          else medium_line t idx)
     done;
     Stats.add_nvmm_read t.stats len
@@ -809,7 +844,7 @@ let write_cached t ~cat ~addr ~src ~off ~len =
    through here so timed and test-setup persistence cannot diverge. *)
 let persist_line t idx =
   if is_dirty_line t idx then begin
-    let line = Ltbl.find t.overlay idx in
+    let line = Itbl.get t.overlay idx in
     record_flush t idx line;
     drop_overlay t idx;
     set_slot t (idx / t.lines_per_page) (idx mod t.lines_per_page)
@@ -896,11 +931,10 @@ let walk_records t ~persistent ~addr ~len ~size f =
           else
             let idx = a / ls in
             let line =
-              if probe then
-                match Ltbl.find_opt t.overlay idx with
-                | Some line -> line
-                | None -> tbl.(idx - first_line)
-              else tbl.(idx - first_line)
+              let line =
+                if probe then Itbl.get t.overlay idx else Bytes.empty
+              in
+              if line != Bytes.empty then line else tbl.(idx - first_line)
             in
             f line lo
         in
@@ -951,7 +985,7 @@ let get_word t addr n get =
   if lo + n > ls then get (peek t ~addr ~len:n) 0
   else
     let idx = addr / ls in
-    if is_dirty_line t idx then get (Ltbl.find t.overlay idx) lo
+    if is_dirty_line t idx then get (Itbl.get t.overlay idx) lo
     else get (medium_line t idx) lo
 
 let get_u8 t addr = get_word t addr 1 Bytes.get_uint8
@@ -979,12 +1013,12 @@ let set_u64 = set_word 8 Bytes.set_int64_le
 (* --- crash injection --- *)
 
 let crash t =
-  Ltbl.reset t.overlay;
+  Itbl.clear t.overlay;
   Array.fill t.dirty_in_page 0 (Array.length t.dirty_in_page) 0;
   t.dirty_lines <- 0;
   match t.recorder with
   | None -> ()
-  | Some r -> Ltbl.reset r.Record.lines
+  | Some r -> Itbl.clear r.Record.lines
 
 (* The persistent medium as an image (what a crash would leave). The
    device hands its tables to the image and owns none of them afterwards,
@@ -1035,7 +1069,7 @@ let image_digest image =
    [clflush], then make the result guaranteed (flush-all acts as flush +
    fence, minus the timing and the fence hook). *)
 let flush_all_untimed t =
-  Ltbl.fold (fun idx _ acc -> idx :: acc) t.overlay []
+  Itbl.fold (fun idx _ acc -> idx :: acc) t.overlay []
   |> List.sort compare
   |> List.iter (fun idx -> persist_line t idx);
   match t.recorder with
@@ -1066,13 +1100,13 @@ let pending_choice_lines t =
   let recorded =
     match t.recorder with
     | None -> 0
-    | Some r -> Ltbl.length r.Record.lines
+    | Some r -> Itbl.length r.Record.lines
   in
   let dirty_unrecorded =
-    Ltbl.fold
+    Itbl.fold
       (fun idx _ acc ->
         match t.recorder with
-        | Some r when Ltbl.mem r.Record.lines idx -> acc
+        | Some r when Itbl.mem r.Record.lines idx -> acc
         | _ -> acc + 1)
       t.overlay 0
   in
@@ -1099,9 +1133,8 @@ let capture_crash_state ?(label = "crash") t =
       | None -> [ medium_line t idx ]
     in
     let cands =
-      match Ltbl.find_opt t.overlay idx with
-      | Some line -> cands @ [ Bytes.copy line ]
-      | None -> cands
+      let line = Itbl.get t.overlay idx in
+      if line != Bytes.empty then cands @ [ Bytes.copy line ] else cands
     in
     let cands = dedup_candidates cands in
     let cands =
@@ -1120,17 +1153,17 @@ let capture_crash_state ?(label = "crash") t =
   (match t.recorder with
   | None -> ()
   | Some r ->
-    Ltbl.iter
+    Itbl.iter
       (fun idx rl ->
         match choice idx (Some rl) with
         | None -> ()
         | Some c -> choices := c :: !choices)
       r.Record.lines);
-  Ltbl.iter
+  Itbl.iter
     (fun idx _ ->
       let recorded =
         match t.recorder with
-        | Some r -> Ltbl.mem r.Record.lines idx
+        | Some r -> Itbl.mem r.Record.lines idx
         | None -> false
       in
       if not recorded then

@@ -128,8 +128,10 @@ let rec descend_ensure ctx log ~shard txn ~fblock ~built ~undo node level =
 (* Find the data block for [fblock], allocating the tree path and the data
    block as needed. Returns [(block, freshly_allocated)]; every NVMM block
    (index nodes + data) the call allocated is owned by [txn] from its
-   return on, so an abort reclaims it. *)
-let ensure ctx txn ~ino ~fblock =
+   return on, so an abort reclaims it. [on_fresh], when the data block is
+   fresh, runs last inside the call's failure atomicity: if it raises, the
+   path is unlinked and freed like any other mid-path failure. *)
+let ensure ?(on_fresh = ignore) ctx txn ~ino ~fblock =
   if fblock < 0 then invalid_arg "Block_tree.ensure: negative file block";
   let device = ctx.Fs_ctx.device in
   let geo = ctx.Fs_ctx.geo in
@@ -147,8 +149,7 @@ let ensure ctx txn ~ino ~fblock =
      partially allocated blocks are reclaimed here, never handed to [txn].
      This matters for HiNFS's long-lived pending transactions, which must
      stay valid for *either* commit or abort after a failed segment. *)
-  let result =
-    try
+  let build () =
     if root = 0 then begin
       (* Empty file: build a fresh path of the needed height. *)
       let h = Media.Tree.needed_height device fblock in
@@ -157,6 +158,9 @@ let ensure ctx txn ~ino ~fblock =
         built := data :: !built;
         Log.log log txn ~addr:inode_addr ~len:24;
         Layout.Inode.set_tree_root device ~cat:mcat geo ino data;
+        undo :=
+          (fun () -> Layout.Inode.set_tree_root device ~cat:mcat geo ino 0)
+          :: !undo;
         (data, true)
       end
       else begin
@@ -184,6 +188,12 @@ let ensure ctx txn ~ino ~fblock =
       end
       else descend_ensure ctx log ~shard txn ~fblock ~built ~undo root height
     end
+  in
+  let result =
+    try
+      let ((_, fresh) as result) = build () in
+      if fresh then on_fresh ();
+      result
     with e ->
       List.iter (fun f -> f ()) !undo;
       List.iter (Fs_ctx.free ctx Block) !built;

@@ -358,21 +358,22 @@ module Data = struct
 
   (* Find-or-allocate the NVMM home block for [fblock] inside [txn];
      zero-filling a fresh block's uncovered range is the caller's job.
-     Updates the inode's block count. The blocks the call allocated (index
-     nodes + data) are owned by [txn] before the block-count journaling
-     below, which can itself fail mid-op (journal exhaustion, injected
-     fault): an abort reclaims them even when this call raises. *)
+     Updates the inode's block count inside [Block_tree.ensure]'s failure
+     atomicity: the block-count journaling can itself fail (journal
+     exhaustion, injected fault), and then the fresh path is unlinked and
+     freed, so [txn] never keeps a pointer without its block count — a
+     HiNFS pending transaction that a later fsync commits stays
+     consistent. *)
   let ensure_block t txn ~ino ~fblock =
-    let block, fresh = Block_tree.ensure t.ctx txn ~ino ~fblock in
-    if fresh then begin
+    let on_fresh () =
       let device = device t in
       let geo = geometry t in
       let addr = Layout.Inode.addr geo ino + Media.Inode.blocks_off in
       Log.log (log_for t ~ino) txn ~addr ~len:8;
       Layout.Inode.set_blocks device ~cat:Stats.Other geo ino
         (Layout.Inode.blocks device geo ino + 1)
-    end;
-    (block, fresh)
+    in
+    Block_tree.ensure ~on_fresh t.ctx txn ~ino ~fblock
 
   (* Journaled size + mtime update. *)
   let update_size t txn ~ino ~size =

@@ -6,7 +6,12 @@
    - Fig 6:  benefit-model prediction accuracy
    - Fig 9b: nvmm_bytes_written (foreground + background)
    - Fig 12: time by op class {read, write, unlink, fsync}
-   All times are virtual nanoseconds. *)
+   All times are virtual nanoseconds.
+
+   The accumulators are ints, read out as [int64]: a device charges time
+   and bytes here at every operation, and a mutable [int64] field or array
+   slot would take a fresh box at each update, stored into a record that
+   lives in the major heap, where the box would be promoted to die. *)
 
 type category =
   | Read_access (* copying data to the user buffer *)
@@ -25,20 +30,20 @@ let category_name = function
   | Other -> "other"
 
 type t = {
-  mutable time_by_category : int64 array; (* indexed by category *)
+  mutable time_by_category : int array; (* indexed by category *)
   (* byte accounting *)
-  mutable user_bytes_read : int64;
-  mutable user_bytes_written : int64;
-  mutable fsync_bytes : int64; (* user bytes persisted eagerly *)
-  mutable nvmm_bytes_written : int64; (* total bytes stored to NVMM *)
-  mutable nvmm_bytes_written_bg : int64; (* subset written by daemons *)
-  mutable nvmm_bytes_read : int64;
+  mutable user_bytes_read : int;
+  mutable user_bytes_written : int;
+  mutable fsync_bytes : int; (* user bytes persisted eagerly *)
+  mutable nvmm_bytes_written : int; (* total bytes stored to NVMM *)
+  mutable nvmm_bytes_written_bg : int; (* subset written by daemons *)
+  mutable nvmm_bytes_read : int;
   (* HiNFS buffer behaviour *)
   mutable buffer_write_hits : int;
   mutable buffer_write_misses : int;
   mutable buffer_read_hits : int;
   mutable buffer_read_misses : int;
-  mutable coalesced_cacheline_writes : int64;
+  mutable coalesced_cacheline_writes : int;
   mutable writeback_stalls : int;
   mutable evictions : int;
   mutable dead_block_drops : int; (* buffered blocks freed by unlink *)
@@ -76,18 +81,18 @@ let category_index = function
 
 let create () =
   {
-    time_by_category = Array.make 5 0L;
-    user_bytes_read = 0L;
-    user_bytes_written = 0L;
-    fsync_bytes = 0L;
-    nvmm_bytes_written = 0L;
-    nvmm_bytes_written_bg = 0L;
-    nvmm_bytes_read = 0L;
+    time_by_category = Array.make 5 0;
+    user_bytes_read = 0;
+    user_bytes_written = 0;
+    fsync_bytes = 0;
+    nvmm_bytes_written = 0;
+    nvmm_bytes_written_bg = 0;
+    nvmm_bytes_read = 0;
     buffer_write_hits = 0;
     buffer_write_misses = 0;
     buffer_read_hits = 0;
     buffer_read_misses = 0;
-    coalesced_cacheline_writes = 0L;
+    coalesced_cacheline_writes = 0;
     writeback_stalls = 0;
     evictions = 0;
     dead_block_drops = 0;
@@ -114,17 +119,17 @@ let create () =
 let reset t =
   let fresh = create () in
   t.time_by_category <- fresh.time_by_category;
-  t.user_bytes_read <- 0L;
-  t.user_bytes_written <- 0L;
-  t.fsync_bytes <- 0L;
-  t.nvmm_bytes_written <- 0L;
-  t.nvmm_bytes_written_bg <- 0L;
-  t.nvmm_bytes_read <- 0L;
+  t.user_bytes_read <- 0;
+  t.user_bytes_written <- 0;
+  t.fsync_bytes <- 0;
+  t.nvmm_bytes_written <- 0;
+  t.nvmm_bytes_written_bg <- 0;
+  t.nvmm_bytes_read <- 0;
   t.buffer_write_hits <- 0;
   t.buffer_write_misses <- 0;
   t.buffer_read_hits <- 0;
   t.buffer_read_misses <- 0;
-  t.coalesced_cacheline_writes <- 0L;
+  t.coalesced_cacheline_writes <- 0;
   t.writeback_stalls <- 0;
   t.evictions <- 0;
   t.dead_block_drops <- 0;
@@ -151,35 +156,34 @@ let reset t =
 
 let add_time t cat ns =
   let i = category_index cat in
-  t.time_by_category.(i) <- Int64.add t.time_by_category.(i) ns
+  t.time_by_category.(i) <- t.time_by_category.(i) + Int64.to_int ns
 
-let time t cat = t.time_by_category.(category_index cat)
+let time t cat = Int64.of_int t.time_by_category.(category_index cat)
 
-let total_time t = Array.fold_left Int64.add 0L t.time_by_category
+let total_time t = Int64.of_int (Array.fold_left ( + ) 0 t.time_by_category)
 
 (* --- bytes --- *)
 
-let add_user_read t n = t.user_bytes_read <- Int64.add t.user_bytes_read (Int64.of_int n)
-let add_user_written t n = t.user_bytes_written <- Int64.add t.user_bytes_written (Int64.of_int n)
-let add_fsync_bytes t n = t.fsync_bytes <- Int64.add t.fsync_bytes (Int64.of_int n)
+let add_user_read t n = t.user_bytes_read <- t.user_bytes_read + n
+let add_user_written t n = t.user_bytes_written <- t.user_bytes_written + n
+let add_fsync_bytes t n = t.fsync_bytes <- t.fsync_bytes + n
 
 let add_nvmm_written ?(background = false) t n =
-  t.nvmm_bytes_written <- Int64.add t.nvmm_bytes_written (Int64.of_int n);
-  if background then
-    t.nvmm_bytes_written_bg <- Int64.add t.nvmm_bytes_written_bg (Int64.of_int n)
+  t.nvmm_bytes_written <- t.nvmm_bytes_written + n;
+  if background then t.nvmm_bytes_written_bg <- t.nvmm_bytes_written_bg + n
 
-let add_nvmm_read t n = t.nvmm_bytes_read <- Int64.add t.nvmm_bytes_read (Int64.of_int n)
+let add_nvmm_read t n = t.nvmm_bytes_read <- t.nvmm_bytes_read + n
 
-let user_bytes_read t = t.user_bytes_read
-let user_bytes_written t = t.user_bytes_written
-let fsync_bytes t = t.fsync_bytes
-let nvmm_bytes_written t = t.nvmm_bytes_written
-let nvmm_bytes_written_bg t = t.nvmm_bytes_written_bg
-let nvmm_bytes_read t = t.nvmm_bytes_read
+let user_bytes_read t = Int64.of_int t.user_bytes_read
+let user_bytes_written t = Int64.of_int t.user_bytes_written
+let fsync_bytes t = Int64.of_int t.fsync_bytes
+let nvmm_bytes_written t = Int64.of_int t.nvmm_bytes_written
+let nvmm_bytes_written_bg t = Int64.of_int t.nvmm_bytes_written_bg
+let nvmm_bytes_read t = Int64.of_int t.nvmm_bytes_read
 
 let fsync_byte_ratio t =
-  if Int64.compare t.user_bytes_written 0L <= 0 then 0.0
-  else Int64.to_float t.fsync_bytes /. Int64.to_float t.user_bytes_written
+  if t.user_bytes_written <= 0 then 0.0
+  else float_of_int t.fsync_bytes /. float_of_int t.user_bytes_written
 
 (* --- buffer behaviour --- *)
 
@@ -192,8 +196,7 @@ let eviction t = t.evictions <- t.evictions + 1
 let dead_block_drop t n = t.dead_block_drops <- t.dead_block_drops + n
 
 let add_coalesced_cachelines t n =
-  t.coalesced_cacheline_writes <-
-    Int64.add t.coalesced_cacheline_writes (Int64.of_int n)
+  t.coalesced_cacheline_writes <- t.coalesced_cacheline_writes + n
 
 let buffer_write_hits t = t.buffer_write_hits
 let buffer_write_misses t = t.buffer_write_misses
@@ -202,7 +205,7 @@ let buffer_read_misses t = t.buffer_read_misses
 let writeback_stalls t = t.writeback_stalls
 let evictions t = t.evictions
 let dead_block_drops t = t.dead_block_drops
-let coalesced_cacheline_writes t = t.coalesced_cacheline_writes
+let coalesced_cacheline_writes t = Int64.of_int t.coalesced_cacheline_writes
 
 let buffer_write_hit_ratio t =
   let total = t.buffer_write_hits + t.buffer_write_misses in

@@ -2,26 +2,39 @@
 
    This is the LRW (Least Recently Written) list of the HiNFS buffer pool:
    buffer blocks hold their own node and are moved to the MRW end on every
-   write (paper §3.2). *)
+   write (paper §3.2).
+
+   Each node and list carries its own [Some] ([some]), made with it, and
+   links store that: relinking a node allocates nothing. Nodes and lists
+   live long, so a fresh option per link would be promoted and die in the
+   major heap, once per write. *)
 
 type 'a node = {
   value : 'a;
   mutable prev : 'a node option;
   mutable next : 'a node option;
   mutable owner : 'a t option;
+  some : 'a node option; (* [Some] of this node *)
 }
 
 and 'a t = {
   mutable head : 'a node option; (* least recently used end *)
   mutable tail : 'a node option; (* most recently used end *)
   mutable size : int;
+  self : 'a t option; (* [Some] of this list *)
 }
 
-let create () = { head = None; tail = None; size = 0 }
+let create () =
+  let rec t = { head = None; tail = None; size = 0; self = Some t } in
+  t
 
 let length t = t.size
 
-let make_node value = { value; prev = None; next = None; owner = None }
+let make_node value =
+  let rec n =
+    { value; prev = None; next = None; owner = None; some = Some n }
+  in
+  n
 
 let value node = node.value
 let is_linked node = node.owner <> None
@@ -36,24 +49,24 @@ let check_linked t node =
 
 let push_back t node =
   check_unlinked node;
-  node.owner <- Some t;
+  node.owner <- t.self;
   node.prev <- t.tail;
   node.next <- None;
   (match t.tail with
-  | Some tail -> tail.next <- Some node
-  | None -> t.head <- Some node);
-  t.tail <- Some node;
+  | Some tail -> tail.next <- node.some
+  | None -> t.head <- node.some);
+  t.tail <- node.some;
   t.size <- t.size + 1
 
 let push_front t node =
   check_unlinked node;
-  node.owner <- Some t;
+  node.owner <- t.self;
   node.next <- t.head;
   node.prev <- None;
   (match t.head with
-  | Some head -> head.prev <- Some node
-  | None -> t.tail <- Some node);
-  t.head <- Some node;
+  | Some head -> head.prev <- node.some
+  | None -> t.tail <- node.some);
+  t.head <- node.some;
   t.size <- t.size + 1
 
 let remove t node =

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Host cost of the working tree against a parent commit, by alternating
 # benchmark runs: sh scripts/ab_host.sh [-p REV] [-w WORKLOAD] [-n SEEDS]
-# [-s SECONDS] [-d DIR]. Run from the repository root.
+# [-s SECONDS] [-d DIR] [-g]. Run from the repository root.
 #
 # Unpacks `git archive REV` (default HEAD) into DIR/parent (default: a
 # directory next to the working tree), then for each seed 1..SEEDS runs
@@ -12,18 +12,27 @@
 # failed on either side; otherwise prints, per seed and as medians,
 # `setup_s` and `peak_rss_mb` of both sides. Nothing under perfbench/ is
 # written; every run's output is kept in DIR/out.
+#
+# With -g, each side's built perfbench.exe then runs once more directly,
+# seed 1, with at most 6 repetitions, under OCAMLRUNPARAM=v=0x400 (which
+# prints the collector's totals at exit and changes nothing it does), and
+# the script prints per repetition the minor words allocated and the
+# words promoted to the major heap, and the major heap's peak
+# (top_heap_words). Promoted words set how much garbage floats in the
+# major heap, and with it the peak.
 set -eu
 
-rev=HEAD workload=varmail seeds=10 seconds=30
+rev=HEAD workload=varmail seeds=10 seconds=30 gc=0
 dir="$(dirname "$(pwd)")/$(basename "$(pwd)")-ab"
-while getopts p:w:n:s:d: opt; do
+while getopts p:w:n:s:d:g opt; do
   case "$opt" in
   p) rev=$OPTARG ;;
   w) workload=$OPTARG ;;
   n) seeds=$OPTARG ;;
   s) seconds=$OPTARG ;;
   d) dir=$OPTARG ;;
-  *) echo "usage: sh scripts/ab_host.sh [-p REV] [-w WORKLOAD] [-n SEEDS] [-s SECONDS] [-d DIR]" >&2
+  g) gc=1 ;;
+  *) echo "usage: sh scripts/ab_host.sh [-p REV] [-w WORKLOAD] [-n SEEDS] [-s SECONDS] [-d DIR] [-g]" >&2
      exit 2 ;;
   esac
 done
@@ -52,10 +61,24 @@ while [ "$i" -le "$seeds" ]; do
   i=$((i + 1))
 done
 
-python3 - "$dir/out" "$workload" "$seeds" <<'EOF'
+if [ "$gc" = 1 ]; then
+  for side in parent change; do
+    if [ "$side" = parent ]; then cd "$dir/parent"; else cd "$tree"; fi
+    OCAMLRUNPARAM=v=0x400 ./_build/default/perfbench/perfbench.exe \
+      --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 \
+      --max-reps 6 > "$dir/out/$workload-$side-gc.txt" \
+      2> "$dir/out/$workload-$side-gc.err" || {
+      echo "ab_host: $side GC run failed; see $dir/out/$workload-$side-gc.err" >&2
+      exit 1
+    }
+    cd "$tree"
+  done
+fi
+
+python3 - "$dir/out" "$workload" "$seeds" "$gc" <<'EOF'
 import json, statistics, sys
 
-out, workload, seeds = sys.argv[1], sys.argv[2], int(sys.argv[3])
+out, workload, seeds, gc = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4] == "1"
 bad = []
 rows = {"parent": [], "change": []}
 for seed in range(1, seeds + 1):
@@ -77,6 +100,24 @@ for seed in range(1, seeds + 1):
 med = lambda side, k: statistics.median(r[k] for r in rows[side])
 print("%s: median %13.3f %7.3f   %18.1f %7.1f" % (
     workload, med("parent", 0), med("change", 0), med("parent", 1), med("change", 1)))
+if gc:
+    print("%s: GC, seed 1   reps  minor words/rep  promoted words/rep  top_heap_words" % workload)
+    for side in ("parent", "change"):
+        stats = {}
+        for line in open("%s/%s-%s-gc.err" % (out, workload, side)):
+            key, _, value = line.partition(":")
+            if key in ("minor_words", "promoted_words", "top_heap_words"):
+                stats[key] = float(value)
+        reps = 0
+        for line in open("%s/%s-%s-gc.txt" % (out, workload, side)):
+            if line.startswith("repetitions:"):
+                reps = int(line.split()[1]) + int(line.split()[3])
+        if not reps or len(stats) < 3:
+            bad.append("%s GC run: no repetition count or GC totals" % side)
+            continue
+        print("%s: %-13s %4d  %15.0f  %18.0f  %14.0f" % (
+            workload, side, reps, stats["minor_words"] / reps,
+            stats["promoted_words"] / reps, stats["top_heap_words"]))
 for b in bad:
     print("ab_host: " + b, file=sys.stderr)
 sys.exit(1 if bad else 0)

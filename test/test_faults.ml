@@ -245,6 +245,7 @@ let test_enospc_exhaustion_leak_free () =
    from. *)
 
 module Faultops = Hinfs_nvmm.Faultops
+module Allocator = Hinfs_nvmm.Allocator
 module Fs_ctx = Hinfs_pmfs.Fs_ctx
 
 let dirents_per_block = 4096 / Hinfs_pmfs.Media.Dirent.size
@@ -311,9 +312,34 @@ let net_zero_cases =
         fun () -> Pmfs.rename fs ~src_dir:a ~src:"src" ~dst_dir:b ~dst:"dst" );
   ]
 
-(* Force [name]'s op to fail at opportunity [k] of [kind]. A sharded
-   mount absorbs a failed allocation by borrowing from the next shard's
-   range, so a fault that fires need not fail the op. *)
+(* A sharded mount absorbs a failed allocation by borrowing from the next
+   shard's range: one allocation polls each shard's allocator in turn
+   until one succeeds. So that the forced failure fails the op, every
+   shard's allocator refuses the allocation it hits — the poll that fires
+   and the next [shards - 1] polls, the rest of that allocation's round. *)
+let refuse_on_every_shard fs fo kind =
+  let ctx = Pmfs.ctx fs in
+  let rest = ref 0 in
+  let hook () =
+    if !rest > 0 then begin
+      decr rest;
+      true
+    end
+    else if Faultops.check fo kind then begin
+      rest := Fs_ctx.shard_count ctx - 1;
+      true
+    end
+    else false
+  in
+  Fs_ctx.iter_shards ctx (fun _ sh ->
+      match kind with
+      | Faultops.Block_alloc ->
+        Allocator.set_fault_injector sh.Fs_ctx.balloc (Some hook)
+      | Faultops.Inode_alloc ->
+        Allocator.set_fault_injector sh.Fs_ctx.ialloc (Some hook)
+      | Faultops.Journal_slot -> ())
+
+(* Force [name]'s op to fail at opportunity [k] of [kind]. *)
 let fail_at ~shards (name, setup) kind k =
   Testkit.run_sim (fun engine ->
       let d = Testkit.make_device engine in
@@ -321,6 +347,7 @@ let fail_at ~shards (name, setup) kind k =
       let op = setup fs in
       let fo = Faultops.create ~seed:1L () in
       Pmfs.attach_faultops fs (Some fo);
+      refuse_on_every_shard fs fo kind;
       let ctx = Pmfs.ctx fs in
       let blocks = Fs_ctx.free_data_blocks ctx in
       let inodes = Fs_ctx.free_inodes ctx in
@@ -332,7 +359,6 @@ let fail_at ~shards (name, setup) kind k =
       match op () with
       | () ->
         if Faultops.injected fo kind = 0 then `Not_reached
-        else if shards > 1 && kind <> Faultops.Journal_slot then `Absorbed
         else Alcotest.failf "%s: the fault fired but the op succeeded" what
       | exception _ ->
         check_int (what ^ ": the forced fault failed it") 1
@@ -356,18 +382,18 @@ let test_forced_failures_net_zero ~shards () =
             let rec count k failed =
               match fail_at ~shards case kind k with
               | `Not_reached -> failed
-              | `Absorbed -> count (k + 1) failed
               | `Failed -> count (k + 1) (failed + 1)
             in
             let failed = count 0 0 in
-            (* Vacuity: the paths this test exists for are reached. *)
+            (* Vacuity: the paths this test exists for are reached, on
+               a sharded mount too. *)
             let expected =
               match (kind, name) with
               | Faultops.Journal_slot, _ -> true
-              | Faultops.Inode_alloc, "create" -> shards = 1
+              | Faultops.Inode_alloc, "create" -> true
               | Faultops.Block_alloc,
                 ("create" | "write" | "rename same shard") ->
-                shards = 1
+                true
               | _ -> false
             in
             if expected then
@@ -430,6 +456,31 @@ let test_hinfs_failed_segment ~unlink () =
       check_bool (Fmt.str "fsck clean: %a" Fsck.pp_report r) true (Fsck.ok r);
       check_int "no leaked blocks" 0 r.Fsck.leaked_blocks;
       check_int "no leaked inodes" 0 r.Fsck.leaked_inodes)
+
+(* HiNFS: a lazy write's segment links a fresh block, then its
+   block-count journaling fails (the second journal slot it takes). The
+   pending transaction must not keep the link without the block count:
+   the fsync that commits it must leave an fsck-clean image. *)
+let test_hinfs_failed_block_count () =
+  Testkit.run_sim (fun engine ->
+      let _d, fs = Testkit.make_hinfs ~hcfg:Testkit.small_hcfg engine in
+      let pmfs = Hinfs.Fs.pmfs fs in
+      let ino = Pmfs.create_file pmfs ~dir:root "lazy" in
+      let fo = Faultops.create ~seed:1L () in
+      Pmfs.attach_faultops pmfs (Some fo);
+      Faultops.force fo Faultops.Journal_slot ~after:1;
+      (match
+         Hinfs.Fs.write fs ~ino ~off:0 ~src:(Bytes.make 4096 'z') ~src_off:0
+           ~len:4096 ~sync:false
+       with
+      | _ -> Alcotest.fail "the forced journal failure did not fire"
+      | exception Log.Journal_full -> ());
+      check_int "the block count's slot failed" 1
+        (Faultops.injected fo Faultops.Journal_slot);
+      Hinfs.Fs.fsync fs ~ino;
+      let r = Fsck.check_pmfs pmfs in
+      check_bool (Fmt.str "fsck clean: %a" Fsck.pp_report r) true (Fsck.ok r);
+      check_int "no leaked blocks" 0 r.Fsck.leaked_blocks)
 
 (* --- CRC-guarded journal recovery --- *)
 
@@ -761,6 +812,8 @@ let () =
             (test_hinfs_failed_segment ~unlink:true);
           Alcotest.test_case "hinfs failed segment, then fsync" `Quick
             (test_hinfs_failed_segment ~unlink:false);
+          Alcotest.test_case "hinfs failed block count, then fsync" `Quick
+            test_hinfs_failed_block_count;
         ] );
       ( "journal-crc",
         [

@@ -995,6 +995,67 @@ let test_empty_pool_is_small () =
   check_bool (Fmt.str "a 2^20-block pool allocates %.0f B, under 1 KB" allocated)
     true (allocated < 1024.)
 
+(* --- long-lived state is updated in place ---
+
+   The block descriptors and the benefit model live as long as the mount,
+   in the major heap. Updating them must allocate nothing: a boxed value
+   stored into them would be promoted by the next minor collection and
+   die in the major heap. *)
+
+let test_block_bitmaps_no_alloc () =
+  let pool =
+    Buffer_pool.create ~capacity:4 ~block_size:4096 ~lines_per_block:64
+  in
+  let b =
+    Option.get (Buffer_pool.alloc pool ~ino:1 ~fblock:0 ~home:0 ~now:0L)
+  in
+  let lines = Clbitmap.of_byte_range ~cacheline_size:64 ~off:100 ~len:1000 in
+  let full = Clbitmap.full_mask 64 in
+  let now = Sys.opaque_identity 12_345L in
+  let became_dirty = ref 0 and became_clean = ref 0 in
+  Testkit.check_no_alloc "block bitmap and last-write updates" (fun () ->
+      for _ = 1 to 1000 do
+        if Buffer_pool.add_dirty b lines then incr became_dirty;
+        Buffer_pool.add_present b lines;
+        if Buffer_pool.clean_lines b lines then incr became_clean;
+        Buffer_pool.set_home_valid b full;
+        Buffer_pool.clear_dirty b;
+        Buffer_pool.touch_written pool b ~now
+      done);
+  check_int "each round dirties the clean block" 2000 !became_dirty;
+  check_int "and cleans it" 2000 !became_clean;
+  check_bool "present" true (Clbitmap.equal lines (Buffer_pool.present b));
+  check_bool "home valid" true (Clbitmap.equal full (Buffer_pool.home_valid b));
+  check_bool "last write" true (Int64.equal now (Buffer_pool.last_written b))
+
+let test_benefit_record_no_alloc () =
+  let model = Hinfs.Benefit.create_file_model () in
+  let lines = Clbitmap.of_byte_range ~cacheline_size:64 ~off:0 ~len:256 in
+  Testkit.check_no_alloc "Benefit.record_write on a known block" (fun () ->
+      for _ = 1 to 1000 do
+        Hinfs.Benefit.record_write model 3 ~lines
+      done);
+  (* 2001 writes of 4 lines, whose ghost bitmap holds 4 lines: buffering
+     wins, so the block stays Lazy-Persistent. *)
+  check_int "one block evaluated" 1
+    (Hinfs.Benefit.on_sync model ~now:1L ~l_dram:10 ~l_nvmm:200
+       ~stats:(Stats.create ()));
+  check_bool "lazy" false
+    (Hinfs.Benefit.is_eager model 3 ~now:1L ~eager_decay_ns:1_000L)
+
+let test_stats_no_alloc () =
+  let st = Stats.create () in
+  let ns = Sys.opaque_identity 200L in
+  Testkit.check_no_alloc "device stats accumulators" (fun () ->
+      for _ = 1 to 1000 do
+        Stats.add_time st Stats.Journal ns;
+        Stats.add_nvmm_written ~background:true st 64;
+        Stats.add_nvmm_read st 64
+      done);
+  check_bool "time" true (Int64.equal 400_000L (Stats.time st Stats.Journal));
+  check_bool "bytes" true
+    (Int64.equal 128_000L (Stats.nvmm_bytes_written_bg st))
+
 (* --- the shared-line buffer ---
 
    A block shares immutable lines with its home's medium, and keeps
@@ -1115,7 +1176,7 @@ let run_line_ops engine ops =
     Pool.write_back ~background:false d ~cat !b ~addr:(home + (first * ls))
       ~first ~count;
     let run = Clbitmap.add_range Clbitmap.empty ~first ~last:(first + count - 1) in
-    if not (Clbitmap.is_empty (Clbitmap.inter !b.Pool.own run)) then
+    if not (Clbitmap.is_empty (Clbitmap.inter (Pool.own !b) run)) then
       fail "a line written back is still private";
     for i = first to first + count - 1 do
       cached.((home / ls) + i) <- false
@@ -1295,6 +1356,15 @@ let () =
             test_clean_pool_holds_no_private_line;
         ]
         @ Testkit.qcheck_cases [ shared_line_buffer_prop ] );
+      ( "in-place",
+        [
+          Alcotest.test_case "block bitmaps allocate nothing" `Quick
+            test_block_bitmaps_no_alloc;
+          Alcotest.test_case "benefit record allocates nothing" `Quick
+            test_benefit_record_no_alloc;
+          Alcotest.test_case "stats accumulators allocate nothing" `Quick
+            test_stats_no_alloc;
+        ] );
       ( "clfw",
         [
           Alcotest.test_case "flush granularity" `Quick

@@ -598,6 +598,53 @@ let test_group_without_record_aborts_both () =
   failed_group ~crash:true;
   failed_group ~crash:false
 
+(* A transaction's bookkeeping is flat and reused: logging a range it
+   already logged allocates nothing. *)
+let test_relog_no_alloc () =
+  Testkit.run_sim (fun engine ->
+      let _d, log = make_log engine in
+      let txn = Log.begin_txn log in
+      Log.log log txn ~addr:target_base ~len:24;
+      let written = Log.entries_written log in
+      Testkit.check_no_alloc "re-logging a logged range" (fun () ->
+          for _ = 1 to 1000 do
+            Log.log log txn ~addr:target_base ~len:24
+          done);
+      check_int "no entry written" written (Log.entries_written log);
+      Log.commit log txn)
+
+(* Many ranges, each logged twice, in one transaction (the dedup table and
+   the slot and range arrays grow): one entry per range, and an abort
+   restores every one. The next transaction takes the same bookkeeping
+   back, emptied: the same ranges are journaled afresh. *)
+let test_many_ranges_dedup_and_reuse () =
+  Testkit.run_sim (fun engine ->
+      let d, log = make_log engine in
+      let n = 300 in
+      let addr i = target_base + (i * 16) in
+      let before = Device.peek d ~addr:target_base ~len:(n * 16) in
+      let txn = Log.begin_txn log in
+      let written = Log.entries_written log in
+      for pass = 1 to 2 do
+        for i = 0 to n - 1 do
+          Log.log log txn ~addr:(addr i) ~len:8;
+          if pass = 1 then Device.set_u64 d ~cat (addr i) (Int64.of_int (i + 1))
+        done
+      done;
+      check_int "one entry per distinct range" n
+        (Log.entries_written log - written);
+      Log.abort log txn;
+      Testkit.check_bytes "abort restored every range" before
+        (Device.peek d ~addr:target_base ~len:(n * 16));
+      check_int "every slot free" (Log.capacity log) (Log.free_slots log);
+      let written = Log.entries_written log in
+      Log.with_txn log (fun txn ->
+          for i = 0 to n - 1 do
+            Log.log log txn ~addr:(addr i) ~len:8
+          done);
+      check_int "a new transaction logs afresh" n
+        (Log.entries_written log - written - 1))
+
 let () =
   Alcotest.run "journal"
     [
@@ -619,6 +666,10 @@ let () =
           Alcotest.test_case "journal full" `Quick test_journal_full;
           Alcotest.test_case "multi-entry rollback" `Quick
             test_multi_entry_large_range;
+          Alcotest.test_case "re-logging allocates nothing" `Quick
+            test_relog_no_alloc;
+          Alcotest.test_case "many ranges: dedup, abort, reuse" `Quick
+            test_many_ranges_dedup_and_reuse;
         ]
         @ Testkit.qcheck_cases [ crash_recovery_prop ] );
       ( "block-journal",

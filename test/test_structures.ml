@@ -4,6 +4,9 @@
 module Bitmap = Hinfs_structures.Bitmap
 module Dlist = Hinfs_structures.Dlist
 module Lru = Hinfs_structures.Lru
+module Itbl = Hinfs_structures.Itbl
+module Blockmap = Hinfs_structures.Blockmap
+module IntMap = Map.Make (Int)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -238,6 +241,81 @@ let test_crc32c_streaming () =
         (Crc32c.update crc b ~off:0 ~len:0))
     crc32c_vectors
 
+(* --- itbl --- *)
+
+(* Binds, rebinds and removes over a small key range (long probe runs,
+   removals inside them, growth from a tiny table), checked against a
+   Hashtbl after every step and by a full walk at the end. *)
+let itbl_model_prop =
+  QCheck.Test.make ~name:"itbl matches a hashtable" ~count:300
+    QCheck.(list (pair (int_bound 3) (int_bound 300)))
+    (fun ops ->
+      let t = Itbl.create ~dummy:(-1) 1 in
+      let model = Hashtbl.create 16 in
+      let agree k =
+        Itbl.get t k = Option.value ~default:(-1) (Hashtbl.find_opt model k)
+        && Itbl.mem t k = Hashtbl.mem model k
+      in
+      List.for_all
+        (fun (op, k) ->
+          (match op with
+          | 0 | 1 ->
+            Itbl.replace t k (k + op);
+            Hashtbl.replace model k (k + op)
+          | 2 ->
+            Itbl.remove t k;
+            Hashtbl.remove model k
+          | _ -> ());
+          agree k && Itbl.length t = Hashtbl.length model)
+        ops
+      && Itbl.fold
+           (fun k v ok -> ok && Hashtbl.find_opt model k = Some v)
+           t true
+      && Itbl.fold (fun _ _ n -> n + 1) t 0 = Hashtbl.length model)
+
+(* The device's overlay of dirty cachelines is an [Itbl]: a line entering
+   and leaving it allocates nothing once the table has grown. *)
+let test_itbl_no_alloc () =
+  let t = Itbl.create ~dummy:Bytes.empty 16 in
+  let line = Bytes.make 64 'x' in
+  Testkit.check_no_alloc "itbl add and remove" (fun () ->
+      for k = 0 to 999 do
+        Itbl.replace t (k * 7) line
+      done;
+      for k = 0 to 999 do
+        Itbl.remove t (k * 7)
+      done);
+  check_int "empty again" 0 (Itbl.length t)
+
+(* --- blockmap --- *)
+
+(* Bindings on both sides of the dense limit, checked against a map:
+   every lookup, and the walk in descending block order. *)
+let blockmap_model_prop =
+  let limit = Blockmap.dense_limit in
+  QCheck.Test.make ~name:"blockmap matches a map" ~count:300
+    QCheck.(list (pair bool (int_bound (3 * limit))))
+    (fun ops ->
+      let t = Blockmap.create () in
+      let model = ref IntMap.empty in
+      List.iter
+        (fun (add, b) ->
+          if add then begin
+            Blockmap.add t b (b + 7);
+            model := IntMap.add b (b + 7) !model
+          end
+          else begin
+            Blockmap.remove t b;
+            model := IntMap.remove b !model
+          end)
+        ops;
+      List.for_all
+        (fun (_, b) ->
+          Blockmap.find t b
+          = Option.value ~default:(-1) (IntMap.find_opt b !model))
+        ops
+      && Blockmap.to_list t = List.rev (IntMap.bindings !model))
+
 let () =
   Alcotest.run "structures"
     [
@@ -248,6 +326,11 @@ let () =
           Alcotest.test_case "full scan" `Quick test_bitmap_full_scan;
         ]
         @ Testkit.qcheck_cases [ bitmap_model_prop; bitmap_find_prop ] );
+      ( "itbl",
+        [ Alcotest.test_case "add and remove allocate nothing" `Quick
+            test_itbl_no_alloc ]
+        @ Testkit.qcheck_cases [ itbl_model_prop ] );
+      ("blockmap", Testkit.qcheck_cases [ blockmap_model_prop ]);
       ( "dlist",
         [
           Alcotest.test_case "push/pop" `Quick test_dlist_push_pop;

@@ -49,6 +49,22 @@ let make_hinfs ?config ?stats ?shards ?hcfg ?(daemons = false) engine =
 let small_hcfg =
   { Hinfs.Hconfig.default with Hinfs.Hconfig.buffer_bytes = 256 * 4096 }
 
+(* [f] allocates nothing on the minor heap, the way it runs the second
+   time: the first call may grow tables to their working size. Counts the
+   minor words of one call against those of an empty one, so the check
+   holds whatever the measurement itself costs. *)
+let check_no_alloc what f =
+  let words g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  f ();
+  let base = words ignore in
+  let used = words f -. base in
+  Alcotest.(check (float 0.))
+    (Printf.sprintf "%s: minor words allocated" what) 0. used
+
 (* Deterministic pseudo-random payload. *)
 let pattern_bytes ~seed len =
   let rng = Rng.create ~seed:(Int64.of_int (seed * 7919)) in
