@@ -15,16 +15,6 @@ module Stats = Hinfs_stats.Stats
 module Report = Hinfs_harness.Report
 module Crashmc = Hinfs_crashmc.Crashmc
 module Scenarios = Hinfs_crashmc.Scenarios
-module Engine = Hinfs_sim.Engine
-module Rng = Hinfs_sim.Rng
-module Config = Hinfs_nvmm.Config
-module Device = Hinfs_nvmm.Device
-module Fault = Hinfs_nvmm.Fault
-module Pmfs = Hinfs_pmfs.Pmfs
-module Layout = Hinfs_pmfs.Layout
-module Errno = Hinfs_vfs.Errno
-module Fsck = Hinfs_fsck.Fsck
-module Scrub = Hinfs_fsck.Scrub
 module Obs = Hinfs_obs.Obs
 
 open Cmdliner
@@ -307,144 +297,6 @@ let crashmc_cmd =
       const crashmc_run $ seed_arg $ k_arg $ samples_arg $ max_images_arg
       $ max_states_arg $ recrash_checks_arg $ scenarios_arg)
 
-(* --- scrub: media-fault injection + repair demo --- *)
-
-let scrub_seed_arg =
-  let doc = "Deterministic seed for the fault model and line placement." in
-  Arg.(value & opt int64 42L & info [ "seed" ] ~doc)
-
-let poison_rate_arg =
-  let doc = "Per-line probability that a full-line store poisons its line." in
-  Arg.(value & opt float 0.0 & info [ "poison-rate" ] ~doc)
-
-let transient_rate_arg =
-  let doc = "Per-line probability of a transient fault on a clean load." in
-  Arg.(value & opt float 0.0 & info [ "transient-rate" ] ~doc)
-
-let poison_lines_arg =
-  let doc = "Cachelines struck with persistent poison before the remount." in
-  Arg.(value & opt int 16 & info [ "poison-lines" ] ~doc)
-
-let scrub_files_arg =
-  let doc = "Files written before injection (8 KB each, synchronous)." in
-  Arg.(value & opt int 8 & info [ "files" ] ~doc)
-
-let scrub_size_arg =
-  let doc = "Device size in MB." in
-  Arg.(value & opt int 8 & info [ "size-mb" ] ~doc)
-
-(* Build a small PMFS, poison random lines while it is unmounted, remount
-   (superblock repair + recovery run here), read everything back, then
-   scrub and fsck. Demonstrates the retry -> repair -> read-only ladder on
-   a reproducible image. *)
-let scrub_run seed poison_rate transient_rate poison_lines files size_mb
-    shards =
-  let exit_code = ref 0 in
-  let engine = Engine.create () in
-  Engine.spawn engine ~name:"scrub" (fun () ->
-      let stats = Stats.create () in
-      let config =
-        { Config.default with Config.nvmm_size = size_mb * 1024 * 1024 }
-      in
-      let device = Device.create engine stats config in
-      let fs = Pmfs.mkfs_and_mount device ~journal_blocks:32 ~shards () in
-      let file_len = 8192 in
-      let payload i =
-        let rng = Rng.create ~seed:(Int64.add seed (Int64.of_int (i + 1))) in
-        Bytes.init file_len (fun _ -> Char.chr (Rng.int rng 256))
-      in
-      let inos =
-        List.init files (fun i ->
-            let ino =
-              Pmfs.create_file fs ~dir:Layout.root_ino (Fmt.str "f%03d" i)
-            in
-            ignore
-              (Pmfs.write fs ~ino ~off:0 ~src:(payload i) ~src_off:0
-                 ~len:file_len ~sync:true);
-            ino)
-      in
-      Pmfs.unmount fs;
-      let fault = Fault.create ~poison_rate ~transient_rate ~seed () in
-      Device.set_fault_model device (Some fault);
-      let ls = config.Config.cacheline_size in
-      let lines = Device.size device / ls in
-      let rng = Rng.create ~seed:(Int64.add seed 0x5C4BL) in
-      for _ = 1 to poison_lines do
-        Fault.poison_line fault (Rng.int rng lines)
-      done;
-      Fmt.pr
-        "injected %d poisoned line(s), seed %Ld, poison rate %g, transient \
-         rate %g@."
-        (Fault.poisoned_count fault)
-        seed poison_rate transient_rate;
-      match Pmfs.mount device () with
-      | exception Errno.Fs_error (code, msg) ->
-        (* Both superblock copies lost: nothing to mount, nothing silent. *)
-        Fmt.pr "mount failed (%s): %s@." (Errno.to_string code) msg
-      | fs ->
-      let eio = ref 0 and corrupt = ref 0 and intact = ref 0 in
-      List.iteri
-        (fun i ino ->
-          let buf = Bytes.create file_len in
-          match
-            Pmfs.read fs ~ino ~off:0 ~len:file_len ~into:buf ~into_off:0
-          with
-          | n ->
-            if n = file_len && Bytes.equal buf (payload i) then incr intact
-            else incr corrupt
-          | exception Errno.Fs_error (Errno.EIO, _) -> incr eio)
-        inos;
-      Fmt.pr "readback: %d intact, %d EIO, %d silently corrupt@." !intact
-        !eio !corrupt;
-      (if Pmfs.shard_count fs > 1 then
-         let by_shard = Pmfs.recovered_by_shard fs in
-         Fmt.pr "recovery rollbacks by shard: %a@."
-           Fmt.(array ~sep:(any " ") int)
-           by_shard);
-      let sreport = Scrub.run fs in
-      Fmt.pr "%a@." Scrub.pp_report sreport;
-      (if Pmfs.shard_count fs > 1 then
-         Array.iteri
-           (fun s heals ->
-             Fmt.pr
-               "shard %d: %d heal(s), %d data line(s) lost, health %s@." s
-               heals
-               sreport.Scrub.lost_by_shard.(s)
-               (if Pmfs.domain_fault fs s = None then "healthy"
-                else "degraded"))
-           sreport.Scrub.repairs_by_shard);
-      if sreport.Scrub.remaining_poison > 0 then
-        Fmt.pr "unhealed poison: %d line(s) remain@."
-          sreport.Scrub.remaining_poison;
-      let freport = Fsck.check_pmfs fs in
-      Fmt.pr "%a@." Fsck.pp_report freport;
-      (match Pmfs.read_only_reason fs with
-      | Some r -> Fmt.pr "mount degraded to read-only: %s@." r
-      | None -> Fmt.pr "mount still read-write@.");
-      Report.media Fmt.stdout stats;
-      Report.recovery Fmt.stdout stats;
-      (* Silent corruption is the one unacceptable outcome. *)
-      if !corrupt > 0 then exit_code := 1;
-      (* A still-writable file system must also be structurally clean. *)
-      if (not (Pmfs.read_only fs)) && not (Fsck.ok freport) then
-        exit_code := 1;
-      (* Unhealed poison left on the image is CI-gateable: a clean scrub
-         run must end with zero poisoned lines. *)
-      if sreport.Scrub.remaining_poison > 0 then exit_code := 1);
-  Engine.run engine;
-  !exit_code
-
-let scrub_cmd =
-  let doc =
-    "Inject deterministic media faults into a small PMFS image, remount, \
-     and run the scrubber + poison-aware fsck"
-  in
-  Cmd.v
-    (Cmd.info "scrub" ~doc)
-    Term.(
-      const scrub_run $ scrub_seed_arg $ poison_rate_arg $ transient_rate_arg
-      $ poison_lines_arg $ scrub_files_arg $ scrub_size_arg $ shards_arg)
-
 (* --- serve: client fleet through the request-level serving layer --- *)
 
 module Server = Hinfs_server.Server
@@ -556,6 +408,6 @@ let cmd =
   let doc = "HiNFS-reproduction workbench" in
   Cmd.group ~default:run_term
     (Cmd.info "hinfs-cli" ~doc)
-    [ run_cmd; crashmc_cmd; scrub_cmd; serve_cmd ]
+    [ run_cmd; crashmc_cmd; serve_cmd ]
 
 let () = exit (Cmd.eval' cmd)

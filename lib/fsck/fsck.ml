@@ -224,37 +224,43 @@ let check_pmfs fs =
   in
   check_root ns ~root:Layout.root_ino;
   (* 3. Per-inode walk: sizes, reachable blocks, kinds, dirents. *)
-  let owner = Hashtbl.create 256 in (* data/index block -> owning inode *)
+  let owner = Hashtbl.create 256 in (* data/index block -> (ino, use) *)
   let inodes_checked = ref 0 in
-  let claim ino what block =
+  let inuse_in = Array.make nshards 0 in
+  let claim ino block use =
     if block < geo.Layout.data_start || block >= geo.Layout.data_end then
       add
         (Fmt.str "inode %d: %s block %d outside data region [%d, %d)" ino
-           what block geo.Layout.data_start geo.Layout.data_end)
+           (match use with Block_tree.Data _ -> "data" | Index -> "index")
+           block geo.Layout.data_start geo.Layout.data_end)
     else
       match Hashtbl.find_opt owner block with
       | Some (other, _) ->
         add (Fmt.str "block %d claimed by inodes %d and %d" block other ino)
-      | None -> Hashtbl.replace owner block (ino, what)
+      | None -> Hashtbl.replace owner block (ino, use)
   in
   for ino = 1 to geo.Layout.inode_count do
     if Layout.Inode.in_use device geo ino then begin
       incr inodes_checked;
+      let s = Fs_ctx.shard_of_ino ctx ino in
+      inuse_in.(s) <- inuse_in.(s) + 1;
       let size = Layout.Inode.size device geo ino in
       if size < 0 then add (Fmt.str "inode %d: negative size %d" ino size);
       (try
          let bs = geo.Layout.block_size in
          let reachable = ref 0 in
-         Block_tree.iter_blocks ctx ~ino (fun fblock block ->
-             incr reachable;
-             claim ino "data" block;
-             if size >= 0 && fblock * bs >= size then
-               add
-                 (Fmt.str "inode %d: data block at file block %d beyond EOF \
-                           (size %d)"
-                    ino fblock size));
-         Block_tree.iter_index_nodes ctx ~ino (fun block ->
-             claim ino "index" block);
+         Block_tree.iter_owned ctx ~ino (fun block use ->
+             claim ino block use;
+             match use with
+             | Index -> ()
+             | Data fblock ->
+               incr reachable;
+               if size >= 0 && fblock * bs >= size then
+                 add
+                   (Fmt.str
+                      "inode %d: data block at file block %d beyond EOF \
+                       (size %d)"
+                      ino fblock size));
          let recorded = Layout.Inode.blocks device geo ino in
          if recorded <> !reachable then
            add
@@ -285,13 +291,6 @@ let check_pmfs fs =
       let s = Fs_ctx.shard_of_block ctx block in
       claimed_in.(s) <- claimed_in.(s) + 1)
     owner;
-  let inuse_in = Array.make nshards 0 in
-  for ino = 1 to geo.Layout.inode_count do
-    if Layout.Inode.in_use device geo ino then begin
-      let s = Fs_ctx.shard_of_ino ctx ino in
-      inuse_in.(s) <- inuse_in.(s) + 1
-    end
-  done;
   let leaked_blocks = ref 0 and leaked_inodes = ref 0 in
   let shard_leaks =
     Array.init nshards (fun s ->
@@ -338,54 +337,35 @@ let check_pmfs fs =
           shard_leaked_inodes = li;
         })
   in
-  (* 6. Media: poison on metadata (superblock copies, journal, in-use
-     inode slots, index blocks) is a violation — the tree cannot be
-     trusted. Poison on reachable data is only counted: those lines raise
-     EIO on read but the structure stays consistent, so a post-scrub fsck
-     can still pass. Poison on free lines heals on the next write. *)
+  (* 6. Media: poison on metadata (superblock copies, journal, epoch
+     record, in-use inode slots, index blocks) is a violation — the tree
+     cannot be trusted. Poison on reachable data is only counted: those
+     lines raise EIO on read but the structure stays consistent, so a
+     post-scrub fsck can still pass. Poison on free lines heals on the next
+     write. *)
   let poisoned_data = ref 0 in
-  (match Device.fault_model device with
-  | None -> ()
-  | Some _ ->
-    let bs = geo.Layout.block_size in
-    let addrs =
-      Device.verify_range device ~addr:0 ~len:(geo.Layout.total_blocks * bs)
-    in
-    List.iter
-      (fun addr ->
-        let block = addr / bs in
-        if block = 0 || block = geo.Layout.sb_replica then
-          add (Fmt.str "media: superblock copy poisoned at %#x" addr)
-        else if
-          block >= geo.Layout.journal_start
-          && block < geo.Layout.journal_start + geo.Layout.journal_blocks
-        then begin
-          let s =
-            (block - geo.Layout.journal_start)
-            / (geo.Layout.journal_blocks / geo.Layout.shards)
-          in
-          add (Fmt.str "media: journal line (shard %d) poisoned at %#x" s addr)
-        end
-        else if block = Layout.epoch_block geo then
-          add (Fmt.str "media: epoch record block poisoned at %#x" addr)
-        else if
-          block >= geo.Layout.itable_start
-          && block < geo.Layout.itable_start + geo.Layout.itable_blocks
-        then begin
-          match Layout.Inode.ino_of_addr geo addr with
-          | Some ino when Layout.Inode.in_use device geo ino ->
-            add (Fmt.str "media: in-use inode %d poisoned at %#x" ino addr)
-          | _ -> ()
-        end
-        else
-          match Hashtbl.find_opt owner block with
-          | Some (ino, "index") ->
-            add
-              (Fmt.str "media: index block %d of inode %d poisoned at %#x"
-                 block ino addr)
-          | Some _ -> incr poisoned_data
-          | None -> ())
-      addrs);
+  List.iter
+    (fun addr ->
+      match Layout.region_of_addr geo addr with
+      | Superblock ->
+        add (Fmt.str "media: superblock copy poisoned at %#x" addr)
+      | Journal s ->
+        add (Fmt.str "media: journal line (shard %d) poisoned at %#x" s addr)
+      | Epoch_record ->
+        add (Fmt.str "media: epoch record block poisoned at %#x" addr)
+      | Inode_slot ino ->
+        if Layout.Inode.in_use device geo ino then
+          add (Fmt.str "media: in-use inode %d poisoned at %#x" ino addr)
+      | Data_block block -> (
+        match Hashtbl.find_opt owner block with
+        | Some (ino, Block_tree.Index) ->
+          add
+            (Fmt.str "media: index block %d of inode %d poisoned at %#x" block
+               ino addr)
+        | Some (_, Data _) -> incr poisoned_data
+        | None -> ()))
+    (Device.verify_range device ~addr:0
+       ~len:(geo.Layout.total_blocks * geo.Layout.block_size));
   {
     inodes_checked = !inodes_checked;
     blocks_claimed = claimed;

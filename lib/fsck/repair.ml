@@ -26,12 +26,11 @@
    crash images taken mid-repair are legal and must mount.
 
    A domain whose repair fails [max_attempts] times in a row is left
-   degraded for an operator ([hinfs_cli scrub] / offline fsck). *)
+   degraded for an operator (offline fsck). *)
 
 module Proc = Hinfs_sim.Proc
 module Device = Hinfs_nvmm.Device
 module Fault = Hinfs_nvmm.Fault
-module Stats = Hinfs_stats.Stats
 module Log = Hinfs_journal.Cacheline_log
 module Epoch = Hinfs_journal.Epoch
 module Pmfs = Hinfs_pmfs.Pmfs
@@ -42,23 +41,6 @@ module Errno = Hinfs_vfs.Errno
 let max_attempts = 3
 let drain_polls = 50
 let drain_poll_ns = 100_000
-
-(* Mount-scoped damage is healed in place: superblock copies rewritten,
-   epoch record re-persisted. *)
-let heal_mount_scope fs =
-  let device = Pmfs.device fs in
-  let geo = Pmfs.geometry fs in
-  let bs = geo.Layout.block_size in
-  let sb_poisoned addr = Device.verify_range device ~addr ~len:bs <> [] in
-  if sb_poisoned 0 || sb_poisoned (geo.Layout.sb_replica * bs) then begin
-    Layout.write_superblock device geo ~clean:false;
-    Stats.add_scrub_repair (Device.stats device)
-  end;
-  let epoch_addr = Layout.epoch_block geo * bs in
-  if Device.verify_range device ~addr:epoch_addr ~len:bs <> [] then begin
-    Epoch.heal (Pmfs.epoch fs);
-    Stats.add_scrub_repair (Device.stats device)
-  end
 
 let drain_live_txns log =
   let rec poll n =
@@ -86,9 +68,9 @@ let repair_domain fs s =
         Log.reset_runtime log;
         Epoch.heal (Pmfs.epoch fs);
         let shard = if Pmfs.shard_count fs > 1 then Some s else None in
-        let sreport = Scrub.run ?shard fs in
+        let unrecoverable = Scrub.run ?shard fs in
         let freport = Fsck.check_pmfs fs in
-        Scrub.clean sreport
+        unrecoverable = []
         && Fsck.ok freport
         && freport.Fsck.shard_reports.(s).Fsck.journal_entries = 0
       with Fault.Media_error _ | Errno.Fs_error _ -> false
@@ -101,7 +83,7 @@ let repair_domain fs s =
    repair each degraded domain. Returns [(re-admitted, failed)]. Must run
    inside a simulation process. *)
 let run_once fs =
-  heal_mount_scope fs;
+  Scrub.heal_mount_scope fs;
   let readmitted = ref 0 and failed = ref 0 in
   for s = 0 to Pmfs.shard_count fs - 1 do
     if Pmfs.domain_fault fs s <> None && Pmfs.failed_repairs fs s < max_attempts

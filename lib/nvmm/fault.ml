@@ -113,7 +113,6 @@ let heal_line t idx =
 let poison_line t idx = Hashtbl.replace t.poisoned idx ()
 let clear_line t idx = Hashtbl.remove t.poisoned idx
 let is_poisoned t idx = Hashtbl.mem t.poisoned idx
-let poisoned_count t = Hashtbl.length t.poisoned
 
 let poisoned_lines t =
   Hashtbl.fold (fun idx () acc -> idx :: acc) t.poisoned []

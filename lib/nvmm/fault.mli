@@ -44,7 +44,6 @@ val heal_line : t -> int -> unit
 val poison_line : t -> int -> unit
 val clear_line : t -> int -> unit
 val is_poisoned : t -> int -> bool
-val poisoned_count : t -> int
 
 val poisoned_lines : t -> int list
 (** Poisoned line indices, ascending. *)

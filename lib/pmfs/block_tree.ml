@@ -57,6 +57,16 @@ let iter_index_nodes ctx ~ino f =
   let ia = Layout.Inode.addr ctx.Fs_ctx.geo ino in
   Media.Tree.iter ctx.Fs_ctx.device ~ia ~index:f ()
 
+(* The data-region owner walk: a data-region block is a data block or an
+   index node of one inode's tree, or free when no live tree reaches it.
+   [iter_owned] visits every block the tree of [ino] reaches, its data
+   blocks first. *)
+type use = Data of int (* file block *) | Index
+
+let iter_owned ctx ~ino f =
+  iter_blocks ctx ~ino (fun fblock block -> f block (Data fblock));
+  iter_index_nodes ctx ~ino (fun block -> f block Index)
+
 (* --- growth and insertion --- *)
 
 (* Raise a non-empty tree's height until [fblock] is addressable: the old

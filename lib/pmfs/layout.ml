@@ -144,6 +144,48 @@ let shard_of_block geometry block =
   let per = (geometry.data_end - geometry.data_start) / geometry.shards in
   min ((block - geometry.data_start) / per) (geometry.shards - 1)
 
+(* --- media-fault triage ---
+
+   The one answer to "what does this byte address hold": fault
+   attribution, the mount-time inode-table sweep, scrub, fsck and repair
+   all match on it. *)
+type region =
+  | Superblock (* the primary copy or its replica *)
+  | Journal of int (* the journal sub-region of this shard *)
+  | Epoch_record
+  | Inode_slot of int (* the table slot of this inode *)
+  | Data_block of int (* a block of the data region: index node, data or free *)
+
+let region_of_addr geometry addr =
+  let block = addr / geometry.block_size in
+  if block = 0 || block = geometry.sb_replica then Superblock
+  else if
+    block >= geometry.journal_start
+    && block < geometry.journal_start + geometry.journal_blocks
+  then
+    let per = geometry.journal_blocks / geometry.shards in
+    Journal (min ((block - geometry.journal_start) / per) (geometry.shards - 1))
+  else if block = epoch_block geometry then Epoch_record
+  else if
+    block >= geometry.itable_start
+    && block < geometry.itable_start + geometry.itable_blocks
+  then
+    Inode_slot
+      (((addr - (geometry.itable_start * geometry.block_size))
+        / Media.inode_size)
+      + 1)
+  else if block >= geometry.data_start && block < geometry.data_end then
+    Data_block block
+  else Fmt.invalid_arg "Layout.region_of_addr: %#x is outside the device" addr
+
+(* The shard whose fault domain owns [region]; [None] for the
+   mount-scoped superblock and epoch record. *)
+let shard_of_region geometry = function
+  | Superblock | Epoch_record -> None
+  | Journal s -> Some s
+  | Inode_slot ino -> Some (shard_of_ino geometry ino)
+  | Data_block block -> Some (shard_of_block geometry block)
+
 (* Superblock image with CRC set (the clean flag is outside the CRC). *)
 let superblock_image geometry ~clean =
   let b = Bytes.make geometry.block_size '\000' in
@@ -271,12 +313,6 @@ module Inode = struct
     if ino < 1 || ino > geometry.inode_count then
       Fmt.invalid_arg "Inode.addr: bad ino %d" ino;
     (geometry.itable_start * geometry.block_size) + ((ino - 1) * Media.inode_size)
-
-  (* The inverse step: the inode whose table slot holds byte [a], if any. *)
-  let ino_of_addr geometry a =
-    let base = geometry.itable_start * geometry.block_size in
-    let ino = ((a - base) / Media.inode_size) + 1 in
-    if a >= base && ino <= geometry.inode_count then Some ino else None
 
   let in_use device geometry ino = M.in_use device (addr geometry ino)
   let kind device geometry ino = M.kind device (addr geometry ino)

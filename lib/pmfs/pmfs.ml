@@ -111,28 +111,12 @@ let check_writable_ino t ~ino =
     | None -> ()
     | Some r -> Errno.raise_error EROFS "shard%d is read-only: %s" s r)
 
-(* Which shard owns a faulting byte address, for blast-radius attribution:
-   journal sub-regions, inode-table slots, and data blocks all map to a
-   shard; superblock / epoch-record / index addresses do not. *)
-let shard_of_addr t addr =
-  let geo = geometry t in
-  let bs = geo.Layout.block_size in
-  let block = addr / bs in
-  if block >= geo.Layout.data_start && block < geo.Layout.data_end then
-    Some (Layout.shard_of_block geo block)
-  else if
-    block >= geo.Layout.itable_start
-    && block < geo.Layout.itable_start + geo.Layout.itable_blocks
-  then Option.map (Layout.shard_of_ino geo) (Layout.Inode.ino_of_addr geo addr)
-  else if block >= geo.Layout.journal_start
-          && block < geo.Layout.journal_start + geo.Layout.journal_blocks
-  then begin
-    let per = geo.Layout.journal_blocks / geo.Layout.shards in
-    if per = 0 then None
-    else Some (min ((block - geo.Layout.journal_start) / per)
-                 (geo.Layout.shards - 1))
-  end
-  else None
+(* Degrade the fault domain that owns [region]: its shard, or the mount
+   for the superblock and epoch record. *)
+let degrade_region t region reason =
+  match Layout.shard_of_region (geometry t) region with
+  | Some s -> degrade_shard t s reason
+  | None -> degrade t reason
 
 (* Transient media faults are retried ({!Device.read_retrying}).
    Unrecoverable (poisoned-line) faults degrade the owning fault domain and
@@ -142,12 +126,9 @@ let read_or_eio t ~cat ~addr ~len ~into ~off =
   try
     Device.read_retrying (device t) ~cat ~addr ~len ~into ~off
   with Fault.Media_error { addr = fault_addr; _ } ->
-    (match shard_of_addr t fault_addr with
-    | Some s ->
-      degrade_shard t s
-        (Fmt.str "uncorrectable media error at %#x" fault_addr)
-    | None ->
-      degrade t (Fmt.str "uncorrectable media error at %#x" fault_addr));
+    degrade_region t
+      (Layout.region_of_addr (geometry t) fault_addr)
+      (Fmt.str "uncorrectable media error at %#x" fault_addr);
     Errno.raise_error EIO "uncorrectable NVMM media error at %#x" fault_addr
 
 let now t = Engine.now (Device.engine (device t))
@@ -191,41 +172,37 @@ let rebuild_allocators ctx =
 (* Mount-time poison sweep: a poisoned cacheline inside a live inode's
    slot means metadata we can neither trust nor rebuild — there is no
    replica of the inode table. That is the unrecoverable rung of the
-   degradation ladder. The damage is attributed per shard (the inode range
-   is partitioned), so on a sharded mount only the owning shard degrades.
+   degradation ladder, and it degrades the shard owning the inode range.
    Poison over free inode slots is harmless here (the scrubber zeroes
-   it). Returns [(shard, reason)] pairs. *)
-let itable_poison_reasons device geo =
+   it). *)
+let sweep_inode_table t =
+  let device = device t in
+  let geo = geometry t in
   let bs = geo.Layout.block_size in
-  let itable_addr = geo.Layout.itable_start * bs in
-  let itable_len = geo.Layout.itable_blocks * bs in
-  let bad =
-    List.filter_map
-      (fun addr ->
-        match Layout.Inode.ino_of_addr geo addr with
-        | Some ino when Layout.Inode.in_use device geo ino -> Some ino
-        | _ -> None)
-      (Device.verify_range device ~addr:itable_addr ~len:itable_len)
-    |> List.sort_uniq compare
-  in
-  let by_shard = Hashtbl.create 4 in
+  (* Poisoned live inodes per shard, highest first. Lines come in address
+     order, so a slot's second poisoned line repeats the head. *)
+  let bad = Array.make (shard_count t) [] in
   List.iter
-    (fun ino ->
-      let s = Layout.shard_of_ino geo ino in
-      Hashtbl.replace by_shard s
-        (ino :: (try Hashtbl.find by_shard s with Not_found -> [])))
-    bad;
-  Hashtbl.fold
-    (fun s inos acc ->
-      let inos = List.rev inos in
-      ( s,
-        Fmt.str "poisoned inode table (inode%s %a)"
-          (if List.length inos = 1 then "" else "s")
-          Fmt.(list ~sep:comma int)
-          inos )
-      :: acc)
-    by_shard []
-  |> List.sort compare
+    (fun addr ->
+      match Layout.region_of_addr geo addr with
+      | Inode_slot ino when Layout.Inode.in_use device geo ino -> (
+        let s = Layout.shard_of_ino geo ino in
+        match bad.(s) with
+        | last :: _ when last = ino -> ()
+        | inos -> bad.(s) <- ino :: inos)
+      | _ -> ())
+    (Device.verify_range device
+       ~addr:(geo.Layout.itable_start * bs)
+       ~len:(geo.Layout.itable_blocks * bs));
+  Array.iteri
+    (fun s inos ->
+      if inos <> [] then
+        degrade_shard t s
+          (Fmt.str "poisoned inode table (inode%s %a)"
+             (if List.length inos = 1 then "" else "s")
+             Fmt.(list ~sep:comma int)
+             (List.rev inos)))
+    bad
 
 let mount device ?(journal_cleaner = false) () =
   match Layout.read_superblock device with
@@ -311,9 +288,7 @@ let mount device ?(journal_cleaner = false) () =
             (Fmt.str "%d untrusted journal record(s) dropped during recovery"
                r.Log.dropped))
       recoveries;
-    List.iter
-      (fun (s, reason) -> degrade_shard t s reason)
-      (itable_poison_reasons device geo);
+    sweep_inode_table t;
     t
 
 let mkfs_and_mount device ?journal_blocks ?shards ?journal_cleaner () =

@@ -76,10 +76,6 @@ val fully_healthy : t -> bool
 (** Every fault domain healthy; only then does unmount certify the image
     clean. *)
 
-val degrade : t -> string -> unit
-(** Degrade the mount domain with a reason (first reason wins). Used for
-    faults no shard owns: superblock, epoch record. *)
-
 val degrade_shard : t -> int -> string -> unit
 (** Degrade shard [s]'s domain (the mount domain when the mount is
     unsharded). *)
@@ -98,10 +94,10 @@ val end_repair : t -> int -> ok:bool -> unit
     the domain (healthy, failure count reset), otherwise it stays degraded
     and its failure count grows. *)
 
-val shard_of_addr : t -> int -> int option
-(** Which shard owns a byte address (journal sub-region, inode-table
-    slot, or data block), for fault attribution; [None] for mount-scoped
-    addresses (superblock, epoch record). *)
+val degrade_region : t -> Layout.region -> string -> unit
+(** Degrade the domain that owns a region ({!Layout.shard_of_region}):
+    its shard, or the mount domain for the superblock and epoch
+    record. *)
 
 val check_writable_ino : t -> ino:int -> unit
 (** Raise [EROFS] when the mount or [ino]'s home shard cannot take

@@ -247,7 +247,7 @@ let add_media_fault t ~transient =
   else t.media_faults_poison <- t.media_faults_poison + 1
 
 let add_media_retry t = t.media_retries <- t.media_retries + 1
-let add_scrub_repair ?(n = 1) t = t.scrub_repairs <- t.scrub_repairs + n
+let add_scrub_repair t = t.scrub_repairs <- t.scrub_repairs + 1
 let add_crc_mismatch t = t.crc_mismatches <- t.crc_mismatches + 1
 
 let media_faults_transient t = t.media_faults_transient

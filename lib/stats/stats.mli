@@ -103,7 +103,7 @@ val total_mfences : t -> int
 
 val add_media_fault : t -> transient:bool -> unit
 val add_media_retry : t -> unit
-val add_scrub_repair : ?n:int -> t -> unit
+val add_scrub_repair : t -> unit
 val add_crc_mismatch : t -> unit
 val media_faults_transient : t -> int
 val media_faults_poison : t -> int

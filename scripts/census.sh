@@ -1,11 +1,13 @@
 #!/bin/sh
-# Size census of lib/, printed for the CI log (it gates nothing):
+# Size census, printed for the CI log (it gates nothing):
 #
 #   1. the line count of lib/**/*.ml and lib/**/*.mli;
 #   2. the number of optional parameters declared in lib/**/*.mli;
 #   3. every top-level [val] of a lib/**/*.mli that no file outside its
 #      own module reads, searching lib, bench, bin, perfbench, examples
-#      and test.
+#      and test;
+#   4. the line counts of the *.ml and *.mli files under bin, bench and
+#      test, so code that leaves lib shows too.
 #
 # Step 3 is a textual heuristic. A value counts as read when another file
 # names it through the module's own name or a [module X = ...M] alias of
@@ -22,7 +24,7 @@ echo "census: lib/**/*.ml{,i} lines: $lines"
 opts=$(find lib -name '*.mli' | sort | xargs cat | grep -o '?[a-z_][A-Za-z0-9_]*:' | wc -l)
 echo "census: optional parameters in lib/**/*.mli: $opts"
 
-exec python3 - <<'EOF'
+python3 - <<'EOF' || exit 1
 import os, re
 
 roots = ["lib", "bench", "bin", "perfbench", "examples", "test"]
@@ -79,3 +81,8 @@ print("census: mli values read only inside their own module: %d" % len(unused))
 for u in unused:
     print("  " + u)
 EOF
+
+for dir in bin bench test; do
+    n=$(find "$dir" -name '*.ml' -o -name '*.mli' | sort | xargs cat | wc -l)
+    echo "census: $dir/**/*.ml{,i} lines: $n"
+done
