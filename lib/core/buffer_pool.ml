@@ -16,6 +16,17 @@
    clears their [own] bits in the same step, so a clean block shares every
    line with its home instead of holding a second copy of it.
 
+   The table itself is shared too while every line of the block is one
+   fill line (a block never written holds the zero one): the block points
+   at the device's fill table of that value, and owns a table only while
+   its lines differ. Tables come from and go back to the device's spares
+   ([Device.own_table], [settle_table], [release_table]), so a block
+   turning uniform and back allocates nothing once they are warm. A
+   device call that yields (a fetch, a writeback) works on the table it
+   was handed when it resumes; the block owns that table and keeps it,
+   however it changes meanwhile, until the call returns ([io]), exactly
+   as a block with one table for life would.
+
    Each block carries its Cacheline Bitmaps:
    - [present]: lines with valid data in DRAM,
    - [dirty]:   lines awaiting writeback (dirty ⊆ present),
@@ -37,7 +48,9 @@ module Device = Hinfs_nvmm.Device
 
 type block = {
   id : int;
-  lines : Bytes.t array; (* the block's cachelines: private iff in [own] *)
+  mutable lines : Bytes.t array;
+      (* the block's cachelines: private iff in [own]; a fill table, or a
+         table the block owns *)
   node : int Dlist.node; (* membership in the LRW list (value = id) *)
   bits : Bytes.t; (* the words at the offsets below *)
   mutable ino : int;
@@ -45,6 +58,7 @@ type block = {
   mutable home : int; (* NVMM home block number *)
   mutable pinned : int; (* foreground use / in-flight writeback *)
   mutable in_use : bool;
+  mutable io : int; (* device calls in flight on [lines] *)
 }
 
 let present_off = 0
@@ -88,26 +102,22 @@ let clean_lines b lines =
    ascending (they sat at the front of that queue), then freed ids in the
    order they were freed. *)
 type t = {
+  dev : Device.t;
   capacity : int;
   mutable blocks : block array;
   mutable made : int;
-  block_size : int;
-  lines_per_block : int;
-  blank : Bytes.t; (* the line a block holds where it holds no data *)
   free : int Queue.t; (* freed ids *)
   lrw : int Dlist.t;
   mutable free_count : int;
 }
 
-let create ~capacity ~block_size ~lines_per_block =
+let create dev ~capacity =
   if capacity <= 0 then invalid_arg "Buffer_pool.create: empty pool";
   {
+    dev;
     capacity;
     blocks = [||];
     made = 0;
-    block_size;
-    lines_per_block;
-    blank = Bytes.make (block_size / lines_per_block) '\000';
     free = Queue.create ();
     lrw = Dlist.create ();
     free_count = capacity;
@@ -133,7 +143,7 @@ let take t =
     let b =
       {
         id;
-        lines = Array.make t.lines_per_block t.blank;
+        lines = Device.fill_table t.dev '\000';
         node = Dlist.make_node id;
         bits = Bytes.make 40 '\000';
         ino = 0;
@@ -141,6 +151,7 @@ let take t =
         home = 0;
         pinned = 0;
         in_use = false;
+        io = 0;
       }
     in
     if id = Array.length t.blocks then begin
@@ -177,7 +188,8 @@ let free t b =
   if b.pinned > 0 then invalid_arg "Buffer_pool.free: block pinned";
   b.in_use <- false;
   (* Freed blocks must not pin dead medium lines. *)
-  Array.fill b.lines 0 t.lines_per_block t.blank;
+  Device.release_table t.dev b.lines;
+  b.lines <- Device.fill_table t.dev '\000';
   set64 b.bits own_off 0L;
   if Dlist.is_linked b.node then Dlist.remove t.lrw b.node;
   Queue.add b.id t.free;
@@ -222,6 +234,16 @@ let private_lines t =
 
 let line_size b = Bytes.length b.lines.(0)
 
+(* The block's table, made settable in place. *)
+let owned_lines dev b =
+  let lines = Device.own_table dev b.lines in
+  b.lines <- lines;
+  lines
+
+(* A table of one fill line becomes its fill table, unless a device call
+   is working on it. *)
+let settle dev b = if b.io = 0 then b.lines <- Device.settle_table dev b.lines
+
 let store dev b ~off ~src ~src_off ~len =
   let ls = line_size b and nlines = Array.length b.lines in
   let whole =
@@ -230,41 +252,44 @@ let store dev b ~off ~src ~src_off ~len =
   in
   match whole with
   | Some fill ->
-    Array.fill b.lines 0 nlines fill;
-    set64 b.bits own_off 0L
-  | None ->
+    Array.fill (owned_lines dev b) 0 nlines fill;
+    set64 b.bits own_off 0L;
+    settle dev b
+  | None when len > 0 ->
     (* The lines that become fill lines and those that become private,
        as local words (no closure, so unboxed): one [own] update. *)
+    let lines = owned_lines dev b in
     let own = get64 b.bits own_off in
     let filled = ref 0L and made = ref 0L in
-    if len > 0 then
-      for i = off / ls to (off + len - 1) / ls do
-        let lo = Int.max off (i * ls) in
-        let k = Int.min (off + len) ((i + 1) * ls) - lo in
-        let from = src_off + lo - off and bit = Int64.shift_left 1L i in
-        let fill =
-          if k = ls then Device.fill_of dev src ~off:from ~len:ls else None
+    for i = off / ls to (off + len - 1) / ls do
+      let lo = Int.max off (i * ls) in
+      let k = Int.min (off + len) ((i + 1) * ls) - lo in
+      let from = src_off + lo - off and bit = Int64.shift_left 1L i in
+      let fill =
+        if k = ls then Device.fill_of dev src ~off:from ~len:ls else None
+      in
+      match fill with
+      | Some fill ->
+        lines.(i) <- fill;
+        filled := Int64.logor !filled bit
+      | None when Int64.logand own bit <> 0L ->
+        Bytes.blit src from lines.(i) (lo - (i * ls)) k
+      | None ->
+        let line =
+          if k = ls then Bytes.sub src from ls
+          else begin
+            let line = Bytes.copy lines.(i) in
+            Bytes.blit src from line (lo - (i * ls)) k;
+            line
+          end
         in
-        match fill with
-        | Some fill ->
-          b.lines.(i) <- fill;
-          filled := Int64.logor !filled bit
-        | None when Int64.logand own bit <> 0L ->
-          Bytes.blit src from b.lines.(i) (lo - (i * ls)) k
-        | None ->
-          let line =
-            if k = ls then Bytes.sub src from ls
-            else begin
-              let line = Bytes.copy b.lines.(i) in
-              Bytes.blit src from line (lo - (i * ls)) k;
-              line
-            end
-          in
-          b.lines.(i) <- line;
-          made := Int64.logor !made bit
-      done;
+        lines.(i) <- line;
+        made := Int64.logor !made bit
+    done;
     set64 b.bits own_off
-      (Int64.logand (Int64.logor own !made) (Int64.lognot !filled))
+      (Int64.logand (Int64.logor own !made) (Int64.lognot !filled));
+    settle dev b
+  | None -> ()
 
 let load b ~off ~len ~into ~into_off =
   let ls = line_size b in
@@ -284,16 +309,38 @@ let share b ~first ~count =
   in
   set64 b.bits own_off (Int64.logand (own b) (Int64.lognot run))
 
+(* A device call that yields works on the table [owned_lines] gave it:
+   [io] keeps [settle] from dropping that table until the call returns. *)
+let end_io b = b.io <- b.io - 1
+
 let fetch dev ~cat b ~addr ~first ~count =
-  Device.read_lines dev ~cat ~addr ~len:(count * line_size b) ~into:b.lines
-    ~first;
-  share b ~first ~count
+  let into = owned_lines dev b in
+  b.io <- b.io + 1;
+  (match
+     Device.read_lines dev ~cat ~addr ~len:(count * line_size b) ~into ~first
+   with
+  | () -> end_io b
+  | exception e ->
+    end_io b;
+    raise e);
+  share b ~first ~count;
+  settle dev b
 
 let fill_zeros dev b ~first ~count =
-  Array.fill b.lines first count (Device.fill_line dev '\000');
-  share b ~first ~count
+  Array.fill (owned_lines dev b) first count (Device.fill_line dev '\000');
+  share b ~first ~count;
+  settle dev b
 
 let write_back ~background dev ~cat b ~addr ~first ~count =
-  Device.write_nt_lines ~background dev ~cat ~addr ~len:(count * line_size b)
-    ~lines:b.lines ~first;
-  share b ~first ~count
+  let lines = owned_lines dev b in
+  b.io <- b.io + 1;
+  (match
+     Device.write_nt_lines ~background dev ~cat ~addr
+       ~len:(count * line_size b) ~lines ~first
+   with
+  | () -> end_io b
+  | exception e ->
+    end_io b;
+    raise e);
+  share b ~first ~count;
+  settle dev b

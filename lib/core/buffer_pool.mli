@@ -10,8 +10,12 @@
     its home, fetched or written back, or a fill line of one byte value —
     or a line private to the block, written in place. Only the lines
     written since the last writeback are private, so a clean block holds
-    no copy of the data its home holds. Each block carries its Cacheline
-    Bitmaps:
+    no copy of the data its home holds. The table is shared as well while
+    all of the block's lines are one fill line: the block then holds the
+    device's fill table of that value ({!Hinfs_nvmm.Device.fill_table};
+    a block never written holds the zero one), and it owns a table of its
+    own only while its lines differ, taking it from and returning it to
+    the device's spare tables. Each block carries its Cacheline Bitmaps:
 
     - [present]: lines holding valid data in DRAM;
     - [dirty]: lines awaiting writeback (subset of [present]);
@@ -27,10 +31,10 @@
 
 type block = {
   id : int;
-  lines : Bytes.t array;
+  mutable lines : Bytes.t array;
       (** the block's cachelines, set only through the block-data
-          functions below; only the private ones ([own]) are written in
-          place *)
+          functions below: a fill table, or a table the block owns, whose
+          private lines ([own]) are the only ones written in place *)
   node : int Hinfs_structures.Dlist.node;
   bits : Bytes.t;
       (** the Cacheline Bitmaps and the last-write time, unboxed; set
@@ -40,6 +44,9 @@ type block = {
   mutable home : int;  (** NVMM home block number *)
   mutable pinned : int;  (** foreground use / in-flight writeback *)
   mutable in_use : bool;
+  mutable io : int;
+      (** device calls in flight on [lines], which keep it owned; set only
+          through the functions below *)
 }
 
 (** {1 Cacheline Bitmaps} *)
@@ -71,7 +78,10 @@ val clean_lines : block -> Clbitmap.t -> bool
 
 type t
 
-val create : capacity:int -> block_size:int -> lines_per_block:int -> t
+val create : Hinfs_nvmm.Device.t -> capacity:int -> t
+(** A pool of [capacity] blocks of the device's block size, whose homes
+    are on the device. *)
+
 val capacity : t -> int
 val free_count : t -> int
 val used_count : t -> int
@@ -84,7 +94,7 @@ val alloc : t -> ino:int -> fblock:int -> home:int -> now:int64 -> block option
     caller stalls on the writeback daemons). *)
 
 val free : t -> block -> unit
-(** Drops the block's lines.
+(** Drops the block's lines and table: it holds the zero fill table.
     @raise Invalid_argument if the block is pinned or not in use. *)
 
 val touch_written : t -> block -> now:int64 -> unit

@@ -110,9 +110,7 @@ let create ?(hcfg = Hconfig.default) pmfs =
       Array.init nshards (fun _ ->
           {
             pool =
-              Buffer_pool.create ~capacity ~block_size:config.Config.block_size
-                ~lines_per_block:
-                  (config.Config.block_size / config.Config.cacheline_size);
+              Buffer_pool.create device ~capacity;
             wb_wakeup = Condvar.create (Device.engine device);
             free_cv = Condvar.create (Device.engine device);
           });

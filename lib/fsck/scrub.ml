@@ -6,7 +6,8 @@
    - superblock copies: rewrite both from the mounted geometry;
    - journal: zero the line — recovery treats unreadable records as
      untrusted and a zeroed slot is simply empty;
-   - epoch record: re-persist the runtime watermark;
+   - epoch-record block: re-persist the runtime watermark for the record
+     line, zero any other line (it holds nothing);
    - inode table: a free slot is zeroed; a poisoned in-use slot has no
      redundant copy and is unrecoverable;
    - data region: a free block's line is zeroed (it would heal on the next
@@ -38,11 +39,12 @@ module Block_tree = Hinfs_pmfs.Block_tree
 
 (* --- the mount scope ---
 
-   The superblock copies and the epoch record are healed whole from what
-   the mount holds: both superblock copies are rewritten from the mounted
-   geometry, and the epoch record is re-persisted from the runtime
-   watermark rather than zeroed — a zeroed record would orphan a
-   cross-shard commit whose journals are not yet checkpointed. *)
+   The superblock copies and the epoch-record block are healed whole from
+   what the mount holds: both superblock copies are rewritten from the
+   mounted geometry, and the epoch record (the block's first line) is
+   re-persisted from the runtime watermark rather than zeroed — a zeroed
+   record would orphan a cross-shard commit whose journals are not yet
+   checkpointed. The block's other lines hold nothing: they are zeroed. *)
 
 let block_poisoned fs block =
   let bs = (Pmfs.geometry fs).Layout.block_size in
@@ -57,14 +59,30 @@ let heal_superblock fs =
     Stats.add_scrub_repair (Device.stats (Pmfs.device fs))
   end
 
-let heal_epoch fs =
-  Epoch.heal (Pmfs.epoch fs);
-  Stats.add_scrub_repair (Device.stats (Pmfs.device fs))
+(* Rewrite the poisoned line at [addr] with zeros, ordered at once. *)
+let zero_line fs addr =
+  let device = Pmfs.device fs in
+  let ls = (Device.config device).Config.cacheline_size in
+  Device.poke_flushed device ~addr ~src:(Bytes.make ls '\000') ~off:0 ~len:ls;
+  Device.fence_untimed device;
+  Stats.add_scrub_repair (Device.stats device)
+
+(* Heal the poisoned line at [addr] of the epoch-record block. *)
+let heal_epoch_line fs addr =
+  let geo = Pmfs.geometry fs in
+  if addr = Layout.epoch_block geo * geo.Layout.block_size then begin
+    Epoch.heal (Pmfs.epoch fs);
+    Stats.add_scrub_repair (Device.stats (Pmfs.device fs))
+  end
+  else zero_line fs addr
 
 let heal_mount_scope fs =
   heal_superblock fs;
-  if block_poisoned fs (Layout.epoch_block (Pmfs.geometry fs)) then
-    heal_epoch fs
+  let geo = Pmfs.geometry fs in
+  let bs = geo.Layout.block_size in
+  List.iter (heal_epoch_line fs)
+    (Device.verify_range (Pmfs.device fs)
+       ~addr:(Layout.epoch_block geo * bs) ~len:bs)
 
 (* One scrub pass; returns the unrecoverable findings, each of which has
    degraded its owning domain. *)
@@ -72,13 +90,7 @@ let run ?shard fs =
   let ctx = Pmfs.ctx fs in
   let device = ctx.Fs_ctx.device in
   let geo = ctx.Fs_ctx.geo in
-  let ls = (Device.config device).Config.cacheline_size in
-  let zero_line = Bytes.make ls '\000' in
-  let heal addr =
-    Device.poke_flushed device ~addr ~src:zero_line ~off:0 ~len:ls;
-    Device.fence_untimed device;
-    Stats.add_scrub_repair (Device.stats device)
-  in
+  let heal = zero_line fs in
   (* Scoped runs only look at (and only degrade) one shard's regions. *)
   let in_scope region =
     shard = None || Layout.shard_of_region geo region = shard
@@ -109,7 +121,7 @@ let run ?shard fs =
              heals), but record rather than loop. *)
           lose region (Fmt.str "superblock copy at %#x" addr)
         | Journal _ -> heal addr
-        | Epoch_record -> heal_epoch fs
+        | Epoch_record -> heal_epoch_line fs addr
         | Inode_slot ino ->
           if Layout.Inode.in_use device geo ino then
             lose region (Fmt.str "in-use inode %d at %#x" ino addr)

@@ -159,7 +159,7 @@ type t = {
      that pressure. Uncontended acquisition costs nothing. *)
   tail : Hinfs_sim.Resource.t;
   capacity : int; (* number of entry slots *)
-  slot_free : bool array;
+  slot_free : Bytes.t; (* per slot: '\001' when free *)
   mutable free_slots : int;
   mutable cursor : int; (* next-fit slot scan position *)
   mutable next_txn : int;
@@ -204,7 +204,7 @@ let create device ~first_block ~blocks =
         ~name:(Printf.sprintf "journal-tail@%d" first_block)
         ~capacity:1;
     capacity;
-    slot_free = Array.make capacity true;
+    slot_free = Bytes.make capacity '\001';
     free_slots = capacity;
     cursor = 0;
     next_txn = 1;
@@ -290,7 +290,7 @@ let dequeue_clean t =
 let reset_runtime t =
   if t.live_txns > 0 then
     invalid_arg "Cacheline_log.reset_runtime: live transactions";
-  Array.fill t.slot_free 0 t.capacity true;
+  Bytes.fill t.slot_free 0 t.capacity '\001';
   t.free_slots <- t.capacity;
   t.cursor <- 0;
   while t.q_len > 0 do
@@ -306,7 +306,7 @@ let entries_written t = t.entries_written
 let slot_addr t slot = t.base + (slot * entry_size)
 
 let release_slot t slot =
-  t.slot_free.(slot) <- true;
+  Bytes.set t.slot_free slot '\001';
   t.free_slots <- t.free_slots + 1
 
 let zero_entry = Bytes.make entry_size '\000'
@@ -354,8 +354,8 @@ let alloc_slot t =
   if t.free_slots = 0 then raise Journal_full;
   let rec scan i remaining =
     if remaining = 0 then raise Journal_full
-    else if t.slot_free.(i) then begin
-      t.slot_free.(i) <- false;
+    else if Bytes.get t.slot_free i = '\001' then begin
+      Bytes.set t.slot_free i '\000';
       t.free_slots <- t.free_slots - 1;
       t.cursor <- (i + 1) mod t.capacity;
       i

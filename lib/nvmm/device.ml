@@ -18,8 +18,9 @@
      [crash] until [clflush]ed. Non-temporal stores ([write_nt]) bypass the
      cache and reach the medium directly, like movnti/clwb streaming copies
      (PMFS's copy_from_user_inatomic_nocache data path). A per-page count
-     of overlay lines ([dirty_in_page]) answers "is this line dirty?" for
-     a clean page without a table lookup.
+     of overlay lines ([dirty_in_page], one byte a page: a page has at
+     most 255 lines) answers "is this line dirty?" for a clean page
+     without a table lookup.
 
    Timing: loads cost DRAM speed (the paper assumes symmetric reads); every
    cacheline stored to the medium costs [nvmm_write_ns] and must hold one of
@@ -110,7 +111,7 @@ type t = {
          them, which only ever add entries. *)
   overlay : Bytes.t Itbl.t;
       (* cacheline index -> line content; [Bytes.empty] for none *)
-  dirty_in_page : int array; (* page index -> overlay lines in it *)
+  dirty_in_page : Bytes.t; (* page index -> overlay lines in it, a byte *)
   mutable dirty_lines : int; (* overlay lines in all *)
   lines_per_page : int;
   bandwidth : Hinfs_sim.Resource.t;
@@ -135,12 +136,16 @@ module Resource = Hinfs_sim.Resource
 module Stats = Hinfs_stats.Stats
 module Obs = Hinfs_obs.Obs
 
-(* Owned tables kept for reuse, at most (see [own_page]). *)
+(* Owned tables kept for reuse, at most (see [copy_table]). *)
 let max_spares = 32
 
 (* A device over [pages] (a table the device may keep: nothing else holds
    it), owning none of them. *)
 let of_pages engine stats config ~fills pages =
+  let lines_per_page = Config.cachelines_per_block config in
+  (* A page's overlay count is one byte. *)
+  if lines_per_page > 255 then
+    invalid_arg "Device: more than 255 cachelines per page";
   {
     engine;
     stats;
@@ -151,9 +156,9 @@ let of_pages engine stats config ~fills pages =
     nspares = 0;
     fills;
     overlay = Itbl.create ~dummy:Bytes.empty 1024;
-    dirty_in_page = Array.make (Array.length pages) 0;
+    dirty_in_page = Bytes.make (Array.length pages) '\000';
     dirty_lines = 0;
-    lines_per_page = Config.cachelines_per_block config;
+    lines_per_page;
     bandwidth =
       Resource.create ~name:"nvmm-write-bandwidth"
         ~capacity:(Config.nw_slots config);
@@ -187,32 +192,18 @@ let check_range t ~addr ~len =
 
 let page_size t = t.config.Config.block_size
 
-(* Table [p], made settable in place: a table the device does not own (a
-   fill table, or one shared with an image) is copied first, into a spare
-   table when there is one. Pages cycle between fill and owned: a data
-   page written whole with one byte value collapses to that value's fill
-   table, a journal or metadata page whose lines are all cleared to the
-   zero table, and their next partial store owns them again. A fresh copy
-   each time would be a table promoted to the major heap only to die
-   there. *)
-let own_page t p =
-  if Bytes.unsafe_get t.owned p = '\001' then t.pages.(p)
-  else begin
-    let src = t.pages.(p) in
-    let tbl =
-      if t.nspares = 0 then Array.copy src
-      else begin
-        t.nspares <- t.nspares - 1;
-        let tbl = t.spares.(t.nspares) in
-        t.spares.(t.nspares) <- [||];
-        Array.blit src 0 tbl 0 (Array.length src);
-        tbl
-      end
-    in
-    t.pages.(p) <- tbl;
-    Bytes.unsafe_set t.owned p '\001';
-    tbl
-  end
+(* --- line tables ---
+
+   A page's lines live in a table of [lines_per_page] slots; the DRAM
+   buffer keeps its blocks in tables of the same shape and takes and
+   returns them here, so one set of spare tables serves both. *)
+
+(* A table or line is a fill one iff it is the one of its first byte. *)
+let is_fill fills tbl = fills.(Char.code (Bytes.unsafe_get tbl.(0) 0)) == tbl
+
+let is_fill_line fills line =
+  let tbl = fills.(Char.code (Bytes.unsafe_get line 0)) in
+  Array.length tbl > 0 && tbl.(0) == line
 
 (* The fill table of [c], made on first use; its lines: [c]'s fill line. *)
 let fill_table t c =
@@ -224,26 +215,80 @@ let fill_table t c =
     tbl
   end
 
-(* Page [p] becomes [c]'s fill table. The table it drops, when owned, is
-   no image's and no other page's: it becomes a spare, holding the fill
-   line, so that it pins no dead line. *)
-let fill_page t p c =
-  let fill = fill_table t c in
-  if Bytes.unsafe_get t.owned p = '\001' && t.nspares < max_spares then begin
-    let tbl = t.pages.(p) in
-    Array.fill tbl 0 (Array.length tbl) fill.(0);
+(* A table holding [src]'s lines that nobody else holds: a spare when
+   there is one. Tables cycle between fill and owned: a data page written
+   whole with one byte value collapses to that value's fill table, a
+   journal or metadata page whose lines are all cleared to the zero table,
+   a DRAM-buffer block written back whole to its fill table, and their
+   next partial store owns them again. A fresh copy each time would be a
+   table promoted to the major heap only to die there. *)
+let copy_table t src =
+  if t.nspares = 0 then Array.copy src
+  else begin
+    t.nspares <- t.nspares - 1;
+    let tbl = t.spares.(t.nspares) in
+    t.spares.(t.nspares) <- [||];
+    Array.blit src 0 tbl 0 (Array.length src);
+    tbl
+  end
+
+(* [tbl], owned and used by nobody any more, becomes a spare while there
+   is room, holding the zero line so that it pins no dead line. *)
+let spare_table t tbl =
+  if t.nspares < max_spares then begin
+    Array.fill tbl 0 (Array.length tbl) t.fills.(0).(0);
     t.spares.(t.nspares) <- tbl;
     t.nspares <- t.nspares + 1
-  end;
-  t.pages.(p) <- fill;
+  end
+
+let check_table t tbl =
+  if Array.length tbl <> t.lines_per_page then
+    invalid_arg "Device: table of the wrong length"
+
+let own_table t tbl =
+  check_table t tbl;
+  if is_fill t.fills tbl then copy_table t tbl else tbl
+
+let release_table t tbl =
+  check_table t tbl;
+  if not (is_fill t.fills tbl) then spare_table t tbl
+
+(* Whether every slot of [tbl] from [i] down holds [line]. *)
+let rec all_from tbl line i =
+  i < 0 || (tbl.(i) == line && all_from tbl line (i - 1))
+
+(* The fill table [tbl] stands for, or [tbl]. Tables fill in address
+   order, so the last slot is checked first. *)
+let uniform_table t tbl =
+  let last = Array.length tbl - 1 in
+  let line = tbl.(last) in
+  if is_fill_line t.fills line && all_from tbl line (last - 1) then
+    t.fills.(Char.code (Bytes.unsafe_get line 0))
+  else tbl
+
+let settle_table t tbl =
+  check_table t tbl;
+  let fill = uniform_table t tbl in
+  if fill != tbl then spare_table t tbl;
+  fill
+
+(* Table [p], made settable in place: a table the device does not own (a
+   fill table, or one shared with an image) is copied first. *)
+let own_page t p =
+  if Bytes.unsafe_get t.owned p = '\001' then t.pages.(p)
+  else begin
+    let tbl = copy_table t t.pages.(p) in
+    t.pages.(p) <- tbl;
+    Bytes.unsafe_set t.owned p '\001';
+    tbl
+  end
+
+(* Page [p] becomes [c]'s fill table. The table it drops, when owned, is
+   no image's and no other page's: it becomes a spare. *)
+let fill_page t p c =
+  if Bytes.unsafe_get t.owned p = '\001' then spare_table t t.pages.(p);
+  t.pages.(p) <- fill_table t c;
   Bytes.unsafe_set t.owned p '\000'
-
-(* A table or line is a fill one iff it is the one of its first byte. *)
-let is_fill fills tbl = fills.(Char.code (Bytes.unsafe_get tbl.(0) 0)) == tbl
-
-let is_fill_line fills line =
-  let tbl = fills.(Char.code (Bytes.unsafe_get line 0)) in
-  Array.length tbl > 0 && tbl.(0) == line
 
 external get_int64_unsafe : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
@@ -279,17 +324,12 @@ let settle t line =
   if uniform line 0 (Bytes.length line) c then fill_line t c else line
 
 (* Point slot [s] of page [p] at [line], which nobody writes again. A page
-   of one fill line becomes its fill table (pages fill in address order,
-   so the last slot is checked first). *)
+   of one fill line becomes its fill table. *)
 let set_slot t p s line =
   if t.pages.(p).(s) != line then begin
     let tbl = own_page t p in
     tbl.(s) <- line;
-    if
-      is_fill_line t.fills line
-      && tbl.(Array.length tbl - 1) == line
-      && Array.for_all (fun l -> l == line) tbl
-    then fill_page t p (Bytes.unsafe_get line 0)
+    if uniform_table t tbl != tbl then fill_page t p (Bytes.unsafe_get line 0)
   end
 
 (* Copy medium bytes [addr, addr+len) into [dst] from [doff], a page
@@ -392,7 +432,7 @@ let charge_memcpy t cat access len =
    [dirty_cachelines]; checking the one checks the bookkeeping of both. *)
 let count_line t idx delta =
   let p = idx / t.lines_per_page in
-  t.dirty_in_page.(p) <- t.dirty_in_page.(p) + delta;
+  Bytes.set_uint8 t.dirty_in_page p (Bytes.get_uint8 t.dirty_in_page p + delta);
   t.dirty_lines <- t.dirty_lines + delta
 
 let add_overlay t idx line =
@@ -416,7 +456,7 @@ let dirty_cachelines t = t.dirty_lines
 
 let is_dirty_line t idx =
   t.dirty_lines > 0
-  && t.dirty_in_page.(idx / t.lines_per_page) > 0
+  && Bytes.get_uint8 t.dirty_in_page (idx / t.lines_per_page) > 0
   && Itbl.mem t.overlay idx
 
 (* The one loop over the cached lines a byte range [addr, addr+len)
@@ -915,7 +955,7 @@ let walk_records t ~persistent ~addr ~len ~size f =
     ||
     let p = a / ps in
     let tbl = t.pages.(p) in
-    let probe = (not persistent) && t.dirty_in_page.(p) > 0 in
+    let probe = (not persistent) && Bytes.get_uint8 t.dirty_in_page p > 0 in
     let first_line = p * t.lines_per_page in
     let rec record a =
       if a > last then true
@@ -1014,7 +1054,7 @@ let set_u64 = set_word 8 Bytes.set_int64_le
 
 let crash t =
   Itbl.clear t.overlay;
-  Array.fill t.dirty_in_page 0 (Array.length t.dirty_in_page) 0;
+  Bytes.fill t.dirty_in_page 0 (Bytes.length t.dirty_in_page) '\000';
   t.dirty_lines <- 0;
   match t.recorder with
   | None -> ()

@@ -10,7 +10,10 @@
     The medium is a sparse table of pages, each a table of immutable
     cachelines shared copy-on-write with the {!image}s taken of it: host
     memory holds only lines not all of one value (each value has one fill
-    line and fill table) and the tables of pages holding one. *)
+    line and fill table) and the tables of pages holding one. Besides the
+    page table, a page costs two bytes of host state: whether the device
+    owns its table, and how many of its lines are dirty in the CPU cache
+    (so a page has at most 255 lines; {!create} checks it). *)
 
 type t
 
@@ -21,6 +24,7 @@ type image
 
 val create :
   Hinfs_sim.Engine.t -> Hinfs_stats.Stats.t -> Config.t -> t
+(** @raise Invalid_argument when a page has more than 255 cachelines. *)
 
 val config : t -> Config.t
 val size : t -> int
@@ -166,6 +170,34 @@ val fill_of : t -> Bytes.t -> off:int -> len:int -> Bytes.t option
 (** [fill_of t src ~off ~len] is the fill line of [c] when [src] holds [c]
     in every byte of [\[off, off+len)], by word compares.
     @raise Invalid_argument for an empty range or one outside [src]. *)
+
+(** {1 Line tables}
+
+    A page of the medium is a table of its cachelines, one slot each. A
+    page whose lines are all [c]'s fill line is [c]'s fill table, shared
+    and never written; any other table is owned by whoever set its slots.
+    The DRAM buffer keeps its blocks in tables of the same shape and
+    passes them through the functions below, so the device's spare tables
+    (at most 32 owned tables no page uses) serve both: a table that
+    becomes a fill table is kept as a spare, and the next copy of a fill
+    table takes one instead of allocating. Every table passed in must
+    have one slot per line of a page, and be a fill table or owned by the
+    caller. @raise Invalid_argument for a table of another length. *)
+
+val fill_table : t -> char -> Bytes.t array
+(** The fill table of a byte value. Nobody may write it. *)
+
+val own_table : t -> Bytes.t array -> Bytes.t array
+(** [own_table t tbl] is [tbl] when the caller owns it, else (a fill
+    table) an owned copy of it, in a spare table when there is one. *)
+
+val settle_table : t -> Bytes.t array -> Bytes.t array
+(** [settle_table t tbl] is the fill table of [c] when every slot of
+    [tbl] holds [c]'s fill line, and [tbl] otherwise. An owned [tbl] that
+    settles is the caller's no more: it becomes a spare. *)
+
+val release_table : t -> Bytes.t array -> unit
+(** The caller drops [tbl]: an owned table becomes a spare. *)
 
 (** {1 Typed metadata accessors}
 

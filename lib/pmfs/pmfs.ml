@@ -118,17 +118,16 @@ let degrade_region t region reason =
   | Some s -> degrade_shard t s reason
   | None -> degrade t reason
 
-(* Transient media faults are retried ({!Device.read_retrying}).
-   Unrecoverable (poisoned-line) faults degrade the owning fault domain and
-   surface as EIO on the data path; a repair pass
-   ([Hinfs_fsck.Repair.run_once]) can re-admit the domain. *)
+(* A read of file data. Transient media faults are retried
+   ({!Device.read_retrying}); a poisoned line surfaces as EIO. That is
+   data loss, not a structural fault — scrub leaves such a line poisoned
+   on purpose, and fsck and repair accept it — so it degrades no fault
+   domain: structures that are lost (scrub's and recovery's findings)
+   do. *)
 let read_or_eio t ~cat ~addr ~len ~into ~off =
   try
     Device.read_retrying (device t) ~cat ~addr ~len ~into ~off
   with Fault.Media_error { addr = fault_addr; _ } ->
-    degrade_region t
-      (Layout.region_of_addr (geometry t) fault_addr)
-      (Fmt.str "uncorrectable media error at %#x" fault_addr);
     Errno.raise_error EIO "uncorrectable NVMM media error at %#x" fault_addr
 
 let now t = Engine.now (Device.engine (device t))

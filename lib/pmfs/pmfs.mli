@@ -63,7 +63,8 @@ val attach_faultops : t -> Hinfs_nvmm.Faultops.t option -> unit
     [EROFS], while sibling shards keep serving read-write. A repair pass
     ([Hinfs_fsck.Repair.run_once]) re-admits the domain in place. Transient
     media faults on the data path are retried up to 3 times, immediately;
-    persistent ones surface as [EIO]. *)
+    persistent ones surface as [EIO] and degrade no domain (a poisoned
+    line of file data is lost data, not a lost structure). *)
 
 val read_only : t -> bool
 (** Whole-mount view: [true] when the mount domain is degraded (no write

@@ -1,19 +1,24 @@
 #!/bin/sh
 # Host cost of the working tree against a parent commit, by alternating
-# benchmark runs: sh scripts/ab_host.sh [-p REV] [-w WORKLOAD] [-n SEEDS]
-# [-s SECONDS] [-d DIR] [-g]. Run from the repository root.
+# benchmark runs: sh scripts/ab_host.sh [-p REV] [-w WORKLOAD[,WORKLOAD...]]
+# [-n SEEDS] [-s SECONDS] [-d DIR] [-g]. Run from the repository root.
 #
 # Unpacks `git archive REV` (default HEAD) into DIR/parent (default: a
-# directory next to the working tree), then for each seed 1..SEEDS runs
+# directory next to the working tree), then for each seed 1..SEEDS and
+# each workload W of the comma list (default varmail) runs
 # `python3 perfbench/run.py --workload W --seed i --seconds S --trace 0`
 # once in the parent copy and once in the working tree, alternating which
-# goes first. Each run builds from its own source. Fails (exit 1) if any
+# goes first. So `-w serve,varmail` shows a claim on one workload and the
+# no-regression side on the other from one run, under the same machine
+# load. Each run builds from its own source. Fails (exit 1) if any
 # `VIRTUAL` line of a seed differs between the two sides or any operation
-# failed on either side; otherwise prints, per seed and as medians,
-# `setup_s` and `peak_rss_mb` of both sides. Nothing under perfbench/ is
-# written; every run's output is kept in DIR/out.
+# failed on either side; prints, per workload, per seed and as medians,
+# `setup_s` and `peak_rss_mb` of both sides, and the number of seeds on
+# which the change's peak is lower. Nothing under perfbench/ is written;
+# every run's output is kept in DIR/out.
 #
-# With -g, each side's built perfbench.exe then runs once more directly,
+# With -g, each side's built perfbench.exe then runs once more directly
+# per workload,
 # seed 1, with at most 6 repetitions, under OCAMLRUNPARAM=v=0x400 (which
 # prints the collector's totals at exit and changes nothing it does), and
 # the script prints per repetition the minor words allocated and the
@@ -22,17 +27,17 @@
 # major heap, and with it the peak.
 set -eu
 
-rev=HEAD workload=varmail seeds=10 seconds=30 gc=0
+rev=HEAD workloads=varmail seeds=10 seconds=30 gc=0
 dir="$(dirname "$(pwd)")/$(basename "$(pwd)")-ab"
 while getopts p:w:n:s:d:g opt; do
   case "$opt" in
   p) rev=$OPTARG ;;
-  w) workload=$OPTARG ;;
+  w) workloads=$(echo "$OPTARG" | tr ',' ' ') ;;
   n) seeds=$OPTARG ;;
   s) seconds=$OPTARG ;;
   d) dir=$OPTARG ;;
   g) gc=1 ;;
-  *) echo "usage: sh scripts/ab_host.sh [-p REV] [-w WORKLOAD] [-n SEEDS] [-s SECONDS] [-d DIR] [-g]" >&2
+  *) echo "usage: sh scripts/ab_host.sh [-p REV] [-w WORKLOAD[,WORKLOAD...]] [-n SEEDS] [-s SECONDS] [-d DIR] [-g]" >&2
      exit 2 ;;
   esac
 done
@@ -43,12 +48,12 @@ rm -rf "$dir/parent"
 mkdir -p "$dir/parent" "$dir/out"
 git archive "$rev" | tar -x -C "$dir/parent"
 
-run() { # side seed
+run() { # side workload seed
   if [ "$1" = parent ]; then cd "$dir/parent"; else cd "$tree"; fi
-  python3 perfbench/run.py --workload "$workload" --seed "$2" \
-    --seconds "$seconds" --trace 0 > "$dir/out/$workload-$1-$2.txt" \
-    2> "$dir/out/$workload-$1-$2.err" || {
-    echo "ab_host: $1 seed $2 failed; see $dir/out/$workload-$1-$2.err" >&2
+  python3 perfbench/run.py --workload "$2" --seed "$3" \
+    --seconds "$seconds" --trace 0 > "$dir/out/$2-$1-$3.txt" \
+    2> "$dir/out/$2-$1-$3.err" || {
+    echo "ab_host: $1 $2 seed $3 failed; see $dir/out/$2-$1-$3.err" >&2
     exit 1
   }
   cd "$tree"
@@ -56,26 +61,32 @@ run() { # side seed
 
 i=1
 while [ "$i" -le "$seeds" ]; do
-  if [ $((i % 2)) -eq 1 ]; then run parent "$i"; run change "$i"
-  else run change "$i"; run parent "$i"; fi
+  for workload in $workloads; do
+    if [ $((i % 2)) -eq 1 ]; then run parent "$workload" "$i"; run change "$workload" "$i"
+    else run change "$workload" "$i"; run parent "$workload" "$i"; fi
+  done
   i=$((i + 1))
 done
 
 if [ "$gc" = 1 ]; then
-  for side in parent change; do
-    if [ "$side" = parent ]; then cd "$dir/parent"; else cd "$tree"; fi
-    OCAMLRUNPARAM=v=0x400 ./_build/default/perfbench/perfbench.exe \
-      --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 \
-      --max-reps 6 > "$dir/out/$workload-$side-gc.txt" \
-      2> "$dir/out/$workload-$side-gc.err" || {
-      echo "ab_host: $side GC run failed; see $dir/out/$workload-$side-gc.err" >&2
-      exit 1
-    }
-    cd "$tree"
+  for workload in $workloads; do
+    for side in parent change; do
+      if [ "$side" = parent ]; then cd "$dir/parent"; else cd "$tree"; fi
+      OCAMLRUNPARAM=v=0x400 ./_build/default/perfbench/perfbench.exe \
+        --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 \
+        --max-reps 6 > "$dir/out/$workload-$side-gc.txt" \
+        2> "$dir/out/$workload-$side-gc.err" || {
+        echo "ab_host: $side $workload GC run failed; see $dir/out/$workload-$side-gc.err" >&2
+        exit 1
+      }
+      cd "$tree"
+    done
   done
 fi
 
-python3 - "$dir/out" "$workload" "$seeds" "$gc" <<'EOF'
+status=0
+for workload in $workloads; do
+python3 - "$dir/out" "$workload" "$seeds" "$gc" <<'EOF' || status=1
 import json, statistics, sys
 
 out, workload, seeds, gc = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4] == "1"
@@ -100,6 +111,8 @@ for seed in range(1, seeds + 1):
 med = lambda side, k: statistics.median(r[k] for r in rows[side])
 print("%s: median %13.3f %7.3f   %18.1f %7.1f" % (
     workload, med("parent", 0), med("change", 0), med("parent", 1), med("change", 1)))
+lower = sum(1 for p, c in zip(rows["parent"], rows["change"]) if c[1] < p[1])
+print("%s: peak_rss_mb lower on the change in %d of %d seeds" % (workload, lower, seeds))
 if gc:
     print("%s: GC, seed 1   reps  minor words/rep  promoted words/rep  top_heap_words" % workload)
     for side in ("parent", "change"):
@@ -122,3 +135,5 @@ for b in bad:
     print("ab_host: " + b, file=sys.stderr)
 sys.exit(1 if bad else 0)
 EOF
+done
+exit $status

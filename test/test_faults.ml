@@ -598,6 +598,77 @@ let test_itable_poison_mounts_read_only () =
              Pmfs.unlink fs ~dir:root "victim"));
       ignore stats)
 
+(* A poisoned line of plain file data is lost data, not a lost
+   structure: reading it raises EIO, but the mount stays writable, scrub
+   finds nothing unrecoverable, fsck passes, and rewriting the whole line
+   heals it. *)
+let test_data_poison_reads_eio_mount_writable () =
+  Testkit.run_sim (fun engine ->
+      let d, fs = Testkit.make_pmfs engine in
+      let ino = Pmfs.create_file fs ~dir:root "victim" in
+      let len = 8192 in
+      let payload = Testkit.pattern_bytes ~seed:23 len in
+      ignore
+        (Pmfs.write fs ~ino ~off:0 ~src:payload ~src_off:0 ~len ~sync:true);
+      let fault = Fault.create ~seed:9L () in
+      Device.set_fault_model d (Some fault);
+      let block = Option.get (Pmfs.Data.lookup_block fs ~ino ~fblock:1) in
+      let line_addr = Pmfs.Data.block_addr fs block + (3 * line_size) in
+      Fault.poison_line fault (line_addr / line_size);
+      let read off n =
+        Pmfs.read fs ~ino ~off ~len:n ~into:(Bytes.create n) ~into_off:0
+      in
+      check_bool "the poisoned line reads EIO" true
+        (raises_errno Errno.EIO (fun () -> read 0 len));
+      check_bool "the mount stays fully healthy" true (Pmfs.fully_healthy fs);
+      check_int "the first block still reads" 4096 (read 0 4096);
+      let other = Pmfs.create_file fs ~dir:root "other" in
+      ignore
+        (Pmfs.write fs ~ino:other ~off:0 ~src:payload ~src_off:0 ~len
+           ~sync:true);
+      check_bool "a second read still degrades nothing" true
+        (raises_errno Errno.EIO (fun () -> read 4096 4096)
+        && Pmfs.fully_healthy fs);
+      check_int "scrub finds nothing unrecoverable" 0
+        (List.length (Hinfs_fsck.Scrub.run fs));
+      check_bool "fsck passes" true (Fsck.ok (Fsck.check_pmfs fs));
+      ignore
+        (Pmfs.write fs ~ino ~off:(4096 + (3 * line_size))
+           ~src:payload ~src_off:(4096 + (3 * line_size)) ~len:line_size
+           ~sync:true);
+      let buf = Bytes.create len in
+      check_int "the rewritten line heals the file" len
+        (Pmfs.read fs ~ino ~off:0 ~len ~into:buf ~into_off:0);
+      Testkit.check_bytes "file intact" payload buf)
+
+(* Every poisoned line of the epoch-record block heals: the record line
+   from the runtime watermark, any other line by zeroing it. A line past
+   the record left poisoned would fail fsck on a healthy mount, and each
+   repair pass would "heal" it again. *)
+let test_scrub_heals_epoch_block () =
+  Testkit.run_sim (fun engine ->
+      let stats = Stats.create () in
+      let d, fs = Testkit.make_pmfs ~stats engine in
+      let geo = Pmfs.geometry fs in
+      let bs = geo.Layout.block_size in
+      let block_addr = Layout.epoch_block geo * bs in
+      let fault = Fault.create ~seed:11L () in
+      Device.set_fault_model d (Some fault);
+      Fault.poison_line fault ((block_addr + line_size) / line_size);
+      check_int "scrub finds nothing unrecoverable" 0
+        (List.length (Hinfs_fsck.Scrub.run fs));
+      check_bool "the epoch block is clean" true
+        (Device.verify_range d ~addr:block_addr ~len:bs = []);
+      check_bool "fsck passes" true (Fsck.ok (Fsck.check_pmfs fs));
+      let repairs = Stats.scrub_repairs stats in
+      check_int "one scrub repair" 1 repairs;
+      for _ = 1 to 2 do
+        ignore (Hinfs_fsck.Repair.run_once fs)
+      done;
+      check_int "repair passes find nothing more to heal" repairs
+        (Stats.scrub_repairs stats);
+      check_bool "the mount is healthy" true (Pmfs.fully_healthy fs))
+
 (* --- per-shard fault domains --- *)
 
 module Vfs = Hinfs_vfs.Vfs
@@ -1001,6 +1072,10 @@ let () =
         [
           Alcotest.test_case "itable poison mounts read-only" `Quick
             test_itable_poison_mounts_read_only;
+          Alcotest.test_case "data poison reads EIO, mount writable" `Quick
+            test_data_poison_reads_eio_mount_writable;
+          Alcotest.test_case "scrub heals the whole epoch block" `Quick
+            test_scrub_heals_epoch_block;
         ] );
       ( "triage",
         [

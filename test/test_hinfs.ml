@@ -945,11 +945,15 @@ let hinfs_crash_prop =
 
 module Buffer_pool = Hinfs.Buffer_pool
 
+(* A device for a pool's blocks, outside any simulation: only untimed
+   block operations run on it. *)
+let pool_device () = Testkit.make_device (Engine.create ())
+
 (* The pool makes descriptors on first use but hands out ids exactly as an
    eager pool's FIFO free queue would: this is that queue. *)
 let test_pool_matches_fifo_model () =
   let capacity = 64 in
-  let pool = Buffer_pool.create ~capacity ~block_size:4096 ~lines_per_block:64 in
+  let pool = Buffer_pool.create (pool_device ()) ~capacity in
   let model = Queue.create () in
   for id = 0 to capacity - 1 do
     Queue.add id model
@@ -984,11 +988,10 @@ let test_pool_matches_fifo_model () =
   done
 
 let test_empty_pool_is_small () =
+  let dev = pool_device () in
   Gc.minor ();
   let before = Gc.allocated_bytes () in
-  let pool =
-    Buffer_pool.create ~capacity:(1 lsl 20) ~block_size:4096 ~lines_per_block:64
-  in
+  let pool = Buffer_pool.create dev ~capacity:(1 lsl 20) in
   Gc.minor ();
   let allocated = Gc.allocated_bytes () -. before in
   check_int "capacity" (1 lsl 20) (Buffer_pool.capacity (Sys.opaque_identity pool));
@@ -1003,9 +1006,7 @@ let test_empty_pool_is_small () =
    die in the major heap. *)
 
 let test_block_bitmaps_no_alloc () =
-  let pool =
-    Buffer_pool.create ~capacity:4 ~block_size:4096 ~lines_per_block:64
-  in
+  let pool = Buffer_pool.create (pool_device ()) ~capacity:4 in
   let b =
     Option.get (Buffer_pool.alloc pool ~ino:1 ~fblock:0 ~home:0 ~now:0L)
   in
@@ -1065,7 +1066,12 @@ let test_stats_no_alloc () =
    and the CPU cache's coherent view. After every step the block reads as
    the model, and the medium, every snapshot taken and every crash image
    read as theirs: a line written in place while shared would change one
-   of them. *)
+   of them. A block whose lines are one fill line shares the device's fill
+   table too; ops that rewrite a uniform block's own bytes ([L_same]) and
+   write the whole block back ([L_sync]) take it from uniform to private
+   and back. Every fill table in use must stay whole, a block on a fill
+   table has no private line, and a block written back whole while it
+   reads as one byte value is back on that value's fill table. *)
 
 type line_op =
   | L_write of int * int * int  (** offset, length, payload *)
@@ -1074,6 +1080,8 @@ type line_op =
   | L_fetch of int * int  (** first line, count *)
   | L_zeros of int * int
   | L_flush of int * int
+  | L_same of int * int  (** store the bytes the block holds there *)
+  | L_sync  (** write every line back *)
   | L_evict  (** write every line back, then free the block *)
   | L_free
   | L_cached of int * int * int  (** cached store into the home *)
@@ -1089,6 +1097,8 @@ let show_line_op = function
   | L_fetch (f, c) -> Fmt.str "fetch %d+%d" f c
   | L_zeros (f, c) -> Fmt.str "zeros %d+%d" f c
   | L_flush (f, c) -> Fmt.str "flush %d+%d" f c
+  | L_same (o, l) -> Fmt.str "same %d+%d" o l
+  | L_sync -> "sync"
   | L_evict -> "evict"
   | L_free -> "free"
   | L_cached (o, l, p) -> Fmt.str "cached %d+%d #%d" o l p
@@ -1130,6 +1140,8 @@ let line_op_gen =
       (3, map (fun (f, c) -> L_fetch (f, c)) lines);
       (1, map (fun (f, c) -> L_zeros (f, c)) lines);
       (4, map (fun (f, c) -> L_flush (f, c)) lines);
+      (3, map (fun (o, l) -> L_same (o, l)) span);
+      (2, return L_sync);
       (1, return L_evict);
       (1, return L_free);
       (2, map2 (fun (o, l) p -> L_cached (o, l, p)) span (int_bound 9));
@@ -1151,7 +1163,7 @@ let run_line_ops engine ops =
   Device.enable_recording d;
   let medium = Device.peek_persistent d ~addr:0 ~len:size in
   let view = Bytes.copy medium and cached = Array.make (size / ls) false in
-  let pool = Pool.create ~capacity:1 ~block_size:bs ~lines_per_block:64 in
+  let pool = Pool.create d ~capacity:1 in
   let alloc () =
     Option.get (Pool.alloc pool ~ino:1 ~fblock:0 ~home:1 ~now:0L)
   in
@@ -1208,6 +1220,16 @@ let run_line_ops engine ops =
         Pool.fill_zeros d !b ~first ~count;
         Bytes.fill !model (first * ls) (count * ls) '\000'
       | L_flush (first, count) -> write_back first count
+      | L_same (off, len) ->
+        let src = Bytes.sub !model off len in
+        Pool.store d !b ~off ~src ~src_off:0 ~len
+      | L_sync ->
+        write_back 0 64;
+        let c = Bytes.get !model 0 in
+        if
+          Bytes.for_all (Char.equal c) !model
+          && !b.Pool.lines != Device.fill_table d c
+        then fail "a block written back whole as one value owns a table"
       | L_evict ->
         write_back 0 64;
         renew ()
@@ -1254,6 +1276,20 @@ let run_line_ops engine ops =
       let whole = Bytes.create bs in
       Pool.load !b ~off:0 ~len:bs ~into:whole ~into_off:0;
       check "block" !model whole;
+      String.iter
+        (fun c ->
+          let fill = Device.fill_line d c in
+          if
+            not
+              (Bytes.for_all (Char.equal c) fill
+              && Array.for_all (fun l -> l == fill) (Device.fill_table d c))
+          then fail (Fmt.str "the fill table of %C was written" c))
+        "\000abcd";
+      let lines = !b.Pool.lines in
+      if
+        lines == Device.fill_table d (Bytes.get lines.(0) 0)
+        && not (Clbitmap.is_empty (Pool.own !b))
+      then fail "a block on a fill table has a private line";
       check "medium" medium (Device.peek_persistent d ~addr:0 ~len:size);
       check "coherent view" view (Device.peek d ~addr:0 ~len:size);
       List.iter
@@ -1314,6 +1350,113 @@ let test_clean_pool_holds_no_private_line () =
             (fst (read_back fs ~ino ~off:0 ~len)))
         inos)
 
+(* --- footprint: long-lived state sized by what it holds ---
+
+   State kept for the life of a mount sets the host's peak: each word
+   of it lives in the major heap. Per-page and per-slot bookkeeping is a
+   byte, and a buffer block whose lines are all one fill line holds the
+   device's fill table, not a table of its own. *)
+
+module Log = Hinfs_journal.Cacheline_log
+
+(* Bytes [f] allocates. *)
+let allocated_by f =
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  let used = Gc.allocated_bytes () -. before in
+  (r, used)
+
+let test_page_and_slot_state_is_a_byte () =
+  Testkit.run_sim (fun engine ->
+      let config =
+        { Config.default with Config.nvmm_size = 384 * 1024 * 1024 }
+      in
+      let d, used =
+        allocated_by (fun () ->
+            Sys.opaque_identity (Testkit.make_device ~config engine))
+      in
+      let pages = Config.blocks config in
+      (* A page: its slot in the page table, then a byte of ownership and
+         a byte of dirty-line count. *)
+      check_bool
+        (Fmt.str "a %d-page device allocates %.0f B, under 10 B a page + 128 KB"
+           pages used)
+        true
+        (used < float_of_int ((10 * pages) + 131072));
+      let fs = H.mkfs_and_mount d ~shards:8 ~daemons:false () in
+      let geo = Pmfs.geometry (H.pmfs fs) in
+      let slots = ref 0 and used = ref 0. in
+      for s = 0 to 7 do
+        let first_block, blocks = Layout.journal_region geo s in
+        let log, n =
+          allocated_by (fun () ->
+              Sys.opaque_identity (Log.create d ~first_block ~blocks))
+        in
+        slots := !slots + Log.capacity log;
+        used := !used +. n
+      done;
+      (* A slot: one byte of free/used state, and 2 KB for each log. *)
+      check_bool
+        (Fmt.str "8 logs of %d slots allocate %.0f B, under 1 B a slot + 16 KB"
+           !slots !used)
+        true
+        (!used < float_of_int (!slots + (8 * 2048))))
+
+(* Files written with one byte value each, in unaligned pieces that leave
+   partial lines private until the writeback: once synced, every buffered
+   block holds that value's fill table. *)
+let test_uniform_blocks_share_fill_tables () =
+  Testkit.run_sim (fun engine ->
+      let hcfg = { Hconfig.default with Hconfig.buffer_bytes = 512 * 4096 } in
+      let d, fs = Testkit.make_hinfs ~hcfg ~shards:2 engine in
+      let files = 4 and len = 96 * 4096 in
+      for i = 0 to files - 1 do
+        let ino = Pmfs.create_file (H.pmfs fs) ~dir:root (Fmt.str "u%d" i) in
+        let src = Bytes.make len "wxyz".[i] and pos = ref 0 in
+        while !pos < len do
+          let n = Int.min (1000 + (37 * i)) (len - !pos) in
+          ignore
+            (H.write fs ~ino ~off:!pos ~src ~src_off:!pos ~len:n ~sync:false);
+          pos := !pos + n
+        done
+      done;
+      H.sync_all fs;
+      let blocks = ref 0 and owning = ref 0 in
+      for s = 0 to 1 do
+        let pool = H.shard_pool fs s in
+        List.iter
+          (fun id ->
+            let b = Buffer_pool.block pool id in
+            incr blocks;
+            let lines = b.Buffer_pool.lines in
+            if lines != Device.fill_table d (Bytes.get lines.(0) 0) then
+              incr owning)
+          (Buffer_pool.lrw_ids pool)
+      done;
+      check_bool (Fmt.str "%d blocks buffered" !blocks) true
+        (!blocks * 4096 > files * len / 2);
+      check_int "blocks owning a table" 0 !owning)
+
+(* A block turning from one fill line to mixed lines and back takes its
+   table from the device's spares and returns it there: warm, the copy
+   on write allocates nothing. *)
+let test_warm_copy_on_write_no_alloc () =
+  let d = pool_device () in
+  let pool = Buffer_pool.create d ~capacity:1 in
+  let b =
+    Option.get (Buffer_pool.alloc pool ~ino:1 ~fblock:0 ~home:0 ~now:0L)
+  in
+  let zero = Device.fill_table d '\000' and a = Device.fill_line d 'a' in
+  Buffer_pool.store d b ~off:64 ~src:(Bytes.make 64 'a') ~src_off:0 ~len:64;
+  check_bool "a mixed block owns its table" true (b.Buffer_pool.lines != zero);
+  check_bool "the stored line is the fill line" true
+    (b.Buffer_pool.lines.(1) == a);
+  Testkit.check_no_alloc "fill_zeros into a uniform block, twice" (fun () ->
+      Buffer_pool.fill_zeros d b ~first:0 ~count:64;
+      Buffer_pool.fill_zeros d b ~first:5 ~count:1);
+  check_bool "the block is uniform again" true (b.Buffer_pool.lines == zero)
+
 let () =
   Alcotest.run "hinfs"
     [
@@ -1356,6 +1499,15 @@ let () =
             test_clean_pool_holds_no_private_line;
         ]
         @ Testkit.qcheck_cases [ shared_line_buffer_prop ] );
+      ( "footprint",
+        [
+          Alcotest.test_case "page and slot state is a byte" `Quick
+            test_page_and_slot_state_is_a_byte;
+          Alcotest.test_case "uniform blocks share fill tables" `Quick
+            test_uniform_blocks_share_fill_tables;
+          Alcotest.test_case "warm copy-on-write allocates nothing" `Quick
+            test_warm_copy_on_write_no_alloc;
+        ] );
       ( "in-place",
         [
           Alcotest.test_case "block bitmaps allocate nothing" `Quick
