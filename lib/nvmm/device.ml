@@ -12,7 +12,9 @@
      with the images taken of the device ({!snapshot}, crash states): a
      device sets slots in place only in tables it owns, never a fill
      table, and copies any other table on its first write, so an image
-     is immutable and taking one copies page pointers, not lines.
+     is immutable and taking one copies page pointers, not lines. A line
+     the device retires is garbage unless the device knows nobody else
+     holds it: see [owned] and [spare_line].
    - [overlay]: cachelines currently dirty in the (volatile) CPU cache.
      Ordinary stores ([write_cached], [set_u*]) land here and are lost on
      [crash] until [clflush]ed. Non-temporal stores ([write_nt]) bypass the
@@ -102,9 +104,11 @@ type t = {
   stats : Hinfs_stats.Stats.t;
   config : Config.t;
   pages : table array; (* page index -> lines; a fill table, or private *)
-  owned : Bytes.t; (* per page: '\001' when this device may set slots *)
+  owned : Bytes.t; (* per page: [shared], [private_] or '\000' (not owned) *)
   spares : table array; (* [0, nspares): owned tables no page uses *)
   mutable nspares : int;
+  spare_lines : Bytes.t array; (* [0, nspare_lines): lines nobody holds *)
+  mutable nspare_lines : int;
   fills : table array;
       (* byte value -> its fill table, empty until first used; entry 0 is
          the zero table. Shared with the images and the devices made from
@@ -139,6 +143,20 @@ module Obs = Hinfs_obs.Obs
 (* Owned tables kept for reuse, at most (see [copy_table]). *)
 let max_spares = 32
 
+(* Private lines kept for reuse, at most (see [copy_line]). *)
+let max_spare_lines = 64
+
+(* The states of an owned page, one byte each in [owned]; '\000' is a
+   page the device does not own. In an owned page the device may set
+   slots; in a [private_] one, besides, every line that is not a fill
+   line is the device's own: no image, recorder or DRAM-buffer block
+   holds it, so a line the page drops may be reused. A page is
+   [private_] when the device takes it from a fill table, and becomes
+   [shared] when one of its lines is handed out or a held line is put
+   in it ([share_page]); [snapshot] disowns every page. *)
+let shared = '\001'
+let private_ = '\002'
+
 (* A device over [pages] (a table the device may keep: nothing else holds
    it), owning none of them. *)
 let of_pages engine stats config ~fills pages =
@@ -154,6 +172,8 @@ let of_pages engine stats config ~fills pages =
     owned = Bytes.make (Array.length pages) '\000';
     spares = Array.make max_spares [||];
     nspares = 0;
+    spare_lines = Array.make max_spare_lines Bytes.empty;
+    nspare_lines = 0;
     fills;
     overlay = Itbl.create ~dummy:Bytes.empty 1024;
     dirty_in_page = Bytes.make (Array.length pages) '\000';
@@ -275,22 +295,60 @@ let settle_table t tbl =
 (* Table [p], made settable in place: a table the device does not own (a
    fill table, or one shared with an image) is copied first. *)
 let own_page t p =
-  if Bytes.unsafe_get t.owned p = '\001' then t.pages.(p)
+  if Bytes.unsafe_get t.owned p <> '\000' then t.pages.(p)
   else begin
-    let tbl = copy_table t t.pages.(p) in
+    let src = t.pages.(p) in
+    let tbl = copy_table t src in
     t.pages.(p) <- tbl;
-    Bytes.unsafe_set t.owned p '\001';
+    Bytes.unsafe_set t.owned p
+      (if is_fill t.fills src then private_ else shared);
     tbl
   end
+
+(* Someone besides the device holds, or may hold, a line of page [p]. *)
+let share_page t p =
+  if Bytes.unsafe_get t.owned p = private_ then
+    Bytes.unsafe_set t.owned p shared
 
 (* Page [p] becomes [c]'s fill table. The table it drops, when owned, is
    no image's and no other page's: it becomes a spare. *)
 let fill_page t p c =
-  if Bytes.unsafe_get t.owned p = '\001' then spare_table t t.pages.(p);
+  if Bytes.unsafe_get t.owned p <> '\000' then spare_table t t.pages.(p);
   t.pages.(p) <- fill_table t c;
   Bytes.unsafe_set t.owned p '\000'
 
+(* [line], a private line that nobody holds any more, becomes a spare
+   while there is room. Metadata and journal lines cycle: a cached store
+   copies the medium's line, and its flush replaces that line with the
+   copy, so a fresh copy each time is a line promoted to the major heap
+   only to die there. Nothing is kept while a recorder is attached: its
+   records hold medium lines. *)
+let spare_line t line =
+  match t.recorder with
+  | Some _ -> ()
+  | None ->
+    if t.nspare_lines < max_spare_lines then begin
+      t.spare_lines.(t.nspare_lines) <- line;
+      t.nspare_lines <- t.nspare_lines + 1
+    end
+
+(* A private copy of the line in [src] from [off]: a spare when there is
+   one. *)
+let copy_line t src off =
+  let ls = line_size t in
+  if t.nspare_lines = 0 then Bytes.sub src off ls
+  else begin
+    t.nspare_lines <- t.nspare_lines - 1;
+    let line = t.spare_lines.(t.nspare_lines) in
+    t.spare_lines.(t.nspare_lines) <- Bytes.empty;
+    Bytes.blit src off line 0 ls;
+    line
+  end
+
 external get_int64_unsafe : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+let rec uniform_from src c i stop =
+  i >= stop || (Bytes.unsafe_get src i = c && uniform_from src c (i + 1) stop)
 
 (* Whether [src] holds [c] in every byte of [off, off+len): whole words,
    each compared with [w], [c] in every byte, then the tail bytes. *)
@@ -302,8 +360,7 @@ let uniform src off len c =
   while !i + 8 <= stop && Int64.equal (get_int64_unsafe src !i) w do
     i := !i + 8
   done;
-  let rec tail i = i >= stop || (Bytes.unsafe_get src i = c && tail (i + 1)) in
-  tail !i
+  uniform_from src c !i stop
 
 (* The medium's line [idx], shared: nobody may write it. *)
 let medium_line t idx =
@@ -323,13 +380,25 @@ let settle t line =
   let c = Bytes.unsafe_get line 0 in
   if uniform line 0 (Bytes.length line) c then fill_line t c else line
 
+(* [settle] of a private [line]: one that settles is nobody's, a spare. *)
+let settle_private t line =
+  let settled = settle t line in
+  if settled != line then spare_line t line;
+  settled
+
 (* Point slot [s] of page [p] at [line], which nobody writes again. A page
-   of one fill line becomes its fill table. *)
+   of one fill line becomes its fill table. The line the slot held, in a
+   [private_] page, is nobody's any more: a spare. *)
 let set_slot t p s line =
-  if t.pages.(p).(s) != line then begin
+  let old = t.pages.(p).(s) in
+  if old != line then begin
+    let retired =
+      Bytes.unsafe_get t.owned p = private_ && not (is_fill_line t.fills old)
+    in
     let tbl = own_page t p in
     tbl.(s) <- line;
-    if uniform_table t tbl != tbl then fill_page t p (Bytes.unsafe_get line 0)
+    if uniform_table t tbl != tbl then fill_page t p (Bytes.unsafe_get line 0);
+    if retired then spare_line t old
   end
 
 (* Copy medium bytes [addr, addr+len) into [dst] from [doff], a page
@@ -372,14 +441,14 @@ let rec medium_write t ~addr src off len =
       let from = off + !pos - po in
       let line =
         if k < ls then begin
-          let line = Bytes.copy t.pages.(p).(!s) in
+          let line = copy_line t t.pages.(p).(!s) 0 in
           Bytes.blit src from line lo k;
-          settle t line
+          settle_private t line
         end
         else
           let c = Bytes.unsafe_get src from in
           if uniform src from ls c then fill_line t c
-          else Bytes.sub src from ls
+          else copy_line t src from
       in
       set_slot t p !s line;
       pos := !pos + k;
@@ -397,21 +466,30 @@ let resident_lines t =
   let count n line = if is_fill_line t.fills line then n else n + 1 in
   Array.fold_left (Array.fold_left count) 0 t.pages
 
-(* The one place a cost becomes virtual time and [Stats] time. [charge]
-   times [f] on the clock; [span], if given, records the same interval as
-   an [Obs] span from the same [t0]. *)
-let charge ?span t cat f =
-  let t0 = Proc.now () in
-  let result = f () in
-  Stats.add_time t.stats cat (Int64.sub (Proc.now ()) t0);
-  (match span with Some k -> Obs.span_since k ~t0 | None -> ());
-  result
+(* The one place a cost becomes virtual time and [Stats] time. [sleep]
+   books [ns] to [cat] once it has passed (a delay resumes exactly [ns]
+   later), so a run that stops mid-sleep does not count it. Device
+   operations pass ints and no closure, and read the clock only for an
+   [Obs] span or a wait for a bandwidth slot: an operation that does
+   neither allocates nothing. *)
+let sleep t cat ns =
+  Proc.delay_int ns;
+  if ns > 0 then Stats.add_time t.stats cat ns
+
+(* The start of an [Obs] span, read only when a sink is installed. *)
+let span_start () = if Obs.enabled () then Proc.now () else 0L
+
+(* [n] bytes reached the medium. A [bool] passed on to the optional
+   argument would be boxed in a fresh [Some]; a constant one is not. *)
+let add_written t ~background n =
+  if background then Stats.add_nvmm_written ~background:true t.stats n
+  else Stats.add_nvmm_written t.stats n
 
 (* A fixed cost computed by the caller. The time is booked before the
    sleep, so a run that ends mid-sleep still counts it; 0 does nothing. *)
 let charge_ns t cat ns =
   if ns > 0 then begin
-    Stats.add_time t.stats cat (Int64.of_int ns);
+    Stats.add_time t.stats cat ns;
     Proc.delay_int ns
   end
 
@@ -447,7 +525,7 @@ let overlay_line t idx =
   let line = Itbl.get t.overlay idx in
   if line != Bytes.empty then line
   else begin
-    let line = Bytes.copy (medium_line t idx) in
+    let line = copy_line t (medium_line t idx) 0 in
     add_overlay t idx line;
     line
   end
@@ -464,7 +542,8 @@ let is_dirty_line t idx =
    [Load] copies the cached bytes into [buf] (a load sees a dirty line in
    the CPU cache, not the stale medium); [Merge] copies [buf] into the
    cached copies of the lines a store covers; [Merge_nt] does the same but
-   drops fully covered lines from the cache instead. A variant rather than
+   drops fully covered lines from the cache instead (each a spare: the
+   overlay never hands its lines out). A variant rather than
    a callback, so the load and store paths allocate no closure. *)
 type span_op = Load | Merge | Merge_nt
 
@@ -481,7 +560,9 @@ let cached_spans t op ~addr ~len buf off =
         let buf_off = off + copy_start - addr in
         match op with
         | Load -> Bytes.blit line line_off buf buf_off n
-        | Merge_nt when n = ls -> drop_overlay t idx
+        | Merge_nt when n = ls ->
+          drop_overlay t idx;
+          spare_line t line
         | Merge | Merge_nt -> Bytes.blit buf buf_off line line_off n
       end
     done
@@ -700,7 +781,7 @@ let verify_range t ~addr ~len =
    latency. The caller copies with no yield after it, then counts. *)
 let begin_load t ~cat ~addr ~len =
   let lines = Config.cachelines_in t.config ~addr ~len in
-  charge t cat (fun () -> Proc.delay_int (lines * t.config.Config.dram_read_ns));
+  sleep t cat (lines * t.config.Config.dram_read_ns);
   fault_check_load t ~addr ~len
 
 let read t ~cat ~addr ~len ~into ~off =
@@ -727,8 +808,9 @@ let check_lines t name ~addr ~len ~lines ~first =
     invalid_arg (name ^ ": line slots out of bounds")
 
 (* [read] of whole lines, by value: slot [first + i] takes line [i] of the
-   range, the medium's own line, or a copy of the line's dirty cached
-   version (the overlay writes its lines in place). *)
+   range, the medium's own line (its page is shared from then on), or a
+   copy of the line's dirty cached version (the overlay writes its lines
+   in place). *)
 let read_lines t ~cat ~addr ~len ~into ~first =
   check_lines t "Device.read_lines" ~addr ~len ~lines:into ~first;
   if len > 0 then begin
@@ -739,7 +821,10 @@ let read_lines t ~cat ~addr ~len ~into ~first =
       let idx = idx0 + i in
       into.(first + i) <-
         (if is_dirty_line t idx then Bytes.copy (Itbl.get t.overlay idx)
-         else medium_line t idx)
+         else begin
+           share_page t (idx / t.lines_per_page);
+           medium_line t idx
+         end)
     done;
     Stats.add_nvmm_read t.stats len
   end
@@ -762,12 +847,26 @@ let read_alloc t ~cat ~addr ~len =
   buf
 
 (* Stream [lines] to the medium holding one of the N_w bandwidth slots;
-   the wait for the slot is an [Obs] span of its own. *)
+   the wait for the slot is an [Obs] span of its own. Returns the time
+   taken, wait included; the clock is read only when there is a wait. *)
 let stream_lines t lines =
-  let t0 = if Obs.enabled () then Proc.now () else 0L in
-  Resource.with_resource t.bandwidth 1 (fun () ->
-      Obs.span_since Obs.Slot_wait ~t0;
-      Proc.delay_int (lines * t.config.Config.nvmm_write_ns))
+  let t0 = span_start () in
+  let waited =
+    if Resource.try_acquire t.bandwidth 1 then 0
+    else begin
+      let w0 = Proc.now () in
+      Resource.acquire t.bandwidth 1;
+      Int64.to_int (Int64.sub (Proc.now ()) w0)
+    end
+  in
+  Obs.span_since Obs.Slot_wait ~t0;
+  let ns = lines * t.config.Config.nvmm_write_ns in
+  (match Proc.delay_int ns with
+  | () -> Resource.release t.bandwidth 1
+  | exception e ->
+    Resource.release t.bandwidth 1;
+    raise e);
+  waited + ns
 
 (* A store that bypasses the CPU cache: it reaches the medium and
    invalidates any stale cached copy of the lines it covers. Partially
@@ -794,9 +893,10 @@ let rec nt_zeros t ~addr ~len =
 
 (* [nt_copy] of whole lines handed over by value: slot [first + i] of
    [lines] is settled, becomes the medium's line [i] of the range, and
-   takes the settled value back. A whole page of one fill line becomes
-   its fill table, with no table copied. Every line is whole, so
-   [Merge_nt] drops each cached copy and reads no source. *)
+   takes the settled value back, so the caller holds it: the page is
+   shared. A whole page of one fill line becomes its fill table, with no
+   table copied. Every line is whole, so [Merge_nt] drops each cached
+   copy and reads no source. *)
 let nt_lines t ~addr ~len lines first =
   let ps = page_size t and ls = line_size t in
   for i = first to first + (len / ls) - 1 do
@@ -811,10 +911,12 @@ let nt_lines t ~addr ~len lines first =
       let rec same j = j >= i + k || (lines.(j) == line && same (j + 1)) in
       if k = t.lines_per_page && is_fill_line t.fills line && same i then
         fill_page t p (Bytes.unsafe_get line 0)
-      else
+      else begin
         for j = 0 to k - 1 do
           set_slot t p (s + j) lines.(i + j)
         done;
+        share_page t p
+      end;
       page (a + (k * ls)) (i + k)
     end
   in
@@ -831,7 +933,7 @@ type nt_source =
 let store_nt ~background t ~cat ~addr ~len source =
   if len > 0 then begin
     let lines = Config.cachelines_in t.config ~addr ~len in
-    charge t cat (fun () -> stream_lines t lines);
+    Stats.add_time t.stats cat (stream_lines t lines);
     record_nt_pre t ~addr ~len;
     (match source with
     | Copy (src, off) -> nt_copy t ~addr src off len
@@ -839,7 +941,7 @@ let store_nt ~background t ~cat ~addr ~len source =
     | Lines (lines, first) -> nt_lines t ~addr ~len lines first);
     record_nt_post t ~addr ~len;
     fault_store_range t ~addr ~len;
-    Stats.add_nvmm_written ~background t.stats len
+    add_written t ~background len
   end
 
 let write_nt ?(background = false) t ~cat ~addr ~src ~off ~len =
@@ -862,8 +964,7 @@ let write_cached t ~cat ~addr ~src ~off ~len =
     invalid_arg "Device.write_cached: source range out of bounds";
   if len > 0 then begin
     let lines = Config.cachelines_in t.config ~addr ~len in
-    charge t cat (fun () ->
-        Proc.delay_int (lines * t.config.Config.dram_write_ns));
+    sleep t cat (lines * t.config.Config.dram_write_ns);
     let ls = line_size t in
     let first = addr / ls and last = (addr + len - 1) / ls in
     for idx = first to last do
@@ -888,7 +989,7 @@ let persist_line t idx =
     record_flush t idx line;
     drop_overlay t idx;
     set_slot t (idx / t.lines_per_page) (idx mod t.lines_per_page)
-      (settle t line);
+      (settle_private t line);
     fault_store_line t idx
   end
 
@@ -905,20 +1006,24 @@ let clflush ?(background = false) t ~cat ~addr ~len =
     done;
     let total_lines = last - first + 1 in
     Stats.add_clflush t.stats cat ~lines:total_lines ~dirty:!dirty;
-    charge ~span:Obs.Flush t cat (fun () ->
-        Proc.delay_int (total_lines * t.config.Config.clflush_issue_ns);
-        if !dirty > 0 then stream_lines t !dirty);
+    let t0 = span_start () in
+    let issue = total_lines * t.config.Config.clflush_issue_ns in
+    Proc.delay_int issue;
+    let streamed = if !dirty > 0 then stream_lines t !dirty else 0 in
+    Stats.add_time t.stats cat (issue + streamed);
+    Obs.span_since Obs.Flush ~t0;
     for idx = first to last do
       persist_line t idx
     done;
     if !dirty > 0 then
-      Stats.add_nvmm_written ~background t.stats (!dirty * ls)
+      add_written t ~background (!dirty * ls)
   end
 
 let mfence t ~cat =
   Stats.add_mfence t.stats cat;
-  charge ~span:Obs.Fence t cat (fun () ->
-      Proc.delay_int t.config.Config.mfence_ns);
+  let t0 = span_start () in
+  sleep t cat t.config.Config.mfence_ns;
+  Obs.span_since Obs.Fence ~t0;
   record_fence t
 
 (* --- small typed accessors (metadata fields) --- *)
@@ -1118,11 +1223,21 @@ let flush_all_untimed t =
 
 (* --- persistence-event recording & crash-state capture --- *)
 
+(* A recorder holds medium lines, and may hand them to crash states: no
+   page stays [private_] across one. *)
+let share_all_pages t =
+  for p = 0 to Bytes.length t.owned - 1 do
+    share_page t p
+  done
+
 let enable_recording t =
   flush_all_untimed t;
+  share_all_pages t;
   t.recorder <- Some (Record.create ())
 
-let disable_recording t = t.recorder <- None
+let disable_recording t =
+  share_all_pages t;
+  t.recorder <- None
 let recording t = t.recorder <> None
 
 let set_on_fence t f =

@@ -13,7 +13,16 @@
     line and fill table) and the tables of pages holding one. Besides the
     page table, a page costs two bytes of host state: whether the device
     owns its table, and how many of its lines are dirty in the CPU cache
-    (so a page has at most 255 lines; {!create} checks it). *)
+    (so a page has at most 255 lines; {!create} checks it).
+
+    The ownership byte also says whether every line of the page that is
+    not a fill line is the device's alone. A page is, from the store that
+    takes it off a fill table until one of its lines is handed out
+    ({!read_lines}), a held line is put in it ({!write_nt_lines}), an
+    {!image} is taken, or recording starts or stops. Only there is a line
+    a store or flush retires reused, for the next cached store's copy of
+    a line: a metadata or journal store and its flush then allocate
+    nothing. Nothing is reused while a recorder is attached. *)
 
 type t
 

@@ -4,11 +4,12 @@
    Each live handle is (slot, generation, ino, path). Slots are never
    reused and generations are globally monotonic, so any event that makes
    a handle's object stop being that object — unlink (even with a later
-   re-create at the same path, which mints a fresh generation), a rename
-   clobbering its path, or a whole-tree rollback/snapshot-delete — just
-   marks the entry stale in place. Resolution of a stale or unknown
-   handle fails with ESTALE before any inode state is touched (the
-   contract documented in Hinfs_vfs.Errno); recovery is a fresh LOOKUP. *)
+   re-create at the same path, which mints a fresh generation), or a
+   rename clobbering its path — drops its entry: the table holds live
+   handles only, however many were minted. A handle with no entry is one
+   the server no longer knows, so resolving it fails with ESTALE before
+   any inode state is touched (the contract documented in
+   Hinfs_vfs.Errno); recovery is a fresh LOOKUP. *)
 
 module Errno = Hinfs_vfs.Errno
 module Obs = Hinfs_obs.Obs
@@ -18,11 +19,10 @@ type entry = {
   gen : int;
   ino : int;
   mutable path : string; (* tracks renames of the object itself *)
-  mutable stale : bool;
 }
 
 type t = {
-  slots : (int, entry) Hashtbl.t; (* stale entries stay: ESTALE evidence *)
+  slots : (int, entry) Hashtbl.t; (* live handles only *)
   by_path : (string, int) Hashtbl.t; (* live handles only *)
   mutable next_slot : int;
   mutable next_gen : int;
@@ -39,16 +39,25 @@ let create () =
   }
 
 let live t = Hashtbl.length t.by_path
-let total t = Hashtbl.length t.slots
+let total t = t.next_slot - 1
 let estale_total t = t.estale_total
 
 let fresh t ~path ~ino =
   let slot = t.next_slot and gen = t.next_gen in
   t.next_slot <- slot + 1;
   t.next_gen <- gen + 1;
-  Hashtbl.replace t.slots slot { slot; gen; ino; path; stale = false };
+  Hashtbl.replace t.slots slot { slot; gen; ino; path };
   Hashtbl.replace t.by_path path slot;
   Wire.fh_make ~slot ~gen
+
+(* [e] stops naming its object: its entry leaves the table. A request
+   in flight may still hold [e] and stale it again, which changes
+   nothing: slots are never reused. *)
+let mark_stale t e =
+  Hashtbl.remove t.slots e.slot;
+  match Hashtbl.find_opt t.by_path e.path with
+  | Some slot when slot = e.slot -> Hashtbl.remove t.by_path e.path
+  | _ -> ()
 
 (* LOOKUP/CREATE entry point: hand back the existing live handle while it
    still names the same inode, otherwise stale it and mint a fresh one
@@ -57,10 +66,9 @@ let mint t ~path ~ino =
   match Hashtbl.find_opt t.by_path path with
   | Some slot ->
     let e = Hashtbl.find t.slots slot in
-    if (not e.stale) && e.ino = ino then Wire.fh_make ~slot ~gen:e.gen
+    if e.ino = ino then Wire.fh_make ~slot ~gen:e.gen
     else begin
-      e.stale <- true;
-      Hashtbl.remove t.by_path path;
+      mark_stale t e;
       fresh t ~path ~ino
     end
   | None -> fresh t ~path ~ino
@@ -73,17 +81,8 @@ let reject t ~slot ~gen ~detail =
 let resolve t fh =
   let slot = Wire.fh_slot fh and gen = Wire.fh_gen fh in
   match Hashtbl.find_opt t.slots slot with
-  | Some e when e.gen = gen && not e.stale -> e
-  | Some e -> reject t ~slot ~gen ~detail:(Printf.sprintf "for %s is stale" e.path)
-  | None -> reject t ~slot ~gen ~detail:"is unknown"
-
-let mark_stale t e =
-  if not e.stale then begin
-    e.stale <- true;
-    match Hashtbl.find_opt t.by_path e.path with
-    | Some slot when slot = e.slot -> Hashtbl.remove t.by_path e.path
-    | _ -> ()
-  end
+  | Some e when e.gen = gen -> e
+  | _ -> reject t ~slot ~gen ~detail:"is stale or unknown"
 
 (* The path is being removed: stale its live handle, reporting the inode
    so the caller can drop any cached open before the unlink proper. *)
@@ -110,6 +109,6 @@ let note_rename t ~src ~dst =
 
 (* Deterministic table dump for the seeded-run equality test. *)
 let dump t =
-  Hashtbl.fold (fun _ e acc -> (e.slot, e.gen, e.ino, e.path, e.stale) :: acc)
+  Hashtbl.fold (fun _ e acc -> (e.slot, e.gen, e.ino, e.path) :: acc)
     t.slots []
   |> List.sort compare

@@ -24,7 +24,10 @@ type _ Effect.t +=
   | Suspend : ('a waker -> unit) -> 'a Effect.t
 
 type t = {
+  mutable clock : int; (* the virtual time, ns *)
   mutable now : int64;
+      (* [clock] boxed, as [now] last read it: a clock moved in place
+         allocates nothing until someone reads it as an [int64]. *)
   mutable seq : int;
   events : (unit -> unit) Heap.t;
   mutable fatal : (exn * Printexc.raw_backtrace) option;
@@ -48,6 +51,7 @@ let create () =
   let names = Hashtbl.create 16 in
   Hashtbl.replace names 0 "engine";
   {
+    clock = 0;
     now = 0L;
     seq = 0;
     events = Heap.create ();
@@ -60,7 +64,9 @@ let create () =
     on_switch = no_switch;
   }
 
-let now t = t.now
+let now t =
+  if Int64.to_int t.now <> t.clock then t.now <- Int64.of_int t.clock;
+  t.now
 
 let live_processes t = t.live_processes
 
@@ -90,7 +96,7 @@ let set_current t pid =
 type timer = (unit -> unit) Heap.entry
 
 let schedule t time thunk =
-  if Int64.compare time t.now < 0 then
+  if Int64.compare time (now t) < 0 then
     invalid_arg "Engine.at: time is in the past";
   let seq = t.seq in
   t.seq <- seq + 1;
@@ -98,12 +104,12 @@ let schedule t time thunk =
 
 let at t time thunk = ignore (schedule t time thunk)
 
-let after t delay thunk = at t (Int64.add t.now delay) thunk
+let after t delay thunk = at t (Int64.add (now t) delay) thunk
 
 (* A cancelled timer's event leaves the queue at once instead of staying
    until its time as a dead event. It took its [seq] at insertion, so
    cancelling it reorders no other event. *)
-let timer t delay thunk = schedule t (Int64.add t.now delay) thunk
+let timer t delay thunk = schedule t (Int64.add (now t) delay) thunk
 
 let cancel t timer = Heap.remove t.events timer
 
@@ -156,7 +162,7 @@ let rec exec : t -> string -> (unit -> unit) -> unit =
           | Spawn (child_name, body) ->
             Some
               (fun (k : (a, unit) continuation) ->
-                at t t.now (fun () -> exec t child_name body);
+                at t (now t) (fun () -> exec t child_name body);
                 continue k ())
           | Suspend register ->
             Some
@@ -166,7 +172,7 @@ let rec exec : t -> string -> (unit -> unit) -> unit =
                     state = Waiting;
                     resume =
                       (fun v ->
-                        at t t.now (fun () ->
+                        at t (now t) (fun () ->
                             set_current t pid;
                             resume_value t k v));
                   }
@@ -186,12 +192,13 @@ and resume_value : type a. t -> (a, unit) Effect.Deep.continuation -> a -> unit
   if t.fatal <> None then Effect.Deep.discontinue k Stopped
   else Effect.Deep.continue k v
 
-let spawn t ?(name = "process") f = at t t.now (fun () -> exec t name f)
+let spawn t ?(name = "process") f = at t (now t) (fun () -> exec t name f)
 
 let step t =
   match Heap.pop t.events with
   | None -> false
   | Some { time; payload = thunk; _ } ->
+    t.clock <- Int64.to_int time;
     t.now <- time;
     (* Plain [at] thunks run in engine context; process resumptions restore
        their own pid immediately. *)
@@ -213,12 +220,13 @@ let running () =
    clock. An event due at exactly [now + d] was queued first, so it runs
    first and the delay goes through the queue. *)
 let try_advance t d =
-  let until = Int64.add t.now d in
-  t.cur_pid <> 0
+  let until = t.clock + d in
+  d > 0
+  && t.cur_pid <> 0
   && t.fatal = None
   && Heap.all_after t.events until
   && begin
-    t.now <- until;
+    t.clock <- until;
     true
   end
 

@@ -81,9 +81,10 @@ val running : unit -> t
 (** The engine of the innermost {!run} in progress.
     @raise Invalid_argument outside any run. *)
 
-val try_advance : t -> int64 -> bool
-(** [try_advance t d], from a process of [t] and for [d > 0]: when every
+val try_advance : t -> int -> bool
+(** [try_advance t d], from a process of [t]: when [d > 0] and every
     queued event is due strictly after [now t + d], moves the clock there
     and returns [true] (the process would be the next event popped, so
     this is exact); otherwise returns [false] and the caller must perform
-    [Delay d]. Only {!Proc.delay} calls it. *)
+    [Delay d]. Only {!Proc.delay} calls it; moving the clock allocates
+    nothing. *)

@@ -21,7 +21,7 @@ let length t = t.size
 
 let is_empty t = t.size = 0
 
-let all_after t time = t.size = 0 || Int64.compare t.data.(0).time time > 0
+let all_after t time = t.size = 0 || Int64.to_int t.data.(0).time > time
 
 let lt a b =
   match Int64.compare a.time b.time with

@@ -16,9 +16,9 @@ val create : unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
-val all_after : 'a t -> int64 -> bool
+val all_after : 'a t -> int -> bool
 (** [all_after t time]: every entry is due strictly after [time] (true
-    when [t] is empty). *)
+    when [t] is empty). An [int], so the test allocates nothing. *)
 
 val add : 'a t -> time:int64 -> seq:int -> 'a -> 'a entry
 (** [add t ~time ~seq payload] inserts an event and returns its entry, the

@@ -9,10 +9,13 @@ let now () = Engine.now (Engine.running ())
 let delay ns =
   if
     Int64.compare ns 0L > 0
-    && not (Engine.try_advance (Engine.running ()) ns)
+    && not (Engine.try_advance (Engine.running ()) (Int64.to_int ns))
   then Effect.perform (Engine.Delay ns)
 
-let delay_int ns = delay (Int64.of_int ns)
+(* [delay] with no [int64] made unless the delay goes through the queue. *)
+let delay_int ns =
+  if ns > 0 && not (Engine.try_advance (Engine.running ()) ns) then
+    Effect.perform (Engine.Delay (Int64.of_int ns))
 
 let spawn ?(name = "process") f = Effect.perform (Engine.Spawn (name, f))
 

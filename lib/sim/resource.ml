@@ -33,22 +33,20 @@ let total_waits t = t.total_waits
 let peak_queue t = t.peak_queue
 
 (* Grant queued requests in FIFO order while they fit. Waiters whose waker
-   already fired (e.g. a timed-out acquire) are dropped. *)
-let drain t =
-  let rec loop () =
-    match Queue.peek_opt t.waiters with
-    | None -> ()
-    | Some w when Engine.is_fired w.waker ->
-      ignore (Queue.pop t.waiters);
-      loop ()
-    | Some w when w.amount <= t.available ->
-      ignore (Queue.pop t.waiters);
-      t.available <- t.available - w.amount;
-      ignore (Engine.wake w.waker ());
-      loop ()
-    | Some _ -> ()
-  in
-  loop ()
+   already fired (e.g. a timed-out acquire) are dropped. A release with
+   nobody queued allocates nothing. *)
+let rec drain t =
+  match Queue.peek_opt t.waiters with
+  | None -> ()
+  | Some w when Engine.is_fired w.waker ->
+    ignore (Queue.pop t.waiters);
+    drain t
+  | Some w when w.amount <= t.available ->
+    ignore (Queue.pop t.waiters);
+    t.available <- t.available - w.amount;
+    ignore (Engine.wake w.waker ());
+    drain t
+  | Some _ -> ()
 
 let try_acquire t amount =
   if amount <= 0 || amount > t.capacity then

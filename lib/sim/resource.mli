@@ -26,6 +26,10 @@ val try_acquire : t -> int -> bool
 (** Non-blocking acquire; fails (returns [false]) if the units are not
     immediately available or other processes are already queued. *)
 
+val acquire : t -> int -> unit
+(** Blocks the calling process until the units are granted, in FIFO
+    order. *)
+
 val release : t -> int -> unit
 
 val with_resource : t -> int -> (unit -> 'a) -> 'a

@@ -156,7 +156,7 @@ let reset t =
 
 let add_time t cat ns =
   let i = category_index cat in
-  t.time_by_category.(i) <- t.time_by_category.(i) + Int64.to_int ns
+  t.time_by_category.(i) <- t.time_by_category.(i) + ns
 
 let time t cat = Int64.of_int t.time_by_category.(category_index cat)
 

@@ -22,7 +22,9 @@ val reset : t -> unit
 
 (** {1 Time} *)
 
-val add_time : t -> category -> int64 -> unit
+val add_time : t -> category -> int -> unit
+(** [add_time t cat ns] books [ns] virtual nanoseconds to [cat]. *)
+
 val time : t -> category -> int64
 val total_time : t -> int64
 

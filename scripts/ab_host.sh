@@ -17,6 +17,16 @@
 # which the change's peak is lower. Nothing under perfbench/ is written;
 # every run's output is kept in DIR/out.
 #
+# Then, per workload and per metric, each side's quartiles and one
+# verdict, by the rule for a small sandbox: "gain" only when the change
+# is better in at least nine of every ten pairs (ties count for neither)
+# and the medians differ by more than the parent's inter-quartile range;
+# otherwise "unresolved" when the parent's own spread (its IQR over its
+# median) is wider than the metric's bound in BENCHMARK.json and not
+# every change run beats every parent run, else "no worse within bound"
+# or, exiting 1, "worse beyond bound" when the change's median is worse
+# than the parent's by more than that bound.
+#
 # With -g, each side's built perfbench.exe then runs once more directly
 # per workload,
 # seed 1, with at most 6 repetitions, under OCAMLRUNPARAM=v=0x400 (which
@@ -86,10 +96,11 @@ fi
 
 status=0
 for workload in $workloads; do
-python3 - "$dir/out" "$workload" "$seeds" "$gc" <<'EOF' || status=1
+python3 - "$dir/out" "$workload" "$seeds" "$gc" "$tree/BENCHMARK.json" <<'EOF' || status=1
 import json, statistics, sys
 
 out, workload, seeds, gc = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4] == "1"
+spec = {m["name"]: m for m in json.load(open(sys.argv[5]))["end_to_end"]}
 bad = []
 rows = {"parent": [], "change": []}
 for seed in range(1, seeds + 1):
@@ -113,6 +124,35 @@ print("%s: median %13.3f %7.3f   %18.1f %7.1f" % (
     workload, med("parent", 0), med("change", 0), med("parent", 1), med("change", 1)))
 lower = sum(1 for p, c in zip(rows["parent"], rows["change"]) if c[1] < p[1])
 print("%s: peak_rss_mb lower on the change in %d of %d seeds" % (workload, lower, seeds))
+
+def quartiles(xs):
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+for k, name in enumerate(("setup_s", "peak_rss_mb")):
+    par = [r[k] for r in rows["parent"]]
+    chg = [r[k] for r in rows["change"]]
+    sign = 1 if spec[name]["better"] == "lower" else -1
+    better = lambda c, p: sign * (p - c) > 0
+    wins = sum(1 for p, c in zip(par, chg) if better(c, p))
+    (p1, pm, p3), (c1, cm, c3) = quartiles(par), quartiles(chg)
+    iqr, bound = p3 - p1, spec[name]["bound"]
+    print("%s: %-11s quartiles parent %.3f %.3f %.3f  change %.3f %.3f %.3f" % (
+        workload, name, p1, pm, p3, c1, cm, c3))
+    if 10 * wins >= 9 * seeds and better(cm, pm) and abs(cm - pm) > iqr:
+        verdict = "gain"
+    elif iqr > bound * abs(pm) and not all(better(c, p) for c in chg for p in par):
+        verdict = "unresolved (parent IQR %.1f %% of its median, bound %g %%)" % (
+            100 * iqr / abs(pm), 100 * bound)
+    elif sign * (cm - pm) > bound * abs(pm):
+        verdict = "worse beyond bound"
+        bad.append("%s: median %.3f against %.3f, beyond the %g %% bound" % (name, cm, pm, 100 * bound))
+    else:
+        verdict = "no worse within bound (%g %%)" % (100 * bound)
+    print("%s: %-11s change better in %d of %d pairs, median %+.1f %%, parent IQR %.3f: %s" % (
+        workload, name, wins, seeds, 100 * (cm - pm) / pm, iqr, verdict))
 if gc:
     print("%s: GC, seed 1   reps  minor words/rep  promoted words/rep  top_heap_words" % workload)
     for side in ("parent", "change"):

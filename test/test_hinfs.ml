@@ -1046,7 +1046,7 @@ let test_benefit_record_no_alloc () =
 
 let test_stats_no_alloc () =
   let st = Stats.create () in
-  let ns = Sys.opaque_identity 200L in
+  let ns = Sys.opaque_identity 200 in
   Testkit.check_no_alloc "device stats accumulators" (fun () ->
       for _ = 1 to 1000 do
         Stats.add_time st Stats.Journal ns;

@@ -335,6 +335,11 @@ type medium_op =
   | Mfence
   | Crash
   | Record (* enable the persistence recorder *)
+  | Unrecord (* disable it *)
+  | Read_lines of int * int (* first line, count: [Device.read_lines] *)
+  | Nt_lines of int * int * int
+      (* first line, count, fill: [Device.write_nt_lines]; with an even
+         fill the first slot is the line last handed out, stored back *)
   | Fork (* snapshot this device into a new one, and keep the image *)
   | Switch of int (* continue on device [n mod count] *)
   | Capture of int (* capture a crash state, materialise a seeded choice *)
@@ -352,6 +357,9 @@ let show_medium_op = function
   | Mfence -> "Mfence"
   | Crash -> "Crash"
   | Record -> "Record"
+  | Unrecord -> "Unrecord"
+  | Read_lines (l, k) -> Fmt.str "Read_lines(%d,%d)" l k
+  | Nt_lines (l, k, f) -> Fmt.str "Nt_lines(%d,%d,%d)" l k f
   | Fork -> "Fork"
   | Switch n -> Fmt.str "Switch %d" n
   | Capture s -> Fmt.str "Capture %d" s
@@ -400,6 +408,9 @@ let medium_op_gen =
       [ (1, return 0); (2, oneofl [ 1; 2; 0x80; 0xff ]); (2, int_range 256 1000) ]
   in
   let store k = map2 (fun (a, l) f -> k a l f) range fill in
+  (* The whole lines from [a]'s that a range of [l] bytes touches, at most
+     four. *)
+  let lines_in a l = min 4 (((a + l - 1) / ls) - (a / ls) + 1) in
   frequency
     [
       (4, store (fun a l f -> Cached (a, l, f)));
@@ -419,6 +430,9 @@ let medium_op_gen =
       (2, return Mfence);
       (1, return Crash);
       (1, return Record);
+      (1, return Unrecord);
+      (3, map (fun (a, l) -> Read_lines (a / ls, lines_in a l)) range);
+      (2, store (fun a l f -> Nt_lines (a / ls, lines_in a l, f)));
       (1, return Fork);
       (1, map (fun n -> Switch n) (int_bound 7));
       (2, map (fun s -> Capture s) (int_bound 1000));
@@ -434,9 +448,12 @@ let medium_op_gen =
    runs without keep stores into owned tables across ops). After every
    op, too, every image taken on the way (snapshots, crash states and
    the crash images materialised from them) must still hold the bytes it
-   was taken with and digest as them: no line is shared writably between
-   a device, its images and the crash candidates. At the end every
-   device forked on the way must match its reference. *)
+   was taken with and digest as them, and so must every line handed out
+   by [Device.read_lines] or handed over to [Device.write_nt_lines]: no
+   line is shared writably between a device, its images, the crash
+   candidates and the lines a caller holds, however the device recycles
+   the lines it retires. At the end every device forked on the way must
+   match its reference. *)
 let run_medium_ops ~digests engine ops =
   let size = paged_config.Config.nvmm_size and ls = Flat.ls in
   let sides =
@@ -448,6 +465,8 @@ let run_medium_ops ~digests engine ops =
   in
   let cur = ref 0 in
   let images = ref [] in
+  let held = ref [] in (* lines a caller holds, each with its bytes *)
+  let hold line = held := (line, Bytes.copy line) :: !held in
   let bad = ref None in
   let step = ref 0 in
   let fail what =
@@ -532,6 +551,27 @@ let run_medium_ops ~digests engine ops =
           Device.enable_recording d;
           Flat.clflush r 0 size
         end
+      | Unrecord -> if Device.recording d then Device.disable_recording d
+      | Read_lines (l, k) ->
+        let into = Array.make k Bytes.empty in
+        Device.read_lines d ~cat ~addr:(l * ls) ~len:(k * ls) ~into ~first:0;
+        check_bytes "read_lines"
+          (Bytes.sub (Flat.view r) (l * ls) (k * ls))
+          (Bytes.concat Bytes.empty (Array.to_list into));
+        Array.iter hold into
+      | Nt_lines (l, k, fill) ->
+        let src = payload fill (k * ls) in
+        let lines =
+          Array.init k (fun i ->
+              match !held with
+              | (line, _) :: _ when i = 0 && fill mod 2 = 0 -> line
+              | _ -> Bytes.sub src (i * ls) ls)
+        in
+        let src = Bytes.concat Bytes.empty (Array.to_list lines) in
+        Device.write_nt_lines ~background:false d ~cat ~addr:(l * ls)
+          ~len:(k * ls) ~lines ~first:0;
+        Flat.write_medium ~drop:true r (l * ls) src;
+        Array.iter hold lines
       | Fork ->
         let image = Device.snapshot d in
         images := (image, Bytes.copy r.medium) :: !images;
@@ -576,7 +616,8 @@ let run_medium_ops ~digests engine ops =
       let ((d, r) as side) = !sides.(!cur) in
       check_side side;
       if digests then check_image "snapshot" (Device.snapshot d, r.medium);
-      List.iter (check_image "an earlier image") !images)
+      List.iter (check_image "an earlier image") !images;
+      List.iter (fun (line, bytes) -> check_bytes "a held line" bytes line) !held)
     ops;
   incr step;
   Array.iter check_side !sides;
@@ -680,6 +721,81 @@ let test_snapshot_shares_pages () =
         (Device.get_u8 d 0);
       check_int "image unchanged" (Char.code 'x')
         (Bytes.get_uint8 (Device.image_to_bytes image) 0))
+
+(* The device reuses a line it retires only when nobody else holds it.
+   Three holders, each followed by stores and flushes of the very line
+   they hold, each of which retires the medium's line: a line handed out
+   by [read_lines], one handed over to [write_nt_lines], and the
+   guaranteed content a recorder keeps for crash states. *)
+let test_recycling_spares_held_lines () =
+  Testkit.run_sim (fun engine ->
+      let d = Testkit.make_device engine in
+      let ls = (Device.config d).Config.cacheline_size in
+      let store_and_flush addr c =
+        Device.write_cached d ~cat ~addr ~src:(Bytes.make 8 c) ~off:0 ~len:8;
+        Device.clflush d ~cat ~addr ~len:8
+      in
+      let churn addr =
+        List.iter (fun c -> store_and_flush addr c) [ 'a'; 'b'; 'c'; 'd' ]
+      in
+      let expect what held bytes =
+        Array.iteri
+          (fun i line ->
+            Testkit.check_bytes what (Bytes.sub bytes (i * ls) ls) line)
+          held
+      in
+      (* A fresh page, taken from the zero table: the device's own. *)
+      store_and_flush 4096 'x';
+      let read = Array.make 1 Bytes.empty in
+      Device.read_lines d ~cat ~addr:4096 ~len:ls ~into:read ~first:0;
+      let bytes = Bytes.copy read.(0) in
+      churn 4096;
+      expect "a line read_lines handed out" read bytes;
+      let written = [| Testkit.pattern_bytes ~seed:7 ls |] in
+      let bytes = Bytes.copy written.(0) in
+      Device.write_nt_lines ~background:false d ~cat ~addr:8192 ~len:ls
+        ~lines:written ~first:0;
+      churn 8192;
+      expect "a line handed to write_nt_lines" written bytes;
+      Device.enable_recording d;
+      store_and_flush 12288 'x';
+      Device.mfence d ~cat;
+      let fenced = Device.peek_persistent d ~addr:12288 ~len:ls in
+      churn 12288;
+      let state = Device.capture_crash_state d in
+      let image =
+        Device.materialize_crash_image state
+          ~choice:(Array.make (List.length state.Device.cs_choices) 0)
+      in
+      Testkit.check_bytes "the guaranteed line of a crash state" fenced
+        (Bytes.sub (Device.image_to_bytes image) 12288 ls))
+
+(* A metadata store and its flush reuse lines: the flush retires the
+   medium's old line (the page holds only the device's own lines) and the
+   next store copies into it. Warm, the pair allocates nothing. *)
+let test_store_and_flush_no_alloc () =
+  Testkit.run_sim (fun engine ->
+      let d = Testkit.make_device engine in
+      let src = Bytes.make 8 'm' in
+      let store_and_flush () =
+        for i = 0 to 3 do
+          Bytes.set src 0 (Char.chr (Char.code (Bytes.get src 0) lxor 1));
+          Device.write_cached d ~cat ~addr:(4096 + (i * 24)) ~src ~off:0
+            ~len:8
+        done;
+        Device.clflush d ~cat ~addr:4096 ~len:128;
+        Device.mfence d ~cat
+      in
+      store_and_flush ();
+      let before = Device.resident_lines d in
+      Testkit.check_no_alloc "a warm metadata store and flush" (fun () ->
+          for _ = 1 to 100 do
+            store_and_flush ()
+          done);
+      check_int "the same lines resident" before (Device.resident_lines d);
+      check_int "nothing dirty" 0 (Device.dirty_cachelines d);
+      Testkit.check_bytes "the last store persisted" src
+        (Device.peek_persistent d ~addr:(4096 + 72) ~len:8))
 
 (* A page of one byte value is that value's shared fill table: a
    whole-page store of one byte backs no table, a partial store of other
@@ -891,6 +1007,10 @@ let () =
             test_zero_nt_matches_write_nt;
           Alcotest.test_case "snapshot shares pages" `Quick
             test_snapshot_shares_pages;
+          Alcotest.test_case "store and flush allocate nothing" `Quick
+            test_store_and_flush_no_alloc;
+          Alcotest.test_case "recycling spares held lines" `Quick
+            test_recycling_spares_held_lines;
         ]
         @ Testkit.qcheck_cases [ medium_matches_flat_prop ] );
       ( "timing",

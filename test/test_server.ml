@@ -2,8 +2,9 @@
    end to end, lease expiry reclaim, generation-stamped handle staleness
    (unlink+recreate, rename-over, rollback/snapshot-delete), bounded
    open-file-cache eviction with flush-on-evict durability, a failed
-   flush-on-evict (flushed once, dropped, error propagated), and
-   handle-table determinism across seeded runs. *)
+   flush-on-evict (flushed once, dropped, error propagated),
+   handle-table determinism across seeded runs, and a handle table that
+   holds live handles only. *)
 
 module Engine = Hinfs_sim.Engine
 module Proc = Hinfs_sim.Proc
@@ -193,6 +194,41 @@ let test_generation_bump () =
             | Wire.R_attr _ -> true
             | _ -> false)))
 
+(* --- bounded handle table --- *)
+
+(* Every CREATE/REMOVE cycle mints a handle and stales it: the table keeps
+   only the live handles, yet every stale one still gets ESTALE. *)
+let test_handle_table_bounded () =
+  Testkit.run_sim (fun engine ->
+      let _d, fs = Testkit.make_pmfs engine in
+      with_server engine (Pmfs.handle fs) (fun srv ->
+          let sid = Server.establish srv in
+          let rpc r = Server.rpc srv ~sid r in
+          let keep, _ = expect_handle (rpc (Wire.Create "/keep")) in
+          let cycles = 10_000 in
+          let old =
+            List.init cycles (fun _ ->
+                let fh, _ = expect_handle (rpc (Wire.Create "/f")) in
+                expect_ok (rpc (Wire.Remove "/f"));
+                fh)
+          in
+          let handles = Server.handles srv in
+          check_int "one live handle" 1 (Fhandle.live handles);
+          check_int "the table holds the live handles only" 1
+            (List.length (Fhandle.dump handles));
+          check_int "every handle minted is counted" (cycles + 1)
+            (Fhandle.total handles);
+          List.iter
+            (fun fh ->
+              check_bool "a removed file's handle is stale" true
+                (expect_err (rpc (Wire.Getattr fh)) = Errno.ESTALE))
+            old;
+          check_int "each stale handle answered with ESTALE" cycles
+            (Fhandle.estale_total handles);
+          match rpc (Wire.Getattr keep) with
+          | Wire.R_attr _ -> ()
+          | _ -> Alcotest.fail "the live handle must resolve"))
+
 (* --- bounded open-file cache --- *)
 
 let test_bounded_eviction () =
@@ -319,6 +355,8 @@ let () =
           Alcotest.test_case "generation bump on recreate" `Quick
             test_generation_bump;
           Alcotest.test_case "fleet determinism" `Quick test_fleet_determinism;
+          Alcotest.test_case "table holds live handles only" `Quick
+            test_handle_table_bounded;
         ] );
       ( "ofcache",
         [
